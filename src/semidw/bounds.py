@@ -418,6 +418,35 @@ def upper_triple(m: Metric, t, reference=None, tol: float | None = None,
 # ---------------------------------------------------------------------------
 # scalar-shift upper bounds
 
+#: members within this relative distance of the minimum count as tied
+TIE_RTOL = 1e-12
+
+
+def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine):
+    """Minimum over a parameter grid of refined members ``refine(i) >= lower[i]``.
+
+    The lambda = 0 member, if on the grid, is refined first; the others are
+    refined in ascending order of their lower bounds until the next lower
+    bound reaches the best refined member. Returns ``(best, index,
+    zero_member)`` (``zero_member`` is None without a 0 on the grid).
+    Members can be exactly constant along the grid, so ``index`` is that of
+    lambda = 0 when its member is within ``TIE_RTOL`` relative of ``best``,
+    else the lowest index that is: the argmin never depends on rounding noise.
+    """
+    zeros = np.flatnonzero(lambda_grid == 0.0)
+    zero = int(zeros[0]) if zeros.size else None
+    refined = {} if zero is None else {zero: refine(zero)}
+    best = min(refined.values(), default=np.inf)
+    for i in np.argsort(lower):
+        if lower[i] >= best:
+            break
+        i = int(i)
+        if i not in refined:
+            refined[i] = refine(i)
+            best = min(best, refined[i])
+    ties = [i for i, v in refined.items() if v - best <= TIE_RTOL * abs(best)]
+    return best, (zero if zero in ties else min(ties)), refined.get(zero)
+
 
 def upper_lambda_theta(m: Metric, t, lambda_grid=None, theta_grid: int = THETA_GRID_BOUNDS,
                        reference=None, tol: float | None = None,
@@ -425,8 +454,16 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, theta_grid: int = THETA_G
     """Real-shift upper bound: inf over real lambda of a theta-supremum.
 
     Each member is ``2|l| ||C_th + |T|^2 - l I||_A + (||C_th + |T|^2 - 2l I||_A^2
-    + ||C_th - |T|^2||_A^2)/2`` with ``C_th = cos(th) Re_A(T) + sin(th) Im_A(T)``;
-    the lambda = 0 member is always recorded in the params.
+    + ||C_th - |T|^2||_A^2)/2`` with ``C_th = cos(th) Re_A(T) + sin(th) Im_A(T)``.
+    A scalar shift only shifts the spectrum: with ``top``/``bot`` the extreme
+    eigenvalues of ``C_th + |T|^2``, ``||C_th + |T|^2 - s I||_A = max(top - s,
+    s - bot)``, so one eigensolve per angle serves every lambda.
+
+    The lambda = 0 member is always refined and recorded in the params. On
+    part of the grid the members are exactly constant (``2l(top - l) +
+    (top - 2l)^2/2 = top^2/2``), so ``best_lambda`` is reported as 0.0 when
+    the lambda = 0 member is within 1e-12 relative of the minimum (otherwise
+    the first grid point that is); ``value`` is the minimum itself.
     """
     ref = _ref_value(m, t, reference, seed)
     tol = _tol_for(ref, tol)
@@ -436,38 +473,30 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, theta_grid: int = THETA_G
     gram = w_mat.conj().T @ w_mat
     gram = 0.5 * (gram + gram.conj().T)
     h_mat, j_mat = herm_parts(n_mat)
-    eye = np.eye(m.rank)
     n_val = op_seminorm(m, t).value
     if lambda_grid is None:
         span = 2.0 * n_val ** 2
         lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
     lambda_grid = np.asarray(lambda_grid, dtype=float)
 
+    def members(lam, cth):
+        # cth: one angle (r, r) or a stack (k, r, r); lam broadcasts against the angles
+        vals = np.linalg.eigvalsh(np.stack([cth + gram, cth - gram]))
+        top, bot = vals[0, ..., -1], vals[0, ..., 0]
+        rho_minus = np.maximum(vals[1, ..., -1], -vals[1, ..., 0])
+        rho1 = np.maximum(top - lam, lam - bot)
+        rho2 = np.maximum(top - 2.0 * lam, 2.0 * lam - bot)
+        return 2.0 * np.abs(lam) * rho1 + 0.5 * rho2 ** 2 + 0.5 * rho_minus ** 2
+
     thetas = np.linspace(0.0, 2.0 * np.pi, max(theta_grid, 8), endpoint=False)
     cth = (np.cos(thetas)[:, None, None] * h_mat
            + np.sin(thetas)[:, None, None] * j_mat)
-    vals3 = np.linalg.eigvalsh(cth - gram)
-    rho_minus_sq = np.maximum(vals3[:, -1], -vals3[:, 0]) ** 2
-
-    lams = lambda_grid[:, None, None, None]
-    base = (cth + gram)[None]
-    stack1 = (base - lams * eye).reshape(-1, m.rank, m.rank)
-    stack2 = (base - 2.0 * lams * eye).reshape(-1, m.rank, m.rank)
-    e1 = np.linalg.eigvalsh(stack1).reshape(lambda_grid.size, thetas.size, m.rank)
-    e2 = np.linalg.eigvalsh(stack2).reshape(lambda_grid.size, thetas.size, m.rank)
-    rho1 = np.maximum(e1[..., -1], -e1[..., 0])
-    rho2 = np.maximum(e2[..., -1], -e2[..., 0])
-    grid_members = (2.0 * np.abs(lambda_grid)[:, None] * rho1
-                    + 0.5 * rho2 ** 2 + 0.5 * rho_minus_sq[None, :])
+    grid_members = members(lambda_grid[:, None], cth)
     grid_sups = grid_members.max(axis=1)
 
     def member_scalar(lam: float):
         def f(theta: float) -> float:
-            c = np.cos(theta) * h_mat + np.sin(theta) * j_mat
-            stack = np.stack([c + gram - lam * eye, c + gram - 2.0 * lam * eye, c - gram])
-            vals = np.linalg.eigvalsh(stack)
-            rho = np.maximum(vals[:, -1], -vals[:, 0])
-            return 2.0 * abs(lam) * rho[0] + 0.5 * rho[1] ** 2 + 0.5 * rho[2] ** 2
+            return float(members(lam, np.cos(theta) * h_mat + np.sin(theta) * j_mat))
 
         return f
 
@@ -477,18 +506,9 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, theta_grid: int = THETA_G
                                         2.0 * np.pi, top_k=3, tol=SWEEP_BRACKET_TOL)
         return max(sup, float(grid_sups[i]))
 
-    # grid sups are lower bounds on each member; refine in ascending order and
-    # stop once the next lower bound already exceeds the best refined member
-    best = np.inf
-    best_lam = 0.0
-    for i in np.argsort(grid_sups):
-        if grid_sups[i] >= best:
-            break
-        sup = refined_sup(int(i))
-        if sup < best:
-            best, best_lam = sup, float(lambda_grid[i])
-    zeros = np.flatnonzero(lambda_grid == 0.0)
-    lambda0_val = _sqrt0(refined_sup(int(zeros[0]))) if zeros.size else None
+    best, best_i, lambda0_sup = _pruned_min(lambda_grid, grid_sups, refined_sup)
+    best_lam = float(lambda_grid[best_i])
+    lambda0_val = None if lambda0_sup is None else _sqrt0(lambda0_sup)
     value = _sqrt0(best)
     return _record("lambda real upper", "lambda-real-upper", "upper", value, ref, tol,
                    {"lambda_span": [float(lambda_grid.min()), float(lambda_grid.max())],
@@ -503,7 +523,9 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
 
     Each member is ``(2||Re(l)Re_A(T) + Im(l)Im_A(T)||_A + || |T|^2 - 2Re_A(conj(l)T) ||_A)^2
     + 2||Re_A(conj(l)T)||_A - |l|^2 + w_A^2(T - l I)`` (A-adjoint reading of
-    Re(conj(l)T) throughout).
+    Re(conj(l)T) throughout). ``best_lambda`` follows the tie rule of
+    :func:`upper_lambda_theta`: 0 when its member is within 1e-12 relative of
+    the minimum, else the first grid point that is.
     """
     ref = _ref_value(m, t, reference, seed)
     tol = _tol_for(ref, tol)
@@ -542,11 +564,11 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
 
     fixed_terms = []
     for lam in lambda_grid:
-        re_shift = 0.5 * (np.conj(lam) * n_mat + lam * n_mat.conj().T)
-        a_term = 2.0 * _spectral_radius(lam.real * h_mat + lam.imag * j_mat)
+        # Re(conj(l)N) = Re(l)H + Im(l)J serves both the a- and the c-term
+        re_shift = lam.real * h_mat + lam.imag * j_mat
+        rho_shift = _spectral_radius(re_shift)
         b_term = _spectral_radius(gram - 2.0 * re_shift)
-        c_term = 2.0 * _spectral_radius(re_shift) - abs(lam) ** 2
-        fixed_terms.append((a_term + b_term) ** 2 + c_term)
+        fixed_terms.append((2.0 * rho_shift + b_term) ** 2 + 2.0 * rho_shift - abs(lam) ** 2)
     fixed_terms = np.asarray(fixed_terms)
     w_grids = np.stack([w_shift_grid(lam) for lam in lambda_grid])
     members_low = fixed_terms + np.maximum(w_grids.max(axis=1), 0.0) ** 2
@@ -558,16 +580,9 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
         w_ref = max(w_ref, float(w_grids[i].max()))
         return float(fixed_terms[i] + w_ref ** 2)
 
-    best = np.inf
-    best_lam = 0.0 + 0.0j
-    for i in np.argsort(members_low):
-        if members_low[i] >= best:
-            break
-        member = refined_member(int(i))
-        if member < best:
-            best, best_lam = member, complex(lambda_grid[i])
-    zeros = np.flatnonzero(lambda_grid == 0.0)
-    lambda0_val = _sqrt0(refined_member(int(zeros[0]))) if zeros.size else None
+    best, best_i, lambda0_member = _pruned_min(lambda_grid, members_low, refined_member)
+    best_lam = complex(lambda_grid[best_i])
+    lambda0_val = None if lambda0_member is None else _sqrt0(lambda0_member)
     value = _sqrt0(best)
     return _record("lambda complex upper", "lambda-complex-upper", "upper", value, ref, tol,
                    {"grid_size": int(lambda_grid.size),

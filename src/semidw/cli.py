@@ -325,6 +325,12 @@ def _suite_invariance_one(seed_entropy, dim: int):
 
 
 def cmd_suite(args) -> int:
+    # --out DIR: the report and any violation replay file both go into DIR
+    out_dir = Path(".")
+    if args.out and Path(args.out).is_dir():
+        out_dir = Path(args.out)
+        ext = "txt" if args.format == "text" else args.format
+        args.out = str(out_dir / f"semidw-suite.{ext}")
     if args.replay:
         return _replay(args)
     root = np.random.SeedSequence(args.seed)
@@ -386,9 +392,7 @@ def cmd_suite(args) -> int:
     payload["suites"]["invariance"] = {"pass": passed, "total": args.invariance_count}
 
     if failed is not None:
-        replay_path = Path(args.out or ".") if (args.out and Path(args.out).is_dir()) \
-            else Path(".")
-        replay_file = replay_path / "semidw-violation.json"
+        replay_file = out_dir / "semidw-violation.json"
         jsonio.dump_json(failed, replay_file)
         lines.append(f"violation detail written to {replay_file}")
         payload["violation"] = failed

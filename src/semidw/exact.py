@@ -73,16 +73,6 @@ def _grid_max_phi(b: float, grid: int = GRID_POINTS):
     return float(theta), float(val)
 
 
-def _fallback_theta0(b: float, p: float, q: float, r: float) -> float:
-    # all real roots: pick the stationary angle in [0, pi/2] maximizing phi
-    roots = np.roots([1.0, p, q, r])
-    cands = [np.pi / 2.0]
-    for root in roots:
-        if abs(root.imag) < 1e-9 and root.real >= 0.0:
-            cands.append(float(np.arctan(root.real)))
-    return max(cands, key=lambda th: split_objective(th, b))
-
-
 def cardano_theta0(b: float) -> CardanoData:
     """Cardano data and stationary angle for a given b = ||X||_A > 0."""
     b = float(b)
@@ -95,14 +85,11 @@ def cardano_theta0(b: float) -> CardanoData:
         2.0 ** 4 * 3.0 ** 3 * b ** 6
     )
     alpha = (2.0 * p ** 3 - 9.0 * p * q + 27.0 * r) / 27.0
-    if s >= 0.0:
-        beta = float(np.cbrt(-alpha / 2.0 + np.sqrt(s)))
-        gamma = float(np.cbrt(-alpha / 2.0 - np.sqrt(s)))
-        theta0 = float(np.arctan(beta + gamma - p / 3.0))
-    else:  # unreachable for b > 0 (the numerator of s is positive); kept as a guard
-        beta = np.nan
-        gamma = np.nan
-        theta0 = _fallback_theta0(b, p, q, r)
+    # s > 0 for every b > 0 (its numerator is a sum of positive terms), so the
+    # cubic has one real root and Cardano's formula gives it
+    beta = float(np.cbrt(-alpha / 2.0 + np.sqrt(s)))
+    gamma = float(np.cbrt(-alpha / 2.0 - np.sqrt(s)))
+    theta0 = float(np.arctan(beta + gamma - p / 3.0))
     return CardanoData(b=b, p=p, q=q, r=r, s=s, alpha=alpha, beta=beta, gamma=gamma,
                        theta0=theta0)
 

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 import semidw as sd
-from semidw.bounds import CATALOG
+from semidw._optim import herm_parts, refine_periodic_max
+from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, SWEEP_BRACKET_TOL, THETA_GRID_BOUNDS
 from semidw.errors import DegenerateNorm, ZeroT
+from semidw.metric import compress
 from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
@@ -216,6 +218,90 @@ def test_lambda_theta_identity(id2):
     # lambda = 0 member: sup_theta ((cos+1)^2 + (cos-1)^2)/2 = 2
     assert rec.params["lambda0_value"] == pytest.approx(SQ2, abs=1e-9)
     assert rec.value == pytest.approx(SQ2, abs=1e-9)
+    # the members are constant (= 2) for small lambda > 0: the tie goes to 0
+    assert rec.params["best_lambda"] == 0.0
+
+
+def _lambda_theta_stacked(m, t, lambda_grid=None):
+    """Reference: eigen-solve every shifted (lambda, theta) matrix explicitly.
+
+    Returns the squared ``(value, lambda0_value)`` of ``upper_lambda_theta``
+    (``lambda0`` is None when 0 is not on the grid).
+    """
+    n_mat, w_mat = compress(m, t)
+    gram = w_mat.conj().T @ w_mat
+    gram = 0.5 * (gram + gram.conj().T)
+    h_mat, j_mat = herm_parts(n_mat)
+    eye = np.eye(m.rank)
+    if lambda_grid is None:
+        span = 2.0 * sd.op_seminorm(m, t).value ** 2
+        lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
+    lambda_grid = np.asarray(lambda_grid, dtype=float)
+    thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID_BOUNDS, endpoint=False)
+    cth = np.cos(thetas)[:, None, None] * h_mat + np.sin(thetas)[:, None, None] * j_mat
+
+    def rho(vals):
+        return np.maximum(vals[..., -1], -vals[..., 0])
+
+    rho_minus_sq = rho(np.linalg.eigvalsh(cth - gram)) ** 2
+    lams = lambda_grid[:, None, None, None]
+    e1 = np.linalg.eigvalsh(cth[None] + gram - lams * eye)
+    e2 = np.linalg.eigvalsh(cth[None] + gram - 2.0 * lams * eye)
+    grid = (2.0 * np.abs(lambda_grid)[:, None] * rho(e1) + 0.5 * rho(e2) ** 2
+            + 0.5 * rho_minus_sq[None, :])
+
+    def refined(i):
+        lam = lambda_grid[i]
+
+        def f(theta):
+            c = np.cos(theta) * h_mat + np.sin(theta) * j_mat
+            vals = np.linalg.eigvalsh(np.stack([c + gram - lam * eye,
+                                                c + gram - 2.0 * lam * eye, c - gram]))
+            r = rho(vals)
+            return 2.0 * abs(lam) * r[0] + 0.5 * r[1] ** 2 + 0.5 * r[2] ** 2
+
+        _, sup, _ = refine_periodic_max(thetas, grid[i], f, 2.0 * np.pi, top_k=3,
+                                        tol=SWEEP_BRACKET_TOL)
+        return max(sup, grid[i].max())
+
+    sups = [refined(i) for i in range(lambda_grid.size)]
+    zeros = np.flatnonzero(lambda_grid == 0.0)
+    return min(sups), (sups[zeros[0]] if zeros.size else None)
+
+
+# (dim, rank, lambda_grid): ranks 1, 2, 4, 8, 12, rank-deficient metrics included;
+# the grid without 0 lies above the spectrum, where rho(M - lam I) = lam - bot
+LAMBDA_THETA_CASES = [
+    (2, 1, None), (3, 2, None), (2, 2, [-1.0, -0.25, 0.0, 0.5, 2.0]), (5, 4, None),
+    (4, 4, [300.0, 500.0]), (8, 8, None), (10, 8, None), (13, 12, None),
+]
+
+
+def _lambda_theta_instances():
+    rng = np.random.default_rng(2024)
+    for dim, rank, grid in LAMBDA_THETA_CASES:
+        m = random_metric(rng, dim, rank)
+        yield m, random_bounded_operator(rng, m), grid
+
+
+def test_lambda_theta_matches_stacked_reference():
+    for m, t, grid in _lambda_theta_instances():
+        rec = sd.upper_lambda_theta(m, t, lambda_grid=grid, reference=1.0)
+        value_sq, lambda0_sq = _lambda_theta_stacked(m, t, lambda_grid=grid)
+        assert rec.value == pytest.approx(np.sqrt(value_sq), rel=1e-12, abs=0.0)
+        if lambda0_sq is None:
+            assert rec.params["lambda0_value"] is None
+        else:
+            assert rec.params["lambda0_value"] == pytest.approx(np.sqrt(lambda0_sq),
+                                                                rel=1e-12, abs=0.0)
+
+
+def test_lambda_theta_best_lambda_member():
+    for m, t, grid in _lambda_theta_instances():
+        rec = sd.upper_lambda_theta(m, t, lambda_grid=grid, reference=1.0)
+        member = sd.upper_lambda_theta(m, t, lambda_grid=[rec.params["best_lambda"]],
+                                       reference=1.0)
+        assert member.value ** 2 == pytest.approx(rec.value ** 2, rel=1e-12, abs=0.0)
 
 
 def test_lambda_theta_nilpotent(diag12):

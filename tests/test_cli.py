@@ -194,6 +194,15 @@ def test_suite_small(tmp_path, capsys, monkeypatch):
     assert payload["suites"]["invariance"]["pass"] == 2
 
 
+def test_suite_out_dir(tmp_path):
+    code = main(["suite", "--verify-count", "1", "--exact-count", "1",
+                 "--invariance-count", "1", "--samples", "1024",
+                 "--format", "json", "--out", str(tmp_path)])
+    assert code == 0
+    payload = json.loads((tmp_path / "semidw-suite.json").read_text())
+    assert payload["suites"]["bounds"] == {"pass": 1, "total": 1}
+
+
 def test_out_file(matrix_files, tmp_path):
     a_path, t_path = matrix_files
     out_path = tmp_path / "report.json"

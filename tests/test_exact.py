@@ -51,6 +51,12 @@ def test_cardano_discriminant_identity():
         assert d.s > 0.0
 
 
+def test_cardano_discriminant_positive():
+    # the numerator of s is a sum of positive terms, so Cardano always applies
+    for b in np.logspace(-3.0, 3.0, 61):
+        assert sd.cardano_theta0(b).s > 0.0
+
+
 @pytest.mark.parametrize("b", [0.05, 0.2, 1 / SQ2, 1.0, 1.8, 3.1, 5.0])
 def test_cardano_stationarity(b):
     data = sd.cardano_theta0(b)
