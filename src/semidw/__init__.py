@@ -30,6 +30,7 @@ from .bounds import (
     zero_equality_check,
 )
 from .errors import (
+    BOutOfRange,
     DegenerateNorm,
     DimensionMismatch,
     EmptyMatrix,

@@ -81,6 +81,18 @@ def herm_parts(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, j
 
 
+def gram_herm(w_mat: np.ndarray) -> np.ndarray:
+    """The gram ``W*W``, symmetrized against rounding."""
+    gram = w_mat.conj().T @ w_mat
+    return 0.5 * (gram + gram.conj().T)
+
+
+def rotated_herm(n_mat: np.ndarray, theta: float) -> np.ndarray:
+    """``Re(e^{i theta} N)``; ``theta - pi/2`` gives ``Im(e^{i theta} N)``."""
+    ph = np.exp(1j * theta)
+    return 0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T)
+
+
 def rotated_herm_batch(n_mat: np.ndarray, thetas: np.ndarray) -> np.ndarray:
     """Batch of ``Re(e^{i theta} N)`` over the angle array."""
     ph = np.exp(1j * thetas)

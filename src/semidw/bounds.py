@@ -19,7 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optim import herm_parts, periodic_sweep_max, refine_periodic_max, rotated_herm_batch
+from ._optim import (gram_herm, herm_parts, periodic_sweep_max, refine_periodic_max,
+                     rotated_herm, rotated_herm_batch)
 from .errors import DegenerateNorm, PreconditionError, ZeroT
 from .metric import Metric, as_operator, compress
 from .radii import (
@@ -283,8 +284,8 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None,
     tol = _tol_for(ref, tol)
     w_val = numerical_radius(m, t).value
     n_val = op_seminorm(m, t).value
-    c_t = crawford(m, t, seed=seed).value
-    c_abs = crawford(m, abs_sq(m, t), seed=seed).value
+    c_t = crawford(m, t).value
+    c_abs = crawford(m, abs_sq(m, t)).value
     params = {"w": w_val, "norm": n_val, "crawford": c_t, "crawford_abs_sq": c_abs}
     return (
         _record("crawford radius lower", "lower-crawford-radius", "lower",
@@ -316,20 +317,17 @@ def upper_theta_sweep(m: Metric, t, grid: int = THETA_GRID_BOUNDS, reference=Non
     if m.rank == 0:
         return _record("theta sweep upper", "theta-sweep-upper", "upper", 0.0, ref, tol)
     n_mat, w_mat = compress(m, t)
-    gram = w_mat.conj().T @ w_mat
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = gram_herm(w_mat)
 
     def batch(thetas):
         return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas) + gram)[:, -1]
 
     def scalar(theta):
-        ph = np.exp(1j * theta)
-        h = 0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T) + gram
-        return float(np.linalg.eigvalsh(h)[-1])
+        return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta) + gram)[-1])
 
     _, sup_w, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, max(grid, 8),
                                          top_k=3, tol=SWEEP_BRACKET_TOL)
-    c_val = crawford(m, t, seed=seed).value
+    c_val = crawford(m, t).value
     m_val = min_modulus(m, t).value
     value = _sqrt0(sup_w ** 2 - 2.0 * c_val * m_val ** 2)
     return _record("theta sweep upper", "theta-sweep-upper", "upper", value, ref, tol,
@@ -354,7 +352,7 @@ def cartesian_half(m: Metric, t, reference=None, tol: float | None = None,
     a2 = abs_sq(m, arr)
     w_plus = numerical_radius(m, arr + a2).value
     w_minus = numerical_radius(m, arr - a2).value
-    c_minus = crawford(m, arr - a2, seed=seed).value
+    c_minus = crawford(m, arr - a2).value
     params = {"w_plus": w_plus, "w_minus": w_minus, "crawford_minus": c_minus}
     lower = _record("cartesian lower", "cartesian-lower", "lower",
                     _sqrt0(0.5 * (w_plus ** 2 + c_minus ** 2)), ref, tol, params)
@@ -404,7 +402,7 @@ def upper_triple(m: Metric, t, reference=None, tol: float | None = None,
     parts = {}
     for label, sgn in (("plus", 1.0), ("minus", -1.0)):
         op = a2 + sgn * arr
-        c_val = crawford(m, op, seed=seed).value
+        c_val = crawford(m, op).value
         m_val = min_modulus(m, op).value
         sub += c_val * m_val
         parts[f"crawford_{label}"] = c_val
@@ -470,8 +468,7 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, theta_grid: int = THETA_G
     if m.rank == 0:
         return _record("lambda real upper", "lambda-real-upper", "upper", 0.0, ref, tol)
     n_mat, w_mat = compress(m, t)
-    gram = w_mat.conj().T @ w_mat
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = gram_herm(w_mat)
     h_mat, j_mat = herm_parts(n_mat)
     n_val = op_seminorm(m, t).value
     if lambda_grid is None:
@@ -532,8 +529,7 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
     if m.rank == 0:
         return _record("lambda complex upper", "lambda-complex-upper", "upper", 0.0, ref, tol)
     n_mat, w_mat = compress(m, t)
-    gram = w_mat.conj().T @ w_mat
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = gram_herm(w_mat)
     h_mat, j_mat = herm_parts(n_mat)
     w_val = numerical_radius(m, t).value
     if lambda_grid is None:
@@ -556,9 +552,8 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
 
     def w_shift_scalar(lam: complex):
         def f(theta: float) -> float:
-            ph = np.exp(1j * theta)
-            top = float(np.linalg.eigvalsh(0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T))[-1])
-            return top - (lam * ph).real
+            top = float(np.linalg.eigvalsh(rotated_herm(n_mat, theta))[-1])
+            return top - (lam * np.exp(1j * theta)).real
 
         return f
 
@@ -650,9 +645,35 @@ def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None,
                    {"norm_x": bx, "norm_y": by})
 
 
-def _block_alpha(m: Metric, x, y, seed: int) -> float:
+def _block_alpha(m: Metric, x, y) -> float:
     blk = block2(m, np.zeros((m.dim, m.dim)), x, y, np.zeros((m.dim, m.dim)))
     return numerical_radius(blk.metric2, blk.assembled).value
+
+
+def _product_sum(m: Metric, p, q, x, y, sign: int, reference, tol: float | None,
+                 seed: int, pick_t):
+    """The balanced product bound at ``t = pick_t(||P||, ||Q||, ||PX||, ||QY||)``.
+
+    ``pick_t`` may raise a failed hypothesis before the reference is
+    computed. Returns ``(value, t, sgn, ref, tol, alpha, norms)`` with
+    ``value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2 ((t^2||PX||^2 + ||QY||^2/t^2)^2
+    + alpha^2)``.
+    """
+    pa, qa = as_operator(p, m.dim), as_operator(q, m.dim)
+    xa, ya = as_operator(x, m.dim), as_operator(y, m.dim)
+    norms = (op_seminorm(m, pa).value, op_seminorm(m, qa).value,
+             op_seminorm(m, pa @ xa).value, op_seminorm(m, qa @ ya).value)
+    t = float(pick_t(*norms))
+    sgn = 1 if sign >= 0 else -1
+    op = pa @ xa @ sharp(m, qa) + sgn * (qa @ ya @ sharp(m, pa))
+    ref = _ref_value(m, op, reference, seed)
+    tol = _tol_for(ref, tol)
+    alpha = _block_alpha(m, xa, ya)
+    n_p, n_q, n_px, n_qy = norms
+    t2 = t ** 2
+    f1 = t2 * n_p ** 2 + n_q ** 2 / t2
+    f2 = t2 * n_px ** 2 + n_qy ** 2 / t2
+    return f1 * _sqrt0(f2 ** 2 + alpha ** 2), t, sgn, ref, tol, alpha, norms
 
 
 def product_sum_upper(m: Metric, p, q, x, y, t: float, sign: int = 1, reference=None,
@@ -664,23 +685,11 @@ def product_sum_upper(m: Metric, p, q, x, y, t: float, sign: int = 1, reference=
     """
     if t == 0.0:
         raise ZeroT("balance parameter t must be nonzero")
-    pa, qa = as_operator(p, m.dim), as_operator(q, m.dim)
-    xa, ya = as_operator(x, m.dim), as_operator(y, m.dim)
-    sgn = 1.0 if sign >= 0 else -1.0
-    op = pa @ xa @ sharp(m, qa) + sgn * (qa @ ya @ sharp(m, pa))
-    ref = _ref_value(m, op, reference, seed)
-    tol = _tol_for(ref, tol)
-    alpha = _block_alpha(m, xa, ya, seed)
-    n_p = op_seminorm(m, pa).value
-    n_q = op_seminorm(m, qa).value
-    n_px = op_seminorm(m, pa @ xa).value
-    n_qy = op_seminorm(m, qa @ ya).value
-    t2 = float(t) ** 2
-    f1 = t2 * n_p ** 2 + n_q ** 2 / t2
-    f2 = t2 * n_px ** 2 + n_qy ** 2 / t2
-    value = f1 * _sqrt0(f2 ** 2 + alpha ** 2)
+    value, t, sgn, ref, tol, alpha, norms = _product_sum(m, p, q, x, y, sign, reference,
+                                                        tol, seed, lambda *_: t)
+    n_p, n_q, n_px, n_qy = norms
     return _record("product sum upper", "product-sum-upper", "upper", value, ref, tol,
-                   {"t": float(t), "sign": int(1 if sgn > 0 else -1), "alpha": alpha,
+                   {"t": t, "sign": sgn, "alpha": alpha,
                     "norm_p": n_p, "norm_q": n_q, "norm_px": n_px, "norm_qy": n_qy})
 
 
@@ -691,25 +700,16 @@ def product_sum_upper_b(m: Metric, p, q, x, y, sign: int = 1, reference=None,
     value^2 = 4||P||^2||Q||^2 ((||P||/||Q||) ||QY||^2 + (||Q||/||P||) ||PX||^2)^2 + ...,
     equal to :func:`product_sum_upper` at that t.
     """
-    pa, qa = as_operator(p, m.dim), as_operator(q, m.dim)
-    xa, ya = as_operator(x, m.dim), as_operator(y, m.dim)
-    n_p = op_seminorm(m, pa).value
-    n_q = op_seminorm(m, qa).value
-    if n_p == 0.0 or n_q == 0.0:
-        raise DegenerateNorm("||P||_A and ||Q||_A must be nonzero")
-    sgn = 1.0 if sign >= 0 else -1.0
-    op = pa @ xa @ sharp(m, qa) + sgn * (qa @ ya @ sharp(m, pa))
-    ref = _ref_value(m, op, reference, seed)
-    tol = _tol_for(ref, tol)
-    alpha = _block_alpha(m, xa, ya, seed)
-    n_px = op_seminorm(m, pa @ xa).value
-    n_qy = op_seminorm(m, qa @ ya).value
-    inner = (n_p / n_q) * n_qy ** 2 + (n_q / n_p) * n_px ** 2
-    value = _sqrt0(4.0 * n_p ** 2 * n_q ** 2 * (inner ** 2 + alpha ** 2))
+
+    def pick_t(n_p, n_q, n_px, n_qy):
+        if n_p == 0.0 or n_q == 0.0:
+            raise DegenerateNorm("||P||_A and ||Q||_A must be nonzero")
+        return np.sqrt(n_q / n_p)
+
+    value, t, sgn, ref, tol, alpha, _ = _product_sum(m, p, q, x, y, sign, reference, tol,
+                                                     seed, pick_t)
     return _record("product sum balanced upper", "product-sum-balanced-upper", "upper",
-                   value, ref, tol,
-                   {"t": float(np.sqrt(n_q / n_p)), "sign": int(1 if sgn > 0 else -1),
-                    "alpha": alpha})
+                   value, ref, tol, {"t": t, "sign": sgn, "alpha": alpha})
 
 
 def product_sum_upper_c(m: Metric, p, q, x, y, sign: int = 1, reference=None,
@@ -719,25 +719,16 @@ def product_sum_upper_c(m: Metric, p, q, x, y, sign: int = 1, reference=None,
     value^2 = ((||QY||/||PX||)||P||^2 + (||PX||/||QY||)||Q||^2)^2
     (4||PX||^2||QY||^2 + alpha^2), equal to :func:`product_sum_upper` at that t.
     """
-    pa, qa = as_operator(p, m.dim), as_operator(q, m.dim)
-    xa, ya = as_operator(x, m.dim), as_operator(y, m.dim)
-    n_px = op_seminorm(m, pa @ xa).value
-    n_qy = op_seminorm(m, qa @ ya).value
-    if n_px == 0.0 or n_qy == 0.0:
-        raise DegenerateNorm("||PX||_A and ||QY||_A must be nonzero")
-    sgn = 1.0 if sign >= 0 else -1.0
-    op = pa @ xa @ sharp(m, qa) + sgn * (qa @ ya @ sharp(m, pa))
-    ref = _ref_value(m, op, reference, seed)
-    tol = _tol_for(ref, tol)
-    alpha = _block_alpha(m, xa, ya, seed)
-    n_p = op_seminorm(m, pa).value
-    n_q = op_seminorm(m, qa).value
-    outer = (n_qy / n_px) * n_p ** 2 + (n_px / n_qy) * n_q ** 2
-    value = _sqrt0(outer ** 2 * (4.0 * n_px ** 2 * n_qy ** 2 + alpha ** 2))
+
+    def pick_t(n_p, n_q, n_px, n_qy):
+        if n_px == 0.0 or n_qy == 0.0:
+            raise DegenerateNorm("||PX||_A and ||QY||_A must be nonzero")
+        return np.sqrt(n_qy / n_px)
+
+    value, t, sgn, ref, tol, alpha, _ = _product_sum(m, p, q, x, y, sign, reference, tol,
+                                                     seed, pick_t)
     return _record("product sum aligned upper", "product-sum-aligned-upper", "upper",
-                   value, ref, tol,
-                   {"t": float(np.sqrt(n_qy / n_px)), "sign": int(1 if sgn > 0 else -1),
-                    "alpha": alpha})
+                   value, ref, tol, {"t": t, "sign": sgn, "alpha": alpha})
 
 
 # ---------------------------------------------------------------------------
@@ -746,6 +737,51 @@ def product_sum_upper_c(m: Metric, p, q, x, y, sign: int = 1, reference=None,
 
 def _sha16(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
+
+
+def _reference(m: Metric, t, seed: int, oracle_samples: int, tol: float | None):
+    """Reference dw: the multistart estimate, raised to the oracle's at rank <= 6.
+
+    Returns ``(multistart, oracle, reference, tol)``.
+    """
+    est = dw_radius(m, t, seed=seed).value
+    oracle_val: float | None = None
+    if 0 < m.rank <= 6:
+        oracle_val = oracle_extremum(m, t, "dw", samples=oracle_samples, seed=seed).value
+    ref = max(est, oracle_val) if oracle_val is not None else est
+    return est, oracle_val, ref, _tol_for(ref, tol)
+
+
+def _run(records: list[BoundRecord], ref: float, fn, *args, **kwargs) -> None:
+    """Append the records of one evaluator; a failed precondition becomes a record.
+
+    A failed hypothesis (``DegenerateNorm``, ``ZeroT``) is "not-applicable"
+    and leaves the report standing; any other precondition is an "error".
+    """
+    name = fn.__name__
+    try:
+        out = fn(*args, **kwargs)
+    except (DegenerateNorm, ZeroT) as exc:
+        records.append(BoundRecord(name, name, "upper", np.nan, ref, None, np.nan,
+                                   {"reason": str(exc)}, "not-applicable"))
+        return
+    except PreconditionError as exc:
+        records.append(BoundRecord(name, name, "upper", np.nan, ref, None, np.nan,
+                                   {"error": str(exc)}, "error"))
+        return
+    if isinstance(out, BoundRecord):
+        records.append(out)
+    else:
+        records.extend(r for r in out if r is not None)
+
+
+def _report(m: Metric, operators: dict, est: float, oracle_val: float | None, ref: float,
+            tol: float, records: list[BoundRecord], seed: int) -> VerificationReport:
+    ok = all(rec.satisfied for rec in records if rec.status == "ok")
+    ok = ok and not any(rec.status == "error" for rec in records)
+    instance = {"dim": m.dim, "rank": m.rank, "metric_sha": _sha16(m.a)}
+    instance.update((key, _sha16(arr)) for key, arr in operators.items())
+    return VerificationReport(instance, est, oracle_val, ref, tol, records, bool(ok), int(seed))
 
 
 def pair_report(m: Metric, x, y, seed: int = 42, oracle_samples: int = 8192,
@@ -759,63 +795,17 @@ def pair_report(m: Metric, x, y, seed: int = 42, oracle_samples: int = 8192,
     """
     xa = as_operator(x, m.dim)
     ya = as_operator(y, m.dim)
-    est = dw_radius(m, xa + ya, seed=seed)
-    oracle_val: float | None = None
-    if 0 < m.rank <= 6:
-        oracle_val = oracle_extremum(m, xa + ya, "dw", samples=oracle_samples,
-                                     seed=seed).value
-    ref = max(est.value, oracle_val) if oracle_val is not None else est.value
-    tol = _tol_for(ref, tol)
+    est, oracle_val, ref, tol = _reference(m, xa + ya, seed, oracle_samples, tol)
     eye = np.eye(m.dim)
-
     records: list[BoundRecord] = []
-
-    def run(fn, *args, **kwargs):
-        kwargs.setdefault("reference", ref)
-        kwargs.setdefault("tol", tol)
-        kwargs.setdefault("seed", seed)
-        name = fn.__name__
-        try:
-            out = fn(*args, **kwargs)
-        except (DegenerateNorm, ZeroT) as exc:
-            # failed hypothesis: the bound does not apply, the report stands
-            records.append(BoundRecord(name, name, "upper", np.nan, ref, None, np.nan,
-                                       {"reason": str(exc)}, "not-applicable"))
-            return
-        except PreconditionError as exc:
-            records.append(BoundRecord(name, name, "upper", np.nan, ref, None, np.nan,
-                                       {"error": str(exc)}, "error"))
-            return
-        if isinstance(out, BoundRecord):
-            records.append(out)
-        else:
-            records.extend(r for r in out if r is not None)
-
-    run(sum_upper, m, xa, ya)
-    run(feki_sum_upper, m, xa, ya)
-    run(offdiag_upper, m, xa, ya, reference=None)  # its reference is the block dw
-    run(product_sum_upper_b, m, eye, eye, xa, ya)
-    run(product_sum_upper_c, m, eye, eye, xa, ya)
-
-    ok = all(rec.satisfied for rec in records if rec.status == "ok")
-    ok = ok and not any(rec.status == "error" for rec in records)
-    instance = {
-        "dim": m.dim,
-        "rank": m.rank,
-        "metric_sha": _sha16(m.a),
-        "operator_sha": _sha16(xa),
-        "operator2_sha": _sha16(ya),
-    }
-    return VerificationReport(
-        instance=instance,
-        dw_multistart=est.value,
-        dw_oracle=oracle_val,
-        reference_dw=ref,
-        tol=tol,
-        records=records,
-        overall_pass=bool(ok),
-        seed=int(seed),
-    )
+    for fn, args, reference in ((sum_upper, (xa, ya), ref),
+                                (feki_sum_upper, (xa, ya), ref),
+                                (offdiag_upper, (xa, ya), None),  # its reference is the block dw
+                                (product_sum_upper_b, (eye, eye, xa, ya), ref),
+                                (product_sum_upper_c, (eye, eye, xa, ya), ref)):
+        _run(records, ref, fn, m, *args, reference=reference, tol=tol, seed=seed)
+    return _report(m, {"operator_sha": xa, "operator2_sha": ya}, est, oracle_val, ref, tol,
+                   records, seed)
 
 
 def verify_all(m: Metric, t, seed: int = 42, oracle_samples: int = 8192,
@@ -827,52 +817,9 @@ def verify_all(m: Metric, t, seed: int = 42, oracle_samples: int = 8192,
     are captured per-record without aborting the report.
     """
     arr = as_operator(t, m.dim)
-    est = dw_radius(m, arr, seed=seed)
-    oracle_val: float | None = None
-    if 0 < m.rank <= 6:
-        oracle_val = oracle_extremum(m, arr, "dw", samples=oracle_samples, seed=seed).value
-    ref = max(est.value, oracle_val) if oracle_val is not None else est.value
-    tol = _tol_for(ref, tol)
-
+    est, oracle_val, ref, tol = _reference(m, arr, seed, oracle_samples, tol)
     records: list[BoundRecord] = []
-
-    def run(fn, *args, **kwargs):
-        try:
-            out = fn(m, arr, *args, reference=ref, tol=tol, **kwargs)
-        except PreconditionError as exc:
-            name = fn.__name__
-            records.append(BoundRecord(name, name, "upper", np.nan, ref, None, np.nan,
-                                       {"error": str(exc)}, "error"))
-            return
-        if isinstance(out, BoundRecord):
-            records.append(out)
-        else:
-            records.extend(r for r in out if r is not None)
-
-    run(sandwich)
-    run(lower_crawford, seed=seed)
-    run(upper_theta_sweep, seed=seed)
-    run(cartesian_half, seed=seed)
-    run(upper_buzano, seed=seed)
-    run(upper_triple, seed=seed)
-    run(upper_lambda_theta, seed=seed)
-    run(upper_lambda_complex, seed=seed)
-
-    ok = all(rec.satisfied for rec in records if rec.status == "ok")
-    ok = ok and not any(rec.status == "error" for rec in records)
-    instance = {
-        "dim": m.dim,
-        "rank": m.rank,
-        "metric_sha": _sha16(m.a),
-        "operator_sha": _sha16(arr),
-    }
-    return VerificationReport(
-        instance=instance,
-        dw_multistart=est.value,
-        dw_oracle=oracle_val,
-        reference_dw=ref,
-        tol=tol,
-        records=records,
-        overall_pass=bool(ok),
-        seed=int(seed),
-    )
+    for fn in (sandwich, lower_crawford, upper_theta_sweep, cartesian_half, upper_buzano,
+               upper_triple, upper_lambda_theta, upper_lambda_complex):
+        _run(records, ref, fn, m, arr, reference=ref, tol=tol, seed=seed)
+    return _report(m, {"operator_sha": arr}, est, oracle_val, ref, tol, records, seed)

@@ -99,7 +99,7 @@ def cmd_compute(args) -> int:
         "seminorm": rad.op_seminorm(m, t),
         "min_modulus": rad.min_modulus(m, t),
         "numerical_radius": rad.numerical_radius(m, t),
-        "crawford": rad.crawford(m, t, seed=args.seed),
+        "crawford": rad.crawford(m, t),
         "dw_radius": rad.dw_radius(m, t, seed=args.seed),
     }
     payload = {name: est.to_dict() for name, est in quantities.items()}

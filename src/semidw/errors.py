@@ -59,5 +59,9 @@ class NonpositiveB(PreconditionError):
     """Raised when the cubic angle recipe is evaluated at b <= 0."""
 
 
+class BOutOfRange(PreconditionError):
+    """Raised when a closed form in b = ||X||_A is not finite in double precision."""
+
+
 class PropertyViolation(SemidwError):
     """Raised by the suite runner when a randomized property check fails."""

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._optim import golden_max
-from .errors import NonpositiveB
+from .errors import BOutOfRange, NonpositiveB
 from .metric import Metric, as_operator, to_ambient
 from .radii import RadiusEstimate, op_seminorm
 
@@ -73,23 +73,38 @@ def _grid_max_phi(b: float, grid: int = GRID_POINTS):
     return float(theta), float(val)
 
 
+def _out_of_range(b: float) -> BOutOfRange:
+    return BOutOfRange(f"b = ||X||_A = {b:.6g} is outside the range where the closed "
+                       "form is finite in double precision")
+
+
 def cardano_theta0(b: float) -> CardanoData:
-    """Cardano data and stationary angle for a given b = ||X||_A > 0."""
+    """Cardano data and stationary angle for a given b = ||X||_A > 0.
+
+    Raises :class:`BOutOfRange` when b is so small or so large (below about
+    3e-52, above about 2.6e38) that the coefficients leave the
+    floating-point range; :func:`dw_exact_ix` inherits the upper limit.
+    """
     b = float(b)
     if b <= 0.0:
         raise NonpositiveB(f"b must be positive, got {b}")
-    p = -(2.0 * b ** 2 - 5.0) / (2.0 * b)
-    q = -(2.0 * b ** 2 - 2.0) / b ** 2
-    r = -3.0 / (2.0 * b)
-    s = (8.0 * b ** 8 + 20.0 * b ** 6 + 45.0 * b ** 4 + 61.0 * b ** 2 + 28.0) / (
-        2.0 ** 4 * 3.0 ** 3 * b ** 6
-    )
-    alpha = (2.0 * p ** 3 - 9.0 * p * q + 27.0 * r) / 27.0
+    try:
+        p = -(2.0 * b ** 2 - 5.0) / (2.0 * b)
+        q = -(2.0 * b ** 2 - 2.0) / b ** 2
+        r = -3.0 / (2.0 * b)
+        s = (8.0 * b ** 8 + 20.0 * b ** 6 + 45.0 * b ** 4 + 61.0 * b ** 2 + 28.0) / (
+            2.0 ** 4 * 3.0 ** 3 * b ** 6
+        )
+        alpha = (2.0 * p ** 3 - 9.0 * p * q + 27.0 * r) / 27.0
+    except (OverflowError, ZeroDivisionError):
+        p = q = r = s = alpha = np.nan
     # s > 0 for every b > 0 (its numerator is a sum of positive terms), so the
     # cubic has one real root and Cardano's formula gives it
     beta = float(np.cbrt(-alpha / 2.0 + np.sqrt(s)))
     gamma = float(np.cbrt(-alpha / 2.0 - np.sqrt(s)))
     theta0 = float(np.arctan(beta + gamma - p / 3.0))
+    if not np.isfinite([p, q, r, s, alpha, beta, gamma, theta0]).all():
+        raise _out_of_range(b)
     return CardanoData(b=b, p=p, q=q, r=r, s=s, alpha=alpha, beta=beta, gamma=gamma,
                        theta0=theta0)
 
@@ -161,7 +176,8 @@ def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
 
     0 when ``||X||_A = 0``; ``b / (2 sqrt(1 - b^2))`` for ``b < 1/sqrt(2)``;
     ``b^2`` for ``b >= 1/sqrt(2)`` (boundary inclusive; both branches agree
-    there).
+    there). Raises :class:`BOutOfRange` when ``b^2`` overflows (b above
+    about 1.3e154).
     """
     arr = as_operator(x, m.dim)
     est_b = op_seminorm(m, arr)
@@ -176,7 +192,10 @@ def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
         coords = np.concatenate([e1, np.zeros(m.rank, dtype=complex)])
         return RadiusEstimate(0.0, coords, "exact_svd", 0, 0.0, z, None)
     if b >= 1.0 / np.sqrt(2.0):
-        value = b ** 2
+        try:
+            value = b ** 2
+        except OverflowError as exc:
+            raise _out_of_range(b) from exc
         y0 = est_b.witness
         z = np.concatenate([np.zeros(m.dim, dtype=complex), y0])
         coords = np.concatenate([

@@ -6,7 +6,7 @@ compressed pair ``(N, W)`` from :func:`semidw.metric.compress`:
 * ``op_seminorm``      -- ``||T||_A``, the largest singular value of W;
 * ``min_modulus``      -- ``m_A(T)``, the smallest singular value of W;
 * ``numerical_radius`` -- ``w_A(T) = max_theta lambda_max(Re(e^{i theta} N))``;
-* ``crawford``         -- ``c_A(T) = min |c* N c|`` over unit c;
+* ``crawford``         -- ``c_A(T) = min |c* N c| = dist(0, W(N))`` over unit c;
 * ``dw_radius``        -- ``dw_A(T) = max sqrt(|c* N c|^2 + ||W c||^4)``.
 
 Each returns a :class:`RadiusEstimate` carrying the optimal value, the unit
@@ -17,8 +17,8 @@ canonical only up to that coset.
 
 :func:`oracle_extremum` is the ground-truth estimator used by the tests:
 quasi-uniform sampling of the compressed unit sphere followed by stock
-quasi-Newton refinement of the best candidates, independent of the
-custom ascent/descent machinery above it.
+quasi-Newton refinement of the best candidates, independent of the angle
+sweeps and of the dw ascent above it.
 """
 
 from __future__ import annotations
@@ -30,14 +30,13 @@ from scipy.optimize import minimize
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from ._optim import herm_parts, periodic_sweep_max, rotated_herm_batch
+from ._optim import gram_herm, herm_parts, periodic_sweep_max, rotated_herm, rotated_herm_batch
 from .errors import RankTooLarge
 from .metric import Metric, compress, to_ambient
 
 DEFAULT_SEED = 20220
 THETA_GRID = 1440
 DW_STARTS = 32
-CRAWFORD_STARTS = 16
 GRAD_TOL = 1e-10
 
 _ORACLE_OBJECTIVES = ("dw", "crawford", "numrad")
@@ -150,9 +149,7 @@ def min_modulus(m: Metric, t) -> RadiusEstimate:
 
 
 def _lambda_max(n_mat: np.ndarray, theta: float) -> float:
-    ph = np.exp(1j * theta)
-    h = 0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T)
-    return float(np.linalg.eigvalsh(h)[-1])
+    return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta))[-1])
 
 
 def _theta_sweep(n_mat: np.ndarray, grid: int = THETA_GRID, tol: float = 1e-12):
@@ -173,12 +170,28 @@ def numerical_radius(m: Metric, t, grid: int = THETA_GRID) -> RadiusEstimate:
     if m.rank == 0:
         return _empty_estimate("theta_sweep")
     theta, value, evals = _theta_sweep(n_mat, grid)
-    ph = np.exp(1j * theta)
-    h = 0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T)
-    _, vecs = np.linalg.eigh(h)
+    _, vecs = np.linalg.eigh(rotated_herm(n_mat, theta))
     c = vecs[:, -1]
     resid = abs(abs(form_values(n_mat, c[None, :])[0]) - value)
     return _finish(m, value, c, "theta_sweep", evals, resid)
+
+
+def _support_sweep(n_mat: np.ndarray, grid: int):
+    """Maximize ``lambda_min(Re(e^{i phi} N))`` over phi.
+
+    Returns ``(max(0, maximum), phi, evals, lam, vecs)`` with the eigenpairs
+    ``lam, vecs`` of ``Re(e^{i phi} N)``.
+    """
+
+    def batch(thetas):
+        return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, 0]
+
+    def scalar(theta):
+        return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta))[0])
+
+    phi, value, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, grid, top_k=3, tol=1e-12)
+    lam, vecs = np.linalg.eigh(rotated_herm(n_mat, phi))
+    return max(0.0, float(value)), float(phi), evals, lam, vecs
 
 
 def numrange_distance(n_mat: np.ndarray, grid: int = THETA_GRID):
@@ -189,127 +202,119 @@ def numrange_distance(n_mat: np.ndarray, grid: int = THETA_GRID):
     convex, so ``dist = max(0, max_phi lambda_min(Re(e^{i phi} N)))``; this
     is the certified value of the Crawford functional.
     """
-    r = n_mat.shape[0]
-    if r == 0:
+    if n_mat.shape[0] == 0:
         return 0.0, 0.0, np.zeros(0, dtype=complex)
-
-    def batch(thetas):
-        return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, 0]
-
-    def scalar(theta):
-        ph = np.exp(1j * theta)
-        h = 0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T)
-        return float(np.linalg.eigvalsh(h)[0])
-
-    phi, value, _ = periodic_sweep_max(batch, scalar, 2.0 * np.pi, grid, top_k=3, tol=1e-12)
-    ph = np.exp(1j * phi)
-    h = 0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T)
-    _, vecs = np.linalg.eigh(h)
-    return max(0.0, float(value)), float(phi), vecs[:, 0]
+    value, phi, _, _, vecs = _support_sweep(n_mat, grid)
+    return value, phi, vecs[:, 0]
 
 
 # ---------------------------------------------------------------------------
-# Crawford number: multistart projected gradient descent
+# Crawford number: convexity sweep with a constructive witness
+
+#: bottom eigenvalues of Re(e^{i phi} N) this close (relative) span one face
+FACE_RTOL = 1e-8
+#: eigensolve budget of the support-angle bisection through 0
+ZERO_SEARCH_EVALS = 64
 
 
-def _descend_form(n_mat: np.ndarray, c_rows: np.ndarray, tol: float = 1e-12,
-                  max_iter: int = 150, stall_limit: int = 10):
-    """Minimize ``|c* N c|^2`` on the unit sphere, one PGD per row.
+def _form(n_mat: np.ndarray, c: np.ndarray) -> complex:
+    return complex(np.vdot(c, n_mat @ c))
 
-    Backtracking (Armijo) line search with per-row adaptive steps; rows
-    freeze when the projected gradient is below tolerance, decays
-    sublinearly (flat minimum), or the step bottoms out. Returns
-    ``(C, F, grad_norms, iterations)``.
+
+def _nearest(n_mat: np.ndarray, *cands: np.ndarray) -> np.ndarray:
+    """The candidate unit vector of smallest ``|c* N c|``."""
+    return min(cands, key=lambda c: abs(_form(n_mat, c)))
+
+
+def _hit(n_mat: np.ndarray, x: np.ndarray, y: np.ndarray, target: complex) -> np.ndarray:
+    """Unit ``c`` in span{x, y} with ``c* N c = target`` on the segment [x*Nx, y*Ny].
+
+    Toeplitz-Hausdorff in two dimensions: rotate ``N - target`` so that the
+    forms of x and y are real with opposite signs; on ``c = x + r e^{i psi} y``
+    the phase psi makes the cross term real, and ``r >= 0`` is the root of a
+    real quadratic. A target off the segment gives the nearer end.
     """
-    c_rows = c_rows.copy()
-    k = c_rows.shape[0]
-    scale = 1.0 + float(np.linalg.norm(n_mat)) ** 2
-    eta = np.full(k, 0.25 / scale)
-    z = form_values(n_mat, c_rows)
-    f_vals = np.abs(z) ** 2
-    frozen = np.zeros(k, dtype=bool)
-    grad_norms = np.zeros(k)
-    last_gn = np.full(k, np.inf)
-    stall = np.zeros(k, dtype=int)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        grad = np.conj(z)[:, None] * (c_rows @ n_mat.T) + z[:, None] * (c_rows @ n_mat.conj())
-        ip = np.sum(np.conj(c_rows) * grad, axis=1).real
-        grad = grad - ip[:, None] * c_rows
-        grad_norms = np.linalg.norm(grad, axis=1)
-        stall = np.where(grad_norms > last_gn / 1.02, stall + 1, 0)
-        last_gn = grad_norms.copy()
-        frozen |= (grad_norms <= tol * scale) | (stall >= stall_limit)
-        if frozen.all():
-            break
-        pending = ~frozen
-        for _ in range(40):
-            idx = np.flatnonzero(pending)
-            if idx.size == 0:
-                break
-            cand = c_rows[idx] - eta[idx, None] * grad[idx]
-            nrm = np.linalg.norm(cand, axis=1)
-            nrm[nrm < 1e-300] = 1.0
-            cand = cand / nrm[:, None]
-            zc = form_values(n_mat, cand)
-            fc = np.abs(zc) ** 2
-            ok = fc <= f_vals[idx] - 1e-4 * eta[idx] * grad_norms[idx] ** 2
-            good = idx[ok]
-            c_rows[good] = cand[ok]
-            z[good] = zc[ok]
-            f_vals[good] = fc[ok]
-            eta[good] *= 1.25
-            pending[good] = False
-            bad = idx[~ok]
-            eta[bad] *= 0.5
-            dead = bad[eta[bad] < 1e-18]
-            frozen[dead] = True
-            pending[dead] = False
-        if frozen.all():
-            break
-    return c_rows, f_vals, grad_norms, iterations
+    basis = np.stack([x, y], axis=1)
+    g = basis.conj().T @ (n_mat @ basis) - target * (basis.conj().T @ basis)
+    span = g[1, 1] - g[0, 0]
+    if span == 0.0:
+        return x
+    g = (np.conj(span) / abs(span)) * g
+    a, b = g[0, 0].real, g[1, 1].real
+    if a >= 0.0:
+        return x
+    if b <= 0.0:
+        return y
+    ph = np.exp(-1j * np.angle(g[0, 1] - np.conj(g[1, 0])))
+    kappa = (ph * g[0, 1] + np.conj(ph) * g[1, 0]).real
+    root = np.sqrt(kappa ** 2 - 4.0 * a * b)
+    r = (root - kappa) / (2.0 * b) if kappa <= 0.0 else -2.0 * a / (kappa + root)
+    c = x + r * ph * y
+    return c / np.linalg.norm(c)
 
 
-def crawford(m: Metric, t, starts: int = CRAWFORD_STARTS,
-             seed: int = DEFAULT_SEED) -> RadiusEstimate:
-    """A-Crawford number ``c_A(T)`` by multistart projected gradient descent.
+def _face_point(n_mat: np.ndarray, phi: float, lam: np.ndarray, vecs: np.ndarray,
+                target: complex) -> np.ndarray:
+    """Unit vector whose form is the point ``target`` of the support face at phi.
 
-    Structured starts: the bottom eigenvector at the optimal support angle of
-    the convexity sweep, bottom eigenvectors on a coarse angle grid, and the
-    extreme right singular vectors of W; plus ``starts`` seeded random unit
-    vectors. The sweep value itself is the certified target, so the descent
-    acts as a witness-producing polish.
+    A simple bottom eigenvalue of ``Re(e^{i phi} N)`` gives a one-point face.
+    A multiple one gives a segment of W(N), between the forms of the extreme
+    eigenvectors of ``Im(e^{i phi} N)`` on the bottom eigenspace.
     """
-    n_mat, w_mat = compress(m, t)
-    r = m.rank
-    if r == 0:
-        return _empty_estimate("multistart")
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC4A]))
-    cands = []
-    _, _, c_sweep = numrange_distance(n_mat)
-    cands.append(c_sweep)
-    for phi in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
-        ph = np.exp(1j * phi)
-        h = 0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T)
-        _, vecs = np.linalg.eigh(h)
-        cands.append(vecs[:, 0])
-    _, _, vh = np.linalg.svd(w_mat)
-    cands.append(vh[-1].conj())
-    cands.append(vh[0].conj())
-    rand = rng.standard_normal((starts, r)) + 1j * rng.standard_normal((starts, r))
-    c0 = np.vstack([np.asarray(cands), rand])
-    c0 = c0 / np.linalg.norm(c0, axis=1, keepdims=True)
-    c_rows, f_vals, grad_norms, iterations = _descend_form(n_mat, c0)
-    best = int(np.argmin(f_vals))
-    value = float(np.sqrt(max(f_vals[best], 0.0)))
-    c_best = c_rows[best]
-    resid = float(grad_norms[best])
-    if resid > 1e-10 * (1.0 + float(np.linalg.norm(n_mat)) ** 2):
-        val2, c2, nfev = _sphere_refine(n_mat, None, c_best, minimize_it=True)
-        iterations += nfev
-        if val2 <= value:
-            value, c_best = val2, c2
-    return _finish(m, value, c_best, "multistart", iterations, resid)
+    face = vecs[:, lam <= lam[0] + FACE_RTOL * (1.0 + float(np.linalg.norm(n_mat)))]
+    if face.shape[1] < 2:
+        return vecs[:, 0]
+    _, u = np.linalg.eigh(face.conj().T @ rotated_herm(n_mat, phi - 0.5 * np.pi) @ face)
+    return _nearest(n_mat, vecs[:, 0], _hit(n_mat, face @ u[:, 0], face @ u[:, -1], target))
+
+
+def _through_zero(n_mat: np.ndarray, x1: np.ndarray) -> np.ndarray:
+    """Unit ``c`` with ``c* N c = 0`` when 0 is in W(N): constructive Toeplitz-Hausdorff.
+
+    In the frame ``R = e^{-i arg(-z1)} N`` the support point ``z1 = x1* N x1``
+    lies on the negative real axis. The top eigenvectors of ``Re(e^{i theta} R)``
+    for theta from -pi/2 to pi/2 give support points of falling imaginary
+    part; bisecting theta finds two whose chord crosses the real axis at
+    ``q >= 0``. One 2x2 solve attains q, a second 0 on [z1, q]. Falls back
+    to x1 after ``ZERO_SEARCH_EVALS`` eigensolves.
+    """
+    z1 = _form(n_mat, x1)
+    if z1 == 0.0:
+        return x1
+    r_mat = (-np.conj(z1) / abs(z1)) * n_mat
+
+    def support(theta: float):
+        x = np.linalg.eigh(rotated_herm(r_mat, theta))[1][:, -1]
+        return theta, x, _form(r_mat, x)
+
+    hi, lo = support(-0.5 * np.pi), support(0.5 * np.pi)
+    for _ in range(ZERO_SEARCH_EVALS - 2):
+        rise = hi[2].imag - lo[2].imag
+        cross = (lo[2].real * hi[2].imag - lo[2].imag * hi[2].real) / rise if rise else hi[2].real
+        if cross >= 0.0:
+            return _hit(r_mat, x1, _hit(r_mat, lo[1], hi[1], cross), 0.0)
+        mid = support(0.5 * (hi[0] + lo[0]))
+        hi, lo = (mid, lo) if mid[2].imag >= 0.0 else (hi, mid)
+    return x1
+
+
+def crawford(m: Metric, t) -> RadiusEstimate:
+    """A-Crawford number ``c_A(T) = dist(0, W(N))`` by the convexity sweep.
+
+    The value d is :func:`numrange_distance`'s. The witness attains the
+    point ``d e^{-i phi}`` of W(N) nearest 0, phi the sweep angle: on the
+    support face at phi when ``d > 0``, through :func:`_through_zero` when
+    ``d = 0``. ``iterations`` is the sweep's evaluation count.
+    """
+    n_mat, _ = compress(m, t)
+    if m.rank == 0:
+        return _empty_estimate("convexity_sweep")
+    value, phi, evals, lam, vecs = _support_sweep(n_mat, THETA_GRID)
+    c = _face_point(n_mat, phi, lam, vecs, value * np.exp(-1j * phi))
+    if value == 0.0:
+        c = _nearest(n_mat, c, _through_zero(n_mat, c))
+    resid = abs(abs(_form(n_mat, c)) - value)
+    return _finish(m, value, c, "convexity_sweep", evals, resid)
 
 
 # ---------------------------------------------------------------------------
@@ -434,14 +439,11 @@ def dw_radius(m: Metric, t, starts: int = DW_STARTS, seed: int = DEFAULT_SEED) -
     r = m.rank
     if r == 0:
         return _empty_estimate("multistart")
-    gram = w_mat.conj().T @ w_mat
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = gram_herm(w_mat)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
     _, _, vh = np.linalg.svd(w_mat)
     theta, _, _ = _theta_sweep(n_mat)
-    ph = np.exp(1j * theta)
-    h = 0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T)
-    _, vecs = np.linalg.eigh(h)
+    _, vecs = np.linalg.eigh(rotated_herm(n_mat, theta))
     rand = rng.standard_normal((starts, r)) + 1j * rng.standard_normal((starts, r))
     c0 = np.vstack([vh[0].conj()[None, :], vecs[:, -1][None, :], rand])
     c0 = c0 / np.linalg.norm(c0, axis=1, keepdims=True)
@@ -490,8 +492,7 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
         return _empty_estimate("oracle")
     if r > 6:
         raise RankTooLarge(f"oracle guard: compressed rank {r} > 6")
-    gram = w_mat.conj().T @ w_mat
-    gram = 0.5 * (gram + gram.conj().T)
+    gram = gram_herm(w_mat)
     minimize_it = objective == "crawford"
 
     def batch_vals(c_rows: np.ndarray) -> np.ndarray:

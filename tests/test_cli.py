@@ -114,6 +114,19 @@ def test_compute_precondition_exit_3(tmp_path, capsys):
     assert "residual" in err
 
 
+@pytest.mark.parametrize("b", [1e40, 1e160])
+def test_exact_out_of_range_b_exit_3(tmp_path, capsys, b):
+    a_path = tmp_path / "a.json"
+    t_path = tmp_path / "t.json"
+    a_path.write_text(json.dumps(jsonio.matrix_to_dict(np.eye(2))))
+    t_path.write_text(json.dumps(jsonio.matrix_to_dict(np.array([[0.0, b], [0.0, 0.0]]))))
+    code = main(["exact", "--metric", str(a_path), "--operator", str(t_path),
+                 "--samples", "256"])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "b = ||X||_A" in err
+
+
 def test_bounds_and_verify(matrix_files, capsys):
     a_path, t_path = matrix_files
     code = main(["bounds", "--metric", a_path, "--operator", t_path,

@@ -80,6 +80,24 @@ def test_cardano_rejects_nonpositive():
         sd.cardano_theta0(-1.0)
 
 
+def test_closed_forms_reject_b_outside_float_range(id2):
+    # b^6 underflows to 0 at 1e-60; b^8 and b^2 overflow at 1e40 and 1e160
+    with pytest.raises(sd.BOutOfRange, match="1e-60"):
+        sd.cardano_theta0(1e-60)
+    with pytest.raises(sd.BOutOfRange, match="1e\\+40"):
+        sd.cardano_theta0(1e40)
+    with pytest.raises(sd.BOutOfRange):
+        sd.dw_exact_ix(id2, np.array([[0.0, 1e40], [0.0, 0.0]]))
+    with pytest.raises(sd.BOutOfRange, match="1e\\+160"):
+        sd.dw_exact_0x(id2, np.array([[0.0, 1e160], [0.0, 0.0]]))
+    # just inside the range every field stays finite
+    for b in (1e-51, 1e38):
+        data = sd.cardano_theta0(b)
+        assert np.isfinite([data.p, data.q, data.r, data.s, data.theta0]).all()
+    assert sd.dw_exact_ix(id2, np.array([[0.0, 1e38], [0.0, 0.0]])).value > 1e75
+    assert sd.dw_exact_0x(id2, np.array([[0.0, 1e150], [0.0, 0.0]])).value == pytest.approx(1e300)
+
+
 # ---------------------------------------------------------------------------
 # dw of [[I, X], [O, O]]
 

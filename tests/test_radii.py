@@ -78,12 +78,72 @@ def test_crawford_matches_convexity_sweep_and_oracle():
     for k in range(100):
         m = random_metric(rng, 3, 3 if k % 4 else 2)
         t = random_bounded_operator(rng, m)
-        est = sd.crawford(m, t, seed=k)
+        est = sd.crawford(m, t)
         n_mat, _ = compress(m, t)
         dist, _, _ = sd.numrange_distance(n_mat)
         assert est.value == pytest.approx(dist, abs=1e-8 * (1 + np.linalg.norm(n_mat) ** 2))
         ora = sd.oracle_extremum(m, t, "crawford", samples=2048, seed=k)
         assert abs(est.value - ora.value) <= 1e-6 * (1 + est.value)
+
+
+def _form_gap(est, n_mat):
+    c = est.maximizer
+    return abs(abs(np.vdot(c, n_mat @ c)) - est.value)
+
+
+def test_crawford_certified_zero_where_descent_stalled():
+    # 0 lies in W(N) of T - |T|^2_A here; the former multistart projected
+    # gradient descent stalled at |c*Nc| = 5.1e-4 on this instance
+    rng = np.random.default_rng(135)
+    n = int(rng.integers(2, 7))
+    m = random_metric(rng, n, int(rng.integers(1, n + 1)))
+    t = random_bounded_operator(rng, m)
+    op = t - sd.abs_sq(m, t)
+    est = sd.crawford(m, op)
+    n_mat, _ = compress(m, op)
+    assert est.value == 0.0
+    assert est.value == sd.numrange_distance(n_mat)[0]
+    assert est.method == "convexity_sweep"
+    c = est.maximizer
+    assert abs(np.vdot(c, n_mat @ c)) <= 1e-12 * (1 + np.linalg.norm(n_mat))
+
+
+def _witness_cases(rng):
+    """Compressed matrices of ranks 1-24 covering every witness branch."""
+    for k in range(48):
+        r = 1 + (7 * k) % 24
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        q, _ = np.linalg.qr(g)
+        kind = k % 6
+        if kind == 0:  # 0 inside W(N)
+            yield g
+        elif kind == 1:  # 0 outside W(N)
+            yield g + (3.0 + 2.0 * r) * np.exp(2j * np.pi * rng.random()) * np.eye(r)
+        elif kind == 2:  # PSD, singular every other time (0 on the boundary)
+            h = g[:, : r - (k // 6) % 2] if r > 1 else g
+            yield h @ h.conj().T
+        elif kind == 3:  # normal with the flat face [1 - i, 1 + i] nearest 0
+            ev = 2.0 + np.abs(g[0]) + 1j * g[0].imag
+            ev[:2] = [1 + 1j, 1 - 1j][: r]
+            yield np.exp(2j * np.pi * rng.random()) * (q * ev) @ q.conj().T
+        elif kind == 4:  # normal with random spectrum, 0 inside or outside
+            ev = g[0] + (3.0 if k % 4 else 0.0)
+            yield (q * ev) @ q.conj().T
+        else:  # rank one (0 in W(N) once r >= 2), or a scalar matrix
+            yield np.outer(g[0], g[1].conj()) if (k // 6) % 2 else (1 - 2j) * np.eye(r)
+
+
+def test_crawford_witness_attains_value():
+    rng = np.random.default_rng(2024)
+    for n_mat in _witness_cases(rng):
+        r = n_mat.shape[0]
+        m = sd.build_metric(np.eye(r))
+        est = sd.crawford(m, n_mat)
+        assert est.value == sd.numrange_distance(n_mat)[0]
+        assert np.linalg.norm(est.maximizer) == pytest.approx(1.0, abs=1e-12)
+        gap = _form_gap(est, n_mat)
+        assert gap <= 1e-12 * (1 + np.linalg.norm(n_mat)), (r, gap)
+        assert est.residual == pytest.approx(gap, abs=1e-14 * (1 + np.linalg.norm(n_mat)))
 
 
 # ---------------------------------------------------------------------------
@@ -234,7 +294,7 @@ def test_zero_characterization(seed):
 def test_crawford_brute_force(diag12):
     rng = np.random.default_rng(123)
     t = random_bounded_operator(rng, diag12)
-    est = sd.crawford(diag12, t, seed=5)
+    est = sd.crawford(diag12, t)
     # every sampled |<Tx,x>_A| is feasible, so the brute minimum can only
     # overshoot the true infimum
     assert est.value <= brute_crawford(diag12.a, t) + 1e-9
