@@ -81,9 +81,9 @@ def herm_parts(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return h, j
 
 
-def gram_herm(w_mat: np.ndarray) -> np.ndarray:
-    """The gram ``W*W``, symmetrized against rounding."""
-    gram = w_mat.conj().T @ w_mat
+def gram_herm(n_mat: np.ndarray) -> np.ndarray:
+    """The gram ``N*N``, symmetrized against rounding."""
+    gram = n_mat.conj().T @ n_mat
     return 0.5 * (gram + gram.conj().T)
 
 

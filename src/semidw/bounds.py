@@ -5,6 +5,10 @@ reference ``dw_A`` value (multistart ascent, optionally oracle-confirmed).
 :func:`verify_all` runs the whole single-operator catalog and assembles a
 :class:`VerificationReport` certifying lower <= dw_A <= upper per record.
 
+Each evaluator compresses its operators once and applies the radii cores
+to products of compressed matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is
+``N_X* N_Y``: compression is a *-homomorphism, see :mod:`semidw.metric`).
+
 Suprema over angles are grids plus golden-section refinement (bracket
 widths small enough that an inner supremum is never under-resolved before
 a subtraction); infima over scalar parameters are documented grids, which
@@ -25,20 +29,21 @@ from .errors import DegenerateNorm, PreconditionError, ZeroT
 from .metric import Metric, as_operator, compress
 from .radii import (
     DEFAULT_SEED,
-    RadiusEstimate,
-    crawford,
+    _crawford_core,
+    _dw_core,
+    _min_modulus_core,
+    _oracle_core,
+    _seminorm_core,
+    _w_core,
     dw_radius,
     form_values,
-    min_modulus,
-    numerical_radius,
-    op_seminorm,
-    oracle_extremum,
 )
-from .semiop import abs_sq, block2, sharp
 
 LAMBDA_GRID_POINTS = 41
 THETA_GRID_BOUNDS = 360
 SWEEP_BRACKET_TOL = 1e-10
+#: the sum split is orthogonal when ||N_X* N_Y + N_Y* N_X|| <= this (1 + ||X|| ||Y||)
+ORTHOGONAL_TOL = 1e-10
 
 #: fixed catalog order of the single-operator records
 CATALOG = (
@@ -95,12 +100,14 @@ class VerificationReport:
     seed: int
 
 
-def _ref_value(m: Metric, t, reference, seed: int = DEFAULT_SEED) -> float:
-    if reference is None:
-        return dw_radius(m, t, seed=seed).value
-    if isinstance(reference, RadiusEstimate):
-        return reference.value
-    return float(reference)
+def _value(core, n_mat: np.ndarray, *args) -> float:
+    """Value of a radii core on a compressed matrix; 0 on a rank-zero metric."""
+    return float(core(n_mat, *args)[0]) if n_mat.size else 0.0
+
+
+def _ref_value(n_mat: np.ndarray, reference, seed: int) -> float:
+    """The given reference dw, else the multistart dw of the compressed operator."""
+    return _value(_dw_core, n_mat, seed) if reference is None else float(reference)
 
 
 def _tol_for(ref: float, tol: float | None) -> float:
@@ -136,10 +143,11 @@ def _spectral_radius(mat: np.ndarray) -> float:
 def sandwich(m: Metric, t, reference=None, tol: float | None = None,
              seed: int = DEFAULT_SEED) -> tuple[BoundRecord, BoundRecord]:
     """Two-sided envelope: max(w, ||T||^2) <= dw <= sqrt(w^2 + ||T||^4)."""
-    ref = _ref_value(m, t, reference, seed)
+    n_mat = compress(m, t)
+    ref = _ref_value(n_mat, reference, seed)
     tol = _tol_for(ref, tol)
-    w_val = numerical_radius(m, t).value
-    n_val = op_seminorm(m, t).value
+    w_val = _value(_w_core, n_mat)
+    n_val = _value(_seminorm_core, n_mat)
     lower = _record("sandwich lower", "sandwich-lower", "lower",
                     max(w_val, n_val ** 2), ref, tol,
                     {"w": w_val, "norm": n_val})
@@ -175,17 +183,17 @@ def normaloid_equality_check(m: Metric, t, tol: float = 1e-8,
                              seed: int = DEFAULT_SEED) -> NormaloidDiagnostic:
     """Check the A-normaloid equality dw = sqrt(w^2 + ||T||^4) <=> w = ||T||."""
     est = dw_radius(m, t, seed=seed)
-    w_val = numerical_radius(m, t).value
-    n_val = op_seminorm(m, t).value
+    n_mat = compress(m, t)
+    w_val = _value(_w_core, n_mat)
+    n_val = _value(_seminorm_core, n_mat)
     upper = _sqrt0(w_val ** 2 + n_val ** 4)
     is_normaloid = abs(w_val - n_val) <= tol * (1.0 + n_val)
     upper_tight = abs(est.value - upper) <= tol * (1.0 + upper)
     norm_gap = np.nan
     radius_gap = np.nan
     if est.maximizer.size:
-        n_mat, w_mat = compress(m, t)
         c = est.maximizer
-        norm_gap = abs(float(np.linalg.norm(w_mat @ c)) - n_val)
+        norm_gap = abs(float(np.linalg.norm(n_mat @ c)) - n_val)
         radius_gap = abs(abs(form_values(n_mat, c[None, :])[0]) - w_val)
     return NormaloidDiagnostic(
         w=w_val,
@@ -219,8 +227,9 @@ def zero_equality_check(m: Metric, t, tol: float = 1e-8,
     arr = as_operator(t, m.dim)
     at_norm = float(np.linalg.norm(m.a @ arr))
     scale = 1.0 + float(np.linalg.norm(m.a)) * float(np.linalg.norm(arr))
-    dw_val = dw_radius(m, arr, seed=seed).value
-    w_val = numerical_radius(m, arr).value
+    n_mat = compress(m, arr)
+    dw_val = _value(_dw_core, n_mat, seed)
+    w_val = _value(_w_core, n_mat)
     product_zero = at_norm <= tol * scale
     radii_equal = abs(dw_val - w_val) <= tol * (1.0 + dw_val)
     return ZeroEqualityDiagnostic(
@@ -248,18 +257,18 @@ def norm_sq_equality_check(m: Metric, t, tol: float = 1e-8,
                            seed: int = DEFAULT_SEED) -> NormSqDiagnostic:
     """When dw_A(T) = ||T||_A^2, every seminorm maximizer x has <Tx,x>_A = 0.
 
-    The maximizers checked are the right singular vectors of W at the top
+    The maximizers checked are the right singular vectors of N at the top
     singular value, including the degenerate subspace basis. Skipped (not
     applicable) when the equality hypothesis fails.
     """
-    dw_val = dw_radius(m, t, seed=seed).value
-    n_val = op_seminorm(m, t).value
+    n_mat = compress(m, t)
+    dw_val = _value(_dw_core, n_mat, seed)
+    n_val = _value(_seminorm_core, n_mat)
     applicable = abs(dw_val - n_val ** 2) <= max(tol, 1e-6) * (1.0 + dw_val)
     if not applicable or m.rank == 0:
         return NormSqDiagnostic(bool(applicable and m.rank > 0), dw_val, n_val, np.nan,
                                 True)
-    n_mat, w_mat = compress(m, t)
-    _, s, vh = np.linalg.svd(w_mat)
+    _, s, vh = np.linalg.svd(n_mat)
     top = s >= s[0] - 1e-8 * (1.0 + s[0])
     witnesses = vh[top].conj()
     forms = np.abs(form_values(n_mat, witnesses))
@@ -280,12 +289,13 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None,
     ``sqrt(2 w c(|T|^2))`` and ``sqrt(2 c(T) ||T||^2)``; the first two
     dominate the plain sandwich lower bound.
     """
-    ref = _ref_value(m, t, reference, seed)
+    n_mat = compress(m, t)
+    ref = _ref_value(n_mat, reference, seed)
     tol = _tol_for(ref, tol)
-    w_val = numerical_radius(m, t).value
-    n_val = op_seminorm(m, t).value
-    c_t = crawford(m, t).value
-    c_abs = crawford(m, abs_sq(m, t)).value
+    w_val = _value(_w_core, n_mat)
+    n_val = _value(_seminorm_core, n_mat)
+    c_t = _value(_crawford_core, n_mat)
+    c_abs = _value(_crawford_core, gram_herm(n_mat))
     params = {"w": w_val, "norm": n_val, "crawford": c_t, "crawford_abs_sq": c_abs}
     return (
         _record("crawford radius lower", "lower-crawford-radius", "lower",
@@ -303,21 +313,21 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None,
 # theta-sweep upper bound
 
 
-def upper_theta_sweep(m: Metric, t, grid: int = THETA_GRID_BOUNDS, reference=None,
-                      tol: float | None = None, seed: int = DEFAULT_SEED) -> BoundRecord:
+def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None,
+                      seed: int = DEFAULT_SEED) -> BoundRecord:
     """Upper bound sqrt(sup_theta w^2(e^{i theta}T + |T|^2_A) - 2 c_A(T) m_A(T)^2).
 
-    The inner supremum decouples exactly: compress(|T|^2_A) = W*W is
-    Hermitian PSD, so sup_theta w(...) = max_psi lambda_max(Re(e^{i psi}N) + W*W),
+    The inner supremum decouples exactly: compress(|T|^2_A) = G = N*N is
+    Hermitian PSD, so sup_theta w(...) = max_psi lambda_max(Re(e^{i psi}N) + G),
     a single sweep with golden refinement (no inner-grid under-approximation
     before the subtraction).
     """
-    ref = _ref_value(m, t, reference, seed)
+    n_mat = compress(m, t)
+    ref = _ref_value(n_mat, reference, seed)
     tol = _tol_for(ref, tol)
     if m.rank == 0:
         return _record("theta sweep upper", "theta-sweep-upper", "upper", 0.0, ref, tol)
-    n_mat, w_mat = compress(m, t)
-    gram = gram_herm(w_mat)
+    gram = gram_herm(n_mat)
 
     def batch(thetas):
         return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas) + gram)[:, -1]
@@ -325,13 +335,13 @@ def upper_theta_sweep(m: Metric, t, grid: int = THETA_GRID_BOUNDS, reference=Non
     def scalar(theta):
         return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta) + gram)[-1])
 
-    _, sup_w, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, max(grid, 8),
+    _, sup_w, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, THETA_GRID_BOUNDS,
                                          top_k=3, tol=SWEEP_BRACKET_TOL)
-    c_val = crawford(m, t).value
-    m_val = min_modulus(m, t).value
+    c_val = _value(_crawford_core, n_mat)
+    m_val = _value(_min_modulus_core, n_mat)
     value = _sqrt0(sup_w ** 2 - 2.0 * c_val * m_val ** 2)
     return _record("theta sweep upper", "theta-sweep-upper", "upper", value, ref, tol,
-                   {"grid": int(grid), "evals": int(evals), "sup_w": float(sup_w),
+                   {"grid": THETA_GRID_BOUNDS, "evals": int(evals), "sup_w": float(sup_w),
                     "crawford": c_val, "min_modulus": m_val, "decoupled_sweep": True})
 
 
@@ -346,13 +356,13 @@ def cartesian_half(m: Metric, t, reference=None, tol: float | None = None,
     lower = sqrt((w^2(T+|T|^2) + c^2(T-|T|^2))/2),
     upper = sqrt((w^2(T+|T|^2) + w^2(T-|T|^2))/2).
     """
-    ref = _ref_value(m, t, reference, seed)
+    n_mat = compress(m, t)
+    ref = _ref_value(n_mat, reference, seed)
     tol = _tol_for(ref, tol)
-    arr = as_operator(t, m.dim)
-    a2 = abs_sq(m, arr)
-    w_plus = numerical_radius(m, arr + a2).value
-    w_minus = numerical_radius(m, arr - a2).value
-    c_minus = crawford(m, arr - a2).value
+    gram = gram_herm(n_mat)
+    w_plus = _value(_w_core, n_mat + gram)
+    w_minus = _value(_w_core, n_mat - gram)
+    c_minus = _value(_crawford_core, n_mat - gram)
     params = {"w_plus": w_plus, "w_minus": w_minus, "crawford_minus": c_minus}
     lower = _record("cartesian lower", "cartesian-lower", "lower",
                     _sqrt0(0.5 * (w_plus ** 2 + c_minus ** 2)), ref, tol, params)
@@ -372,14 +382,13 @@ def upper_buzano(m: Metric, t, reference=None, tol: float | None = None,
     (i) sqrt(|| |T|^2 + (|T|^2)^# |T|^2 ||_A), tight for A-normaloid T;
     (ii) sqrt((w(T^2) + ||T||^2)/2 + ||T||^4).
     """
-    ref = _ref_value(m, t, reference, seed)
+    n_mat = compress(m, t)
+    ref = _ref_value(n_mat, reference, seed)
     tol = _tol_for(ref, tol)
-    arr = as_operator(t, m.dim)
-    a2 = abs_sq(m, arr)
-    op_i = a2 + sharp(m, a2) @ a2
-    val_i = _sqrt0(op_seminorm(m, op_i).value)
-    w_sq = numerical_radius(m, arr @ arr).value
-    n_val = op_seminorm(m, arr).value
+    gram = gram_herm(n_mat)
+    val_i = _sqrt0(_value(_seminorm_core, gram + gram @ gram))
+    w_sq = _value(_w_core, n_mat @ n_mat)
+    n_val = _value(_seminorm_core, n_mat)
     val_ii = _sqrt0(0.5 * (w_sq + n_val ** 2) + n_val ** 4)
     params = {"w_square": w_sq, "norm": n_val}
     return (
@@ -393,17 +402,17 @@ def upper_buzano(m: Metric, t, reference=None, tol: float | None = None,
 def upper_triple(m: Metric, t, reference=None, tol: float | None = None,
                  seed: int = DEFAULT_SEED) -> BoundRecord:
     """Upper bound 3|| (|T|^2)^# |T|^2 + |T|^2 ||_A minus two Crawford-modulus products."""
-    ref = _ref_value(m, t, reference, seed)
+    n_mat = compress(m, t)
+    ref = _ref_value(n_mat, reference, seed)
     tol = _tol_for(ref, tol)
-    arr = as_operator(t, m.dim)
-    a2 = abs_sq(m, arr)
-    core = 3.0 * op_seminorm(m, sharp(m, a2) @ a2 + a2).value
+    gram = gram_herm(n_mat)
+    core = 3.0 * _value(_seminorm_core, gram @ gram + gram)
     sub = 0.0
     parts = {}
     for label, sgn in (("plus", 1.0), ("minus", -1.0)):
-        op = a2 + sgn * arr
-        c_val = crawford(m, op).value
-        m_val = min_modulus(m, op).value
+        op = gram + sgn * n_mat
+        c_val = _value(_crawford_core, op)
+        m_val = _value(_min_modulus_core, op)
         sub += c_val * m_val
         parts[f"crawford_{label}"] = c_val
         parts[f"modulus_{label}"] = m_val
@@ -446,9 +455,8 @@ def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine):
     return best, (zero if zero in ties else min(ties)), refined.get(zero)
 
 
-def upper_lambda_theta(m: Metric, t, lambda_grid=None, theta_grid: int = THETA_GRID_BOUNDS,
-                       reference=None, tol: float | None = None,
-                       seed: int = DEFAULT_SEED) -> BoundRecord:
+def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
+                       tol: float | None = None, seed: int = DEFAULT_SEED) -> BoundRecord:
     """Real-shift upper bound: inf over real lambda of a theta-supremum.
 
     Each member is ``2|l| ||C_th + |T|^2 - l I||_A + (||C_th + |T|^2 - 2l I||_A^2
@@ -463,14 +471,14 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, theta_grid: int = THETA_G
     the lambda = 0 member is within 1e-12 relative of the minimum (otherwise
     the first grid point that is); ``value`` is the minimum itself.
     """
-    ref = _ref_value(m, t, reference, seed)
+    n_mat = compress(m, t)
+    ref = _ref_value(n_mat, reference, seed)
     tol = _tol_for(ref, tol)
     if m.rank == 0:
         return _record("lambda real upper", "lambda-real-upper", "upper", 0.0, ref, tol)
-    n_mat, w_mat = compress(m, t)
-    gram = gram_herm(w_mat)
+    gram = gram_herm(n_mat)
     h_mat, j_mat = herm_parts(n_mat)
-    n_val = op_seminorm(m, t).value
+    n_val = _value(_seminorm_core, n_mat)
     if lambda_grid is None:
         span = 2.0 * n_val ** 2
         lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
@@ -485,7 +493,7 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, theta_grid: int = THETA_G
         rho2 = np.maximum(top - 2.0 * lam, 2.0 * lam - bot)
         return 2.0 * np.abs(lam) * rho1 + 0.5 * rho2 ** 2 + 0.5 * rho_minus ** 2
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, max(theta_grid, 8), endpoint=False)
+    thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID_BOUNDS, endpoint=False)
     cth = (np.cos(thetas)[:, None, None] * h_mat
            + np.sin(thetas)[:, None, None] * j_mat)
     grid_members = members(lambda_grid[:, None], cth)
@@ -510,7 +518,7 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, theta_grid: int = THETA_G
     return _record("lambda real upper", "lambda-real-upper", "upper", value, ref, tol,
                    {"lambda_span": [float(lambda_grid.min()), float(lambda_grid.max())],
                     "lambda_points": int(lambda_grid.size),
-                    "theta_grid": int(theta_grid),
+                    "theta_grid": THETA_GRID_BOUNDS,
                     "best_lambda": best_lam, "lambda0_value": lambda0_val})
 
 
@@ -524,14 +532,14 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
     :func:`upper_lambda_theta`: 0 when its member is within 1e-12 relative of
     the minimum, else the first grid point that is.
     """
-    ref = _ref_value(m, t, reference, seed)
+    n_mat = compress(m, t)
+    ref = _ref_value(n_mat, reference, seed)
     tol = _tol_for(ref, tol)
     if m.rank == 0:
         return _record("lambda complex upper", "lambda-complex-upper", "upper", 0.0, ref, tol)
-    n_mat, w_mat = compress(m, t)
-    gram = gram_herm(w_mat)
+    gram = gram_herm(n_mat)
     h_mat, j_mat = herm_parts(n_mat)
-    w_val = numerical_radius(m, t).value
+    w_val = _value(_w_core, n_mat)
     if lambda_grid is None:
         lams = [0.0 + 0.0j]
         if w_val > 0.0:
@@ -590,26 +598,27 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
 
 
 def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
-              seed: int = DEFAULT_SEED, zero_tol: float = 1e-10):
+              seed: int = DEFAULT_SEED):
     """Splitting bound dw(X+Y) <= dw(X) + dw(Y) + w(X^# Y + Y^# X).
 
-    When ``A (X^# Y + Y^# X) = 0`` the cross term drops and the orthogonal
-    special record dw(X) + dw(Y) is also emitted (otherwise ``None``).
+    When the compressed cross term ``N_X* N_Y + N_Y* N_X`` vanishes (spectral
+    norm at most ``ORTHOGONAL_TOL (1 + ||X||_A ||Y||_A)``; equivalently
+    ``A (X^# Y + Y^# X) = 0``) the cross term drops and the orthogonal special
+    record dw(X) + dw(Y) is also emitted (otherwise ``None``).
     """
-    xa = as_operator(x, m.dim)
-    ya = as_operator(y, m.dim)
-    ref = _ref_value(m, xa + ya, reference, seed)
+    n_x, n_y = compress(m, x), compress(m, y)
+    ref = _ref_value(n_x + n_y, reference, seed)
     tol = _tol_for(ref, tol)
-    cross = sharp(m, xa) @ ya + sharp(m, ya) @ xa
-    w_cross = numerical_radius(m, cross).value
-    dw_x = dw_radius(m, xa, seed=seed).value
-    dw_y = dw_radius(m, ya, seed=seed).value
+    cross = n_x.conj().T @ n_y + n_y.conj().T @ n_x
+    w_cross = _value(_w_core, cross)
+    dw_x = _value(_dw_core, n_x, seed)
+    dw_y = _value(_dw_core, n_y, seed)
     params = {"dw_x": dw_x, "dw_y": dw_y, "w_cross": w_cross}
     primary = _record("sum split upper", "sum-split-upper", "upper",
                       dw_x + dw_y + w_cross, ref, tol, params)
-    cross_scale = 1.0 + float(np.linalg.norm(m.a)) * float(np.linalg.norm(cross))
+    cross_scale = 1.0 + _value(_seminorm_core, n_x) * _value(_seminorm_core, n_y)
     special = None
-    if float(np.linalg.norm(m.a @ cross)) <= zero_tol * cross_scale:
+    if _value(_seminorm_core, cross) <= ORTHOGONAL_TOL * cross_scale:
         special = _record("sum split upper (orthogonal)", "sum-split-upper-orthogonal",
                           "upper", dw_x + dw_y, ref, tol, params)
     return primary, special
@@ -618,13 +627,18 @@ def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
 def feki_sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
                    seed: int = DEFAULT_SEED) -> BoundRecord:
     """Coarse splitting bound sqrt(2 s + 4 s^2) with s = dw(X) + dw(Y)."""
-    xa = as_operator(x, m.dim)
-    ya = as_operator(y, m.dim)
-    ref = _ref_value(m, xa + ya, reference, seed)
+    n_x, n_y = compress(m, x), compress(m, y)
+    ref = _ref_value(n_x + n_y, reference, seed)
     tol = _tol_for(ref, tol)
-    s = dw_radius(m, xa, seed=seed).value + dw_radius(m, ya, seed=seed).value
+    s = _value(_dw_core, n_x, seed) + _value(_dw_core, n_y, seed)
     return _record("feki sum upper", "feki-sum-upper", "upper",
                    _sqrt0(2.0 * s + 4.0 * s ** 2), ref, tol, {"dw_sum": s})
+
+
+def _offdiag(n_x: np.ndarray, n_y: np.ndarray) -> np.ndarray:
+    """The block [[O, X], [Y, O]] under diag(A, A), compressed: [[0, N_X], [N_Y, 0]]."""
+    zero = np.zeros_like(n_x)
+    return np.block([[zero, n_x], [n_y, zero]])
 
 
 def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None,
@@ -632,22 +646,16 @@ def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None,
     """Off-diagonal block bound under diag(A, A).
 
     dw of [[O, X], [Y, O]] <= sqrt(||X||^2/4 + ||X||^4) + sqrt(||Y||^2/4 + ||Y||^4).
+    Without a ``reference`` the block's own dw is the reference.
     """
-    blk = block2(m, np.zeros((m.dim, m.dim)), x, y, np.zeros((m.dim, m.dim)))
-    if reference is None:
-        reference = dw_radius(blk.metric2, blk.assembled, seed=seed)
-    ref = _ref_value(blk.metric2, blk.assembled, reference, seed)
+    n_x, n_y = compress(m, x), compress(m, y)
+    ref = _ref_value(_offdiag(n_x, n_y), reference, seed)
     tol = _tol_for(ref, tol)
-    bx = op_seminorm(m, x).value
-    by = op_seminorm(m, y).value
+    bx = _value(_seminorm_core, n_x)
+    by = _value(_seminorm_core, n_y)
     value = _sqrt0(bx ** 2 / 4.0 + bx ** 4) + _sqrt0(by ** 2 / 4.0 + by ** 4)
     return _record("offdiag block upper", "offdiag-block-upper", "upper", value, ref, tol,
                    {"norm_x": bx, "norm_y": by})
-
-
-def _block_alpha(m: Metric, x, y) -> float:
-    blk = block2(m, np.zeros((m.dim, m.dim)), x, y, np.zeros((m.dim, m.dim)))
-    return numerical_radius(blk.metric2, blk.assembled).value
 
 
 def _product_sum(m: Metric, p, q, x, y, sign: int, reference, tol: float | None,
@@ -659,20 +667,18 @@ def _product_sum(m: Metric, p, q, x, y, sign: int, reference, tol: float | None,
     ``value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2 ((t^2||PX||^2 + ||QY||^2/t^2)^2
     + alpha^2)``.
     """
-    pa, qa = as_operator(p, m.dim), as_operator(q, m.dim)
-    xa, ya = as_operator(x, m.dim), as_operator(y, m.dim)
-    norms = (op_seminorm(m, pa).value, op_seminorm(m, qa).value,
-             op_seminorm(m, pa @ xa).value, op_seminorm(m, qa @ ya).value)
+    n_p, n_q, n_x, n_y = (compress(m, op) for op in (p, q, x, y))
+    norms = tuple(_value(_seminorm_core, op) for op in (n_p, n_q, n_p @ n_x, n_q @ n_y))
     t = float(pick_t(*norms))
     sgn = 1 if sign >= 0 else -1
-    op = pa @ xa @ sharp(m, qa) + sgn * (qa @ ya @ sharp(m, pa))
-    ref = _ref_value(m, op, reference, seed)
+    op = n_p @ n_x @ n_q.conj().T + sgn * (n_q @ n_y @ n_p.conj().T)
+    ref = _ref_value(op, reference, seed)
     tol = _tol_for(ref, tol)
-    alpha = _block_alpha(m, xa, ya)
-    n_p, n_q, n_px, n_qy = norms
+    alpha = _value(_w_core, _offdiag(n_x, n_y))
+    norm_p, norm_q, norm_px, norm_qy = norms
     t2 = t ** 2
-    f1 = t2 * n_p ** 2 + n_q ** 2 / t2
-    f2 = t2 * n_px ** 2 + n_qy ** 2 / t2
+    f1 = t2 * norm_p ** 2 + norm_q ** 2 / t2
+    f2 = t2 * norm_px ** 2 + norm_qy ** 2 / t2
     return f1 * _sqrt0(f2 ** 2 + alpha ** 2), t, sgn, ref, tol, alpha, norms
 
 
@@ -739,15 +745,16 @@ def _sha16(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def _reference(m: Metric, t, seed: int, oracle_samples: int, tol: float | None):
-    """Reference dw: the multistart estimate, raised to the oracle's at rank <= 6.
+def _reference(n_mat: np.ndarray, seed: int, oracle_samples: int, tol: float | None):
+    """Reference dw of a compressed operator: the multistart estimate, raised to
+    the oracle's at rank <= 6.
 
     Returns ``(multistart, oracle, reference, tol)``.
     """
-    est = dw_radius(m, t, seed=seed).value
+    est = _value(_dw_core, n_mat, seed)
     oracle_val: float | None = None
-    if 0 < m.rank <= 6:
-        oracle_val = oracle_extremum(m, t, "dw", samples=oracle_samples, seed=seed).value
+    if 0 < n_mat.shape[0] <= 6:
+        oracle_val = _value(_oracle_core, n_mat, "dw", oracle_samples, seed)
     ref = max(est, oracle_val) if oracle_val is not None else est
     return est, oracle_val, ref, _tol_for(ref, tol)
 
@@ -795,7 +802,7 @@ def pair_report(m: Metric, x, y, seed: int = 42, oracle_samples: int = 8192,
     """
     xa = as_operator(x, m.dim)
     ya = as_operator(y, m.dim)
-    est, oracle_val, ref, tol = _reference(m, xa + ya, seed, oracle_samples, tol)
+    est, oracle_val, ref, tol = _reference(compress(m, xa + ya), seed, oracle_samples, tol)
     eye = np.eye(m.dim)
     records: list[BoundRecord] = []
     for fn, args, reference in ((sum_upper, (xa, ya), ref),
@@ -817,7 +824,7 @@ def verify_all(m: Metric, t, seed: int = 42, oracle_samples: int = 8192,
     are captured per-record without aborting the report.
     """
     arr = as_operator(t, m.dim)
-    est, oracle_val, ref, tol = _reference(m, arr, seed, oracle_samples, tol)
+    est, oracle_val, ref, tol = _reference(compress(m, arr), seed, oracle_samples, tol)
     records: list[BoundRecord] = []
     for fn in (sandwich, lower_crawford, upper_theta_sweep, cartesian_half, upper_buzano,
                upper_triple, upper_lambda_theta, upper_lambda_complex):

@@ -144,6 +144,21 @@ def _split_witness(m: Metric, x: np.ndarray, k: float):
     return z, coords
 
 
+def _degenerate(m: Metric, b: float, value: float) -> RadiusEstimate | None:
+    """0 on a rank-zero metric; ``value`` at the first top-block coordinate when
+    ``b <= _B_ZERO``; None otherwise."""
+    if m.rank == 0:
+        return RadiusEstimate(0.0, np.zeros(0, dtype=complex), "exact_svd", 0, 0.0,
+                              None, "metric has rank zero; no A-unit vectors exist")
+    if b > _B_ZERO:
+        return None
+    e1 = np.zeros(m.rank, dtype=complex)
+    e1[0] = 1.0
+    z = np.concatenate([to_ambient(m, e1), np.zeros(m.dim, dtype=complex)])
+    coords = np.concatenate([e1, np.zeros(m.rank, dtype=complex)])
+    return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, z, None)
+
+
 def dw_exact_ix(m: Metric, x) -> RadiusEstimate:
     """Exact dw of [[I, X], [O, O]] under diag(A, A).
 
@@ -152,17 +167,10 @@ def dw_exact_ix(m: Metric, x) -> RadiusEstimate:
     Cardano stationary angle t0.
     """
     arr = as_operator(x, m.dim)
-    est_b = op_seminorm(m, arr)
-    b = est_b.value
-    if m.rank == 0:
-        return RadiusEstimate(0.0, np.zeros(0, dtype=complex), "exact_svd", 0, 0.0,
-                              None, "metric has rank zero; no A-unit vectors exist")
-    if b <= _B_ZERO:
-        e1 = np.zeros(m.rank, dtype=complex)
-        e1[0] = 1.0
-        z = np.concatenate([to_ambient(m, e1), np.zeros(m.dim, dtype=complex)])
-        coords = np.concatenate([e1, np.zeros(m.rank, dtype=complex)])
-        return RadiusEstimate(float(np.sqrt(2.0)), coords, "exact_svd", 0, 0.0, z, None)
+    b = op_seminorm(m, arr).value
+    degenerate = _degenerate(m, b, np.sqrt(2.0))
+    if degenerate is not None:
+        return degenerate
     data = cardano_theta0(b)
     value, theta_used, warning = _checked_value(b, data.theta0)
     k0 = b * np.tan(theta_used)
@@ -182,15 +190,9 @@ def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
     arr = as_operator(x, m.dim)
     est_b = op_seminorm(m, arr)
     b = est_b.value
-    if m.rank == 0:
-        return RadiusEstimate(0.0, np.zeros(0, dtype=complex), "exact_svd", 0, 0.0,
-                              None, "metric has rank zero; no A-unit vectors exist")
-    if b <= _B_ZERO:
-        e1 = np.zeros(m.rank, dtype=complex)
-        e1[0] = 1.0
-        z = np.concatenate([to_ambient(m, e1), np.zeros(m.dim, dtype=complex)])
-        coords = np.concatenate([e1, np.zeros(m.rank, dtype=complex)])
-        return RadiusEstimate(0.0, coords, "exact_svd", 0, 0.0, z, None)
+    degenerate = _degenerate(m, b, 0.0)
+    if degenerate is not None:
+        return degenerate
     if b >= 1.0 / np.sqrt(2.0):
         try:
             value = b ** 2

@@ -1,10 +1,10 @@
 """Matrix JSON parsing and report serialization.
 
 Matrices travel as ``{"rows": n, "cols": n, "re": [[...]], "im": [[...]]}``
-with ``im`` optional (zeros); blocks as ``{"t11": ..., "t12": ..., "t21": ...,
-"t22": ...}``. Reports serialize to JSON (full precision, sorted keys, so a
-fixed configuration yields byte-identical output) and to CSV with one row
-per bound record: name, anchor, kind, value, dw, gap, satisfied.
+with ``im`` optional (zeros). Reports serialize to JSON (full precision,
+sorted keys, so a fixed configuration yields byte-identical output) and to
+CSV with one row per bound record: name, anchor, kind, value, dw, gap,
+satisfied.
 """
 
 from __future__ import annotations
@@ -72,23 +72,6 @@ def load_matrix(source) -> np.ndarray:
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return matrix_from_dict(data)
-
-
-def load_block(source) -> dict[str, np.ndarray]:
-    """Load a 2x2 block specification {"t11": ..., ..., "t22": ...}."""
-    if isinstance(source, dict):
-        data = source
-    else:
-        try:
-            data = json.loads(Path(source).read_text())
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON: {exc}") from exc
-    out = {}
-    for key in ("t11", "t12", "t21", "t22"):
-        if key not in data:
-            raise ParseError(f"block object is missing {key!r}")
-        out[key] = matrix_from_dict(data[key])
-    return out
 
 
 def record_to_dict(rec: BoundRecord) -> dict:

@@ -8,12 +8,13 @@ pseudoinverses ``A^dagger`` and ``(A^{1/2})^dagger``, the orthogonal
 projection onto ``range(A)`` and an orthonormal basis of that range.
 
 :func:`compress` is the workhorse reduction: for an A-bounded operator ``T``
-it produces the pair ``(N, W)`` with ``N = B* A^{1/2} T (A^{1/2})^dagger B``
-(r x r) and ``W = A^{1/2} T (A^{1/2})^dagger B`` (n x r), where ``B`` is the
-range basis. For every unit coordinate vector ``c`` the A-unit vector
-``x = (A^{1/2})^dagger B c`` satisfies ``<Tx, x>_A = c* N c`` and
-``||Tx||_A = ||W c||``, and conversely; every A-seminorm functional becomes
-an ordinary Euclidean problem on ``(N, W)``.
+it produces the r x r matrix ``N = B* A^{1/2} T (A^{1/2})^dagger B``, where
+``B`` is the range basis. For every unit coordinate vector ``c`` the A-unit
+vector ``x = (A^{1/2})^dagger B c`` satisfies ``<Tx, x>_A = c* N c`` and
+``||Tx||_A = ||N c||``, and conversely. Compression is a *-homomorphism:
+``T^#`` compresses to ``N*``, ``ST`` to ``N_S N_T`` and ``|T|^2_A`` to
+``N* N``, so every A-seminorm functional becomes an ordinary Euclidean
+problem on ``N``.
 """
 
 from __future__ import annotations
@@ -174,20 +175,17 @@ def a_bounded_residual(m: Metric, t) -> float:
     return res / (1.0 + float(np.linalg.norm(st)))
 
 
-def compress(m: Metric, t, tol: float = BOUNDED_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """Compress an A-bounded operator to the pair ``(N, W)``.
+def compress(m: Metric, t) -> np.ndarray:
+    """Compress an A-bounded operator to the r x r matrix ``N``.
 
-    Raises :class:`NotABounded` when ``A^{1/2} T`` does not annihilate the
-    null space of ``A`` within the relative tolerance ``tol``.
+    Raises :class:`NotABounded` unless :func:`a_bounded_residual` is at most
+    ``BOUNDED_TOL`` (a residual that is not finite is rejected).
     """
     arr = as_operator(t, m.dim)
     res = a_bounded_residual(m, arr)
-    if res > tol:
-        raise NotABounded(f"operator is not A-bounded: residual {res:.3e} > {tol:.1e}")
-    w_full = m.sqrt_a @ arr @ m.pinv_sqrt_a
-    w = w_full @ m.basis
-    n = m.basis.conj().T @ w
-    return n, w
+    if not res <= BOUNDED_TOL:
+        raise NotABounded(f"operator is not A-bounded: residual {res:.3e} > {BOUNDED_TOL:.1e}")
+    return m.basis.conj().T @ (m.sqrt_a @ arr @ m.pinv_sqrt_a @ m.basis)
 
 
 def to_ambient(m: Metric, c) -> np.ndarray:

@@ -1,19 +1,22 @@
 """Scalar functionals of semi-Hilbertian operators.
 
 Five quantities of an A-bounded operator ``T``, all computed on the
-compressed pair ``(N, W)`` from :func:`semidw.metric.compress`:
+compressed matrix ``N`` from :func:`semidw.metric.compress`:
 
-* ``op_seminorm``      -- ``||T||_A``, the largest singular value of W;
-* ``min_modulus``      -- ``m_A(T)``, the smallest singular value of W;
+* ``op_seminorm``      -- ``||T||_A``, the largest singular value of N;
+* ``min_modulus``      -- ``m_A(T)``, the smallest singular value of N;
 * ``numerical_radius`` -- ``w_A(T) = max_theta lambda_max(Re(e^{i theta} N))``;
 * ``crawford``         -- ``c_A(T) = min |c* N c| = dist(0, W(N))`` over unit c;
-* ``dw_radius``        -- ``dw_A(T) = max sqrt(|c* N c|^2 + ||W c||^4)``.
+* ``dw_radius``        -- ``dw_A(T) = max sqrt(|c* N c|^2 + ||N c||^4)``.
 
-Each returns a :class:`RadiusEstimate` carrying the optimal value, the unit
-coordinate vector attaining it, and convergence metadata. Ambient witnesses
-are reported with zero null-space component (``x = (A^{1/2})^+ B c``);
-adding any null-space vector changes no A-quantity, so the witness is
-canonical only up to that coset.
+Each functional has one private core that maps ``N`` to ``(value, c,
+iterations, residual)``; the bound evaluators apply the same cores to
+products of compressed matrices. Each public function is :func:`_estimate`
+around its core and returns a :class:`RadiusEstimate` carrying the optimal
+value, the unit coordinate vector attaining it, and convergence metadata.
+Ambient witnesses are reported with zero null-space component
+(``x = (A^{1/2})^+ B c``); adding any null-space vector changes no
+A-quantity, so the witness is canonical only up to that coset.
 
 :func:`oracle_extremum` is the ground-truth estimator used by the tests:
 quasi-uniform sampling of the compressed unit sphere followed by stock
@@ -83,31 +86,20 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _finish(m: Metric, value: float, c: np.ndarray, method: str, iterations: int,
-            residual: float, warning: str | None = None) -> RadiusEstimate:
+def _estimate(m: Metric, t, method: str, core, *args) -> RadiusEstimate:
+    """Compress ``t`` and run ``core(N, *args) -> (value, c, iterations, residual)``.
+
+    A rank-zero metric admits no A-unit vectors: the estimate is 0 with a
+    warning. Otherwise ``c`` is phase-fixed and lifted to the ambient witness.
+    """
+    n_mat = compress(m, t)
+    if m.rank == 0:
+        return RadiusEstimate(0.0, np.zeros(0, dtype=complex), method, 0, 0.0, None,
+                              "metric has rank zero; no A-unit vectors exist")
+    value, c, iterations, residual = core(n_mat, *args)
     c = _fix_phase(c)
-    witness = to_ambient(m, c) if c.size else None
-    return RadiusEstimate(
-        value=float(value),
-        maximizer=c,
-        method=method,
-        iterations=int(iterations),
-        residual=float(residual),
-        witness=witness,
-        warning=warning,
-    )
-
-
-def _empty_estimate(method: str) -> RadiusEstimate:
-    return RadiusEstimate(
-        value=0.0,
-        maximizer=np.zeros(0, dtype=complex),
-        method=method,
-        iterations=0,
-        residual=0.0,
-        witness=None,
-        warning="metric has rank zero; no A-unit vectors exist",
-    )
+    return RadiusEstimate(float(value), c, method, int(iterations), float(residual),
+                          to_ambient(m, c))
 
 
 def form_values(n_mat: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
@@ -116,7 +108,7 @@ def form_values(n_mat: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
 
 
 def dw_objective(n_mat: np.ndarray, gram: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
-    """Row-wise ``sqrt(|c* N c|^2 + (c* W*W c)^2)``."""
+    """Row-wise ``sqrt(|c* N c|^2 + (c* G c)^2)`` with ``gram`` = G = N*N."""
     z = form_values(n_mat, c_rows)
     v = form_values(gram, c_rows).real
     return np.sqrt(np.abs(z) ** 2 + v ** 2)
@@ -126,57 +118,51 @@ def dw_objective(n_mat: np.ndarray, gram: np.ndarray, c_rows: np.ndarray) -> np.
 # exact SVD functionals
 
 
+def _seminorm_core(n_mat: np.ndarray):
+    _, s, vh = np.linalg.svd(n_mat)
+    return s[0], vh[0].conj(), 1, 0.0
+
+
+def _min_modulus_core(n_mat: np.ndarray):
+    _, s, vh = np.linalg.svd(n_mat)
+    return s[-1], vh[-1].conj(), 1, 0.0
+
+
 def op_seminorm(m: Metric, t) -> RadiusEstimate:
-    """A-operator seminorm ``||T||_A``: top singular value of W."""
-    n_mat, w_mat = compress(m, t)
-    if m.rank == 0:
-        return _empty_estimate("exact_svd")
-    _, s, vh = np.linalg.svd(w_mat)
-    return _finish(m, s[0], vh[0].conj(), "exact_svd", 1, 0.0)
+    """A-operator seminorm ``||T||_A``: top singular value of N."""
+    return _estimate(m, t, "exact_svd", _seminorm_core)
 
 
 def min_modulus(m: Metric, t) -> RadiusEstimate:
-    """A-minimum modulus ``m_A(T)``: smallest singular value of W on C^r."""
-    n_mat, w_mat = compress(m, t)
-    if m.rank == 0:
-        return _empty_estimate("exact_svd")
-    _, s, vh = np.linalg.svd(w_mat)
-    return _finish(m, s[-1], vh[-1].conj(), "exact_svd", 1, 0.0)
+    """A-minimum modulus ``m_A(T)``: smallest singular value of N."""
+    return _estimate(m, t, "exact_svd", _min_modulus_core)
 
 
 # ---------------------------------------------------------------------------
 # numerical radius: theta sweep
 
 
-def _lambda_max(n_mat: np.ndarray, theta: float) -> float:
-    return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta))[-1])
-
-
-def _theta_sweep(n_mat: np.ndarray, grid: int = THETA_GRID, tol: float = 1e-12):
-    """Maximize ``lambda_max(Re(e^{i theta} N))`` over [0, 2pi)."""
+def _w_core(n_mat: np.ndarray):
+    """Maximize ``lambda_max(Re(e^{i theta} N))`` over [0, 2pi); c is the top eigenvector."""
 
     def batch(thetas):
         return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, -1]
 
     def scalar(theta):
-        return _lambda_max(n_mat, theta)
+        return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta))[-1])
 
-    return periodic_sweep_max(batch, scalar, 2.0 * np.pi, grid, top_k=3, tol=tol)
+    theta, value, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, THETA_GRID, top_k=3,
+                                             tol=1e-12)
+    c = np.linalg.eigh(rotated_herm(n_mat, theta))[1][:, -1]
+    return value, c, evals, abs(abs(form_values(n_mat, c[None, :])[0]) - value)
 
 
-def numerical_radius(m: Metric, t, grid: int = THETA_GRID) -> RadiusEstimate:
+def numerical_radius(m: Metric, t) -> RadiusEstimate:
     """A-numerical radius ``w_A(T)`` by theta sweep plus golden-section refinement."""
-    n_mat, _ = compress(m, t)
-    if m.rank == 0:
-        return _empty_estimate("theta_sweep")
-    theta, value, evals = _theta_sweep(n_mat, grid)
-    _, vecs = np.linalg.eigh(rotated_herm(n_mat, theta))
-    c = vecs[:, -1]
-    resid = abs(abs(form_values(n_mat, c[None, :])[0]) - value)
-    return _finish(m, value, c, "theta_sweep", evals, resid)
+    return _estimate(m, t, "theta_sweep", _w_core)
 
 
-def _support_sweep(n_mat: np.ndarray, grid: int):
+def _support_sweep(n_mat: np.ndarray):
     """Maximize ``lambda_min(Re(e^{i phi} N))`` over phi.
 
     Returns ``(max(0, maximum), phi, evals, lam, vecs)`` with the eigenpairs
@@ -189,12 +175,13 @@ def _support_sweep(n_mat: np.ndarray, grid: int):
     def scalar(theta):
         return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta))[0])
 
-    phi, value, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, grid, top_k=3, tol=1e-12)
+    phi, value, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, THETA_GRID, top_k=3,
+                                           tol=1e-12)
     lam, vecs = np.linalg.eigh(rotated_herm(n_mat, phi))
     return max(0.0, float(value)), float(phi), evals, lam, vecs
 
 
-def numrange_distance(n_mat: np.ndarray, grid: int = THETA_GRID):
+def numrange_distance(n_mat: np.ndarray):
     """Distance from 0 to the numerical range of ``N`` (exact by convexity).
 
     Returns ``(distance, phi, c)`` where ``c`` is the bottom eigenvector of
@@ -204,7 +191,7 @@ def numrange_distance(n_mat: np.ndarray, grid: int = THETA_GRID):
     """
     if n_mat.shape[0] == 0:
         return 0.0, 0.0, np.zeros(0, dtype=complex)
-    value, phi, _, _, vecs = _support_sweep(n_mat, grid)
+    value, phi, _, _, vecs = _support_sweep(n_mat)
     return value, phi, vecs[:, 0]
 
 
@@ -298,6 +285,14 @@ def _through_zero(n_mat: np.ndarray, x1: np.ndarray) -> np.ndarray:
     return x1
 
 
+def _crawford_core(n_mat: np.ndarray):
+    value, phi, evals, lam, vecs = _support_sweep(n_mat)
+    c = _face_point(n_mat, phi, lam, vecs, value * np.exp(-1j * phi))
+    if value == 0.0:
+        c = _nearest(n_mat, c, _through_zero(n_mat, c))
+    return value, c, evals, abs(abs(_form(n_mat, c)) - value)
+
+
 def crawford(m: Metric, t) -> RadiusEstimate:
     """A-Crawford number ``c_A(T) = dist(0, W(N))`` by the convexity sweep.
 
@@ -306,15 +301,7 @@ def crawford(m: Metric, t) -> RadiusEstimate:
     support face at phi when ``d > 0``, through :func:`_through_zero` when
     ``d = 0``. ``iterations`` is the sweep's evaluation count.
     """
-    n_mat, _ = compress(m, t)
-    if m.rank == 0:
-        return _empty_estimate("convexity_sweep")
-    value, phi, evals, lam, vecs = _support_sweep(n_mat, THETA_GRID)
-    c = _face_point(n_mat, phi, lam, vecs, value * np.exp(-1j * phi))
-    if value == 0.0:
-        c = _nearest(n_mat, c, _through_zero(n_mat, c))
-    resid = abs(abs(_form(n_mat, c)) - value)
-    return _finish(m, value, c, "convexity_sweep", evals, resid)
+    return _estimate(m, t, "convexity_sweep", _crawford_core)
 
 
 # ---------------------------------------------------------------------------
@@ -428,24 +415,13 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
     return sign * float(res.fun), c, int(res.nfev)
 
 
-def dw_radius(m: Metric, t, starts: int = DW_STARTS, seed: int = DEFAULT_SEED) -> RadiusEstimate:
-    """A-Davis-Wielandt radius ``dw_A(T)`` by multistart monotone ascent.
-
-    Starts: the top right singular vector of W, the numerical-radius witness,
-    and ``starts`` seeded random unit vectors; deterministic reduction by
-    start order.
-    """
-    n_mat, w_mat = compress(m, t)
-    r = m.rank
-    if r == 0:
-        return _empty_estimate("multistart")
-    gram = gram_herm(w_mat)
+def _dw_core(n_mat: np.ndarray, seed: int, starts: int = DW_STARTS):
+    """Multistart ascent on ``N``; the starts are those of :func:`dw_radius`."""
+    r = n_mat.shape[0]
+    gram = gram_herm(n_mat)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
-    _, _, vh = np.linalg.svd(w_mat)
-    theta, _, _ = _theta_sweep(n_mat)
-    _, vecs = np.linalg.eigh(rotated_herm(n_mat, theta))
     rand = rng.standard_normal((starts, r)) + 1j * rng.standard_normal((starts, r))
-    c0 = np.vstack([vh[0].conj()[None, :], vecs[:, -1][None, :], rand])
+    c0 = np.vstack([_seminorm_core(n_mat)[1][None, :], _w_core(n_mat)[1][None, :], rand])
     c0 = c0 / np.linalg.norm(c0, axis=1, keepdims=True)
     value, c_best, resid, iterations = _ascend_dw(n_mat, gram, c0)
     if resid > GRAD_TOL:
@@ -455,7 +431,17 @@ def dw_radius(m: Metric, t, starts: int = DW_STARTS, seed: int = DEFAULT_SEED) -
         if val2 >= value:
             value, c_best = val2, c2
             resid = _dw_residual(n_mat, gram, c_best)
-    return _finish(m, value, c_best, "multistart", iterations, resid)
+    return value, c_best, iterations, resid
+
+
+def dw_radius(m: Metric, t, starts: int = DW_STARTS, seed: int = DEFAULT_SEED) -> RadiusEstimate:
+    """A-Davis-Wielandt radius ``dw_A(T)`` by multistart monotone ascent.
+
+    Starts: the top right singular vector of N, the numerical-radius witness,
+    and ``starts`` seeded random unit vectors; deterministic reduction by
+    start order.
+    """
+    return _estimate(m, t, "multistart", _dw_core, seed, starts)
 
 
 # ---------------------------------------------------------------------------
@@ -486,13 +472,14 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
     """
     if objective not in _ORACLE_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {_ORACLE_OBJECTIVES}")
-    n_mat, w_mat = compress(m, t)
-    r = m.rank
-    if r == 0:
-        return _empty_estimate("oracle")
+    return _estimate(m, t, "oracle", _oracle_core, objective, samples, seed)
+
+
+def _oracle_core(n_mat: np.ndarray, objective: str, samples: int, seed: int):
+    r = n_mat.shape[0]
     if r > 6:
         raise RankTooLarge(f"oracle guard: compressed rank {r} > 6")
-    gram = gram_herm(w_mat)
+    gram = gram_herm(n_mat)
     minimize_it = objective == "crawford"
 
     def batch_vals(c_rows: np.ndarray) -> np.ndarray:
@@ -515,4 +502,4 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
         if (val < best_val) if minimize_it else (val > best_val):
             best_val, best_c = val, c
     sampled_best = float(vals[picks[0]])
-    return _finish(m, best_val, best_c, "oracle", feval_total, abs(best_val - sampled_best))
+    return best_val, best_c, feval_total, abs(best_val - sampled_best)

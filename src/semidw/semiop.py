@@ -50,10 +50,10 @@ def is_a_bounded(m: Metric, t, tol: float = DEFAULT_TOL) -> bool:
 
 
 def sharp(m: Metric, t, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """A-adjoint ``T^# = A^dagger T* A``; raises :class:`NotInBA` if absent."""
+    """A-adjoint ``T^# = A^dagger T* A``; raises :class:`NotInBA` unless residual <= tol."""
     arr = as_operator(t, m.dim)
     res = ba_residual(m, arr)
-    if res > tol:
+    if not res <= tol:
         raise NotInBA(f"operator admits no A-adjoint: residual {res:.3e} > {tol:.1e}")
     return m.pinv_a @ arr.conj().T @ m.a
 
@@ -146,13 +146,13 @@ def double_metric(m: Metric) -> Metric:
 def block2(m: Metric, t11, t12, t21, t22, tol: float = DEFAULT_TOL) -> BlockOperator:
     """Assemble four B_A operators into a 2x2 block on diag(A, A).
 
-    Raises :class:`NotInBA` when any block lacks an A-adjoint and
+    Raises :class:`NotInBA` unless every block's residual is <= tol, and
     :class:`DimensionMismatch` when blocks disagree in size.
     """
     blocks = [as_operator(b, m.dim) for b in (t11, t12, t21, t22)]
     for idx, blk in enumerate(blocks):
         res = ba_residual(m, blk)
-        if res > tol:
+        if not res <= tol:
             raise NotInBA(f"block {idx} admits no A-adjoint: residual {res:.3e}")
     assembled = np.block([[blocks[0], blocks[1]], [blocks[2], blocks[3]]])
     return BlockOperator(

@@ -4,7 +4,7 @@ import pytest
 import semidw as sd
 from semidw._optim import herm_parts, refine_periodic_max
 from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, SWEEP_BRACKET_TOL, THETA_GRID_BOUNDS
-from semidw.errors import DegenerateNorm, ZeroT
+from semidw.errors import DegenerateNorm, NotABounded, ZeroT
 from semidw.metric import compress
 from semidw.sampling import random_bounded_operator, random_metric
 
@@ -228,8 +228,8 @@ def _lambda_theta_stacked(m, t, lambda_grid=None):
     Returns the squared ``(value, lambda0_value)`` of ``upper_lambda_theta``
     (``lambda0`` is None when 0 is not on the grid).
     """
-    n_mat, w_mat = compress(m, t)
-    gram = w_mat.conj().T @ w_mat
+    n_mat = compress(m, t)
+    gram = n_mat.conj().T @ n_mat
     gram = 0.5 * (gram + gram.conj().T)
     h_mat, j_mat = herm_parts(n_mat)
     eye = np.eye(m.rank)
@@ -503,6 +503,11 @@ def test_verify_all_degenerate_metrics():
     assert report2.overall_pass
     assert report2.reference_dw == pytest.approx(np.sqrt(4.0 + 16.0), abs=1e-9)
 
+
+def test_verify_all_rejects_nonfinite_residual(diag10):
+    # not A-bounded, and so large that the boundedness residual is nan
+    with pytest.raises(NotABounded):
+        sd.verify_all(diag10, np.array([[0.0, 1e160], [0.0, 0.0]]), seed=1)
 
 def test_pair_report_degenerate_not_applicable(diag12):
     from semidw.bounds import pair_report

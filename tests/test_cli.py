@@ -47,16 +47,6 @@ def test_matrix_parse_errors():
         jsonio.load_matrix('{"rows": 2 2}')
 
 
-def test_block_loading(tmp_path):
-    blk = {key: jsonio.matrix_to_dict(X_MAT) for key in ("t11", "t12", "t21", "t22")}
-    path = tmp_path / "b.json"
-    path.write_text(json.dumps(blk))
-    out = jsonio.load_block(str(path))
-    np.testing.assert_allclose(out["t12"], X_MAT)
-    with pytest.raises(sd.ParseError):
-        jsonio.load_block({"t11": jsonio.matrix_to_dict(X_MAT)})
-
-
 def test_report_csv_columns(diag12):
     report = sd.verify_all(diag12, X_MAT, seed=1, oracle_samples=1024)
     csv_text = jsonio.report_csv(report)
@@ -113,6 +103,16 @@ def test_compute_precondition_exit_3(tmp_path, capsys):
     assert code == 3
     assert "residual" in err
 
+
+def test_verify_nonfinite_residual_exit_3(tmp_path, capsys):
+    a_path = tmp_path / "a.json"
+    t_path = tmp_path / "t.json"
+    a_path.write_text(json.dumps(jsonio.matrix_to_dict(np.diag([1.0, 0.0]))))
+    t_path.write_text(json.dumps(jsonio.matrix_to_dict(np.array([[0.0, 1e160], [0.0, 0.0]]))))
+    code = main(["verify", "--metric", str(a_path), "--operator", str(t_path),
+                 "--samples", "256"])
+    assert code == 3
+    assert "not A-bounded" in capsys.readouterr().err
 
 @pytest.mark.parametrize("b", [1e40, 1e160])
 def test_exact_out_of_range_b_exit_3(tmp_path, capsys, b):

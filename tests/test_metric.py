@@ -9,6 +9,7 @@ from semidw.errors import (
     NotHermitian,
     NotPositiveSemidefinite,
 )
+from semidw.metric import a_bounded_residual
 
 from conftest import X_MAT
 
@@ -73,19 +74,20 @@ def test_semi_norm_examples(id2, diag12, diag10):
 
 def test_compress_identity(id2):
     t = np.array([[1.0, 2.0], [3.0, 4.0j]])
-    n_mat, w_mat = sd.compress(id2, t)
+    n_mat = sd.compress(id2, t)
     np.testing.assert_allclose(n_mat, t, atol=1e-14)
-    np.testing.assert_allclose(w_mat, t, atol=1e-14)
+    np.testing.assert_allclose(id2.basis @ n_mat, t, atol=1e-14)
 
 
 def test_compress_diag12(diag12):
-    n_mat, w_mat = sd.compress(diag12, X_MAT)
+    n_mat = sd.compress(diag12, X_MAT)
     # hand-computed conjugation A^{1/2} X (A^{1/2})^+ in natural coordinates;
     # N is its restriction to the (descending-eigenvalue) range basis
     full = np.diag([1.0, np.sqrt(2.0)]) @ X_MAT @ np.diag([1.0, 2 ** -0.5])
     np.testing.assert_allclose(n_mat, diag12.basis.conj().T @ full @ diag12.basis,
                                atol=1e-14)
-    np.testing.assert_allclose(w_mat, full @ diag12.basis, atol=1e-14)
+    # B N is the range-basis restriction A^{1/2} X (A^{1/2})^+ B
+    np.testing.assert_allclose(diag12.basis @ n_mat, full @ diag12.basis, atol=1e-14)
     assert np.abs(n_mat).max() == pytest.approx(2 ** -0.5)
     assert np.count_nonzero(np.abs(n_mat) > 1e-14) == 1
     np.testing.assert_allclose(np.linalg.svd(n_mat, compute_uv=False),
@@ -94,17 +96,23 @@ def test_compress_diag12(diag12):
 
 def test_compress_kernel_image(diag10):
     # T maps range(A) into the null space: compressed data is zero
-    n_mat, w_mat = sd.compress(diag10, np.diag([0.0, 1.0]))
+    n_mat = sd.compress(diag10, np.diag([0.0, 1.0]))
     assert n_mat.shape == (1, 1)
-    assert w_mat.shape == (2, 1)
+    assert (diag10.basis @ n_mat).shape == (2, 1)
     np.testing.assert_allclose(n_mat, 0.0, atol=1e-14)
-    np.testing.assert_allclose(w_mat, 0.0, atol=1e-14)
 
 
 def test_compress_rejects_unbounded(diag10):
     with pytest.raises(NotABounded):
         sd.compress(diag10, X_MAT)
 
+
+def test_compress_rejects_nonfinite_residual(diag10):
+    # A^{1/2} T overflows the Frobenius norm: the residual is nan, not a pass
+    huge = np.array([[0.0, 1e160], [0.0, 0.0]])
+    assert np.isnan(a_bounded_residual(diag10, huge))
+    with pytest.raises(NotABounded):
+        sd.compress(diag10, huge)
 
 def _random_psd(rng, n, rank):
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
@@ -133,7 +141,7 @@ def test_reconstruction_invariants(seed):
 def test_compression_fidelity(diag12):
     rng = np.random.default_rng(3)
     t = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-    n_mat, w_mat = sd.compress(diag12, t)
+    n_mat = sd.compress(diag12, t)
     cs = rng.standard_normal((1000, 2)) + 1j * rng.standard_normal((1000, 2))
     cs /= np.linalg.norm(cs, axis=1, keepdims=True)
     for c in cs[:50]:
@@ -141,7 +149,7 @@ def test_compression_fidelity(diag12):
         assert sd.semi_norm_vec(diag12, x) == pytest.approx(1.0, abs=1e-12)
         form = sd.semi_inner(diag12, t @ x, x)
         assert abs(np.vdot(c, n_mat @ c) - form) <= 1e-9
-        assert abs(np.linalg.norm(w_mat @ c) - sd.semi_norm_vec(diag12, t @ x)) <= 1e-9
+        assert abs(np.linalg.norm(n_mat @ c) - sd.semi_norm_vec(diag12, t @ x)) <= 1e-9
     # vectorized check over the full 1000
     forms = np.einsum("ki,ij,kj->k", cs.conj(), n_mat, cs)
     xs = (diag12.pinv_sqrt_a @ (diag12.basis @ cs.T)).T

@@ -6,6 +6,7 @@ once per application of A^dagger; tolerances scale accordingly.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
@@ -111,3 +112,49 @@ def test_abs_sq_is_a_positive(data):
     scale = 1.0 + np.linalg.norm(prod)
     assert np.linalg.norm(prod - herm) <= _tol(m, 1e-9) * scale
     assert np.linalg.eigvalsh(herm).min() >= -_tol(m, 1e-9) * scale
+
+
+# ---------------------------------------------------------------------------
+# compression is a *-homomorphism onto C^{r x r}
+
+
+def _spectral(mat):
+    return float(np.linalg.norm(mat, 2)) if mat.size else 0.0
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(metric_and_operators(count=2))
+def test_compress_homomorphism(data):
+    m, (t, s) = data
+    n_t, n_s = sd.compress(m, t), sd.compress(m, s)
+    scale = 1.0 + _spectral(n_t) * (1.0 + _spectral(n_s) + _spectral(n_t))
+    tol = _tol(m, 1e-9, power=2) * scale
+    assert _spectral(sd.compress(m, sd.sharp(m, t)) - n_t.conj().T) <= tol
+    assert _spectral(sd.compress(m, s @ t) - n_s @ n_t) <= tol
+    assert _spectral(sd.compress(m, sd.abs_sq(m, t)) - n_t.conj().T @ n_t) <= tol
+    norm = sd.op_seminorm(m, t).value
+    assert norm == pytest.approx(_spectral(n_t), rel=1e-12, abs=1e-14)
+    # the ambient form of the seminorm: ||A^{1/2} T (A^{1/2})^+||_2
+    ambient = _spectral(m.sqrt_a @ t @ m.pinv_sqrt_a)
+    assert abs(norm - ambient) <= _tol(m, 1e-10) * (1.0 + ambient)
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(metric_and_operators(count=2))
+def test_compress_offdiag_block(data):
+    m, (x, y) = data
+    if m.rank == 0:
+        return
+    zero = np.zeros((m.dim, m.dim))
+    blk = sd.block2(m, zero, x, y, zero)
+    n_x, n_y = sd.compress(m, x), sd.compress(m, y)
+    z_r = np.zeros_like(n_x)
+    k_mat = np.block([[z_r, n_x], [n_y, z_r]])
+    n_blk = sd.compress(blk.metric2, blk.assembled)
+    scale = 1.0 + _spectral(k_mat)
+    tol = _tol(m, 1e-9) * scale
+    np.testing.assert_allclose(np.linalg.svd(n_blk, compute_uv=False),
+                               np.linalg.svd(k_mat, compute_uv=False), rtol=0.0, atol=tol)
+    w_blk = sd.numerical_radius(blk.metric2, blk.assembled).value
+    w_k = sd.numerical_radius(sd.build_metric(np.eye(k_mat.shape[0])), k_mat).value
+    assert abs(w_blk - w_k) <= tol

@@ -57,7 +57,7 @@ def test_numerical_radius_examples(id2, diag12):
 def test_numerical_radius_witness(diag12):
     est = sd.numerical_radius(diag12, X_MAT)
     assert np.linalg.norm(est.maximizer) == pytest.approx(1.0, abs=1e-12)
-    n_mat, _ = compress(diag12, X_MAT)
+    n_mat = compress(diag12, X_MAT)
     val = abs(np.vdot(est.maximizer, n_mat @ est.maximizer))
     assert val == pytest.approx(est.value, abs=1e-8)
 
@@ -79,7 +79,7 @@ def test_crawford_matches_convexity_sweep_and_oracle():
         m = random_metric(rng, 3, 3 if k % 4 else 2)
         t = random_bounded_operator(rng, m)
         est = sd.crawford(m, t)
-        n_mat, _ = compress(m, t)
+        n_mat = compress(m, t)
         dist, _, _ = sd.numrange_distance(n_mat)
         assert est.value == pytest.approx(dist, abs=1e-8 * (1 + np.linalg.norm(n_mat) ** 2))
         ora = sd.oracle_extremum(m, t, "crawford", samples=2048, seed=k)
@@ -100,7 +100,7 @@ def test_crawford_certified_zero_where_descent_stalled():
     t = random_bounded_operator(rng, m)
     op = t - sd.abs_sq(m, t)
     est = sd.crawford(m, op)
-    n_mat, _ = compress(m, op)
+    n_mat = compress(m, op)
     assert est.value == 0.0
     assert est.value == sd.numrange_distance(n_mat)[0]
     assert est.method == "convexity_sweep"
@@ -161,9 +161,9 @@ def test_dw_examples(id2, diag12):
 def test_dw_witness_reproduces_value(diag12):
     est = sd.dw_radius(diag12, Y_MAT)
     assert np.linalg.norm(est.maximizer) == pytest.approx(1.0, abs=1e-12)
-    n_mat, w_mat = compress(diag12, Y_MAT)
+    n_mat = compress(diag12, Y_MAT)
     c = est.maximizer
-    val = np.sqrt(abs(np.vdot(c, n_mat @ c)) ** 2 + np.linalg.norm(w_mat @ c) ** 4)
+    val = np.sqrt(abs(np.vdot(c, n_mat @ c)) ** 2 + np.linalg.norm(n_mat @ c) ** 4)
     assert val == pytest.approx(est.value, abs=1e-8)
     # ambient witness is A-unit and reproduces the value from the definition
     x = est.witness
@@ -314,14 +314,14 @@ def test_estimate_invariants_all_functionals(diag12):
     # unit maximizer and value-reproducing witness for every functional
     rng = np.random.default_rng(31)
     t = random_bounded_operator(rng, diag12)
-    n_mat, w_mat = compress(diag12, t)
+    n_mat = compress(diag12, t)
     checks = {
-        sd.op_seminorm: lambda c: np.linalg.norm(w_mat @ c),
-        sd.min_modulus: lambda c: np.linalg.norm(w_mat @ c),
+        sd.op_seminorm: lambda c: np.linalg.norm(n_mat @ c),
+        sd.min_modulus: lambda c: np.linalg.norm(n_mat @ c),
         sd.numerical_radius: lambda c: abs(np.vdot(c, n_mat @ c)),
         sd.crawford: lambda c: abs(np.vdot(c, n_mat @ c)),
         sd.dw_radius: lambda c: np.sqrt(abs(np.vdot(c, n_mat @ c)) ** 2
-                                        + np.linalg.norm(w_mat @ c) ** 4),
+                                        + np.linalg.norm(n_mat @ c) ** 4),
     }
     for fn, objective in checks.items():
         est = fn(diag12, t)

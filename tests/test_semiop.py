@@ -3,6 +3,7 @@ import pytest
 
 import semidw as sd
 from semidw.errors import NotInBA
+from semidw.semiop import ba_residual
 from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
@@ -89,6 +90,16 @@ def test_sharp_requires_ba(diag10):
     with pytest.raises(NotInBA):
         sd.sharp(diag10, X_MAT)
 
+
+def test_nonfinite_residual_rejected(diag10):
+    # T* A overflows the Frobenius norm: the residual is nan, not a pass
+    huge = np.array([[0.0, 1e160], [0.0, 0.0]])
+    zero = np.zeros((2, 2))
+    assert np.isnan(ba_residual(diag10, huge))
+    with pytest.raises(NotInBA):
+        sd.sharp(diag10, huge)
+    with pytest.raises(NotInBA):
+        sd.block2(diag10, zero, huge, zero, zero)
 
 def test_block2_examples(diag12):
     eye, zero = np.eye(2), np.zeros((2, 2))
