@@ -35,6 +35,7 @@ from .errors import (
     DimensionMismatch,
     EmptyMatrix,
     NonpositiveB,
+    NormOutOfRange,
     NotABounded,
     NotHermitian,
     NotInBA,

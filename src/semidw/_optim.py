@@ -59,18 +59,20 @@ def refine_periodic_max(xs: np.ndarray, vals: np.ndarray, f_scalar, period: floa
     return best_x, best_v, evals
 
 
-def periodic_sweep_max(f_batch, f_scalar, period: float, grid: int, top_k: int = 3,
-                       tol: float = 1e-12):
-    """Maximize a periodic scalar function by grid sweep plus golden refinement.
+def rotated_eig_max(n_mat: np.ndarray, index: int, grid: int, tol: float, shift=None):
+    """Maximize eigenvalue ``index`` of ``Re(e^{i theta} N)`` (plus ``shift``) over theta.
 
-    ``f_batch`` maps an array of angles to function values; ``f_scalar``
-    evaluates one angle. The ``top_k`` circular local maxima get refined on
-    their neighbour brackets. Returns ``(x, value, evals)``.
+    A sweep of ``grid`` angles on [0, 2pi), then golden-section refinement of the
+    three best circular local maxima. Returns ``(theta, value, evals)``.
     """
-    grid = max(int(grid), 8)
-    xs = np.linspace(0.0, period, grid, endpoint=False)
-    vals = np.asarray(f_batch(xs), dtype=float)
-    x, v, evals = refine_periodic_max(xs, vals, f_scalar, period, top_k, tol)
+
+    def eig(herm):
+        return np.linalg.eigvalsh(herm if shift is None else herm + shift)[..., index]
+
+    xs = np.linspace(0.0, 2.0 * np.pi, grid, endpoint=False)
+    x, v, evals = refine_periodic_max(xs, eig(rotated_herm_batch(n_mat, xs)),
+                                      lambda theta: float(eig(rotated_herm(n_mat, theta))),
+                                      2.0 * np.pi, top_k=3, tol=tol)
     return x, v, grid + evals
 
 

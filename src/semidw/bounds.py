@@ -5,9 +5,11 @@ reference ``dw_A`` value (multistart ascent, optionally oracle-confirmed).
 :func:`verify_all` runs the whole single-operator catalog and assembles a
 :class:`VerificationReport` certifying lower <= dw_A <= upper per record.
 
-Each evaluator compresses its operators once and applies the radii cores
-to products of compressed matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is
-``N_X* N_Y``: compression is a *-homomorphism, see :mod:`semidw.metric`).
+Each bound is a formula over radii-core values of products of compressed
+matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
+*-homomorphism, see :mod:`semidw.metric`), read from one :class:`_Instance`
+that computes each value once. A public evaluator compresses its operands
+and runs its body on a fresh instance; a report runs every body on one memo.
 
 Suprema over angles are grids plus golden-section refinement (bracket
 widths small enough that an inner supremum is never under-resolved before
@@ -19,16 +21,17 @@ grids used so every reported value is reproducible.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import (gram_herm, herm_parts, periodic_sweep_max, refine_periodic_max,
-                     rotated_herm, rotated_herm_batch)
-from .errors import DegenerateNorm, PreconditionError, ZeroT
+from ._optim import (gram_herm, herm_parts, refine_periodic_max, rotated_eig_max, rotated_herm,
+                     rotated_herm_batch)
+from .errors import DegenerateNorm, ZeroT
 from .metric import Metric, as_operator, compress
 from .radii import (
     DEFAULT_SEED,
+    THETA_GRID,
     _crawford_core,
     _dw_core,
     _min_modulus_core,
@@ -71,8 +74,8 @@ class BoundRecord:
     ``gap`` is ``reference_dw - value`` for lower bounds and
     ``value - reference_dw`` for upper bounds, so nonnegative means the
     inequality holds; ``satisfied`` allows slack ``-tol``. Exact records
-    require ``|gap| <= tol``. ``status`` is "ok", "not-applicable" (a
-    hypothesis of the theorem fails) or "error".
+    require ``|gap| <= tol``. ``status`` is "ok" or "not-applicable" (a
+    hypothesis of the theorem fails).
     """
 
     name: str
@@ -100,29 +103,44 @@ class VerificationReport:
     seed: int
 
 
-def _value(core, n_mat: np.ndarray, *args) -> float:
-    """Value of a radii core on a compressed matrix; 0 on a rank-zero metric."""
-    return float(core(n_mat, *args)[0]) if n_mat.size else 0.0
-
-
-def _ref_value(n_mat: np.ndarray, reference, seed: int) -> float:
-    """The given reference dw, else the multistart dw of the compressed operator."""
-    return _value(_dw_core, n_mat, seed) if reference is None else float(reference)
-
-
 def _tol_for(ref: float, tol: float | None) -> float:
     return 1e-6 * (1.0 + ref) if tol is None else float(tol)
 
 
-def _record(name: str, anchor: str, kind: str, value: float, ref: float,
-            tol: float, params: dict | None = None, status: str = "ok") -> BoundRecord:
-    value = float(value)
-    if status != "ok":
-        return BoundRecord(name, anchor, kind, value, ref, None, np.nan, params or {}, status)
-    gap = (value - ref) if kind in ("upper", "exact") else (ref - value)
-    satisfied = abs(gap) <= tol if kind == "exact" else gap >= -tol
-    return BoundRecord(name, anchor, kind, value, ref, bool(satisfied), float(gap),
-                       params or {}, status)
+@dataclass
+class _Instance:
+    """The memo, reference rule and tolerance of one report.
+
+    ``memo`` maps ``(core, shape, bytes, args)`` to the core's value. A record's
+    reference is ``reference``, else the multistart dw of the compressed
+    operator it bounds; its tolerance is ``tol``, else ``1e-6 (1 + reference)``.
+    """
+
+    seed: int
+    reference: float | None = None
+    tol: float | None = None
+    memo: dict = field(default_factory=dict)
+
+    def value(self, core, n_mat: np.ndarray, *args) -> float:
+        """Value of a radii core on a compressed matrix; 0 on a rank-zero metric."""
+        if not n_mat.size:
+            return 0.0
+        key = (core, n_mat.shape, n_mat.tobytes(), args)
+        if key not in self.memo:
+            self.memo[key] = float(core(n_mat, *args)[0])
+        return self.memo[key]
+
+    def dw(self, n_mat: np.ndarray) -> float:
+        return self.value(_dw_core, n_mat, self.seed)
+
+    def record(self, bounded: np.ndarray, name: str, anchor: str, kind: str, value: float,
+               params: dict | None = None) -> BoundRecord:
+        """A "lower" or "upper" bound on dw of the compressed operator ``bounded``."""
+        ref = self.dw(bounded) if self.reference is None else float(self.reference)
+        value = float(value)
+        gap = value - ref if kind == "upper" else ref - value
+        return BoundRecord(name, anchor, kind, value, ref, bool(gap >= -_tol_for(ref, self.tol)),
+                           float(gap), params or {})
 
 
 def _sqrt0(x: float) -> float:
@@ -130,8 +148,6 @@ def _sqrt0(x: float) -> float:
 
 
 def _spectral_radius(mat: np.ndarray) -> float:
-    if mat.size == 0:
-        return 0.0
     vals = np.linalg.eigvalsh(mat)
     return float(max(vals[-1], -vals[0]))
 
@@ -140,21 +156,20 @@ def _spectral_radius(mat: np.ndarray) -> float:
 # sandwich and equality diagnostics
 
 
+def _sandwich(inst: _Instance, n_mat: np.ndarray):
+    w_val = inst.value(_w_core, n_mat)
+    n_val = inst.value(_seminorm_core, n_mat)
+    params = {"w": w_val, "norm": n_val}
+    return (inst.record(n_mat, "sandwich lower", "sandwich-lower", "lower",
+                        max(w_val, n_val ** 2), params),
+            inst.record(n_mat, "sandwich upper", "sandwich-upper", "upper",
+                        _sqrt0(w_val ** 2 + n_val ** 4), params))
+
+
 def sandwich(m: Metric, t, reference=None, tol: float | None = None,
              seed: int = DEFAULT_SEED) -> tuple[BoundRecord, BoundRecord]:
     """Two-sided envelope: max(w, ||T||^2) <= dw <= sqrt(w^2 + ||T||^4)."""
-    n_mat = compress(m, t)
-    ref = _ref_value(n_mat, reference, seed)
-    tol = _tol_for(ref, tol)
-    w_val = _value(_w_core, n_mat)
-    n_val = _value(_seminorm_core, n_mat)
-    lower = _record("sandwich lower", "sandwich-lower", "lower",
-                    max(w_val, n_val ** 2), ref, tol,
-                    {"w": w_val, "norm": n_val})
-    upper = _record("sandwich upper", "sandwich-upper", "upper",
-                    _sqrt0(w_val ** 2 + n_val ** 4), ref, tol,
-                    {"w": w_val, "norm": n_val})
-    return lower, upper
+    return _sandwich(_Instance(seed, reference, tol), compress(m, t))
 
 
 @dataclass
@@ -184,8 +199,9 @@ def normaloid_equality_check(m: Metric, t, tol: float = 1e-8,
     """Check the A-normaloid equality dw = sqrt(w^2 + ||T||^4) <=> w = ||T||."""
     est = dw_radius(m, t, seed=seed)
     n_mat = compress(m, t)
-    w_val = _value(_w_core, n_mat)
-    n_val = _value(_seminorm_core, n_mat)
+    value = _Instance(seed).value
+    w_val = value(_w_core, n_mat)
+    n_val = value(_seminorm_core, n_mat)
     upper = _sqrt0(w_val ** 2 + n_val ** 4)
     is_normaloid = abs(w_val - n_val) <= tol * (1.0 + n_val)
     upper_tight = abs(est.value - upper) <= tol * (1.0 + upper)
@@ -228,8 +244,9 @@ def zero_equality_check(m: Metric, t, tol: float = 1e-8,
     at_norm = float(np.linalg.norm(m.a @ arr))
     scale = 1.0 + float(np.linalg.norm(m.a)) * float(np.linalg.norm(arr))
     n_mat = compress(m, arr)
-    dw_val = _value(_dw_core, n_mat, seed)
-    w_val = _value(_w_core, n_mat)
+    inst = _Instance(seed)
+    dw_val = inst.dw(n_mat)
+    w_val = inst.value(_w_core, n_mat)
     product_zero = at_norm <= tol * scale
     radii_equal = abs(dw_val - w_val) <= tol * (1.0 + dw_val)
     return ZeroEqualityDiagnostic(
@@ -262,8 +279,9 @@ def norm_sq_equality_check(m: Metric, t, tol: float = 1e-8,
     applicable) when the equality hypothesis fails.
     """
     n_mat = compress(m, t)
-    dw_val = _value(_dw_core, n_mat, seed)
-    n_val = _value(_seminorm_core, n_mat)
+    inst = _Instance(seed)
+    dw_val = inst.dw(n_mat)
+    n_val = inst.value(_seminorm_core, n_mat)
     applicable = abs(dw_val - n_val ** 2) <= max(tol, 1e-6) * (1.0 + dw_val)
     if not applicable or m.rank == 0:
         return NormSqDiagnostic(bool(applicable and m.rank > 0), dw_val, n_val, np.nan,
@@ -281,6 +299,22 @@ def norm_sq_equality_check(m: Metric, t, tol: float = 1e-8,
 # lower bounds with Crawford terms
 
 
+def _lower_crawford(inst: _Instance, n_mat: np.ndarray):
+    w_val = inst.value(_w_core, n_mat)
+    n_val = inst.value(_seminorm_core, n_mat)
+    c_t = inst.value(_crawford_core, n_mat)
+    c_abs = inst.value(_crawford_core, gram_herm(n_mat))
+    params = {"w": w_val, "norm": n_val, "crawford": c_t, "crawford_abs_sq": c_abs}
+    squares = (
+        ("crawford radius lower", "lower-crawford-radius", w_val ** 2 + c_abs ** 2),
+        ("crawford norm lower", "lower-crawford-norm", n_val ** 4 + c_t ** 2),
+        ("crawford radius product lower", "lower-crawford-radius-product", 2.0 * w_val * c_abs),
+        ("crawford norm product lower", "lower-crawford-norm-product", 2.0 * c_t * n_val ** 2),
+    )
+    return tuple(inst.record(n_mat, name, anchor, "lower", _sqrt0(sq), params)
+                 for name, anchor, sq in squares)
+
+
 def lower_crawford(m: Metric, t, reference=None, tol: float | None = None,
                    seed: int = DEFAULT_SEED):
     """Four Crawford-strengthened lower bounds.
@@ -289,28 +323,24 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None,
     ``sqrt(2 w c(|T|^2))`` and ``sqrt(2 c(T) ||T||^2)``; the first two
     dominate the plain sandwich lower bound.
     """
-    n_mat = compress(m, t)
-    ref = _ref_value(n_mat, reference, seed)
-    tol = _tol_for(ref, tol)
-    w_val = _value(_w_core, n_mat)
-    n_val = _value(_seminorm_core, n_mat)
-    c_t = _value(_crawford_core, n_mat)
-    c_abs = _value(_crawford_core, gram_herm(n_mat))
-    params = {"w": w_val, "norm": n_val, "crawford": c_t, "crawford_abs_sq": c_abs}
-    return (
-        _record("crawford radius lower", "lower-crawford-radius", "lower",
-                _sqrt0(w_val ** 2 + c_abs ** 2), ref, tol, params),
-        _record("crawford norm lower", "lower-crawford-norm", "lower",
-                _sqrt0(n_val ** 4 + c_t ** 2), ref, tol, params),
-        _record("crawford radius product lower", "lower-crawford-radius-product", "lower",
-                _sqrt0(2.0 * w_val * c_abs), ref, tol, params),
-        _record("crawford norm product lower", "lower-crawford-norm-product", "lower",
-                _sqrt0(2.0 * c_t * n_val ** 2), ref, tol, params),
-    )
+    return _lower_crawford(_Instance(seed, reference, tol), compress(m, t))
 
 
 # ---------------------------------------------------------------------------
 # theta-sweep upper bound
+
+
+def _upper_theta_sweep(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
+    if not n_mat.size:
+        return inst.record(n_mat, "theta sweep upper", "theta-sweep-upper", "upper", 0.0)
+    _, sup_w, evals = rotated_eig_max(n_mat, -1, THETA_GRID_BOUNDS, SWEEP_BRACKET_TOL,
+                                      gram_herm(n_mat))
+    c_val = inst.value(_crawford_core, n_mat)
+    m_val = inst.value(_min_modulus_core, n_mat)
+    value = _sqrt0(sup_w ** 2 - 2.0 * c_val * m_val ** 2)
+    return inst.record(n_mat, "theta sweep upper", "theta-sweep-upper", "upper", value,
+                       {"grid": THETA_GRID_BOUNDS, "evals": int(evals), "sup_w": float(sup_w),
+                        "crawford": c_val, "min_modulus": m_val, "decoupled_sweep": True})
 
 
 def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None,
@@ -322,31 +352,23 @@ def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None,
     a single sweep with golden refinement (no inner-grid under-approximation
     before the subtraction).
     """
-    n_mat = compress(m, t)
-    ref = _ref_value(n_mat, reference, seed)
-    tol = _tol_for(ref, tol)
-    if m.rank == 0:
-        return _record("theta sweep upper", "theta-sweep-upper", "upper", 0.0, ref, tol)
-    gram = gram_herm(n_mat)
-
-    def batch(thetas):
-        return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas) + gram)[:, -1]
-
-    def scalar(theta):
-        return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta) + gram)[-1])
-
-    _, sup_w, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, THETA_GRID_BOUNDS,
-                                         top_k=3, tol=SWEEP_BRACKET_TOL)
-    c_val = _value(_crawford_core, n_mat)
-    m_val = _value(_min_modulus_core, n_mat)
-    value = _sqrt0(sup_w ** 2 - 2.0 * c_val * m_val ** 2)
-    return _record("theta sweep upper", "theta-sweep-upper", "upper", value, ref, tol,
-                   {"grid": THETA_GRID_BOUNDS, "evals": int(evals), "sup_w": float(sup_w),
-                    "crawford": c_val, "min_modulus": m_val, "decoupled_sweep": True})
+    return _upper_theta_sweep(_Instance(seed, reference, tol), compress(m, t))
 
 
 # ---------------------------------------------------------------------------
 # Cartesian-style two-sided bound
+
+
+def _cartesian_half(inst: _Instance, n_mat: np.ndarray):
+    gram = gram_herm(n_mat)
+    w_plus = inst.value(_w_core, n_mat + gram)
+    w_minus = inst.value(_w_core, n_mat - gram)
+    c_minus = inst.value(_crawford_core, n_mat - gram)
+    params = {"w_plus": w_plus, "w_minus": w_minus, "crawford_minus": c_minus}
+    return (inst.record(n_mat, "cartesian lower", "cartesian-lower", "lower",
+                        _sqrt0(0.5 * (w_plus ** 2 + c_minus ** 2)), params),
+            inst.record(n_mat, "cartesian upper", "cartesian-upper", "upper",
+                        _sqrt0(0.5 * (w_plus ** 2 + w_minus ** 2)), params))
 
 
 def cartesian_half(m: Metric, t, reference=None, tol: float | None = None,
@@ -356,23 +378,24 @@ def cartesian_half(m: Metric, t, reference=None, tol: float | None = None,
     lower = sqrt((w^2(T+|T|^2) + c^2(T-|T|^2))/2),
     upper = sqrt((w^2(T+|T|^2) + w^2(T-|T|^2))/2).
     """
-    n_mat = compress(m, t)
-    ref = _ref_value(n_mat, reference, seed)
-    tol = _tol_for(ref, tol)
-    gram = gram_herm(n_mat)
-    w_plus = _value(_w_core, n_mat + gram)
-    w_minus = _value(_w_core, n_mat - gram)
-    c_minus = _value(_crawford_core, n_mat - gram)
-    params = {"w_plus": w_plus, "w_minus": w_minus, "crawford_minus": c_minus}
-    lower = _record("cartesian lower", "cartesian-lower", "lower",
-                    _sqrt0(0.5 * (w_plus ** 2 + c_minus ** 2)), ref, tol, params)
-    upper = _record("cartesian upper", "cartesian-upper", "upper",
-                    _sqrt0(0.5 * (w_plus ** 2 + w_minus ** 2)), ref, tol, params)
-    return lower, upper
+    return _cartesian_half(_Instance(seed, reference, tol), compress(m, t))
 
 
 # ---------------------------------------------------------------------------
 # Buzano-type upper bounds
+
+
+def _upper_buzano(inst: _Instance, n_mat: np.ndarray):
+    gram = gram_herm(n_mat)
+    val_i = _sqrt0(inst.value(_seminorm_core, gram + gram @ gram))
+    w_sq = inst.value(_w_core, n_mat @ n_mat)
+    n_val = inst.value(_seminorm_core, n_mat)
+    val_ii = _sqrt0(0.5 * (w_sq + n_val ** 2) + n_val ** 4)
+    params = {"w_square": w_sq, "norm": n_val}
+    return (inst.record(n_mat, "buzano modulus upper", "buzano-modulus-upper", "upper", val_i,
+                        params),
+            inst.record(n_mat, "buzano square upper", "buzano-square-upper", "upper", val_ii,
+                        params))
 
 
 def upper_buzano(m: Metric, t, reference=None, tol: float | None = None,
@@ -382,44 +405,31 @@ def upper_buzano(m: Metric, t, reference=None, tol: float | None = None,
     (i) sqrt(|| |T|^2 + (|T|^2)^# |T|^2 ||_A), tight for A-normaloid T;
     (ii) sqrt((w(T^2) + ||T||^2)/2 + ||T||^4).
     """
-    n_mat = compress(m, t)
-    ref = _ref_value(n_mat, reference, seed)
-    tol = _tol_for(ref, tol)
-    gram = gram_herm(n_mat)
-    val_i = _sqrt0(_value(_seminorm_core, gram + gram @ gram))
-    w_sq = _value(_w_core, n_mat @ n_mat)
-    n_val = _value(_seminorm_core, n_mat)
-    val_ii = _sqrt0(0.5 * (w_sq + n_val ** 2) + n_val ** 4)
-    params = {"w_square": w_sq, "norm": n_val}
-    return (
-        _record("buzano modulus upper", "buzano-modulus-upper", "upper", val_i, ref, tol,
-                params),
-        _record("buzano square upper", "buzano-square-upper", "upper", val_ii, ref, tol,
-                params),
-    )
+    return _upper_buzano(_Instance(seed, reference, tol), compress(m, t))
 
 
-def upper_triple(m: Metric, t, reference=None, tol: float | None = None,
-                 seed: int = DEFAULT_SEED) -> BoundRecord:
-    """Upper bound 3|| (|T|^2)^# |T|^2 + |T|^2 ||_A minus two Crawford-modulus products."""
-    n_mat = compress(m, t)
-    ref = _ref_value(n_mat, reference, seed)
-    tol = _tol_for(ref, tol)
+def _upper_triple(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     gram = gram_herm(n_mat)
-    core = 3.0 * _value(_seminorm_core, gram @ gram + gram)
+    core = 3.0 * inst.value(_seminorm_core, gram + gram @ gram)
     sub = 0.0
     parts = {}
-    for label, sgn in (("plus", 1.0), ("minus", -1.0)):
-        op = gram + sgn * n_mat
-        c_val = _value(_crawford_core, op)
-        m_val = _value(_min_modulus_core, op)
+    # c and m do not change under M -> -M: the minus term G - N reads N - G
+    for label, op in (("plus", n_mat + gram), ("minus", n_mat - gram)):
+        c_val = inst.value(_crawford_core, op)
+        m_val = inst.value(_min_modulus_core, op)
         sub += c_val * m_val
         parts[f"crawford_{label}"] = c_val
         parts[f"modulus_{label}"] = m_val
     value = _sqrt0(core - sub)
     parts["core"] = core
-    return _record("triple modulus upper", "triple-modulus-upper", "upper", value, ref,
-                   tol, parts)
+    return inst.record(n_mat, "triple modulus upper", "triple-modulus-upper", "upper", value,
+                       parts)
+
+
+def upper_triple(m: Metric, t, reference=None, tol: float | None = None,
+                 seed: int = DEFAULT_SEED) -> BoundRecord:
+    """Upper bound 3|| (|T|^2)^# |T|^2 + |T|^2 ||_A minus two Crawford-modulus products."""
+    return _upper_triple(_Instance(seed, reference, tol), compress(m, t))
 
 
 # ---------------------------------------------------------------------------
@@ -455,30 +465,12 @@ def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine):
     return best, (zero if zero in ties else min(ties)), refined.get(zero)
 
 
-def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
-                       tol: float | None = None, seed: int = DEFAULT_SEED) -> BoundRecord:
-    """Real-shift upper bound: inf over real lambda of a theta-supremum.
-
-    Each member is ``2|l| ||C_th + |T|^2 - l I||_A + (||C_th + |T|^2 - 2l I||_A^2
-    + ||C_th - |T|^2||_A^2)/2`` with ``C_th = cos(th) Re_A(T) + sin(th) Im_A(T)``.
-    A scalar shift only shifts the spectrum: with ``top``/``bot`` the extreme
-    eigenvalues of ``C_th + |T|^2``, ``||C_th + |T|^2 - s I||_A = max(top - s,
-    s - bot)``, so one eigensolve per angle serves every lambda.
-
-    The lambda = 0 member is always refined and recorded in the params. On
-    part of the grid the members are exactly constant (``2l(top - l) +
-    (top - 2l)^2/2 = top^2/2``), so ``best_lambda`` is reported as 0.0 when
-    the lambda = 0 member is within 1e-12 relative of the minimum (otherwise
-    the first grid point that is); ``value`` is the minimum itself.
-    """
-    n_mat = compress(m, t)
-    ref = _ref_value(n_mat, reference, seed)
-    tol = _tol_for(ref, tol)
-    if m.rank == 0:
-        return _record("lambda real upper", "lambda-real-upper", "upper", 0.0, ref, tol)
+def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) -> BoundRecord:
+    if not n_mat.size:
+        return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", 0.0)
     gram = gram_herm(n_mat)
     h_mat, j_mat = herm_parts(n_mat)
-    n_val = _value(_seminorm_core, n_mat)
+    n_val = inst.value(_seminorm_core, n_mat)
     if lambda_grid is None:
         span = 2.0 * n_val ** 2
         lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
@@ -499,27 +491,95 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
     grid_members = members(lambda_grid[:, None], cth)
     grid_sups = grid_members.max(axis=1)
 
-    def member_scalar(lam: float):
-        def f(theta: float) -> float:
-            return float(members(lam, np.cos(theta) * h_mat + np.sin(theta) * j_mat))
-
-        return f
-
     def refined_sup(i: int) -> float:
         lam = float(lambda_grid[i])
-        _, sup, _ = refine_periodic_max(thetas, grid_members[i], member_scalar(lam),
-                                        2.0 * np.pi, top_k=3, tol=SWEEP_BRACKET_TOL)
+        _, sup, _ = refine_periodic_max(
+            thetas, grid_members[i],
+            lambda th: float(members(lam, np.cos(th) * h_mat + np.sin(th) * j_mat)),
+            2.0 * np.pi, top_k=3, tol=SWEEP_BRACKET_TOL)
         return max(sup, float(grid_sups[i]))
 
     best, best_i, lambda0_sup = _pruned_min(lambda_grid, grid_sups, refined_sup)
     best_lam = float(lambda_grid[best_i])
     lambda0_val = None if lambda0_sup is None else _sqrt0(lambda0_sup)
     value = _sqrt0(best)
-    return _record("lambda real upper", "lambda-real-upper", "upper", value, ref, tol,
-                   {"lambda_span": [float(lambda_grid.min()), float(lambda_grid.max())],
-                    "lambda_points": int(lambda_grid.size),
-                    "theta_grid": THETA_GRID_BOUNDS,
-                    "best_lambda": best_lam, "lambda0_value": lambda0_val})
+    return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", value,
+                       {"lambda_span": [float(lambda_grid.min()), float(lambda_grid.max())],
+                        "lambda_points": int(lambda_grid.size),
+                        "theta_grid": THETA_GRID_BOUNDS,
+                        "best_lambda": best_lam, "lambda0_value": lambda0_val})
+
+
+def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
+                       tol: float | None = None, seed: int = DEFAULT_SEED) -> BoundRecord:
+    """Real-shift upper bound: inf over real lambda of a theta-supremum.
+
+    Each member is ``2|l| ||C_th + |T|^2 - l I||_A + (||C_th + |T|^2 - 2l I||_A^2
+    + ||C_th - |T|^2||_A^2)/2`` with ``C_th = cos(th) Re_A(T) + sin(th) Im_A(T)``.
+    A scalar shift only shifts the spectrum: with ``top``/``bot`` the extreme
+    eigenvalues of ``C_th + |T|^2``, ``||C_th + |T|^2 - s I||_A = max(top - s,
+    s - bot)``, so one eigensolve per angle serves every lambda.
+
+    The lambda = 0 member is always refined and recorded in the params. On
+    part of the grid the members are exactly constant (``2l(top - l) +
+    (top - 2l)^2/2 = top^2/2``), so ``best_lambda`` is reported as 0.0 when
+    the lambda = 0 member is within 1e-12 relative of the minimum (otherwise
+    the first grid point that is); ``value`` is the minimum itself.
+    """
+    return _upper_lambda_theta(_Instance(seed, reference, tol), compress(m, t), lambda_grid)
+
+
+def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
+                          lambda_grid=None) -> BoundRecord:
+    if not n_mat.size:
+        return inst.record(n_mat, "lambda complex upper", "lambda-complex-upper", "upper", 0.0)
+    gram = gram_herm(n_mat)
+    h_mat, j_mat = herm_parts(n_mat)
+    w_val = inst.value(_w_core, n_mat)
+    if lambda_grid is None:
+        lams = [0.0 + 0.0j]
+        if w_val > 0.0:
+            radii_vals = np.linspace(0.4 * w_val, 2.0 * w_val, 5)
+            phases = np.exp(2j * np.pi * np.arange(8) / 8.0)
+            lams.extend((r * p for r in radii_vals for p in phases))
+        lambda_grid = np.asarray(lams, dtype=complex)
+    lambda_grid = np.asarray(lambda_grid, dtype=complex)
+
+    # w(N - lam I) = max_theta lambda_max(Re(e^{i theta}N)) - Re(lam e^{i theta});
+    # one base sweep serves every lambda
+    thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID, endpoint=False)
+    base_top = np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, -1]
+    phase = np.exp(1j * thetas)
+
+    fixed_terms = []
+    for lam in lambda_grid:
+        # Re(conj(l)N) = Re(l)H + Im(l)J serves both the a- and the c-term
+        re_shift = lam.real * h_mat + lam.imag * j_mat
+        rho_shift = _spectral_radius(re_shift)
+        b_term = _spectral_radius(gram - 2.0 * re_shift)
+        fixed_terms.append((2.0 * rho_shift + b_term) ** 2 + 2.0 * rho_shift - abs(lam) ** 2)
+    fixed_terms = np.asarray(fixed_terms)
+    w_grids = np.stack([base_top - (lam * phase).real for lam in lambda_grid])
+    members_low = fixed_terms + np.maximum(w_grids.max(axis=1), 0.0) ** 2
+
+    def refined_member(i: int) -> float:
+        lam = complex(lambda_grid[i])
+        _, w_ref, _ = refine_periodic_max(
+            thetas, w_grids[i],
+            lambda th: (float(np.linalg.eigvalsh(rotated_herm(n_mat, th))[-1])
+                        - (lam * np.exp(1j * th)).real),
+            2.0 * np.pi, top_k=3, tol=1e-12)
+        w_ref = max(w_ref, float(w_grids[i].max()))
+        return float(fixed_terms[i] + w_ref ** 2)
+
+    best, best_i, lambda0_member = _pruned_min(lambda_grid, members_low, refined_member)
+    best_lam = complex(lambda_grid[best_i])
+    lambda0_val = None if lambda0_member is None else _sqrt0(lambda0_member)
+    value = _sqrt0(best)
+    return inst.record(n_mat, "lambda complex upper", "lambda-complex-upper", "upper", value,
+                       {"grid_size": int(lambda_grid.size),
+                        "best_lambda": [best_lam.real, best_lam.imag],
+                        "lambda0_value": lambda0_val})
 
 
 def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
@@ -532,69 +592,27 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
     :func:`upper_lambda_theta`: 0 when its member is within 1e-12 relative of
     the minimum, else the first grid point that is.
     """
-    n_mat = compress(m, t)
-    ref = _ref_value(n_mat, reference, seed)
-    tol = _tol_for(ref, tol)
-    if m.rank == 0:
-        return _record("lambda complex upper", "lambda-complex-upper", "upper", 0.0, ref, tol)
-    gram = gram_herm(n_mat)
-    h_mat, j_mat = herm_parts(n_mat)
-    w_val = _value(_w_core, n_mat)
-    if lambda_grid is None:
-        lams = [0.0 + 0.0j]
-        if w_val > 0.0:
-            radii_vals = np.linspace(0.4 * w_val, 2.0 * w_val, 5)
-            phases = np.exp(2j * np.pi * np.arange(8) / 8.0)
-            lams.extend((r * p for r in radii_vals for p in phases))
-        lambda_grid = np.asarray(lams, dtype=complex)
-    lambda_grid = np.asarray(lambda_grid, dtype=complex)
-
-    # w(N - lam I) = max_theta lambda_max(Re(e^{i theta}N)) - Re(lam e^{i theta});
-    # one base sweep serves every lambda
-    thetas = np.linspace(0.0, 2.0 * np.pi, 1440, endpoint=False)
-    base_top = np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, -1]
-    phase = np.exp(1j * thetas)
-
-    def w_shift_grid(lam: complex) -> np.ndarray:
-        return base_top - (lam * phase).real
-
-    def w_shift_scalar(lam: complex):
-        def f(theta: float) -> float:
-            top = float(np.linalg.eigvalsh(rotated_herm(n_mat, theta))[-1])
-            return top - (lam * np.exp(1j * theta)).real
-
-        return f
-
-    fixed_terms = []
-    for lam in lambda_grid:
-        # Re(conj(l)N) = Re(l)H + Im(l)J serves both the a- and the c-term
-        re_shift = lam.real * h_mat + lam.imag * j_mat
-        rho_shift = _spectral_radius(re_shift)
-        b_term = _spectral_radius(gram - 2.0 * re_shift)
-        fixed_terms.append((2.0 * rho_shift + b_term) ** 2 + 2.0 * rho_shift - abs(lam) ** 2)
-    fixed_terms = np.asarray(fixed_terms)
-    w_grids = np.stack([w_shift_grid(lam) for lam in lambda_grid])
-    members_low = fixed_terms + np.maximum(w_grids.max(axis=1), 0.0) ** 2
-
-    def refined_member(i: int) -> float:
-        lam = complex(lambda_grid[i])
-        _, w_ref, _ = refine_periodic_max(thetas, w_grids[i], w_shift_scalar(lam),
-                                          2.0 * np.pi, top_k=3, tol=1e-12)
-        w_ref = max(w_ref, float(w_grids[i].max()))
-        return float(fixed_terms[i] + w_ref ** 2)
-
-    best, best_i, lambda0_member = _pruned_min(lambda_grid, members_low, refined_member)
-    best_lam = complex(lambda_grid[best_i])
-    lambda0_val = None if lambda0_member is None else _sqrt0(lambda0_member)
-    value = _sqrt0(best)
-    return _record("lambda complex upper", "lambda-complex-upper", "upper", value, ref, tol,
-                   {"grid_size": int(lambda_grid.size),
-                    "best_lambda": [best_lam.real, best_lam.imag],
-                    "lambda0_value": lambda0_val})
+    return _upper_lambda_complex(_Instance(seed, reference, tol), compress(m, t), lambda_grid)
 
 
 # ---------------------------------------------------------------------------
 # two-operator bounds
+
+
+def _sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray):
+    n_sum = n_x + n_y
+    cross = n_x.conj().T @ n_y + n_y.conj().T @ n_x
+    w_cross = inst.value(_w_core, cross)
+    dw_x, dw_y = inst.dw(n_x), inst.dw(n_y)
+    params = {"dw_x": dw_x, "dw_y": dw_y, "w_cross": w_cross}
+    primary = inst.record(n_sum, "sum split upper", "sum-split-upper", "upper",
+                          dw_x + dw_y + w_cross, params)
+    cross_scale = 1.0 + inst.value(_seminorm_core, n_x) * inst.value(_seminorm_core, n_y)
+    special = None
+    if inst.value(_seminorm_core, cross) <= ORTHOGONAL_TOL * cross_scale:
+        special = inst.record(n_sum, "sum split upper (orthogonal)",
+                              "sum-split-upper-orthogonal", "upper", dw_x + dw_y, params)
+    return primary, special
 
 
 def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
@@ -606,39 +624,33 @@ def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
     ``A (X^# Y + Y^# X) = 0``) the cross term drops and the orthogonal special
     record dw(X) + dw(Y) is also emitted (otherwise ``None``).
     """
-    n_x, n_y = compress(m, x), compress(m, y)
-    ref = _ref_value(n_x + n_y, reference, seed)
-    tol = _tol_for(ref, tol)
-    cross = n_x.conj().T @ n_y + n_y.conj().T @ n_x
-    w_cross = _value(_w_core, cross)
-    dw_x = _value(_dw_core, n_x, seed)
-    dw_y = _value(_dw_core, n_y, seed)
-    params = {"dw_x": dw_x, "dw_y": dw_y, "w_cross": w_cross}
-    primary = _record("sum split upper", "sum-split-upper", "upper",
-                      dw_x + dw_y + w_cross, ref, tol, params)
-    cross_scale = 1.0 + _value(_seminorm_core, n_x) * _value(_seminorm_core, n_y)
-    special = None
-    if _value(_seminorm_core, cross) <= ORTHOGONAL_TOL * cross_scale:
-        special = _record("sum split upper (orthogonal)", "sum-split-upper-orthogonal",
-                          "upper", dw_x + dw_y, ref, tol, params)
-    return primary, special
+    return _sum_upper(_Instance(seed, reference, tol), compress(m, x), compress(m, y))
+
+
+def _feki_sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundRecord:
+    s = inst.dw(n_x) + inst.dw(n_y)
+    return inst.record(n_x + n_y, "feki sum upper", "feki-sum-upper", "upper",
+                       _sqrt0(2.0 * s + 4.0 * s ** 2), {"dw_sum": s})
 
 
 def feki_sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
                    seed: int = DEFAULT_SEED) -> BoundRecord:
     """Coarse splitting bound sqrt(2 s + 4 s^2) with s = dw(X) + dw(Y)."""
-    n_x, n_y = compress(m, x), compress(m, y)
-    ref = _ref_value(n_x + n_y, reference, seed)
-    tol = _tol_for(ref, tol)
-    s = _value(_dw_core, n_x, seed) + _value(_dw_core, n_y, seed)
-    return _record("feki sum upper", "feki-sum-upper", "upper",
-                   _sqrt0(2.0 * s + 4.0 * s ** 2), ref, tol, {"dw_sum": s})
+    return _feki_sum_upper(_Instance(seed, reference, tol), compress(m, x), compress(m, y))
 
 
 def _offdiag(n_x: np.ndarray, n_y: np.ndarray) -> np.ndarray:
     """The block [[O, X], [Y, O]] under diag(A, A), compressed: [[0, N_X], [N_Y, 0]]."""
     zero = np.zeros_like(n_x)
     return np.block([[zero, n_x], [n_y, zero]])
+
+
+def _offdiag_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundRecord:
+    bx = inst.value(_seminorm_core, n_x)
+    by = inst.value(_seminorm_core, n_y)
+    value = _sqrt0(bx ** 2 / 4.0 + bx ** 4) + _sqrt0(by ** 2 / 4.0 + by ** 4)
+    return inst.record(_offdiag(n_x, n_y), "offdiag block upper", "offdiag-block-upper",
+                       "upper", value, {"norm_x": bx, "norm_y": by})
 
 
 def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None,
@@ -648,38 +660,40 @@ def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None,
     dw of [[O, X], [Y, O]] <= sqrt(||X||^2/4 + ||X||^4) + sqrt(||Y||^2/4 + ||Y||^4).
     Without a ``reference`` the block's own dw is the reference.
     """
-    n_x, n_y = compress(m, x), compress(m, y)
-    ref = _ref_value(_offdiag(n_x, n_y), reference, seed)
-    tol = _tol_for(ref, tol)
-    bx = _value(_seminorm_core, n_x)
-    by = _value(_seminorm_core, n_y)
-    value = _sqrt0(bx ** 2 / 4.0 + bx ** 4) + _sqrt0(by ** 2 / 4.0 + by ** 4)
-    return _record("offdiag block upper", "offdiag-block-upper", "upper", value, ref, tol,
-                   {"norm_x": bx, "norm_y": by})
+    return _offdiag_upper(_Instance(seed, reference, tol), compress(m, x), compress(m, y))
 
 
-def _product_sum(m: Metric, p, q, x, y, sign: int, reference, tol: float | None,
-                 seed: int, pick_t):
-    """The balanced product bound at ``t = pick_t(||P||, ||Q||, ||PX||, ||QY||)``.
+def _product_sum(inst: _Instance, name: str, anchor: str, n_p, n_q, n_x, n_y, sign: int,
+                 pick_t):
+    """The balanced product record at ``t = pick_t(||P||, ||Q||, ||PX||, ||QY||)``.
 
     ``pick_t`` may raise a failed hypothesis before the reference is
-    computed. Returns ``(value, t, sgn, ref, tol, alpha, norms)`` with
-    ``value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2 ((t^2||PX||^2 + ||QY||^2/t^2)^2
-    + alpha^2)``.
+    computed. Returns the record (params ``t``, ``sign``, ``alpha``) and the
+    four norms, with ``value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2
+    ((t^2||PX||^2 + ||QY||^2/t^2)^2 + alpha^2)``.
     """
-    n_p, n_q, n_x, n_y = (compress(m, op) for op in (p, q, x, y))
-    norms = tuple(_value(_seminorm_core, op) for op in (n_p, n_q, n_p @ n_x, n_q @ n_y))
+    norms = tuple(inst.value(_seminorm_core, op) for op in (n_p, n_q, n_p @ n_x, n_q @ n_y))
     t = float(pick_t(*norms))
     sgn = 1 if sign >= 0 else -1
-    op = n_p @ n_x @ n_q.conj().T + sgn * (n_q @ n_y @ n_p.conj().T)
-    ref = _ref_value(op, reference, seed)
-    tol = _tol_for(ref, tol)
-    alpha = _value(_w_core, _offdiag(n_x, n_y))
+    alpha = inst.value(_w_core, _offdiag(n_x, n_y))
     norm_p, norm_q, norm_px, norm_qy = norms
     t2 = t ** 2
     f1 = t2 * norm_p ** 2 + norm_q ** 2 / t2
     f2 = t2 * norm_px ** 2 + norm_qy ** 2 / t2
-    return f1 * _sqrt0(f2 ** 2 + alpha ** 2), t, sgn, ref, tol, alpha, norms
+    op = n_p @ n_x @ n_q.conj().T + sgn * (n_q @ n_y @ n_p.conj().T)
+    return inst.record(op, name, anchor, "upper", f1 * _sqrt0(f2 ** 2 + alpha ** 2),
+                       {"t": t, "sign": sgn, "alpha": alpha}), norms
+
+
+def _balancing(i: int, label: str):
+    """The rule ``t = sqrt(norms[i + 1] / norms[i])``; a zero norm fails its hypothesis."""
+
+    def pick_t(*norms):
+        if norms[i] == 0.0 or norms[i + 1] == 0.0:
+            raise DegenerateNorm(f"{label} must be nonzero")
+        return np.sqrt(norms[i + 1] / norms[i])
+
+    return pick_t
 
 
 def product_sum_upper(m: Metric, p, q, x, y, t: float, sign: int = 1, reference=None,
@@ -691,12 +705,16 @@ def product_sum_upper(m: Metric, p, q, x, y, t: float, sign: int = 1, reference=
     """
     if t == 0.0:
         raise ZeroT("balance parameter t must be nonzero")
-    value, t, sgn, ref, tol, alpha, norms = _product_sum(m, p, q, x, y, sign, reference,
-                                                        tol, seed, lambda *_: t)
-    n_p, n_q, n_px, n_qy = norms
-    return _record("product sum upper", "product-sum-upper", "upper", value, ref, tol,
-                   {"t": t, "sign": sgn, "alpha": alpha,
-                    "norm_p": n_p, "norm_q": n_q, "norm_px": n_px, "norm_qy": n_qy})
+    rec, norms = _product_sum(_Instance(seed, reference, tol), "product sum upper",
+                              "product-sum-upper", *(compress(m, op) for op in (p, q, x, y)),
+                              sign, lambda *_: t)
+    rec.params.update(zip(("norm_p", "norm_q", "norm_px", "norm_qy"), norms))
+    return rec
+
+
+def _product_sum_upper_b(inst: _Instance, n_p, n_q, n_x, n_y, sign: int = 1) -> BoundRecord:
+    return _product_sum(inst, "product sum balanced upper", "product-sum-balanced-upper",
+                        n_p, n_q, n_x, n_y, sign, _balancing(0, "||P||_A and ||Q||_A"))[0]
 
 
 def product_sum_upper_b(m: Metric, p, q, x, y, sign: int = 1, reference=None,
@@ -706,16 +724,13 @@ def product_sum_upper_b(m: Metric, p, q, x, y, sign: int = 1, reference=None,
     value^2 = 4||P||^2||Q||^2 ((||P||/||Q||) ||QY||^2 + (||Q||/||P||) ||PX||^2)^2 + ...,
     equal to :func:`product_sum_upper` at that t.
     """
+    return _product_sum_upper_b(_Instance(seed, reference, tol),
+                                *(compress(m, op) for op in (p, q, x, y)), sign)
 
-    def pick_t(n_p, n_q, n_px, n_qy):
-        if n_p == 0.0 or n_q == 0.0:
-            raise DegenerateNorm("||P||_A and ||Q||_A must be nonzero")
-        return np.sqrt(n_q / n_p)
 
-    value, t, sgn, ref, tol, alpha, _ = _product_sum(m, p, q, x, y, sign, reference, tol,
-                                                     seed, pick_t)
-    return _record("product sum balanced upper", "product-sum-balanced-upper", "upper",
-                   value, ref, tol, {"t": t, "sign": sgn, "alpha": alpha})
+def _product_sum_upper_c(inst: _Instance, n_p, n_q, n_x, n_y, sign: int = 1) -> BoundRecord:
+    return _product_sum(inst, "product sum aligned upper", "product-sum-aligned-upper",
+                        n_p, n_q, n_x, n_y, sign, _balancing(2, "||PX||_A and ||QY||_A"))[0]
 
 
 def product_sum_upper_c(m: Metric, p, q, x, y, sign: int = 1, reference=None,
@@ -725,16 +740,8 @@ def product_sum_upper_c(m: Metric, p, q, x, y, sign: int = 1, reference=None,
     value^2 = ((||QY||/||PX||)||P||^2 + (||PX||/||QY||)||Q||^2)^2
     (4||PX||^2||QY||^2 + alpha^2), equal to :func:`product_sum_upper` at that t.
     """
-
-    def pick_t(n_p, n_q, n_px, n_qy):
-        if n_px == 0.0 or n_qy == 0.0:
-            raise DegenerateNorm("||PX||_A and ||QY||_A must be nonzero")
-        return np.sqrt(n_qy / n_px)
-
-    value, t, sgn, ref, tol, alpha, _ = _product_sum(m, p, q, x, y, sign, reference, tol,
-                                                     seed, pick_t)
-    return _record("product sum aligned upper", "product-sum-aligned-upper", "upper",
-                   value, ref, tol, {"t": t, "sign": sgn, "alpha": alpha})
+    return _product_sum_upper_c(_Instance(seed, reference, tol),
+                                *(compress(m, op) for op in (p, q, x, y)), sign)
 
 
 # ---------------------------------------------------------------------------
@@ -745,50 +752,48 @@ def _sha16(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def _reference(n_mat: np.ndarray, seed: int, oracle_samples: int, tol: float | None):
-    """Reference dw of a compressed operator: the multistart estimate, raised to
-    the oracle's at rank <= 6.
+def _report_instance(n_mat: np.ndarray, operands, seed: int, oracle_samples: int,
+                     tol: float | None) -> tuple[_Instance, float, float | None]:
+    """``(instance, multistart, oracle)`` of a report on ``n_mat``.
 
-    Returns ``(multistart, oracle, reference, tol)``.
+    The reference dw is the multistart estimate, raised to the oracle's at rank
+    <= 6. The dws of ``n_mat`` and the operands come first: their ``NormOutOfRange``
+    precedes every record.
     """
-    est = _value(_dw_core, n_mat, seed)
+    inst = _Instance(seed)
+    est = inst.dw(n_mat)
+    for op in operands:
+        inst.dw(op)
     oracle_val: float | None = None
     if 0 < n_mat.shape[0] <= 6:
-        oracle_val = _value(_oracle_core, n_mat, "dw", oracle_samples, seed)
-    ref = max(est, oracle_val) if oracle_val is not None else est
-    return est, oracle_val, ref, _tol_for(ref, tol)
+        oracle_val = inst.value(_oracle_core, n_mat, "dw", oracle_samples, seed)
+    inst.reference = max(est, oracle_val) if oracle_val is not None else est
+    inst.tol = _tol_for(inst.reference, tol)
+    return inst, est, oracle_val
 
 
-def _run(records: list[BoundRecord], ref: float, fn, *args, **kwargs) -> None:
-    """Append the records of one evaluator; a failed precondition becomes a record.
+def _run(records: list[BoundRecord], ref: float, body, inst: _Instance, *args) -> None:
+    """Append the records of one evaluator body.
 
-    A failed hypothesis (``DegenerateNorm``, ``ZeroT``) is "not-applicable"
-    and leaves the report standing; any other precondition is an "error".
+    A failed hypothesis (``DegenerateNorm``, ``ZeroT``) becomes one "not-applicable"
+    record, named after the public evaluator: the body's name without the underscore.
     """
-    name = fn.__name__
     try:
-        out = fn(*args, **kwargs)
+        out = body(inst, *args)
     except (DegenerateNorm, ZeroT) as exc:
-        records.append(BoundRecord(name, name, "upper", np.nan, ref, None, np.nan,
-                                   {"reason": str(exc)}, "not-applicable"))
-        return
-    except PreconditionError as exc:
-        records.append(BoundRecord(name, name, "upper", np.nan, ref, None, np.nan,
-                                   {"error": str(exc)}, "error"))
-        return
-    if isinstance(out, BoundRecord):
-        records.append(out)
-    else:
-        records.extend(r for r in out if r is not None)
+        name = body.__name__.lstrip("_")
+        out = BoundRecord(name, name, "upper", np.nan, ref, None, np.nan,
+                          {"reason": str(exc)}, "not-applicable")
+    records.extend([out] if isinstance(out, BoundRecord) else (r for r in out if r is not None))
 
 
-def _report(m: Metric, operators: dict, est: float, oracle_val: float | None, ref: float,
-            tol: float, records: list[BoundRecord], seed: int) -> VerificationReport:
+def _report(m: Metric, operators: dict, inst: _Instance, est: float,
+            oracle_val: float | None, records: list[BoundRecord]) -> VerificationReport:
     ok = all(rec.satisfied for rec in records if rec.status == "ok")
-    ok = ok and not any(rec.status == "error" for rec in records)
     instance = {"dim": m.dim, "rank": m.rank, "metric_sha": _sha16(m.a)}
     instance.update((key, _sha16(arr)) for key, arr in operators.items())
-    return VerificationReport(instance, est, oracle_val, ref, tol, records, bool(ok), int(seed))
+    return VerificationReport(instance, est, oracle_val, inst.reference, inst.tol, records,
+                              bool(ok), int(inst.seed))
 
 
 def pair_report(m: Metric, x, y, seed: int = 42, oracle_samples: int = 8192,
@@ -798,21 +803,23 @@ def pair_report(m: Metric, x, y, seed: int = 42, oracle_samples: int = 8192,
     Records: the splitting bound (with its orthogonal special case when the
     cross term is A-null), the coarse quadratic splitting bound, the
     off-diagonal block bound, and the two balanced product corollaries at
-    P = Q = I.
+    P = Q = I. Raises :class:`NormOutOfRange` when ``||X||_A``, ``||Y||_A``
+    or ``||X + Y||_A`` is above ``NORM_MAX``.
     """
     xa = as_operator(x, m.dim)
     ya = as_operator(y, m.dim)
-    est, oracle_val, ref, tol = _reference(compress(m, xa + ya), seed, oracle_samples, tol)
-    eye = np.eye(m.dim)
+    n_x, n_y, n_eye = compress(m, xa), compress(m, ya), compress(m, np.eye(m.dim))
+    inst, est, oracle_val = _report_instance(compress(m, xa + ya), (n_x, n_y), seed,
+                                             oracle_samples, tol)
     records: list[BoundRecord] = []
-    for fn, args, reference in ((sum_upper, (xa, ya), ref),
-                                (feki_sum_upper, (xa, ya), ref),
-                                (offdiag_upper, (xa, ya), None),  # its reference is the block dw
-                                (product_sum_upper_b, (eye, eye, xa, ya), ref),
-                                (product_sum_upper_c, (eye, eye, xa, ya), ref)):
-        _run(records, ref, fn, m, *args, reference=reference, tol=tol, seed=seed)
-    return _report(m, {"operator_sha": xa, "operator2_sha": ya}, est, oracle_val, ref, tol,
-                   records, seed)
+    for body, *args in ((_sum_upper, inst, n_x, n_y), (_feki_sum_upper, inst, n_x, n_y),
+                        # the block's own dw is the offdiag reference
+                        (_offdiag_upper, replace(inst, reference=None), n_x, n_y),
+                        (_product_sum_upper_b, inst, n_eye, n_eye, n_x, n_y),
+                        (_product_sum_upper_c, inst, n_eye, n_eye, n_x, n_y)):
+        _run(records, inst.reference, body, *args)
+    return _report(m, {"operator_sha": xa, "operator2_sha": ya}, inst, est, oracle_val,
+                   records)
 
 
 def verify_all(m: Metric, t, seed: int = 42, oracle_samples: int = 8192,
@@ -820,13 +827,14 @@ def verify_all(m: Metric, t, seed: int = 42, oracle_samples: int = 8192,
     """Evaluate the full single-operator bound catalog on one instance.
 
     The reference dw is the multistart estimate, oracle-confirmed when the
-    compressed rank admits the sampling oracle; individual record failures
-    are captured per-record without aborting the report.
+    compressed rank admits the sampling oracle. Raises
+    :class:`NormOutOfRange` when ``||T||_A`` is above ``NORM_MAX``.
     """
     arr = as_operator(t, m.dim)
-    est, oracle_val, ref, tol = _reference(compress(m, arr), seed, oracle_samples, tol)
+    n_mat = compress(m, arr)
+    inst, est, oracle_val = _report_instance(n_mat, (), seed, oracle_samples, tol)
     records: list[BoundRecord] = []
-    for fn in (sandwich, lower_crawford, upper_theta_sweep, cartesian_half, upper_buzano,
-               upper_triple, upper_lambda_theta, upper_lambda_complex):
-        _run(records, ref, fn, m, arr, reference=ref, tol=tol, seed=seed)
-    return _report(m, {"operator_sha": arr}, est, oracle_val, ref, tol, records, seed)
+    for body in (_sandwich, _lower_crawford, _upper_theta_sweep, _cartesian_half,
+                 _upper_buzano, _upper_triple, _upper_lambda_theta, _upper_lambda_complex):
+        _run(records, inst.reference, body, inst, n_mat)
+    return _report(m, {"operator_sha": arr}, inst, est, oracle_val, records)

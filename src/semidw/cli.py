@@ -203,38 +203,29 @@ def _remark_instance():
 
 
 def cmd_remark_repro(args) -> int:
-    m, x, y = _remark_instance()
-    eye = np.eye(2)
-    ref = rad.dw_radius(m, x + y, seed=args.seed)
-    oracle = rad.oracle_extremum(m, x + y, "dw", samples=args.samples, seed=args.seed)
-    dw_ref = max(ref.value, oracle.value)
-    records = [
-        bnd.feki_sum_upper(m, x, y, reference=dw_ref),
-        bnd.sum_upper(m, x, y, reference=dw_ref)[0],
-        bnd.product_sum_upper_b(m, eye, eye, x, y, reference=dw_ref),
-        bnd.product_sum_upper_c(m, eye, eye, x, y, reference=dw_ref),
-    ]
+    report = bnd.pair_report(*_remark_instance(), seed=args.seed, oracle_samples=args.samples)
+    dw_ref = report.reference_dw
     ordering = [
         "sum-split-upper",
         "product-sum-balanced-upper",
         "product-sum-aligned-upper",
         "feki-sum-upper",
     ]
-    by_anchor = {rec.anchor: rec for rec in records}
+    by_anchor = {rec.anchor: rec for rec in report.records}
     rows = []
     all_ok = True
-    for rec in records:
-        expected = REMARK_EXPECTED[rec.anchor]
+    for anchor, expected in REMARK_EXPECTED.items():
+        rec = by_anchor[anchor]
         ok = abs(rec.value - expected) <= REMARK_TOL and bool(rec.satisfied)
         all_ok &= ok
-        rows.append((rec.anchor, rec.value, expected, ok))
+        rows.append((anchor, rec.value, expected, ok))
     values = [by_anchor[a].value for a in ordering]
     order_ok = all(values[i] < values[i + 1] for i in range(len(values) - 1))
     all_ok &= order_ok
     payload = {
         "dw": dw_ref,
-        "dw_multistart": ref.value,
-        "dw_oracle": oracle.value,
+        "dw_multistart": report.dw_multistart,
+        "dw_oracle": report.dw_oracle,
         "tolerance": REMARK_TOL,
         "ordering_ok": order_ok,
         "overall_pass": bool(all_ok),
@@ -357,7 +348,7 @@ def cmd_suite(args) -> int:
                 "metric": jsonio.matrix_to_dict(m.a),
                 "operator": jsonio.matrix_to_dict(t),
                 "records": [jsonio.record_to_dict(r) for r in report.records
-                            if r.satisfied is False or r.status == "error"],
+                            if r.satisfied is False],
             }
     lines.append(f"bounds suite:     {passed}/{args.verify_count} instances pass")
     payload["suites"]["bounds"] = {"pass": passed, "total": args.verify_count}
@@ -498,7 +489,7 @@ def main(argv=None) -> int:
     except PropertyViolation as exc:
         print(f"property violation: {exc}", file=sys.stderr)
         return 4
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
     except SemidwError as exc:  # pragma: no cover - safety net

@@ -63,5 +63,9 @@ class BOutOfRange(PreconditionError):
     """Raised when a closed form in b = ||X||_A is not finite in double precision."""
 
 
+class NormOutOfRange(PreconditionError):
+    """Raised when ||T||_A is too large for dw_A and its bounds to stay finite."""
+
+
 class PropertyViolation(SemidwError):
     """Raised by the suite runner when a randomized property check fails."""

@@ -33,14 +33,17 @@ from scipy.optimize import minimize
 from scipy.special import ndtri
 from scipy.stats import qmc
 
-from ._optim import gram_herm, herm_parts, periodic_sweep_max, rotated_herm, rotated_herm_batch
-from .errors import RankTooLarge
+from ._optim import gram_herm, herm_parts, rotated_eig_max, rotated_herm
+from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
 DEFAULT_SEED = 20220
 THETA_GRID = 1440
 DW_STARTS = 32
 GRAD_TOL = 1e-10
+#: largest ||N||_2 at which dw_A and every bound record stay finite: their largest
+#: terms are about 25 ||N||_2^4, so this leaves a factor 4 of headroom
+NORM_MAX = (np.finfo(float).max / 100.0) ** 0.25
 
 _ORACLE_OBJECTIVES = ("dw", "crawford", "numrad")
 
@@ -144,15 +147,7 @@ def min_modulus(m: Metric, t) -> RadiusEstimate:
 
 def _w_core(n_mat: np.ndarray):
     """Maximize ``lambda_max(Re(e^{i theta} N))`` over [0, 2pi); c is the top eigenvector."""
-
-    def batch(thetas):
-        return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, -1]
-
-    def scalar(theta):
-        return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta))[-1])
-
-    theta, value, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, THETA_GRID, top_k=3,
-                                             tol=1e-12)
+    theta, value, evals = rotated_eig_max(n_mat, -1, THETA_GRID, 1e-12)
     c = np.linalg.eigh(rotated_herm(n_mat, theta))[1][:, -1]
     return value, c, evals, abs(abs(form_values(n_mat, c[None, :])[0]) - value)
 
@@ -168,15 +163,7 @@ def _support_sweep(n_mat: np.ndarray):
     Returns ``(max(0, maximum), phi, evals, lam, vecs)`` with the eigenpairs
     ``lam, vecs`` of ``Re(e^{i phi} N)``.
     """
-
-    def batch(thetas):
-        return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, 0]
-
-    def scalar(theta):
-        return float(np.linalg.eigvalsh(rotated_herm(n_mat, theta))[0])
-
-    phi, value, evals = periodic_sweep_max(batch, scalar, 2.0 * np.pi, THETA_GRID, top_k=3,
-                                           tol=1e-12)
+    phi, value, evals = rotated_eig_max(n_mat, 0, THETA_GRID, 1e-12)
     lam, vecs = np.linalg.eigh(rotated_herm(n_mat, phi))
     return max(0.0, float(value)), float(phi), evals, lam, vecs
 
@@ -418,10 +405,14 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
 def _dw_core(n_mat: np.ndarray, seed: int, starts: int = DW_STARTS):
     """Multistart ascent on ``N``; the starts are those of :func:`dw_radius`."""
     r = n_mat.shape[0]
+    norm, c_norm = _seminorm_core(n_mat)[:2]
+    if not norm <= NORM_MAX:
+        raise NormOutOfRange(f"||T||_A = {norm:.3g} is above {NORM_MAX:.3g}, where dw_A "
+                             "and its bounds leave the floating-point range")
     gram = gram_herm(n_mat)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
     rand = rng.standard_normal((starts, r)) + 1j * rng.standard_normal((starts, r))
-    c0 = np.vstack([_seminorm_core(n_mat)[1][None, :], _w_core(n_mat)[1][None, :], rand])
+    c0 = np.vstack([c_norm[None, :], _w_core(n_mat)[1][None, :], rand])
     c0 = c0 / np.linalg.norm(c0, axis=1, keepdims=True)
     value, c_best, resid, iterations = _ascend_dw(n_mat, gram, c0)
     if resid > GRAD_TOL:
@@ -439,7 +430,7 @@ def dw_radius(m: Metric, t, starts: int = DW_STARTS, seed: int = DEFAULT_SEED) -
 
     Starts: the top right singular vector of N, the numerical-radius witness,
     and ``starts`` seeded random unit vectors; deterministic reduction by
-    start order.
+    start order. Raises :class:`NormOutOfRange` when ``||T||_A > NORM_MAX``.
     """
     return _estimate(m, t, "multistart", _dw_core, seed, starts)
 

@@ -4,8 +4,9 @@ import pytest
 import semidw as sd
 from semidw._optim import herm_parts, refine_periodic_max
 from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, SWEEP_BRACKET_TOL, THETA_GRID_BOUNDS
-from semidw.errors import DegenerateNorm, NotABounded, ZeroT
+from semidw.errors import DegenerateNorm, NormOutOfRange, NotABounded, ZeroT
 from semidw.metric import compress
+from semidw.radii import NORM_MAX
 from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
@@ -520,3 +521,119 @@ def test_pair_report_degenerate_not_applicable(diag12):
     assert statuses["product-sum-balanced-upper"] == "ok"
     assert statuses["product_sum_upper_c"] == "not-applicable"
     assert report.overall_pass
+
+
+# ---------------------------------------------------------------------------
+# one instance per report
+
+
+def _seeded_metrics():
+    rng = np.random.default_rng(7)
+    return [random_metric(rng, 3), random_metric(rng, 4, 2), random_metric(rng, 3, 0)]
+
+
+def test_reports_run_each_core_once_per_matrix(monkeypatch):
+    from semidw import bounds
+
+    calls = []
+    for name in ("_w_core", "_crawford_core", "_seminorm_core", "_min_modulus_core",
+                 "_dw_core"):
+        def counted(n_mat, *args, _name=name, _core=getattr(bounds, name)):
+            calls.append((_name, n_mat.shape, n_mat.tobytes()))
+            return _core(n_mat, *args)
+
+        monkeypatch.setattr(bounds, name, counted)
+    rng = np.random.default_rng(11)
+    for m in _seeded_metrics()[:2]:
+        x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
+        for run in (lambda: bounds.verify_all(m, x, seed=3, oracle_samples=256),
+                    lambda: bounds.pair_report(m, x, y, seed=3, oracle_samples=256)):
+            calls.clear()
+            run()
+            assert calls
+            repeated = {key[0] for key in calls if calls.count(key) > 1}
+            assert not repeated, repeated
+
+
+def _same_records(got, want):
+    assert [r.anchor for r in got] == [r.anchor for r in want]
+    for g, w in zip(got, want):
+        assert g.value == w.value or (np.isnan(g.value) and np.isnan(w.value)), g.anchor
+        assert g.params == w.params, g.anchor
+        assert (g.status, g.satisfied, g.reference_dw) == (w.status, w.satisfied,
+                                                           w.reference_dw), g.anchor
+
+
+def test_public_evaluators_match_reports():
+    from semidw.bounds import pair_report
+
+    rng = np.random.default_rng(5)
+    for m in _seeded_metrics():
+        t, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
+        report = sd.verify_all(m, t, seed=9, oracle_samples=256)
+        kw = {"reference": report.reference_dw, "tol": report.tol}
+        got = []
+        for fn in (sd.sandwich, sd.lower_crawford, sd.upper_theta_sweep, sd.cartesian_half,
+                   sd.upper_buzano, sd.upper_triple, sd.upper_lambda_theta,
+                   sd.upper_lambda_complex):
+            out = fn(m, t, **kw)
+            got.extend([out] if isinstance(out, sd.BoundRecord) else out)
+        _same_records(got, report.records)
+
+        report = pair_report(m, t, y, seed=9, oracle_samples=256)
+        kw = {"reference": report.reference_dw, "tol": report.tol, "seed": 9}
+        eye = np.eye(m.dim)
+        got = [r for r in sd.sum_upper(m, t, y, **kw) if r is not None]
+        got.append(sd.feki_sum_upper(m, t, y, **kw))
+        got.append(sd.offdiag_upper(m, t, y, **{**kw, "reference": None}))
+        want = [r for r in report.records if r.status != "not-applicable"]
+        for fn in (sd.product_sum_upper_b, sd.product_sum_upper_c):
+            try:
+                got.append(fn(m, eye, eye, t, y, **kw))
+            except DegenerateNorm:
+                assert fn.__name__ in [r.anchor for r in report.records]
+        _same_records(got, want)
+
+
+# ---------------------------------------------------------------------------
+# the finite range of ||T||_A
+
+
+def _scaled(rng, m, norm):
+    t = random_bounded_operator(rng, m)
+    return t * (norm / sd.op_seminorm(m, t).value)
+
+
+def test_reports_finite_just_below_norm_max():
+    from semidw.bounds import pair_report
+
+    rng = np.random.default_rng(3)
+    for m in (sd.build_metric(np.eye(3)), random_metric(rng, 3, 2)):
+        for _ in range(2):
+            t = _scaled(rng, m, 0.999 * NORM_MAX)
+            report = sd.verify_all(m, t, seed=1, oracle_samples=256)
+            x, y = _scaled(rng, m, 0.998 * NORM_MAX), _scaled(rng, m, 1e-3 * NORM_MAX)
+            report2 = pair_report(m, x, y, seed=1, oracle_samples=256)
+            for rep in (report, report2):
+                assert rep.overall_pass and np.isfinite(rep.reference_dw)
+                for rec in rep.records:
+                    assert rec.status == "ok", rec.anchor
+                    assert np.isfinite(rec.value) and np.isfinite(rec.gap), rec.anchor
+
+
+def test_reports_reject_norm_above_norm_max(id2):
+    from semidw.bounds import pair_report
+
+    big = np.array([[0.0, 1.001 * NORM_MAX], [0.0, 0.0]])
+    small = np.array([[1.0, 0.0], [0.0, 0.0]])
+    with pytest.raises(NormOutOfRange):
+        sd.verify_all(id2, big, seed=1)
+    with pytest.raises(NormOutOfRange):
+        sd.verify_all(id2, np.array([[0.0, 1e100], [0.0, 0.0]]), seed=1)
+    with pytest.raises(NormOutOfRange):
+        pair_report(id2, small, big, seed=1)
+    with pytest.raises(NormOutOfRange):
+        # each operand in range, their sum above it
+        pair_report(id2, 0.6 * big, 0.6 * big, seed=1)
+    with pytest.raises(NormOutOfRange):
+        sd.dw_radius(id2, np.array([[0.0, 1.2e77], [0.0, 0.0]]))

@@ -114,6 +114,31 @@ def test_verify_nonfinite_residual_exit_3(tmp_path, capsys):
     assert code == 3
     assert "not A-bounded" in capsys.readouterr().err
 
+
+def test_verify_norm_out_of_range_exit_3(tmp_path, capsys):
+    a_path = tmp_path / "a.json"
+    t_path = tmp_path / "t.json"
+    a_path.write_text(json.dumps(jsonio.matrix_to_dict(np.eye(2))))
+    t_path.write_text(json.dumps(jsonio.matrix_to_dict(np.array([[0.0, 1e100], [0.0, 0.0]]))))
+    code = main(["verify", "--metric", str(a_path), "--operator", str(t_path),
+                 "--samples", "256"])
+    assert code == 3
+    assert "||T||_A = 1e+100" in capsys.readouterr().err
+
+
+def test_compute_out_directory_exit_2(matrix_files, tmp_path, capsys):
+    a_path, t_path = matrix_files
+    code = main(["compute", "--metric", a_path, "--operator", t_path, "--out", str(tmp_path)])
+    assert code == 2
+    assert "parse error" in capsys.readouterr().err
+
+
+def test_bounds_metric_directory_exit_2(matrix_files, tmp_path, capsys):
+    _, t_path = matrix_files
+    code = main(["bounds", "--metric", str(tmp_path), "--operator", t_path])
+    assert code == 2
+    assert "parse error" in capsys.readouterr().err
+
 @pytest.mark.parametrize("b", [1e40, 1e160])
 def test_exact_out_of_range_b_exit_3(tmp_path, capsys, b):
     a_path = tmp_path / "a.json"
