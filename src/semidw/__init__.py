@@ -34,6 +34,7 @@ from .errors import (
     DegenerateNorm,
     DimensionMismatch,
     EmptyMatrix,
+    NonFiniteReference,
     NonpositiveB,
     NormOutOfRange,
     NotABounded,

@@ -11,11 +11,14 @@ matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
 that computes each value once. A public evaluator compresses its operands
 and runs its body on a fresh instance; a report runs every body on one memo.
 
-Suprema over angles are grids plus golden-section refinement (bracket
-widths small enough that an inner supremum is never under-resolved before
-a subtraction); infima over scalar parameters are documented grids, which
-can only loosen an upper bound and never invalidate it. Records store the
-grids used so every reported value is reproducible.
+Angle suprema of one eigenvalue (``w``, ``c`` and the theta-sweep bound)
+come from the level-set kernel :func:`semidw._optim.rotated_eig_max`, whose
+value is attained and converged to rounding, so an inner supremum is never
+under-resolved before a subtraction. The scalar-shift members, which are not
+one eigenvalue, are grids plus golden-section refinement; infima over scalar
+parameters are documented grids, which can only loosen an upper bound and
+never invalidate it. Records store the grids used so every reported value is
+reproducible.
 """
 
 from __future__ import annotations
@@ -25,13 +28,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import (gram_herm, herm_parts, refine_periodic_max, rotated_eig_max, rotated_herm,
-                     rotated_herm_batch)
-from .errors import DegenerateNorm, ZeroT
+from ._optim import (START_ANGLES, gram_herm, herm_parts, refine_periodic_max, rotated_eig_max,
+                     rotated_herm, rotated_herm_batch)
+from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .metric import Metric, as_operator, compress
 from .radii import (
     DEFAULT_SEED,
-    THETA_GRID,
+    DW_STARTS,
     _crawford_core,
     _dw_core,
     _min_modulus_core,
@@ -43,6 +46,9 @@ from .radii import (
 )
 
 LAMBDA_GRID_POINTS = 41
+#: angle grid of the lambda-complex members, evaluated THETA_GRID_BOUNDS angles at a time
+THETA_GRID = 1440
+#: angle grid of the lambda-real members
 THETA_GRID_BOUNDS = 360
 SWEEP_BRACKET_TOL = 1e-10
 #: the sum split is orthogonal when ||N_X* N_Y + N_Y* N_X|| <= this (1 + ||X|| ||Y||)
@@ -111,7 +117,7 @@ def _tol_for(ref: float, tol: float | None) -> float:
 class _Instance:
     """The memo, reference rule and tolerance of one report.
 
-    ``memo`` maps ``(core, shape, bytes, args)`` to the core's value. A record's
+    ``memo`` maps ``(core, shape, bytes, args)`` to the core's output. A record's
     reference is ``reference``, else the multistart dw of the compressed
     operator it bounds; its tolerance is ``tol``, else ``1e-6 (1 + reference)``.
     """
@@ -121,17 +127,23 @@ class _Instance:
     tol: float | None = None
     memo: dict = field(default_factory=dict)
 
-    def value(self, core, n_mat: np.ndarray, *args) -> float:
-        """Value of a radii core on a compressed matrix; 0 on a rank-zero metric."""
-        if not n_mat.size:
-            return 0.0
+    def _run(self, core, n_mat: np.ndarray, *args, extra=()):
+        """``core(n_mat, *args, *extra)``, computed once per ``(core, n_mat, args)``."""
         key = (core, n_mat.shape, n_mat.tobytes(), args)
         if key not in self.memo:
-            self.memo[key] = float(core(n_mat, *args)[0])
+            self.memo[key] = core(n_mat, *args, *extra)
         return self.memo[key]
 
+    def value(self, core, n_mat: np.ndarray, *args) -> float:
+        """Value of a radii core on a compressed matrix; 0 on a rank-zero metric."""
+        return float(self._run(core, n_mat, *args)[0]) if n_mat.size else 0.0
+
     def dw(self, n_mat: np.ndarray) -> float:
-        return self.value(_dw_core, n_mat, self.seed)
+        """Multistart dw; the memoized w witness of ``n_mat`` is one of its starts."""
+        if not n_mat.size:
+            return 0.0
+        w_start = self._run(_w_core, n_mat)[1]
+        return float(self._run(_dw_core, n_mat, self.seed, extra=(DW_STARTS, w_start))[0])
 
     def record(self, bounded: np.ndarray, name: str, anchor: str, kind: str, value: float,
                params: dict | None = None) -> BoundRecord:
@@ -333,13 +345,12 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None,
 def _upper_theta_sweep(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     if not n_mat.size:
         return inst.record(n_mat, "theta sweep upper", "theta-sweep-upper", "upper", 0.0)
-    _, sup_w, evals = rotated_eig_max(n_mat, -1, THETA_GRID_BOUNDS, SWEEP_BRACKET_TOL,
-                                      gram_herm(n_mat))
+    _, sup_w, evals = rotated_eig_max(n_mat, -1, gram_herm(n_mat))
     c_val = inst.value(_crawford_core, n_mat)
     m_val = inst.value(_min_modulus_core, n_mat)
     value = _sqrt0(sup_w ** 2 - 2.0 * c_val * m_val ** 2)
     return inst.record(n_mat, "theta sweep upper", "theta-sweep-upper", "upper", value,
-                       {"grid": THETA_GRID_BOUNDS, "evals": int(evals), "sup_w": float(sup_w),
+                       {"grid": START_ANGLES, "evals": int(evals), "sup_w": float(sup_w),
                         "crawford": c_val, "min_modulus": m_val, "decoupled_sweep": True})
 
 
@@ -349,8 +360,9 @@ def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None,
 
     The inner supremum decouples exactly: compress(|T|^2_A) = G = N*N is
     Hermitian PSD, so sup_theta w(...) = max_psi lambda_max(Re(e^{i psi}N) + G),
-    a single sweep with golden refinement (no inner-grid under-approximation
-    before the subtraction).
+    one call of the level-set kernel with shift G; its value is attained and
+    converged to rounding, so nothing is under-resolved before the subtraction.
+    ``grid`` is the kernel's start grid and ``evals`` its angle count.
     """
     return _upper_theta_sweep(_Instance(seed, reference, tol), compress(m, t))
 
@@ -546,9 +558,11 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
     lambda_grid = np.asarray(lambda_grid, dtype=complex)
 
     # w(N - lam I) = max_theta lambda_max(Re(e^{i theta}N)) - Re(lam e^{i theta});
-    # one base sweep serves every lambda
+    # one base sweep serves every lambda, in slices that bound the stack's memory
     thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID, endpoint=False)
-    base_top = np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, -1]
+    base_top = np.concatenate([
+        np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas[i:i + THETA_GRID_BOUNDS]))[:, -1]
+        for i in range(0, THETA_GRID, THETA_GRID_BOUNDS)])
     phase = np.exp(1j * thetas)
 
     fixed_terms = []
@@ -758,7 +772,8 @@ def _report_instance(n_mat: np.ndarray, operands, seed: int, oracle_samples: int
 
     The reference dw is the multistart estimate, raised to the oracle's at rank
     <= 6. The dws of ``n_mat`` and the operands come first: their ``NormOutOfRange``
-    precedes every record.
+    precedes every record. A non-finite estimate raises
+    :class:`NonFiniteReference`: against it every gap would pass vacuously.
     """
     inst = _Instance(seed)
     est = inst.dw(n_mat)
@@ -767,6 +782,9 @@ def _report_instance(n_mat: np.ndarray, operands, seed: int, oracle_samples: int
     oracle_val: float | None = None
     if 0 < n_mat.shape[0] <= 6:
         oracle_val = inst.value(_oracle_core, n_mat, "dw", oracle_samples, seed)
+    for label, val in (("multistart", est), ("oracle", oracle_val)):
+        if val is not None and not np.isfinite(val):
+            raise NonFiniteReference(f"the {label} dw is {val}; no record can be judged")
     inst.reference = max(est, oracle_val) if oracle_val is not None else est
     inst.tol = _tol_for(inst.reference, tol)
     return inst, est, oracle_val

@@ -492,7 +492,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2
-    except SemidwError as exc:  # pragma: no cover - safety net
+    except SemidwError as exc:  # internal failures, e.g. NonFiniteReference
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

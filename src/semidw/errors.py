@@ -67,5 +67,9 @@ class NormOutOfRange(PreconditionError):
     """Raised when ||T||_A is too large for dw_A and its bounds to stay finite."""
 
 
+class NonFiniteReference(SemidwError):
+    """Raised when a report's reference dw is not finite, so no record could fail."""
+
+
 class PropertyViolation(SemidwError):
     """Raised by the suite runner when a randomized property check fails."""

@@ -38,7 +38,6 @@ from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
 DEFAULT_SEED = 20220
-THETA_GRID = 1440
 DW_STARTS = 32
 GRAD_TOL = 1e-10
 #: largest ||N||_2 at which dw_A and every bound record stay finite: their largest
@@ -142,28 +141,36 @@ def min_modulus(m: Metric, t) -> RadiusEstimate:
 
 
 # ---------------------------------------------------------------------------
-# numerical radius: theta sweep
+# numerical radius: level-set angle kernel
 
 
 def _w_core(n_mat: np.ndarray):
-    """Maximize ``lambda_max(Re(e^{i theta} N))`` over [0, 2pi); c is the top eigenvector."""
-    theta, value, evals = rotated_eig_max(n_mat, -1, THETA_GRID, 1e-12)
+    """Maximize ``lambda_max(Re(e^{i theta} N))`` over [0, 2pi); c is the top eigenvector.
+
+    ``iterations`` is the number of angles the level-set kernel evaluated.
+    """
+    theta, value, evals = rotated_eig_max(n_mat, -1)
     c = np.linalg.eigh(rotated_herm(n_mat, theta))[1][:, -1]
     return value, c, evals, abs(abs(form_values(n_mat, c[None, :])[0]) - value)
 
 
 def numerical_radius(m: Metric, t) -> RadiusEstimate:
-    """A-numerical radius ``w_A(T)`` by theta sweep plus golden-section refinement."""
+    """A-numerical radius ``w_A(T)`` by the level-set angle kernel.
+
+    :func:`semidw._optim.rotated_eig_max` maximizes the support function
+    ``lambda_max(Re(e^{i theta} N))`` of W(N); the value is attained at the
+    returned angle and the witness is the top eigenvector there.
+    """
     return _estimate(m, t, "theta_sweep", _w_core)
 
 
 def _support_sweep(n_mat: np.ndarray):
-    """Maximize ``lambda_min(Re(e^{i phi} N))`` over phi.
+    """Maximize ``lambda_min(Re(e^{i phi} N))`` over phi with the level-set angle kernel.
 
     Returns ``(max(0, maximum), phi, evals, lam, vecs)`` with the eigenpairs
     ``lam, vecs`` of ``Re(e^{i phi} N)``.
     """
-    phi, value, evals = rotated_eig_max(n_mat, 0, THETA_GRID, 1e-12)
+    phi, value, evals = rotated_eig_max(n_mat, 0)
     lam, vecs = np.linalg.eigh(rotated_herm(n_mat, phi))
     return max(0.0, float(value)), float(phi), evals, lam, vecs
 
@@ -286,7 +293,8 @@ def crawford(m: Metric, t) -> RadiusEstimate:
     The value d is :func:`numrange_distance`'s. The witness attains the
     point ``d e^{-i phi}`` of W(N) nearest 0, phi the sweep angle: on the
     support face at phi when ``d > 0``, through :func:`_through_zero` when
-    ``d = 0``. ``iterations`` is the sweep's evaluation count.
+    ``d = 0``. ``iterations`` is the number of angles the level-set kernel
+    evaluated.
     """
     return _estimate(m, t, "convexity_sweep", _crawford_core)
 
@@ -362,11 +370,15 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
 
     Works on the homogeneous extension F(c) = R(c)/||c||^2 with
     R = |c*Nc| (or sqrt(|c*Nc|^2 + (c*Mc)^2) when ``gram`` is given), so no
-    explicit normalization is needed; analytic Wirtinger gradient.
+    explicit normalization is needed; analytic Wirtinger gradient. The
+    minimizer sees F over ``max(||N||_2, 1)`` (squared for dw), so its steps
+    keep the scale of the unit sphere whatever ``||N||``.
     """
     r = c0.size
     sign = 1.0 if minimize_it else -1.0
     nh = n_mat.conj().T
+    # unscaled, the quasi-Newton steps overflow ``u @ u`` from ||N|| near 1e30
+    unit = max(float(np.linalg.norm(n_mat, 2)), 1.0) ** (1 if gram is None else 2)
 
     def fg(u: np.ndarray):
         c = u[:r] + 1j * u[r:]
@@ -386,8 +398,8 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
         if big_r < 1e-300:
             return 0.0, np.zeros_like(u)
         g = gbar / (2.0 * big_r * n2) - (big_r / (n2 * n2)) * c
-        g *= 2.0 * sign
-        return sign * big_r / n2, np.concatenate([g.real, g.imag])
+        g *= 2.0 * sign / unit
+        return sign * big_r / (n2 * unit), np.concatenate([g.real, g.imag])
 
     res = minimize(
         fg,
@@ -399,11 +411,15 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
     c = res.x[:r] + 1j * res.x[r:]
     nrm = np.linalg.norm(c)
     c = c0 if nrm < 1e-12 else c / nrm
-    return sign * float(res.fun), c, int(res.nfev)
+    return sign * float(res.fun) * unit, c, int(res.nfev)
 
 
-def _dw_core(n_mat: np.ndarray, seed: int, starts: int = DW_STARTS):
-    """Multistart ascent on ``N``; the starts are those of :func:`dw_radius`."""
+def _dw_core(n_mat: np.ndarray, seed: int, starts: int = DW_STARTS, w_start=None):
+    """Multistart ascent on ``N``; the starts are those of :func:`dw_radius`.
+
+    ``w_start`` is the numerical-radius witness of ``N`` (``_w_core(N)[1]``)
+    when the caller already has it; otherwise it is computed here.
+    """
     r = n_mat.shape[0]
     norm, c_norm = _seminorm_core(n_mat)[:2]
     if not norm <= NORM_MAX:
@@ -412,7 +428,9 @@ def _dw_core(n_mat: np.ndarray, seed: int, starts: int = DW_STARTS):
     gram = gram_herm(n_mat)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
     rand = rng.standard_normal((starts, r)) + 1j * rng.standard_normal((starts, r))
-    c0 = np.vstack([c_norm[None, :], _w_core(n_mat)[1][None, :], rand])
+    if w_start is None:
+        w_start = _w_core(n_mat)[1]
+    c0 = np.vstack([c_norm[None, :], w_start[None, :], rand])
     c0 = c0 / np.linalg.norm(c0, axis=1, keepdims=True)
     value, c_best, resid, iterations = _ascend_dw(n_mat, gram, c0)
     if resid > GRAD_TOL:

@@ -555,6 +555,49 @@ def test_reports_run_each_core_once_per_matrix(monkeypatch):
             assert not repeated, repeated
 
 
+def test_reports_run_each_angle_kernel_once(monkeypatch):
+    from semidw import bounds, radii
+
+    calls = []
+
+    def counted(n_mat, index, *args, _kernel=radii.rotated_eig_max):
+        extra = tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in args)
+        calls.append((index, extra, n_mat.shape, n_mat.tobytes()))
+        return _kernel(n_mat, index, *args)
+
+    monkeypatch.setattr(radii, "rotated_eig_max", counted)
+    monkeypatch.setattr(bounds, "rotated_eig_max", counted)
+    rng = np.random.default_rng(11)
+    for m in _seeded_metrics()[:2]:
+        x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
+        for run in (lambda: bounds.verify_all(m, x, seed=3, oracle_samples=256),
+                    lambda: bounds.pair_report(m, x, y, seed=3, oracle_samples=256)):
+            calls.clear()
+            run()
+            assert calls
+            assert len(set(calls)) == len(calls)
+
+
+def test_lambda_complex_stacks_stay_small(monkeypatch):
+    from semidw import bounds
+
+    sizes = []
+
+    def recorded(n_mat, thetas, _batch=bounds.rotated_herm_batch):
+        sizes.append(len(thetas))
+        return _batch(n_mat, thetas)
+
+    rng = np.random.default_rng(4)
+    m = random_metric(rng, 4)
+    t = random_bounded_operator(rng, m)
+    want = sd.upper_lambda_complex(m, t, reference=1.0)
+    monkeypatch.setattr(bounds, "rotated_herm_batch", recorded)
+    got = sd.upper_lambda_complex(m, t, reference=1.0)
+    assert sizes and max(sizes) <= bounds.THETA_GRID_BOUNDS
+    assert sum(sizes) == bounds.THETA_GRID
+    assert (got.value, got.params) == (want.value, want.params)
+
+
 def _same_records(got, want):
     assert [r.anchor for r in got] == [r.anchor for r in want]
     for g, w in zip(got, want):
@@ -619,6 +662,33 @@ def test_reports_finite_just_below_norm_max():
                 for rec in rep.records:
                     assert rec.status == "ok", rec.anchor
                     assert np.isfinite(rec.value) and np.isfinite(rec.gap), rec.anchor
+
+
+def _large_gaussian(norm):
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    return t * (norm / np.linalg.norm(t, 2))
+
+
+def test_oracle_reference_finite_at_large_norm():
+    # the oracle's quasi-Newton steps overflowed here and gave dw = inf, and
+    # with it tol = inf and a vacuous pass
+    m = sd.build_metric(np.eye(4))
+    for norm, seed in ((1e31, 1), (1e35, 42), (1e20, 42)):
+        report = sd.verify_all(m, _large_gaussian(norm), seed=seed)
+        assert np.isfinite(report.dw_oracle) and np.isfinite(report.tol)
+        assert report.dw_oracle == pytest.approx(report.dw_multistart, rel=1e-12)
+        assert report.overall_pass
+
+
+def test_reports_reject_nonfinite_reference(monkeypatch, diag12):
+    from semidw import bounds
+
+    monkeypatch.setattr(bounds, "_oracle_core", lambda *args: (np.inf, None, 0, 0.0))
+    with pytest.raises(sd.NonFiniteReference):
+        sd.verify_all(diag12, np.array([[1.0, 2.0], [0.5, -1.0]]), seed=1)
+    with pytest.raises(sd.NonFiniteReference):
+        bounds.pair_report(diag12, np.eye(2), np.diag([1.0, 0.0]), seed=1)
 
 
 def test_reports_reject_norm_above_norm_max(id2):

@@ -126,6 +126,35 @@ def test_verify_norm_out_of_range_exit_3(tmp_path, capsys):
     assert "||T||_A = 1e+100" in capsys.readouterr().err
 
 
+def _large_norm_files(tmp_path):
+    rng = np.random.default_rng(0)
+    t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    a_path = tmp_path / "a.json"
+    t_path = tmp_path / "t.json"
+    a_path.write_text(json.dumps(jsonio.matrix_to_dict(np.eye(4))))
+    t_path.write_text(json.dumps(jsonio.matrix_to_dict(t * (1e35 / np.linalg.norm(t, 2)))))
+    return ["--metric", str(a_path), "--operator", str(t_path), "--seed", "42",
+            "--samples", "8192"]
+
+
+def test_verify_large_norm_reference_finite(tmp_path, capsys):
+    # the oracle overflowed to inf here, and the report passed vacuously
+    code = main(["verify", *_large_norm_files(tmp_path)])
+    out = capsys.readouterr().out
+    assert "reference dw = inf" not in out
+    assert code == 0
+    assert "overall: pass" in out
+
+
+def test_verify_nonfinite_reference_exit_1(tmp_path, capsys, monkeypatch):
+    from semidw import bounds
+
+    monkeypatch.setattr(bounds, "_oracle_core", lambda *args: (np.inf, None, 0, 0.0))
+    code = main(["verify", *_large_norm_files(tmp_path)])
+    assert code == 1
+    assert "oracle dw is inf" in capsys.readouterr().err
+
+
 def test_compute_out_directory_exit_2(matrix_files, tmp_path, capsys):
     a_path, t_path = matrix_files
     code = main(["compute", "--metric", a_path, "--operator", t_path, "--out", str(tmp_path)])
