@@ -11,13 +11,14 @@ matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
 that computes each value once. A public evaluator compresses its operands
 and runs its body on a fresh instance; a report runs every body on one memo.
 
-Angle suprema of one eigenvalue (``w``, ``c`` and the theta-sweep bound)
-come from the level-set kernel :func:`semidw._optim.rotated_eig_max`, whose
-value is attained and converged to rounding, so an inner supremum is never
-under-resolved before a subtraction. The scalar-shift members, which are not
-one eigenvalue, are grids plus golden-section refinement; infima over scalar
-parameters are documented grids, which can only loosen an upper bound and
-never invalidate it. Records store the grids used so every reported value is
+Angle suprema of one eigenvalue (``w``, ``c``, the theta-sweep bound and the
+``w(N - lambda I)`` of a lambda-complex member) come from the level-set kernel
+:func:`semidw._optim.rotated_eig_max`, whose value is attained and converged
+to rounding, so an inner supremum is never under-resolved before a
+subtraction. The lambda-real members, which are not one eigenvalue, are a
+360-angle grid plus golden-section refinement; infima over scalar parameters
+are documented grids, which can only loosen an upper bound and never
+invalidate it. Records store the grids used so every reported value is
 reproducible.
 """
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._optim import (START_ANGLES, gram_herm, herm_parts, refine_periodic_max, rotated_eig_max,
-                     rotated_herm, rotated_herm_batch)
+                     rotated_herm_batch)
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .metric import Metric, as_operator, compress
 from .radii import (
@@ -46,8 +47,6 @@ from .radii import (
 )
 
 LAMBDA_GRID_POINTS = 41
-#: angle grid of the lambda-complex members, evaluated THETA_GRID_BOUNDS angles at a time
-THETA_GRID = 1440
 #: angle grid of the lambda-real members
 THETA_GRID_BOUNDS = 360
 SWEEP_BRACKET_TOL = 1e-10
@@ -157,11 +156,6 @@ class _Instance:
 
 def _sqrt0(x: float) -> float:
     return float(np.sqrt(max(float(x), 0.0)))
-
-
-def _spectral_radius(mat: np.ndarray) -> float:
-    vals = np.linalg.eigvalsh(mat)
-    return float(max(vals[-1], -vals[0]))
 
 
 # ---------------------------------------------------------------------------
@@ -460,7 +454,9 @@ def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine):
     zero_member)`` (``zero_member`` is None without a 0 on the grid).
     Members can be exactly constant along the grid, so ``index`` is that of
     lambda = 0 when its member is within ``TIE_RTOL`` relative of ``best``,
-    else the lowest index that is: the argmin never depends on rounding noise.
+    else the lowest index that is: unless lambda = 0 ties, every member whose
+    lower bound is that close is refined, and the argmin never depends on
+    rounding noise.
     """
     zeros = np.flatnonzero(lambda_grid == 0.0)
     zero = int(zeros[0]) if zeros.size else None
@@ -468,7 +464,11 @@ def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine):
     best = min(refined.values(), default=np.inf)
     for i in np.argsort(lower):
         if lower[i] >= best:
-            break
+            # no member from here on lowers ``best``, but one within TIE_RTOL can
+            # still tie, which matters only when the lambda = 0 member does not
+            zero_ties = zero is not None and refined[zero] - best <= TIE_RTOL * abs(best)
+            if zero_ties or lower[i] - best > TIE_RTOL * abs(best):
+                break
         i = int(i)
         if i not in refined:
             refined[i] = refine(i)
@@ -488,11 +488,13 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) ->
         lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
     lambda_grid = np.asarray(lambda_grid, dtype=float)
 
-    def members(lam, cth):
-        # cth: one angle (r, r) or a stack (k, r, r); lam broadcasts against the angles
+    def spectra(cth):
+        # cth: one angle (r, r) or a stack (k, r, r); the lambda-free (top, bot, rho_minus)
         vals = np.linalg.eigvalsh(np.stack([cth + gram, cth - gram]))
-        top, bot = vals[0, ..., -1], vals[0, ..., 0]
-        rho_minus = np.maximum(vals[1, ..., -1], -vals[1, ..., 0])
+        return vals[0, ..., -1], vals[0, ..., 0], np.maximum(vals[1, ..., -1], -vals[1, ..., 0])
+
+    def members(lam, top, bot, rho_minus):
+        # lam broadcasts against the angles
         rho1 = np.maximum(top - lam, lam - bot)
         rho2 = np.maximum(top - 2.0 * lam, 2.0 * lam - bot)
         return 2.0 * np.abs(lam) * rho1 + 0.5 * rho2 ** 2 + 0.5 * rho_minus ** 2
@@ -500,14 +502,21 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) ->
     thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID_BOUNDS, endpoint=False)
     cth = (np.cos(thetas)[:, None, None] * h_mat
            + np.sin(thetas)[:, None, None] * j_mat)
-    grid_members = members(lambda_grid[:, None], cth)
+    grid_members = members(lambda_grid[:, None], *spectra(cth))
     grid_sups = grid_members.max(axis=1)
+    # the golden searches of members that agree near their maxima visit the same
+    # angles: one eigensolve per distinct angle serves every lambda
+    seen = {}
+
+    def at_angle(th: float):
+        if th not in seen:
+            seen[th] = spectra(np.cos(th) * h_mat + np.sin(th) * j_mat)
+        return seen[th]
 
     def refined_sup(i: int) -> float:
         lam = float(lambda_grid[i])
         _, sup, _ = refine_periodic_max(
-            thetas, grid_members[i],
-            lambda th: float(members(lam, np.cos(th) * h_mat + np.sin(th) * j_mat)),
+            thetas, grid_members[i], lambda th: float(members(lam, *at_angle(th))),
             2.0 * np.pi, top_k=3, tol=SWEEP_BRACKET_TOL)
         return max(sup, float(grid_sups[i]))
 
@@ -530,7 +539,10 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
     + ||C_th - |T|^2||_A^2)/2`` with ``C_th = cos(th) Re_A(T) + sin(th) Im_A(T)``.
     A scalar shift only shifts the spectrum: with ``top``/``bot`` the extreme
     eigenvalues of ``C_th + |T|^2``, ``||C_th + |T|^2 - s I||_A = max(top - s,
-    s - bot)``, so one eigensolve per angle serves every lambda.
+    s - bot)``, so one eigensolve per angle serves every lambda: on a
+    ``THETA_GRID_BOUNDS``-angle grid, then once per distinct angle of the
+    golden-section refinements of the members whose grid suprema fall below
+    the best refined member.
 
     The lambda = 0 member is always refined and recorded in the params. On
     part of the grid the members are exactly constant (``2l(top - l) +
@@ -557,34 +569,25 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
         lambda_grid = np.asarray(lams, dtype=complex)
     lambda_grid = np.asarray(lambda_grid, dtype=complex)
 
-    # w(N - lam I) = max_theta lambda_max(Re(e^{i theta}N)) - Re(lam e^{i theta});
-    # one base sweep serves every lambda, in slices that bound the stack's memory
-    thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID, endpoint=False)
-    base_top = np.concatenate([
-        np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas[i:i + THETA_GRID_BOUNDS]))[:, -1]
-        for i in range(0, THETA_GRID, THETA_GRID_BOUNDS)])
-    phase = np.exp(1j * thetas)
+    # support points p_k = x_k* N x_k of W(N), x_k the top eigenvectors of
+    # Re(e^{i theta_k} N): p_k - lam lies in W(N - lam I), so |p_k - lam| <= w(N - lam I)
+    thetas = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
+    tops = np.linalg.eigh(rotated_herm_batch(n_mat, thetas))[1][..., -1]
+    support = form_values(n_mat, tops)
 
-    fixed_terms = []
-    for lam in lambda_grid:
-        # Re(conj(l)N) = Re(l)H + Im(l)J serves both the a- and the c-term
-        re_shift = lam.real * h_mat + lam.imag * j_mat
-        rho_shift = _spectral_radius(re_shift)
-        b_term = _spectral_radius(gram - 2.0 * re_shift)
-        fixed_terms.append((2.0 * rho_shift + b_term) ** 2 + 2.0 * rho_shift - abs(lam) ** 2)
-    fixed_terms = np.asarray(fixed_terms)
-    w_grids = np.stack([base_top - (lam * phase).real for lam in lambda_grid])
-    members_low = fixed_terms + np.maximum(w_grids.max(axis=1), 0.0) ** 2
+    # Re(conj(l)N) = Re(l)H + Im(l)J serves both the a- and the c-term
+    re_shift = (lambda_grid.real[:, None, None] * h_mat
+                + lambda_grid.imag[:, None, None] * j_mat)
+    vals = np.linalg.eigvalsh(np.stack([re_shift, gram - 2.0 * re_shift]))
+    rho_shift, b_term = np.maximum(vals[..., -1], -vals[..., 0])
+    fixed_terms = (2.0 * rho_shift + b_term) ** 2 + 2.0 * rho_shift - np.abs(lambda_grid) ** 2
+    members_low = fixed_terms + (np.abs(support[None, :] - lambda_grid[:, None]) ** 2).max(axis=1)
 
     def refined_member(i: int) -> float:
+        # lambda = 0 reads N itself: the memoized w of the sandwich and Crawford records
         lam = complex(lambda_grid[i])
-        _, w_ref, _ = refine_periodic_max(
-            thetas, w_grids[i],
-            lambda th: (float(np.linalg.eigvalsh(rotated_herm(n_mat, th))[-1])
-                        - (lam * np.exp(1j * th)).real),
-            2.0 * np.pi, top_k=3, tol=1e-12)
-        w_ref = max(w_ref, float(w_grids[i].max()))
-        return float(fixed_terms[i] + w_ref ** 2)
+        shifted = n_mat if lam == 0.0 else n_mat - lam * np.eye(n_mat.shape[0])
+        return float(fixed_terms[i] + inst.value(_w_core, shifted) ** 2)
 
     best, best_i, lambda0_member = _pruned_min(lambda_grid, members_low, refined_member)
     best_lam = complex(lambda_grid[best_i])
@@ -602,7 +605,12 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
 
     Each member is ``(2||Re(l)Re_A(T) + Im(l)Im_A(T)||_A + || |T|^2 - 2Re_A(conj(l)T) ||_A)^2
     + 2||Re_A(conj(l)T)||_A - |l|^2 + w_A^2(T - l I)`` (A-adjoint reading of
-    Re(conj(l)T) throughout). ``best_lambda`` follows the tie rule of
+    Re(conj(l)T) throughout). ``w_A(T - l I)`` is one call of the level-set
+    kernel; at l = 0 it is the memoized ``w_A(T)`` of the sandwich records.
+    A member is computed only while its lower bound, with ``max_k |p_k - l|``
+    for ``w_A(T - l I)``, is below the best one: ``p_k = x_k* N x_k`` are points
+    of the numerical range at the top eigenvectors of ``Re(e^{i theta_k} N)``
+    on the kernel's start angles. ``best_lambda`` follows the tie rule of
     :func:`upper_lambda_theta`: 0 when its member is within 1e-12 relative of
     the minimum, else the first grid point that is.
     """

@@ -303,8 +303,8 @@ def crawford(m: Metric, t) -> RadiusEstimate:
 # Davis-Wielandt radius: multistart monotone ascent
 
 
-def _dw_residual(n_mat: np.ndarray, gram: np.ndarray, c: np.ndarray) -> float:
-    """Projected-gradient residual of the dw objective at a unit vector."""
+def _dw_residual(n_mat: np.ndarray, gram: np.ndarray, c: np.ndarray, unit: float) -> float:
+    """Projected-gradient residual of the dw objective at a unit vector (as in ``_ascend_dw``)."""
     h_mat, j_mat = herm_parts(n_mat)
     z = form_values(n_mat, c[None, :])[0]
     v = form_values(gram, c[None, :])[0].real
@@ -312,10 +312,10 @@ def _dw_residual(n_mat: np.ndarray, gram: np.ndarray, c: np.ndarray) -> float:
     s_mat = z.real * h_mat + z.imag * j_mat + v * gram
     s_c = s_mat @ c
     mu = np.vdot(c, s_c).real
-    return float(np.linalg.norm(s_c - mu * c) / (1.0 + val))
+    return float(np.linalg.norm((s_c - mu * c) / unit) / (1.0 + val))
 
 
-def _ascend_dw(n_mat: np.ndarray, gram: np.ndarray, c_rows: np.ndarray,
+def _ascend_dw(n_mat: np.ndarray, gram: np.ndarray, c_rows: np.ndarray, unit: float,
                tol: float = GRAD_TOL, max_iter: int = 300, stall_limit: int = 10):
     """Maximize ``|c* N c|^2 + (c* M c)^2`` on the unit sphere, batched.
 
@@ -324,7 +324,10 @@ def _ascend_dw(n_mat: np.ndarray, gram: np.ndarray, c_rows: np.ndarray,
     objective is nondecreasing along the iteration. Rows freeze when the
     residual drops below tolerance or decays sublinearly (a crawl near a
     degeneracy-flattened maximum); the caller polishes the best row when
-    its residual is still above tolerance.
+    its residual is still above tolerance. The residual is
+    ``||S c - mu c|| / unit / (1 + dw)`` with ``unit = max(||N||_2, 1)^2``:
+    ``S`` grows like ``||N||^4`` and dw like ``||N||^2``, so it is scale-free
+    above ``||N||_2 = 1`` and its norm cannot overflow.
     """
     h_mat, j_mat = herm_parts(n_mat)
     c_rows = c_rows.copy()
@@ -348,7 +351,7 @@ def _ascend_dw(n_mat: np.ndarray, gram: np.ndarray, c_rows: np.ndarray,
         )
         s_c = np.einsum("kij,kj->ki", s_batch, sub)
         mu = np.sum(np.conj(sub) * s_c, axis=1).real
-        resid = np.linalg.norm(s_c - mu[:, None] * sub, axis=1) / (1.0 + vals)
+        resid = np.linalg.norm((s_c - mu[:, None] * sub) / unit, axis=1) / (1.0 + vals)
         top = int(np.argmax(vals))
         if vals[top] > best_val or (vals[top] == best_val and resid[top] < best_res):
             best_val, best_c, best_res = float(vals[top]), sub[top], float(resid[top])
@@ -432,14 +435,15 @@ def _dw_core(n_mat: np.ndarray, seed: int, starts: int = DW_STARTS, w_start=None
         w_start = _w_core(n_mat)[1]
     c0 = np.vstack([c_norm[None, :], w_start[None, :], rand])
     c0 = c0 / np.linalg.norm(c0, axis=1, keepdims=True)
-    value, c_best, resid, iterations = _ascend_dw(n_mat, gram, c0)
+    unit = max(norm, 1.0) ** 2
+    value, c_best, resid, iterations = _ascend_dw(n_mat, gram, c0, unit)
     if resid > GRAD_TOL:
         # degeneracy-flattened maximum: quasi-Newton polish of the leader
         val2, c2, nfev = _sphere_refine(n_mat, gram, c_best, minimize_it=False)
         iterations += nfev
         if val2 >= value:
             value, c_best = val2, c2
-            resid = _dw_residual(n_mat, gram, c_best)
+            resid = _dw_residual(n_mat, gram, c_best, unit)
     return value, c_best, iterations, resid
 
 

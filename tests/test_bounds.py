@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 import semidw as sd
-from semidw._optim import herm_parts, refine_periodic_max
+from semidw._optim import (START_ANGLES, gram_herm, herm_parts, refine_periodic_max,
+                           rotated_herm, rotated_herm_batch)
 from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, SWEEP_BRACKET_TOL, THETA_GRID_BOUNDS
 from semidw.errors import DegenerateNorm, NormOutOfRange, NotABounded, ZeroT
 from semidw.metric import compress
-from semidw.radii import NORM_MAX
+from semidw.radii import NORM_MAX, _w_core
 from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
@@ -305,6 +306,41 @@ def test_lambda_theta_best_lambda_member():
         assert member.value ** 2 == pytest.approx(rec.value ** 2, rel=1e-12, abs=0.0)
 
 
+def test_lambda_theta_one_eigensolve_per_refined_angle(monkeypatch):
+    from semidw import bounds
+
+    refined = []
+
+    def recorded(xs, vals, f, *args, _refine=bounds.refine_periodic_max, **kw):
+        def f_recorded(theta):
+            refined.append(theta)
+            return f(theta)
+
+        return _refine(xs, vals, f_recorded, *args, **kw)
+
+    shared = 0
+    for m, t, grid in _lambda_theta_instances():
+        n_mat = compress(m, t)
+        want = bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat, grid)
+        solves = []
+
+        def counted(a, *args, _eig=np.linalg.eigvalsh, **kw):
+            solves.append(a.shape)
+            return _eig(a, *args, **kw)
+
+        refined.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(bounds, "refine_periodic_max", recorded)
+            patch.setattr(np.linalg, "eigvalsh", counted)
+            got = bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat, grid)
+        # the first solve is the (2, angles, r, r) grid stack, every later one one angle
+        assert solves[0] == (2, THETA_GRID_BOUNDS, m.rank, m.rank)
+        assert solves[1:] == [(2, m.rank, m.rank)] * len(set(refined))
+        assert (got.value, got.params) == (want.value, want.params)
+        shared += len(refined) - len(set(refined))
+    assert shared > 0
+
+
 def test_lambda_theta_nilpotent(diag12):
     rec = sd.upper_lambda_theta(diag12, X_MAT)
     assert rec.satisfied
@@ -322,6 +358,91 @@ def test_lambda_complex_members(id2, diag12):
     _, upper = sd.sandwich(diag12, X_MAT)
     assert rec2.params["lambda0_value"] == pytest.approx(upper.value, abs=1e-9)
     assert 0.5 - 1e-9 <= rec2.value <= upper.value + 1e-9
+
+
+def _lambda_complex_grid(n_mat):
+    """The default grid of ``upper_lambda_complex``, from the package's ``w(N)``."""
+    w_val = _w_core(n_mat)[0]
+    lams = [0.0j]
+    if w_val > 0.0:
+        phases = np.exp(2j * np.pi * np.arange(8) / 8.0)
+        lams.extend(r * p for r in np.linspace(0.4 * w_val, 2.0 * w_val, 5) for p in phases)
+    return np.asarray(lams)
+
+
+def _lambda_complex_unpruned(n_mat, lambda_grid):
+    """Reference: every member of the grid, ``w(N - l I)`` from a dense angle grid.
+
+    ``w(N - l I) = max_theta lambda_max(Re(e^{i theta}N)) - Re(l e^{i theta})``
+    on 4096 angles, golden-refined around its three best local maxima.
+    Returns the squared minimum, ``best_lambda`` by the record's tie rule and
+    the squared lambda = 0 member (None without a 0 on the grid).
+    """
+    gram = gram_herm(n_mat)
+    h_mat, j_mat = herm_parts(n_mat)
+    lambda_grid = np.asarray(lambda_grid, dtype=complex)
+    thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    base_top = np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, -1]
+
+    def rho(mat):
+        vals = np.linalg.eigvalsh(mat)
+        return max(vals[-1], -vals[0])
+
+    members = []
+    for lam in lambda_grid:
+        curve = base_top - (lam * np.exp(1j * thetas)).real
+
+        def f(theta, lam=lam):
+            return (np.linalg.eigvalsh(rotated_herm(n_mat, theta))[-1]
+                    - (lam * np.exp(1j * theta)).real)
+
+        w_shift = max(refine_periodic_max(thetas, curve, f, 2.0 * np.pi, tol=1e-14)[1],
+                      curve.max())
+        re_shift = lam.real * h_mat + lam.imag * j_mat
+        fixed = (2.0 * rho(re_shift) + rho(gram - 2.0 * re_shift)) ** 2 + 2.0 * rho(re_shift)
+        members.append(fixed - abs(lam) ** 2 + w_shift ** 2)
+    members = np.asarray(members)
+    best = members.min()
+    ties = np.flatnonzero(members - best <= 1e-12 * abs(best))
+    zero = np.flatnonzero(lambda_grid == 0.0)
+    best_i = zero[0] if zero.size and zero[0] in ties else ties[0]
+    return best, lambda_grid[best_i], (members[zero[0]] if zero.size else None)
+
+
+def _lambda_complex_instances():
+    """The lambda-real instances, then r = 1, Hermitian, normal, nilpotent and scalar."""
+    for m, t, _ in _lambda_theta_instances():
+        yield m, t
+    rng = np.random.default_rng(31)
+    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+    q, _ = np.linalg.qr(g)
+    for t in (np.array([[0.7 - 1.2j]]), g + g.conj().T,
+              (q * (g[0] + 1.0)) @ q.conj().T, np.triu(g, 1), (0.3 - 1.7j) * np.eye(4)):
+        yield sd.build_metric(np.eye(t.shape[0])), t
+
+
+def test_lambda_complex_matches_unpruned_reference():
+    nonzero_best = 0
+    for m, t in _lambda_complex_instances():
+        n_mat = compress(m, t)
+        grid = _lambda_complex_grid(n_mat)
+        # the default grid, then the same grid without 0: the minimum moves elsewhere
+        for lambda_grid in (None, grid[1:]):
+            rec = sd.upper_lambda_complex(m, t, lambda_grid=lambda_grid, reference=1.0)
+            best, best_lambda, lambda0 = _lambda_complex_unpruned(
+                n_mat, grid if lambda_grid is None else lambda_grid)
+            v = rec.value
+            assert abs(v - np.sqrt(best)) <= 1e-13 * (1.0 + v), m.rank
+            assert rec.params["best_lambda"] == [best_lambda.real, best_lambda.imag], m.rank
+            nonzero_best += best_lambda != 0.0
+            if lambda0 is None:
+                assert rec.params["lambda0_value"] is None
+                continue
+            assert abs(rec.params["lambda0_value"] - np.sqrt(lambda0)) <= 1e-13 * (1.0 + v)
+            # both read one memoized w(N): the lambda = 0 member is the sandwich upper bound
+            upper = sd.sandwich(m, t, reference=1.0)[1].value
+            assert abs(rec.params["lambda0_value"] - upper) <= 1e-14 * (1.0 + upper), m.rank
+    assert nonzero_best > 0
 
 
 # ---------------------------------------------------------------------------
@@ -505,6 +626,7 @@ def test_verify_all_degenerate_metrics():
     assert report2.reference_dw == pytest.approx(np.sqrt(4.0 + 16.0), abs=1e-9)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_verify_all_rejects_nonfinite_residual(diag10):
     # not A-bounded, and so large that the boundedness residual is nan
     with pytest.raises(NotABounded):
@@ -579,11 +701,12 @@ def test_reports_run_each_angle_kernel_once(monkeypatch):
 
 
 def test_lambda_complex_stacks_stay_small(monkeypatch):
-    from semidw import bounds
+    # the support points and the w kernel stack at most START_ANGLES angles
+    from semidw import _optim, bounds
 
     sizes = []
 
-    def recorded(n_mat, thetas, _batch=bounds.rotated_herm_batch):
+    def recorded(n_mat, thetas, _batch=_optim.rotated_herm_batch):
         sizes.append(len(thetas))
         return _batch(n_mat, thetas)
 
@@ -592,9 +715,9 @@ def test_lambda_complex_stacks_stay_small(monkeypatch):
     t = random_bounded_operator(rng, m)
     want = sd.upper_lambda_complex(m, t, reference=1.0)
     monkeypatch.setattr(bounds, "rotated_herm_batch", recorded)
+    monkeypatch.setattr(_optim, "rotated_herm_batch", recorded)
     got = sd.upper_lambda_complex(m, t, reference=1.0)
-    assert sizes and max(sizes) <= bounds.THETA_GRID_BOUNDS
-    assert sum(sizes) == bounds.THETA_GRID
+    assert sizes and max(sizes) <= START_ANGLES
     assert (got.value, got.params) == (want.value, want.params)
 
 

@@ -104,6 +104,7 @@ def test_compute_precondition_exit_3(tmp_path, capsys):
     assert "residual" in err
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_verify_nonfinite_residual_exit_3(tmp_path, capsys):
     a_path = tmp_path / "a.json"
     t_path = tmp_path / "t.json"
@@ -168,7 +169,8 @@ def test_bounds_metric_directory_exit_2(matrix_files, tmp_path, capsys):
     assert code == 2
     assert "parse error" in capsys.readouterr().err
 
-@pytest.mark.parametrize("b", [1e40, 1e160])
+@pytest.mark.parametrize("b", [1e40, pytest.param(1e160, marks=pytest.mark.filterwarnings(
+    "ignore:overflow encountered:RuntimeWarning"))])
 def test_exact_out_of_range_b_exit_3(tmp_path, capsys, b):
     a_path = tmp_path / "a.json"
     t_path = tmp_path / "t.json"

@@ -80,6 +80,7 @@ def test_cardano_rejects_nonpositive():
         sd.cardano_theta0(-1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_closed_forms_reject_b_outside_float_range(id2):
     # b^6 underflows to 0 at 1e-60; b^8 and b^2 overflow at 1e40 and 1e160
     with pytest.raises(sd.BOutOfRange, match="1e-60"):

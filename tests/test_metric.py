@@ -107,6 +107,7 @@ def test_compress_rejects_unbounded(diag10):
         sd.compress(diag10, X_MAT)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_compress_rejects_nonfinite_residual(diag10):
     # A^{1/2} T overflows the Frobenius norm: the residual is nan, not a pass
     huge = np.array([[0.0, 1e160], [0.0, 0.0]])

@@ -1,9 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
 
 import semidw as sd
 from semidw.errors import RankTooLarge
 from semidw.metric import compress
+from semidw.radii import _dw_core, _w_core
 from semidw.sampling import (
     random_bounded_operator,
     random_kernel_operator,
@@ -183,6 +186,25 @@ def test_dw_determinism(diag12):
     ora1 = sd.oracle_extremum(diag12, t, "dw", samples=2048, seed=9)
     ora2 = sd.oracle_extremum(diag12, t, "dw", samples=2048, seed=9)
     assert ora1.value == ora2.value
+
+
+def test_dw_ascent_residual_is_scale_free():
+    # the stopping residual once grew like ||N||^2: from ||N|| = 1e3 every start ran
+    # all 300 iterations, and from 1e60 its norm overflowed
+    rng = np.random.default_rng(1)
+    n_mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    n_mat /= np.linalg.norm(n_mat, 2)
+    iterations = _dw_core(n_mat, 1)[2]
+    w_val = _w_core(n_mat)[0]
+    for s in (1e3, 1e5, 1e20, 1e60):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            value, _, its, resid = _dw_core(s * n_mat, 1)
+        assert its <= iterations, s
+        assert np.isfinite(resid), s
+        # the sandwich max(w, ||N||^2) <= dw <= sqrt(w^2 + ||N||^4) at ||s N|| = s
+        lower, upper = s ** 2, np.hypot(s * w_val, s ** 2)
+        assert lower * (1 - 1e-14) <= value <= upper * (1 + 1e-14), s
 
 
 # ---------------------------------------------------------------------------

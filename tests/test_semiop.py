@@ -91,6 +91,7 @@ def test_sharp_requires_ba(diag10):
         sd.sharp(diag10, X_MAT)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_nonfinite_residual_rejected(diag10):
     # T* A overflows the Frobenius norm: the residual is nan, not a pass
     huge = np.array([[0.0, 1e160], [0.0, 0.0]])
