@@ -309,7 +309,9 @@ def _lower_crawford(inst: _Instance, n_mat: np.ndarray):
     w_val = inst.value(_w_core, n_mat)
     n_val = inst.value(_seminorm_core, n_mat)
     c_t = inst.value(_crawford_core, n_mat)
-    c_abs = inst.value(_crawford_core, gram_herm(n_mat))
+    # |T|^2_A compresses to the PSD G = N*N: W(G) = [lambda_min, lambda_max], so
+    # c(|T|^2_A) = lambda_min(G) = m_A(T)^2
+    c_abs = inst.value(_min_modulus_core, n_mat) ** 2
     params = {"w": w_val, "norm": n_val, "crawford": c_t, "crawford_abs_sq": c_abs}
     squares = (
         ("crawford radius lower", "lower-crawford-radius", w_val ** 2 + c_abs ** 2),

@@ -423,6 +423,17 @@ def _replay(args) -> int:
 # argument parsing
 
 
+def _positive_int(text: str) -> int:
+    """argparse type of a count that must be at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
+    return value
+
+
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="semidw",
@@ -436,7 +447,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--operator", required=True, help="operator JSON file")
             p.add_argument("--operator2", help="second operator JSON file (pair bounds)")
         p.add_argument("--seed", type=int, default=42)
-        p.add_argument("--samples", type=int, default=None,
+        p.add_argument("--samples", type=_positive_int, default=None,
                        help="oracle sample count (default 200000; 4096 for suite)")
         p.add_argument("--tol", type=float, default=None,
                        help="verification tolerance override")

@@ -89,7 +89,7 @@ def as_operator(t, dim: int | None = None) -> np.ndarray:
         raise DimensionMismatch(f"matrix is not square: shape {arr.shape}")
     if dim is not None and arr.shape[0] != dim:
         raise DimensionMismatch(f"operator dimension {arr.shape[0]} != metric dimension {dim}")
-    if not np.all(np.isfinite(arr.view(float))):
+    if not np.all(np.isfinite(arr)):
         raise DimensionMismatch("operator has non-finite entries")
     return arr
 

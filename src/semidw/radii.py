@@ -19,7 +19,7 @@ Ambient witnesses are reported with zero null-space component
 A-quantity, so the witness is canonical only up to that coset.
 
 :func:`oracle_extremum` is the ground-truth estimator used by the tests:
-quasi-uniform sampling of the compressed unit sphere followed by stock
+seeded uniform sampling of the compressed unit sphere followed by stock
 quasi-Newton refinement of the best candidates, independent of the angle
 sweeps and of the dw ascent above it.
 """
@@ -29,9 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
-from scipy.special import ndtri
-from scipy.stats import qmc
 
 from ._optim import gram_herm, herm_parts, rotated_eig_max, rotated_herm
 from .errors import NormOutOfRange, RankTooLarge
@@ -377,6 +374,7 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
     minimizer sees F over ``max(||N||_2, 1)`` (squared for dw), so its steps
     keep the scale of the unit sphere whatever ``||N||``.
     """
+    from scipy.optimize import minimize  # slow to import; only the oracle and dw polish use it
     r = c0.size
     sign = 1.0 if minimize_it else -1.0
     nh = n_mat.conj().T
@@ -461,27 +459,22 @@ def dw_radius(m: Metric, t, starts: int = DW_STARTS, seed: int = DEFAULT_SEED) -
 # sampling oracle
 
 
-def _sobol_sphere(r: int, samples: int, seed: int) -> np.ndarray:
-    """Deterministic quasi-uniform unit vectors on the complex r-sphere."""
-    dim = 2 * r
-    sampler = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    m_pow = max(int(np.ceil(np.log2(max(samples, 2)))), 1)
-    pts = sampler.random_base2(m_pow)[:samples]
-    gauss = ndtri(np.clip(pts, 1e-15, 1.0 - 1e-15))
-    c = gauss[:, :r] + 1j * gauss[:, r:]
-    norms = np.linalg.norm(c, axis=1)
-    keep = norms > 1e-12
-    return c[keep] / norms[keep, None]
+def _sphere_samples(r: int, samples: int, seed: int) -> np.ndarray:
+    """``samples`` seeded unit vectors, uniform on the complex r-sphere (normalized Gaussians)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
+    c = rng.standard_normal((samples, r)) + 1j * rng.standard_normal((samples, r))
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
 def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
                     seed: int = DEFAULT_SEED) -> RadiusEstimate:
     """Ground-truth estimator for the dw / crawford / numrad extrema.
 
-    Evaluates the objective on quasi-uniform unit vectors (deterministic for
-    a given seed), then refines the ten best candidates with a stock
-    quasi-Newton pass on the real parameterization of the sphere. Guarded to
-    compressed rank <= 6; raises :class:`RankTooLarge` above that.
+    Evaluates the objective on ``samples`` seeded uniform unit vectors
+    (deterministic for a given seed), then refines the ten best candidates
+    with a stock quasi-Newton pass on the real parameterization of the
+    sphere. Guarded to compressed rank <= 6; raises :class:`RankTooLarge`
+    above that and ``ValueError`` for ``samples < 1``.
     """
     if objective not in _ORACLE_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {_ORACLE_OBJECTIVES}")
@@ -492,6 +485,8 @@ def _oracle_core(n_mat: np.ndarray, objective: str, samples: int, seed: int):
     r = n_mat.shape[0]
     if r > 6:
         raise RankTooLarge(f"oracle guard: compressed rank {r} > 6")
+    if samples < 1:
+        raise ValueError(f"the oracle needs samples >= 1, got {samples}")
     gram = gram_herm(n_mat)
     minimize_it = objective == "crawford"
 
@@ -500,7 +495,7 @@ def _oracle_core(n_mat: np.ndarray, objective: str, samples: int, seed: int):
             return dw_objective(n_mat, gram, c_rows)
         return np.abs(form_values(n_mat, c_rows))
 
-    c_all = _sobol_sphere(r, samples, seed)
+    c_all = _sphere_samples(r, samples, seed)
     vals = batch_vals(c_all)
     order = np.argsort(vals)
     picks = order[:10] if minimize_it else order[::-1][:10]

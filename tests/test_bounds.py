@@ -123,6 +123,43 @@ def test_lower_crawford_dominates_sandwich(diag12):
         assert recs[1].value >= norm ** 2 - 1e-9 * (1 + norm ** 2)
 
 
+def test_lower_crawford_abs_sq_is_min_modulus_squared(diag12, diag10):
+    # c_A(|T|^2_A) read as m_A(T)^2 agrees with the Crawford sweep of T^# T
+    rng = np.random.default_rng(17)
+    cases = [(diag12, X_MAT), (diag10, X_MAT.T), (diag12, np.zeros((2, 2)))]
+    for m in (diag12, random_metric(rng, 3), random_metric(rng, 4, 2)):
+        cases += [(m, random_bounded_operator(rng, m)) for _ in range(3)]
+    for m, t in cases:
+        got = sd.lower_crawford(m, t, reference=1.0)[0].params["crawford_abs_sq"]
+        want = sd.crawford(m, sd.sharp(m, t) @ t).value
+        norm = sd.op_seminorm(m, t).value
+        assert abs(got - want) <= 1e-14 * (1 + norm ** 2), (got, want)
+    # nilpotent and rank-deficient: |T|^2_A is singular, so the value is 0
+    assert sd.lower_crawford(diag12, X_MAT, reference=1.0)[0].params["crawford_abs_sq"] == 0.0
+
+
+def test_lower_crawford_runs_no_kernel_on_abs_sq(monkeypatch):
+    # two kernel calls, w(N) and c(N); the sweep of G = N*N is gone
+    from semidw import radii
+
+    calls = []
+
+    def counted(n_mat, index, *args, _kernel=radii.rotated_eig_max):
+        calls.append((index, n_mat.tobytes()))
+        return _kernel(n_mat, index, *args)
+
+    monkeypatch.setattr(radii, "rotated_eig_max", counted)
+    rng = np.random.default_rng(2)
+    m = random_metric(rng, 4, 3)
+    t = random_bounded_operator(rng, m)
+    n_mat = compress(m, t)
+    sd.lower_crawford(m, t, reference=1.0)
+    assert sorted(calls) == sorted([(-1, n_mat.tobytes()), (0, n_mat.tobytes())])
+    calls.clear()
+    sd.verify_all(m, t, seed=3, oracle_samples=256)
+    assert (0, gram_herm(n_mat).tobytes()) not in calls
+
+
 # ---------------------------------------------------------------------------
 # theta sweep upper bound
 

@@ -250,6 +250,15 @@ def test_remark_repro_deterministic(capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("samples", ["0", "-3", "many"])
+def test_samples_must_be_positive(samples, capsys):
+    # a usage error (exit 2), not an IndexError traceback from the oracle
+    with pytest.raises(SystemExit) as exc:
+        main(["remark-repro", "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples" in capsys.readouterr().err
+
+
 def test_suite_small(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(tmp_path)
     code = main(["suite", "--verify-count", "3", "--exact-count", "2",

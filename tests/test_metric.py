@@ -48,6 +48,15 @@ def test_build_errors():
         sd.build_metric(np.diag([1.0, -1.0]))
 
 
+def test_operator_layout_and_finiteness(diag12):
+    # a transposed complex view (column-major) is an ordinary operator
+    t = np.array([[1.0 + 2.0j, 0.5], [0.0, 3.0j]])
+    assert sd.op_seminorm(diag12, t.T).value == sd.op_seminorm(diag12, t.T.copy()).value
+    for bad in (complex(np.inf, 0.0), complex(0.0, np.nan)):
+        with pytest.raises(DimensionMismatch):
+            sd.op_seminorm(diag12, np.array([[1.0, bad], [0.0, 1.0]]).T)
+
+
 def test_semi_inner_examples(id2, diag12, diag10):
     assert sd.semi_inner(id2, [1, 0], [0, 1]) == pytest.approx(0.0)
     assert sd.semi_inner(diag12, [0, 1], [0, 1]) == pytest.approx(2.0)

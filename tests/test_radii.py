@@ -1,3 +1,6 @@
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -6,7 +9,7 @@ import pytest
 import semidw as sd
 from semidw.errors import RankTooLarge
 from semidw.metric import compress
-from semidw.radii import _dw_core, _w_core
+from semidw.radii import _dw_core, _sphere_samples, _w_core
 from semidw.sampling import (
     random_bounded_operator,
     random_kernel_operator,
@@ -231,6 +234,50 @@ def test_oracle_guards(diag12):
     big = sd.build_metric(np.eye(7))
     with pytest.raises(RankTooLarge):
         sd.oracle_extremum(big, np.eye(7), "dw", samples=128, seed=0)
+    for samples in (0, -3):
+        with pytest.raises(ValueError, match="samples"):
+            sd.oracle_extremum(diag12, X_MAT, "dw", samples=samples, seed=0)
+
+
+def test_sphere_samples_seeded_unit_rows():
+    rows = _sphere_samples(3, 1000, 7)
+    assert rows.shape == (1000, 3)
+    np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, rtol=0, atol=1e-15)
+    np.testing.assert_array_equal(rows, _sphere_samples(3, 1000, 7))
+    assert not np.any(np.all(rows == _sphere_samples(3, 1000, 8), axis=1))
+    assert _sphere_samples(2, 1, 0).shape == (1, 2)
+
+
+@pytest.mark.parametrize("r", range(1, 7))
+def test_sphere_samples_uniform_moment(r):
+    # uniform on the complex r-sphere: every |c_j|^2 has mean 1/r
+    mean_sq = np.mean(np.abs(_sphere_samples(r, 8192, 11)) ** 2, axis=0)
+    np.testing.assert_allclose(mean_sq, 1.0 / r, rtol=0, atol=0.02)
+
+
+_SLOW_IMPORTS = ("scipy.optimize", "scipy.stats", "scipy.special")
+
+
+def _loaded_after(code: str) -> list[str]:
+    """The modules of ``_SLOW_IMPORTS`` that a fresh interpreter holds after ``code``."""
+    probe = f"{code}\nimport sys\nprint(' '.join(k for k in {_SLOW_IMPORTS!r} if k in sys.modules))"
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                          timeout=120, check=True)
+    return proc.stdout.split()
+
+
+def test_import_loads_no_optimizer_or_stats():
+    assert _loaded_after("import semidw") == []
+    assert _loaded_after("import semidw.cli") == []
+    # the sampler needs numpy alone; the refinement loads scipy.optimize, whose
+    # package init (linprog -> scipy.fft) pulls in scipy.special but never scipy.stats
+    assert _loaded_after("from semidw.radii import _sphere_samples\n"
+                         "_sphere_samples(3, 64, 1)") == []
+    loaded = _loaded_after("import numpy as np, semidw as sd\n"
+                           "sd.oracle_extremum(sd.build_metric(np.eye(2)), np.eye(2), 'dw',"
+                           " samples=64, seed=1)")
+    assert "scipy.optimize" in loaded and "scipy.stats" not in loaded
 
 
 # ---------------------------------------------------------------------------
