@@ -1,9 +1,10 @@
 """Bound evaluators for the A-Davis-Wielandt radius.
 
 Every inequality is evaluated as a named :class:`BoundRecord` against a
-reference ``dw_A`` value (multistart ascent, optionally oracle-confirmed).
-:func:`verify_all` runs the whole single-operator catalog and assembles a
-:class:`VerificationReport` certifying lower <= dw_A <= upper per record.
+reference ``dw_A`` value, the attained lower end of the certified dw bracket
+(:func:`semidw.radii.dw_radius`; deterministic, so the ``seed`` accepted here
+is only recorded). :func:`verify_all` runs the whole single-operator catalog
+and assembles a :class:`VerificationReport` certifying lower <= dw_A <= upper.
 
 Each bound is a formula over radii-core values of products of compressed
 matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
@@ -35,11 +36,9 @@ from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .metric import Metric, as_operator, compress
 from .radii import (
     DEFAULT_SEED,
-    DW_STARTS,
     _crawford_core,
     _dw_core,
     _min_modulus_core,
-    _oracle_core,
     _seminorm_core,
     _w_core,
     dw_radius,
@@ -96,12 +95,17 @@ class BoundRecord:
 
 @dataclass
 class VerificationReport:
-    """All records of one instance plus the reference dw and oracle data."""
+    """All records of one instance and its dw bracket ``[reference_dw, reference_dw_upper]``.
+
+    Records are judged against the lower end. ``dw_multistart`` and ``dw_oracle`` are
+    always None; their JSON keys stay so that consumers still parse.
+    """
 
     instance: dict
-    dw_multistart: float
-    dw_oracle: float | None
+    dw_multistart: None
+    dw_oracle: None
     reference_dw: float
+    reference_dw_upper: float
     tol: float
     records: list[BoundRecord]
     overall_pass: bool
@@ -117,11 +121,11 @@ class _Instance:
     """The memo, reference rule and tolerance of one report.
 
     ``memo`` maps ``(core, shape, bytes, args)`` to the core's output. A record's
-    reference is ``reference``, else the multistart dw of the compressed
-    operator it bounds; its tolerance is ``tol``, else ``1e-6 (1 + reference)``.
+    reference is ``reference``, else the lower end of the dw bracket of the
+    compressed operator it bounds; its tolerance is ``tol``, else
+    ``1e-6 (1 + reference)``.
     """
 
-    seed: int
     reference: float | None = None
     tol: float | None = None
     memo: dict = field(default_factory=dict)
@@ -137,12 +141,16 @@ class _Instance:
         """Value of a radii core on a compressed matrix; 0 on a rank-zero metric."""
         return float(self._run(core, n_mat, *args)[0]) if n_mat.size else 0.0
 
-    def dw(self, n_mat: np.ndarray) -> float:
-        """Multistart dw; the memoized w witness of ``n_mat`` is one of its starts."""
+    def dw(self, n_mat: np.ndarray, upper: bool = False) -> float:
+        """The attained lower end (or the upper end) of the dw bracket of ``n_mat``.
+
+        The memoized w and seminorm outputs of ``n_mat`` are the bracket's end lines.
+        """
         if not n_mat.size:
             return 0.0
-        w_start = self._run(_w_core, n_mat)[1]
-        return float(self._run(_dw_core, n_mat, self.seed, extra=(DW_STARTS, w_start))[0])
+        ends = (self._run(_w_core, n_mat), self._run(_seminorm_core, n_mat))
+        lower, _, _, width = self._run(_dw_core, n_mat, extra=ends)
+        return float(lower + width if upper else lower)
 
     def record(self, bounded: np.ndarray, name: str, anchor: str, kind: str, value: float,
                params: dict | None = None) -> BoundRecord:
@@ -175,7 +183,7 @@ def _sandwich(inst: _Instance, n_mat: np.ndarray):
 def sandwich(m: Metric, t, reference=None, tol: float | None = None,
              seed: int = DEFAULT_SEED) -> tuple[BoundRecord, BoundRecord]:
     """Two-sided envelope: max(w, ||T||^2) <= dw <= sqrt(w^2 + ||T||^4)."""
-    return _sandwich(_Instance(seed, reference, tol), compress(m, t))
+    return _sandwich(_Instance(reference, tol), compress(m, t))
 
 
 @dataclass
@@ -205,7 +213,7 @@ def normaloid_equality_check(m: Metric, t, tol: float = 1e-8,
     """Check the A-normaloid equality dw = sqrt(w^2 + ||T||^4) <=> w = ||T||."""
     est = dw_radius(m, t, seed=seed)
     n_mat = compress(m, t)
-    value = _Instance(seed).value
+    value = _Instance().value
     w_val = value(_w_core, n_mat)
     n_val = value(_seminorm_core, n_mat)
     upper = _sqrt0(w_val ** 2 + n_val ** 4)
@@ -250,7 +258,7 @@ def zero_equality_check(m: Metric, t, tol: float = 1e-8,
     at_norm = float(np.linalg.norm(m.a @ arr))
     scale = 1.0 + float(np.linalg.norm(m.a)) * float(np.linalg.norm(arr))
     n_mat = compress(m, arr)
-    inst = _Instance(seed)
+    inst = _Instance()
     dw_val = inst.dw(n_mat)
     w_val = inst.value(_w_core, n_mat)
     product_zero = at_norm <= tol * scale
@@ -285,7 +293,7 @@ def norm_sq_equality_check(m: Metric, t, tol: float = 1e-8,
     applicable) when the equality hypothesis fails.
     """
     n_mat = compress(m, t)
-    inst = _Instance(seed)
+    inst = _Instance()
     dw_val = inst.dw(n_mat)
     n_val = inst.value(_seminorm_core, n_mat)
     applicable = abs(dw_val - n_val ** 2) <= max(tol, 1e-6) * (1.0 + dw_val)
@@ -331,7 +339,7 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None,
     ``sqrt(2 w c(|T|^2))`` and ``sqrt(2 c(T) ||T||^2)``; the first two
     dominate the plain sandwich lower bound.
     """
-    return _lower_crawford(_Instance(seed, reference, tol), compress(m, t))
+    return _lower_crawford(_Instance(reference, tol), compress(m, t))
 
 
 # ---------------------------------------------------------------------------
@@ -360,7 +368,7 @@ def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None,
     converged to rounding, so nothing is under-resolved before the subtraction.
     ``grid`` is the kernel's start grid and ``evals`` its angle count.
     """
-    return _upper_theta_sweep(_Instance(seed, reference, tol), compress(m, t))
+    return _upper_theta_sweep(_Instance(reference, tol), compress(m, t))
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +394,7 @@ def cartesian_half(m: Metric, t, reference=None, tol: float | None = None,
     lower = sqrt((w^2(T+|T|^2) + c^2(T-|T|^2))/2),
     upper = sqrt((w^2(T+|T|^2) + w^2(T-|T|^2))/2).
     """
-    return _cartesian_half(_Instance(seed, reference, tol), compress(m, t))
+    return _cartesian_half(_Instance(reference, tol), compress(m, t))
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +421,7 @@ def upper_buzano(m: Metric, t, reference=None, tol: float | None = None,
     (i) sqrt(|| |T|^2 + (|T|^2)^# |T|^2 ||_A), tight for A-normaloid T;
     (ii) sqrt((w(T^2) + ||T||^2)/2 + ||T||^4).
     """
-    return _upper_buzano(_Instance(seed, reference, tol), compress(m, t))
+    return _upper_buzano(_Instance(reference, tol), compress(m, t))
 
 
 def _upper_triple(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
@@ -437,7 +445,7 @@ def _upper_triple(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
 def upper_triple(m: Metric, t, reference=None, tol: float | None = None,
                  seed: int = DEFAULT_SEED) -> BoundRecord:
     """Upper bound 3|| (|T|^2)^# |T|^2 + |T|^2 ||_A minus two Crawford-modulus products."""
-    return _upper_triple(_Instance(seed, reference, tol), compress(m, t))
+    return _upper_triple(_Instance(reference, tol), compress(m, t))
 
 
 # ---------------------------------------------------------------------------
@@ -552,7 +560,7 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
     the lambda = 0 member is within 1e-12 relative of the minimum (otherwise
     the first grid point that is); ``value`` is the minimum itself.
     """
-    return _upper_lambda_theta(_Instance(seed, reference, tol), compress(m, t), lambda_grid)
+    return _upper_lambda_theta(_Instance(reference, tol), compress(m, t), lambda_grid)
 
 
 def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
@@ -616,7 +624,7 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
     :func:`upper_lambda_theta`: 0 when its member is within 1e-12 relative of
     the minimum, else the first grid point that is.
     """
-    return _upper_lambda_complex(_Instance(seed, reference, tol), compress(m, t), lambda_grid)
+    return _upper_lambda_complex(_Instance(reference, tol), compress(m, t), lambda_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -648,7 +656,7 @@ def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
     ``A (X^# Y + Y^# X) = 0``) the cross term drops and the orthogonal special
     record dw(X) + dw(Y) is also emitted (otherwise ``None``).
     """
-    return _sum_upper(_Instance(seed, reference, tol), compress(m, x), compress(m, y))
+    return _sum_upper(_Instance(reference, tol), compress(m, x), compress(m, y))
 
 
 def _feki_sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundRecord:
@@ -660,7 +668,7 @@ def _feki_sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundR
 def feki_sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
                    seed: int = DEFAULT_SEED) -> BoundRecord:
     """Coarse splitting bound sqrt(2 s + 4 s^2) with s = dw(X) + dw(Y)."""
-    return _feki_sum_upper(_Instance(seed, reference, tol), compress(m, x), compress(m, y))
+    return _feki_sum_upper(_Instance(reference, tol), compress(m, x), compress(m, y))
 
 
 def _offdiag(n_x: np.ndarray, n_y: np.ndarray) -> np.ndarray:
@@ -684,7 +692,7 @@ def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None,
     dw of [[O, X], [Y, O]] <= sqrt(||X||^2/4 + ||X||^4) + sqrt(||Y||^2/4 + ||Y||^4).
     Without a ``reference`` the block's own dw is the reference.
     """
-    return _offdiag_upper(_Instance(seed, reference, tol), compress(m, x), compress(m, y))
+    return _offdiag_upper(_Instance(reference, tol), compress(m, x), compress(m, y))
 
 
 def _product_sum(inst: _Instance, name: str, anchor: str, n_p, n_q, n_x, n_y, sign: int,
@@ -729,7 +737,7 @@ def product_sum_upper(m: Metric, p, q, x, y, t: float, sign: int = 1, reference=
     """
     if t == 0.0:
         raise ZeroT("balance parameter t must be nonzero")
-    rec, norms = _product_sum(_Instance(seed, reference, tol), "product sum upper",
+    rec, norms = _product_sum(_Instance(reference, tol), "product sum upper",
                               "product-sum-upper", *(compress(m, op) for op in (p, q, x, y)),
                               sign, lambda *_: t)
     rec.params.update(zip(("norm_p", "norm_q", "norm_px", "norm_qy"), norms))
@@ -748,7 +756,7 @@ def product_sum_upper_b(m: Metric, p, q, x, y, sign: int = 1, reference=None,
     value^2 = 4||P||^2||Q||^2 ((||P||/||Q||) ||QY||^2 + (||Q||/||P||) ||PX||^2)^2 + ...,
     equal to :func:`product_sum_upper` at that t.
     """
-    return _product_sum_upper_b(_Instance(seed, reference, tol),
+    return _product_sum_upper_b(_Instance(reference, tol),
                                 *(compress(m, op) for op in (p, q, x, y)), sign)
 
 
@@ -764,7 +772,7 @@ def product_sum_upper_c(m: Metric, p, q, x, y, sign: int = 1, reference=None,
     value^2 = ((||QY||/||PX||)||P||^2 + (||PX||/||QY||)||Q||^2)^2
     (4||PX||^2||QY||^2 + alpha^2), equal to :func:`product_sum_upper` at that t.
     """
-    return _product_sum_upper_c(_Instance(seed, reference, tol),
+    return _product_sum_upper_c(_Instance(reference, tol),
                                 *(compress(m, op) for op in (p, q, x, y)), sign)
 
 
@@ -776,28 +784,25 @@ def _sha16(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def _report_instance(n_mat: np.ndarray, operands, seed: int, oracle_samples: int,
-                     tol: float | None) -> tuple[_Instance, float, float | None]:
-    """``(instance, multistart, oracle)`` of a report on ``n_mat``.
+def _report_instance(n_mat: np.ndarray, operands, tol: float | None) -> tuple[_Instance, float]:
+    """``(instance, upper end of the dw bracket)`` of a report on ``n_mat``.
 
-    The reference dw is the multistart estimate, raised to the oracle's at rank
-    <= 6. The dws of ``n_mat`` and the operands come first: their ``NormOutOfRange``
-    precedes every record. A non-finite estimate raises
-    :class:`NonFiniteReference`: against it every gap would pass vacuously.
+    The reference is the bracket's lower end. The dws of ``n_mat`` and the operands
+    come first: their ``NormOutOfRange`` precedes every record. A non-finite end
+    (:class:`NonFiniteReference`) or a ``tol`` outside [0, inf) (``ValueError``)
+    would pass or fail every record vacuously.
     """
-    inst = _Instance(seed)
-    est = inst.dw(n_mat)
+    if tol is not None and not 0.0 <= tol < np.inf:
+        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
+    inst = _Instance()
+    lower, upper = inst.dw(n_mat), inst.dw(n_mat, upper=True)
     for op in operands:
         inst.dw(op)
-    oracle_val: float | None = None
-    if 0 < n_mat.shape[0] <= 6:
-        oracle_val = inst.value(_oracle_core, n_mat, "dw", oracle_samples, seed)
-    for label, val in (("multistart", est), ("oracle", oracle_val)):
-        if val is not None and not np.isfinite(val):
-            raise NonFiniteReference(f"the {label} dw is {val}; no record can be judged")
-    inst.reference = max(est, oracle_val) if oracle_val is not None else est
-    inst.tol = _tol_for(inst.reference, tol)
-    return inst, est, oracle_val
+    if not np.isfinite([lower, upper]).all():
+        raise NonFiniteReference(f"the dw bracket is [{lower}, {upper}]; no record can be judged")
+    inst.reference = lower
+    inst.tol = _tol_for(lower, tol)
+    return inst, upper
 
 
 def _run(records: list[BoundRecord], ref: float, body, inst: _Instance, *args) -> None:
@@ -815,17 +820,16 @@ def _run(records: list[BoundRecord], ref: float, body, inst: _Instance, *args) -
     records.extend([out] if isinstance(out, BoundRecord) else (r for r in out if r is not None))
 
 
-def _report(m: Metric, operators: dict, inst: _Instance, est: float,
-            oracle_val: float | None, records: list[BoundRecord]) -> VerificationReport:
+def _report(m: Metric, operators: dict, inst: _Instance, upper: float, seed: int,
+            records: list[BoundRecord]) -> VerificationReport:
     ok = all(rec.satisfied for rec in records if rec.status == "ok")
     instance = {"dim": m.dim, "rank": m.rank, "metric_sha": _sha16(m.a)}
     instance.update((key, _sha16(arr)) for key, arr in operators.items())
-    return VerificationReport(instance, est, oracle_val, inst.reference, inst.tol, records,
-                              bool(ok), int(inst.seed))
+    return VerificationReport(instance, None, None, inst.reference, upper, inst.tol, records,
+                              bool(ok), int(seed))
 
 
-def pair_report(m: Metric, x, y, seed: int = 42, oracle_samples: int = 8192,
-                tol: float | None = None) -> VerificationReport:
+def pair_report(m: Metric, x, y, seed: int = 42, tol: float | None = None) -> VerificationReport:
     """Evaluate the two-operator bound family for dw(X + Y).
 
     Records: the splitting bound (with its orthogonal special case when the
@@ -837,8 +841,7 @@ def pair_report(m: Metric, x, y, seed: int = 42, oracle_samples: int = 8192,
     xa = as_operator(x, m.dim)
     ya = as_operator(y, m.dim)
     n_x, n_y, n_eye = compress(m, xa), compress(m, ya), compress(m, np.eye(m.dim))
-    inst, est, oracle_val = _report_instance(compress(m, xa + ya), (n_x, n_y), seed,
-                                             oracle_samples, tol)
+    inst, upper = _report_instance(compress(m, xa + ya), (n_x, n_y), tol)
     records: list[BoundRecord] = []
     for body, *args in ((_sum_upper, inst, n_x, n_y), (_feki_sum_upper, inst, n_x, n_y),
                         # the block's own dw is the offdiag reference
@@ -846,23 +849,21 @@ def pair_report(m: Metric, x, y, seed: int = 42, oracle_samples: int = 8192,
                         (_product_sum_upper_b, inst, n_eye, n_eye, n_x, n_y),
                         (_product_sum_upper_c, inst, n_eye, n_eye, n_x, n_y)):
         _run(records, inst.reference, body, *args)
-    return _report(m, {"operator_sha": xa, "operator2_sha": ya}, inst, est, oracle_val,
-                   records)
+    return _report(m, {"operator_sha": xa, "operator2_sha": ya}, inst, upper, seed, records)
 
 
-def verify_all(m: Metric, t, seed: int = 42, oracle_samples: int = 8192,
-               tol: float | None = None) -> VerificationReport:
+def verify_all(m: Metric, t, seed: int = 42, tol: float | None = None) -> VerificationReport:
     """Evaluate the full single-operator bound catalog on one instance.
 
-    The reference dw is the multistart estimate, oracle-confirmed when the
-    compressed rank admits the sampling oracle. Raises
-    :class:`NormOutOfRange` when ``||T||_A`` is above ``NORM_MAX``.
+    The reference dw is the lower end of the certified dw bracket, which the
+    report carries with its upper end. Raises :class:`NormOutOfRange` when
+    ``||T||_A`` is above ``NORM_MAX``.
     """
     arr = as_operator(t, m.dim)
     n_mat = compress(m, arr)
-    inst, est, oracle_val = _report_instance(n_mat, (), seed, oracle_samples, tol)
+    inst, upper = _report_instance(n_mat, (), tol)
     records: list[BoundRecord] = []
     for body in (_sandwich, _lower_crawford, _upper_theta_sweep, _cartesian_half,
                  _upper_buzano, _upper_triple, _upper_lambda_theta, _upper_lambda_complex):
         _run(records, inst.reference, body, inst, n_mat)
-    return _report(m, {"operator_sha": arr}, inst, est, oracle_val, records)
+    return _report(m, {"operator_sha": arr}, inst, upper, seed, records)

@@ -7,7 +7,7 @@ compute       seminorm, minimum modulus, numerical radius, Crawford number
 bounds        evaluate the full bound catalog, report only
 verify        same as bounds but exits 4 when any record is unsatisfied
 exact         closed-form block radii of [[I,X],[O,O]] and [[O,X],[O,O]]
-              cross-checked against the sampling oracle
+              cross-checked against the sampling oracle (``--samples``)
 remark-repro  built-in regression: A = diag(1,2), X = [[0,1],[0,0]],
               Y = [[1,0],[0,0]]; checks the four published bound values
 suite         randomized property suites with violation replay files
@@ -118,10 +118,8 @@ def _bounds_report(args):
     m, t = _load_pair(args)
     if args.operator2:
         t2 = jsonio.load_matrix(args.operator2)
-        return bnd.pair_report(m, t, t2, seed=args.seed,
-                               oracle_samples=args.samples, tol=args.tol)
-    return bnd.verify_all(m, t, seed=args.seed, oracle_samples=args.samples,
-                          tol=args.tol)
+        return bnd.pair_report(m, t, t2, seed=args.seed, tol=args.tol)
+    return bnd.verify_all(m, t, seed=args.seed, tol=args.tol)
 
 
 def _report_text(report) -> list[str]:
@@ -129,7 +127,7 @@ def _report_text(report) -> list[str]:
         f"instance: dim {report.instance['dim']} rank {report.instance['rank']} "
         f"(metric {report.instance['metric_sha']}, operator {report.instance['operator_sha']})",
         f"reference dw = {_fmt(report.reference_dw)} "
-        f"(multistart {_fmt(report.dw_multistart)}, oracle {_fmt(report.dw_oracle)})",
+        f"(bracket [{_fmt(report.reference_dw)}, {_fmt(report.reference_dw_upper)}])",
         f"{'record':34s} {'kind':6s} {'value':>12s} {'gap':>12s}  ok",
     ]
     for rec in report.records:
@@ -203,7 +201,7 @@ def _remark_instance():
 
 
 def cmd_remark_repro(args) -> int:
-    report = bnd.pair_report(*_remark_instance(), seed=args.seed, oracle_samples=args.samples)
+    report = bnd.pair_report(*_remark_instance(), seed=args.seed)
     dw_ref = report.reference_dw
     ordering = [
         "sum-split-upper",
@@ -253,11 +251,11 @@ def cmd_remark_repro(args) -> int:
 # suite
 
 
-def _suite_bounds_one(seed_entropy, dim: int, rank: int, samples: int):
+def _suite_bounds_one(seed_entropy, dim: int, rank: int):
     rng = np.random.default_rng(seed_entropy)
     m = smp.random_metric(rng, dim, rank)
     t = smp.random_bounded_operator(rng, m)
-    report = bnd.verify_all(m, t, seed=int(seed_entropy[-1]), oracle_samples=samples)
+    report = bnd.verify_all(m, t, seed=int(seed_entropy[-1]))
     return m, t, report
 
 
@@ -335,7 +333,7 @@ def cmd_suite(args) -> int:
         dim = dims[k % len(dims)]
         rank = dim if k % 3 else max(1, dim - 1)
         entropy = [args.seed, 1, k]
-        m, t, report = _suite_bounds_one(entropy, dim, rank, args.samples)
+        m, t, report = _suite_bounds_one(entropy, dim, rank)
         if report.overall_pass:
             passed += 1
         elif failed is None:
@@ -344,7 +342,6 @@ def cmd_suite(args) -> int:
                 "entropy": entropy,
                 "dim": dim,
                 "rank": rank,
-                "samples": args.samples,
                 "metric": jsonio.matrix_to_dict(m.a),
                 "operator": jsonio.matrix_to_dict(t),
                 "records": [jsonio.record_to_dict(r) for r in report.records
@@ -399,8 +396,7 @@ def _replay(args) -> int:
     data = json.loads(Path(args.replay).read_text())
     entropy = data["entropy"]
     if data["suite"] == "bounds":
-        m, t, report = _suite_bounds_one(entropy, data["dim"], data["rank"],
-                                         data.get("samples", args.samples))
+        m, t, report = _suite_bounds_one(entropy, data["dim"], data["rank"])
         _emit(args, jsonio.report_to_dict(report), _report_text(report),
               jsonio.report_csv(report))
         return 0 if report.overall_pass else 4
@@ -423,15 +419,21 @@ def _replay(args) -> int:
 # argument parsing
 
 
-def _positive_int(text: str) -> int:
-    """argparse type of a count that must be at least 1."""
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{text!r} is not an integer") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"{value} is not a positive integer")
-    return value
+def _checked(convert, valid, what: str):
+    """argparse type: ``convert(text)``, a usage error (exit 2) unless ``valid`` holds."""
+    def parse(text: str):
+        try:
+            if valid(value := convert(text)):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{text!r} is not {what}")
+    return parse
+
+
+_positive_int = _checked(int, lambda v: v >= 1, "a positive integer")
+_count = _checked(int, lambda v: v >= 0, "a nonnegative integer")
+_tolerance = _checked(float, lambda v: 0.0 <= v < np.inf, "a finite nonnegative number")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -448,8 +450,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--operator2", help="second operator JSON file (pair bounds)")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--samples", type=_positive_int, default=None,
-                       help="oracle sample count (default 200000; 4096 for suite)")
-        p.add_argument("--tol", type=float, default=None,
+                       help="oracle sample count of exact and of the suite's exact checks "
+                            "(default 200000; 4096 for suite); unused by other commands")
+        p.add_argument("--tol", type=_tolerance, default=None,
                        help="verification tolerance override")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", help="write the report to this path")
@@ -476,9 +479,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("suite", help="randomized property suites")
     common(p, False)
-    p.add_argument("--verify-count", type=int, default=60)
-    p.add_argument("--exact-count", type=int, default=30)
-    p.add_argument("--invariance-count", type=int, default=30)
+    p.add_argument("--verify-count", type=_count, default=60)
+    p.add_argument("--exact-count", type=_count, default=30)
+    p.add_argument("--invariance-count", type=_count, default=30)
     p.add_argument("--replay", help="re-run one serialized violation instance")
     p.set_defaults(fn=cmd_suite)
     return parser

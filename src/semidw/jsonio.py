@@ -94,6 +94,7 @@ def report_to_dict(report: VerificationReport) -> dict:
         "dw_multistart": _json_float(report.dw_multistart),
         "dw_oracle": _json_float(report.dw_oracle),
         "reference_dw": _json_float(report.reference_dw),
+        "reference_dw_upper": _json_float(report.reference_dw_upper),
         "tol": report.tol,
         "seed": report.seed,
         "overall_pass": report.overall_pass,

@@ -97,7 +97,8 @@ def as_operator(t, dim: int | None = None) -> np.ndarray:
 def build_metric(a, rank_tol: float = DEFAULT_RANK_TOL) -> Metric:
     """Build the spectral workspace of a Hermitian PSD matrix.
 
-    Eigenvalues in ``(-rank_tol*lmax, rank_tol*lmax)`` are clamped to zero;
+    Eigenvalues in ``(-rank_tol*lmax, rank_tol*lmax)`` are clamped to zero, and
+    so are those below the smallest normal float, whose reciprocals overflow;
     anything more negative raises :class:`NotPositiveSemidefinite`. The input
     is symmetrized after the Hermiticity check so downstream arithmetic sees
     an exactly Hermitian matrix.
@@ -120,7 +121,7 @@ def build_metric(a, rank_tol: float = DEFAULT_RANK_TOL) -> Metric:
         raise NotPositiveSemidefinite(
             f"metric has negative eigenvalue {float(eigvals[0]):.3e} below -{cutoff:.3e}"
         )
-    eigvals = np.where(eigvals < cutoff, 0.0, eigvals)
+    eigvals = np.where(eigvals < max(cutoff, np.finfo(float).tiny), 0.0, eigvals)
 
     # descending order, support first; stable so equal eigenvalues (e.g. A = I)
     # keep the factorization's basis order and compression acts as identity

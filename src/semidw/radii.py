@@ -7,7 +7,8 @@ compressed matrix ``N`` from :func:`semidw.metric.compress`:
 * ``min_modulus``      -- ``m_A(T)``, the smallest singular value of N;
 * ``numerical_radius`` -- ``w_A(T) = max_theta lambda_max(Re(e^{i theta} N))``;
 * ``crawford``         -- ``c_A(T) = min |c* N c| = dist(0, W(N))`` over unit c;
-* ``dw_radius``        -- ``dw_A(T) = max sqrt(|c* N c|^2 + ||N c||^4)``.
+* ``dw_radius``        -- ``dw_A(T) = max sqrt(|c* N c|^2 + ||N c||^4)``, a certified
+  ``[lower, upper]`` bracket from the Davis-Wielandt shell.
 
 Each functional has one private core that maps ``N`` to ``(value, c,
 iterations, residual)``; the bound evaluators apply the same cores to
@@ -20,8 +21,8 @@ A-quantity, so the witness is canonical only up to that coset.
 
 :func:`oracle_extremum` is the ground-truth estimator used by the tests:
 seeded uniform sampling of the compressed unit sphere followed by stock
-quasi-Newton refinement of the best candidates, independent of the angle
-sweeps and of the dw ascent above it.
+quasi-Newton refinement of the best candidates, independent of the
+level-set kernel above it. It alone loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -30,13 +31,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import gram_herm, herm_parts, rotated_eig_max, rotated_herm
+from ._optim import gram_herm, rotated_eig_max, rotated_herm
 from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
 DEFAULT_SEED = 20220
-DW_STARTS = 32
-GRAD_TOL = 1e-10
 #: largest ||N||_2 at which dw_A and every bound record stay finite: their largest
 #: terms are about 25 ||N||_2^4, so this leaves a factor 4 of headroom
 NORM_MAX = (np.finfo(float).max / 100.0) ** 0.25
@@ -104,13 +103,6 @@ def _estimate(m: Metric, t, method: str, core, *args) -> RadiusEstimate:
 def form_values(n_mat: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
     """Row-wise quadratic form values ``c* N c``."""
     return np.einsum("ki,ij,kj->k", c_rows.conj(), n_mat, c_rows)
-
-
-def dw_objective(n_mat: np.ndarray, gram: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
-    """Row-wise ``sqrt(|c* N c|^2 + (c* G c)^2)`` with ``gram`` = G = N*N."""
-    z = form_values(n_mat, c_rows)
-    v = form_values(gram, c_rows).real
-    return np.sqrt(np.abs(z) ** 2 + v ** 2)
 
 
 # ---------------------------------------------------------------------------
@@ -297,71 +289,108 @@ def crawford(m: Metric, t) -> RadiusEstimate:
 
 
 # ---------------------------------------------------------------------------
-# Davis-Wielandt radius: multistart monotone ascent
+# Davis-Wielandt radius: the farthest point of the Davis-Wielandt shell
+
+#: the bracket stops once ``upper - lower <= DW_RTOL (1 + upper)``
+DW_RTOL = 1e-10
+#: cap on the kernel calls of one bracket
+DW_MAX_DIRECTIONS = 64
+#: rounding pad of the upper end, in units of ``r eps (||N||_2 + ||N||_2^2)``
+DW_PAD_ULPS = 16
 
 
-def _dw_residual(n_mat: np.ndarray, gram: np.ndarray, c: np.ndarray, unit: float) -> float:
-    """Projected-gradient residual of the dw objective at a unit vector (as in ``_ascend_dw``)."""
-    h_mat, j_mat = herm_parts(n_mat)
-    z = form_values(n_mat, c[None, :])[0]
-    v = form_values(gram, c[None, :])[0].real
-    val = np.sqrt(abs(z) ** 2 + v ** 2)
-    s_mat = z.real * h_mat + z.imag * j_mat + v * gram
-    s_c = s_mat @ c
-    mu = np.vdot(c, s_c).real
-    return float(np.linalg.norm((s_c - mu * c) / unit) / (1.0 + val))
+def _dw_core(n_mat: np.ndarray, w=None, norm=None):
+    """Bracket ``[lower, upper]`` of ``dw(N) = max |p|`` over ``S = {(|c* N c|, c* G c)}``.
 
+    ``G = N*N``, c unit. S lies in the positive quadrant, so dw is the farthest
+    point of ``conv S``, whose support function at ``u(alpha) = (cos alpha,
+    sin alpha)``, alpha in [0, pi/2], is one level-set kernel call,
+    ``max_theta lambda_max(cos alpha Re(e^{i theta} N) + sin alpha G)``
+    (Davis-Wielandt shell: Li-Poon-Sze, Oper. Matrices 2 (2008)); at the ends
+    it is ``w(N)`` and ``||N||_2^2``, read from the ``_w_core`` and
+    ``_seminorm_core`` outputs ``w`` and ``norm``. Inner and outer polygons
+    (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)): the lower end is the
+    largest ``|p|`` over the support points, each the point of a top
+    eigenvector (the witness); the upper end is the farthest vertex of the
+    polygon of support lines plus ``DW_PAD_ULPS r eps (||N||_2 + ||N||_2^2)``,
+    a bound on the rounding of support values (unpadded, vertices fell up to
+    3.1 such units below attained points). The next line is at the angle of
+    the farthest vertex, else of the best point.
 
-def _ascend_dw(n_mat: np.ndarray, gram: np.ndarray, c_rows: np.ndarray, unit: float,
-               tol: float = GRAD_TOL, max_iter: int = 300, stall_limit: int = 10):
-    """Maximize ``|c* N c|^2 + (c* M c)^2`` on the unit sphere, batched.
-
-    Fixed-point ascent: each row is replaced by the top eigenvector of
-    ``Re(conj(z) N) + v M`` at its current form values ``(z, v)``. The
-    objective is nondecreasing along the iteration. Rows freeze when the
-    residual drops below tolerance or decays sublinearly (a crawl near a
-    degeneracy-flattened maximum); the caller polishes the best row when
-    its residual is still above tolerance. The residual is
-    ``||S c - mu c|| / unit / (1 + dw)`` with ``unit = max(||N||_2, 1)^2``:
-    ``S`` grows like ``||N||^4`` and dw like ``||N||^2``, so it is scale-free
-    above ``||N||_2 = 1`` and its norm cannot overflow.
+    Stops at ``upper - lower <= DW_RTOL (1 + upper)``, when no angle is new,
+    or after ``DW_MAX_DIRECTIONS`` calls; where S osculates the circle
+    ``|p| = dw`` (N nilpotent 2x2, ``||N||_2 = 1/sqrt(2)``) the polygon closes
+    slowly and the cap leaves a width near 2e-7 dw. Returns ``(lower, c, kernel
+    calls, upper - lower)``; raises :class:`NormOutOfRange` above ``NORM_MAX``.
     """
-    h_mat, j_mat = herm_parts(n_mat)
-    c_rows = c_rows.copy()
-    k = c_rows.shape[0]
-    best_val = -1.0
-    best_c = c_rows[0]
-    best_res = np.inf
-    active = np.arange(k)
-    last_res = np.full(k, np.inf)
-    stall = np.zeros(k, dtype=int)
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        sub = c_rows[active]
-        z = form_values(n_mat, sub)
-        v = form_values(gram, sub).real
-        vals = np.sqrt(np.abs(z) ** 2 + v ** 2)
-        s_batch = (
-            z.real[:, None, None] * h_mat
-            + z.imag[:, None, None] * j_mat
-            + v[:, None, None] * gram
-        )
-        s_c = np.einsum("kij,kj->ki", s_batch, sub)
-        mu = np.sum(np.conj(sub) * s_c, axis=1).real
-        resid = np.linalg.norm((s_c - mu[:, None] * sub) / unit, axis=1) / (1.0 + vals)
-        top = int(np.argmax(vals))
-        if vals[top] > best_val or (vals[top] == best_val and resid[top] < best_res):
-            best_val, best_c, best_res = float(vals[top]), sub[top], float(resid[top])
-        slow = resid > last_res[active] / 1.02
-        last_res[active] = resid
-        stall[active] = np.where(slow, stall[active] + 1, 0)
-        keep = (resid > tol) & (stall[active] < stall_limit)
-        if not keep.any():
+    norm = _seminorm_core(n_mat) if norm is None else norm
+    if not norm[0] <= NORM_MAX:
+        raise NormOutOfRange(f"||T||_A = {norm[0]:.3g} is above {NORM_MAX:.3g}, where dw_A "
+                             "and its bounds leave the floating-point range")
+    if norm[0] == 0.0:
+        return 0.0, norm[1], 0, 0.0
+    w = _w_core(n_mat) if w is None else w
+    gram = gram_herm(n_mat)
+    pad = DW_PAD_ULPS * n_mat.shape[0] * np.finfo(float).eps * (norm[0] + norm[0] ** 2)
+    alphas, offsets, points, vecs = [], [], [], []
+
+    def add(alpha: float, value: float, x: np.ndarray) -> None:
+        p = np.array([abs(_form(n_mat, x)), _form(gram, x).real])
+        alphas.append(alpha)
+        # |x* N x| >= Re(e^{i theta} x* N x): the point may lie beyond the eigenvalue's line
+        offsets.append(max(float(value), np.cos(alpha) * p[0] + np.sin(alpha) * p[1]))
+        points.append(p)
+        vecs.append(x)
+
+    add(0.0, w[0], w[1])
+    add(0.5 * np.pi, norm[0] ** 2, norm[1])
+    for calls in range(DW_MAX_DIRECTIONS + 1):
+        order = np.argsort(alphas)
+        a, h = np.asarray(alphas)[order], np.asarray(offsets)[order]
+        step = np.diff(a)
+        # consecutive lines meet at h_i u(a_i) + t_i u(a_i + pi/2)
+        t = (h[1:] - h[:-1] * np.cos(step)) / np.sin(step)
+        far = np.hypot(h[:-1], t)
+        k = int(np.argmax(far))
+        upper = float(far[k]) + pad
+        norms = np.hypot(*np.transpose(points))
+        best = int(np.argmax(norms))
+        lower = float(norms[best])
+        if upper - lower <= DW_RTOL * (1.0 + upper) or calls == DW_MAX_DIRECTIONS:
             break
-        _, vecs = np.linalg.eigh(s_batch[keep])
-        c_rows[active[keep]] = vecs[..., -1]
-        active = active[keep]
-    return best_val, best_c, best_res, iterations
+        dirs = (float(a[k] + np.arctan2(t[k], h[k])),
+                float(np.arctan2(points[best][1], points[best][0])))
+        fresh = [d for d in dirs if 0.0 < d < 0.5 * np.pi and d not in alphas]
+        if not fresh:
+            break
+        alpha = fresh[0]
+        theta, value, _ = rotated_eig_max(np.cos(alpha) * n_mat, -1, np.sin(alpha) * gram)
+        top = np.cos(alpha) * rotated_herm(n_mat, theta) + np.sin(alpha) * gram
+        add(alpha, value, np.linalg.eigh(top)[1][:, -1])
+    return lower, vecs[best], calls, upper - lower
+
+
+def dw_radius(m: Metric, t, seed: int = DEFAULT_SEED) -> RadiusEstimate:
+    """A-Davis-Wielandt radius ``dw_A(T)``: the lower end of the :func:`_dw_core` bracket.
+
+    ``value`` is attained at the witness, ``residual`` is the bracket width
+    (``dw_A(T) <= value + residual``) and ``iterations`` counts the kernel
+    calls. The bracket is deterministic: ``seed`` is accepted so that call
+    forms keep working, and unused. Raises :class:`NormOutOfRange` when
+    ``||T||_A > NORM_MAX``.
+    """
+    return _estimate(m, t, "dw_shell", _dw_core)
+
+
+# ---------------------------------------------------------------------------
+# sampling oracle
+
+
+def _sphere_samples(r: int, samples: int, seed: int) -> np.ndarray:
+    """``samples`` seeded unit vectors, uniform on the complex r-sphere (normalized Gaussians)."""
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
+    c = rng.standard_normal((samples, r)) + 1j * rng.standard_normal((samples, r))
+    return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
 def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
@@ -374,7 +403,7 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
     minimizer sees F over ``max(||N||_2, 1)`` (squared for dw), so its steps
     keep the scale of the unit sphere whatever ``||N||``.
     """
-    from scipy.optimize import minimize  # slow to import; only the oracle and dw polish use it
+    from scipy.optimize import minimize  # slow to import; only the oracle uses it
     r = c0.size
     sign = 1.0 if minimize_it else -1.0
     nh = n_mat.conj().T
@@ -415,57 +444,6 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
     return sign * float(res.fun) * unit, c, int(res.nfev)
 
 
-def _dw_core(n_mat: np.ndarray, seed: int, starts: int = DW_STARTS, w_start=None):
-    """Multistart ascent on ``N``; the starts are those of :func:`dw_radius`.
-
-    ``w_start`` is the numerical-radius witness of ``N`` (``_w_core(N)[1]``)
-    when the caller already has it; otherwise it is computed here.
-    """
-    r = n_mat.shape[0]
-    norm, c_norm = _seminorm_core(n_mat)[:2]
-    if not norm <= NORM_MAX:
-        raise NormOutOfRange(f"||T||_A = {norm:.3g} is above {NORM_MAX:.3g}, where dw_A "
-                             "and its bounds leave the floating-point range")
-    gram = gram_herm(n_mat)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xD0]))
-    rand = rng.standard_normal((starts, r)) + 1j * rng.standard_normal((starts, r))
-    if w_start is None:
-        w_start = _w_core(n_mat)[1]
-    c0 = np.vstack([c_norm[None, :], w_start[None, :], rand])
-    c0 = c0 / np.linalg.norm(c0, axis=1, keepdims=True)
-    unit = max(norm, 1.0) ** 2
-    value, c_best, resid, iterations = _ascend_dw(n_mat, gram, c0, unit)
-    if resid > GRAD_TOL:
-        # degeneracy-flattened maximum: quasi-Newton polish of the leader
-        val2, c2, nfev = _sphere_refine(n_mat, gram, c_best, minimize_it=False)
-        iterations += nfev
-        if val2 >= value:
-            value, c_best = val2, c2
-            resid = _dw_residual(n_mat, gram, c_best, unit)
-    return value, c_best, iterations, resid
-
-
-def dw_radius(m: Metric, t, starts: int = DW_STARTS, seed: int = DEFAULT_SEED) -> RadiusEstimate:
-    """A-Davis-Wielandt radius ``dw_A(T)`` by multistart monotone ascent.
-
-    Starts: the top right singular vector of N, the numerical-radius witness,
-    and ``starts`` seeded random unit vectors; deterministic reduction by
-    start order. Raises :class:`NormOutOfRange` when ``||T||_A > NORM_MAX``.
-    """
-    return _estimate(m, t, "multistart", _dw_core, seed, starts)
-
-
-# ---------------------------------------------------------------------------
-# sampling oracle
-
-
-def _sphere_samples(r: int, samples: int, seed: int) -> np.ndarray:
-    """``samples`` seeded unit vectors, uniform on the complex r-sphere (normalized Gaussians)."""
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0x5A]))
-    c = rng.standard_normal((samples, r)) + 1j * rng.standard_normal((samples, r))
-    return c / np.linalg.norm(c, axis=1, keepdims=True)
-
-
 def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
                     seed: int = DEFAULT_SEED) -> RadiusEstimate:
     """Ground-truth estimator for the dw / crawford / numrad extrema.
@@ -491,9 +469,10 @@ def _oracle_core(n_mat: np.ndarray, objective: str, samples: int, seed: int):
     minimize_it = objective == "crawford"
 
     def batch_vals(c_rows: np.ndarray) -> np.ndarray:
-        if objective == "dw":
-            return dw_objective(n_mat, gram, c_rows)
-        return np.abs(form_values(n_mat, c_rows))
+        z = np.abs(form_values(n_mat, c_rows))
+        if objective == "dw":  # sqrt(|c* N c|^2 + (c* G c)^2)
+            return np.sqrt(z ** 2 + form_values(gram, c_rows).real ** 2)
+        return z
 
     c_all = _sphere_samples(r, samples, seed)
     vals = batch_vals(c_all)

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import semidw as sd
+from semidw import jsonio
 from semidw._optim import (START_ANGLES, gram_herm, herm_parts, refine_periodic_max,
                            rotated_herm, rotated_herm_batch)
 from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, SWEEP_BRACKET_TOL, THETA_GRID_BOUNDS
@@ -156,7 +157,7 @@ def test_lower_crawford_runs_no_kernel_on_abs_sq(monkeypatch):
     sd.lower_crawford(m, t, reference=1.0)
     assert sorted(calls) == sorted([(-1, n_mat.tobytes()), (0, n_mat.tobytes())])
     calls.clear()
-    sd.verify_all(m, t, seed=3, oracle_samples=256)
+    sd.verify_all(m, t, seed=3)
     assert (0, gram_herm(n_mat).tobytes()) not in calls
 
 
@@ -612,7 +613,11 @@ def test_verify_all_nilpotent(diag12):
     report = sd.verify_all(diag12, X_MAT, seed=11)
     assert report.overall_pass
     assert report.reference_dw == pytest.approx(0.5, abs=1e-8)
-    assert report.dw_oracle == pytest.approx(0.5, abs=1e-6)
+    # ||X||_A = 1/sqrt(2): the shell osculates the circle |p| = dw at its farthest
+    # point, where the outer polygon closes slowly; the bracket stays far inside tol
+    assert report.reference_dw <= 0.5 <= report.reference_dw_upper <= 0.5 + 1e-6
+    oracle = sd.oracle_extremum(diag12, X_MAT, "dw", samples=8192, seed=11)
+    assert oracle.value == pytest.approx(0.5, abs=1e-6)
 
 
 def test_verify_all_ordering_random():
@@ -642,7 +647,7 @@ def test_verify_all_brute_force_reference(diag12):
 def test_pair_report_remark(diag12):
     from semidw.bounds import pair_report
 
-    report = pair_report(diag12, X_MAT, Y_MAT, seed=5, oracle_samples=4096)
+    report = pair_report(diag12, X_MAT, Y_MAT, seed=5)
     assert report.overall_pass
     assert report.reference_dw == pytest.approx(1.8249907414, abs=1e-6)
     by_anchor = {rec.anchor: rec for rec in report.records}
@@ -673,7 +678,7 @@ def test_pair_report_degenerate_not_applicable(diag12):
     from semidw.bounds import pair_report
 
     zero = np.zeros((2, 2))
-    report = pair_report(diag12, zero, zero, seed=5, oracle_samples=512)
+    report = pair_report(diag12, zero, zero, seed=5)
     # with P = Q = I only the aligned corollary's hypothesis (nonzero
     # ||PX||, ||QY||) fails: not-applicable, never a report failure
     statuses = {rec.anchor: rec.status for rec in report.records}
@@ -705,8 +710,8 @@ def test_reports_run_each_core_once_per_matrix(monkeypatch):
     rng = np.random.default_rng(11)
     for m in _seeded_metrics()[:2]:
         x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
-        for run in (lambda: bounds.verify_all(m, x, seed=3, oracle_samples=256),
-                    lambda: bounds.pair_report(m, x, y, seed=3, oracle_samples=256)):
+        for run in (lambda: bounds.verify_all(m, x, seed=3),
+                    lambda: bounds.pair_report(m, x, y, seed=3)):
             calls.clear()
             run()
             assert calls
@@ -729,8 +734,8 @@ def test_reports_run_each_angle_kernel_once(monkeypatch):
     rng = np.random.default_rng(11)
     for m in _seeded_metrics()[:2]:
         x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
-        for run in (lambda: bounds.verify_all(m, x, seed=3, oracle_samples=256),
-                    lambda: bounds.pair_report(m, x, y, seed=3, oracle_samples=256)):
+        for run in (lambda: bounds.verify_all(m, x, seed=3),
+                    lambda: bounds.pair_report(m, x, y, seed=3)):
             calls.clear()
             run()
             assert calls
@@ -773,7 +778,7 @@ def test_public_evaluators_match_reports():
     rng = np.random.default_rng(5)
     for m in _seeded_metrics():
         t, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
-        report = sd.verify_all(m, t, seed=9, oracle_samples=256)
+        report = sd.verify_all(m, t, seed=9)
         kw = {"reference": report.reference_dw, "tol": report.tol}
         got = []
         for fn in (sd.sandwich, sd.lower_crawford, sd.upper_theta_sweep, sd.cartesian_half,
@@ -783,7 +788,7 @@ def test_public_evaluators_match_reports():
             got.extend([out] if isinstance(out, sd.BoundRecord) else out)
         _same_records(got, report.records)
 
-        report = pair_report(m, t, y, seed=9, oracle_samples=256)
+        report = pair_report(m, t, y, seed=9)
         kw = {"reference": report.reference_dw, "tol": report.tol, "seed": 9}
         eye = np.eye(m.dim)
         got = [r for r in sd.sum_upper(m, t, y, **kw) if r is not None]
@@ -814,9 +819,9 @@ def test_reports_finite_just_below_norm_max():
     for m in (sd.build_metric(np.eye(3)), random_metric(rng, 3, 2)):
         for _ in range(2):
             t = _scaled(rng, m, 0.999 * NORM_MAX)
-            report = sd.verify_all(m, t, seed=1, oracle_samples=256)
+            report = sd.verify_all(m, t, seed=1)
             x, y = _scaled(rng, m, 0.998 * NORM_MAX), _scaled(rng, m, 1e-3 * NORM_MAX)
-            report2 = pair_report(m, x, y, seed=1, oracle_samples=256)
+            report2 = pair_report(m, x, y, seed=1)
             for rep in (report, report2):
                 assert rep.overall_pass and np.isfinite(rep.reference_dw)
                 for rec in rep.records:
@@ -835,20 +840,47 @@ def test_oracle_reference_finite_at_large_norm():
     # with it tol = inf and a vacuous pass
     m = sd.build_metric(np.eye(4))
     for norm, seed in ((1e31, 1), (1e35, 42), (1e20, 42)):
-        report = sd.verify_all(m, _large_gaussian(norm), seed=seed)
-        assert np.isfinite(report.dw_oracle) and np.isfinite(report.tol)
-        assert report.dw_oracle == pytest.approx(report.dw_multistart, rel=1e-12)
+        t = _large_gaussian(norm)
+        report = sd.verify_all(m, t, seed=seed)
+        assert np.isfinite([report.reference_dw, report.reference_dw_upper, report.tol]).all()
+        oracle = sd.oracle_extremum(m, t, "dw", samples=8192, seed=seed).value
+        assert np.isfinite(oracle)
+        assert oracle == pytest.approx(report.reference_dw, rel=1e-12)
         assert report.overall_pass
 
 
 def test_reports_reject_nonfinite_reference(monkeypatch, diag12):
     from semidw import bounds
 
-    monkeypatch.setattr(bounds, "_oracle_core", lambda *args: (np.inf, None, 0, 0.0))
+    monkeypatch.setattr(bounds, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
     with pytest.raises(sd.NonFiniteReference):
         sd.verify_all(diag12, np.array([[1.0, 2.0], [0.5, -1.0]]), seed=1)
     with pytest.raises(sd.NonFiniteReference):
         bounds.pair_report(diag12, np.eye(2), np.diag([1.0, 0.0]), seed=1)
+
+
+@pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
+def test_reports_reject_tol_outside_range(diag12, tol):
+    # an infinite tol passed every record, a nan or negative one failed them all
+    from semidw.bounds import pair_report
+
+    with pytest.raises(ValueError, match="tol"):
+        sd.verify_all(diag12, X_MAT, seed=1, tol=tol)
+    with pytest.raises(ValueError, match="tol"):
+        pair_report(diag12, X_MAT, Y_MAT, seed=1, tol=tol)
+
+
+def test_reports_carry_the_dw_bracket(diag12):
+    from semidw.bounds import pair_report
+
+    t = random_bounded_operator(np.random.default_rng(8), diag12)
+    for report in (sd.verify_all(diag12, t, seed=1), pair_report(diag12, t, X_MAT, seed=1)):
+        assert report.dw_multistart is None and report.dw_oracle is None
+        width = report.reference_dw_upper - report.reference_dw
+        assert 0.0 <= width <= 1e-9 * (1.0 + report.reference_dw)
+        payload = jsonio.report_to_dict(report)
+        assert payload["reference_dw_upper"] == report.reference_dw_upper
+        assert payload["dw_multistart"] is None and payload["dw_oracle"] is None
 
 
 def test_reports_reject_norm_above_norm_max(id2):

@@ -48,7 +48,7 @@ def test_matrix_parse_errors():
 
 
 def test_report_csv_columns(diag12):
-    report = sd.verify_all(diag12, X_MAT, seed=1, oracle_samples=1024)
+    report = sd.verify_all(diag12, X_MAT, seed=1)
     csv_text = jsonio.report_csv(report)
     lines = csv_text.strip().splitlines()
     assert lines[0] == "name,anchor,kind,value,dw,gap,satisfied"
@@ -81,7 +81,7 @@ def test_compute_json_deterministic(matrix_files, capsys):
     assert first == second
     payload = json.loads(first)
     assert payload["dw_radius"]["value"] == pytest.approx(0.5, abs=1e-9)
-    assert payload["dw_radius"]["method"] == "multistart"
+    assert payload["dw_radius"]["method"] == "dw_shell"
 
 
 def test_compute_parse_error_exit_2(matrix_files, tmp_path, capsys):
@@ -150,10 +150,10 @@ def test_verify_large_norm_reference_finite(tmp_path, capsys):
 def test_verify_nonfinite_reference_exit_1(tmp_path, capsys, monkeypatch):
     from semidw import bounds
 
-    monkeypatch.setattr(bounds, "_oracle_core", lambda *args: (np.inf, None, 0, 0.0))
+    monkeypatch.setattr(bounds, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
     code = main(["verify", *_large_norm_files(tmp_path)])
     assert code == 1
-    assert "oracle dw is inf" in capsys.readouterr().err
+    assert "dw bracket is [inf, inf]" in capsys.readouterr().err
 
 
 def test_compute_out_directory_exit_2(matrix_files, tmp_path, capsys):
@@ -289,3 +289,40 @@ def test_out_file(matrix_files, tmp_path):
     assert code == 0
     payload = json.loads(out_path.read_text())
     assert payload["seminorm"]["value"] == pytest.approx(2 ** -0.5, abs=1e-12)
+
+
+@pytest.mark.parametrize("tol", ["inf", "nan", "-1", "abc"])
+def test_tol_must_be_finite_nonnegative(matrix_files, tol, capsys):
+    # --tol inf passed vacuously; nan and -1 failed every record (exit 4)
+    a_path, t_path = matrix_files
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--metric", a_path, "--operator", t_path, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flag", ["--verify-count", "--exact-count", "--invariance-count"])
+def test_suite_counts_must_be_nonnegative(flag, capsys):
+    # --verify-count -2 printed "0/-2 instances pass" and exited 0
+    with pytest.raises(SystemExit) as exc:
+        main(["suite", flag, "-2"])
+    assert exc.value.code == 2
+    assert flag in capsys.readouterr().err
+
+
+def test_suite_replay_ignores_bounds_samples(tmp_path, capsys):
+    # the bounds replay reads no sample count, so a zero one is not an error
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({"suite": "bounds", "entropy": [42, 1, 0], "dim": 2,
+                                  "rank": 2, "samples": 0}))
+    code = main(["suite", "--replay", str(replay), "--format", "json"])
+    assert code in (0, 4)
+    assert json.loads(capsys.readouterr().out)["records"]
+
+
+def test_verify_text_shows_dw_bracket(matrix_files, capsys):
+    a_path, t_path = matrix_files
+    assert main(["verify", "--metric", a_path, "--operator", t_path]) == 0
+    line = next(ln for ln in capsys.readouterr().out.splitlines()
+                if ln.startswith("reference dw"))
+    assert line.startswith("reference dw = 0.5 (bracket [0.5, ")

@@ -185,3 +185,11 @@ def test_to_ambient_null_component(diag10):
     # canonical witness has zero null-space component
     assert abs(x[1]) <= 1e-14
     assert sd.semi_norm_vec(diag10, x) == pytest.approx(1.0)
+
+
+def test_subnormal_eigenvalues_clamp_to_zero():
+    # 1 / 6e-322 overflows: pinv_a once held inf entries (a RuntimeWarning)
+    tiny = sd.build_metric(np.full((4, 4), 1.6e-322))
+    assert tiny.rank == 0 and np.isfinite(tiny.pinv_a).all()
+    small = sd.build_metric(np.diag([1e-300, 0.0]))
+    assert small.rank == 1 and np.isfinite(small.pinv_a).all()

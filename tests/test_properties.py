@@ -97,7 +97,7 @@ def test_radius_sandwich(data):
         return
     w = sd.numerical_radius(m, t).value
     norm = sd.op_seminorm(m, t).value
-    dw = sd.dw_radius(m, t, starts=16).value
+    dw = sd.dw_radius(m, t).value
     tol = max(1e-7, _tol(m, 1e-7)) * (1.0 + dw)
     assert max(w, norm ** 2) <= dw + tol
     assert dw <= np.sqrt(w ** 2 + norm ** 4) + tol

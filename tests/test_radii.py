@@ -9,7 +9,7 @@ import pytest
 import semidw as sd
 from semidw.errors import RankTooLarge
 from semidw.metric import compress
-from semidw.radii import _dw_core, _sphere_samples, _w_core
+from semidw.radii import DW_MAX_DIRECTIONS, _dw_core, _sphere_samples, _w_core
 from semidw.sampling import (
     random_bounded_operator,
     random_kernel_operator,
@@ -191,23 +191,64 @@ def test_dw_determinism(diag12):
     assert ora1.value == ora2.value
 
 
-def test_dw_ascent_residual_is_scale_free():
-    # the stopping residual once grew like ||N||^2: from ||N|| = 1e3 every start ran
-    # all 300 iterations, and from 1e60 its norm overflowed
+def test_dw_bracket_is_scale_free():
+    # G = N*N grows like ||N||^2: nothing may overflow or lose the bracket up to 1e60
     rng = np.random.default_rng(1)
     n_mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     n_mat /= np.linalg.norm(n_mat, 2)
-    iterations = _dw_core(n_mat, 1)[2]
     w_val = _w_core(n_mat)[0]
     for s in (1e3, 1e5, 1e20, 1e60):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            value, _, its, resid = _dw_core(s * n_mat, 1)
-        assert its <= iterations, s
-        assert np.isfinite(resid), s
+            value, _, calls, width = _dw_core(s * n_mat)
+        assert calls <= DW_MAX_DIRECTIONS, s
+        assert 0.0 <= width <= 1e-9 * (1.0 + value), s
         # the sandwich max(w, ||N||^2) <= dw <= sqrt(w^2 + ||N||^4) at ||s N|| = s
         lower, upper = s ** 2, np.hypot(s * w_val, s ** 2)
         assert lower * (1 - 1e-14) <= value <= upper * (1 + 1e-14), s
+
+
+def _shell_family():
+    """Named compressed matrices: Gaussian r = 1..24 and structured shells."""
+    rng = np.random.default_rng(2024)
+    out = [(f"gaussian r={r}", rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+           for r in (1, 2, 3, 4, 5, 6, 8, 12, 24)]
+    for r in (2, 3, 5):
+        h = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        u, v = rng.standard_normal((2, r)) + 1j * rng.standard_normal((2, r))
+        out += [(f"hermitian r={r}", h + h.conj().T),
+                (f"nilpotent r={r}", np.diag(np.ones(r - 1), 1).astype(complex)),
+                (f"scalar r={r}", (0.3 - 0.4j) * np.eye(r, dtype=complex)),
+                (f"rank-one r={r}", np.outer(u, v.conj()))]
+    q = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))[0]
+    # two equal eigenvalues put a flat face on the numerical range
+    out.append(("normal with a face", q @ np.diag([1.0, 1.0, 0.5j, -0.5]) @ q.conj().T))
+    out.append(("jordan 4x4", np.diag(np.ones(3), 1) + 0.5 * np.eye(4)))
+    base = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    out += [(f"gaussian x{s:g}", s * base) for s in (1e-9, 1e-3, 1e3, 1e20, 1e60)]
+    return out
+
+
+@pytest.mark.parametrize("name, n_mat", _shell_family(), ids=lambda v: v if isinstance(v, str) else "")
+def test_dw_bracket_contains_oracle(name, n_mat):
+    r = n_mat.shape[0]
+    lower, c, calls, width = _dw_core(n_mat)
+    upper = lower + width
+    assert calls <= DW_MAX_DIRECTIONS
+    assert 0.0 <= width <= 1e-9 * (1.0 + lower)
+    # the lower end is attained at its witness
+    gram = n_mat.conj().T @ n_mat
+    attained = abs(np.vdot(c, n_mat @ c)) ** 2 + np.vdot(c, gram @ c).real ** 2
+    assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-14)
+    assert attained == pytest.approx(lower ** 2, rel=1e-13)
+    if r <= 6:
+        # the oracle's value is attained, so even one ulp above it stays under the upper
+        # end; its quasi-Newton stops a few ulps short of the maximum, so it confirms the
+        # lower end to the width tolerance rather than bounding it
+        ora = sd.oracle_extremum(sd.build_metric(np.eye(r)), n_mat, "dw", samples=4096,
+                                 seed=r).value
+        assert np.nextafter(ora, np.inf) <= upper
+        assert ora >= lower - 1e-9 * (1.0 + lower)
 
 
 # ---------------------------------------------------------------------------
@@ -280,6 +321,16 @@ def test_import_loads_no_optimizer_or_stats():
     assert "scipy.optimize" in loaded and "scipy.stats" not in loaded
 
 
+def test_default_commands_load_no_optimizer():
+    # the reports and dw no longer run the oracle, so only exact and the suite load it
+    metric = '{"rows": 2, "cols": 2, "re": [[1, 0], [0, 2]]}'
+    operator = '{"rows": 2, "cols": 2, "re": [[0, 1], [0, 0]], "im": [[0, 0], [0.5, 0]]}'
+    assert _loaded_after("import os\nfrom semidw.cli import main\n"
+                         "for cmd in ('verify', 'compute'):\n"
+                         f"    assert main([cmd, '--metric', {metric!r}, '--operator', "
+                         f"{operator!r}, '--out', os.devnull]) == 0") == []
+
+
 # ---------------------------------------------------------------------------
 # spec invariants
 
@@ -329,9 +380,12 @@ def test_unitary_invariance(seed):
     t = random_bounded_operator(rng, m)
     u = random_phase_unitary(rng, m)
     assert sd.is_a_unitary(m, u)
-    dw_t = sd.dw_radius(m, t, seed=seed).value
-    dw_c = sd.dw_radius(m, sd.sharp(m, u) @ t @ u, seed=seed + 1).value
-    assert abs(dw_t - dw_c) <= 1e-6 * (1 + dw_t)
+    # both ends of the dw bracket
+    est = sd.dw_radius(m, t, seed=seed)
+    conj = sd.dw_radius(m, sd.sharp(m, u) @ t @ u, seed=seed + 1)
+    tol = 1e-9 * (1 + est.value)
+    assert abs(est.value - conj.value) <= tol
+    assert abs(est.value + est.residual - conj.value - conj.residual) <= tol
 
 
 def test_block_phase_swap_invariance(diag12):
