@@ -78,8 +78,9 @@ class BoundRecord:
     ``gap`` is ``reference_dw - value`` for lower bounds and
     ``value - reference_dw`` for upper bounds, so nonnegative means the
     inequality holds; ``satisfied`` allows slack ``-tol``. Exact records
-    require ``|gap| <= tol``. ``status`` is "ok" or "not-applicable" (a
-    hypothesis of the theorem fails).
+    (``semidw exact``) have ``gap = value - reference_dw`` and require
+    ``value`` within ``tol`` of ``[reference_dw, params["dw_upper"]]``.
+    ``status`` is "ok" or "not-applicable" (a hypothesis of the theorem fails).
     """
 
     name: str

@@ -6,8 +6,8 @@ compute       seminorm, minimum modulus, numerical radius, Crawford number
               and Davis-Wielandt radius of one (metric, operator) pair
 bounds        evaluate the full bound catalog, report only
 verify        same as bounds but exits 4 when any record is unsatisfied
-exact         closed-form block radii of [[I,X],[O,O]] and [[O,X],[O,O]]
-              cross-checked against the sampling oracle (``--samples``)
+exact         closed-form block radii of [[I,X],[O,O]] and [[O,X],[O,O]],
+              each checked against the certified dw bracket of its block
 remark-repro  built-in regression: A = diag(1,2), X = [[0,1],[0,0]],
               Y = [[1,0],[0,0]]; checks the four published bound values
 suite         randomized property suites with violation replay files
@@ -150,47 +150,49 @@ def cmd_verify(args) -> int:
     return 0 if report.overall_pass else 4
 
 
+def _exact_checks(m, x, tol):
+    """Closed-form dw of [[I,X],[O,O]] and [[O,X],[O,O]], each judged by the dw bracket.
+
+    Returns ``(label, closed, bracket, record)`` per block; ``bracket`` is
+    :func:`semidw.radii.dw_radius` of the assembled block, ``[value, value +
+    residual]``. The record is satisfied iff ``lower - tol <= closed <= upper
+    + tol``, with the reports' ``tol = bounds._tol_for(lower, tol)``.
+    """
+    zero = np.zeros((m.dim, m.dim))
+    out = []
+    for label, top, closed_form in (("identity", np.eye(m.dim), exm.dw_exact_ix),
+                                    ("zero", zero, exm.dw_exact_0x)):
+        closed = closed_form(m, x)
+        blk = block2(m, top, x, zero, zero)
+        bracket = rad.dw_radius(blk.metric2, blk.assembled)
+        lower, upper = bracket.value, bracket.value + bracket.residual
+        slack = bnd._tol_for(lower, tol)
+        out.append((label, closed, bracket, bnd.BoundRecord(
+            f"{label} block exact", f"{label}-block-exact", "exact", closed.value, lower,
+            bool(lower - slack <= closed.value <= upper + slack), closed.value - lower,
+            {"dw_upper": upper})))
+    return out
+
+
 def cmd_exact(args) -> int:
     m, x = _load_pair(args)
-    est_ix = exm.dw_exact_ix(m, x)
-    est_0x = exm.dw_exact_0x(m, x)
-    payload = {"identity_block": est_ix.to_dict(), "zero_block": est_0x.to_dict()}
-    lines = [
-        f"||X||_A = {_fmt(rad.op_seminorm(m, x).value)}",
-        f"dw of [[I,X],[O,O]] = {_fmt(est_ix.value)}",
-        f"dw of [[O,X],[O,O]] = {_fmt(est_0x.value)}",
-    ]
-    if 0 < 2 * m.rank <= 6:
-        eye = np.eye(m.dim)
-        zero = np.zeros((m.dim, m.dim))
-        records = []
-        for label, top, est in (("identity-block-exact", eye, est_ix),
-                                ("zero-block-exact", zero, est_0x)):
-            blk = block2(m, top, x, zero, zero)
-            ora = rad.oracle_extremum(blk.metric2, blk.assembled, "dw",
-                                      samples=args.samples, seed=args.seed)
-            tol = args.tol if args.tol is not None else 1e-4 * (1.0 + ora.value)
-            gap = est.value - ora.value
-            records.append(bnd.BoundRecord(
-                name=label.replace("-", " "),
-                anchor=label,
-                kind="exact",
-                value=est.value,
-                reference_dw=ora.value,
-                satisfied=bool(abs(gap) <= tol),
-                gap=gap,
-            ))
-            payload[f"oracle_{label.split('-')[0]}_block"] = ora.to_dict()
-        payload["records"] = [jsonio.record_to_dict(rec) for rec in records]
-        for rec in records:
-            ok = "yes" if rec.satisfied else "NO"
-            lines.append(f"{rec.anchor:22s} value {_fmt(rec.value):>12s} "
-                         f"oracle {_fmt(rec.reference_dw):>12s}  ok {ok}")
-        if not all(rec.satisfied for rec in records):
-            _emit(args, payload, lines)
-            return 4
+    checks = _exact_checks(m, x, args.tol)
+    payload = {f"{label}_block": closed.to_dict() for label, closed, _, _ in checks}
+    lines = [f"||X||_A = {_fmt(rad.op_seminorm(m, x).value)}"]
+    for (_, closed, _, _), form in zip(checks, ("[[I,X],[O,O]]", "[[O,X],[O,O]]")):
+        lines.append(f"dw of {form} = {_fmt(closed.value)}")
+    if m.rank == 0:  # no A-unit vectors, nothing to check
+        _emit(args, payload, lines)
+        return 0
+    for label, _, bracket, rec in checks:
+        payload[f"oracle_{label}_block"] = bracket.to_dict()
+        lines.append(f"{rec.anchor:22s} value {_fmt(rec.value):>12s} bracket "
+                     f"[{_fmt(rec.reference_dw)}, {_fmt(rec.params['dw_upper'])}]  "
+                     f"ok {'yes' if rec.satisfied else 'NO'}")
+    records = [rec for _, _, _, rec in checks]
+    payload["records"] = [jsonio.record_to_dict(rec) for rec in records]
     _emit(args, payload, lines)
-    return 0
+    return 0 if all(rec.satisfied for rec in records) else 4
 
 
 def _remark_instance():
@@ -259,7 +261,7 @@ def _suite_bounds_one(seed_entropy, dim: int, rank: int):
     return m, t, report
 
 
-def _suite_exact_one(seed_entropy, dim: int, target_b: float, samples: int):
+def _suite_exact_one(seed_entropy, dim: int, target_b: float):
     rng = np.random.default_rng(seed_entropy)
     m = smp.random_metric(rng, dim)
     x = smp.random_bounded_operator(rng, m)
@@ -268,19 +270,11 @@ def _suite_exact_one(seed_entropy, dim: int, target_b: float, samples: int):
         x = np.zeros_like(x)
     elif b > 0:
         x = x * (target_b / b)
-    failures = []
-    values = {}
-    for label, maker in (("identity_block", exm.dw_exact_ix), ("zero_block", exm.dw_exact_0x)):
-        closed = maker(m, x)
-        eye = np.eye(dim)
-        zero = np.zeros((dim, dim))
-        top = eye if label == "identity_block" else zero
-        blk = block2(m, top, x, zero, zero)
-        oracle = rad.oracle_extremum(blk.metric2, blk.assembled, "dw", samples=samples,
-                                     seed=int(seed_entropy[-1]))
-        values[label] = (closed.value, oracle.value)
-        if abs(closed.value - oracle.value) > 1e-3 * (1.0 + closed.value):
-            failures.append(label)
+    values, failures = {}, []
+    for label, closed, bracket, rec in _exact_checks(m, x, None):
+        values[f"{label}_block"] = (closed.value, bracket.value)
+        if not rec.satisfied:
+            failures.append(f"{label}_block")
     return values, failures
 
 
@@ -356,7 +350,7 @@ def cmd_suite(args) -> int:
         dim = 2 + (k % 2)
         target = branch_targets[k % len(branch_targets)]
         entropy = [args.seed, 2, k]
-        values, failures = _suite_exact_one(entropy, dim, target, args.samples)
+        values, failures = _suite_exact_one(entropy, dim, target)
         if not failures:
             passed += 1
         elif failed is None:
@@ -401,8 +395,7 @@ def _replay(args) -> int:
               jsonio.report_csv(report))
         return 0 if report.overall_pass else 4
     if data["suite"] == "exact":
-        values, failures = _suite_exact_one(entropy, data["dim"], data["target_b"],
-                                            args.samples)
+        values, failures = _suite_exact_one(entropy, data["dim"], data["target_b"])
         payload = {"values": {k: list(v) for k, v in values.items()},
                    "failures": failures}
         _emit(args, payload, [str(payload)])
@@ -450,8 +443,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--operator2", help="second operator JSON file (pair bounds)")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--samples", type=_positive_int, default=None,
-                       help="oracle sample count of exact and of the suite's exact checks "
-                            "(default 200000; 4096 for suite); unused by other commands")
+                       help="accepted for existing command lines; no command reads it")
         p.add_argument("--tol", type=_tolerance, default=None,
                        help="verification tolerance override")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
@@ -469,7 +461,7 @@ def _build_parser() -> argparse.ArgumentParser:
     common(p, True)
     p.set_defaults(fn=cmd_verify)
 
-    p = sub.add_parser("exact", help="closed-form block radii with oracle cross-check")
+    p = sub.add_parser("exact", help="closed-form block radii checked by the dw bracket")
     common(p, True)
     p.set_defaults(fn=cmd_exact)
 
@@ -490,8 +482,6 @@ def _build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.samples is None:
-        args.samples = 4096 if args.command == "suite" else 200_000
     try:
         return args.fn(args)
     except ParseError as exc:

@@ -6,28 +6,28 @@ Under the doubled metric diag(A, A):
   1-D maximization of ``phi(theta) = g^2 (cos^2 theta + g^2)`` with
   ``g = cos theta + b sin theta`` and ``b = ||X||_A`` on [0, pi/2]; the
   stationary angle solves a cubic in tan(theta) whose Cardano data is
-  returned by :func:`cardano_theta0`.
+  returned by :func:`cardano_theta0`. The cubic has one real root, so phi
+  has one stationary point, its maximum; :func:`_stationary_angle` finds it
+  by the sign of phi' from the Cardano angle, which loses digits to
+  cancellation for small b (1.08e-6 of the value at b = 8.74e-12).
 * ``dw_exact_0x`` -- the block [[O, X], [O, O]]; piecewise in ``b`` with
   branch point at 1/sqrt(2) (inclusive on the upper branch).
 
-Both closed forms are cross-checked against the 1-D grid maximization they
-come from; on disagreement the estimate carries a warning and reports the
-grid value, since the grid is the semantic ground truth of the reduction.
+``semidw exact`` and ``semidw suite`` check both against the certified dw
+bracket of the assembled block (:func:`semidw.radii.dw_radius`).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import golden_max
 from .errors import BOutOfRange, NonpositiveB
 from .metric import Metric, as_operator, to_ambient
 from .radii import RadiusEstimate, op_seminorm
 
-GRID_POINTS = 10_000
-AGREE_RTOL = 1e-6
 _B_ZERO = 1e-12
 
 
@@ -58,19 +58,6 @@ def split_objective(theta, b: float):
     g = np.cos(theta) + b * np.sin(theta)
     val = g ** 2 * (np.cos(theta) ** 2 + g ** 2)
     return float(val) if val.ndim == 0 else val
-
-
-def _grid_max_phi(b: float, grid: int = GRID_POINTS):
-    """Grid + golden-section maximization of phi on [0, pi/2]."""
-    thetas = np.linspace(0.0, np.pi / 2.0, grid)
-    vals = split_objective(thetas, b)
-    idx = int(np.argmax(vals))
-    lo = thetas[max(idx - 1, 0)]
-    hi = thetas[min(idx + 1, grid - 1)]
-    theta, val, _ = golden_max(lambda th: split_objective(th, b), lo, hi, 1e-14)
-    if vals[idx] > val:
-        return float(thetas[idx]), float(vals[idx])
-    return float(theta), float(val)
 
 
 def _out_of_range(b: float) -> BOutOfRange:
@@ -109,26 +96,35 @@ def cardano_theta0(b: float) -> CardanoData:
                        theta0=theta0)
 
 
-def _checked_value(b: float, theta0: float):
-    """Closed-form value sqrt(phi(theta0)) with the grid cross-check."""
-    closed = float(np.sqrt(split_objective(theta0, b)))
-    theta_g, phi_g = _grid_max_phi(b)
-    grid_val = float(np.sqrt(phi_g))
-    if abs(closed - grid_val) > AGREE_RTOL * (1.0 + grid_val):
-        return grid_val, theta_g, (
-            f"closed form {closed:.12g} disagrees with grid maximum {grid_val:.12g}; "
-            "reporting the grid value"
-        )
-    return closed, theta0, None
+def _phi_slope(theta: float, b: float) -> float:
+    """A positive multiple of phi'(theta): ``g' (cos^2 + 2 g^2) - g cos sin``, g > 0."""
+    c, s = math.cos(theta), math.sin(theta)
+    g = c + b * s
+    return (b * c - s) * (c * c + 2.0 * g * g) - g * c * s
 
 
-def _split_witness(m: Metric, x: np.ndarray, k: float):
+def _stationary_angle(b: float, theta0: float) -> float:
+    """The maximizer of phi on [0, pi/2], bisected by the sign of phi' from ``theta0``.
+
+    phi' is positive at 0 (3b) and negative at pi/2 (-2b^2) with one root
+    between, so the bisection runs until the bracket holds adjacent floats.
+    """
+    lo, hi = (theta0, 0.5 * math.pi) if _phi_slope(theta0, b) > 0.0 else (0.0, theta0)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        if _phi_slope(mid, b) > 0.0:
+            lo = mid
+        else:
+            hi = mid
+    return mid
+
+
+def _split_witness(m: Metric, x: np.ndarray, est: RadiusEstimate, k: float):
     """Ambient block witness (X y0, k y0)/rho and its stacked-basis coordinates.
 
-    ``y0`` maximizes ``||X y||_A`` over A-unit vectors; the coordinates are
-    with respect to the stacked range basis diag(B, B) of diag(A, A).
+    ``est`` is ``op_seminorm(m, x)``: ``y0`` is its witness, which maximizes
+    ``||X y||_A`` over A-unit vectors. The coordinates are with respect to
+    the stacked range basis diag(B, B) of diag(A, A).
     """
-    est = op_seminorm(m, x)
     if est.witness is None:
         return None, np.zeros(0, dtype=complex)
     y0 = est.witness
@@ -164,19 +160,18 @@ def dw_exact_ix(m: Metric, x) -> RadiusEstimate:
 
     sqrt(2) when ``||X||_A = 0``; otherwise
     ``(cos t0 + b sin t0) sqrt(cos^2 t0 + (cos t0 + b sin t0)^2)`` at the
-    Cardano stationary angle t0.
+    stationary angle t0 (:func:`_stationary_angle` from the Cardano root).
     """
     arr = as_operator(x, m.dim)
-    b = op_seminorm(m, arr).value
+    est_b = op_seminorm(m, arr)
+    b = est_b.value
     degenerate = _degenerate(m, b, np.sqrt(2.0))
     if degenerate is not None:
         return degenerate
-    data = cardano_theta0(b)
-    value, theta_used, warning = _checked_value(b, data.theta0)
-    k0 = b * np.tan(theta_used)
-    z, coords = _split_witness(m, arr, k0)
-    residual = abs(float(np.sqrt(split_objective(theta_used, b))) - value)
-    return RadiusEstimate(value, coords, "exact_svd", 0, residual, z, warning)
+    theta = _stationary_angle(b, cardano_theta0(b).theta0)
+    z, coords = _split_witness(m, arr, est_b, b * np.tan(theta))
+    return RadiusEstimate(float(np.sqrt(split_objective(theta, b))), coords, "exact_svd", 0,
+                          0.0, z, None)
 
 
 def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
@@ -207,5 +202,5 @@ def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
         return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, z, None)
     value = b / (2.0 * np.sqrt(1.0 - b ** 2))
     k = b / np.sqrt(1.0 - 2.0 * b ** 2)
-    z, coords = _split_witness(m, arr, k)
+    z, coords = _split_witness(m, arr, est_b, k)
     return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, z, None)

@@ -19,10 +19,11 @@ Ambient witnesses are reported with zero null-space component
 (``x = (A^{1/2})^+ B c``); adding any null-space vector changes no
 A-quantity, so the witness is canonical only up to that coset.
 
-:func:`oracle_extremum` is the ground-truth estimator used by the tests:
-seeded uniform sampling of the compressed unit sphere followed by stock
-quasi-Newton refinement of the best candidates, independent of the
-level-set kernel above it. It alone loads ``scipy.optimize``.
+:func:`oracle_extremum` is the independent estimator the tests and the
+benchmark check against: seeded uniform sampling of the compressed unit
+sphere followed by stock quasi-Newton refinement of the best candidates,
+independent of the level-set kernel above it. No command calls it; it alone
+loads ``scipy.optimize``.
 """
 
 from __future__ import annotations
@@ -400,15 +401,18 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
     Works on the homogeneous extension F(c) = R(c)/||c||^2 with
     R = |c*Nc| (or sqrt(|c*Nc|^2 + (c*Mc)^2) when ``gram`` is given), so no
     explicit normalization is needed; analytic Wirtinger gradient. The
-    minimizer sees F over ``max(||N||_2, 1)`` (squared for dw), so its steps
-    keep the scale of the unit sphere whatever ``||N||``.
+    minimizer sees F over its a-priori bound, ``||N||_2`` (``hypot(||N||_2,
+    ||N||_2^2)`` for dw; 1 for N = 0), so its steps and its fixed gradient
+    tolerance keep the scale of the unit sphere whatever ``||N||``.
     """
     from scipy.optimize import minimize  # slow to import; only the oracle uses it
     r = c0.size
     sign = 1.0 if minimize_it else -1.0
     nh = n_mat.conj().T
-    # unscaled, the quasi-Newton steps overflow ``u @ u`` from ||N|| near 1e30
-    unit = max(float(np.linalg.norm(n_mat, 2)), 1.0) ** (1 if gram is None else 2)
+    # unscaled, the quasi-Newton steps overflow ``u @ u`` from ||N|| near 1e30, and
+    # below ||N|| = 1 the gradient tolerance stops them early
+    norm = float(np.linalg.norm(n_mat, 2))
+    unit = (norm if gram is None else float(np.hypot(norm, norm ** 2))) or 1.0
 
     def fg(u: np.ndarray):
         c = u[:r] + 1j * u[r:]

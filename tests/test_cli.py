@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 import semidw as sd
 from semidw import jsonio
 from semidw.cli import main
+from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT
 
@@ -225,6 +227,17 @@ def test_exact_command(matrix_files, capsys):
     assert payload["zero_block"]["value"] == pytest.approx(0.5, abs=1e-9)
     assert payload["identity_block"]["value"] == pytest.approx(
         payload["oracle_identity_block"]["value"], abs=1e-4)
+    # compressed block rank 2r = 8: the oracle's rank guard left this unchecked
+    rng = np.random.default_rng(8)
+    m = random_metric(rng, 5, 4)
+    Path(a_path).write_text(json.dumps(jsonio.matrix_to_dict(m.a)))
+    Path(t_path).write_text(json.dumps(jsonio.matrix_to_dict(random_bounded_operator(rng, m))))
+    code = main(["exact", "--metric", a_path, "--operator", t_path, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [rec["anchor"] for rec in payload["records"]] == ["identity-block-exact",
+                                                            "zero-block-exact"]
+    assert all(rec["satisfied"] for rec in payload["records"])
 
 
 def test_remark_repro(capsys):

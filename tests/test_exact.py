@@ -118,6 +118,31 @@ def test_ix_scalar_b1():
     assert est.value == pytest.approx(np.sqrt(phi_g), abs=1e-8)
 
 
+def _golden_max_phi(b, grid=10_000):
+    """Grid argmax of phi, then golden section on its neighbours (phi is unimodal)."""
+    thetas = np.linspace(0.0, np.pi / 2, grid)
+    vals = split_objective(thetas, b)
+    idx = int(np.argmax(vals))
+    lo, hi = thetas[max(idx - 1, 0)], thetas[min(idx + 1, grid - 1)]
+    inv_phi = (np.sqrt(5.0) - 1.0) / 2.0
+    while hi - lo > 1e-15 * (1.0 + hi):
+        x1, x2 = hi - inv_phi * (hi - lo), lo + inv_phi * (hi - lo)
+        if split_objective(x1, b) < split_objective(x2, b):
+            lo = x1
+        else:
+            hi = x2
+    return max(vals[idx], split_objective(0.5 * (lo + hi), b))
+
+
+def test_ix_matches_phi_maximum_across_b():
+    # the Cardano angle alone lost 1.08e-6 of the value at b = 8.74e-12 by cancellation
+    m1 = sd.build_metric(np.eye(1))
+    for b in [8.74e-12, *np.logspace(np.log10(1.0001e-12), 38.4, 121)]:
+        est = sd.dw_exact_ix(m1, np.array([[b]]))
+        assert est.warning is None
+        assert est.value == pytest.approx(np.sqrt(_golden_max_phi(b)), rel=1e-12, abs=0.0), b
+
+
 def test_ix_vs_oracle(diag12):
     est = sd.dw_exact_ix(diag12, X_MAT)
     eye, zero = np.eye(2), np.zeros((2, 2))

@@ -269,6 +269,16 @@ def test_oracle_matches_exact_closed_form(diag12):
     assert abs(closed.value - ora.value) <= 1e-6
 
 
+def test_oracle_scale_free_below_unit_norm():
+    # the oracle scaled its objective by max(||N||_2, 1)^2, so at ||N|| ~ 1e-9 its
+    # fixed gradient tolerance stopped it 7.2e-8 (relative) below the maximum
+    rng = np.random.default_rng(4)
+    n_mat = 1e-9 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+    lower = _dw_core(n_mat)[0]
+    ora = sd.oracle_extremum(sd.build_metric(np.eye(3)), n_mat, "dw", samples=4096, seed=4)
+    assert ora.value == pytest.approx(lower, rel=1e-12, abs=0.0)
+
+
 def test_oracle_guards(diag12):
     with pytest.raises(ValueError):
         sd.oracle_extremum(diag12, X_MAT, "nope", samples=128, seed=0)
@@ -322,13 +332,16 @@ def test_import_loads_no_optimizer_or_stats():
 
 
 def test_default_commands_load_no_optimizer():
-    # the reports and dw no longer run the oracle, so only exact and the suite load it
+    # no command runs the oracle: the reports, dw and the closed-form checks of exact
+    # and the suite all stand on the certified dw bracket
     metric = '{"rows": 2, "cols": 2, "re": [[1, 0], [0, 2]]}'
     operator = '{"rows": 2, "cols": 2, "re": [[0, 1], [0, 0]], "im": [[0, 0], [0.5, 0]]}'
+    pair = f"'--metric', {metric!r}, '--operator', {operator!r}"
+    suite = "'--verify-count', '1', '--exact-count', '1', '--invariance-count', '1'"
     assert _loaded_after("import os\nfrom semidw.cli import main\n"
-                         "for cmd in ('verify', 'compute'):\n"
-                         f"    assert main([cmd, '--metric', {metric!r}, '--operator', "
-                         f"{operator!r}, '--out', os.devnull]) == 0") == []
+                         f"for args in (['verify', {pair}], ['compute', {pair}], "
+                         f"['exact', {pair}], ['remark-repro'], ['suite', {suite}]):\n"
+                         "    assert main([*args, '--out', os.devnull]) == 0, args") == []
 
 
 # ---------------------------------------------------------------------------
