@@ -3,61 +3,73 @@
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
+from scipy.linalg.lapack import get_lapack_funcs
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def golden_max(f, lo: float, hi: float, tol: float, max_iter: int = 200):
-    """Golden-section maximization of a scalar function on [lo, hi].
+def golden_max_lockstep(lo: np.ndarray, hi: np.ndarray, f, tol: float) -> np.ndarray:
+    """Golden-section maxima on the brackets ``[lo[k], hi[k]]``, run in lockstep.
 
-    Returns ``(x, f(x), evals)``; assumes local unimodality on the bracket.
+    ``f(x, k)`` gives the values of searches ``k`` (an index array) at points
+    ``x``. It is called once for the two first points of every search, then
+    once per step (at most 200) for every search still wider than ``tol``,
+    so a caller can solve all the points of a step in one stack. Each search
+    follows the arithmetic of a scalar golden-section search; returns the
+    best value of each (local unimodality assumed).
     """
-    a, b = float(lo), float(hi)
+    a, b = lo.astype(float), hi.astype(float)
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    evals = 2
-    it = 0
-    while (b - a) > tol and it < max_iter:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-        evals += 1
-        it += 1
-    if fc >= fd:
-        return c, fc, evals
-    return d, fd, evals
+    every = np.arange(a.size)
+    fc, fd = np.split(f(np.concatenate([c, d]), np.concatenate([every, every])), 2)
+    run = np.flatnonzero(b - a > tol)
+    for _ in range(200):
+        if not run.size:
+            break
+        left = fc[run] >= fd[run]
+        # left: [a, d] with c the kept point as the new d; right: [c, b], d kept as c
+        kept, f_kept = np.where(left, c[run], d[run]), np.where(left, fc[run], fd[run])
+        a[run] = np.where(left, a[run], c[run])
+        b[run] = np.where(left, d[run], b[run])
+        width = b[run] - a[run]
+        new = np.where(left, b[run] - _INVPHI * width, a[run] + _INVPHI * width)
+        f_new = f(new, run)
+        c[run], d[run] = np.where(left, new, kept), np.where(left, kept, new)
+        fc[run], fd[run] = np.where(left, f_new, f_kept), np.where(left, f_kept, f_new)
+        run = run[b[run] - a[run] > tol]
+    return np.where(fc >= fd, fc, fd)
 
 
-def refine_periodic_max(xs: np.ndarray, vals: np.ndarray, f_scalar, period: float,
-                        top_k: int = 3, tol: float = 1e-12):
-    """Refine the maximum of pre-evaluated periodic grid values.
+#: (LAPACK type code, order) -> the workspace size of a ``ggev`` of that order,
+#: which depends on nothing else
+_GGEV_LWORK: dict[tuple[str, int], int] = {}
 
-    Golden-section refinement around the ``top_k`` circular local maxima;
-    returns ``(x, value, evals)`` with value >= the grid maximum.
+
+def pencil_eigvals(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
+    """Eigenvalues of the pencil ``(A, B)``, bit for bit those of ``scipy.linalg.eigvals(A, B)``.
+
+    One LAPACK ``ggev`` call without eigenvectors (``dggev`` for real pencils).
+    Its workspace is sized by one ``lwork = -1`` query per order, as scipy
+    does on every call: the size sets the blocking, so a smaller one could
+    change the result. ``alpha / beta`` is inf where ``beta = 0`` (nan for
+    ``0 / 0``, complex nan unless every ``alpha`` is real). Raises
+    ``LinAlgError`` when QZ fails.
     """
-    left = np.roll(vals, 1)
-    right = np.roll(vals, -1)
-    local = np.flatnonzero((vals >= left) & (vals >= right))
-    if local.size == 0:
-        local = np.array([int(np.argmax(vals))])
-    order = local[np.argsort(vals[local])[::-1]]
-    h = period / xs.size
-    best_x, best_v = float(xs[np.argmax(vals)]), float(vals.max())
-    evals = 0
-    for idx in order[:top_k]:
-        x0 = xs[idx]
-        x, v, used = golden_max(f_scalar, x0 - h, x0 + h, tol)
-        evals += used
-        if v > best_v:
-            best_x, best_v = float(x % period), float(v)
-    return best_x, best_v, evals
+    ggev, = get_lapack_funcs(("ggev",), (a_mat, b_mat))
+    key = (ggev.typecode, a_mat.shape[0])
+    if key not in _GGEV_LWORK:
+        _GGEV_LWORK[key] = int(ggev(a_mat, b_mat, lwork=-1)[-2][0].real)
+    *alpha, beta, _, _, _, info = ggev(a_mat, b_mat, compute_vl=0, compute_vr=0,
+                                       lwork=_GGEV_LWORK[key])
+    if info != 0:
+        raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
+    alpha = alpha[0] if len(alpha) == 1 else alpha[0] + 1j * alpha[1]
+    finite = beta != 0
+    z = np.divide(alpha, beta, out=np.full_like(alpha, np.inf), where=finite)
+    if not finite.all():
+        z[(alpha == 0) & ~finite] = complex(np.nan, np.nan) if alpha.imag.any() else np.nan
+    return z
 
 
 #: equispaced angles whose best value is the first level of :func:`rotated_eig_max`
@@ -105,9 +117,19 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     evals = START_ANGLES
     eye, zero = np.eye(r), np.zeros((r, r))
     b_mat = np.block([[eye, zero], [zero, n_mat]])
-    for _ in range(MAX_LEVELS):
-        a_mat = np.block([[zero, eye], [-n_mat.conj().T, 2.0 * (gamma * eye - k_mat)]])
-        z = scipy.linalg.eigvals(a_mat, b_mat)
+    a_mat = np.block([[zero, eye], [-n_mat.conj().T, 2.0 * (gamma * eye - k_mat)]])
+    corner, diag, k_diag = a_mat[r:, r:], np.arange(r), np.diag(k_mat)
+    negative = np.signbit(gamma)
+    for level in range(MAX_LEVELS):
+        if level:
+            # a new gamma moves the diagonal of 2 (gamma I - K); its zeros off
+            # the diagonal are gamma * 0.0, signed like gamma
+            if np.signbit(gamma) == negative:
+                corner[diag, diag] = 2.0 * (gamma - k_diag)
+            else:
+                corner[...] = 2.0 * (gamma * eye - k_mat)
+                negative = not negative
+        z = pencil_eigvals(a_mat, b_mat)
         z = z[np.isfinite(z)]
         z = z[np.abs(np.abs(z) - 1.0) <= UNIMODULAR_TOL * np.maximum(1.0, np.abs(z))]
         if not z.size:

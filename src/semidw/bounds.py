@@ -17,10 +17,12 @@ Angle suprema of one eigenvalue (``w``, ``c``, the theta-sweep bound and the
 :func:`semidw._optim.rotated_eig_max`, whose value is attained and converged
 to rounding, so an inner supremum is never under-resolved before a
 subtraction. The lambda-real members, which are not one eigenvalue, are a
-360-angle grid plus golden-section refinement; infima over scalar parameters
-are documented grids, which can only loosen an upper bound and never
-invalidate it. Records store the grids used so every reported value is
-reproducible.
+360-angle grid, one spectrum per angle (the grid angle half a turn on gives
+the ``C_theta - |T|^2`` term), plus golden-section refinement, whose searches
+for a batch of members run in lockstep on one stacked eigensolve per step;
+infima over scalar parameters are documented grids, which can only loosen
+an upper bound and never invalidate it. Records store the grids used so
+every reported value is reproducible.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import (START_ANGLES, gram_herm, herm_parts, refine_periodic_max, rotated_eig_max,
+from ._optim import (START_ANGLES, golden_max_lockstep, gram_herm, herm_parts, rotated_eig_max,
                      rotated_herm_batch)
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .metric import Metric, as_operator, compress
@@ -46,9 +48,12 @@ from .radii import (
 )
 
 LAMBDA_GRID_POINTS = 41
-#: angle grid of the lambda-real members
+#: angle grid of the lambda-real members (even: a grid angle plus pi is one too)
 THETA_GRID_BOUNDS = 360
 SWEEP_BRACKET_TOL = 1e-10
+#: lambda-real members refined per lockstep batch: usually lambda = 0 and the three
+#: best grid suprema are all that the pruning refines
+LAMBDA_REAL_BATCH = 4
 #: the sum split is orthogonal when ||N_X* N_Y + N_Y* N_X|| <= this (1 + ||X|| ||Y||)
 ORTHOGONAL_TOL = 1e-10
 
@@ -456,13 +461,18 @@ def upper_triple(m: Metric, t, reference=None, tol: float | None = None,
 TIE_RTOL = 1e-12
 
 
-def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine):
-    """Minimum over a parameter grid of refined members ``refine(i) >= lower[i]``.
+def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine, batch: int = 1):
+    """Minimum over a parameter grid of refined members ``refine(idx)[k] >= lower[idx[k]]``.
 
     The lambda = 0 member, if on the grid, is refined first; the others are
     refined in ascending order of their lower bounds until the next lower
-    bound reaches the best refined member. Returns ``(best, index,
-    zero_member)`` (``zero_member`` is None without a 0 on the grid).
+    bound reaches the best refined member. ``refine`` takes a list of up to
+    ``batch`` indices, the next ones in that order. A batch may run past the
+    member where the one-at-a-time rule stops; that does not change the
+    result, since each member past it is at least its lower bound, which is
+    at least ``best`` (and more than ``TIE_RTOL`` above it unless lambda = 0
+    ties). Returns ``(best, index, zero_member)`` (``zero_member`` is None
+    without a 0 on the grid).
     Members can be exactly constant along the grid, so ``index`` is that of
     lambda = 0 when its member is within ``TIE_RTOL`` relative of ``best``,
     else the lowest index that is: unless lambda = 0 ties, every member whose
@@ -471,19 +481,25 @@ def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine):
     """
     zeros = np.flatnonzero(lambda_grid == 0.0)
     zero = int(zeros[0]) if zeros.size else None
-    refined = {} if zero is None else {zero: refine(zero)}
-    best = min(refined.values(), default=np.inf)
-    for i in np.argsort(lower):
-        if lower[i] >= best:
-            # no member from here on lowers ``best``, but one within TIE_RTOL can
-            # still tie, which matters only when the lambda = 0 member does not
-            zero_ties = zero is not None and refined[zero] - best <= TIE_RTOL * abs(best)
-            if zero_ties or lower[i] - best > TIE_RTOL * abs(best):
-                break
-        i = int(i)
-        if i not in refined:
-            refined[i] = refine(i)
-            best = min(best, refined[i])
+    order = [int(i) for i in np.argsort(lower) if i != zero]
+    if zero is not None:
+        order.insert(0, zero)
+    refined, best = {}, np.inf
+
+    def done(i: int) -> bool:
+        if i == zero or lower[i] < best:
+            return False
+        # no member from here on lowers ``best``, but one within TIE_RTOL can
+        # still tie, which matters only when the lambda = 0 member does not
+        zero_ties = zero is not None and refined[zero] - best <= TIE_RTOL * abs(best)
+        return zero_ties or lower[i] - best > TIE_RTOL * abs(best)
+
+    pos = 0
+    while pos < len(order) and not done(order[pos]):
+        chunk = order[pos:pos + batch]
+        refined.update(zip(chunk, refine(chunk)))
+        best = min(best, *(refined[i] for i in chunk))
+        pos += len(chunk)
     ties = [i for i, v in refined.items() if v - best <= TIE_RTOL * abs(best)]
     return best, (zero if zero in ties else min(ties)), refined.get(zero)
 
@@ -499,39 +515,58 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) ->
         lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
     lambda_grid = np.asarray(lambda_grid, dtype=float)
 
-    def spectra(cth):
-        # cth: one angle (r, r) or a stack (k, r, r); the lambda-free (top, bot, rho_minus)
-        vals = np.linalg.eigvalsh(np.stack([cth + gram, cth - gram]))
-        return vals[0, ..., -1], vals[0, ..., 0], np.maximum(vals[1, ..., -1], -vals[1, ..., 0])
-
     def members(lam, top, bot, rho_minus):
         # lam broadcasts against the angles
         rho1 = np.maximum(top - lam, lam - bot)
         rho2 = np.maximum(top - 2.0 * lam, 2.0 * lam - bot)
         return 2.0 * np.abs(lam) * rho1 + 0.5 * rho2 ** 2 + 0.5 * rho_minus ** 2
 
+    def c_theta(angles):
+        return np.cos(angles)[:, None, None] * h_mat + np.sin(angles)[:, None, None] * j_mat
+
     thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID_BOUNDS, endpoint=False)
-    cth = (np.cos(thetas)[:, None, None] * h_mat
-           + np.sin(thetas)[:, None, None] * j_mat)
-    grid_members = members(lambda_grid[:, None], *spectra(cth))
+    # C_{theta + pi} = -C_theta, so C_theta - G = -(C_{theta + pi} + G): the
+    # spectrum half a turn on gives rho_minus, one eigensolve per grid angle
+    vals = np.linalg.eigvalsh(c_theta(thetas) + gram)
+    top, bot = vals[:, -1], vals[:, 0]
+    half = THETA_GRID_BOUNDS // 2
+    rho_minus = np.maximum(-np.roll(bot, -half), np.roll(top, -half))
+    grid_members = members(lambda_grid[:, None], top, bot, rho_minus)
     grid_sups = grid_members.max(axis=1)
-    # the golden searches of members that agree near their maxima visit the same
-    # angles: one eigensolve per distinct angle serves every lambda
+    # (top, bot, rho_minus) per refined angle: the golden searches of members that
+    # agree near their maxima visit the same angles, and each is solved once
     seen = {}
+    step = 2.0 * np.pi / THETA_GRID_BOUNDS
 
-    def at_angle(th: float):
-        if th not in seen:
-            seen[th] = spectra(np.cos(th) * h_mat + np.sin(th) * j_mat)
-        return seen[th]
+    def refined_sups(chunk: list[int]) -> list[float]:
+        # golden-section searches, in lockstep, on the grid cells around the
+        # three best circular local maxima of each member's grid row
+        owner, centers = [], []
+        for pos, i in enumerate(chunk):
+            row = grid_members[i]
+            local = np.flatnonzero((row >= np.roll(row, 1)) & (row >= np.roll(row, -1)))
+            peaks = local[np.argsort(row[local])[::-1]][:3]
+            owner.extend([pos] * peaks.size)
+            centers.append(thetas[peaks])
+        owner, centers = np.asarray(owner), np.concatenate(centers)
+        lams = lambda_grid[chunk][owner]
 
-    def refined_sup(i: int) -> float:
-        lam = float(lambda_grid[i])
-        _, sup, _ = refine_periodic_max(
-            thetas, grid_members[i], lambda th: float(members(lam, *at_angle(th))),
-            2.0 * np.pi, top_k=3, tol=SWEEP_BRACKET_TOL)
-        return max(sup, float(grid_sups[i]))
+        def values(xs: np.ndarray, k: np.ndarray) -> np.ndarray:
+            angles = xs.tolist()
+            new = [x for x in dict.fromkeys(angles) if x not in seen]
+            if new:
+                c_new = c_theta(np.asarray(new))
+                ev = np.linalg.eigvalsh(np.stack([c_new + gram, c_new - gram]))
+                rho = np.maximum(ev[1, :, -1], -ev[1, :, 0])
+                seen.update(zip(new, np.stack([ev[0, :, -1], ev[0, :, 0], rho], 1).tolist()))
+            return members(lams[k], *np.array([seen[x] for x in angles]).T)
 
-    best, best_i, lambda0_sup = _pruned_min(lambda_grid, grid_sups, refined_sup)
+        sups = golden_max_lockstep(centers - step, centers + step, values, SWEEP_BRACKET_TOL)
+        return [max(float(grid_sups[i]), *sups[owner == pos].tolist())
+                for pos, i in enumerate(chunk)]
+
+    best, best_i, lambda0_sup = _pruned_min(lambda_grid, grid_sups, refined_sups,
+                                            LAMBDA_REAL_BATCH)
     best_lam = float(lambda_grid[best_i])
     lambda0_val = None if lambda0_sup is None else _sqrt0(lambda0_sup)
     value = _sqrt0(best)
@@ -550,10 +585,14 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
     + ||C_th - |T|^2||_A^2)/2`` with ``C_th = cos(th) Re_A(T) + sin(th) Im_A(T)``.
     A scalar shift only shifts the spectrum: with ``top``/``bot`` the extreme
     eigenvalues of ``C_th + |T|^2``, ``||C_th + |T|^2 - s I||_A = max(top - s,
-    s - bot)``, so one eigensolve per angle serves every lambda: on a
-    ``THETA_GRID_BOUNDS``-angle grid, then once per distinct angle of the
-    golden-section refinements of the members whose grid suprema fall below
-    the best refined member.
+    s - bot)``, so one eigensolve per angle serves every lambda. On the
+    ``THETA_GRID_BOUNDS``-angle grid that is one spectrum per angle:
+    ``C_{th + pi} = -C_th``, so ``C_th - |T|^2`` is the negated ``C + |T|^2``
+    of the grid angle half a turn on. The members whose grid suprema fall
+    below the best refined member are refined by golden-section searches
+    around the three best grid maxima of each, ``LAMBDA_REAL_BATCH`` members
+    at a time in lockstep: one stacked eigensolve per step, once per distinct
+    angle.
 
     The lambda = 0 member is always refined and recorded in the params. On
     part of the grid the members are exactly constant (``2l(top - l) +
@@ -594,11 +633,12 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
     fixed_terms = (2.0 * rho_shift + b_term) ** 2 + 2.0 * rho_shift - np.abs(lambda_grid) ** 2
     members_low = fixed_terms + (np.abs(support[None, :] - lambda_grid[:, None]) ** 2).max(axis=1)
 
-    def refined_member(i: int) -> float:
+    def refined_member(chunk: list[int]) -> list[float]:
         # lambda = 0 reads N itself: the memoized w of the sandwich and Crawford records
+        (i,) = chunk
         lam = complex(lambda_grid[i])
         shifted = n_mat if lam == 0.0 else n_mat - lam * np.eye(n_mat.shape[0])
-        return float(fixed_terms[i] + inst.value(_w_core, shifted) ** 2)
+        return [float(fixed_terms[i] + inst.value(_w_core, shifted) ** 2)]
 
     best, best_i, lambda0_member = _pruned_min(lambda_grid, members_low, refined_member)
     best_lam = complex(lambda_grid[best_i])

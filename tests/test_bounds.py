@@ -1,10 +1,11 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
 import semidw as sd
 from semidw import jsonio
-from semidw._optim import (START_ANGLES, gram_herm, herm_parts, refine_periodic_max,
-                           rotated_herm, rotated_herm_batch)
+from semidw._optim import START_ANGLES, gram_herm, herm_parts, rotated_herm, rotated_herm_batch
 from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, SWEEP_BRACKET_TOL, THETA_GRID_BOUNDS
 from semidw.errors import DegenerateNorm, NormOutOfRange, NotABounded, ZeroT
 from semidw.metric import compress
@@ -12,7 +13,7 @@ from semidw.radii import NORM_MAX, _w_core
 from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
-from helpers import brute_dw
+from helpers import brute_dw, refine_periodic_max
 
 SQ2 = np.sqrt(2.0)
 
@@ -310,10 +311,13 @@ def _lambda_theta_stacked(m, t, lambda_grid=None):
 
 
 # (dim, rank, lambda_grid): ranks 1, 2, 4, 8, 12, rank-deficient metrics included;
-# the grid without 0 lies above the spectrum, where rho(M - lam I) = lam - bot
+# the grid without 0 lies above the spectrum, where rho(M - lam I) = lam - bot; on
+# the last one, small and positive, the members are constant (top^2 / 2), so
+# every member is refined, in several batches
 LAMBDA_THETA_CASES = [
     (2, 1, None), (3, 2, None), (2, 2, [-1.0, -0.25, 0.0, 0.5, 2.0]), (5, 4, None),
     (4, 4, [300.0, 500.0]), (8, 8, None), (10, 8, None), (13, 12, None),
+    (3, 3, [1e-4 * k for k in range(1, 10)]),
 ]
 
 
@@ -347,36 +351,102 @@ def test_lambda_theta_best_lambda_member():
 def test_lambda_theta_one_eigensolve_per_refined_angle(monkeypatch):
     from semidw import bounds
 
-    refined = []
+    refined, steps = [], []
 
-    def recorded(xs, vals, f, *args, _refine=bounds.refine_periodic_max, **kw):
-        def f_recorded(theta):
-            refined.append(theta)
-            return f(theta)
+    def recorded(lo, hi, f, *args, _golden=bounds.golden_max_lockstep, **kw):
+        def f_recorded(xs, k):
+            refined.extend(xs.tolist())
+            steps.append(xs.size)
+            return f(xs, k)
 
-        return _refine(xs, vals, f_recorded, *args, **kw)
+        return _golden(lo, hi, f_recorded, *args, **kw)
 
     shared = 0
     for m, t, grid in _lambda_theta_instances():
         n_mat = compress(m, t)
-        want = bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat, grid)
+        want = sd.upper_lambda_theta(m, t, lambda_grid=grid, reference=1.0)
         solves = []
 
         def counted(a, *args, _eig=np.linalg.eigvalsh, **kw):
-            solves.append(a.shape)
+            solves.append(np.array(a))
             return _eig(a, *args, **kw)
 
         refined.clear()
+        steps.clear()
         with monkeypatch.context() as patch:
-            patch.setattr(bounds, "refine_periodic_max", recorded)
+            patch.setattr(bounds, "golden_max_lockstep", recorded)
             patch.setattr(np.linalg, "eigvalsh", counted)
             got = bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat, grid)
-        # the first solve is the (2, angles, r, r) grid stack, every later one one angle
-        assert solves[0] == (2, THETA_GRID_BOUNDS, m.rank, m.rank)
-        assert solves[1:] == [(2, m.rank, m.rank)] * len(set(refined))
+        r = m.rank
+        # the first solve is the grid: one spectrum per angle
+        assert solves[0].shape == (THETA_GRID_BOUNDS, r, r)
+        # every later solve is one golden step's stack of C_th + G and C_th - G
+        # over angles not solved before
+        assert 0 < len(solves) - 1 <= len(steps)
+        assert all(a.ndim == 4 and a.shape[0] == 2 and a.shape[2:] == (r, r) for a in solves[1:])
+        # ... and each distinct refined angle is solved exactly once
+        gram = gram_herm(n_mat)
+        h_mat, j_mat = herm_parts(n_mat)
+
+        def pair(th):
+            c_th = np.cos(th) * h_mat + np.sin(th) * j_mat
+            return (c_th + gram).tobytes() + (c_th - gram).tobytes()
+
+        solved = Counter(plus.tobytes() + minus.tobytes()
+                         for a in solves[1:] for plus, minus in zip(*a))
+        assert sum(solved.values()) == len(set(refined))
+        assert solved == Counter(pair(th) for th in set(refined))
         assert (got.value, got.params) == (want.value, want.params)
         shared += len(refined) - len(set(refined))
     assert shared > 0
+
+
+def _pruned_grids():
+    """``(lambda_grid, lower, members)`` with ``members >= lower``: random and quantized
+    members (exact ties, of the lambda = 0 member too), with and without a 0 on the grid."""
+    rng = np.random.default_rng(11)
+    for trial in range(300):
+        size = int(rng.integers(1, 14))
+        grid = np.linspace(-1.0, 1.0, size)
+        if trial % 3 == 0:
+            grid = np.concatenate([[0.0], grid])
+        elif trial % 3 == 1:
+            grid = grid[grid != 0.0] + 0.5
+        members = rng.uniform(1.0, 2.0, grid.size)
+        if trial % 2:  # a few levels: exact ties everywhere
+            members = np.round(members * 4.0) / 4.0
+        if trial % 5 == 0:  # the lambda = 0 member (if any) at the minimum
+            members[grid == 0.0] = members.min()
+        if trial % 7 == 0:  # a tie within TIE_RTOL, not exact
+            members[-1] = members.min() * (1.0 + 1e-13)
+        slack = rng.uniform(0.0, 0.5, grid.size) * (rng.uniform(size=grid.size) < 0.7)
+        yield grid, members - slack, members
+
+
+def test_pruned_min_batch_does_not_change_the_result():
+    from semidw.bounds import TIE_RTOL, _pruned_min
+
+    speculated = 0
+    for grid, lower, members in _pruned_grids():
+        calls = {}
+
+        def refine(chunk, batch):
+            assert 0 < len(chunk) <= batch
+            calls[batch] = calls.get(batch, 0) + len(chunk)
+            return [float(members[i]) for i in chunk]
+
+        one = _pruned_min(grid, lower, lambda c: refine(c, 1))
+        for batch in (2, 4, 7):
+            assert _pruned_min(grid, lower, lambda c, b=batch: refine(c, b), batch) == one
+        speculated += calls[7] - calls[1]
+        best, index, zero_member = one
+        assert best == members.min()
+        zeros = np.flatnonzero(grid == 0.0)
+        assert zero_member == (members[zeros[0]] if zeros.size else None)
+        ties = np.flatnonzero(members - best <= TIE_RTOL * abs(best))
+        assert index == (zeros[0] if zeros.size and zeros[0] in ties else ties[0])
+    # the batches refined members that the one-at-a-time rule does not
+    assert speculated > 0
 
 
 def test_lambda_theta_nilpotent(diag12):

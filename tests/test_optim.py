@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from semidw import _optim
-from semidw._optim import (gram_herm, herm_parts, refine_periodic_max, rotated_eig_max,
-                           rotated_herm, rotated_herm_batch)
+from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_max, rotated_herm,
+                           rotated_herm_batch)
 from semidw.radii import _crawford_core, _w_core
+
+from helpers import refine_periodic_max
 
 #: angles of the reference grid at small rank; larger ranks use a coarser grid
 #: plus golden-section refinement of its three best local maxima
@@ -72,6 +75,66 @@ def test_kernel_matches_dense_grid(r):
                 if shift is None and index == -1:
                     # the support function: w <= grid max / cos(pi / grid)
                     assert value <= grid_max / np.cos(np.pi / size), label
+
+
+def _pencil(n_mat, gamma, shift=None):
+    """The kernel's level-gamma pencil ``([[0, I], [-N*, 2 (gamma I - K)]], diag(I, N))``."""
+    r = n_mat.shape[0]
+    k_mat = np.zeros((r, r)) if shift is None else shift
+    eye, zero = np.eye(r), np.zeros((r, r))
+    return (np.block([[zero, eye], [-n_mat.conj().T, 2.0 * (gamma * eye - k_mat)]]),
+            np.block([[eye, zero], [zero, n_mat]]))
+
+
+def _pencil_cases():
+    """Pencils of the ``_families`` at levels below, inside and above their angle maxima."""
+    for r in (1, 2, 3, 5, 8):
+        rng = np.random.default_rng(200 + r)
+        for name, n_mat in _families(rng, r):
+            for shift in (None, gram_herm(n_mat)):
+                top = rotated_eig_max(n_mat, -1, shift)[1]
+                for gamma in (-0.5 * top, 0.5 * top, top, 1.25 * top + 1.0):
+                    yield (name, r, gamma), *_pencil(n_mat, gamma, shift)
+    real = np.random.default_rng(7).standard_normal((4, 4))
+    yield ("real dtype", 4, 0.9), *_pencil(real, 0.9)
+    yield ("real nilpotent", 4, 0.3), *_pencil(np.triu(real, 1), 0.3)
+    flat = np.array([[0.0, 1.0], [0.0, 0.0]])
+    for n_mat in (flat, flat.astype(complex)):
+        yield ("flat", 2, 0.5), *_pencil(n_mat, 0.5)
+
+
+def test_pencil_eigvals_match_scipy_bit_for_bit():
+    for label, a_mat, b_mat in _pencil_cases():
+        got = pencil_eigvals(a_mat, b_mat)
+        want = scipy.linalg.eigvals(a_mat, b_mat)
+        assert got.dtype == want.dtype, label
+        assert got.tobytes() == want.tobytes(), label
+
+
+def test_pencil_flat_has_no_finite_unimodular_eigenvalue():
+    # at gamma = 1/2 every angle of the flat N crosses: the pencil is singular
+    z = pencil_eigvals(*_pencil(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5))
+    z = z[np.isfinite(z)]
+    assert not np.any(np.abs(np.abs(z) - 1.0) <= _optim.UNIMODULAR_TOL)
+
+
+def test_pencil_failure_raises(monkeypatch):
+    def failing(names, arrays, _get=_optim.get_lapack_funcs):
+        (ggev,) = _get(names, arrays)
+
+        def broken(*args, **kw):
+            *out, info = ggev(*args, **kw)
+            return (*out, info if kw.get("lwork") == -1 else 1)
+
+        broken.typecode = ggev.typecode
+        return (broken,)
+
+    monkeypatch.setattr(_optim, "get_lapack_funcs", failing)
+    n_mat = np.random.default_rng(1).standard_normal((3, 3)) + 0j
+    with pytest.raises(np.linalg.LinAlgError):
+        pencil_eigvals(*_pencil(n_mat, 1.0))
+    with pytest.raises(np.linalg.LinAlgError):
+        rotated_eig_max(n_mat, -1)
 
 
 def test_kernel_zero_matrix():
