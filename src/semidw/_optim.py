@@ -118,17 +118,10 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     eye, zero = np.eye(r), np.zeros((r, r))
     b_mat = np.block([[eye, zero], [zero, n_mat]])
     a_mat = np.block([[zero, eye], [-n_mat.conj().T, 2.0 * (gamma * eye - k_mat)]])
-    corner, diag, k_diag = a_mat[r:, r:], np.arange(r), np.diag(k_mat)
-    negative = np.signbit(gamma)
+    corner = a_mat[r:, r:]
     for level in range(MAX_LEVELS):
         if level:
-            # a new gamma moves the diagonal of 2 (gamma I - K); its zeros off
-            # the diagonal are gamma * 0.0, signed like gamma
-            if np.signbit(gamma) == negative:
-                corner[diag, diag] = 2.0 * (gamma - k_diag)
-            else:
-                corner[...] = 2.0 * (gamma * eye - k_mat)
-                negative = not negative
+            corner[...] = 2.0 * (gamma * eye - k_mat)
         z = pencil_eigvals(a_mat, b_mat)
         z = z[np.isfinite(z)]
         z = z[np.abs(np.abs(z) - 1.0) <= UNIMODULAR_TOL * np.maximum(1.0, np.abs(z))]

@@ -51,8 +51,9 @@ LAMBDA_GRID_POINTS = 41
 #: angle grid of the lambda-real members (even: a grid angle plus pi is one too)
 THETA_GRID_BOUNDS = 360
 SWEEP_BRACKET_TOL = 1e-10
-#: lambda-real members refined per lockstep batch: usually lambda = 0 and the three
-#: best grid suprema are all that the pruning refines
+#: lambda-real members refined per lockstep batch: the one-at-a-time rule refines
+#: exactly four (lambda = 0 and three more) in 208 of the 228 calls of the bench
+#: instances of seeds 1-3, and at most eight
 LAMBDA_REAL_BATCH = 4
 #: the sum split is orthogonal when ||N_X* N_Y + N_Y* N_X|| <= this (1 + ||X|| ||Y||)
 ORTHOGONAL_TOL = 1e-10

@@ -9,7 +9,7 @@ from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_ma
                            rotated_herm_batch)
 from semidw.radii import _crawford_core, _w_core
 
-from helpers import refine_periodic_max
+from helpers import golden_max, refine_periodic_max
 
 #: angles of the reference grid at small rank; larger ranks use a coarser grid
 #: plus golden-section refinement of its three best local maxima
@@ -135,6 +135,66 @@ def test_pencil_failure_raises(monkeypatch):
         pencil_eigvals(*_pencil(n_mat, 1.0))
     with pytest.raises(np.linalg.LinAlgError):
         rotated_eig_max(n_mat, -1)
+
+
+def _golden_cases():
+    """``(f, lo, hi)``: smooth, flat, stepwise (exact ties), monotone, degenerate, signed zeros."""
+    rng = np.random.default_rng(11)
+    funcs = [
+        lambda x: 1.0 - (x - 0.3) * (x - 0.3),
+        lambda x: (x - 1.1) * (x - 1.1) * (x - 2.0) * (2.0 - x),
+        lambda x: 0.0 * x + 2.0,
+        lambda x: float(np.floor(x * 8.0)),
+        lambda x: -abs(x - 0.5),
+        lambda x: x,
+        lambda x: -x,
+    ]
+    for f in funcs:
+        for width in (0.0, 1e-13, 1e-9, 0.05, 1.0, 3.0):
+            lo = float(rng.uniform(-1.0, 1.0))
+            yield f, lo, lo + width
+        yield f, 0.0, 1.0  # -|x - 1/2| and the steps tie on it
+    # signed zeros: f(c) = -0.0 ties f(d) = 0.0 on a bracket narrower than tol
+    yield (lambda x: 0.0 * x), -1e-14, 1e-14
+
+
+@pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.0])
+def test_golden_lockstep_matches_scalar_golden_bit_for_bit(tol):
+    # one lockstep batch against each bracket's scalar search: the same points
+    # in the same order, the same number of steps (tol = 0 runs into the
+    # 200-step cap), and the same bytes of the returned maximum
+    cases = list(_golden_cases())
+    lo = np.array([c[1] for c in cases])
+    hi = np.array([c[2] for c in cases])
+    visited = [[] for _ in cases]
+
+    def f(xs, ks):
+        out = []
+        for x, k in zip(xs.tolist(), ks.tolist()):
+            visited[k].append(x)
+            out.append(cases[k][0](x))
+        return np.array(out)
+
+    got = _optim.golden_max_lockstep(lo, hi, f, tol)
+    assert got.shape == lo.shape
+    capped = unstepped = 0
+    for k, (func, a, b) in enumerate(cases):
+        points = []
+
+        def scalar(x, func=func, points=points):
+            points.append(x)
+            return func(x)
+
+        _, want, evals = golden_max(scalar, a, b, tol)
+        assert visited[k] == points, k
+        assert len(points) == evals, k
+        assert np.float64(got[k]).tobytes() == np.float64(want).tobytes(), k
+        capped += evals == 202
+        unstepped += evals == 2
+    # one batch mixes searches that never step, that stop on tol and (at
+    # tol = 0) that run into the cap
+    assert unstepped >= 7 + (tol > 0.0)
+    assert (0 < capped < len(cases) - unstepped) if tol == 0.0 else capped == 0
 
 
 def test_kernel_zero_matrix():
