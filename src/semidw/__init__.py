@@ -57,6 +57,7 @@ from .metric import (
     semi_inner,
     semi_norm_vec,
     to_ambient,
+    to_coords,
 )
 from .radii import (
     RadiusEstimate,

@@ -2,8 +2,8 @@
 
 Every inequality is evaluated as a named :class:`BoundRecord` against a
 reference ``dw_A`` value, the attained lower end of the certified dw bracket
-(:func:`semidw.radii.dw_radius`; deterministic, so the ``seed`` accepted here
-is only recorded). :func:`verify_all` runs the whole single-operator catalog
+(:func:`semidw.radii.dw_radius`; deterministic, so the ``seed`` that a report
+accepts is only recorded). :func:`verify_all` runs the whole single-operator catalog
 and assembles a :class:`VerificationReport` certifying lower <= dw_A <= upper.
 
 Each bound is a formula over radii-core values of products of compressed
@@ -37,7 +37,6 @@ from ._optim import (START_ANGLES, golden_max_lockstep, gram_herm, herm_parts, r
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .metric import Metric, as_operator, compress
 from .radii import (
-    DEFAULT_SEED,
     _crawford_core,
     _dw_core,
     _min_modulus_core,
@@ -50,7 +49,10 @@ from .radii import (
 LAMBDA_GRID_POINTS = 41
 #: angle grid of the lambda-real members (even: a grid angle plus pi is one too)
 THETA_GRID_BOUNDS = 360
-SWEEP_BRACKET_TOL = 1e-10
+#: golden-section bracket width of the lambda-real refinement: near a smooth peak
+#: the member error is quadratic in the angle error, so 1e-8 in angle resolves
+#: the value to rounding
+SWEEP_BRACKET_TOL = 1e-8
 #: lambda-real members refined per lockstep batch: the one-at-a-time rule refines
 #: exactly four (lambda = 0 and three more) in 208 of the 228 calls of the bench
 #: instances of seeds 1-3, and at most eight
@@ -187,8 +189,8 @@ def _sandwich(inst: _Instance, n_mat: np.ndarray):
                         _sqrt0(w_val ** 2 + n_val ** 4), params))
 
 
-def sandwich(m: Metric, t, reference=None, tol: float | None = None,
-             seed: int = DEFAULT_SEED) -> tuple[BoundRecord, BoundRecord]:
+def sandwich(m: Metric, t, reference=None,
+             tol: float | None = None) -> tuple[BoundRecord, BoundRecord]:
     """Two-sided envelope: max(w, ||T||^2) <= dw <= sqrt(w^2 + ||T||^4)."""
     return _sandwich(_Instance(reference, tol), compress(m, t))
 
@@ -215,10 +217,9 @@ class NormaloidDiagnostic:
     witness: np.ndarray | None
 
 
-def normaloid_equality_check(m: Metric, t, tol: float = 1e-8,
-                             seed: int = DEFAULT_SEED) -> NormaloidDiagnostic:
+def normaloid_equality_check(m: Metric, t, tol: float = 1e-8) -> NormaloidDiagnostic:
     """Check the A-normaloid equality dw = sqrt(w^2 + ||T||^4) <=> w = ||T||."""
-    est = dw_radius(m, t, seed=seed)
+    est = dw_radius(m, t)
     n_mat = compress(m, t)
     value = _Instance().value
     w_val = value(_w_core, n_mat)
@@ -258,8 +259,7 @@ class ZeroEqualityDiagnostic:
     consistent: bool
 
 
-def zero_equality_check(m: Metric, t, tol: float = 1e-8,
-                        seed: int = DEFAULT_SEED) -> ZeroEqualityDiagnostic:
+def zero_equality_check(m: Metric, t, tol: float = 1e-8) -> ZeroEqualityDiagnostic:
     """Check dw_A(T) = w_A(T) <=> A T = 0 (both quantities then vanish)."""
     arr = as_operator(t, m.dim)
     at_norm = float(np.linalg.norm(m.a @ arr))
@@ -291,8 +291,7 @@ class NormSqDiagnostic:
     ok: bool
 
 
-def norm_sq_equality_check(m: Metric, t, tol: float = 1e-8,
-                           seed: int = DEFAULT_SEED) -> NormSqDiagnostic:
+def norm_sq_equality_check(m: Metric, t, tol: float = 1e-8) -> NormSqDiagnostic:
     """When dw_A(T) = ||T||_A^2, every seminorm maximizer x has <Tx,x>_A = 0.
 
     The maximizers checked are the right singular vectors of N at the top
@@ -338,8 +337,7 @@ def _lower_crawford(inst: _Instance, n_mat: np.ndarray):
                  for name, anchor, sq in squares)
 
 
-def lower_crawford(m: Metric, t, reference=None, tol: float | None = None,
-                   seed: int = DEFAULT_SEED):
+def lower_crawford(m: Metric, t, reference=None, tol: float | None = None):
     """Four Crawford-strengthened lower bounds.
 
     ``sqrt(w^2 + c(|T|^2)^2)``, ``sqrt(||T||^4 + c(T)^2)``,
@@ -365,8 +363,7 @@ def _upper_theta_sweep(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
                         "crawford": c_val, "min_modulus": m_val, "decoupled_sweep": True})
 
 
-def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None,
-                      seed: int = DEFAULT_SEED) -> BoundRecord:
+def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None) -> BoundRecord:
     """Upper bound sqrt(sup_theta w^2(e^{i theta}T + |T|^2_A) - 2 c_A(T) m_A(T)^2).
 
     The inner supremum decouples exactly: compress(|T|^2_A) = G = N*N is
@@ -394,8 +391,8 @@ def _cartesian_half(inst: _Instance, n_mat: np.ndarray):
                         _sqrt0(0.5 * (w_plus ** 2 + w_minus ** 2)), params))
 
 
-def cartesian_half(m: Metric, t, reference=None, tol: float | None = None,
-                   seed: int = DEFAULT_SEED) -> tuple[BoundRecord, BoundRecord]:
+def cartesian_half(m: Metric, t, reference=None,
+                   tol: float | None = None) -> tuple[BoundRecord, BoundRecord]:
     """Half-sum bounds through T +- |T|^2_A.
 
     lower = sqrt((w^2(T+|T|^2) + c^2(T-|T|^2))/2),
@@ -421,8 +418,8 @@ def _upper_buzano(inst: _Instance, n_mat: np.ndarray):
                         params))
 
 
-def upper_buzano(m: Metric, t, reference=None, tol: float | None = None,
-                 seed: int = DEFAULT_SEED) -> tuple[BoundRecord, BoundRecord]:
+def upper_buzano(m: Metric, t, reference=None,
+                 tol: float | None = None) -> tuple[BoundRecord, BoundRecord]:
     """Two upper bounds from the Buzano inequality.
 
     (i) sqrt(|| |T|^2 + (|T|^2)^# |T|^2 ||_A), tight for A-normaloid T;
@@ -449,8 +446,7 @@ def _upper_triple(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
                        parts)
 
 
-def upper_triple(m: Metric, t, reference=None, tol: float | None = None,
-                 seed: int = DEFAULT_SEED) -> BoundRecord:
+def upper_triple(m: Metric, t, reference=None, tol: float | None = None) -> BoundRecord:
     """Upper bound 3|| (|T|^2)^# |T|^2 + |T|^2 ||_A minus two Crawford-modulus products."""
     return _upper_triple(_Instance(reference, tol), compress(m, t))
 
@@ -579,7 +575,7 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) ->
 
 
 def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
-                       tol: float | None = None, seed: int = DEFAULT_SEED) -> BoundRecord:
+                       tol: float | None = None) -> BoundRecord:
     """Real-shift upper bound: inf over real lambda of a theta-supremum.
 
     Each member is ``2|l| ||C_th + |T|^2 - l I||_A + (||C_th + |T|^2 - 2l I||_A^2
@@ -652,7 +648,7 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
 
 
 def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
-                         tol: float | None = None, seed: int = DEFAULT_SEED) -> BoundRecord:
+                         tol: float | None = None) -> BoundRecord:
     """Complex-shift upper bound; the lambda = 0 member is the sandwich upper bound.
 
     Each member is ``(2||Re(l)Re_A(T) + Im(l)Im_A(T)||_A + || |T|^2 - 2Re_A(conj(l)T) ||_A)^2
@@ -689,8 +685,7 @@ def _sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray):
     return primary, special
 
 
-def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
-              seed: int = DEFAULT_SEED):
+def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None):
     """Splitting bound dw(X+Y) <= dw(X) + dw(Y) + w(X^# Y + Y^# X).
 
     When the compressed cross term ``N_X* N_Y + N_Y* N_X`` vanishes (spectral
@@ -707,8 +702,7 @@ def _feki_sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundR
                        _sqrt0(2.0 * s + 4.0 * s ** 2), {"dw_sum": s})
 
 
-def feki_sum_upper(m: Metric, x, y, reference=None, tol: float | None = None,
-                   seed: int = DEFAULT_SEED) -> BoundRecord:
+def feki_sum_upper(m: Metric, x, y, reference=None, tol: float | None = None) -> BoundRecord:
     """Coarse splitting bound sqrt(2 s + 4 s^2) with s = dw(X) + dw(Y)."""
     return _feki_sum_upper(_Instance(reference, tol), compress(m, x), compress(m, y))
 
@@ -727,8 +721,7 @@ def _offdiag_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundRe
                        "upper", value, {"norm_x": bx, "norm_y": by})
 
 
-def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None,
-                  seed: int = DEFAULT_SEED) -> BoundRecord:
+def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None) -> BoundRecord:
     """Off-diagonal block bound under diag(A, A).
 
     dw of [[O, X], [Y, O]] <= sqrt(||X||^2/4 + ||X||^4) + sqrt(||Y||^2/4 + ||Y||^4).
@@ -771,7 +764,7 @@ def _balancing(i: int, label: str):
 
 
 def product_sum_upper(m: Metric, p, q, x, y, t: float, sign: int = 1, reference=None,
-                      tol: float | None = None, seed: int = DEFAULT_SEED) -> BoundRecord:
+                      tol: float | None = None) -> BoundRecord:
     """Balanced product bound for dw(P X Q^# +- Q Y P^#).
 
     value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2 ((t^2||PX||^2 + ||QY||^2/t^2)^2 + alpha^2)
@@ -792,7 +785,7 @@ def _product_sum_upper_b(inst: _Instance, n_p, n_q, n_x, n_y, sign: int = 1) -> 
 
 
 def product_sum_upper_b(m: Metric, p, q, x, y, sign: int = 1, reference=None,
-                        tol: float | None = None, seed: int = DEFAULT_SEED) -> BoundRecord:
+                        tol: float | None = None) -> BoundRecord:
     """Product bound at the norm-balancing t = sqrt(||Q||/||P||).
 
     value^2 = 4||P||^2||Q||^2 ((||P||/||Q||) ||QY||^2 + (||Q||/||P||) ||PX||^2)^2 + ...,
@@ -808,7 +801,7 @@ def _product_sum_upper_c(inst: _Instance, n_p, n_q, n_x, n_y, sign: int = 1) -> 
 
 
 def product_sum_upper_c(m: Metric, p, q, x, y, sign: int = 1, reference=None,
-                        tol: float | None = None, seed: int = DEFAULT_SEED) -> BoundRecord:
+                        tol: float | None = None) -> BoundRecord:
     """Product bound at the image-balancing t = sqrt(||QY||/||PX||).
 
     value^2 = ((||QY||/||PX||)||P||^2 + (||PX||/||QY||)||Q||^2)^2

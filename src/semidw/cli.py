@@ -53,33 +53,30 @@ def _emit(args, payload: dict, text_lines: list[str], csv_text: str | None = Non
         out = jsonio.dump_json(payload, args.out)
         if args.out is None:
             print(out)
-    elif args.format == "csv":
+        return
+    if args.format == "csv":
         body = csv_text if csv_text is not None else _kv_csv(payload)
-        if args.out is None:
-            sys.stdout.write(body)
-        else:
-            Path(args.out).write_text(body)
     else:
         body = "\n".join(text_lines) + "\n"
-        if args.out is None:
-            sys.stdout.write(body)
-        else:
-            Path(args.out).write_text(body)
+    if args.out is None:
+        sys.stdout.write(body)
+    else:
+        Path(args.out).write_text(body)
 
 
-def _kv_csv(payload: dict, prefix: str = "") -> str:
+def _kv_csv(payload: dict) -> str:
     rows = ["key,value"]
 
     def walk(obj, pre):
         if isinstance(obj, dict):
             for k in sorted(obj):
-                walk(obj[k], f"{pre}{k}." if not pre else f"{pre}{k}.")
+                walk(obj[k], f"{pre}{k}.")
         elif isinstance(obj, list):
             rows.append(f"{pre[:-1]},\"{obj}\"")
         else:
             rows.append(f"{pre[:-1]},{obj}")
 
-    walk(payload, prefix)
+    walk(payload, "")
     return "\n".join(rows) + "\n"
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BOutOfRange, NonpositiveB
-from .metric import Metric, as_operator, to_ambient
+from .metric import Metric, as_operator, to_ambient, to_coords
 from .radii import RadiusEstimate, op_seminorm
 
 _B_ZERO = 1e-12
@@ -123,21 +123,13 @@ def _split_witness(m: Metric, x: np.ndarray, est: RadiusEstimate, k: float):
 
     ``est`` is ``op_seminorm(m, x)``: ``y0`` is its witness, which maximizes
     ``||X y||_A`` over A-unit vectors. The coordinates are with respect to
-    the stacked range basis diag(B, B) of diag(A, A).
+    the stacked range basis diag(B, B) of diag(A, A). Called after
+    :func:`_degenerate`, so the rank is positive and ``rho >= b > 0``.
     """
-    if est.witness is None:
-        return None, np.zeros(0, dtype=complex)
     y0 = est.witness
-    top = x @ y0
-    rho = np.sqrt(max(est.value ** 2 + k ** 2, 0.0))
-    if rho == 0.0:
-        return None, np.zeros(0, dtype=complex)
-    z = np.concatenate([top, k * y0]) / rho
-    coords = np.concatenate([
-        m.basis.conj().T @ (m.sqrt_a @ z[: m.dim]),
-        m.basis.conj().T @ (m.sqrt_a @ z[m.dim:]),
-    ])
-    return z, coords
+    rho = np.sqrt(est.value ** 2 + k ** 2)
+    z = np.concatenate([x @ y0, k * y0]) / rho
+    return z, np.concatenate([to_coords(m, z[: m.dim]), to_coords(m, z[m.dim:])])
 
 
 def _degenerate(m: Metric, b: float, value: float) -> RadiusEstimate | None:
@@ -148,10 +140,9 @@ def _degenerate(m: Metric, b: float, value: float) -> RadiusEstimate | None:
                               None, "metric has rank zero; no A-unit vectors exist")
     if b > _B_ZERO:
         return None
-    e1 = np.zeros(m.rank, dtype=complex)
-    e1[0] = 1.0
-    z = np.concatenate([to_ambient(m, e1), np.zeros(m.dim, dtype=complex)])
-    coords = np.concatenate([e1, np.zeros(m.rank, dtype=complex)])
+    coords = np.zeros(2 * m.rank, dtype=complex)
+    coords[0] = 1.0
+    z = np.concatenate([to_ambient(m, coords[: m.rank]), np.zeros(m.dim, dtype=complex)])
     return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, z, None)
 
 
@@ -193,12 +184,8 @@ def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
             value = b ** 2
         except OverflowError as exc:
             raise _out_of_range(b) from exc
-        y0 = est_b.witness
-        z = np.concatenate([np.zeros(m.dim, dtype=complex), y0])
-        coords = np.concatenate([
-            np.zeros(m.rank, dtype=complex),
-            m.basis.conj().T @ (m.sqrt_a @ y0),
-        ])
+        z = np.concatenate([np.zeros(m.dim, dtype=complex), est_b.witness])
+        coords = np.concatenate([np.zeros(m.rank, dtype=complex), to_coords(m, est_b.witness)])
         return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, z, None)
     value = b / (2.0 * np.sqrt(1.0 - b ** 2))
     k = b / np.sqrt(1.0 - 2.0 * b ** 2)

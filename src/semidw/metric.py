@@ -2,19 +2,19 @@
 
 A Hermitian positive-semidefinite matrix ``A`` induces the semi-inner
 product ``<x, y>_A = <Ax, y>`` (linear in the first slot) and the seminorm
-``||x||_A = sqrt(<x, x>_A)``. :func:`build_metric` factorizes ``A`` once and
-caches everything the rest of the package needs: ``A^{1/2}``, the
-pseudoinverses ``A^dagger`` and ``(A^{1/2})^dagger``, the orthogonal
-projection onto ``range(A)`` and an orthonormal basis of that range.
+``||x||_A = sqrt(<x, x>_A)``. :func:`build_metric` factorizes ``A`` once,
+support first, and caches the eigenpairs, ``A^dagger``, the orthogonal
+projection onto ``range(A)`` and the range basis ``B`` (support eigenvectors).
 
 :func:`compress` is the workhorse reduction: for an A-bounded operator ``T``
-it produces the r x r matrix ``N = B* A^{1/2} T (A^{1/2})^dagger B``, where
-``B`` is the range basis. For every unit coordinate vector ``c`` the A-unit
-vector ``x = (A^{1/2})^dagger B c`` satisfies ``<Tx, x>_A = c* N c`` and
-``||Tx||_A = ||N c||``, and conversely. Compression is a *-homomorphism:
-``T^#`` compresses to ``N*``, ``ST`` to ``N_S N_T`` and ``|T|^2_A`` to
-``N* N``, so every A-seminorm functional becomes an ordinary Euclidean
-problem on ``N``.
+it produces the r x r matrix ``N = B* A^{1/2} T (A^{1/2})^dagger B``, formed
+as ``diag(sqrt(lambda)) B* T B diag(sqrt(lambda))^{-1}`` over the support
+eigenvalues ``lambda``. For every unit coordinate vector ``c`` the A-unit
+vector ``x = B (c / sqrt(lambda))`` (:func:`to_ambient`; :func:`to_coords`
+inverts it) satisfies ``<Tx, x>_A = c* N c`` and ``||Tx||_A = ||N c||``, and
+conversely. Compression is a *-homomorphism: ``T^#`` compresses to ``N*``,
+``ST`` to ``N_S N_T`` and ``|T|^2_A`` to ``N* N``, so every A-seminorm
+functional becomes an ordinary Euclidean problem on ``N``.
 """
 
 from __future__ import annotations
@@ -44,12 +44,12 @@ class Metric:
     ----------
     dim : ambient dimension n.
     a : the (symmetrized) metric matrix A.
-    eigvals : eigenvalues of A, descending, clamped at the rank cutoff.
+    eigvals : eigenvalues of A, support first, clamped at the rank cutoff.
     eigvecs : matching orthonormal eigenvector columns.
-    rank : numerical rank r under ``rank_tol``.
-    sqrt_a, pinv_sqrt_a, pinv_a : A^{1/2}, (A^{1/2})^dagger, A^dagger.
+    rank : numerical rank r under ``rank_tol``; ``eigvals[:rank]`` is the support.
+    pinv_a : the pseudoinverse A^dagger.
     proj : orthogonal projection onto range(A).
-    basis : n x r orthonormal columns spanning range(A).
+    basis : n x r orthonormal columns spanning range(A), ``eigvecs[:, :rank]``.
     rank_tol : relative eigenvalue cutoff used at construction.
     """
 
@@ -58,8 +58,6 @@ class Metric:
     eigvals: np.ndarray
     eigvecs: np.ndarray
     rank: int
-    sqrt_a: np.ndarray
-    pinv_sqrt_a: np.ndarray
     pinv_a: np.ndarray
     proj: np.ndarray
     basis: np.ndarray
@@ -128,12 +126,10 @@ def build_metric(a, rank_tol: float = DEFAULT_RANK_TOL) -> Metric:
     order = np.argsort(-eigvals, kind="stable")
     eigvals = eigvals[order]
     eigvecs = eigvecs[:, order]
-    rank = int(np.count_nonzero(eigvals > 0.0))
 
     support = eigvals > 0.0
-    sq = np.sqrt(eigvals)
+    rank = int(np.count_nonzero(support))
     inv = np.where(support, 1.0, 0.0) / np.where(support, eigvals, 1.0)
-    inv_sq = np.where(support, 1.0, 0.0) / np.where(support, sq, 1.0)
 
     def _assemble(diag: np.ndarray) -> np.ndarray:
         return _freeze(_hermitian_part((eigvecs * diag) @ eigvecs.conj().T))
@@ -144,8 +140,6 @@ def build_metric(a, rank_tol: float = DEFAULT_RANK_TOL) -> Metric:
         eigvals=_freeze(eigvals),
         eigvecs=_freeze(eigvecs),
         rank=rank,
-        sqrt_a=_assemble(sq),
-        pinv_sqrt_a=_assemble(inv_sq),
         pinv_a=_assemble(inv),
         proj=_assemble(support.astype(float)),
         basis=_freeze(eigvecs[:, :rank].copy()),
@@ -168,35 +162,46 @@ def semi_norm_vec(m: Metric, x) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
+def _bounded_product(m: Metric, arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """``S = diag(sqrt(lambda)) B* T = B* A^{1/2} T`` and ``||S - S B B*|| / (1 + ||S||)``."""
+    s = np.sqrt(m.eigvals[: m.rank])[:, None] * (m.basis.conj().T @ arr)
+    res = float(np.linalg.norm(s - (s @ m.basis) @ m.basis.conj().T))
+    return s, res / (1.0 + float(np.linalg.norm(s)))
+
+
 def a_bounded_residual(m: Metric, t) -> float:
     """Relative residual of the A-boundedness test ``A^{1/2} T (I - P_A) = 0``."""
-    arr = as_operator(t, m.dim)
-    st = m.sqrt_a @ arr
-    res = float(np.linalg.norm(st - st @ m.proj))
-    return res / (1.0 + float(np.linalg.norm(st)))
+    return _bounded_product(m, as_operator(t, m.dim))[1]
 
 
 def compress(m: Metric, t) -> np.ndarray:
-    """Compress an A-bounded operator to the r x r matrix ``N``.
+    """Compress an A-bounded operator to the r x r matrix ``N = S B diag(sqrt(lambda))^{-1}``.
 
     Raises :class:`NotABounded` unless :func:`a_bounded_residual` is at most
     ``BOUNDED_TOL`` (a residual that is not finite is rejected).
     """
-    arr = as_operator(t, m.dim)
-    res = a_bounded_residual(m, arr)
+    s, res = _bounded_product(m, as_operator(t, m.dim))
     if not res <= BOUNDED_TOL:
         raise NotABounded(f"operator is not A-bounded: residual {res:.3e} > {BOUNDED_TOL:.1e}")
-    return m.basis.conj().T @ (m.sqrt_a @ arr @ m.pinv_sqrt_a @ m.basis)
+    return (s @ m.basis) / np.sqrt(m.eigvals[: m.rank])
 
 
 def to_ambient(m: Metric, c) -> np.ndarray:
     """Lift a coordinate vector ``c`` to the canonical ambient vector.
 
-    Returns ``x = (A^{1/2})^dagger B c``, the representative with zero
+    Returns ``x = B (c / sqrt(lambda))``, the representative with zero
     null-space component; ``||x||_A = ||c||``. Adding any null-space vector
     to ``x`` changes no A-quantity.
     """
     cv = np.asarray(c, dtype=complex).reshape(-1)
     if cv.shape[0] != m.rank:
         raise DimensionMismatch(f"coordinate length {cv.shape[0]} != metric rank {m.rank}")
-    return m.pinv_sqrt_a @ (m.basis @ cv)
+    return m.basis @ (cv / np.sqrt(m.eigvals[: m.rank]))
+
+
+def to_coords(m: Metric, x) -> np.ndarray:
+    """Coordinates ``c = sqrt(lambda) * B* x``, ``||c|| = ||x||_A``; inverts :func:`to_ambient`."""
+    xv = np.asarray(x, dtype=complex).reshape(-1)
+    if xv.shape[0] != m.dim:
+        raise DimensionMismatch(f"vector length {xv.shape[0]} != metric dimension {m.dim}")
+    return np.sqrt(m.eigvals[: m.rank]) * (m.basis.conj().T @ xv)

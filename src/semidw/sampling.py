@@ -71,7 +71,7 @@ def random_norm_sq_instance(rng: np.random.Generator, m: Metric,
     shift[0, 1] = kappa
     q, _ = np.linalg.qr(_complex_gaussian(rng, (r, r)))
     n_target = q @ shift @ q.conj().T
-    return m.pinv_sqrt_a @ m.basis @ n_target @ m.basis.conj().T @ m.sqrt_a
+    return m.basis @ (n_target * np.sqrt(m.eigvals[:r] / m.eigvals[:r, None])) @ m.basis.conj().T
 
 
 def random_phase_unitary(rng: np.random.Generator, m: Metric) -> np.ndarray:

@@ -23,9 +23,9 @@ from .errors import NotInBA
 from .metric import (
     BOUNDED_TOL,
     Metric,
+    _freeze,
     a_bounded_residual,
     as_operator,
-    build_metric,
 )
 
 DEFAULT_TOL = 1e-9
@@ -129,18 +129,34 @@ class BlockOperator:
     assembled: np.ndarray
     metric2: Metric
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        return self.t11, self.t12, self.t21, self.t22
-
 
 def double_metric(m: Metric) -> Metric:
-    """The block-diagonal metric diag(A, A) on the doubled space."""
+    """The block-diagonal metric diag(A, A) on the doubled space, from A's eigenpairs.
+
+    Support first (both copies' support, then both null spaces): the range basis is
+    exactly diag(B, B), so a block compresses to the block of its blocks' compressions.
+    """
     n = m.dim
-    a2 = np.zeros((2 * n, 2 * n), dtype=complex)
-    a2[:n, :n] = m.a
-    a2[n:, n:] = m.a
-    return build_metric(a2, m.rank_tol)
+
+    def twice(x: np.ndarray) -> np.ndarray:
+        out = np.zeros((2 * n, 2 * n), dtype=complex)
+        out[:n, :n] = out[n:, n:] = x
+        return out
+
+    eigvals = np.tile(m.eigvals, 2)
+    order = np.argsort(eigvals == 0.0, kind="stable")
+    eigvecs = twice(m.eigvecs)[:, order]
+    return Metric(
+        dim=2 * n,
+        a=_freeze(twice(m.a)),
+        eigvals=_freeze(eigvals[order]),
+        eigvecs=_freeze(eigvecs),
+        rank=2 * m.rank,
+        pinv_a=_freeze(twice(m.pinv_a)),
+        proj=_freeze(twice(m.proj)),
+        basis=_freeze(eigvecs[:, : 2 * m.rank].copy()),
+        rank_tol=m.rank_tol,
+    )
 
 
 def block2(m: Metric, t11, t12, t21, t22, tol: float = DEFAULT_TOL) -> BlockOperator:

@@ -238,7 +238,7 @@ def test_equality_characterizations():
         if abs(dw - norm ** 2) > 1e-6 * (1.0 + dw):
             premise_failures += 1
             continue
-        diag = sd.norm_sq_equality_check(m, t, seed=k)
+        diag = sd.norm_sq_equality_check(m, t)
         assert diag.applicable
         worst_c = max(worst_c, diag.max_form_at_maximizers)
     ok_c = worst_c <= 1e-8 and premise_failures == 0

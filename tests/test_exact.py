@@ -152,6 +152,15 @@ def test_ix_vs_oracle(diag12):
     assert est.warning is None
 
 
+def _assert_maximizer_attains(est, blk):
+    """The coordinates ``est.maximizer`` attain ``est.value`` on the block's compression."""
+    c = est.maximizer
+    n_c = sd.compress(blk.metric2, blk.assembled) @ c
+    assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-13)
+    obj = np.hypot(abs(np.vdot(c, n_c)), np.vdot(n_c, n_c).real)
+    assert abs(obj - est.value) <= 1e-13 * (1.0 + est.value)
+
+
 def test_ix_witness(diag12):
     est = sd.dw_exact_ix(diag12, X_MAT)
     z = est.witness
@@ -163,6 +172,7 @@ def test_ix_witness(diag12):
     tz = blk.assembled @ z
     obj = np.sqrt(abs(np.vdot(z, a2 @ tz)) ** 2 + np.vdot(tz, a2 @ tz).real ** 2)
     assert obj == pytest.approx(est.value, abs=1e-8)
+    _assert_maximizer_attains(est, blk)
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +228,11 @@ def test_0x_witness(diag12):
     tz = blk.assembled @ z
     obj = np.sqrt(abs(np.vdot(z, a2 @ tz)) ** 2 + np.vdot(tz, a2 @ tz).real ** 2)
     assert obj == pytest.approx(est.value, abs=1e-8)
+    _assert_maximizer_attains(est, blk)
+    # above the branch point the maximizer lives in the bottom copy alone
+    x = 1.5 * X_MAT
+    blk = sd.block2(diag12, zero, x, zero, zero)
+    _assert_maximizer_attains(sd.dw_exact_0x(diag12, x), blk)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -233,6 +248,7 @@ def test_exact_random_instances(seed):
     for top, fn in ((eye, sd.dw_exact_ix), (zero, sd.dw_exact_0x)):
         closed = fn(m, x)
         blk = sd.block2(m, top, x, zero, zero)
+        _assert_maximizer_attains(closed, blk)
         ora = sd.oracle_extremum(blk.metric2, blk.assembled, "dw", samples=4096,
                                  seed=seed)
         assert abs(closed.value - ora.value) <= 1e-3 * (1 + closed.value)

@@ -14,16 +14,27 @@ from semidw.metric import a_bounded_residual
 from conftest import X_MAT
 
 
+def _half_powers(m):
+    """``A^{1/2}`` and ``(A^{1/2})^+`` through the coordinate maps.
+
+    ``B to_coords(x) = A^{1/2} x`` and ``to_ambient(B* x) = (A^{1/2})^+ x``.
+    """
+    eye = np.eye(m.dim)
+    root = np.column_stack([m.basis @ sd.to_coords(m, e) for e in eye])
+    pinv_root = np.column_stack([sd.to_ambient(m, m.basis.conj().T @ e) for e in eye])
+    return root, pinv_root
+
+
 def test_identity_metric(id2):
     assert id2.rank == 2
-    np.testing.assert_allclose(id2.sqrt_a, np.eye(2), atol=1e-14)
+    np.testing.assert_allclose(_half_powers(id2)[0], np.eye(2), atol=1e-14)
     np.testing.assert_allclose(id2.proj, np.eye(2), atol=1e-14)
     np.testing.assert_allclose(id2.pinv_a, np.eye(2), atol=1e-14)
 
 
 def test_diag12_metric(diag12):
     np.testing.assert_allclose(np.sort(diag12.eigvals), [1.0, 2.0], atol=1e-14)
-    np.testing.assert_allclose(diag12.sqrt_a, np.diag([1.0, np.sqrt(2.0)]), atol=1e-14)
+    np.testing.assert_allclose(_half_powers(diag12)[0], np.diag([1.0, np.sqrt(2.0)]), atol=1e-14)
     np.testing.assert_allclose(diag12.pinv_a, np.diag([1.0, 0.5]), atol=1e-14)
     assert diag12.rank == 2
     assert diag12.eigvals[0] == pytest.approx(2.0)  # descending
@@ -32,9 +43,11 @@ def test_diag12_metric(diag12):
 def test_rank_deficient_metric(diag10):
     assert diag10.rank == 1
     np.testing.assert_allclose(diag10.proj, np.diag([1.0, 0.0]), atol=1e-14)
-    np.testing.assert_allclose(diag10.pinv_sqrt_a, np.diag([1.0, 0.0]), atol=1e-14)
+    np.testing.assert_allclose(_half_powers(diag10)[1], np.diag([1.0, 0.0]), atol=1e-14)
     a = diag10.a
     np.testing.assert_allclose(a @ diag10.pinv_a @ a, a, atol=1e-12)
+    for name in ("a", "eigvals", "eigvecs", "pinv_a", "proj", "basis"):
+        assert not getattr(diag10, name).flags.writeable, name
 
 
 def test_build_errors():
@@ -137,7 +150,8 @@ def test_reconstruction_invariants(seed):
     a = _random_psd(rng, n, rank)
     m = sd.build_metric(a)
     scale = 1e-10 * (1.0 + np.linalg.norm(m.a))
-    assert np.linalg.norm(m.sqrt_a @ m.sqrt_a - m.a) <= scale
+    root, _ = _half_powers(m)
+    assert np.linalg.norm(root @ root - m.a) <= scale
     assert np.linalg.norm(m.a @ m.pinv_a @ m.a - m.a) <= scale
     assert np.linalg.norm(m.proj - m.a @ m.pinv_a) <= 1e-9 * (1 + np.linalg.norm(m.a))
     assert np.linalg.norm(m.proj @ m.proj - m.proj) <= 1e-10
@@ -162,7 +176,8 @@ def test_compression_fidelity(diag12):
         assert abs(np.linalg.norm(n_mat @ c) - sd.semi_norm_vec(diag12, t @ x)) <= 1e-9
     # vectorized check over the full 1000
     forms = np.einsum("ki,ij,kj->k", cs.conj(), n_mat, cs)
-    xs = (diag12.pinv_sqrt_a @ (diag12.basis @ cs.T)).T
+    # the lift by hand: (A^{1/2})^+ B c with (A^{1/2})^+ = diag(1, 2^{-1/2})
+    xs = (np.diag([1.0, 2 ** -0.5]) @ (diag12.basis @ cs.T)).T
     tx = xs @ t.T
     direct = np.einsum("ki,ij,kj->k", xs.conj(), diag12.a, tx)
     assert np.abs(forms - direct).max() <= 1e-9
@@ -185,6 +200,27 @@ def test_to_ambient_null_component(diag10):
     # canonical witness has zero null-space component
     assert abs(x[1]) <= 1e-14
     assert sd.semi_norm_vec(diag10, x) == pytest.approx(1.0)
+
+
+def test_coordinate_maps_round_trip():
+    rng = np.random.default_rng(17)
+    for n, rank in ((2, 1), (3, 1), (4, 2), (5, 3), (5, 5)):
+        m = sd.build_metric(_random_psd(rng, n, rank))
+        assert m.rank == rank
+        c = rng.standard_normal(rank) + 1j * rng.standard_normal(rank)
+        x = sd.to_ambient(m, c)
+        np.testing.assert_allclose(sd.to_coords(m, x), c, rtol=0.0,
+                                   atol=1e-12 * np.linalg.norm(c))
+        assert np.linalg.norm(x - m.proj @ x) <= 1e-12 * (1.0 + np.linalg.norm(x))
+        assert sd.semi_norm_vec(m, x) == pytest.approx(np.linalg.norm(c), rel=1e-12)
+        # coordinates forget the null-space component of an ambient vector
+        y = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+        c_y = sd.to_coords(m, y)
+        assert np.linalg.norm(c_y) == pytest.approx(sd.semi_norm_vec(m, y), rel=1e-12)
+        np.testing.assert_allclose(sd.to_ambient(m, c_y), m.proj @ y, rtol=0.0,
+                                   atol=1e-9 * np.linalg.norm(y))
+    with pytest.raises(DimensionMismatch):
+        sd.to_coords(m, np.ones(n + 1))
 
 
 def test_subnormal_eigenvalues_clamp_to_zero():

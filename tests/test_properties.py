@@ -115,6 +115,13 @@ def _spectral(mat):
     return float(np.linalg.norm(mat, 2)) if mat.size else 0.0
 
 
+def _half_powers(m):
+    """``A^{1/2}`` and ``(A^{1/2})^+`` assembled from the eigenpairs, without ``compress``."""
+    support = m.eigvals > 0.0
+    vecs, vals = m.eigvecs[:, support], m.eigvals[support]
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T, (vecs / np.sqrt(vals)) @ vecs.conj().T
+
+
 def test_compress_homomorphism():
     for case, m, (t, s) in metric_and_operators(30, count=2, seed=7):
         n_t, n_s = sd.compress(m, t), sd.compress(m, s)
@@ -126,7 +133,8 @@ def test_compress_homomorphism():
         norm = sd.op_seminorm(m, t).value
         assert norm == pytest.approx(_spectral(n_t), rel=1e-12, abs=1e-14), case
         # the ambient form of the seminorm: ||A^{1/2} T (A^{1/2})^+||_2
-        ambient = _spectral(m.sqrt_a @ t @ m.pinv_sqrt_a)
+        root, pinv_root = _half_powers(m)
+        ambient = _spectral(root @ t @ pinv_root)
         assert abs(norm - ambient) <= _tol(m, 1e-10) * (1.0 + ambient), case
 
 
@@ -142,8 +150,40 @@ def test_compress_offdiag_block():
         n_blk = sd.compress(blk.metric2, blk.assembled)
         scale = 1.0 + _spectral(k_mat)
         tol = _tol(m, 1e-9) * scale
-        np.testing.assert_allclose(np.linalg.svd(n_blk, compute_uv=False),
-                                   np.linalg.svd(k_mat, compute_uv=False), rtol=0.0, atol=tol)
+        # diag(A, A) has the range basis diag(B, B): the block compresses blockwise
+        np.testing.assert_allclose(n_blk, k_mat, rtol=0.0, atol=tol, err_msg=str(case))
         w_blk = sd.numerical_radius(blk.metric2, blk.assembled).value
         w_k = sd.numerical_radius(sd.build_metric(np.eye(k_mat.shape[0])), k_mat).value
         assert abs(w_blk - w_k) <= tol, case
+
+
+# ---------------------------------------------------------------------------
+# metric scaling: every A-quantity is the same under cA
+
+
+def _graded_metrics(seed):
+    """Full-rank and rank-deficient metrics, support spectra from 1 down to 1e-6."""
+    rng = np.random.default_rng(seed)
+    for n, rank in ((2, 1), (3, 3), (4, 2), (4, 4), (5, 3)):
+        q, _ = np.linalg.qr(_complex_matrix(rng, n))
+        spectrum = np.zeros(n)
+        spectrum[:rank] = np.logspace(0.0, -6.0, rank)
+        yield (q * spectrum) @ q.conj().T, _complex_matrix(rng, n)
+
+
+def test_metric_scaling_invariance():
+    functionals = (sd.dw_radius, sd.numerical_radius, sd.crawford, sd.op_seminorm,
+                   sd.min_modulus)
+    for k, (a, g) in enumerate(_graded_metrics(seed=9)):
+        m = sd.build_metric(a)
+        t = bounded_part(m, g)
+        base = [f(m, t).value for f in functionals]
+        tol = 1e-9 + 8.0 * EPS * _kappa(m)
+        for c in (1e-12, 1e-6, 3.0, 1e6, 1e12):
+            mc = sd.build_metric(c * a)
+            assert mc.rank == m.rank, (k, c)
+            for f, ref in zip(functionals, base):
+                got = f(mc, t).value
+                assert abs(got - ref) <= tol * (1.0 + ref), (k, c, f.__name__, got, ref)
+            report = sd.verify_all(mc, t)
+            assert report.overall_pass, (k, c)

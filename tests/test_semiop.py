@@ -112,6 +112,31 @@ def test_block2_examples(diag12):
     np.testing.assert_allclose(zero_blk.assembled, 0.0, atol=1e-14)
 
 
+def test_double_metric_from_eigenpairs(diag12):
+    rng = np.random.default_rng(31)
+    metrics = [diag12, sd.build_metric(np.zeros((2, 2)))]
+    metrics += [random_metric(rng, n, rank) for n, rank in ((3, 3), (3, 1), (4, 2))]
+    for m in metrics:
+        m2 = sd.double_metric(m)
+        n, r = m.dim, m.rank
+        assert (m2.dim, m2.rank, m2.rank_tol) == (2 * n, 2 * r, m.rank_tol)
+        basis2 = np.zeros((2 * n, 2 * r), dtype=complex)
+        basis2[:n, :r] = m.basis
+        basis2[n:, r:] = m.basis
+        assert np.array_equal(m2.basis, basis2)
+        assert np.array_equal(m2.eigvecs[:, : 2 * r], basis2)
+        np.testing.assert_array_equal(m2.a, np.kron(np.eye(2), m.a))
+        np.testing.assert_array_equal(m2.proj, np.kron(np.eye(2), m.proj))
+        np.testing.assert_array_equal(m2.pinv_a, np.kron(np.eye(2), m.pinv_a))
+        # support first, and the eigenpairs reassemble diag(A, A)
+        assert (m2.eigvals[: 2 * r] > 0.0).all() and (m2.eigvals[2 * r:] == 0.0).all()
+        np.testing.assert_allclose(m2.eigvecs.conj().T @ m2.eigvecs, np.eye(2 * n), atol=1e-13)
+        np.testing.assert_allclose((m2.eigvecs * m2.eigvals) @ m2.eigvecs.conj().T, m2.a,
+                                   atol=1e-12 * (1.0 + np.linalg.norm(m.a)))
+        for name in ("a", "eigvals", "eigvecs", "pinv_a", "proj", "basis"):
+            assert not getattr(m2, name).flags.writeable, name
+
+
 def test_block_sharp_against_assembled(diag12):
     eye, zero = np.eye(2), np.zeros((2, 2))
     blk = sd.block2(diag12, zero, X_MAT, zero, zero)
