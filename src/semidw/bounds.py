@@ -1,10 +1,10 @@
 """Bound evaluators for the A-Davis-Wielandt radius.
 
-Every inequality is evaluated as a named :class:`BoundRecord` against a
-reference ``dw_A`` value, the attained lower end of the certified dw bracket
+Every inequality is evaluated as a named :class:`BoundRecord`, judged by one
+rule (:meth:`_Instance.record`) against the certified dw bracket
 (:func:`semidw.radii.dw_radius`; deterministic, so the ``seed`` that a report
-accepts is only recorded). :func:`verify_all` runs the whole single-operator catalog
-and assembles a :class:`VerificationReport` certifying lower <= dw_A <= upper.
+accepts is only recorded) or a caller's reference. :func:`verify_all` runs the
+whole single-operator catalog and assembles a :class:`VerificationReport`.
 
 Each bound is a formula over radii-core values of products of compressed
 matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
@@ -40,8 +40,10 @@ from .radii import (
     _crawford_core,
     _dw_core,
     _min_modulus_core,
+    _n_estimate,
     _seminorm_core,
     _w_core,
+    RadiusEstimate,
     dw_radius,
     form_values,
 )
@@ -81,14 +83,12 @@ CATALOG = (
 
 @dataclass
 class BoundRecord:
-    """One evaluated bound: value, reference dw, satisfied flag and gap.
+    """One evaluated bound: value, the lower end of its dw bracket, satisfied flag and gap.
 
-    ``gap`` is ``reference_dw - value`` for lower bounds and
-    ``value - reference_dw`` for upper bounds, so nonnegative means the
-    inequality holds; ``satisfied`` allows slack ``-tol``. Exact records
-    (``semidw exact``) have ``gap = value - reference_dw`` and require
-    ``value`` within ``tol`` of ``[reference_dw, params["dw_upper"]]``.
-    ``status`` is "ok" or "not-applicable" (a hypothesis of the theorem fails).
+    ``satisfied`` is the rule of :meth:`_Instance.record`. ``gap`` is ``reference_dw -
+    value`` for lower bounds, else ``value - reference_dw`` (exact values, from ``semidw
+    exact``, carry the upper end as ``params["dw_upper"]``). ``status`` is "ok" or
+    "not-applicable" (a hypothesis of the theorem fails).
     """
 
     name: str
@@ -106,8 +106,9 @@ class BoundRecord:
 class VerificationReport:
     """All records of one instance and its dw bracket ``[reference_dw, reference_dw_upper]``.
 
-    Records are judged against the lower end. ``dw_multistart`` and ``dw_oracle`` are
-    always None; their JSON keys stay so that consumers still parse.
+    Records are judged against the bracket (:meth:`_Instance.record`); ``tol`` is their
+    slack. ``dw_multistart`` and ``dw_oracle`` are always None; their JSON keys stay so
+    that consumers still parse.
     """
 
     instance: dict
@@ -127,17 +128,29 @@ def _tol_for(ref: float, tol: float | None) -> float:
 
 @dataclass
 class _Instance:
-    """The memo, reference rule and tolerance of one report.
+    """The memo, dw bracket and tolerance of one report or public evaluator.
 
     ``memo`` maps ``(core, shape, bytes, args)`` to the core's output. A record's
-    reference is ``reference``, else the lower end of the dw bracket of the
-    compressed operator it bounds; its tolerance is ``tol``, else
-    ``1e-6 (1 + reference)``.
+    bracket is ``reference`` (a float is ``(ref, ref)``), else the dw bracket of the
+    compressed operator it bounds; its tolerance is ``tol``, else ``1e-6 (1 + lower
+    end)``. A non-finite end (:class:`NonFiniteReference`) or a ``tol`` outside
+    [0, inf) (``ValueError``), which would pass or fail every record vacuously, is
+    rejected here.
     """
 
-    reference: float | None = None
+    reference: tuple[float, float] | float | None = None
     tol: float | None = None
     memo: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if self.tol is not None and not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and nonnegative, got {self.tol}")
+        if self.reference is not None:
+            lower, upper = self.reference = tuple(map(float, np.broadcast_to(self.reference, 2)))
+            if not np.isfinite([lower, upper]).all():
+                raise NonFiniteReference(
+                    f"the dw bracket is [{lower}, {upper}]; no record can be judged")
+            self.tol = _tol_for(lower, self.tol)
 
     def _run(self, core, n_mat: np.ndarray, *args, extra=()):
         """``core(n_mat, *args, *extra)``, computed once per ``(core, n_mat, args)``."""
@@ -150,25 +163,32 @@ class _Instance:
         """Value of a radii core on a compressed matrix; 0 on a rank-zero metric."""
         return float(self._run(core, n_mat, *args)[0]) if n_mat.size else 0.0
 
-    def dw(self, n_mat: np.ndarray, upper: bool = False) -> float:
-        """The attained lower end (or the upper end) of the dw bracket of ``n_mat``.
-
-        The memoized w and seminorm outputs of ``n_mat`` are the bracket's end lines.
-        """
-        if not n_mat.size:
-            return 0.0
-        ends = (self._run(_w_core, n_mat), self._run(_seminorm_core, n_mat))
-        lower, _, _, width = self._run(_dw_core, n_mat, extra=ends)
-        return float(lower + width if upper else lower)
+    def dw(self, n_mat: np.ndarray) -> RadiusEstimate:
+        """The dw bracket ``[value, value + residual]`` of ``n_mat``, as :func:`dw_radius`;
+        the memoized w and seminorm outputs of ``n_mat`` are its end lines."""
+        ends = (self._run(_w_core, n_mat), self._run(_seminorm_core, n_mat)) if n_mat.size else ()
+        return self._run(_n_estimate, n_mat, "dw_shell", _dw_core, extra=ends)
 
     def record(self, bounded: np.ndarray, name: str, anchor: str, kind: str, value: float,
                params: dict | None = None) -> BoundRecord:
-        """A "lower" or "upper" bound on dw of the compressed operator ``bounded``."""
-        ref = self.dw(bounded) if self.reference is None else float(self.reference)
+        """A "lower", "upper" or "exact" bound on dw of the compressed operator ``bounded``.
+
+        With the bracket ``[lower, upper]`` and slack ``tol``, an upper bound holds
+        iff ``value >= lower - tol``, a lower bound iff ``value <= upper + tol`` and
+        an exact value iff both do. ``reference_dw`` and ``gap`` read the lower end.
+        """
+        if self.reference is None:
+            est = self.dw(bounded)
+            lower, upper = est.value, est.value + est.residual
+        else:
+            lower, upper = self.reference
         value = float(value)
-        gap = value - ref if kind == "upper" else ref - value
-        return BoundRecord(name, anchor, kind, value, ref, bool(gap >= -_tol_for(ref, self.tol)),
-                           float(gap), params or {})
+        tol = _tol_for(lower, self.tol)
+        holds = {"upper": value >= lower - tol, "lower": value <= upper + tol}
+        satisfied = all(holds.values()) if kind == "exact" else holds[kind]
+        gap = lower - value if kind == "lower" else value - lower
+        return BoundRecord(name, anchor, kind, value, lower, bool(satisfied), float(gap),
+                           params or {})
 
 
 def _sqrt0(x: float) -> float:
@@ -266,7 +286,7 @@ def zero_equality_check(m: Metric, t, tol: float = 1e-8) -> ZeroEqualityDiagnost
     scale = 1.0 + float(np.linalg.norm(m.a)) * float(np.linalg.norm(arr))
     n_mat = compress(m, arr)
     inst = _Instance()
-    dw_val = inst.dw(n_mat)
+    dw_val = inst.dw(n_mat).value
     w_val = inst.value(_w_core, n_mat)
     product_zero = at_norm <= tol * scale
     radii_equal = abs(dw_val - w_val) <= tol * (1.0 + dw_val)
@@ -300,7 +320,7 @@ def norm_sq_equality_check(m: Metric, t, tol: float = 1e-8) -> NormSqDiagnostic:
     """
     n_mat = compress(m, t)
     inst = _Instance()
-    dw_val = inst.dw(n_mat)
+    dw_val = inst.dw(n_mat).value
     n_val = inst.value(_seminorm_core, n_mat)
     applicable = abs(dw_val - n_val ** 2) <= max(tol, 1e-6) * (1.0 + dw_val)
     if not applicable or m.rank == 0:
@@ -673,7 +693,7 @@ def _sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray):
     n_sum = n_x + n_y
     cross = n_x.conj().T @ n_y + n_y.conj().T @ n_x
     w_cross = inst.value(_w_core, cross)
-    dw_x, dw_y = inst.dw(n_x), inst.dw(n_y)
+    dw_x, dw_y = inst.dw(n_x).value, inst.dw(n_y).value
     params = {"dw_x": dw_x, "dw_y": dw_y, "w_cross": w_cross}
     primary = inst.record(n_sum, "sum split upper", "sum-split-upper", "upper",
                           dw_x + dw_y + w_cross, params)
@@ -697,7 +717,7 @@ def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None):
 
 
 def _feki_sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundRecord:
-    s = inst.dw(n_x) + inst.dw(n_y)
+    s = inst.dw(n_x).value + inst.dw(n_y).value
     return inst.record(n_x + n_y, "feki sum upper", "feki-sum-upper", "upper",
                        _sqrt0(2.0 * s + 4.0 * s ** 2), {"dw_sum": s})
 
@@ -707,10 +727,15 @@ def feki_sum_upper(m: Metric, x, y, reference=None, tol: float | None = None) ->
     return _feki_sum_upper(_Instance(reference, tol), compress(m, x), compress(m, y))
 
 
+def _block(n11, n12, n21, n22) -> np.ndarray:
+    """A 2x2 block under diag(A, A), compressed: the block of its blocks' compressions."""
+    return np.block([[n11, n12], [n21, n22]])
+
+
 def _offdiag(n_x: np.ndarray, n_y: np.ndarray) -> np.ndarray:
     """The block [[O, X], [Y, O]] under diag(A, A), compressed: [[0, N_X], [N_Y, 0]]."""
     zero = np.zeros_like(n_x)
-    return np.block([[zero, n_x], [n_y, zero]])
+    return _block(zero, n_x, n_y, zero)
 
 
 def _offdiag_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundRecord:
@@ -819,25 +844,15 @@ def _sha16(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def _report_instance(n_mat: np.ndarray, operands, tol: float | None) -> tuple[_Instance, float]:
-    """``(instance, upper end of the dw bracket)`` of a report on ``n_mat``.
-
-    The reference is the bracket's lower end. The dws of ``n_mat`` and the operands
-    come first: their ``NormOutOfRange`` precedes every record. A non-finite end
-    (:class:`NonFiniteReference`) or a ``tol`` outside [0, inf) (``ValueError``)
-    would pass or fail every record vacuously.
-    """
-    if tol is not None and not 0.0 <= tol < np.inf:
-        raise ValueError(f"tol must be finite and nonnegative, got {tol}")
-    inst = _Instance()
-    lower, upper = inst.dw(n_mat), inst.dw(n_mat, upper=True)
+def _report_instance(n_mat: np.ndarray, operands, tol: float | None) -> _Instance:
+    """The instance of a report on ``n_mat``, judging by its dw bracket. ``tol`` is checked
+    first, then the dws of ``n_mat`` and the operands: their ``NormOutOfRange`` precedes
+    every record."""
+    inst = _Instance(tol=tol)
+    est = inst.dw(n_mat)
     for op in operands:
         inst.dw(op)
-    if not np.isfinite([lower, upper]).all():
-        raise NonFiniteReference(f"the dw bracket is [{lower}, {upper}]; no record can be judged")
-    inst.reference = lower
-    inst.tol = _tol_for(lower, tol)
-    return inst, upper
+    return replace(inst, reference=(est.value, est.value + est.residual))
 
 
 def _run(records: list[BoundRecord], ref: float, body, inst: _Instance, *args) -> None:
@@ -855,12 +870,12 @@ def _run(records: list[BoundRecord], ref: float, body, inst: _Instance, *args) -
     records.extend([out] if isinstance(out, BoundRecord) else (r for r in out if r is not None))
 
 
-def _report(m: Metric, operators: dict, inst: _Instance, upper: float, seed: int,
+def _report(m: Metric, operators: dict, inst: _Instance, seed: int,
             records: list[BoundRecord]) -> VerificationReport:
     ok = all(rec.satisfied for rec in records if rec.status == "ok")
     instance = {"dim": m.dim, "rank": m.rank, "metric_sha": _sha16(m.a)}
     instance.update((key, _sha16(arr)) for key, arr in operators.items())
-    return VerificationReport(instance, None, None, inst.reference, upper, inst.tol, records,
+    return VerificationReport(instance, None, None, *inst.reference, inst.tol, records,
                               bool(ok), int(seed))
 
 
@@ -876,15 +891,15 @@ def pair_report(m: Metric, x, y, seed: int = 42, tol: float | None = None) -> Ve
     xa = as_operator(x, m.dim)
     ya = as_operator(y, m.dim)
     n_x, n_y, n_eye = compress(m, xa), compress(m, ya), compress(m, np.eye(m.dim))
-    inst, upper = _report_instance(compress(m, xa + ya), (n_x, n_y), tol)
+    inst = _report_instance(compress(m, xa + ya), (n_x, n_y), tol)
     records: list[BoundRecord] = []
     for body, *args in ((_sum_upper, inst, n_x, n_y), (_feki_sum_upper, inst, n_x, n_y),
-                        # the block's own dw is the offdiag reference
+                        # the block's own dw bracket judges the offdiag record
                         (_offdiag_upper, replace(inst, reference=None), n_x, n_y),
                         (_product_sum_upper_b, inst, n_eye, n_eye, n_x, n_y),
                         (_product_sum_upper_c, inst, n_eye, n_eye, n_x, n_y)):
-        _run(records, inst.reference, body, *args)
-    return _report(m, {"operator_sha": xa, "operator2_sha": ya}, inst, upper, seed, records)
+        _run(records, inst.reference[0], body, *args)
+    return _report(m, {"operator_sha": xa, "operator2_sha": ya}, inst, seed, records)
 
 
 def verify_all(m: Metric, t, seed: int = 42, tol: float | None = None) -> VerificationReport:
@@ -896,9 +911,9 @@ def verify_all(m: Metric, t, seed: int = 42, tol: float | None = None) -> Verifi
     """
     arr = as_operator(t, m.dim)
     n_mat = compress(m, arr)
-    inst, upper = _report_instance(n_mat, (), tol)
+    inst = _report_instance(n_mat, (), tol)
     records: list[BoundRecord] = []
     for body in (_sandwich, _lower_crawford, _upper_theta_sweep, _cartesian_half,
                  _upper_buzano, _upper_triple, _upper_lambda_theta, _upper_lambda_complex):
-        _run(records, inst.reference, body, inst, n_mat)
-    return _report(m, {"operator_sha": arr}, inst, upper, seed, records)
+        _run(records, inst.reference[0], body, inst, n_mat)
+    return _report(m, {"operator_sha": arr}, inst, seed, records)

@@ -30,7 +30,7 @@ from . import jsonio
 from . import radii as rad
 from . import sampling as smp
 from .errors import ParseError, PreconditionError, PropertyViolation, SemidwError
-from .metric import build_metric
+from .metric import build_metric, compress
 from .semiop import block2, sharp
 
 REMARK_EXPECTED = {
@@ -111,14 +111,6 @@ def cmd_compute(args) -> int:
     return 0
 
 
-def _bounds_report(args):
-    m, t = _load_pair(args)
-    if args.operator2:
-        t2 = jsonio.load_matrix(args.operator2)
-        return bnd.pair_report(m, t, t2, seed=args.seed, tol=args.tol)
-    return bnd.verify_all(m, t, seed=args.seed, tol=args.tol)
-
-
 def _report_text(report) -> list[str]:
     lines = [
         f"instance: dim {report.instance['dim']} rank {report.instance['rank']} "
@@ -136,38 +128,35 @@ def _report_text(report) -> list[str]:
 
 
 def cmd_bounds(args) -> int:
-    report = _bounds_report(args)
+    """``bounds`` reports the catalog; ``verify`` also exits 4 when a record fails."""
+    m, t = _load_pair(args)
+    if args.operator2:
+        t2 = jsonio.load_matrix(args.operator2)
+        report = bnd.pair_report(m, t, t2, seed=args.seed, tol=args.tol)
+    else:
+        report = bnd.verify_all(m, t, seed=args.seed, tol=args.tol)
     _emit(args, jsonio.report_to_dict(report), _report_text(report), jsonio.report_csv(report))
-    return 0
-
-
-def cmd_verify(args) -> int:
-    report = _bounds_report(args)
-    _emit(args, jsonio.report_to_dict(report), _report_text(report), jsonio.report_csv(report))
-    return 0 if report.overall_pass else 4
+    return 0 if report.overall_pass or args.command == "bounds" else 4
 
 
 def _exact_checks(m, x, tol):
-    """Closed-form dw of [[I,X],[O,O]] and [[O,X],[O,O]], each judged by the dw bracket.
+    """Closed-form dw of [[I,X],[O,O]] and [[O,X],[O,O]], each an "exact" record.
 
-    Returns ``(label, closed, bracket, record)`` per block; ``bracket`` is
-    :func:`semidw.radii.dw_radius` of the assembled block, ``[value, value +
-    residual]``. The record is satisfied iff ``lower - tol <= closed <= upper
-    + tol``, with the reports' ``tol = bounds._tol_for(lower, tol)``.
+    Returns ``(label, closed, bracket, record)`` per block; ``bracket`` is the dw bracket
+    ``[value, value + residual]`` of the compressed block ``[[I_r or 0, N_X], [0, 0]]``.
     """
-    zero = np.zeros((m.dim, m.dim))
+    n_x = compress(m, x)
+    zero = np.zeros_like(n_x)
+    inst = bnd._Instance(tol=tol)
     out = []
-    for label, top, closed_form in (("identity", np.eye(m.dim), exm.dw_exact_ix),
+    for label, top, closed_form in (("identity", np.eye(m.rank), exm.dw_exact_ix),
                                     ("zero", zero, exm.dw_exact_0x)):
         closed = closed_form(m, x)
-        blk = block2(m, top, x, zero, zero)
-        bracket = rad.dw_radius(blk.metric2, blk.assembled)
-        lower, upper = bracket.value, bracket.value + bracket.residual
-        slack = bnd._tol_for(lower, tol)
-        out.append((label, closed, bracket, bnd.BoundRecord(
-            f"{label} block exact", f"{label}-block-exact", "exact", closed.value, lower,
-            bool(lower - slack <= closed.value <= upper + slack), closed.value - lower,
-            {"dw_upper": upper})))
+        blk = bnd._block(top, n_x, zero, zero)
+        bracket = inst.dw(blk)
+        out.append((label, closed, bracket, inst.record(
+            blk, f"{label} block exact", f"{label}-block-exact", "exact", closed.value,
+            {"dw_upper": bracket.value + bracket.residual})))
     return out
 
 
@@ -192,22 +181,14 @@ def cmd_exact(args) -> int:
     return 0 if all(rec.satisfied for rec in records) else 4
 
 
-def _remark_instance():
+def cmd_remark_repro(args) -> int:
     m = build_metric(np.diag([1.0, 2.0]))
     x = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
     y = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
-    return m, x, y
-
-
-def cmd_remark_repro(args) -> int:
-    report = bnd.pair_report(*_remark_instance(), seed=args.seed)
+    report = bnd.pair_report(m, x, y, seed=args.seed)
     dw_ref = report.reference_dw
-    ordering = [
-        "sum-split-upper",
-        "product-sum-balanced-upper",
-        "product-sum-aligned-upper",
-        "feki-sum-upper",
-    ]
+    # the published values increase strictly: sum-split < balanced < aligned < feki
+    ordering = sorted(REMARK_EXPECTED, key=REMARK_EXPECTED.get)
     by_anchor = {rec.anchor: rec for rec in report.records}
     rows = []
     all_ok = True
@@ -216,8 +197,7 @@ def cmd_remark_repro(args) -> int:
         ok = abs(rec.value - expected) <= REMARK_TOL and bool(rec.satisfied)
         all_ok &= ok
         rows.append((anchor, rec.value, expected, ok))
-    values = [by_anchor[a].value for a in ordering]
-    order_ok = all(values[i] < values[i + 1] for i in range(len(values) - 1))
+    order_ok = all(by_anchor[a].value < by_anchor[b].value for a, b in zip(ordering, ordering[1:]))
     all_ok &= order_ok
     payload = {
         "dw": dw_ref,
@@ -279,11 +259,10 @@ def _suite_invariance_one(seed_entropy, dim: int):
     rng = np.random.default_rng(seed_entropy)
     m = smp.random_metric(rng, dim)
     t = smp.random_bounded_operator(rng, m)
-    seed = int(seed_entropy[-1])
-    dw_t = rad.dw_radius(m, t, seed=seed).value
+    dw_t = rad.dw_radius(m, t).value
     u = smp.random_phase_unitary(rng, m)
     conj = sharp(m, u) @ t @ u
-    dw_conj = rad.dw_radius(m, conj, seed=seed).value
+    dw_conj = rad.dw_radius(m, conj).value
     failures = []
     if abs(dw_t - dw_conj) > 1e-6 * (1.0 + dw_t):
         failures.append("unitary-conjugation")
@@ -294,9 +273,9 @@ def _suite_invariance_one(seed_entropy, dim: int):
     base = block2(m, zero, x, y, zero)
     phased = block2(m, zero, x, np.exp(1j * theta) * y, zero)
     swapped = block2(m, zero, y, x, zero)
-    dw_base = rad.dw_radius(base.metric2, base.assembled, seed=seed).value
-    dw_phase = rad.dw_radius(phased.metric2, phased.assembled, seed=seed).value
-    dw_swap = rad.dw_radius(swapped.metric2, swapped.assembled, seed=seed).value
+    dw_base = rad.dw_radius(base.metric2, base.assembled).value
+    dw_phase = rad.dw_radius(phased.metric2, phased.assembled).value
+    dw_swap = rad.dw_radius(swapped.metric2, swapped.assembled).value
     if abs(dw_base - dw_phase) > 1e-6 * (1.0 + dw_base):
         failures.append("block-phase")
     if abs(dw_base - dw_swap) > 1e-6 * (1.0 + dw_base):
@@ -384,25 +363,27 @@ def cmd_suite(args) -> int:
 def _replay(args) -> int:
     import json
 
-    data = json.loads(Path(args.replay).read_text())
-    entropy = data["entropy"]
-    if data["suite"] == "bounds":
-        m, t, report = _suite_bounds_one(entropy, data["dim"], data["rank"])
+    keys = {"bounds": ("dim", "rank"), "exact": ("dim", "target_b"), "invariance": ("dim",)}
+    try:
+        data = json.loads(Path(args.replay).read_text())
+        suite = data["suite"]
+        entropy, *params = (data[key] for key in ("entropy", *keys[suite]))
+    except (ValueError, KeyError, TypeError) as exc:
+        raise ParseError(f"replay file {args.replay} is not a suite violation: {exc!r}") from exc
+    if suite == "bounds":
+        m, t, report = _suite_bounds_one(entropy, *params)
         _emit(args, jsonio.report_to_dict(report), _report_text(report),
               jsonio.report_csv(report))
         return 0 if report.overall_pass else 4
-    if data["suite"] == "exact":
-        values, failures = _suite_exact_one(entropy, data["dim"], data["target_b"])
+    if suite == "exact":
+        values, failures = _suite_exact_one(entropy, *params)
         payload = {"values": {k: list(v) for k, v in values.items()},
                    "failures": failures}
-        _emit(args, payload, [str(payload)])
-        return 0 if not failures else 4
-    if data["suite"] == "invariance":
-        values, failures = _suite_invariance_one(entropy, data["dim"])
+    else:
+        values, failures = _suite_invariance_one(entropy, *params)
         payload = {"values": list(values), "failures": failures}
-        _emit(args, payload, [str(payload)])
-        return 0 if not failures else 4
-    raise ParseError(f"unknown suite {data['suite']!r} in replay file")
+    _emit(args, payload, [str(payload)])
+    return 0 if not failures else 4
 
 
 # ---------------------------------------------------------------------------
@@ -456,7 +437,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="evaluate the bound catalog, exit 4 on failure")
     common(p, True)
-    p.set_defaults(fn=cmd_verify)
+    p.set_defaults(fn=cmd_bounds)
 
     p = sub.add_parser("exact", help="closed-form block radii checked by the dw bracket")
     common(p, True)

@@ -14,7 +14,7 @@ Under the doubled metric diag(A, A):
   branch point at 1/sqrt(2) (inclusive on the upper branch).
 
 ``semidw exact`` and ``semidw suite`` check both against the certified dw
-bracket of the assembled block (:func:`semidw.radii.dw_radius`).
+bracket of the compressed block ``[[I_r or 0, N_X], [0, 0]]``.
 """
 
 from __future__ import annotations

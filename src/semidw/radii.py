@@ -41,7 +41,7 @@ DEFAULT_SEED = 20220
 #: terms are about 25 ||N||_2^4, so this leaves a factor 4 of headroom
 NORM_MAX = (np.finfo(float).max / 100.0) ** 0.25
 
-_ORACLE_OBJECTIVES = ("dw", "crawford", "numrad")
+_ORACLE_OBJECTIVES = ("dw", "crawford")
 
 
 @dataclass
@@ -86,19 +86,23 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
 
 
 def _estimate(m: Metric, t, method: str, core, *args) -> RadiusEstimate:
-    """Compress ``t`` and run ``core(N, *args) -> (value, c, iterations, residual)``.
+    """:func:`_n_estimate` on the compression of ``t``, with ``c`` lifted to the witness."""
+    est = _n_estimate(compress(m, t), method, core, *args)
+    if m.rank:
+        est.witness = to_ambient(m, est.maximizer)
+    return est
 
-    A rank-zero metric admits no A-unit vectors: the estimate is 0 with a
-    warning. Otherwise ``c`` is phase-fixed and lifted to the ambient witness.
+
+def _n_estimate(n_mat: np.ndarray, method: str, core, *args) -> RadiusEstimate:
+    """Run ``core(N, *args) -> (value, c, iterations, residual)``, ``c`` phase-fixed, no witness.
+
+    A rank-zero metric (N is 0x0) admits no A-unit vectors: the estimate is 0 with a warning.
     """
-    n_mat = compress(m, t)
-    if m.rank == 0:
+    if not n_mat.size:
         return RadiusEstimate(0.0, np.zeros(0, dtype=complex), method, 0, 0.0, None,
                               "metric has rank zero; no A-unit vectors exist")
     value, c, iterations, residual = core(n_mat, *args)
-    c = _fix_phase(c)
-    return RadiusEstimate(float(value), c, method, int(iterations), float(residual),
-                          to_ambient(m, c))
+    return RadiusEstimate(float(value), _fix_phase(c), method, int(iterations), float(residual))
 
 
 def form_values(n_mat: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
@@ -450,7 +454,7 @@ def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
 
 def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
                     seed: int = DEFAULT_SEED) -> RadiusEstimate:
-    """Ground-truth estimator for the dw / crawford / numrad extrema.
+    """Ground-truth estimator for the dw and crawford extrema.
 
     Evaluates the objective on ``samples`` seeded uniform unit vectors
     (deterministic for a given seed), then refines the ten best candidates

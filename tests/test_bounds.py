@@ -1,4 +1,5 @@
 from collections import Counter
+from functools import partial
 
 import numpy as np
 import pytest
@@ -919,9 +920,23 @@ def test_oracle_reference_finite_at_large_norm():
         assert report.overall_pass
 
 
+def _public_evaluators(m):
+    """Public evaluators of both families, each waiting for ``reference`` and ``tol``."""
+    eye = np.eye(m.dim)
+    return [partial(sd.sandwich, m, X_MAT), partial(sd.lower_crawford, m, X_MAT),
+            partial(sd.upper_lambda_theta, m, X_MAT), partial(sd.sum_upper, m, X_MAT, Y_MAT),
+            partial(sd.offdiag_upper, m, X_MAT, Y_MAT),
+            partial(sd.product_sum_upper, m, eye, eye, X_MAT, Y_MAT, 1.0)]
+
+
 def test_reports_reject_nonfinite_reference(monkeypatch, diag12):
     from semidw import bounds
 
+    # sandwich(reference=inf) passed both records
+    for reference in (np.inf, np.nan):
+        for evaluator in _public_evaluators(diag12):
+            with pytest.raises(sd.NonFiniteReference):
+                evaluator(reference=reference)
     monkeypatch.setattr(bounds, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
     with pytest.raises(sd.NonFiniteReference):
         sd.verify_all(diag12, np.array([[1.0, 2.0], [0.5, -1.0]]), seed=1)
@@ -931,13 +946,37 @@ def test_reports_reject_nonfinite_reference(monkeypatch, diag12):
 
 @pytest.mark.parametrize("tol", [np.inf, np.nan, -1.0])
 def test_reports_reject_tol_outside_range(diag12, tol):
-    # an infinite tol passed every record, a nan or negative one failed them all
+    # an infinite tol passed every record, a nan or negative one failed them all;
+    # sandwich(reference=100.0, tol=inf) reported its violated upper bound as satisfied
     from semidw.bounds import pair_report
 
     with pytest.raises(ValueError, match="tol"):
         sd.verify_all(diag12, X_MAT, seed=1, tol=tol)
     with pytest.raises(ValueError, match="tol"):
         pair_report(diag12, X_MAT, Y_MAT, seed=1, tol=tol)
+    for evaluator in _public_evaluators(diag12):
+        for reference in (None, 100.0):
+            with pytest.raises(ValueError, match="tol"):
+                evaluator(reference=reference, tol=tol)
+
+
+def test_records_judged_against_the_bracket():
+    # a lower bound is judged against the upper end, an upper bound against the
+    # lower end, a closed form against both; dw and gap read the lower end
+    from semidw.bounds import _Instance
+
+    inst = _Instance((0.5, 0.6), 0.0)
+
+    def judged(kind, value):
+        rec = inst.record(np.zeros((1, 1)), kind, kind, kind, value)
+        assert rec.reference_dw == 0.5
+        assert rec.gap == (0.5 - value if kind == "lower" else value - 0.5)
+        return rec.satisfied
+
+    assert judged("lower", 0.55) and not judged("lower", 0.61)
+    assert not judged("upper", 0.49) and judged("upper", 0.5)
+    assert judged("exact", 0.55)
+    assert not judged("exact", 0.49) and not judged("exact", 0.61)
 
 
 def test_reports_carry_the_dw_bracket(diag12):

@@ -240,6 +240,24 @@ def test_exact_command(matrix_files, capsys):
     assert all(rec["satisfied"] for rec in payload["records"])
 
 
+def test_exact_assembles_no_block(matrix_files, capsys, monkeypatch):
+    # the closed forms are judged on the compressed blocks [[I_r or 0, N_X], [0, 0]]
+    from semidw import cli, radii, semiop
+
+    def assembled(*args, **kwargs):
+        raise AssertionError("exact assembled a block on the doubled space")
+
+    for module, name in ((semiop, "block2"), (semiop, "double_metric"), (cli, "block2"),
+                         (radii, "dw_radius")):
+        monkeypatch.setattr(module, name, assembled)
+    a_path, t_path = matrix_files
+    code = main(["exact", "--metric", a_path, "--operator", t_path, "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert [rec["satisfied"] for rec in payload["records"]] == [True, True]
+    assert payload["oracle_zero_block"]["value"] == pytest.approx(0.5, abs=1e-12)
+
+
 def test_remark_repro(capsys):
     code = main(["remark-repro", "--samples", "20000", "--format", "json"])
     out = capsys.readouterr().out
@@ -331,6 +349,16 @@ def test_suite_replay_ignores_bounds_samples(tmp_path, capsys):
     code = main(["suite", "--replay", str(replay), "--format", "json"])
     assert code in (0, 4)
     assert json.loads(capsys.readouterr().out)["records"]
+
+
+@pytest.mark.parametrize("text", ["{not json", json.dumps({"suite": "bounds"})])
+def test_suite_replay_malformed_file_exit_2(tmp_path, capsys, text):
+    # a traceback with exit 1 before: JSONDecodeError, and KeyError: 'entropy'
+    replay = tmp_path / "replay.json"
+    replay.write_text(text)
+    assert main(["suite", "--replay", str(replay)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and str(replay) in err
 
 
 def test_verify_text_shows_dw_bracket(matrix_files, capsys):
