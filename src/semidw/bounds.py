@@ -35,7 +35,8 @@ import numpy as np
 from ._optim import (START_ANGLES, golden_max_lockstep, gram_herm, herm_parts, rotated_eig_max,
                      rotated_herm_batch)
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
-from .metric import Metric, as_operator, compress
+from .exact import _0x_core, _closed_estimate, _ix_core
+from .metric import Metric, as_operator, compress, to_ambient
 from .radii import (
     _crawford_core,
     _dw_core,
@@ -44,7 +45,6 @@ from .radii import (
     _seminorm_core,
     _w_core,
     RadiusEstimate,
-    dw_radius,
     form_values,
 )
 
@@ -164,8 +164,9 @@ class _Instance:
         return float(self._run(core, n_mat, *args)[0]) if n_mat.size else 0.0
 
     def dw(self, n_mat: np.ndarray) -> RadiusEstimate:
-        """The dw bracket ``[value, value + residual]`` of ``n_mat``, as :func:`dw_radius`;
-        the memoized w and seminorm outputs of ``n_mat`` are its end lines."""
+        """The dw bracket ``[value, value + residual]`` of ``n_mat``, as
+        :func:`semidw.radii.dw_radius`; the memoized w and seminorm outputs of ``n_mat``
+        are its end lines."""
         ends = (self._run(_w_core, n_mat), self._run(_seminorm_core, n_mat)) if n_mat.size else ()
         return self._run(_n_estimate, n_mat, "dw_shell", _dw_core, extra=ends)
 
@@ -239,11 +240,11 @@ class NormaloidDiagnostic:
 
 def normaloid_equality_check(m: Metric, t, tol: float = 1e-8) -> NormaloidDiagnostic:
     """Check the A-normaloid equality dw = sqrt(w^2 + ||T||^4) <=> w = ||T||."""
-    est = dw_radius(m, t)
     n_mat = compress(m, t)
-    value = _Instance().value
-    w_val = value(_w_core, n_mat)
-    n_val = value(_seminorm_core, n_mat)
+    inst = _Instance()
+    est = inst.dw(n_mat)
+    w_val = inst.value(_w_core, n_mat)
+    n_val = inst.value(_seminorm_core, n_mat)
     upper = _sqrt0(w_val ** 2 + n_val ** 4)
     is_normaloid = abs(w_val - n_val) <= tol * (1.0 + n_val)
     upper_tight = abs(est.value - upper) <= tol * (1.0 + upper)
@@ -263,7 +264,7 @@ def normaloid_equality_check(m: Metric, t, tol: float = 1e-8) -> NormaloidDiagno
         consistent=bool(is_normaloid == upper_tight),
         witness_norm_gap=float(norm_gap),
         witness_radius_gap=float(radius_gap),
-        witness=est.witness,
+        witness=to_ambient(m, est.maximizer) if m.rank else None,
     )
 
 
@@ -753,6 +754,29 @@ def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None) -> 
     Without a ``reference`` the block's own dw is the reference.
     """
     return _offdiag_upper(_Instance(reference, tol), compress(m, x), compress(m, y))
+
+
+def exact_checks(m: Metric, x, tol: float | None = None):
+    """Closed-form dw of [[I,X],[O,O]] and [[O,X],[O,O]], each an "exact" record.
+
+    Compresses X once; both closed forms and the returned ``||X||_A`` read one
+    memoized ``_seminorm_core(N_X)``. Returns ``||X||_A`` and ``(label, closed,
+    bracket, record)`` per block; ``bracket`` is the dw bracket ``[value, value +
+    residual]`` of the compressed block ``[[I_r or 0, N_X], [0, 0]]``.
+    """
+    n_x = compress(m, x)
+    zero = np.zeros_like(n_x)
+    inst = _Instance(tol=tol)
+    norm = inst._run(_seminorm_core, n_x) if n_x.size else None
+    out = []
+    for label, top, core in (("identity", np.eye(m.rank), _ix_core), ("zero", zero, _0x_core)):
+        closed = _closed_estimate(m, n_x, core, norm)
+        blk = _block(top, n_x, zero, zero)
+        bracket = inst.dw(blk)
+        out.append((label, closed, bracket, inst.record(
+            blk, f"{label} block exact", f"{label}-block-exact", "exact", closed.value,
+            {"dw_upper": bracket.value + bracket.residual})))
+    return inst.value(_seminorm_core, n_x), out
 
 
 def _product_sum(inst: _Instance, name: str, anchor: str, n_p, n_q, n_x, n_y, sign: int,

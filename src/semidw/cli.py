@@ -25,12 +25,11 @@ from pathlib import Path
 import numpy as np
 
 from . import bounds as bnd
-from . import exact as exm
 from . import jsonio
 from . import radii as rad
 from . import sampling as smp
 from .errors import ParseError, PreconditionError, PropertyViolation, SemidwError
-from .metric import build_metric, compress
+from .metric import build_metric
 from .semiop import block2, sharp
 
 REMARK_EXPECTED = {
@@ -139,32 +138,11 @@ def cmd_bounds(args) -> int:
     return 0 if report.overall_pass or args.command == "bounds" else 4
 
 
-def _exact_checks(m, x, tol):
-    """Closed-form dw of [[I,X],[O,O]] and [[O,X],[O,O]], each an "exact" record.
-
-    Returns ``(label, closed, bracket, record)`` per block; ``bracket`` is the dw bracket
-    ``[value, value + residual]`` of the compressed block ``[[I_r or 0, N_X], [0, 0]]``.
-    """
-    n_x = compress(m, x)
-    zero = np.zeros_like(n_x)
-    inst = bnd._Instance(tol=tol)
-    out = []
-    for label, top, closed_form in (("identity", np.eye(m.rank), exm.dw_exact_ix),
-                                    ("zero", zero, exm.dw_exact_0x)):
-        closed = closed_form(m, x)
-        blk = bnd._block(top, n_x, zero, zero)
-        bracket = inst.dw(blk)
-        out.append((label, closed, bracket, inst.record(
-            blk, f"{label} block exact", f"{label}-block-exact", "exact", closed.value,
-            {"dw_upper": bracket.value + bracket.residual})))
-    return out
-
-
 def cmd_exact(args) -> int:
     m, x = _load_pair(args)
-    checks = _exact_checks(m, x, args.tol)
+    norm, checks = bnd.exact_checks(m, x, args.tol)
     payload = {f"{label}_block": closed.to_dict() for label, closed, _, _ in checks}
-    lines = [f"||X||_A = {_fmt(rad.op_seminorm(m, x).value)}"]
+    lines = [f"||X||_A = {_fmt(norm)}"]
     for (_, closed, _, _), form in zip(checks, ("[[I,X],[O,O]]", "[[O,X],[O,O]]")):
         lines.append(f"dw of {form} = {_fmt(closed.value)}")
     if m.rank == 0:  # no A-unit vectors, nothing to check
@@ -248,7 +226,7 @@ def _suite_exact_one(seed_entropy, dim: int, target_b: float):
     elif b > 0:
         x = x * (target_b / b)
     values, failures = {}, []
-    for label, closed, bracket, rec in _exact_checks(m, x, None):
+    for label, closed, bracket, rec in bnd.exact_checks(m, x)[1]:
         values[f"{label}_block"] = (closed.value, bracket.value)
         if not rec.satisfied:
             failures.append(f"{label}_block")
@@ -414,7 +392,17 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, needs_input: bool):
+    # name, handler, help, reads --metric/--operator, reads --tol
+    commands = (
+        ("compute", cmd_compute, "compute the five radius functionals", True, False),
+        ("bounds", cmd_bounds, "evaluate the bound catalog (report only)", True, True),
+        ("verify", cmd_bounds, "evaluate the bound catalog, exit 4 on failure", True, True),
+        ("exact", cmd_exact, "closed-form block radii checked by the dw bracket", True, True),
+        ("remark-repro", cmd_remark_repro, "built-in published-value regression", False, False),
+        ("suite", cmd_suite, "randomized property suites", False, False),
+    )
+    for name, fn, help_text, needs_input, judged in commands:
+        p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("--metric", required=True, help="metric JSON file")
             p.add_argument("--operator", required=True, help="operator JSON file")
@@ -422,38 +410,17 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--samples", type=_positive_int, default=None,
                        help="accepted for existing command lines; no command reads it")
-        p.add_argument("--tol", type=_tolerance, default=None,
-                       help="verification tolerance override")
+        if judged:
+            p.add_argument("--tol", type=_tolerance, default=None,
+                           help="verification tolerance override")
         p.add_argument("--format", choices=("text", "json", "csv"), default="text")
         p.add_argument("--out", help="write the report to this path")
-
-    p = sub.add_parser("compute", help="compute the five radius functionals")
-    common(p, True)
-    p.set_defaults(fn=cmd_compute)
-
-    p = sub.add_parser("bounds", help="evaluate the bound catalog (report only)")
-    common(p, True)
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("verify", help="evaluate the bound catalog, exit 4 on failure")
-    common(p, True)
-    p.set_defaults(fn=cmd_bounds)
-
-    p = sub.add_parser("exact", help="closed-form block radii checked by the dw bracket")
-    common(p, True)
-    p.set_defaults(fn=cmd_exact)
-
-    p = sub.add_parser("remark-repro", help="built-in published-value regression")
-    common(p, False)
-    p.set_defaults(fn=cmd_remark_repro)
-
-    p = sub.add_parser("suite", help="randomized property suites")
-    common(p, False)
+        p.set_defaults(fn=fn)
+    p = sub.choices["suite"]
     p.add_argument("--verify-count", type=_count, default=60)
     p.add_argument("--exact-count", type=_count, default=30)
     p.add_argument("--invariance-count", type=_count, default=30)
     p.add_argument("--replay", help="re-run one serialized violation instance")
-    p.set_defaults(fn=cmd_suite)
     return parser
 
 

@@ -13,7 +13,15 @@ Under the doubled metric diag(A, A):
 * ``dw_exact_0x`` -- the block [[O, X], [O, O]]; piecewise in ``b`` with
   branch point at 1/sqrt(2) (inclusive on the upper branch).
 
-``semidw exact`` and ``semidw suite`` check both against the certified dw
+Both depend on X only through ``b`` and a unit vector ``c0`` attaining it,
+the top singular pair of ``N_X = compress(m, X)``. Each has one core on
+``N_X`` (:func:`_ix_core`, :func:`_0x_core`) that returns the value and the
+maximizer in the basis diag(B, B) of diag(A, A): ``(N_X c0, k c0) / rho``,
+``(0, c0)`` above the branch point, ``e_1`` when ``b = 0``. The ambient
+witness lifts each half with :func:`semidw.metric.to_ambient`, so, like
+every radius witness, it has zero null-space component. ``semidw exact`` and
+``semidw suite`` run both cores on one compression and one seminorm
+(:func:`semidw.bounds.exact_checks`) and check them against the certified dw
 bracket of the compressed block ``[[I_r or 0, N_X], [0, 0]]``.
 """
 
@@ -25,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BOutOfRange, NonpositiveB
-from .metric import Metric, as_operator, to_ambient, to_coords
-from .radii import RadiusEstimate, op_seminorm
+from .metric import Metric, compress, to_ambient
+from .radii import RadiusEstimate, _fix_phase, _seminorm_core
 
 _B_ZERO = 1e-12
 
@@ -118,32 +126,54 @@ def _stationary_angle(b: float, theta0: float) -> float:
     return mid
 
 
-def _split_witness(m: Metric, x: np.ndarray, est: RadiusEstimate, k: float):
-    """Ambient block witness (X y0, k y0)/rho and its stacked-basis coordinates.
+def _split_coords(n_x: np.ndarray, b: float, c0: np.ndarray, k: float) -> np.ndarray:
+    """Block coordinates ``(N_X c0, k c0) / rho`` with ``rho = sqrt(b^2 + k^2)`` (``b > 0``)."""
+    return np.concatenate([n_x @ c0, k * c0]) / np.sqrt(b ** 2 + k ** 2)
 
-    ``est`` is ``op_seminorm(m, x)``: ``y0`` is its witness, which maximizes
-    ``||X y||_A`` over A-unit vectors. The coordinates are with respect to
-    the stacked range basis diag(B, B) of diag(A, A). Called after
-    :func:`_degenerate`, so the rank is positive and ``rho >= b > 0``.
+
+def _first_coords(n_x: np.ndarray) -> np.ndarray:
+    """The first block coordinate vector e_1, the maximizer when ``b <= _B_ZERO``."""
+    return np.eye(1, 2 * n_x.shape[0], dtype=complex)[0]
+
+
+def _ix_core(n_x: np.ndarray, b: float, c0: np.ndarray):
+    """dw of [[I, X], [O, O]] and its block coordinates, from ``N_X``, ``b`` and ``c0``."""
+    if b <= _B_ZERO:
+        return np.sqrt(2.0), _first_coords(n_x)
+    theta = _stationary_angle(b, cardano_theta0(b).theta0)
+    return np.sqrt(split_objective(theta, b)), _split_coords(n_x, b, c0, b * np.tan(theta))
+
+
+def _0x_core(n_x: np.ndarray, b: float, c0: np.ndarray):
+    """dw of [[O, X], [O, O]] and its block coordinates, from ``N_X``, ``b`` and ``c0``."""
+    if b <= _B_ZERO:
+        return 0.0, _first_coords(n_x)
+    if b >= 1.0 / np.sqrt(2.0):
+        try:
+            value = b ** 2
+        except OverflowError as exc:
+            raise _out_of_range(b) from exc
+        return value, np.concatenate([np.zeros_like(c0), c0])
+    k = b / np.sqrt(1.0 - 2.0 * b ** 2)
+    return b / (2.0 * np.sqrt(1.0 - b ** 2)), _split_coords(n_x, b, c0, k)
+
+
+def _closed_estimate(m: Metric, n_x: np.ndarray, core, norm=None) -> RadiusEstimate:
+    """The estimate of a closed-form ``core`` on ``N_X = compress(m, X)``.
+
+    ``norm`` is the ``_seminorm_core(N_X)`` output ``(b, c0, ...)``, computed
+    here when None; ``c0`` is phase-fixed like the seminorm's maximizer. The
+    witness lifts each half of the block coordinates with :func:`to_ambient`.
+    A rank-zero metric admits no A-unit vectors: the estimate is 0 with a
+    warning.
     """
-    y0 = est.witness
-    rho = np.sqrt(est.value ** 2 + k ** 2)
-    z = np.concatenate([x @ y0, k * y0]) / rho
-    return z, np.concatenate([to_coords(m, z[: m.dim]), to_coords(m, z[m.dim:])])
-
-
-def _degenerate(m: Metric, b: float, value: float) -> RadiusEstimate | None:
-    """0 on a rank-zero metric; ``value`` at the first top-block coordinate when
-    ``b <= _B_ZERO``; None otherwise."""
     if m.rank == 0:
         return RadiusEstimate(0.0, np.zeros(0, dtype=complex), "exact_svd", 0, 0.0,
                               None, "metric has rank zero; no A-unit vectors exist")
-    if b > _B_ZERO:
-        return None
-    coords = np.zeros(2 * m.rank, dtype=complex)
-    coords[0] = 1.0
-    z = np.concatenate([to_ambient(m, coords[: m.rank]), np.zeros(m.dim, dtype=complex)])
-    return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, z, None)
+    b, c0 = (_seminorm_core(n_x) if norm is None else norm)[:2]
+    value, coords = core(n_x, float(b), _fix_phase(c0))
+    witness = np.concatenate([to_ambient(m, half) for half in np.split(coords, 2)])
+    return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, witness, None)
 
 
 def dw_exact_ix(m: Metric, x) -> RadiusEstimate:
@@ -153,16 +183,7 @@ def dw_exact_ix(m: Metric, x) -> RadiusEstimate:
     ``(cos t0 + b sin t0) sqrt(cos^2 t0 + (cos t0 + b sin t0)^2)`` at the
     stationary angle t0 (:func:`_stationary_angle` from the Cardano root).
     """
-    arr = as_operator(x, m.dim)
-    est_b = op_seminorm(m, arr)
-    b = est_b.value
-    degenerate = _degenerate(m, b, np.sqrt(2.0))
-    if degenerate is not None:
-        return degenerate
-    theta = _stationary_angle(b, cardano_theta0(b).theta0)
-    z, coords = _split_witness(m, arr, est_b, b * np.tan(theta))
-    return RadiusEstimate(float(np.sqrt(split_objective(theta, b))), coords, "exact_svd", 0,
-                          0.0, z, None)
+    return _closed_estimate(m, compress(m, x), _ix_core)
 
 
 def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
@@ -173,21 +194,4 @@ def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
     there). Raises :class:`BOutOfRange` when ``b^2`` overflows (b above
     about 1.3e154).
     """
-    arr = as_operator(x, m.dim)
-    est_b = op_seminorm(m, arr)
-    b = est_b.value
-    degenerate = _degenerate(m, b, 0.0)
-    if degenerate is not None:
-        return degenerate
-    if b >= 1.0 / np.sqrt(2.0):
-        try:
-            value = b ** 2
-        except OverflowError as exc:
-            raise _out_of_range(b) from exc
-        z = np.concatenate([np.zeros(m.dim, dtype=complex), est_b.witness])
-        coords = np.concatenate([np.zeros(m.rank, dtype=complex), to_coords(m, est_b.witness)])
-        return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, z, None)
-    value = b / (2.0 * np.sqrt(1.0 - b ** 2))
-    k = b / np.sqrt(1.0 - 2.0 * b ** 2)
-    z, coords = _split_witness(m, arr, est_b, k)
-    return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, z, None)
+    return _closed_estimate(m, compress(m, x), _0x_core)

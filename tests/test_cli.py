@@ -258,6 +258,35 @@ def test_exact_assembles_no_block(matrix_files, capsys, monkeypatch):
     assert payload["oracle_zero_block"]["value"] == pytest.approx(0.5, abs=1e-12)
 
 
+def test_exact_compresses_once(matrix_files, capsys, monkeypatch):
+    # one compression of X and one SVD of N_X serve both closed forms and the
+    # ||X||_A line (before: 4 compressions, 3 SVDs of N_X)
+    from semidw import bounds, cli, exact, metric, radii
+
+    a_path, t_path = matrix_files
+    compress, seminorm_core = metric.compress, radii._seminorm_core
+    n_x = compress(sd.build_metric(np.diag([1.0, 2.0])), X_MAT)
+    compressions, svds_of_n_x = [], []
+
+    def counted_compress(m, t):
+        compressions.append(t)
+        return compress(m, t)
+
+    def counted_seminorm(n_mat):
+        svds_of_n_x.append(np.array_equal(n_mat, n_x))
+        return seminorm_core(n_mat)
+
+    for module in (metric, radii, exact, bounds, cli):
+        for name, counted in (("compress", counted_compress),
+                              ("_seminorm_core", counted_seminorm)):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
+    assert main(["exact", "--metric", a_path, "--operator", t_path]) == 0
+    assert "||X||_A = 0.707107" in capsys.readouterr().out
+    assert len(compressions) == 1
+    assert sum(svds_of_n_x) == 1
+
+
 def test_remark_repro(capsys):
     code = main(["remark-repro", "--samples", "20000", "--format", "json"])
     out = capsys.readouterr().out
@@ -328,6 +357,16 @@ def test_tol_must_be_finite_nonnegative(matrix_files, tol, capsys):
     a_path, t_path = matrix_files
     with pytest.raises(SystemExit) as exc:
         main(["verify", "--metric", a_path, "--operator", t_path, "--tol", tol])
+    assert exc.value.code == 2
+    assert "--tol" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", [["suite"], ["remark-repro"], ["compute", "--metric", "a",
+                                                                   "--operator", "t"]])
+def test_tol_only_where_read(command, capsys):
+    # compute, remark-repro and suite parsed --tol and never read it
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--tol", "0"])
     assert exc.value.code == 2
     assert "--tol" in capsys.readouterr().err
 

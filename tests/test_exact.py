@@ -161,6 +161,26 @@ def _assert_maximizer_attains(est, blk):
     assert abs(obj - est.value) <= 1e-13 * (1.0 + est.value)
 
 
+def _rank_deficient_instance(target_b):
+    """A seeded rank-2 metric on C^4 and an A-bounded X with ``||X||_A = target_b``."""
+    rng = np.random.default_rng(31)
+    m = random_metric(rng, 4, 2)
+    x = random_bounded_operator(rng, m)
+    return m, x * (target_b / sd.op_seminorm(m, x).value)
+
+
+def _assert_canonical_witness(m, est):
+    """The witness has zero null-space component, lifts each half of ``est.maximizer``
+    and is diag(A, A)-unit."""
+    z = est.witness
+    halves = (z[: m.dim], z[m.dim:])
+    off_range = np.concatenate([half - m.proj @ half for half in halves])
+    assert np.linalg.norm(off_range) <= 1e-14 * np.linalg.norm(z)
+    for half, coords in zip(halves, np.split(est.maximizer, 2)):
+        np.testing.assert_allclose(sd.to_coords(m, half), coords, rtol=0.0, atol=1e-14)
+    assert np.vdot(z, np.kron(np.eye(2), m.a) @ z).real == pytest.approx(1.0, abs=1e-12)
+
+
 def test_ix_witness(diag12):
     est = sd.dw_exact_ix(diag12, X_MAT)
     z = est.witness
@@ -173,6 +193,14 @@ def test_ix_witness(diag12):
     obj = np.sqrt(abs(np.vdot(z, a2 @ tz)) ** 2 + np.vdot(tz, a2 @ tz).real ** 2)
     assert obj == pytest.approx(est.value, abs=1e-8)
     _assert_maximizer_attains(est, blk)
+    # on a rank-deficient metric the witness is canonical at b = 0, below and above
+    # 1/sqrt(2) (before, up to 99% of its norm lay in ker A)
+    for target in (0.0, 0.3, 1.5):
+        m, x = _rank_deficient_instance(target)
+        est = sd.dw_exact_ix(m, x)
+        _assert_canonical_witness(m, est)
+        zero4 = np.zeros((m.dim, m.dim))
+        _assert_maximizer_attains(est, sd.block2(m, np.eye(m.dim), x, zero4, zero4))
 
 
 # ---------------------------------------------------------------------------
@@ -233,6 +261,13 @@ def test_0x_witness(diag12):
     x = 1.5 * X_MAT
     blk = sd.block2(diag12, zero, x, zero, zero)
     _assert_maximizer_attains(sd.dw_exact_0x(diag12, x), blk)
+    # on a rank-deficient metric the witness is canonical on every branch
+    for target in (0.0, 0.3, INV_SQ2, 1.5):
+        m, x = _rank_deficient_instance(target)
+        est = sd.dw_exact_0x(m, x)
+        _assert_canonical_witness(m, est)
+        zero4 = np.zeros((m.dim, m.dim))
+        _assert_maximizer_attains(est, sd.block2(m, zero4, x, zero4, zero4))
 
 
 @pytest.mark.parametrize("seed", range(5))
