@@ -2,8 +2,37 @@
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
+import sys
+
 import numpy as np
-from scipy.linalg.lapack import get_lapack_funcs
+
+
+def _load_flapack():
+    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, without the ``scipy.linalg`` package.
+
+    ``find_spec("scipy")`` locates scipy without running its ``__init__``; the
+    extension is then loaded from ``scipy/linalg`` and registered under its
+    own name, so a later ``import scipy.linalg`` binds this same module (and
+    one loaded by scipy first is taken as it is).
+    """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name]
+    linalg_dir = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
+                              "linalg")
+    finder = importlib.machinery.FileFinder(
+        linalg_dir, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+    spec = finder.find_spec(name)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+_FLAPACK = _load_flapack()
 
 _INVPHI = (np.sqrt(5.0) - 1.0) / 2.0
 
@@ -41,23 +70,25 @@ def golden_max_lockstep(lo: np.ndarray, hi: np.ndarray, f, tol: float) -> np.nda
     return np.where(fc >= fd, fc, fd)
 
 
-#: (LAPACK type code, order) -> the workspace size of a ``ggev`` of that order,
-#: which depends on nothing else
-_GGEV_LWORK: dict[tuple[str, int], int] = {}
+#: (complex?, order) -> the workspace size of a ``zggev`` / ``dggev`` of that
+#: order, which depends on nothing else
+_GGEV_LWORK: dict[tuple[bool, int], int] = {}
 
 
 def pencil_eigvals(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of the pencil ``(A, B)``, bit for bit those of ``scipy.linalg.eigvals(A, B)``.
 
-    One LAPACK ``ggev`` call without eigenvectors (``dggev`` for real pencils).
+    One LAPACK ``ggev`` call without eigenvectors: ``zggev`` of scipy's own f2py
+    extension ``_flapack`` (the wrapper ``scipy.linalg.lapack`` hands out,
+    loaded without the ``scipy.linalg`` package), ``dggev`` for real pencils.
     Its workspace is sized by one ``lwork = -1`` query per order, as scipy
     does on every call: the size sets the blocking, so a smaller one could
     change the result. ``alpha / beta`` is inf where ``beta = 0`` (nan for
     ``0 / 0``, complex nan unless every ``alpha`` is real). Raises
     ``LinAlgError`` when QZ fails.
     """
-    ggev, = get_lapack_funcs(("ggev",), (a_mat, b_mat))
-    key = (ggev.typecode, a_mat.shape[0])
+    key = (np.iscomplexobj(a_mat) or np.iscomplexobj(b_mat), a_mat.shape[0])
+    ggev = _FLAPACK.zggev if key[0] else _FLAPACK.dggev
     if key not in _GGEV_LWORK:
         _GGEV_LWORK[key] = int(ggev(a_mat, b_mat, lwork=-1)[-2][0].real)
     *alpha, beta, _, _, _, info = ggev(a_mat, b_mat, compute_vl=0, compute_vr=0,

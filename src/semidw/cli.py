@@ -392,20 +392,23 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # name, handler, help, reads --metric/--operator, reads --tol
+    # name, handler, help, reads --metric/--operator, reads --operator2, reads --tol
     commands = (
-        ("compute", cmd_compute, "compute the five radius functionals", True, False),
-        ("bounds", cmd_bounds, "evaluate the bound catalog (report only)", True, True),
-        ("verify", cmd_bounds, "evaluate the bound catalog, exit 4 on failure", True, True),
-        ("exact", cmd_exact, "closed-form block radii checked by the dw bracket", True, True),
-        ("remark-repro", cmd_remark_repro, "built-in published-value regression", False, False),
-        ("suite", cmd_suite, "randomized property suites", False, False),
+        ("compute", cmd_compute, "compute the five radius functionals", True, False, False),
+        ("bounds", cmd_bounds, "evaluate the bound catalog (report only)", True, True, True),
+        ("verify", cmd_bounds, "evaluate the bound catalog, exit 4 on failure", True, True, True),
+        ("exact", cmd_exact, "closed-form block radii checked by the dw bracket",
+         True, False, True),
+        ("remark-repro", cmd_remark_repro, "built-in published-value regression",
+         False, False, False),
+        ("suite", cmd_suite, "randomized property suites", False, False, False),
     )
-    for name, fn, help_text, needs_input, judged in commands:
+    for name, fn, help_text, needs_input, paired, judged in commands:
         p = sub.add_parser(name, help=help_text)
         if needs_input:
             p.add_argument("--metric", required=True, help="metric JSON file")
             p.add_argument("--operator", required=True, help="operator JSON file")
+        if paired:
             p.add_argument("--operator2", help="second operator JSON file (pair bounds)")
         p.add_argument("--seed", type=int, default=42)
         p.add_argument("--samples", type=_positive_int, default=None,

@@ -371,6 +371,16 @@ def test_tol_only_where_read(command, capsys):
     assert "--tol" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compute", "exact"])
+def test_operator2_only_where_read(matrix_files, command, capsys):
+    # compute and exact parsed --operator2 and never opened the file
+    a_path, t_path = matrix_files
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--metric", a_path, "--operator", t_path, "--operator2", t_path])
+    assert exc.value.code == 2
+    assert "--operator2" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flag", ["--verify-count", "--exact-count", "--invariance-count"])
 def test_suite_counts_must_be_nonnegative(flag, capsys):
     # --verify-count -2 printed "0/-2 instances pass" and exited 0

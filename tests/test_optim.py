@@ -1,5 +1,10 @@
 """The level-set angle kernel against dense angle grids, and its stack sizes."""
 
+import os
+import subprocess
+import sys
+import types
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -119,22 +124,32 @@ def test_pencil_flat_has_no_finite_unimodular_eigenvalue():
 
 
 def test_pencil_failure_raises(monkeypatch):
-    def failing(names, arrays, _get=_optim.get_lapack_funcs):
-        (ggev,) = _get(names, arrays)
+    flapack = _optim._FLAPACK
 
+    def failing(ggev):
         def broken(*args, **kw):
             *out, info = ggev(*args, **kw)
             return (*out, info if kw.get("lwork") == -1 else 1)
 
-        broken.typecode = ggev.typecode
-        return (broken,)
+        return broken
 
-    monkeypatch.setattr(_optim, "get_lapack_funcs", failing)
+    monkeypatch.setattr(_optim, "_FLAPACK", types.SimpleNamespace(
+        zggev=failing(flapack.zggev), dggev=failing(flapack.dggev)))
     n_mat = np.random.default_rng(1).standard_normal((3, 3)) + 0j
     with pytest.raises(np.linalg.LinAlgError):
         pencil_eigvals(*_pencil(n_mat, 1.0))
     with pytest.raises(np.linalg.LinAlgError):
         rotated_eig_max(n_mat, -1)
+
+
+@pytest.mark.parametrize("first", ["semidw", "scipy.linalg"])
+def test_flapack_is_scipys_own_extension(first):
+    # one copy of the extension, whichever of the two packages is imported first
+    second = "scipy.linalg" if first == "semidw" else "semidw"
+    probe = (f"import {first}, {second}, scipy.linalg.lapack, semidw._optim\n"
+             "assert semidw._optim._FLAPACK is scipy.linalg.lapack._flapack")
+    subprocess.run([sys.executable, "-c", probe], timeout=120, check=True,
+                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 def _golden_cases():

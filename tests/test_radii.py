@@ -306,7 +306,8 @@ def test_sphere_samples_uniform_moment(r):
     np.testing.assert_allclose(mean_sq, 1.0 / r, rtol=0, atol=0.02)
 
 
-_SLOW_IMPORTS = ("scipy.optimize", "scipy.stats", "scipy.special")
+#: the level-set kernel loads scipy's LAPACK extension alone, never the scipy.linalg package
+_SLOW_IMPORTS = ("scipy.linalg", "scipy.optimize", "scipy.stats", "scipy.special")
 
 
 def _loaded_after(code: str) -> list[str]:
