@@ -8,9 +8,10 @@ whole single-operator catalog and assembles a :class:`VerificationReport`.
 
 Each bound is a formula over radii-core values of products of compressed
 matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
-*-homomorphism, see :mod:`semidw.metric`), read from one :class:`_Instance`
-that computes each value once. A public evaluator compresses its operands
-and runs its body on a fresh instance; a report runs every body on one memo.
+*-homomorphism, see :mod:`semidw.metric`), read from the memo of one
+:class:`_Instance` (:class:`semidw.radii._Memo`), which computes each value once
+and builds every estimate. A public evaluator compresses its operands and runs
+its body on a fresh instance; a report runs every body on one memo.
 
 Angle suprema of one eigenvalue (``w``, ``c``, the theta-sweep bound and the
 ``w(N - lambda I)`` of a lambda-complex member) come from the level-set kernel
@@ -36,17 +37,9 @@ from ._optim import (START_ANGLES, golden_max_lockstep, gram_herm, herm_parts, r
                      rotated_herm_batch)
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _closed_estimate, _ix_core
-from .metric import Metric, as_operator, compress, to_ambient
-from .radii import (
-    _crawford_core,
-    _dw_core,
-    _min_modulus_core,
-    _n_estimate,
-    _seminorm_core,
-    _w_core,
-    RadiusEstimate,
-    form_values,
-)
+from .metric import Metric, as_operator, compress
+from .radii import (_crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_core, _w_core,
+                    form_values)
 
 LAMBDA_GRID_POINTS = 41
 #: angle grid of the lambda-real members (even: a grid angle plus pi is one too)
@@ -128,19 +121,18 @@ def _tol_for(ref: float, tol: float | None) -> float:
 
 @dataclass
 class _Instance:
-    """The memo, dw bracket and tolerance of one report or public evaluator.
+    """The dw bracket and tolerance of one report or public evaluator, on one core memo.
 
-    ``memo`` maps ``(core, shape, bytes, args)`` to the core's output. A record's
-    bracket is ``reference`` (a float is ``(ref, ref)``), else the dw bracket of the
-    compressed operator it bounds; its tolerance is ``tol``, else ``1e-6 (1 + lower
-    end)``. A non-finite end (:class:`NonFiniteReference`) or a ``tol`` outside
-    [0, inf) (``ValueError``), which would pass or fail every record vacuously, is
-    rejected here.
+    A record's bracket is ``reference`` (a float is ``(ref, ref)``), else the dw
+    bracket of the compressed operator it bounds, from ``memo``; its tolerance is
+    ``tol``, else ``1e-6 (1 + lower end)``. A non-finite end (:class:`NonFiniteReference`)
+    or a ``tol`` outside [0, inf) (``ValueError``), which would pass or fail every
+    record vacuously, is rejected here.
     """
 
     reference: tuple[float, float] | float | None = None
     tol: float | None = None
-    memo: dict = field(default_factory=dict)
+    memo: _Memo = field(default_factory=_Memo)
 
     def __post_init__(self):
         if self.tol is not None and not 0.0 <= self.tol < np.inf:
@@ -152,24 +144,6 @@ class _Instance:
                     f"the dw bracket is [{lower}, {upper}]; no record can be judged")
             self.tol = _tol_for(lower, self.tol)
 
-    def _run(self, core, n_mat: np.ndarray, *args, extra=()):
-        """``core(n_mat, *args, *extra)``, computed once per ``(core, n_mat, args)``."""
-        key = (core, n_mat.shape, n_mat.tobytes(), args)
-        if key not in self.memo:
-            self.memo[key] = core(n_mat, *args, *extra)
-        return self.memo[key]
-
-    def value(self, core, n_mat: np.ndarray, *args) -> float:
-        """Value of a radii core on a compressed matrix; 0 on a rank-zero metric."""
-        return float(self._run(core, n_mat, *args)[0]) if n_mat.size else 0.0
-
-    def dw(self, n_mat: np.ndarray) -> RadiusEstimate:
-        """The dw bracket ``[value, value + residual]`` of ``n_mat``, as
-        :func:`semidw.radii.dw_radius`; the memoized w and seminorm outputs of ``n_mat``
-        are its end lines."""
-        ends = (self._run(_w_core, n_mat), self._run(_seminorm_core, n_mat)) if n_mat.size else ()
-        return self._run(_n_estimate, n_mat, "dw_shell", _dw_core, extra=ends)
-
     def record(self, bounded: np.ndarray, name: str, anchor: str, kind: str, value: float,
                params: dict | None = None) -> BoundRecord:
         """A "lower", "upper" or "exact" bound on dw of the compressed operator ``bounded``.
@@ -179,7 +153,7 @@ class _Instance:
         an exact value iff both do. ``reference_dw`` and ``gap`` read the lower end.
         """
         if self.reference is None:
-            est = self.dw(bounded)
+            est = self.memo.dw(bounded)
             lower, upper = est.value, est.value + est.residual
         else:
             lower, upper = self.reference
@@ -201,8 +175,8 @@ def _sqrt0(x: float) -> float:
 
 
 def _sandwich(inst: _Instance, n_mat: np.ndarray):
-    w_val = inst.value(_w_core, n_mat)
-    n_val = inst.value(_seminorm_core, n_mat)
+    w_val = inst.memo.value(_w_core, n_mat)
+    n_val = inst.memo.value(_seminorm_core, n_mat)
     params = {"w": w_val, "norm": n_val}
     return (inst.record(n_mat, "sandwich lower", "sandwich-lower", "lower",
                         max(w_val, n_val ** 2), params),
@@ -241,10 +215,10 @@ class NormaloidDiagnostic:
 def normaloid_equality_check(m: Metric, t, tol: float = 1e-8) -> NormaloidDiagnostic:
     """Check the A-normaloid equality dw = sqrt(w^2 + ||T||^4) <=> w = ||T||."""
     n_mat = compress(m, t)
-    inst = _Instance()
-    est = inst.dw(n_mat)
-    w_val = inst.value(_w_core, n_mat)
-    n_val = inst.value(_seminorm_core, n_mat)
+    memo = _Memo()
+    est = _lift(m, memo.dw(n_mat))
+    w_val = memo.value(_w_core, n_mat)
+    n_val = memo.value(_seminorm_core, n_mat)
     upper = _sqrt0(w_val ** 2 + n_val ** 4)
     is_normaloid = abs(w_val - n_val) <= tol * (1.0 + n_val)
     upper_tight = abs(est.value - upper) <= tol * (1.0 + upper)
@@ -264,7 +238,7 @@ def normaloid_equality_check(m: Metric, t, tol: float = 1e-8) -> NormaloidDiagno
         consistent=bool(is_normaloid == upper_tight),
         witness_norm_gap=float(norm_gap),
         witness_radius_gap=float(radius_gap),
-        witness=to_ambient(m, est.maximizer) if m.rank else None,
+        witness=est.witness,
     )
 
 
@@ -286,9 +260,9 @@ def zero_equality_check(m: Metric, t, tol: float = 1e-8) -> ZeroEqualityDiagnost
     at_norm = float(np.linalg.norm(m.a @ arr))
     scale = 1.0 + float(np.linalg.norm(m.a)) * float(np.linalg.norm(arr))
     n_mat = compress(m, arr)
-    inst = _Instance()
-    dw_val = inst.dw(n_mat).value
-    w_val = inst.value(_w_core, n_mat)
+    memo = _Memo()
+    dw_val = memo.dw(n_mat).value
+    w_val = memo.value(_w_core, n_mat)
     product_zero = at_norm <= tol * scale
     radii_equal = abs(dw_val - w_val) <= tol * (1.0 + dw_val)
     return ZeroEqualityDiagnostic(
@@ -320,9 +294,9 @@ def norm_sq_equality_check(m: Metric, t, tol: float = 1e-8) -> NormSqDiagnostic:
     applicable) when the equality hypothesis fails.
     """
     n_mat = compress(m, t)
-    inst = _Instance()
-    dw_val = inst.dw(n_mat).value
-    n_val = inst.value(_seminorm_core, n_mat)
+    memo = _Memo()
+    dw_val = memo.dw(n_mat).value
+    n_val = memo.value(_seminorm_core, n_mat)
     applicable = abs(dw_val - n_val ** 2) <= max(tol, 1e-6) * (1.0 + dw_val)
     if not applicable or m.rank == 0:
         return NormSqDiagnostic(bool(applicable and m.rank > 0), dw_val, n_val, np.nan,
@@ -341,12 +315,12 @@ def norm_sq_equality_check(m: Metric, t, tol: float = 1e-8) -> NormSqDiagnostic:
 
 
 def _lower_crawford(inst: _Instance, n_mat: np.ndarray):
-    w_val = inst.value(_w_core, n_mat)
-    n_val = inst.value(_seminorm_core, n_mat)
-    c_t = inst.value(_crawford_core, n_mat)
+    w_val = inst.memo.value(_w_core, n_mat)
+    n_val = inst.memo.value(_seminorm_core, n_mat)
+    c_t = inst.memo.value(_crawford_core, n_mat)
     # |T|^2_A compresses to the PSD G = N*N: W(G) = [lambda_min, lambda_max], so
     # c(|T|^2_A) = lambda_min(G) = m_A(T)^2
-    c_abs = inst.value(_min_modulus_core, n_mat) ** 2
+    c_abs = inst.memo.value(_min_modulus_core, n_mat) ** 2
     params = {"w": w_val, "norm": n_val, "crawford": c_t, "crawford_abs_sq": c_abs}
     squares = (
         ("crawford radius lower", "lower-crawford-radius", w_val ** 2 + c_abs ** 2),
@@ -376,8 +350,8 @@ def _upper_theta_sweep(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     if not n_mat.size:
         return inst.record(n_mat, "theta sweep upper", "theta-sweep-upper", "upper", 0.0)
     _, sup_w, evals = rotated_eig_max(n_mat, -1, gram_herm(n_mat))
-    c_val = inst.value(_crawford_core, n_mat)
-    m_val = inst.value(_min_modulus_core, n_mat)
+    c_val = inst.memo.value(_crawford_core, n_mat)
+    m_val = inst.memo.value(_min_modulus_core, n_mat)
     value = _sqrt0(sup_w ** 2 - 2.0 * c_val * m_val ** 2)
     return inst.record(n_mat, "theta sweep upper", "theta-sweep-upper", "upper", value,
                        {"grid": START_ANGLES, "evals": int(evals), "sup_w": float(sup_w),
@@ -402,9 +376,9 @@ def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None) ->
 
 def _cartesian_half(inst: _Instance, n_mat: np.ndarray):
     gram = gram_herm(n_mat)
-    w_plus = inst.value(_w_core, n_mat + gram)
-    w_minus = inst.value(_w_core, n_mat - gram)
-    c_minus = inst.value(_crawford_core, n_mat - gram)
+    w_plus = inst.memo.value(_w_core, n_mat + gram)
+    w_minus = inst.memo.value(_w_core, n_mat - gram)
+    c_minus = inst.memo.value(_crawford_core, n_mat - gram)
     params = {"w_plus": w_plus, "w_minus": w_minus, "crawford_minus": c_minus}
     return (inst.record(n_mat, "cartesian lower", "cartesian-lower", "lower",
                         _sqrt0(0.5 * (w_plus ** 2 + c_minus ** 2)), params),
@@ -428,9 +402,9 @@ def cartesian_half(m: Metric, t, reference=None,
 
 def _upper_buzano(inst: _Instance, n_mat: np.ndarray):
     gram = gram_herm(n_mat)
-    val_i = _sqrt0(inst.value(_seminorm_core, gram + gram @ gram))
-    w_sq = inst.value(_w_core, n_mat @ n_mat)
-    n_val = inst.value(_seminorm_core, n_mat)
+    val_i = _sqrt0(inst.memo.value(_seminorm_core, gram + gram @ gram))
+    w_sq = inst.memo.value(_w_core, n_mat @ n_mat)
+    n_val = inst.memo.value(_seminorm_core, n_mat)
     val_ii = _sqrt0(0.5 * (w_sq + n_val ** 2) + n_val ** 4)
     params = {"w_square": w_sq, "norm": n_val}
     return (inst.record(n_mat, "buzano modulus upper", "buzano-modulus-upper", "upper", val_i,
@@ -451,13 +425,13 @@ def upper_buzano(m: Metric, t, reference=None,
 
 def _upper_triple(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     gram = gram_herm(n_mat)
-    core = 3.0 * inst.value(_seminorm_core, gram + gram @ gram)
+    core = 3.0 * inst.memo.value(_seminorm_core, gram + gram @ gram)
     sub = 0.0
     parts = {}
     # c and m do not change under M -> -M: the minus term G - N reads N - G
     for label, op in (("plus", n_mat + gram), ("minus", n_mat - gram)):
-        c_val = inst.value(_crawford_core, op)
-        m_val = inst.value(_min_modulus_core, op)
+        c_val = inst.memo.value(_crawford_core, op)
+        m_val = inst.memo.value(_min_modulus_core, op)
         sub += c_val * m_val
         parts[f"crawford_{label}"] = c_val
         parts[f"modulus_{label}"] = m_val
@@ -527,7 +501,7 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) ->
         return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", 0.0)
     gram = gram_herm(n_mat)
     h_mat, j_mat = herm_parts(n_mat)
-    n_val = inst.value(_seminorm_core, n_mat)
+    n_val = inst.memo.value(_seminorm_core, n_mat)
     if lambda_grid is None:
         span = 2.0 * n_val ** 2
         lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
@@ -627,7 +601,7 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
         return inst.record(n_mat, "lambda complex upper", "lambda-complex-upper", "upper", 0.0)
     gram = gram_herm(n_mat)
     h_mat, j_mat = herm_parts(n_mat)
-    w_val = inst.value(_w_core, n_mat)
+    w_val = inst.memo.value(_w_core, n_mat)
     if lambda_grid is None:
         lams = [0.0 + 0.0j]
         if w_val > 0.0:
@@ -656,7 +630,7 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
         (i,) = chunk
         lam = complex(lambda_grid[i])
         shifted = n_mat if lam == 0.0 else n_mat - lam * np.eye(n_mat.shape[0])
-        return [float(fixed_terms[i] + inst.value(_w_core, shifted) ** 2)]
+        return [float(fixed_terms[i] + inst.memo.value(_w_core, shifted) ** 2)]
 
     best, best_i, lambda0_member = _pruned_min(lambda_grid, members_low, refined_member)
     best_lam = complex(lambda_grid[best_i])
@@ -693,14 +667,14 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
 def _sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray):
     n_sum = n_x + n_y
     cross = n_x.conj().T @ n_y + n_y.conj().T @ n_x
-    w_cross = inst.value(_w_core, cross)
-    dw_x, dw_y = inst.dw(n_x).value, inst.dw(n_y).value
+    w_cross = inst.memo.value(_w_core, cross)
+    dw_x, dw_y = inst.memo.dw(n_x).value, inst.memo.dw(n_y).value
     params = {"dw_x": dw_x, "dw_y": dw_y, "w_cross": w_cross}
     primary = inst.record(n_sum, "sum split upper", "sum-split-upper", "upper",
                           dw_x + dw_y + w_cross, params)
-    cross_scale = 1.0 + inst.value(_seminorm_core, n_x) * inst.value(_seminorm_core, n_y)
+    cross_scale = 1.0 + inst.memo.value(_seminorm_core, n_x) * inst.memo.value(_seminorm_core, n_y)
     special = None
-    if inst.value(_seminorm_core, cross) <= ORTHOGONAL_TOL * cross_scale:
+    if inst.memo.value(_seminorm_core, cross) <= ORTHOGONAL_TOL * cross_scale:
         special = inst.record(n_sum, "sum split upper (orthogonal)",
                               "sum-split-upper-orthogonal", "upper", dw_x + dw_y, params)
     return primary, special
@@ -718,7 +692,7 @@ def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None):
 
 
 def _feki_sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundRecord:
-    s = inst.dw(n_x).value + inst.dw(n_y).value
+    s = inst.memo.dw(n_x).value + inst.memo.dw(n_y).value
     return inst.record(n_x + n_y, "feki sum upper", "feki-sum-upper", "upper",
                        _sqrt0(2.0 * s + 4.0 * s ** 2), {"dw_sum": s})
 
@@ -740,8 +714,8 @@ def _offdiag(n_x: np.ndarray, n_y: np.ndarray) -> np.ndarray:
 
 
 def _offdiag_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundRecord:
-    bx = inst.value(_seminorm_core, n_x)
-    by = inst.value(_seminorm_core, n_y)
+    bx = inst.memo.value(_seminorm_core, n_x)
+    by = inst.memo.value(_seminorm_core, n_y)
     value = _sqrt0(bx ** 2 / 4.0 + bx ** 4) + _sqrt0(by ** 2 / 4.0 + by ** 4)
     return inst.record(_offdiag(n_x, n_y), "offdiag block upper", "offdiag-block-upper",
                        "upper", value, {"norm_x": bx, "norm_y": by})
@@ -767,16 +741,15 @@ def exact_checks(m: Metric, x, tol: float | None = None):
     n_x = compress(m, x)
     zero = np.zeros_like(n_x)
     inst = _Instance(tol=tol)
-    norm = inst._run(_seminorm_core, n_x) if n_x.size else None
     out = []
     for label, top, core in (("identity", np.eye(m.rank), _ix_core), ("zero", zero, _0x_core)):
-        closed = _closed_estimate(m, n_x, core, norm)
+        closed = _closed_estimate(m, inst.memo, n_x, core)
         blk = _block(top, n_x, zero, zero)
-        bracket = inst.dw(blk)
+        bracket = inst.memo.dw(blk)
         out.append((label, closed, bracket, inst.record(
             blk, f"{label} block exact", f"{label}-block-exact", "exact", closed.value,
             {"dw_upper": bracket.value + bracket.residual})))
-    return inst.value(_seminorm_core, n_x), out
+    return inst.memo.value(_seminorm_core, n_x), out
 
 
 def _product_sum(inst: _Instance, name: str, anchor: str, n_p, n_q, n_x, n_y, sign: int,
@@ -788,10 +761,10 @@ def _product_sum(inst: _Instance, name: str, anchor: str, n_p, n_q, n_x, n_y, si
     four norms, with ``value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2
     ((t^2||PX||^2 + ||QY||^2/t^2)^2 + alpha^2)``.
     """
-    norms = tuple(inst.value(_seminorm_core, op) for op in (n_p, n_q, n_p @ n_x, n_q @ n_y))
+    norms = tuple(inst.memo.value(_seminorm_core, op) for op in (n_p, n_q, n_p @ n_x, n_q @ n_y))
     t = float(pick_t(*norms))
     sgn = 1 if sign >= 0 else -1
-    alpha = inst.value(_w_core, _offdiag(n_x, n_y))
+    alpha = inst.memo.value(_w_core, _offdiag(n_x, n_y))
     norm_p, norm_q, norm_px, norm_qy = norms
     t2 = t ** 2
     f1 = t2 * norm_p ** 2 + norm_q ** 2 / t2
@@ -873,9 +846,9 @@ def _report_instance(n_mat: np.ndarray, operands, tol: float | None) -> _Instanc
     first, then the dws of ``n_mat`` and the operands: their ``NormOutOfRange`` precedes
     every record."""
     inst = _Instance(tol=tol)
-    est = inst.dw(n_mat)
+    est = inst.memo.dw(n_mat)
     for op in operands:
-        inst.dw(op)
+        inst.memo.dw(op)
     return replace(inst, reference=(est.value, est.value + est.residual))
 
 

@@ -17,12 +17,12 @@ Both depend on X only through ``b`` and a unit vector ``c0`` attaining it,
 the top singular pair of ``N_X = compress(m, X)``. Each has one core on
 ``N_X`` (:func:`_ix_core`, :func:`_0x_core`) that returns the value and the
 maximizer in the basis diag(B, B) of diag(A, A): ``(N_X c0, k c0) / rho``,
-``(0, c0)`` above the branch point, ``e_1`` when ``b = 0``. The ambient
-witness lifts each half with :func:`semidw.metric.to_ambient`, so, like
-every radius witness, it has zero null-space component. ``semidw exact`` and
-``semidw suite`` run both cores on one compression and one seminorm
-(:func:`semidw.bounds.exact_checks`) and check them against the certified dw
-bracket of the compressed block ``[[I_r or 0, N_X], [0, 0]]``.
+``(0, c0)`` above the branch point, ``e_1`` when ``b = 0``; the memo turns it
+into an estimate and :func:`semidw.radii._lift` lifts each half, so, like every
+radius witness, it has zero null-space component. ``semidw exact`` and ``semidw
+suite`` run both cores on one memo (:func:`semidw.bounds.exact_checks`) and
+check them against the certified dw bracket of the compressed block
+``[[I_r or 0, N_X], [0, 0]]``.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BOutOfRange, NonpositiveB
-from .metric import Metric, compress, to_ambient
-from .radii import RadiusEstimate, _fix_phase, _seminorm_core
+from .metric import Metric, compress
+from .radii import RadiusEstimate, _lift, _Memo, _seminorm_core
 
 _B_ZERO = 1e-12
 
@@ -158,22 +158,10 @@ def _0x_core(n_x: np.ndarray, b: float, c0: np.ndarray):
     return b / (2.0 * np.sqrt(1.0 - b ** 2)), _split_coords(n_x, b, c0, k)
 
 
-def _closed_estimate(m: Metric, n_x: np.ndarray, core, norm=None) -> RadiusEstimate:
-    """The estimate of a closed-form ``core`` on ``N_X = compress(m, X)``.
-
-    ``norm`` is the ``_seminorm_core(N_X)`` output ``(b, c0, ...)``, computed
-    here when None; ``c0`` is phase-fixed like the seminorm's maximizer. The
-    witness lifts each half of the block coordinates with :func:`to_ambient`.
-    A rank-zero metric admits no A-unit vectors: the estimate is 0 with a
-    warning.
-    """
-    if m.rank == 0:
-        return RadiusEstimate(0.0, np.zeros(0, dtype=complex), "exact_svd", 0, 0.0,
-                              None, "metric has rank zero; no A-unit vectors exist")
-    b, c0 = (_seminorm_core(n_x) if norm is None else norm)[:2]
-    value, coords = core(n_x, float(b), _fix_phase(c0))
-    witness = np.concatenate([to_ambient(m, half) for half in np.split(coords, 2)])
-    return RadiusEstimate(float(value), coords, "exact_svd", 0, 0.0, witness, None)
+def _closed_estimate(m: Metric, memo: _Memo, n_x: np.ndarray, core) -> RadiusEstimate:
+    """The estimate of a closed-form ``core`` on ``N_X = compress(m, X)``, with its witness;
+    ``b`` and ``c0`` are the memoized seminorm of ``N_X`` (:meth:`semidw.radii._Memo.estimate`)."""
+    return _lift(m, memo.estimate(_seminorm_core, n_x, "exact_svd", core))
 
 
 def dw_exact_ix(m: Metric, x) -> RadiusEstimate:
@@ -183,7 +171,7 @@ def dw_exact_ix(m: Metric, x) -> RadiusEstimate:
     ``(cos t0 + b sin t0) sqrt(cos^2 t0 + (cos t0 + b sin t0)^2)`` at the
     stationary angle t0 (:func:`_stationary_angle` from the Cardano root).
     """
-    return _closed_estimate(m, compress(m, x), _ix_core)
+    return _closed_estimate(m, _Memo(), compress(m, x), _ix_core)
 
 
 def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
@@ -194,4 +182,4 @@ def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
     there). Raises :class:`BOutOfRange` when ``b^2`` overflows (b above
     about 1.3e154).
     """
-    return _closed_estimate(m, compress(m, x), _0x_core)
+    return _closed_estimate(m, _Memo(), compress(m, x), _0x_core)

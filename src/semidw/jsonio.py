@@ -63,12 +63,11 @@ def matrix_from_dict(data: dict) -> np.ndarray:
 
 
 def load_matrix(source) -> np.ndarray:
-    """Load a matrix from a path, JSON string, or already-decoded dict."""
+    """Load a matrix from a path or an already-decoded dict."""
     if isinstance(source, dict):
         return matrix_from_dict(source)
-    text = Path(source).read_text() if not str(source).lstrip().startswith("{") else str(source)
     try:
-        data = json.loads(text)
+        data = json.loads(Path(source).read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return matrix_from_dict(data)

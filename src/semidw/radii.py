@@ -12,10 +12,10 @@ compressed matrix ``N`` from :func:`semidw.metric.compress`:
 
 Each functional has one private core that maps ``N`` to ``(value, c,
 iterations, residual)``; the bound evaluators apply the same cores to
-products of compressed matrices. Each public function is :func:`_estimate`
-around its core and returns a :class:`RadiusEstimate` carrying the optimal
-value, the unit coordinate vector attaining it, and convergence metadata.
-Ambient witnesses are reported with zero null-space component
+products of compressed matrices. Every caller reads them through a
+:class:`_Memo`, whose :class:`RadiusEstimate` carries the optimal value, the
+unit coordinate vector attaining it, and convergence metadata. :func:`_lift`
+adds the ambient witness, with zero null-space component
 (``x = (A^{1/2})^+ B c``); adding any null-space vector changes no
 A-quantity, so the witness is canonical only up to that coset.
 
@@ -28,7 +28,7 @@ loads ``scipy.optimize``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,24 +85,61 @@ def _fix_phase(c: np.ndarray) -> np.ndarray:
     return c
 
 
-def _estimate(m: Metric, t, method: str, core, *args) -> RadiusEstimate:
-    """:func:`_n_estimate` on the compression of ``t``, with ``c`` lifted to the witness."""
-    est = _n_estimate(compress(m, t), method, core, *args)
+def _lift(m: Metric, est: RadiusEstimate) -> RadiusEstimate:
+    """``est`` with its witness, :func:`to_ambient` of each rank-r block of the maximizer."""
     if m.rank:
-        est.witness = to_ambient(m, est.maximizer)
+        est.witness = np.concatenate([to_ambient(m, c) for c in est.maximizer.reshape(-1, m.rank)])
     return est
 
 
-def _n_estimate(n_mat: np.ndarray, method: str, core, *args) -> RadiusEstimate:
-    """Run ``core(N, *args) -> (value, c, iterations, residual)``, ``c`` phase-fixed, no witness.
+def _estimate(m: Metric, t, method: str, core) -> RadiusEstimate:
+    """The estimate of ``core`` on the compression of ``t``, with its witness."""
+    return _lift(m, _Memo().estimate(core, compress(m, t), method))
 
-    A rank-zero metric (N is 0x0) admits no A-unit vectors: the estimate is 0 with a warning.
+
+@dataclass
+class _Memo:
+    """The raw core outputs of one instance, each computed once per ``(core, N)``.
+
+    :meth:`run` alone hands :func:`_dw_core` its end lines, the raw ``_w_core`` and
+    ``_seminorm_core`` outputs of N (phase-fixed vectors move the bracket by rounding);
+    :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
     """
-    if not n_mat.size:
-        return RadiusEstimate(0.0, np.zeros(0, dtype=complex), method, 0, 0.0, None,
-                              "metric has rank zero; no A-unit vectors exist")
-    value, c, iterations, residual = core(n_mat, *args)
-    return RadiusEstimate(float(value), _fix_phase(c), method, int(iterations), float(residual))
+
+    raw: dict = field(default_factory=dict)
+
+    def run(self, core, n_mat: np.ndarray):
+        """The raw output of ``core`` on ``n_mat``, computed on the first call."""
+        key = (core, n_mat.shape, n_mat.tobytes())
+        if key not in self.raw:
+            ends = ((self.run(_w_core, n_mat), self.run(_seminorm_core, n_mat))
+                    if core is _dw_core else ())
+            self.raw[key] = core(n_mat, *ends)
+        return self.raw[key]
+
+    def value(self, core, n_mat: np.ndarray) -> float:
+        """Value of a core on a compressed matrix; 0 on a rank-zero metric."""
+        return float(self.run(core, n_mat)[0]) if n_mat.size else 0.0
+
+    def estimate(self, core, n_mat: np.ndarray, method: str, closed=None) -> RadiusEstimate:
+        """The raw output of ``core`` on ``n_mat`` as an estimate, ``c`` phase-fixed, no witness.
+
+        With ``closed``, that of the closed block form ``closed(N, value, c) -> (value, block
+        coordinates)`` at ``core``'s value and ``c``, with no iterations. A rank-zero metric
+        (N is 0x0) admits no A-unit vectors: the estimate is 0 with a warning.
+        """
+        if not n_mat.size:
+            return RadiusEstimate(0.0, np.zeros(0, dtype=complex), method, 0, 0.0, None,
+                                  "metric has rank zero; no A-unit vectors exist")
+        value, c, iterations, residual = self.run(core, n_mat)
+        value, c = float(value), _fix_phase(c)
+        if closed is not None:
+            (value, c), iterations, residual = closed(n_mat, value, c), 0, 0.0
+        return RadiusEstimate(float(value), c, method, int(iterations), float(residual))
+
+    def dw(self, n_mat: np.ndarray) -> RadiusEstimate:
+        """The dw bracket ``[value, value + residual]`` of ``n_mat``, as :func:`dw_radius`."""
+        return self.estimate(_dw_core, n_mat, "dw_shell")
 
 
 def form_values(n_mat: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
@@ -304,7 +341,7 @@ DW_MAX_DIRECTIONS = 64
 DW_PAD_ULPS = 16
 
 
-def _dw_core(n_mat: np.ndarray, w=None, norm=None):
+def _dw_core(n_mat: np.ndarray, w, norm):
     """Bracket ``[lower, upper]`` of ``dw(N) = max |p|`` over ``S = {(|c* N c|, c* G c)}``.
 
     ``G = N*N``, c unit. S lies in the positive quadrant, so dw is the farthest
@@ -312,8 +349,8 @@ def _dw_core(n_mat: np.ndarray, w=None, norm=None):
     sin alpha)``, alpha in [0, pi/2], is one level-set kernel call,
     ``max_theta lambda_max(cos alpha Re(e^{i theta} N) + sin alpha G)``
     (Davis-Wielandt shell: Li-Poon-Sze, Oper. Matrices 2 (2008)); at the ends
-    it is ``w(N)`` and ``||N||_2^2``, read from the ``_w_core`` and
-    ``_seminorm_core`` outputs ``w`` and ``norm``. Inner and outer polygons
+    it is ``w(N)`` and ``||N||_2^2``, the raw ``_w_core`` and ``_seminorm_core``
+    outputs ``w`` and ``norm`` (:meth:`_Memo.run`). Inner and outer polygons
     (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)): the lower end is the
     largest ``|p|`` over the support points, each the point of a top
     eigenvector (the witness); the upper end is the farthest vertex of the
@@ -328,13 +365,11 @@ def _dw_core(n_mat: np.ndarray, w=None, norm=None):
     slowly and the cap leaves a width near 2e-7 dw. Returns ``(lower, c, kernel
     calls, upper - lower)``; raises :class:`NormOutOfRange` above ``NORM_MAX``.
     """
-    norm = _seminorm_core(n_mat) if norm is None else norm
     if not norm[0] <= NORM_MAX:
         raise NormOutOfRange(f"||T||_A = {norm[0]:.3g} is above {NORM_MAX:.3g}, where dw_A "
                              "and its bounds leave the floating-point range")
     if norm[0] == 0.0:
         return 0.0, norm[1], 0, 0.0
-    w = _w_core(n_mat) if w is None else w
     gram = gram_herm(n_mat)
     pad = DW_PAD_ULPS * n_mat.shape[0] * np.finfo(float).eps * (norm[0] + norm[0] ** 2)
     alphas, offsets, points, vecs = [], [], [], []
@@ -384,7 +419,7 @@ def dw_radius(m: Metric, t, seed: int = DEFAULT_SEED) -> RadiusEstimate:
     forms keep working, and unused. Raises :class:`NormOutOfRange` when
     ``||T||_A > NORM_MAX``.
     """
-    return _estimate(m, t, "dw_shell", _dw_core)
+    return _lift(m, _Memo().dw(compress(m, t)))
 
 
 # ---------------------------------------------------------------------------
@@ -464,7 +499,7 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
     """
     if objective not in _ORACLE_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {_ORACLE_OBJECTIVES}")
-    return _estimate(m, t, "oracle", _oracle_core, objective, samples, seed)
+    return _estimate(m, t, "oracle", lambda n_mat: _oracle_core(n_mat, objective, samples, seed))
 
 
 def _oracle_core(n_mat: np.ndarray, objective: str, samples: int, seed: int):

@@ -1,0 +1,52 @@
+"""The package API that the benchmark under ``bench/`` calls.
+
+A source change that breaks one of these calls fails every benchmark run.
+These checks only read ``bench/``: its traced names, its two in-process
+operations on the first tiny instance, and its CLI argument lists.
+"""
+
+import importlib
+import sys
+from pathlib import Path
+
+import pytest
+
+import semidw as sd
+from semidw import cli
+
+BENCH = Path(__file__).resolve().parent.parent / "bench"
+
+
+@pytest.fixture(scope="module")
+def bench():
+    sys.path.insert(0, str(BENCH))
+    try:
+        yield importlib.import_module("workloads"), importlib.import_module("tracer")
+    finally:
+        sys.path.remove(str(BENCH))
+
+
+def test_traced_names_resolve(bench):
+    _, tracer = bench
+    for module, names in tracer.TRACED.items():
+        mod = importlib.import_module(f"semidw.{module}")
+        for name in names:
+            assert callable(getattr(mod, name)), f"semidw.{module}.{name}"
+
+
+@pytest.mark.parametrize("workload, op", [("catalog-lowrank", "op_catalog"),
+                                          ("catalog-highrank", "op_catalog"),
+                                          ("pair-blocks", "op_pair_blocks")])
+def test_in_process_operations_pass(bench, workload, op):
+    workloads, _ = bench
+    inst = workloads.make_instance(workload, 1, 0, tiny=True)
+    assert getattr(workloads, op)(sd, inst) == []
+
+
+def test_cli_accepts_bench_arguments(bench, tmp_path):
+    workloads, _ = bench
+    inst = workloads.make_instance("cli-cold", 1, 0)
+    parser = cli._build_parser()
+    for command in workloads.CLI_COMMANDS:
+        args = parser.parse_args(workloads.cli_args(command, inst, tmp_path / "out.json"))
+        assert callable(args.fn), command

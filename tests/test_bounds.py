@@ -768,16 +768,18 @@ def _seeded_metrics():
 
 
 def test_reports_run_each_core_once_per_matrix(monkeypatch):
-    from semidw import bounds
+    from semidw import bounds, radii
 
     calls = []
     for name in ("_w_core", "_crawford_core", "_seminorm_core", "_min_modulus_core",
                  "_dw_core"):
-        def counted(n_mat, *args, _name=name, _core=getattr(bounds, name)):
+        def counted(n_mat, *args, _name=name, _core=getattr(radii, name)):
             calls.append((_name, n_mat.shape, n_mat.tobytes()))
             return _core(n_mat, *args)
 
-        monkeypatch.setattr(bounds, name, counted)
+        for module in (radii, bounds):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counted)
     rng = np.random.default_rng(11)
     for m in _seeded_metrics()[:2]:
         x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
@@ -874,6 +876,37 @@ def test_public_evaluators_match_reports():
         _same_records(got, want)
 
 
+def test_public_radii_match_report_paths(monkeypatch):
+    # the public closed forms and dw_radius read the same memo path as the reports
+    from semidw import radii
+    from semidw.bounds import exact_checks
+
+    calls = Counter()
+    for name in ("_w_core", "_seminorm_core"):
+        def counted(n_mat, _name=name, _core=getattr(radii, name)):
+            calls[_name] += 1
+            return _core(n_mat)
+
+        monkeypatch.setattr(radii, name, counted)
+    rng = np.random.default_rng(13)
+    for m in _seeded_metrics():
+        t = random_bounded_operator(rng, m)
+        checks = exact_checks(m, t)[1]
+        for (_, closed, _, _), public in zip(checks, (sd.dw_exact_ix, sd.dw_exact_0x)):
+            est = public(m, t)
+            assert est.to_dict() == closed.to_dict()
+            if m.rank:
+                np.testing.assert_array_equal(est.witness, closed.witness)
+            else:
+                assert est.witness is None and closed.witness is None
+        calls.clear()
+        est = sd.dw_radius(m, t)
+        assert calls == (Counter(_w_core=1, _seminorm_core=1) if m.rank else Counter())
+        report = sd.verify_all(m, t, seed=1)
+        assert [est.value, est.value + est.residual] == [report.reference_dw,
+                                                         report.reference_dw_upper]
+
+
 # ---------------------------------------------------------------------------
 # the finite range of ||T||_A
 
@@ -930,14 +963,14 @@ def _public_evaluators(m):
 
 
 def test_reports_reject_nonfinite_reference(monkeypatch, diag12):
-    from semidw import bounds
+    from semidw import bounds, radii
 
     # sandwich(reference=inf) passed both records
     for reference in (np.inf, np.nan):
         for evaluator in _public_evaluators(diag12):
             with pytest.raises(sd.NonFiniteReference):
                 evaluator(reference=reference)
-    monkeypatch.setattr(bounds, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
+    monkeypatch.setattr(radii, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
     with pytest.raises(sd.NonFiniteReference):
         sd.verify_all(diag12, np.array([[1.0, 2.0], [0.5, -1.0]]), seed=1)
     with pytest.raises(sd.NonFiniteReference):

@@ -37,7 +37,7 @@ def test_matrix_im_optional():
     np.testing.assert_allclose(arr.imag, 0.0)
 
 
-def test_matrix_parse_errors():
+def test_matrix_parse_errors(tmp_path):
     with pytest.raises(sd.ParseError):
         jsonio.matrix_from_dict({"rows": 2, "cols": 2, "re": [[1, 0]]})
     with pytest.raises(sd.ParseError):
@@ -45,8 +45,10 @@ def test_matrix_parse_errors():
     with pytest.raises(sd.ParseError):
         jsonio.matrix_from_dict({"rows": 2, "cols": 2, "re": [[1, 0], [0, 1]],
                                  "im": [[0, 0]]})
+    bad = tmp_path / "bad.json"
+    bad.write_text('{"rows": 2 2}')
     with pytest.raises(sd.ParseError):
-        jsonio.load_matrix('{"rows": 2 2}')
+        jsonio.load_matrix(bad)
 
 
 def test_report_csv_columns(diag12):
@@ -93,6 +95,19 @@ def test_compute_parse_error_exit_2(matrix_files, tmp_path, capsys):
     assert main(["compute", "--metric", str(bad), "--operator", t_path]) == 2
     assert main(["compute", "--metric", str(tmp_path / "missing.json"),
                  "--operator", t_path]) == 2
+
+
+def test_compute_metric_path_starting_with_brace(matrix_files, tmp_path, capsys,
+                                                 monkeypatch):
+    # a path that began with "{" was parsed as inline JSON: "invalid JSON", exit 2
+    a_path, t_path = matrix_files
+    monkeypatch.chdir(tmp_path)
+    Path("{A}.json").write_text(Path(a_path).read_text())
+    assert main(["compute", "--metric", "a.json", "--operator", t_path, "--format", "json"]) == 0
+    plain = capsys.readouterr().out
+    assert main(["compute", "--metric", "{A}.json", "--operator", t_path,
+                 "--format", "json"]) == 0
+    assert capsys.readouterr().out == plain
 
 
 def test_compute_precondition_exit_3(tmp_path, capsys):
@@ -150,9 +165,9 @@ def test_verify_large_norm_reference_finite(tmp_path, capsys):
 
 
 def test_verify_nonfinite_reference_exit_1(tmp_path, capsys, monkeypatch):
-    from semidw import bounds
+    from semidw import radii
 
-    monkeypatch.setattr(bounds, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
+    monkeypatch.setattr(radii, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
     code = main(["verify", *_large_norm_files(tmp_path)])
     assert code == 1
     assert "dw bracket is [inf, inf]" in capsys.readouterr().err

@@ -9,7 +9,7 @@ import pytest
 import semidw as sd
 from semidw.errors import RankTooLarge
 from semidw.metric import compress
-from semidw.radii import DW_MAX_DIRECTIONS, _dw_core, _sphere_samples, _w_core
+from semidw.radii import DW_MAX_DIRECTIONS, _dw_core, _Memo, _sphere_samples, _w_core
 from semidw.sampling import (
     random_bounded_operator,
     random_kernel_operator,
@@ -200,7 +200,7 @@ def test_dw_bracket_is_scale_free():
     for s in (1e3, 1e5, 1e20, 1e60):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
-            value, _, calls, width = _dw_core(s * n_mat)
+            value, _, calls, width = _Memo().run(_dw_core, s * n_mat)
         assert calls <= DW_MAX_DIRECTIONS, s
         assert 0.0 <= width <= 1e-9 * (1.0 + value), s
         # the sandwich max(w, ||N||^2) <= dw <= sqrt(w^2 + ||N||^4) at ||s N|| = s
@@ -232,7 +232,7 @@ def _shell_family():
 @pytest.mark.parametrize("name, n_mat", _shell_family(), ids=lambda v: v if isinstance(v, str) else "")
 def test_dw_bracket_contains_oracle(name, n_mat):
     r = n_mat.shape[0]
-    lower, c, calls, width = _dw_core(n_mat)
+    lower, c, calls, width = _Memo().run(_dw_core, n_mat)
     upper = lower + width
     assert calls <= DW_MAX_DIRECTIONS
     assert 0.0 <= width <= 1e-9 * (1.0 + lower)
@@ -274,7 +274,7 @@ def test_oracle_scale_free_below_unit_norm():
     # fixed gradient tolerance stopped it 7.2e-8 (relative) below the maximum
     rng = np.random.default_rng(4)
     n_mat = 1e-9 * (rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
-    lower = _dw_core(n_mat)[0]
+    lower = _Memo().value(_dw_core, n_mat)
     ora = sd.oracle_extremum(sd.build_metric(np.eye(3)), n_mat, "dw", samples=4096, seed=4)
     assert ora.value == pytest.approx(lower, rel=1e-12, abs=0.0)
 
@@ -332,12 +332,13 @@ def test_import_loads_no_optimizer_or_stats():
     assert "scipy.optimize" in loaded and "scipy.stats" not in loaded
 
 
-def test_default_commands_load_no_optimizer():
+def test_default_commands_load_no_optimizer(tmp_path):
     # no command runs the oracle: the reports, dw and the closed-form checks of exact
     # and the suite all stand on the certified dw bracket
-    metric = '{"rows": 2, "cols": 2, "re": [[1, 0], [0, 2]]}'
-    operator = '{"rows": 2, "cols": 2, "re": [[0, 1], [0, 0]], "im": [[0, 0], [0.5, 0]]}'
-    pair = f"'--metric', {metric!r}, '--operator', {operator!r}"
+    metric, operator = tmp_path / "a.json", tmp_path / "t.json"
+    metric.write_text('{"rows": 2, "cols": 2, "re": [[1, 0], [0, 2]]}')
+    operator.write_text('{"rows": 2, "cols": 2, "re": [[0, 1], [0, 0]], "im": [[0, 0], [0.5, 0]]}')
+    pair = f"'--metric', {str(metric)!r}, '--operator', {str(operator)!r}"
     suite = "'--verify-count', '1', '--exact-count', '1', '--invariance-count', '1'"
     assert _loaded_after("import os\nfrom semidw.cli import main\n"
                          f"for args in (['verify', {pair}], ['compute', {pair}], "
