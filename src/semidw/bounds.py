@@ -33,13 +33,12 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import (START_ANGLES, golden_max_lockstep, gram_herm, herm_parts, rotated_eig_max,
-                     rotated_herm_batch)
+from ._optim import START_ANGLES, golden_max_lockstep, gram_herm, herm_parts, rotated_eig_max
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _closed_estimate, _ix_core
 from .metric import Metric, as_operator, compress
-from .radii import (_crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_core, _w_core,
-                    form_values)
+from .radii import (_crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_core,
+                    _start_support, _w_core, form_values)
 
 LAMBDA_GRID_POINTS = 41
 #: angle grid of the lambda-real members (even: a grid angle plus pi is one too)
@@ -613,9 +612,8 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
 
     # support points p_k = x_k* N x_k of W(N), x_k the top eigenvectors of
     # Re(e^{i theta_k} N): p_k - lam lies in W(N - lam I), so |p_k - lam| <= w(N - lam I)
-    thetas = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
-    tops = np.linalg.eigh(rotated_herm_batch(n_mat, thetas))[1][..., -1]
-    support = form_values(n_mat, tops)
+    # (the memoized start spectrum of the Crawford short cut)
+    support = inst.memo.run(_start_support, n_mat)[1]
 
     # Re(conj(l)N) = Re(l)H + Im(l)J serves both the a- and the c-term
     re_shift = (lambda_grid.real[:, None, None] * h_mat

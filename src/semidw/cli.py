@@ -91,13 +91,7 @@ def _load_pair(args):
 
 def cmd_compute(args) -> int:
     m, t = _load_pair(args)
-    quantities = {
-        "seminorm": rad.op_seminorm(m, t),
-        "min_modulus": rad.min_modulus(m, t),
-        "numerical_radius": rad.numerical_radius(m, t),
-        "crawford": rad.crawford(m, t),
-        "dw_radius": rad.dw_radius(m, t, seed=args.seed),
-    }
+    quantities = rad.estimates(m, t)
     payload = {name: est.to_dict() for name, est in quantities.items()}
     lines = [f"metric dim {m.dim}, rank {m.rank}"]
     for name, est in quantities.items():

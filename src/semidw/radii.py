@@ -19,6 +19,12 @@ adds the ambient witness, with zero null-space component
 (``x = (A^{1/2})^+ B c``); adding any null-space vector changes no
 A-quantity, so the witness is canonical only up to that coset.
 
+``w``, ``c`` and ``dw`` come from the level-set angle kernel
+:func:`semidw._optim.rotated_eig_max`, with one short cut: when the support
+points of W(N) at the kernel's ``START_ANGLES`` start angles enclose 0 by a
+rounding margin, ``c_A(T) = 0`` by convexity and no kernel runs
+(:func:`_inner_zero`); ``iterations`` is then ``START_ANGLES``.
+
 :func:`oracle_extremum` is the independent estimator the tests and the
 benchmark check against: seeded uniform sampling of the compressed unit
 sphere followed by stock quasi-Newton refinement of the best candidates,
@@ -32,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optim import gram_herm, rotated_eig_max, rotated_herm
+from ._optim import START_ANGLES, gram_herm, rotated_eig_max, rotated_herm, rotated_herm_batch
 from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
@@ -101,9 +107,11 @@ def _estimate(m: Metric, t, method: str, core) -> RadiusEstimate:
 class _Memo:
     """The raw core outputs of one instance, each computed once per ``(core, N)``.
 
-    :meth:`run` alone hands :func:`_dw_core` its end lines, the raw ``_w_core`` and
-    ``_seminorm_core`` outputs of N (phase-fixed vectors move the bracket by rounding);
-    :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
+    :meth:`run` alone hands :func:`_dw_core` its end lines, the raw ``_seminorm_core``
+    and (on demand) ``_w_core`` outputs of N (phase-fixed vectors move the bracket by
+    rounding), and :func:`_crawford_core` the :func:`_start_support` of N, which
+    :func:`semidw.bounds.upper_lambda_complex` reads too; :meth:`estimate` alone turns
+    a raw output into a :class:`RadiusEstimate`.
     """
 
     raw: dict = field(default_factory=dict)
@@ -112,9 +120,12 @@ class _Memo:
         """The raw output of ``core`` on ``n_mat``, computed on the first call."""
         key = (core, n_mat.shape, n_mat.tobytes())
         if key not in self.raw:
-            ends = ((self.run(_w_core, n_mat), self.run(_seminorm_core, n_mat))
-                    if core is _dw_core else ())
-            self.raw[key] = core(n_mat, *ends)
+            inputs = ()
+            if core is _dw_core:
+                inputs = (self.run(_seminorm_core, n_mat), lambda: self.run(_w_core, n_mat))
+            elif core is _crawford_core:
+                inputs = (self.run(_start_support, n_mat),)
+            self.raw[key] = core(n_mat, *inputs)
         return self.raw[key]
 
     def value(self, core, n_mat: np.ndarray) -> float:
@@ -280,6 +291,20 @@ def _face_point(n_mat: np.ndarray, phi: float, lam: np.ndarray, vecs: np.ndarray
     return _nearest(n_mat, vecs[:, 0], _hit(n_mat, face @ u[:, 0], face @ u[:, -1], target))
 
 
+def _chord_zero(r_mat: np.ndarray, x1: np.ndarray, lo, hi) -> np.ndarray | None:
+    """Unit ``c`` with ``c* R c = 0`` from a chord of W(R) across the nonnegative real axis.
+
+    ``x1* R x1`` lies on the negative real axis and ``lo = (x, x* R x)``, ``hi`` are
+    points of W(R) below and above the real axis. Their chord crosses it at ``q``:
+    one 2x2 solve attains q, a second 0 on ``[x1* R x1, q]``. None when ``q < 0``.
+    """
+    rise = hi[1].imag - lo[1].imag
+    cross = (lo[1].real * hi[1].imag - lo[1].imag * hi[1].real) / rise if rise else hi[1].real
+    if not cross >= 0.0:
+        return None
+    return _hit(r_mat, x1, _hit(r_mat, lo[0], hi[0], cross), 0.0)
+
+
 def _through_zero(n_mat: np.ndarray, x1: np.ndarray) -> np.ndarray:
     """Unit ``c`` with ``c* N c = 0`` when 0 is in W(N): constructive Toeplitz-Hausdorff.
 
@@ -287,8 +312,8 @@ def _through_zero(n_mat: np.ndarray, x1: np.ndarray) -> np.ndarray:
     lies on the negative real axis. The top eigenvectors of ``Re(e^{i theta} R)``
     for theta from -pi/2 to pi/2 give support points of falling imaginary
     part; bisecting theta finds two whose chord crosses the real axis at
-    ``q >= 0``. One 2x2 solve attains q, a second 0 on [z1, q]. Falls back
-    to x1 after ``ZERO_SEARCH_EVALS`` eigensolves.
+    ``q >= 0`` (:func:`_chord_zero`). Falls back to x1 after
+    ``ZERO_SEARCH_EVALS`` eigensolves.
     """
     z1 = _form(n_mat, x1)
     if z1 == 0.0:
@@ -301,16 +326,63 @@ def _through_zero(n_mat: np.ndarray, x1: np.ndarray) -> np.ndarray:
 
     hi, lo = support(-0.5 * np.pi), support(0.5 * np.pi)
     for _ in range(ZERO_SEARCH_EVALS - 2):
-        rise = hi[2].imag - lo[2].imag
-        cross = (lo[2].real * hi[2].imag - lo[2].imag * hi[2].real) / rise if rise else hi[2].real
-        if cross >= 0.0:
-            return _hit(r_mat, x1, _hit(r_mat, lo[1], hi[1], cross), 0.0)
+        c = _chord_zero(r_mat, x1, lo[1:], hi[1:])
+        if c is not None:
+            return c
         mid = support(0.5 * (hi[0] + lo[0]))
         hi, lo = (mid, lo) if mid[2].imag >= 0.0 else (hi, mid)
     return x1
 
 
-def _crawford_core(n_mat: np.ndarray):
+#: rounding margin of the inner-polygon short cut, in units of ``r eps ||N||_F``
+ENCLOSE_ULPS = 8
+
+
+def _start_support(n_mat: np.ndarray):
+    """``(tops, points)``: the top eigenvectors ``x_k`` of ``Re(e^{i theta_k} N)`` at the
+    ``START_ANGLES`` equispaced angles (one stacked ``eigh``) and the support points
+    ``p_k = x_k* N x_k`` of W(N) they attain."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
+    tops = np.linalg.eigh(rotated_herm_batch(n_mat, thetas))[1][..., -1]
+    return tops, form_values(n_mat, tops)
+
+
+def _inner_zero(n_mat: np.ndarray, tops: np.ndarray, points: np.ndarray) -> np.ndarray | None:
+    """Unit ``c`` with ``c* N c = 0`` when the support points enclose 0, else None.
+
+    Sorted by angle around 0, every two consecutive points must be distinct and
+    their line must pass 0 on the inner side by more than ``ENCLOSE_ULPS r eps
+    ||N||_F``, which bounds the rounding of the forms. The disc of that radius
+    then lies in their convex hull, so 0 is inside W(N) (Toeplitz-Hausdorff; the
+    inner polygon of C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)) and
+    ``c(N) = 0``. The witness: in the frame where the farthest point is on the
+    negative real axis, the edge across the positive real axis feeds
+    :func:`_chord_zero`.
+    """
+    order = np.argsort(np.angle(points))
+    ring, x = points[order], tops[order]
+    succ = np.roll(ring, -1)
+    margin = ENCLOSE_ULPS * n_mat.shape[0] * np.finfo(float).eps * np.linalg.norm(n_mat)
+    if not np.all((ring.conj() * succ).imag > margin * np.abs(succ - ring)):
+        return None
+    far = int(np.argmax(np.abs(ring)))
+    turn = -np.conj(ring[far]) / abs(ring[far])
+    hi = int(np.searchsorted(np.angle(ring), np.angle(-ring[far]))) % ring.size
+    return _chord_zero(turn * n_mat, x[far], (x[hi - 1], turn * ring[hi - 1]),
+                       (x[hi], turn * ring[hi]))
+
+
+def _crawford_core(n_mat: np.ndarray, start=None):
+    """``(c(N), c, iterations, residual)``: the :func:`_inner_zero` short cut, else the sweep.
+
+    ``start`` is the :func:`_start_support` of N (computed when omitted). When its
+    points enclose 0 the value is 0 with ``START_ANGLES`` iterations and no kernel
+    call; the kernel would return ``max(0, lambda_min) = 0`` there too, since every
+    ``lambda_min(Re(e^{i phi} N))`` is below minus the margin.
+    """
+    c = _inner_zero(n_mat, *(_start_support(n_mat) if start is None else start))
+    if c is not None:
+        return 0.0, c, START_ANGLES, abs(_form(n_mat, c))
     value, phi, evals, lam, vecs = _support_sweep(n_mat)
     c = _face_point(n_mat, phi, lam, vecs, value * np.exp(-1j * phi))
     if value == 0.0:
@@ -319,13 +391,16 @@ def _crawford_core(n_mat: np.ndarray):
 
 
 def crawford(m: Metric, t) -> RadiusEstimate:
-    """A-Crawford number ``c_A(T) = dist(0, W(N))`` by the convexity sweep.
+    """A-Crawford number ``c_A(T) = dist(0, W(N))``: inner-polygon short cut, else convexity sweep.
 
-    The value d is :func:`numrange_distance`'s. The witness attains the
-    point ``d e^{-i phi}`` of W(N) nearest 0, phi the sweep angle: on the
-    support face at phi when ``d > 0``, through :func:`_through_zero` when
-    ``d = 0``. ``iterations`` is the number of angles the level-set kernel
-    evaluated.
+    When the support points of W(N) at the kernel's ``START_ANGLES`` start angles
+    enclose 0 by a rounding margin, the value is 0 with no kernel call, the witness
+    attains 0 by two 2x2 solves and ``iterations`` is ``START_ANGLES``
+    (:func:`_inner_zero`). Otherwise the value d is :func:`numrange_distance`'s.
+    The witness attains the point ``d e^{-i phi}`` of W(N) nearest 0, phi the
+    sweep angle: on the support face at phi when ``d > 0``, through
+    :func:`_through_zero` when ``d = 0``. ``iterations`` is the number of angles
+    the level-set kernel evaluated.
     """
     return _estimate(m, t, "convexity_sweep", _crawford_core)
 
@@ -341,7 +416,7 @@ DW_MAX_DIRECTIONS = 64
 DW_PAD_ULPS = 16
 
 
-def _dw_core(n_mat: np.ndarray, w, norm):
+def _dw_core(n_mat: np.ndarray, norm, w):
     """Bracket ``[lower, upper]`` of ``dw(N) = max |p|`` over ``S = {(|c* N c|, c* G c)}``.
 
     ``G = N*N``, c unit. S lies in the positive quadrant, so dw is the farthest
@@ -349,8 +424,9 @@ def _dw_core(n_mat: np.ndarray, w, norm):
     sin alpha)``, alpha in [0, pi/2], is one level-set kernel call,
     ``max_theta lambda_max(cos alpha Re(e^{i theta} N) + sin alpha G)``
     (Davis-Wielandt shell: Li-Poon-Sze, Oper. Matrices 2 (2008)); at the ends
-    it is ``w(N)`` and ``||N||_2^2``, the raw ``_w_core`` and ``_seminorm_core``
-    outputs ``w`` and ``norm`` (:meth:`_Memo.run`). Inner and outer polygons
+    it is ``||N||_2^2`` and ``w(N)``: ``norm`` is the raw ``_seminorm_core`` output and
+    ``w()`` gives the raw ``_w_core`` one (:meth:`_Memo.run`), called only past the
+    ``NORM_MAX`` and zero checks. Inner and outer polygons
     (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)): the lower end is the
     largest ``|p|`` over the support points, each the point of a top
     eigenvector (the witness); the upper end is the farthest vertex of the
@@ -382,7 +458,7 @@ def _dw_core(n_mat: np.ndarray, w, norm):
         points.append(p)
         vecs.append(x)
 
-    add(0.0, w[0], w[1])
+    add(0.0, *w()[:2])
     add(0.5 * np.pi, norm[0] ** 2, norm[1])
     for calls in range(DW_MAX_DIRECTIONS + 1):
         order = np.argsort(alphas)
@@ -420,6 +496,22 @@ def dw_radius(m: Metric, t, seed: int = DEFAULT_SEED) -> RadiusEstimate:
     ``||T||_A > NORM_MAX``.
     """
     return _lift(m, _Memo().dw(compress(m, t)))
+
+
+def estimates(m: Metric, t) -> dict[str, RadiusEstimate]:
+    """The five functionals of T, by name, on one compression and one memo.
+
+    Each estimate equals that of its public function (``seminorm`` is
+    :func:`op_seminorm`'s, ``dw_radius`` is :func:`dw_radius`'s); ``w_A`` and
+    ``||T||_A`` are computed once for their own estimates and the dw end lines.
+    """
+    n_mat, memo = compress(m, t), _Memo()
+    cores = (("seminorm", _seminorm_core, "exact_svd"),
+             ("min_modulus", _min_modulus_core, "exact_svd"),
+             ("numerical_radius", _w_core, "theta_sweep"),
+             ("crawford", _crawford_core, "convexity_sweep"),
+             ("dw_radius", _dw_core, "dw_shell"))
+    return {name: _lift(m, memo.estimate(core, n_mat, method)) for name, core, method in cores}
 
 
 # ---------------------------------------------------------------------------

@@ -142,7 +142,8 @@ def test_lower_crawford_abs_sq_is_min_modulus_squared(diag12, diag10):
 
 
 def test_lower_crawford_runs_no_kernel_on_abs_sq(monkeypatch):
-    # two kernel calls, w(N) and c(N); the sweep of G = N*N is gone
+    # w(N) and, unless the inner-polygon short cut certifies c(N) = 0, c(N);
+    # the sweep of G = N*N is gone
     from semidw import radii
 
     calls = []
@@ -156,8 +157,10 @@ def test_lower_crawford_runs_no_kernel_on_abs_sq(monkeypatch):
     m = random_metric(rng, 4, 3)
     t = random_bounded_operator(rng, m)
     n_mat = compress(m, t)
+    short_cut = radii._inner_zero(n_mat, *radii._start_support(n_mat)) is not None
     sd.lower_crawford(m, t, reference=1.0)
-    assert sorted(calls) == sorted([(-1, n_mat.tobytes()), (0, n_mat.tobytes())])
+    want = [(-1, n_mat.tobytes())] + [(0, n_mat.tobytes())] * (not short_cut)
+    assert sorted(calls) == sorted(want)
     calls.clear()
     sd.verify_all(m, t, seed=3)
     assert (0, gram_herm(n_mat).tobytes()) not in calls
@@ -817,7 +820,7 @@ def test_reports_run_each_angle_kernel_once(monkeypatch):
 
 def test_lambda_complex_stacks_stay_small(monkeypatch):
     # the support points and the w kernel stack at most START_ANGLES angles
-    from semidw import _optim, bounds
+    from semidw import _optim, radii
 
     sizes = []
 
@@ -829,7 +832,7 @@ def test_lambda_complex_stacks_stay_small(monkeypatch):
     m = random_metric(rng, 4)
     t = random_bounded_operator(rng, m)
     want = sd.upper_lambda_complex(m, t, reference=1.0)
-    monkeypatch.setattr(bounds, "rotated_herm_batch", recorded)
+    monkeypatch.setattr(radii, "rotated_herm_batch", recorded)
     monkeypatch.setattr(_optim, "rotated_herm_batch", recorded)
     got = sd.upper_lambda_complex(m, t, reference=1.0)
     assert sizes and max(sizes) <= START_ANGLES

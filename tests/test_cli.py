@@ -88,6 +88,34 @@ def test_compute_json_deterministic(matrix_files, capsys):
     assert payload["dw_radius"]["method"] == "dw_shell"
 
 
+def test_compute_runs_each_core_once(tmp_path, capsys, monkeypatch):
+    # one compression and one memo serve the five estimates; each equals its public function's
+    from semidw import radii
+
+    rng = np.random.default_rng(5)
+    m = random_metric(rng, 4, 3)
+    t = random_bounded_operator(rng, m)
+    paths = [str(tmp_path / name) for name in ("a.json", "t.json")]
+    for path, arr in zip(paths, (m.a, t)):
+        Path(path).write_text(json.dumps(jsonio.matrix_to_dict(arr)))
+    want = {"seminorm": sd.op_seminorm(m, t), "min_modulus": sd.min_modulus(m, t),
+            "numerical_radius": sd.numerical_radius(m, t), "crawford": sd.crawford(m, t),
+            "dw_radius": sd.dw_radius(m, t)}
+    calls = []
+    for name in ("compress", "_w_core", "_seminorm_core"):
+        def counted(*args, _name=name, _fn=getattr(radii, name)):
+            calls.append(_name)
+            return _fn(*args)
+
+        monkeypatch.setattr(radii, name, counted)
+    assert main(["compute", "--metric", paths[0], "--operator", paths[1], "--format", "json"]) == 0
+    assert sorted(calls) == ["_seminorm_core", "_w_core", "compress"]
+    got = json.loads(capsys.readouterr().out)
+    assert sorted(got) == sorted(want)
+    for name, est in want.items():
+        assert jsonio.dump_json(got[name]) == jsonio.dump_json(est.to_dict())
+
+
 def test_compute_parse_error_exit_2(matrix_files, tmp_path, capsys):
     _, t_path = matrix_files
     bad = tmp_path / "bad.json"

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 
 import semidw as sd
-from semidw.errors import RankTooLarge
+from semidw import radii
+from semidw._optim import START_ANGLES
+from semidw.errors import NormOutOfRange, RankTooLarge
 from semidw.metric import compress
-from semidw.radii import DW_MAX_DIRECTIONS, _dw_core, _Memo, _sphere_samples, _w_core
+from semidw.radii import DW_MAX_DIRECTIONS, NORM_MAX, _dw_core, _Memo, _sphere_samples, _w_core
 from semidw.sampling import (
     random_bounded_operator,
     random_kernel_operator,
@@ -153,6 +155,102 @@ def test_crawford_witness_attains_value():
 
 
 # ---------------------------------------------------------------------------
+# Crawford: the inner-polygon short cut
+
+
+def _takes_short_cut(n_mat):
+    return radii._inner_zero(n_mat, *radii._start_support(n_mat)) is not None
+
+
+def _kernel_counted(monkeypatch):
+    calls = []
+
+    def counted(*args, _kernel=radii.rotated_eig_max):
+        calls.append(args[1])
+        return _kernel(*args)
+
+    monkeypatch.setattr(radii, "rotated_eig_max", counted)
+    return calls
+
+
+def _interior_zero_cases():
+    """Seeded complex Gaussian matrices; 0 lies inside their numerical ranges."""
+    rng = np.random.default_rng(18)
+    for r in (3, 4, 6, 12, 24):
+        yield rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+
+
+def _form_scale(c, n_mat):
+    return abs(np.vdot(c, n_mat @ c)) / np.linalg.norm(n_mat, 2)
+
+
+def test_crawford_short_cut_runs_no_kernel(monkeypatch):
+    for n_mat in _interior_zero_cases():
+        calls = _kernel_counted(monkeypatch)
+        value, c, iterations, residual = radii._crawford_core(n_mat)
+        assert calls == []
+        assert (value, iterations) == (0.0, START_ANGLES)
+        assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
+        assert _form_scale(c, n_mat) <= 1e-14
+        assert residual == abs(np.vdot(c, n_mat @ c))
+        monkeypatch.undo()
+        # the kernel path, with the short cut off, certifies the same value
+        assert sd.numrange_distance(n_mat)[0] == 0.0
+        monkeypatch.setattr(radii, "_inner_zero", lambda *args: None)
+        calls = _kernel_counted(monkeypatch)
+        assert radii._crawford_core(n_mat)[0] == 0.0
+        assert calls == [0]
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("r", [2, 3, 5])
+def test_crawford_psd_singular_takes_kernel(r, monkeypatch):
+    # 0 is on the boundary of W(G) = [0, lambda_max]: no interior to certify
+    rng = np.random.default_rng(r)
+    h = rng.standard_normal((r, r - 1)) + 1j * rng.standard_normal((r, r - 1))
+    gram = h @ h.conj().T
+    assert not _takes_short_cut(gram)
+    calls = _kernel_counted(monkeypatch)
+    value, c, _, _ = radii._crawford_core(gram)
+    assert calls == [0]
+    assert value == pytest.approx(0.0, abs=1e-14 * np.linalg.norm(gram, 2))
+    assert _form_scale(c, gram) <= 1e-14
+
+
+@pytest.mark.parametrize("r", [2, 3, 6])
+def test_crawford_hermitian_segment_takes_kernel(r, monkeypatch):
+    # W(N) = [lambda_min, lambda_max] holds 0 in its relative interior, but the
+    # hull of the support points is a segment with no interior
+    rng = np.random.default_rng(30 + r)
+    g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+    q, _ = np.linalg.qr(g)
+    ev = np.linspace(-1.0, 2.0, r)
+    n_mat = (q * ev) @ q.conj().T
+    n_mat = 0.5 * (n_mat + n_mat.conj().T)
+    assert not _takes_short_cut(n_mat)
+    calls = _kernel_counted(monkeypatch)
+    value, c, _, _ = radii._crawford_core(n_mat)
+    assert calls == [0]
+    assert value == 0.0
+    assert _form_scale(c, n_mat) <= 1e-14
+
+
+def test_crawford_invariant_on_both_routes():
+    rng = np.random.default_rng(41)
+    for inside in _interior_zero_cases():
+        r = inside.shape[0]
+        outside = inside + (3.0 + 2.0 * r) * np.exp(2j * np.pi * rng.random()) * np.eye(r)
+        u = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
+        for n_mat, short in ((inside, True), (outside, False)):
+            value = radii._crawford_core(n_mat)[0]
+            for moved, scale in ((u @ n_mat @ u.conj().T, 1.0), (2.5 * n_mat, 2.5),
+                                 (1e-3 * n_mat, 1e-3)):
+                assert _takes_short_cut(moved) is short
+                assert radii._crawford_core(moved)[0] == pytest.approx(scale * value, rel=1e-10)
+            assert (value == 0.0) is short
+
+
+# ---------------------------------------------------------------------------
 # Davis-Wielandt radius
 
 
@@ -189,6 +287,23 @@ def test_dw_determinism(diag12):
     ora1 = sd.oracle_extremum(diag12, t, "dw", samples=2048, seed=9)
     ora2 = sd.oracle_extremum(diag12, t, "dw", samples=2048, seed=9)
     assert ora1.value == ora2.value
+
+
+def test_dw_runs_w_only_when_it_reads_it(diag12, monkeypatch):
+    calls = []
+
+    def counted(n_mat, _core=radii._w_core):
+        calls.append(n_mat.tobytes())
+        return _core(n_mat)
+
+    monkeypatch.setattr(radii, "_w_core", counted)
+    assert sd.dw_radius(diag12, np.zeros((2, 2))).value == 0.0
+    assert calls == []
+    with pytest.raises(NormOutOfRange):
+        sd.dw_radius(diag12, np.array([[0.0, 2.0 * NORM_MAX], [0.0, 0.0]]))
+    assert calls == []
+    assert sd.dw_radius(diag12, Y_MAT).value == pytest.approx(SQ2, abs=1e-10)
+    assert calls == [compress(diag12, Y_MAT).tobytes()]
 
 
 def test_dw_bracket_is_scale_free():
