@@ -109,6 +109,62 @@ START_ANGLES = 16
 UNIMODULAR_TOL = 1e-6
 #: cap on the level sets of one maximization (quadratic convergence needs about 7)
 MAX_LEVELS = 30
+#: longest step of the Newton polish: half the start-angle spacing
+NEWTON_STEP_MAX = np.pi / START_ANGLES
+#: cap on the Newton steps of one polish (quadratic convergence needs about 5)
+NEWTON_STEPS = 8
+#: the polish stops once its predicted rise is at most ``NEWTON_STOP_ULPS eps (1 + |gamma|)``
+NEWTON_STOP_ULPS = 1
+
+
+def _newton_polish(n_mat: np.ndarray, k_mat: np.ndarray, index: int, theta: float,
+                   gamma: float):
+    """Safeguarded Newton ascent of ``f(theta) = lambda_index(C(theta) + K)`` from theta.
+
+    ``C(theta) = Re(e^{i theta} N)`` and ``gamma`` is the value at ``theta``.
+    One ``eigh`` at theta gives, for the eigenvector x of eigenvalue
+    ``index``, ``f' = x* C' x`` with ``C' = Re(i e^{i theta} N)`` and
+    ``f'' = -x* C x + 2 sum_{j != k} |x_j* C' x_k|^2 / (lambda_k - lambda_j)``
+    (``C'' = -C``). A step ``-f'/f''`` is tried only at a simple eigenvalue
+    with ``f'' < 0``, clamped to ``NEWTON_STEP_MAX``, and kept only if the
+    eigenvalue at the new angle strictly beats gamma, so gamma stays
+    attained; a kink, where two branches cross, is left to the level sets'
+    tangent meets. The polish stops at a
+    refused step, after ``NEWTON_STEPS`` steps, or once the predicted rise
+    ``f'^2 / (2 |f''|)`` is at most ``NEWTON_STOP_ULPS eps (1 + |gamma|)``: a
+    quarter of the level-set stop rule, so that the pencil at the polished
+    level rarely finds a candidate above that rule (stopping at the rule
+    itself left some levels a few ulps short, and those calls solved a second
+    pencil). An eigenvalue counts as simple when its gaps exceed
+    ``4 eps (1 + |lambda|)``. Returns ``(theta, gamma, evals)``, ``evals``
+    the ``eigh`` count.
+    """
+    eps = np.finfo(float).eps
+    k = index % n_mat.shape[0]
+    c_mat = rotated_herm(n_mat, theta)
+    lam, vecs = np.linalg.eigh(c_mat + k_mat)
+    evals = 1
+    for _ in range(NEWTON_STEPS):
+        x = vecs[:, k]
+        gaps = lam[k] - np.delete(lam, k)
+        if gaps.size and np.abs(gaps).min() <= 4.0 * eps * (1.0 + abs(lam[k])):
+            break
+        m = vecs.conj().T @ (rotated_herm(n_mat, theta + 0.5 * np.pi) @ x)
+        slope = m[k].real
+        curv = 2.0 * float(np.sum(np.abs(np.delete(m, k)) ** 2 / gaps)) - np.vdot(x, c_mat @ x).real
+        if not curv < 0.0:
+            break
+        step = -slope / curv
+        if 0.5 * slope * step <= NEWTON_STOP_ULPS * eps * (1.0 + abs(gamma)):
+            break
+        step = min(max(step, -NEWTON_STEP_MAX), NEWTON_STEP_MAX)
+        c_new = rotated_herm(n_mat, theta + step)
+        lam_new, vecs_new = np.linalg.eigh(c_new + k_mat)
+        evals += 1
+        if not lam_new[k] > gamma:
+            break
+        theta, gamma, c_mat, lam, vecs = theta + step, float(lam_new[k]), c_new, lam_new, vecs_new
+    return theta, gamma, evals
 
 
 def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
@@ -116,20 +172,24 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
 
     Criss-cross level-set method (Mengi-Overton, IMA J. Numer. Anal. 25 (2005);
     Boyd-Balakrishnan, Systems Control Lett. 15 (1990)) on ``N, K`` scaled by
-    ``max(||N||_F, ||K||_F)``, ``K = shift`` (Hermitian) or 0. The first level
-    gamma is the best of ``START_ANGLES`` equispaced angles. Some eigenvalue of
+    ``max(||N||_F, ||K||_F)``, ``K = shift`` (Hermitian) or 0, with local
+    Newton ascent between the level sets (Mitchell, SIAM J. Sci. Comput. 45
+    (2023)). The best of ``START_ANGLES`` equispaced angles, polished by
+    :func:`_newton_polish`, is the first level gamma. Some eigenvalue of
     ``f(theta)`` equals gamma iff ``z = e^{i theta}`` solves
     ``det(z^2 N + 2z (K - gamma I) + N*) = 0``: the unimodular eigenvalues of a
     2r x 2r pencil (infinite ones, from singular N, are dropped). Between
     consecutive crossings the midpoint is evaluated; on the arcs where it beats
     gamma, so is the meeting point of the tangents at the two ends (slopes
     ``Re(i e^{i theta} x* N x)`` from the end eigenvectors x), which resolves a
-    kink in few steps. The best candidate is the next gamma, until none beats
-    it by more than ``4 eps (1 + |gamma|)``.
+    kink in few steps (where Newton is refused). The best candidate, polished,
+    is the next gamma, until none beats it by more than ``4 eps (1 + |gamma|)``.
+    Once the polish reaches the global maximum, the pencil at that level is the
+    only one solved: it certifies that no arc lies above it.
 
     Returns ``(theta, value, evals)``: ``value`` is eigenvalue ``index`` at
     ``theta`` (attained, never extrapolated), ``evals`` the number of angles
-    evaluated.
+    evaluated, Newton steps included.
     """
     r = n_mat.shape[0]
     k_mat = np.zeros((r, r)) if shift is None else shift
@@ -144,8 +204,9 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     thetas = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
     vals = values(thetas)
     best = int(np.argmax(vals))
-    theta, gamma = float(thetas[best]), float(vals[best])
-    evals = START_ANGLES
+    theta, gamma, evals = _newton_polish(n_mat, k_mat, index, float(thetas[best]),
+                                         float(vals[best]))
+    evals += START_ANGLES
     eye, zero = np.eye(r), np.zeros((r, r))
     b_mat = np.block([[eye, zero], [zero, n_mat]])
     a_mat = np.block([[zero, eye], [-n_mat.conj().T, 2.0 * (gamma * eye - k_mat)]])
@@ -187,6 +248,8 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
             theta, gamma = float(cands[best]), float(cand_vals[best])
         if gain <= 4.0 * np.finfo(float).eps * (1.0 + abs(gamma)):
             break
+        theta, gamma, steps = _newton_polish(n_mat, k_mat, index, theta, gamma)
+        evals += steps
     return theta % (2.0 * np.pi), gamma * scale, evals
 
 

@@ -350,9 +350,12 @@ def _start_support(n_mat: np.ndarray):
 def _inner_zero(n_mat: np.ndarray, tops: np.ndarray, points: np.ndarray) -> np.ndarray | None:
     """Unit ``c`` with ``c* N c = 0`` when the support points enclose 0, else None.
 
-    Sorted by angle around 0, every two consecutive points must be distinct and
-    their line must pass 0 on the inner side by more than ``ENCLOSE_ULPS r eps
-    ||N||_F``, which bounds the rounding of the forms. The disc of that radius
+    Sorted by angle around 0, a point within ``ENCLOSE_ULPS r eps ||N||_F`` (which
+    bounds the rounding of the forms) of its predecessor is dropped: the top
+    eigenvectors of a normal N repeat across angles, and their points coincide up
+    to rounding. At least three points must be left, and the line through every
+    two consecutive ones must pass 0 on the inner side by more than that margin.
+    Dropping points only shrinks their hull. The disc of that radius
     then lies in their convex hull, so 0 is inside W(N) (Toeplitz-Hausdorff; the
     inner polygon of C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)) and
     ``c(N) = 0``. The witness: in the frame where the farthest point is on the
@@ -361,9 +364,11 @@ def _inner_zero(n_mat: np.ndarray, tops: np.ndarray, points: np.ndarray) -> np.n
     """
     order = np.argsort(np.angle(points))
     ring, x = points[order], tops[order]
-    succ = np.roll(ring, -1)
     margin = ENCLOSE_ULPS * n_mat.shape[0] * np.finfo(float).eps * np.linalg.norm(n_mat)
-    if not np.all((ring.conj() * succ).imag > margin * np.abs(succ - ring)):
+    fresh = np.abs(ring - np.roll(ring, 1)) > margin
+    ring, x = ring[fresh], x[fresh]
+    succ = np.roll(ring, -1)
+    if ring.size < 3 or not np.all((ring.conj() * succ).imag > margin * np.abs(succ - ring)):
         return None
     far = int(np.argmax(np.abs(ring)))
     turn = -np.conj(ring[far]) / abs(ring[far])

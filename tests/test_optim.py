@@ -82,6 +82,71 @@ def test_kernel_matches_dense_grid(r):
                     assert value <= grid_max / np.cos(np.pi / size), label
 
 
+#: pencils the level-set kernel solved on the sweep of
+#: ``test_kernel_pencil_count`` before it polished its levels by Newton steps
+UNPOLISHED_PENCILS = 538
+
+
+def _counted_pencils(monkeypatch):
+    calls = []
+
+    def counted(a_mat, b_mat, _solve=pencil_eigvals):
+        calls.append(a_mat.shape[0])
+        return _solve(a_mat, b_mat)
+
+    monkeypatch.setattr(_optim, "pencil_eigvals", counted)
+    return calls
+
+
+def test_kernel_pencil_count(monkeypatch):
+    # a polished level is the maximum on smooth families: its pencil certifies it
+    calls = _counted_pencils(monkeypatch)
+    total = 0
+    for r in (2, 3, 5, 8, 16):
+        rng = np.random.default_rng(100 + r)
+        for name, n_mat in _families(rng, r):
+            for shift in (None, gram_herm(n_mat)):
+                for index in (0, -1):
+                    calls.clear()
+                    rotated_eig_max(n_mat, index, shift)
+                    total += len(calls)
+                    if index == -1 and name in ("random", "triangular", "tall", "flat"):
+                        assert len(calls) == 1, (r, name, shift is not None)
+    assert total <= UNPOLISHED_PENCILS
+
+
+@pytest.mark.parametrize("r", [2, 3, 5, 8])
+def test_newton_polish_alone_reaches_maximum(r, monkeypatch):
+    # with no level set solved the value is the polished best start angle
+    monkeypatch.setattr(_optim, "MAX_LEVELS", 0)
+    calls = _counted_pencils(monkeypatch)
+    rng = np.random.default_rng(100 + r)
+    for name, n_mat in _families(rng, r):
+        for shift in (None, gram_herm(n_mat)):
+            if name in ("scalar", "flat face"):
+                # multiple eigenvalues: the step is refused, with no division by a zero gap
+                for index in (0, -1):
+                    rotated_eig_max(n_mat, index, shift)
+                continue
+            if name not in ("random", "triangular", "tall", "flat", "nilpotent"):
+                continue
+            label = (name, shift is not None)
+            scale = 1.0 + np.linalg.norm(n_mat, 2) + (0.0 if shift is None
+                                                      else np.linalg.norm(shift, 2))
+            theta, value, _ = rotated_eig_max(n_mat, -1, shift)
+            assert value >= _reference(n_mat, shift, r)[-1][0] - 1e-13 * scale, label
+            attained = np.linalg.eigvalsh(rotated_herm(n_mat, theta)
+                                          + (0.0 if shift is None else shift))[-1]
+            assert abs(value - attained) <= 1e-13 * scale, label
+    assert calls == []
+
+
+def test_newton_polish_refuses_multiple_eigenvalue():
+    n_mat = (0.3 - 1.7j) * np.eye(3)
+    for index in (0, -1):
+        assert _optim._newton_polish(n_mat, np.zeros((3, 3)), index, 0.4, 0.3) == (0.4, 0.3, 1)
+
+
 def _pencil(n_mat, gamma, shift=None):
     """The kernel's level-gamma pencil ``([[0, I], [-N*, 2 (gamma I - K)]], diag(I, N))``."""
     r = n_mat.shape[0]

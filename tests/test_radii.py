@@ -235,6 +235,36 @@ def test_crawford_hermitian_segment_takes_kernel(r, monkeypatch):
     assert _form_scale(c, n_mat) <= 1e-14
 
 
+def _normal(rng, r, ev):
+    q = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
+    return (q * ev) @ q.conj().T
+
+
+@pytest.mark.parametrize("r", [3, 4, 6, 8])
+def test_crawford_normal_short_cut(r, monkeypatch):
+    # the top eigenvectors of a normal N repeat across the start angles: their
+    # points coincide up to rounding and are dropped before the edge test
+    rng = np.random.default_rng(60 + r)
+    ev = (0.5 + rng.random(r)) * np.exp(2j * np.pi * (np.arange(r) + 0.3 * rng.random(r)) / r)
+    inside = _normal(rng, r, ev)
+    assert _takes_short_cut(inside)
+    calls = _kernel_counted(monkeypatch)
+    value, c, iterations, _ = radii._crawford_core(inside)
+    assert calls == []
+    assert (value, iterations) == (0.0, START_ANGLES)
+    assert _form_scale(c, inside) <= 1e-14
+    # 0 outside W(N): the kernel runs and the value is the distance to the hull
+    outside = _normal(rng, r, ev + 3.0)
+    assert not _takes_short_cut(outside)
+    calls.clear()
+    value = radii._crawford_core(outside)[0]
+    assert calls == [0]
+    # the nearest point of the hull of the eigenvalues lies on a segment of two of them
+    a, b = np.meshgrid(ev + 3.0, ev + 3.0)
+    t = np.clip((-a.conj() * (b - a)).real / np.maximum(np.abs(b - a) ** 2, 1e-300), 0.0, 1.0)
+    assert value == pytest.approx(np.abs(a + t * (b - a)).min(), rel=1e-12)
+
+
 def test_crawford_invariant_on_both_routes():
     rng = np.random.default_rng(41)
     for inside in _interior_zero_cases():
