@@ -136,8 +136,8 @@ def _newton_polish(n_mat: np.ndarray, k_mat: np.ndarray, index: int, theta: floa
     level rarely finds a candidate above that rule (stopping at the rule
     itself left some levels a few ulps short, and those calls solved a second
     pencil). An eigenvalue counts as simple when its gaps exceed
-    ``4 eps (1 + |lambda|)``. Returns ``(theta, gamma, evals)``, ``evals``
-    the ``eigh`` count.
+    ``4 eps (1 + |lambda|)``. Returns ``(theta, gamma, evals, lam, vecs)``,
+    ``evals`` the ``eigh`` count and ``lam, vecs`` the eigenpairs at theta.
     """
     eps = np.finfo(float).eps
     k = index % n_mat.shape[0]
@@ -164,7 +164,7 @@ def _newton_polish(n_mat: np.ndarray, k_mat: np.ndarray, index: int, theta: floa
         if not lam_new[k] > gamma:
             break
         theta, gamma, c_mat, lam, vecs = theta + step, float(lam_new[k]), c_new, lam_new, vecs_new
-    return theta, gamma, evals
+    return theta, gamma, evals, lam, vecs
 
 
 def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
@@ -187,15 +187,16 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     Once the polish reaches the global maximum, the pencil at that level is the
     only one solved: it certifies that no arc lies above it.
 
-    Returns ``(theta, value, evals)``: ``value`` is eigenvalue ``index`` at
+    Returns ``(theta, value, evals, lam, vecs)``: ``value`` is eigenvalue ``index`` at
     ``theta`` (attained, never extrapolated), ``evals`` the number of angles
-    evaluated, Newton steps included.
+    evaluated, Newton steps included, and ``lam, vecs`` the eigenpairs of
+    ``f(theta)`` in the caller's units, ``lam[index] = value`` up to rounding.
     """
     r = n_mat.shape[0]
     k_mat = np.zeros((r, r)) if shift is None else shift
     scale = max(float(np.linalg.norm(n_mat)), float(np.linalg.norm(k_mat)))
     if scale == 0.0:
-        return 0.0, 0.0, 0
+        return 0.0, 0.0, 0, np.zeros(r), np.eye(r)
     n_mat, k_mat = n_mat / scale, k_mat / scale
 
     def values(thetas: np.ndarray) -> np.ndarray:
@@ -204,8 +205,8 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     thetas = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
     vals = values(thetas)
     best = int(np.argmax(vals))
-    theta, gamma, evals = _newton_polish(n_mat, k_mat, index, float(thetas[best]),
-                                         float(vals[best]))
+    theta, gamma, evals, lam, vecs = _newton_polish(n_mat, k_mat, index, float(thetas[best]),
+                                                    float(vals[best]))
     evals += START_ANGLES
     eye, zero = np.eye(r), np.zeros((r, r))
     b_mat = np.block([[eye, zero], [zero, n_mat]])
@@ -229,11 +230,11 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
             break
         lo, hi, cands, cand_vals = lo[up], hi[up], mids[up], mid_vals[up]
         ends = np.concatenate([lo, hi])
-        lam, vecs = np.linalg.eigh(rotated_herm_batch(n_mat, ends) + k_mat)
+        end_lam, end_vecs = np.linalg.eigh(rotated_herm_batch(n_mat, ends) + k_mat)
         evals += ends.size
-        x = vecs[:, :, index]
+        x = end_vecs[:, :, index]
         slopes = (1j * np.exp(1j * ends) * np.einsum("ki,ij,kj->k", x.conj(), n_mat, x)).real
-        f_lo, f_hi = np.split(lam[:, index], 2)
+        f_lo, f_hi = np.split(end_lam[:, index], 2)
         s_lo, s_hi = np.split(slopes, 2)
         fall = s_lo - s_hi
         meet = (f_hi - f_lo + s_lo * lo - s_hi * hi) / np.where(fall > 0.0, fall, 1.0)
@@ -245,12 +246,14 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
         best = int(np.argmax(cand_vals))
         gain = float(cand_vals[best]) - gamma
         if gain > 0.0:
-            theta, gamma = float(cands[best]), float(cand_vals[best])
+            theta, gamma, lam = float(cands[best]), float(cand_vals[best]), None
         if gain <= 4.0 * np.finfo(float).eps * (1.0 + abs(gamma)):
             break
-        theta, gamma, steps = _newton_polish(n_mat, k_mat, index, theta, gamma)
+        theta, gamma, steps, lam, vecs = _newton_polish(n_mat, k_mat, index, theta, gamma)
         evals += steps
-    return theta % (2.0 * np.pi), gamma * scale, evals
+    if lam is None:
+        lam, vecs = np.linalg.eigh(rotated_herm(n_mat, theta) + k_mat)
+    return theta % (2.0 * np.pi), gamma * scale, evals, lam * scale, vecs
 
 
 def herm_parts(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

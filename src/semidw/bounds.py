@@ -35,7 +35,7 @@ import numpy as np
 
 from ._optim import START_ANGLES, golden_max_lockstep, gram_herm, herm_parts, rotated_eig_max
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
-from .exact import _0x_core, _closed_estimate, _ix_core
+from .exact import _0x_core, _ix_core
 from .metric import Metric, as_operator, compress
 from .radii import (_crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_core,
                     _start_support, _w_core, form_values)
@@ -348,7 +348,7 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None):
 def _upper_theta_sweep(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     if not n_mat.size:
         return inst.record(n_mat, "theta sweep upper", "theta-sweep-upper", "upper", 0.0)
-    _, sup_w, evals = rotated_eig_max(n_mat, -1, gram_herm(n_mat))
+    _, sup_w, evals, _, _ = rotated_eig_max(n_mat, -1, gram_herm(n_mat))
     c_val = inst.memo.value(_crawford_core, n_mat)
     m_val = inst.memo.value(_min_modulus_core, n_mat)
     value = _sqrt0(sup_w ** 2 - 2.0 * c_val * m_val ** 2)
@@ -495,7 +495,17 @@ def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine, batch: int =
     return best, (zero if zero in ties else min(ties)), refined.get(zero)
 
 
+def _lambda_grid(lambda_grid, dtype):
+    """``lambda_grid`` as an array of ``dtype`` (None: the default); ValueError unless 1-D,
+    nonempty and finite."""
+    grid = None if lambda_grid is None else np.asarray(lambda_grid, dtype=dtype)
+    if grid is not None and (grid.ndim != 1 or not grid.size or not np.isfinite(grid).all()):
+        raise ValueError(f"lambda_grid must be a nonempty 1-D array of finite numbers: {grid!r}")
+    return grid
+
+
 def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) -> BoundRecord:
+    lambda_grid = _lambda_grid(lambda_grid, float)
     if not n_mat.size:
         return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", 0.0)
     gram = gram_herm(n_mat)
@@ -504,7 +514,6 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) ->
     if lambda_grid is None:
         span = 2.0 * n_val ** 2
         lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
 
     def members(lam, top, bot, rho_minus):
         # lam broadcasts against the angles
@@ -596,6 +605,7 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
 
 def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
                           lambda_grid=None) -> BoundRecord:
+    lambda_grid = _lambda_grid(lambda_grid, complex)
     if not n_mat.size:
         return inst.record(n_mat, "lambda complex upper", "lambda-complex-upper", "upper", 0.0)
     gram = gram_herm(n_mat)
@@ -608,7 +618,6 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
             phases = np.exp(2j * np.pi * np.arange(8) / 8.0)
             lams.extend((r * p for r in radii_vals for p in phases))
         lambda_grid = np.asarray(lams, dtype=complex)
-    lambda_grid = np.asarray(lambda_grid, dtype=complex)
 
     # support points p_k = x_k* N x_k of W(N), x_k the top eigenvectors of
     # Re(e^{i theta_k} N): p_k - lam lies in W(N - lam I), so |p_k - lam| <= w(N - lam I)
@@ -741,7 +750,7 @@ def exact_checks(m: Metric, x, tol: float | None = None):
     inst = _Instance(tol=tol)
     out = []
     for label, top, core in (("identity", np.eye(m.rank), _ix_core), ("zero", zero, _0x_core)):
-        closed = _closed_estimate(m, inst.memo, n_x, core)
+        closed = _lift(m, inst.memo.estimate(core, n_x, "exact_svd"))
         blk = _block(top, n_x, zero, zero)
         bracket = inst.memo.dw(blk)
         out.append((label, closed, bracket, inst.record(

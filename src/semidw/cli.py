@@ -332,6 +332,16 @@ def cmd_suite(args) -> int:
     return 0
 
 
+#: field of a replay file -> (test, what the test asks for); a JSON bool is no integer
+_REPLAY_FIELDS = {
+    "entropy": (lambda v: type(v) is list and v != [] and all(type(e) is int and e >= 0 for e in v),
+                "a nonempty list of nonnegative integers"),
+    "dim": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+    "rank": (lambda v: type(v) is int and v >= 1, "a positive integer"),
+    "target_b": (lambda v: type(v) in (int, float) and 0.0 <= v < np.inf, "a finite number >= 0"),
+}
+
+
 def _replay(args) -> int:
     import json
 
@@ -342,6 +352,10 @@ def _replay(args) -> int:
         entropy, *params = (data[key] for key in ("entropy", *keys[suite]))
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"replay file {args.replay} is not a suite violation: {exc!r}") from exc
+    for key, value in zip(("entropy", *keys[suite]), (entropy, *params)):
+        valid, what = _REPLAY_FIELDS[key]
+        if not valid(value):
+            raise ParseError(f"replay file {args.replay}: {key!r} is {value!r}, not {what}")
     if suite == "bounds":
         m, t, report = _suite_bounds_one(entropy, *params)
         _emit(args, jsonio.report_to_dict(report), _report_text(report),
@@ -404,7 +418,9 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--operator", required=True, help="operator JSON file")
         if paired:
             p.add_argument("--operator2", help="second operator JSON file (pair bounds)")
-        p.add_argument("--seed", type=int, default=42)
+        p.add_argument("--seed", type=int, default=42,
+                       help="suite reads it; bounds and verify record it in the report; "
+                            "compute, exact and remark-repro ignore it")
         p.add_argument("--samples", type=_positive_int, default=None,
                        help="accepted for existing command lines; no command reads it")
         if judged:

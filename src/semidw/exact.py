@@ -14,7 +14,7 @@ Under the doubled metric diag(A, A):
   branch point at 1/sqrt(2) (inclusive on the upper branch).
 
 Both depend on X only through ``b`` and a unit vector ``c0`` attaining it,
-the top singular pair of ``N_X = compress(m, X)``. Each has one core on
+the memoized top singular pair of ``N_X = compress(m, X)``. Each has one core on
 ``N_X`` (:func:`_ix_core`, :func:`_0x_core`) that returns the value and the
 maximizer in the basis diag(B, B) of diag(A, A): ``(N_X c0, k c0) / rho``,
 ``(0, c0)`` above the branch point, ``e_1`` when ``b = 0``; the memo turns it
@@ -33,8 +33,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BOutOfRange, NonpositiveB
-from .metric import Metric, compress
-from .radii import RadiusEstimate, _lift, _Memo, _seminorm_core
+from .metric import Metric
+from .radii import RadiusEstimate, _estimate, _Memo, _seminorm_core
 
 _B_ZERO = 1e-12
 
@@ -136,32 +136,31 @@ def _first_coords(n_x: np.ndarray) -> np.ndarray:
     return np.eye(1, 2 * n_x.shape[0], dtype=complex)[0]
 
 
-def _ix_core(n_x: np.ndarray, b: float, c0: np.ndarray):
-    """dw of [[I, X], [O, O]] and its block coordinates, from ``N_X``, ``b`` and ``c0``."""
+def _ix_core(n_x: np.ndarray, memo: _Memo):
+    """dw of [[I, X], [O, O]] and its block coordinates, from ``N_X`` and its memoized
+    top singular pair ``b``, ``c0``."""
+    b, c0 = memo.run(_seminorm_core, n_x)[:2]
     if b <= _B_ZERO:
-        return np.sqrt(2.0), _first_coords(n_x)
+        return np.sqrt(2.0), _first_coords(n_x), 0, 0.0
     theta = _stationary_angle(b, cardano_theta0(b).theta0)
-    return np.sqrt(split_objective(theta, b)), _split_coords(n_x, b, c0, b * np.tan(theta))
+    return (np.sqrt(split_objective(theta, b)), _split_coords(n_x, b, c0, b * np.tan(theta)),
+            0, 0.0)
 
 
-def _0x_core(n_x: np.ndarray, b: float, c0: np.ndarray):
-    """dw of [[O, X], [O, O]] and its block coordinates, from ``N_X``, ``b`` and ``c0``."""
+def _0x_core(n_x: np.ndarray, memo: _Memo):
+    """dw of [[O, X], [O, O]] and its block coordinates, from ``N_X`` and its memoized
+    top singular pair ``b``, ``c0``."""
+    b, c0 = memo.run(_seminorm_core, n_x)[:2]
     if b <= _B_ZERO:
-        return 0.0, _first_coords(n_x)
+        return 0.0, _first_coords(n_x), 0, 0.0
     if b >= 1.0 / np.sqrt(2.0):
-        try:
-            value = b ** 2
-        except OverflowError as exc:
-            raise _out_of_range(b) from exc
-        return value, np.concatenate([np.zeros_like(c0), c0])
+        with np.errstate(over="ignore"):
+            value = np.float64(b) ** 2
+        if not np.isfinite(value):
+            raise _out_of_range(b)
+        return value, np.concatenate([np.zeros_like(c0), c0]), 0, 0.0
     k = b / np.sqrt(1.0 - 2.0 * b ** 2)
-    return b / (2.0 * np.sqrt(1.0 - b ** 2)), _split_coords(n_x, b, c0, k)
-
-
-def _closed_estimate(m: Metric, memo: _Memo, n_x: np.ndarray, core) -> RadiusEstimate:
-    """The estimate of a closed-form ``core`` on ``N_X = compress(m, X)``, with its witness;
-    ``b`` and ``c0`` are the memoized seminorm of ``N_X`` (:meth:`semidw.radii._Memo.estimate`)."""
-    return _lift(m, memo.estimate(_seminorm_core, n_x, "exact_svd", core))
+    return b / (2.0 * np.sqrt(1.0 - b ** 2)), _split_coords(n_x, b, c0, k), 0, 0.0
 
 
 def dw_exact_ix(m: Metric, x) -> RadiusEstimate:
@@ -171,7 +170,7 @@ def dw_exact_ix(m: Metric, x) -> RadiusEstimate:
     ``(cos t0 + b sin t0) sqrt(cos^2 t0 + (cos t0 + b sin t0)^2)`` at the
     stationary angle t0 (:func:`_stationary_angle` from the Cardano root).
     """
-    return _closed_estimate(m, _Memo(), compress(m, x), _ix_core)
+    return _estimate(m, x, "exact_svd", _ix_core)
 
 
 def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
@@ -182,4 +181,4 @@ def dw_exact_0x(m: Metric, x) -> RadiusEstimate:
     there). Raises :class:`BOutOfRange` when ``b^2`` overflows (b above
     about 1.3e154).
     """
-    return _closed_estimate(m, _Memo(), compress(m, x), _0x_core)
+    return _estimate(m, x, "exact_svd", _0x_core)

@@ -10,9 +10,9 @@ compressed matrix ``N`` from :func:`semidw.metric.compress`:
 * ``dw_radius``        -- ``dw_A(T) = max sqrt(|c* N c|^2 + ||N c||^4)``, a certified
   ``[lower, upper]`` bracket from the Davis-Wielandt shell.
 
-Each functional has one private core that maps ``N`` to ``(value, c,
+Each functional has one private core that maps ``(N, memo)`` to ``(value, c,
 iterations, residual)``; the bound evaluators apply the same cores to
-products of compressed matrices. Every caller reads them through a
+products of compressed matrices. Every caller, and every core, reads them through a
 :class:`_Memo`, whose :class:`RadiusEstimate` carries the optimal value, the
 unit coordinate vector attaining it, and convergence metadata. :func:`_lift`
 adds the ambient witness, with zero null-space component
@@ -20,7 +20,8 @@ adds the ambient witness, with zero null-space component
 A-quantity, so the witness is canonical only up to that coset.
 
 ``w``, ``c`` and ``dw`` come from the level-set angle kernel
-:func:`semidw._optim.rotated_eig_max`, with one short cut: when the support
+:func:`semidw._optim.rotated_eig_max` (witnesses: its eigenvectors at its
+maximizer), with one short cut: when the support
 points of W(N) at the kernel's ``START_ANGLES`` start angles enclose 0 by a
 rounding margin, ``c_A(T) = 0`` by convexity and no kernel runs
 (:func:`_inner_zero`); ``iterations`` is then ``START_ANGLES``.
@@ -107,11 +108,12 @@ def _estimate(m: Metric, t, method: str, core) -> RadiusEstimate:
 class _Memo:
     """The raw core outputs of one instance, each computed once per ``(core, N)``.
 
-    :meth:`run` alone hands :func:`_dw_core` its end lines, the raw ``_seminorm_core``
-    and (on demand) ``_w_core`` outputs of N (phase-fixed vectors move the bracket by
-    rounding), and :func:`_crawford_core` the :func:`_start_support` of N, which
-    :func:`semidw.bounds.upper_lambda_complex` reads too; :meth:`estimate` alone turns
-    a raw output into a :class:`RadiusEstimate`.
+    :meth:`run` calls ``core(N, memo)``; a core reads what it builds on through
+    ``memo.run``: :func:`_dw_core` its raw ``_seminorm_core`` and ``_w_core`` end lines
+    (phase-fixed vectors move the bracket by rounding), :func:`_crawford_core` and
+    :func:`semidw.bounds.upper_lambda_complex` the :func:`_start_support` of N, the closed
+    forms the top singular pair of N_X. :meth:`estimate` alone turns a raw output into a
+    :class:`RadiusEstimate`.
     """
 
     raw: dict = field(default_factory=dict)
@@ -120,33 +122,25 @@ class _Memo:
         """The raw output of ``core`` on ``n_mat``, computed on the first call."""
         key = (core, n_mat.shape, n_mat.tobytes())
         if key not in self.raw:
-            inputs = ()
-            if core is _dw_core:
-                inputs = (self.run(_seminorm_core, n_mat), lambda: self.run(_w_core, n_mat))
-            elif core is _crawford_core:
-                inputs = (self.run(_start_support, n_mat),)
-            self.raw[key] = core(n_mat, *inputs)
+            self.raw[key] = core(n_mat, self)
         return self.raw[key]
 
     def value(self, core, n_mat: np.ndarray) -> float:
         """Value of a core on a compressed matrix; 0 on a rank-zero metric."""
         return float(self.run(core, n_mat)[0]) if n_mat.size else 0.0
 
-    def estimate(self, core, n_mat: np.ndarray, method: str, closed=None) -> RadiusEstimate:
+    def estimate(self, core, n_mat: np.ndarray, method: str) -> RadiusEstimate:
         """The raw output of ``core`` on ``n_mat`` as an estimate, ``c`` phase-fixed, no witness.
 
-        With ``closed``, that of the closed block form ``closed(N, value, c) -> (value, block
-        coordinates)`` at ``core``'s value and ``c``, with no iterations. A rank-zero metric
-        (N is 0x0) admits no A-unit vectors: the estimate is 0 with a warning.
+        A rank-zero metric (N is 0x0) admits no A-unit vectors: the estimate is 0 with a
+        warning.
         """
         if not n_mat.size:
             return RadiusEstimate(0.0, np.zeros(0, dtype=complex), method, 0, 0.0, None,
                                   "metric has rank zero; no A-unit vectors exist")
         value, c, iterations, residual = self.run(core, n_mat)
-        value, c = float(value), _fix_phase(c)
-        if closed is not None:
-            (value, c), iterations, residual = closed(n_mat, value, c), 0, 0.0
-        return RadiusEstimate(float(value), c, method, int(iterations), float(residual))
+        return RadiusEstimate(float(value), _fix_phase(c), method, int(iterations),
+                              float(residual))
 
     def dw(self, n_mat: np.ndarray) -> RadiusEstimate:
         """The dw bracket ``[value, value + residual]`` of ``n_mat``, as :func:`dw_radius`."""
@@ -162,12 +156,12 @@ def form_values(n_mat: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
 # exact SVD functionals
 
 
-def _seminorm_core(n_mat: np.ndarray):
+def _seminorm_core(n_mat: np.ndarray, memo: _Memo):
     _, s, vh = np.linalg.svd(n_mat)
     return s[0], vh[0].conj(), 1, 0.0
 
 
-def _min_modulus_core(n_mat: np.ndarray):
+def _min_modulus_core(n_mat: np.ndarray, memo: _Memo):
     _, s, vh = np.linalg.svd(n_mat)
     return s[-1], vh[-1].conj(), 1, 0.0
 
@@ -186,14 +180,13 @@ def min_modulus(m: Metric, t) -> RadiusEstimate:
 # numerical radius: level-set angle kernel
 
 
-def _w_core(n_mat: np.ndarray):
+def _w_core(n_mat: np.ndarray, memo: _Memo):
     """Maximize ``lambda_max(Re(e^{i theta} N))`` over [0, 2pi); c is the top eigenvector.
 
     ``iterations`` is the number of angles the level-set kernel evaluated.
     """
-    theta, value, evals = rotated_eig_max(n_mat, -1)
-    c = np.linalg.eigh(rotated_herm(n_mat, theta))[1][:, -1]
-    return value, c, evals, abs(abs(form_values(n_mat, c[None, :])[0]) - value)
+    _, value, evals, _, vecs = rotated_eig_max(n_mat, -1)
+    return value, vecs[:, -1], evals, abs(abs(_form(n_mat, vecs[:, -1])) - value)
 
 
 def numerical_radius(m: Metric, t) -> RadiusEstimate:
@@ -206,17 +199,6 @@ def numerical_radius(m: Metric, t) -> RadiusEstimate:
     return _estimate(m, t, "theta_sweep", _w_core)
 
 
-def _support_sweep(n_mat: np.ndarray):
-    """Maximize ``lambda_min(Re(e^{i phi} N))`` over phi with the level-set angle kernel.
-
-    Returns ``(max(0, maximum), phi, evals, lam, vecs)`` with the eigenpairs
-    ``lam, vecs`` of ``Re(e^{i phi} N)``.
-    """
-    phi, value, evals = rotated_eig_max(n_mat, 0)
-    lam, vecs = np.linalg.eigh(rotated_herm(n_mat, phi))
-    return max(0.0, float(value)), float(phi), evals, lam, vecs
-
-
 def numrange_distance(n_mat: np.ndarray):
     """Distance from 0 to the numerical range of ``N`` (exact by convexity).
 
@@ -227,8 +209,8 @@ def numrange_distance(n_mat: np.ndarray):
     """
     if n_mat.shape[0] == 0:
         return 0.0, 0.0, np.zeros(0, dtype=complex)
-    value, phi, _, _, vecs = _support_sweep(n_mat)
-    return value, phi, vecs[:, 0]
+    phi, value, _, _, vecs = rotated_eig_max(n_mat, 0)
+    return max(0.0, float(value)), phi, vecs[:, 0]
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +320,7 @@ def _through_zero(n_mat: np.ndarray, x1: np.ndarray) -> np.ndarray:
 ENCLOSE_ULPS = 8
 
 
-def _start_support(n_mat: np.ndarray):
+def _start_support(n_mat: np.ndarray, memo: _Memo):
     """``(tops, points)``: the top eigenvectors ``x_k`` of ``Re(e^{i theta_k} N)`` at the
     ``START_ANGLES`` equispaced angles (one stacked ``eigh``) and the support points
     ``p_k = x_k* N x_k`` of W(N) they attain."""
@@ -377,18 +359,19 @@ def _inner_zero(n_mat: np.ndarray, tops: np.ndarray, points: np.ndarray) -> np.n
                        (x[hi], turn * ring[hi]))
 
 
-def _crawford_core(n_mat: np.ndarray, start=None):
+def _crawford_core(n_mat: np.ndarray, memo: _Memo):
     """``(c(N), c, iterations, residual)``: the :func:`_inner_zero` short cut, else the sweep.
 
-    ``start`` is the :func:`_start_support` of N (computed when omitted). When its
-    points enclose 0 the value is 0 with ``START_ANGLES`` iterations and no kernel
-    call; the kernel would return ``max(0, lambda_min) = 0`` there too, since every
-    ``lambda_min(Re(e^{i phi} N))`` is below minus the margin.
+    When the points of the memoized :func:`_start_support` of N enclose 0 the value is 0
+    with ``START_ANGLES`` iterations and no kernel call; the kernel would return
+    ``max(0, lambda_min) = 0`` there too, since every ``lambda_min(Re(e^{i phi} N))``
+    is below minus the margin. Else the kernel's eigenpairs at phi give the face.
     """
-    c = _inner_zero(n_mat, *(_start_support(n_mat) if start is None else start))
+    c = _inner_zero(n_mat, *memo.run(_start_support, n_mat))
     if c is not None:
         return 0.0, c, START_ANGLES, abs(_form(n_mat, c))
-    value, phi, evals, lam, vecs = _support_sweep(n_mat)
+    phi, value, evals, lam, vecs = rotated_eig_max(n_mat, 0)
+    value = max(0.0, float(value))
     c = _face_point(n_mat, phi, lam, vecs, value * np.exp(-1j * phi))
     if value == 0.0:
         c = _nearest(n_mat, c, _through_zero(n_mat, c))
@@ -421,7 +404,7 @@ DW_MAX_DIRECTIONS = 64
 DW_PAD_ULPS = 16
 
 
-def _dw_core(n_mat: np.ndarray, norm, w):
+def _dw_core(n_mat: np.ndarray, memo: _Memo):
     """Bracket ``[lower, upper]`` of ``dw(N) = max |p|`` over ``S = {(|c* N c|, c* G c)}``.
 
     ``G = N*N``, c unit. S lies in the positive quadrant, so dw is the farthest
@@ -429,12 +412,12 @@ def _dw_core(n_mat: np.ndarray, norm, w):
     sin alpha)``, alpha in [0, pi/2], is one level-set kernel call,
     ``max_theta lambda_max(cos alpha Re(e^{i theta} N) + sin alpha G)``
     (Davis-Wielandt shell: Li-Poon-Sze, Oper. Matrices 2 (2008)); at the ends
-    it is ``||N||_2^2`` and ``w(N)``: ``norm`` is the raw ``_seminorm_core`` output and
-    ``w()`` gives the raw ``_w_core`` one (:meth:`_Memo.run`), called only past the
-    ``NORM_MAX`` and zero checks. Inner and outer polygons
-    (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)): the lower end is the
-    largest ``|p|`` over the support points, each the point of a top
-    eigenvector (the witness); the upper end is the farthest vertex of the
+    it is ``||N||_2^2`` and ``w(N)`` (the memoized ``_seminorm_core`` and
+    ``_w_core``; ``_w_core`` runs only past the ``NORM_MAX`` and zero checks).
+    Inner and outer polygons (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)):
+    the lower end is the largest ``|p|`` over the support points, each the point
+    of the kernel's top eigenvector at its maximizer (the witness); the upper
+    end is the farthest vertex of the
     polygon of support lines plus ``DW_PAD_ULPS r eps (||N||_2 + ||N||_2^2)``,
     a bound on the rounding of support values (unpadded, vertices fell up to
     3.1 such units below attained points). The next line is at the angle of
@@ -446,6 +429,7 @@ def _dw_core(n_mat: np.ndarray, norm, w):
     slowly and the cap leaves a width near 2e-7 dw. Returns ``(lower, c, kernel
     calls, upper - lower)``; raises :class:`NormOutOfRange` above ``NORM_MAX``.
     """
+    norm = memo.run(_seminorm_core, n_mat)
     if not norm[0] <= NORM_MAX:
         raise NormOutOfRange(f"||T||_A = {norm[0]:.3g} is above {NORM_MAX:.3g}, where dw_A "
                              "and its bounds leave the floating-point range")
@@ -463,7 +447,7 @@ def _dw_core(n_mat: np.ndarray, norm, w):
         points.append(p)
         vecs.append(x)
 
-    add(0.0, *w()[:2])
+    add(0.0, *memo.run(_w_core, n_mat)[:2])
     add(0.5 * np.pi, norm[0] ** 2, norm[1])
     for calls in range(DW_MAX_DIRECTIONS + 1):
         order = np.argsort(alphas)
@@ -485,9 +469,9 @@ def _dw_core(n_mat: np.ndarray, norm, w):
         if not fresh:
             break
         alpha = fresh[0]
-        theta, value, _ = rotated_eig_max(np.cos(alpha) * n_mat, -1, np.sin(alpha) * gram)
-        top = np.cos(alpha) * rotated_herm(n_mat, theta) + np.sin(alpha) * gram
-        add(alpha, value, np.linalg.eigh(top)[1][:, -1])
+        _, value, _, _, slice_vecs = rotated_eig_max(np.cos(alpha) * n_mat, -1,
+                                                     np.sin(alpha) * gram)
+        add(alpha, value, slice_vecs[:, -1])
     return lower, vecs[best], calls, upper - lower
 
 
@@ -596,7 +580,8 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
     """
     if objective not in _ORACLE_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {_ORACLE_OBJECTIVES}")
-    return _estimate(m, t, "oracle", lambda n_mat: _oracle_core(n_mat, objective, samples, seed))
+    return _estimate(m, t, "oracle",
+                     lambda n_mat, memo: _oracle_core(n_mat, objective, samples, seed))
 
 
 def _oracle_core(n_mat: np.ndarray, objective: str, samples: int, seed: int):

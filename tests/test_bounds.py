@@ -10,7 +10,7 @@ from semidw._optim import START_ANGLES, gram_herm, herm_parts, rotated_herm, rot
 from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, SWEEP_BRACKET_TOL, THETA_GRID_BOUNDS
 from semidw.errors import DegenerateNorm, NormOutOfRange, NotABounded, ZeroT
 from semidw.metric import compress
-from semidw.radii import NORM_MAX, _w_core
+from semidw.radii import NORM_MAX, _Memo, _w_core
 from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
@@ -157,7 +157,7 @@ def test_lower_crawford_runs_no_kernel_on_abs_sq(monkeypatch):
     m = random_metric(rng, 4, 3)
     t = random_bounded_operator(rng, m)
     n_mat = compress(m, t)
-    short_cut = radii._inner_zero(n_mat, *radii._start_support(n_mat)) is not None
+    short_cut = radii._inner_zero(n_mat, *_Memo().run(radii._start_support, n_mat)) is not None
     sd.lower_crawford(m, t, reference=1.0)
     want = [(-1, n_mat.tobytes())] + [(0, n_mat.tobytes())] * (not short_cut)
     assert sorted(calls) == sorted(want)
@@ -459,6 +459,19 @@ def test_lambda_theta_nilpotent(diag12):
     assert rec.value >= 0.5 - 1e-9
 
 
+@pytest.mark.parametrize("grid", [[], [np.nan], [np.inf], [[0.5, 1.0]], 0.5])
+def test_lambda_grid_rejected_before_any_eigensolve(grid, id2, monkeypatch):
+    # [] died in min() and [nan] in an IndexError (real) or a failed QZ (complex)
+    def eigensolve(*args, **kw):
+        raise AssertionError("eigensolve before the grid check")
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, eigensolve)
+    for evaluator in (sd.upper_lambda_theta, sd.upper_lambda_complex):
+        with pytest.raises(ValueError, match="lambda_grid"):
+            evaluator(id2, np.eye(2), lambda_grid=grid)
+
+
 def test_lambda_complex_members(id2, diag12):
     rec = sd.upper_lambda_complex(id2, np.eye(2))
     assert rec.value == pytest.approx(SQ2, abs=1e-9)
@@ -474,7 +487,7 @@ def test_lambda_complex_members(id2, diag12):
 
 def _lambda_complex_grid(n_mat):
     """The default grid of ``upper_lambda_complex``, from the package's ``w(N)``."""
-    w_val = _w_core(n_mat)[0]
+    w_val = _Memo().run(_w_core, n_mat)[0]
     lams = [0.0j]
     if w_val > 0.0:
         phases = np.exp(2j * np.pi * np.arange(8) / 8.0)
@@ -886,9 +899,9 @@ def test_public_radii_match_report_paths(monkeypatch):
 
     calls = Counter()
     for name in ("_w_core", "_seminorm_core"):
-        def counted(n_mat, _name=name, _core=getattr(radii, name)):
+        def counted(n_mat, memo, _name=name, _core=getattr(radii, name)):
             calls[_name] += 1
-            return _core(n_mat)
+            return _core(n_mat, memo)
 
         monkeypatch.setattr(radii, name, counted)
     rng = np.random.default_rng(13)

@@ -315,9 +315,9 @@ def test_exact_compresses_once(matrix_files, capsys, monkeypatch):
         compressions.append(t)
         return compress(m, t)
 
-    def counted_seminorm(n_mat):
+    def counted_seminorm(n_mat, memo):
         svds_of_n_x.append(np.array_equal(n_mat, n_x))
-        return seminorm_core(n_mat)
+        return seminorm_core(n_mat, memo)
 
     for module in (metric, radii, exact, bounds, cli):
         for name, counted in (("compress", counted_compress),
@@ -451,6 +451,28 @@ def test_suite_replay_malformed_file_exit_2(tmp_path, capsys, text):
     assert main(["suite", "--replay", str(replay)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error") and str(replay) in err
+
+
+_REPLAY_FILES = {
+    "bounds": {"suite": "bounds", "entropy": [42, 1, 0], "dim": 2, "rank": 2},
+    "exact": {"suite": "exact", "entropy": [42, 2, 0], "dim": 2, "target_b": 0.3},
+}
+
+
+@pytest.mark.parametrize("suite, field, value", [
+    ("bounds", "entropy", "x"), ("bounds", "entropy", [42, -1, 0]),
+    ("bounds", "dim", "two"), ("bounds", "dim", 0),
+    ("bounds", "rank", -1), ("bounds", "rank", True),
+    ("exact", "target_b", "x"), ("exact", "target_b", float("nan")),
+])
+def test_suite_replay_bad_field_exit_2(tmp_path, capsys, suite, field, value):
+    # before: a traceback with exit 1 (TypeError or ValueError from SeedSequence or
+    # the samplers), exit 3 for dim 0 and a nan target_b, a run for rank true
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({**_REPLAY_FILES[suite], field: value}))
+    assert main(["suite", "--replay", str(replay)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and repr(field) in err
 
 
 def test_verify_text_shows_dw_bracket(matrix_files, capsys):

@@ -12,7 +12,7 @@ import scipy.linalg
 from semidw import _optim
 from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_max, rotated_herm,
                            rotated_herm_batch)
-from semidw.radii import _crawford_core, _w_core
+from semidw.radii import _crawford_core, _Memo, _w_core
 
 from helpers import golden_max, refine_periodic_max
 
@@ -71,7 +71,7 @@ def test_kernel_matches_dense_grid(r):
             ref = _reference(n_mat, shift, r)
             for index in (0, -1):
                 label = (name, index, shift is not None)
-                theta, value, _ = rotated_eig_max(n_mat, index, shift)
+                theta, value, *_ = rotated_eig_max(n_mat, index, shift)
                 refined, grid_max, size = ref[index]
                 assert value >= refined - 1e-13 * scale, label
                 attained = np.linalg.eigvalsh(rotated_herm(n_mat, theta)
@@ -133,7 +133,7 @@ def test_newton_polish_alone_reaches_maximum(r, monkeypatch):
             label = (name, shift is not None)
             scale = 1.0 + np.linalg.norm(n_mat, 2) + (0.0 if shift is None
                                                       else np.linalg.norm(shift, 2))
-            theta, value, _ = rotated_eig_max(n_mat, -1, shift)
+            theta, value, *_ = rotated_eig_max(n_mat, -1, shift)
             assert value >= _reference(n_mat, shift, r)[-1][0] - 1e-13 * scale, label
             attained = np.linalg.eigvalsh(rotated_herm(n_mat, theta)
                                           + (0.0 if shift is None else shift))[-1]
@@ -144,7 +144,7 @@ def test_newton_polish_alone_reaches_maximum(r, monkeypatch):
 def test_newton_polish_refuses_multiple_eigenvalue():
     n_mat = (0.3 - 1.7j) * np.eye(3)
     for index in (0, -1):
-        assert _optim._newton_polish(n_mat, np.zeros((3, 3)), index, 0.4, 0.3) == (0.4, 0.3, 1)
+        assert _optim._newton_polish(n_mat, np.zeros((3, 3)), index, 0.4, 0.3)[:3] == (0.4, 0.3, 1)
 
 
 def _pencil(n_mat, gamma, shift=None):
@@ -278,9 +278,83 @@ def test_golden_lockstep_matches_scalar_golden_bit_for_bit(tol):
 
 
 def test_kernel_zero_matrix():
-    assert rotated_eig_max(np.zeros((3, 3), dtype=complex), -1) == (0.0, 0.0, 0)
-    theta, value, _ = rotated_eig_max(np.zeros((2, 2), dtype=complex), 0, np.diag([2.0, 5.0]))
+    assert rotated_eig_max(np.zeros((3, 3), dtype=complex), -1)[:3] == (0.0, 0.0, 0)
+    theta, value, *_ = rotated_eig_max(np.zeros((2, 2), dtype=complex), 0, np.diag([2.0, 5.0]))
     assert value == pytest.approx(2.0, rel=1e-15)
+
+
+def _check_eigenpairs(n_mat, index, shift, label):
+    """The kernel's ``lam, vecs`` are the eigenpairs of f(theta) at its returned angle."""
+    r = n_mat.shape[0]
+    theta, value, _, lam, vecs = rotated_eig_max(n_mat, index, shift)
+    f_mat = rotated_herm(n_mat, theta) + (0.0 if shift is None else shift)
+    scale = 1.0 + np.linalg.norm(n_mat, 2) + (0.0 if shift is None else np.linalg.norm(shift, 2))
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(r)) <= 1e-13 * max(r, 1), label
+    assert np.linalg.norm(f_mat @ vecs - vecs * lam) <= 1e-13 * scale, label
+    # eigvalsh and eigh round relative to ||f(theta)||: 4 eps (1 + |value|) in the
+    # kernel's units, N and K over s = max(||N||_F, ||K||_F)
+    s = max(np.linalg.norm(n_mat), 0.0 if shift is None else np.linalg.norm(shift))
+    assert abs(lam[index] - value) <= 4.0 * np.finfo(float).eps * (s + abs(value)), label
+    return theta
+
+
+@pytest.mark.parametrize("steps, levels", [(_optim.NEWTON_STEPS, _optim.MAX_LEVELS),
+                                           (0, _optim.MAX_LEVELS),
+                                           (_optim.NEWTON_STEPS, 0)])
+def test_kernel_returns_its_eigenpairs(steps, levels, monkeypatch):
+    # the polish's eigenpairs, or one eigh when the last level's candidate was not polished
+    monkeypatch.setattr(_optim, "NEWTON_STEPS", steps)
+    monkeypatch.setattr(_optim, "MAX_LEVELS", levels)
+    polished = []
+
+    def recorded(*args, _polish=_optim._newton_polish):
+        out = _polish(*args)
+        polished.append(out[0] % (2.0 * np.pi))
+        return out
+
+    monkeypatch.setattr(_optim, "_newton_polish", recorded)
+    ends = set()
+    for r in (1, 2, 3, 5, 8):
+        rng = np.random.default_rng(100 + r)
+        for name, n_mat in _families(rng, r):
+            for shift in (None, gram_herm(n_mat)):
+                for index in (0, -1):
+                    polished.clear()
+                    theta = _check_eigenpairs(n_mat, index, shift,
+                                              (name, r, index, shift is not None))
+                    if polished:  # N = 0 at r = 1 returns before any polish
+                        ends.add(theta == polished[-1])
+    # both endings occur, except with no level set, where the polish is the end
+    assert ends == ({True} if levels == 0 else {True, False})
+    for n_mat, shift in ((np.zeros((3, 3), dtype=complex), None),
+                         (np.zeros((2, 2), dtype=complex), np.diag([2.0, 5.0]))):
+        for index in (0, -1):
+            _check_eigenpairs(n_mat, index, shift, ("zero", index, shift is not None))
+
+
+def test_w_core_solves_no_eigh_outside_the_kernel(monkeypatch):
+    # the witness is the kernel's top eigenvector: no eigensolve at its angle again
+    from semidw import radii
+
+    counts = {"all": 0, "kernel": 0}
+
+    def counted_eigh(a, *args, _eigh=np.linalg.eigh, **kw):
+        counts["all"] += 1
+        return _eigh(a, *args, **kw)
+
+    def counted_kernel(*args, _kernel=radii.rotated_eig_max):
+        before = counts["all"]
+        out = _kernel(*args)
+        counts["kernel"] += counts["all"] - before
+        return out
+
+    monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
+    monkeypatch.setattr(radii, "rotated_eig_max", counted_kernel)
+    rng = np.random.default_rng(5)
+    for r in (2, 5, 8):
+        counts.update(all=0, kernel=0)
+        _Memo().run(_w_core, rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))
+        assert counts["all"] == counts["kernel"] > 0, r
 
 
 def test_w_and_crawford_build_no_theta_grid_stack(monkeypatch):
@@ -294,7 +368,7 @@ def test_w_and_crawford_build_no_theta_grid_stack(monkeypatch):
     rng = np.random.default_rng(3)
     for r in (2, 6, 12):
         for _, n_mat in _families(rng, r):
-            _w_core(n_mat)
-            _crawford_core(n_mat)
+            _Memo().run(_w_core, n_mat)
+            _Memo().run(_crawford_core, n_mat)
     # the 1440-angle stacks the kernel replaced
     assert sizes and max(sizes) < 1440

@@ -159,7 +159,7 @@ def test_crawford_witness_attains_value():
 
 
 def _takes_short_cut(n_mat):
-    return radii._inner_zero(n_mat, *radii._start_support(n_mat)) is not None
+    return radii._inner_zero(n_mat, *_Memo().run(radii._start_support, n_mat)) is not None
 
 
 def _kernel_counted(monkeypatch):
@@ -187,7 +187,7 @@ def _form_scale(c, n_mat):
 def test_crawford_short_cut_runs_no_kernel(monkeypatch):
     for n_mat in _interior_zero_cases():
         calls = _kernel_counted(monkeypatch)
-        value, c, iterations, residual = radii._crawford_core(n_mat)
+        value, c, iterations, residual = _Memo().run(radii._crawford_core, n_mat)
         assert calls == []
         assert (value, iterations) == (0.0, START_ANGLES)
         assert np.linalg.norm(c) == pytest.approx(1.0, abs=1e-12)
@@ -198,7 +198,7 @@ def test_crawford_short_cut_runs_no_kernel(monkeypatch):
         assert sd.numrange_distance(n_mat)[0] == 0.0
         monkeypatch.setattr(radii, "_inner_zero", lambda *args: None)
         calls = _kernel_counted(monkeypatch)
-        assert radii._crawford_core(n_mat)[0] == 0.0
+        assert _Memo().run(radii._crawford_core, n_mat)[0] == 0.0
         assert calls == [0]
         monkeypatch.undo()
 
@@ -211,7 +211,7 @@ def test_crawford_psd_singular_takes_kernel(r, monkeypatch):
     gram = h @ h.conj().T
     assert not _takes_short_cut(gram)
     calls = _kernel_counted(monkeypatch)
-    value, c, _, _ = radii._crawford_core(gram)
+    value, c, _, _ = _Memo().run(radii._crawford_core, gram)
     assert calls == [0]
     assert value == pytest.approx(0.0, abs=1e-14 * np.linalg.norm(gram, 2))
     assert _form_scale(c, gram) <= 1e-14
@@ -229,7 +229,7 @@ def test_crawford_hermitian_segment_takes_kernel(r, monkeypatch):
     n_mat = 0.5 * (n_mat + n_mat.conj().T)
     assert not _takes_short_cut(n_mat)
     calls = _kernel_counted(monkeypatch)
-    value, c, _, _ = radii._crawford_core(n_mat)
+    value, c, _, _ = _Memo().run(radii._crawford_core, n_mat)
     assert calls == [0]
     assert value == 0.0
     assert _form_scale(c, n_mat) <= 1e-14
@@ -249,7 +249,7 @@ def test_crawford_normal_short_cut(r, monkeypatch):
     inside = _normal(rng, r, ev)
     assert _takes_short_cut(inside)
     calls = _kernel_counted(monkeypatch)
-    value, c, iterations, _ = radii._crawford_core(inside)
+    value, c, iterations, _ = _Memo().run(radii._crawford_core, inside)
     assert calls == []
     assert (value, iterations) == (0.0, START_ANGLES)
     assert _form_scale(c, inside) <= 1e-14
@@ -257,7 +257,7 @@ def test_crawford_normal_short_cut(r, monkeypatch):
     outside = _normal(rng, r, ev + 3.0)
     assert not _takes_short_cut(outside)
     calls.clear()
-    value = radii._crawford_core(outside)[0]
+    value = _Memo().run(radii._crawford_core, outside)[0]
     assert calls == [0]
     # the nearest point of the hull of the eigenvalues lies on a segment of two of them
     a, b = np.meshgrid(ev + 3.0, ev + 3.0)
@@ -272,11 +272,12 @@ def test_crawford_invariant_on_both_routes():
         outside = inside + (3.0 + 2.0 * r) * np.exp(2j * np.pi * rng.random()) * np.eye(r)
         u = np.linalg.qr(rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)))[0]
         for n_mat, short in ((inside, True), (outside, False)):
-            value = radii._crawford_core(n_mat)[0]
+            value = _Memo().run(radii._crawford_core, n_mat)[0]
             for moved, scale in ((u @ n_mat @ u.conj().T, 1.0), (2.5 * n_mat, 2.5),
                                  (1e-3 * n_mat, 1e-3)):
                 assert _takes_short_cut(moved) is short
-                assert radii._crawford_core(moved)[0] == pytest.approx(scale * value, rel=1e-10)
+                moved_value = _Memo().run(radii._crawford_core, moved)[0]
+                assert moved_value == pytest.approx(scale * value, rel=1e-10)
             assert (value == 0.0) is short
 
 
@@ -322,9 +323,9 @@ def test_dw_determinism(diag12):
 def test_dw_runs_w_only_when_it_reads_it(diag12, monkeypatch):
     calls = []
 
-    def counted(n_mat, _core=radii._w_core):
+    def counted(n_mat, memo, _core=radii._w_core):
         calls.append(n_mat.tobytes())
-        return _core(n_mat)
+        return _core(n_mat, memo)
 
     monkeypatch.setattr(radii, "_w_core", counted)
     assert sd.dw_radius(diag12, np.zeros((2, 2))).value == 0.0
@@ -341,7 +342,7 @@ def test_dw_bracket_is_scale_free():
     rng = np.random.default_rng(1)
     n_mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
     n_mat /= np.linalg.norm(n_mat, 2)
-    w_val = _w_core(n_mat)[0]
+    w_val = _Memo().run(_w_core, n_mat)[0]
     for s in (1e3, 1e5, 1e20, 1e60):
         with warnings.catch_warnings():
             warnings.simplefilter("error", RuntimeWarning)
