@@ -17,13 +17,15 @@ Angle suprema of one eigenvalue (``w``, ``c``, the theta-sweep bound and the
 ``w(N - lambda I)`` of a lambda-complex member) come from the level-set kernel
 :func:`semidw._optim.rotated_eig_max`, whose value is attained and converged
 to rounding, so an inner supremum is never under-resolved before a
-subtraction. The lambda-real members, which are not one eigenvalue, are a
-360-angle grid, one spectrum per angle (the grid angle half a turn on gives
-the ``C_theta - |T|^2`` term), plus golden-section refinement, whose searches
-for a batch of members run in lockstep on one stacked eigensolve per step;
-infima over scalar parameters are documented grids, which can only loosen
-an upper bound and never invalidate it. Records store the grids used so
-every reported value is reproducible.
+subtraction. Both scalar-shift records are their lambda = 0 members on a grid
+that holds 0, as the default grids do: every member is at least that one.
+The lambda-complex one is the sandwich upper bound, read from the memo. The
+lambda-real one, which is not one eigenvalue, is a 360-angle grid, one
+spectrum per angle (the grid angle half a turn on gives the ``C_theta -
+|T|^2`` term), polished by safeguarded Newton ascents that run in lockstep on
+one stacked ``eigh`` per step. Infima over scalar parameters are documented
+grids, which can only loosen an upper bound and never invalidate it. Records
+store the grids used so every reported value is reproducible.
 """
 
 from __future__ import annotations
@@ -33,24 +35,17 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import START_ANGLES, golden_max_lockstep, gram_herm, herm_parts, rotated_eig_max
+from ._optim import (START_ANGLES, gram_herm, herm_parts, newton_max_lockstep,
+                     rotated_eig_max)
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _ix_core
 from .metric import Metric, as_operator, compress
-from .radii import (_crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_core,
-                    _start_support, _w_core, form_values)
+from .radii import (_crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_core, _w_core,
+                    form_values)
 
 LAMBDA_GRID_POINTS = 41
 #: angle grid of the lambda-real members (even: a grid angle plus pi is one too)
 THETA_GRID_BOUNDS = 360
-#: golden-section bracket width of the lambda-real refinement: near a smooth peak
-#: the member error is quadratic in the angle error, so 1e-8 in angle resolves
-#: the value to rounding
-SWEEP_BRACKET_TOL = 1e-8
-#: lambda-real members refined per lockstep batch: the one-at-a-time rule refines
-#: exactly four (lambda = 0 and three more) in 208 of the 228 calls of the bench
-#: instances of seeds 1-3, and at most eight
-LAMBDA_REAL_BATCH = 4
 #: the sum split is orthogonal when ||N_X* N_Y + N_Y* N_X|| <= this (1 + ||X|| ||Y||)
 ORTHOGONAL_TOL = 1e-10
 
@@ -448,52 +443,6 @@ def upper_triple(m: Metric, t, reference=None, tol: float | None = None) -> Boun
 # ---------------------------------------------------------------------------
 # scalar-shift upper bounds
 
-#: members within this relative distance of the minimum count as tied
-TIE_RTOL = 1e-12
-
-
-def _pruned_min(lambda_grid: np.ndarray, lower: np.ndarray, refine, batch: int = 1):
-    """Minimum over a parameter grid of refined members ``refine(idx)[k] >= lower[idx[k]]``.
-
-    The lambda = 0 member, if on the grid, is refined first; the others are
-    refined in ascending order of their lower bounds until the next lower
-    bound reaches the best refined member. ``refine`` takes a list of up to
-    ``batch`` indices, the next ones in that order. A batch may run past the
-    member where the one-at-a-time rule stops; that does not change the
-    result, since each member past it is at least its lower bound, which is
-    at least ``best`` (and more than ``TIE_RTOL`` above it unless lambda = 0
-    ties). Returns ``(best, index, zero_member)`` (``zero_member`` is None
-    without a 0 on the grid).
-    Members can be exactly constant along the grid, so ``index`` is that of
-    lambda = 0 when its member is within ``TIE_RTOL`` relative of ``best``,
-    else the lowest index that is: unless lambda = 0 ties, every member whose
-    lower bound is that close is refined, and the argmin never depends on
-    rounding noise.
-    """
-    zeros = np.flatnonzero(lambda_grid == 0.0)
-    zero = int(zeros[0]) if zeros.size else None
-    order = [int(i) for i in np.argsort(lower) if i != zero]
-    if zero is not None:
-        order.insert(0, zero)
-    refined, best = {}, np.inf
-
-    def done(i: int) -> bool:
-        if i == zero or lower[i] < best:
-            return False
-        # no member from here on lowers ``best``, but one within TIE_RTOL can
-        # still tie, which matters only when the lambda = 0 member does not
-        zero_ties = zero is not None and refined[zero] - best <= TIE_RTOL * abs(best)
-        return zero_ties or lower[i] - best > TIE_RTOL * abs(best)
-
-    pos = 0
-    while pos < len(order) and not done(order[pos]):
-        chunk = order[pos:pos + batch]
-        refined.update(zip(chunk, refine(chunk)))
-        best = min(best, *(refined[i] for i in chunk))
-        pos += len(chunk)
-    ties = [i for i, v in refined.items() if v - best <= TIE_RTOL * abs(best)]
-    return best, (zero if zero in ties else min(ties)), refined.get(zero)
-
 
 def _lambda_grid(lambda_grid, dtype):
     """``lambda_grid`` as an array of ``dtype`` (None: the default); ValueError unless 1-D,
@@ -504,16 +453,52 @@ def _lambda_grid(lambda_grid, dtype):
     return grid
 
 
+def _first_min(members: np.ndarray) -> tuple[float, int]:
+    """The minimum of ``members`` and the first index within 1e-12 relative of it."""
+    best = float(members.min())
+    return best, int(np.flatnonzero(members - best <= 1e-12 * abs(best))[0])
+
+
+def _extreme_jets(lam: np.ndarray, vecs: np.ndarray, c_mat: np.ndarray, c_prime: np.ndarray):
+    """``(value, slope, curv)`` in theta of the top and of the bottom eigenvalue.
+
+    ``lam, vecs`` are the eigenpairs of stacked ``C_theta +- G``, ``c_mat`` and ``c_prime``
+    the ``C_theta`` and ``C' = C_{theta + pi/2}`` of each angle; ``C'' = -C``. Slope and
+    curvature are those of the mean of the eigenvalue's cluster S, the eigenvalues within
+    ``4 r eps (1 + max |lambda|)`` of it, which is smooth where a multiple eigenvalue is
+    not: ``tr(X* C' X) / k`` and ``(-tr(X* C X) + 2 sum_{i in S, j not in S}
+    |x_j* C' x_i|^2 / (lambda_i - lambda_j)) / k``. Returns two stacks, top first, each
+    with ``(value, slope, curv)`` on its first axis.
+    """
+    vh = vecs.conj().swapaxes(-1, -2)
+    d_prime = vh @ c_prime @ vecs
+    slopes = np.diagonal(d_prime, axis1=-2, axis2=-1).real
+    d_mat = np.diagonal(vh @ c_mat @ vecs, axis1=-2, axis2=-1).real
+    coupling = np.abs(d_prime) ** 2
+    gaps = lam[..., :, None] - lam[..., None, :]
+    tol = 4.0 * lam.shape[-1] * np.finfo(float).eps * (1.0 + np.abs(lam).max(-1, keepdims=True))
+    out = []
+    for cluster, end in ((lam >= lam[..., -1:] - tol, -1), (lam <= lam[..., :1] + tol, 0)):
+        size = cluster.sum(-1)
+        cross = cluster[..., :, None] & ~cluster[..., None, :]
+        pull = np.divide(coupling, gaps, out=np.zeros_like(gaps), where=cross).sum((-2, -1))
+        out.append(np.stack([lam[..., end], (slopes * cluster).sum(-1) / size,
+                             (2.0 * pull - (d_mat * cluster).sum(-1)) / size]))
+    return out
+
+
 def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) -> BoundRecord:
     lambda_grid = _lambda_grid(lambda_grid, float)
     if not n_mat.size:
         return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", 0.0)
     gram = gram_herm(n_mat)
     h_mat, j_mat = herm_parts(n_mat)
-    n_val = inst.memo.value(_seminorm_core, n_mat)
     if lambda_grid is None:
-        span = 2.0 * n_val ** 2
+        span = 2.0 * inst.memo.value(_seminorm_core, n_mat) ** 2
         lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
+    has_zero = bool((lambda_grid == 0.0).any())
+    # the lambda = 0 member is at most every other member at every angle
+    lams = np.zeros(1) if has_zero else lambda_grid
 
     def members(lam, top, bot, rho_minus):
         # lam broadcasts against the angles
@@ -531,50 +516,49 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) ->
     top, bot = vals[:, -1], vals[:, 0]
     half = THETA_GRID_BOUNDS // 2
     rho_minus = np.maximum(-np.roll(bot, -half), np.roll(top, -half))
-    grid_members = members(lambda_grid[:, None], top, bot, rho_minus)
-    grid_sups = grid_members.max(axis=1)
-    # (top, bot, rho_minus) per refined angle: the golden searches of members that
-    # agree near their maxima visit the same angles, and each is solved once
-    seen = {}
-    step = 2.0 * np.pi / THETA_GRID_BOUNDS
+    grid_members = members(lams[:, None], top, bot, rho_minus)
+    # Newton ascents from the three best circular local maxima of each member's row
+    owner, starts = [], []
+    for i, row in enumerate(grid_members):
+        local = np.flatnonzero((row >= np.roll(row, 1)) & (row >= np.roll(row, -1)))
+        peaks = local[np.argsort(row[local])[::-1]][:3]
+        owner.extend([i] * peaks.size)
+        starts.append(thetas[peaks])
+    owner = np.asarray(owner)
+    unit = np.array([1.0, 0.0, 0.0])[:, None]
 
-    def refined_sups(chunk: list[int]) -> list[float]:
-        # golden-section searches, in lockstep, on the grid cells around the
-        # three best circular local maxima of each member's grid row
-        owner, centers = [], []
-        for pos, i in enumerate(chunk):
-            row = grid_members[i]
-            local = np.flatnonzero((row >= np.roll(row, 1)) & (row >= np.roll(row, -1)))
-            peaks = local[np.argsort(row[local])[::-1]][:3]
-            owner.extend([pos] * peaks.size)
-            centers.append(thetas[peaks])
-        owner, centers = np.asarray(owner), np.concatenate(centers)
-        lams = lambda_grid[chunk][owner]
+    def larger(x, y):
+        # the active branch of max(x, y) of two (value, slope, curv) stacks
+        return np.where(x[0] >= y[0], x, y)
 
-        def values(xs: np.ndarray, k: np.ndarray) -> np.ndarray:
-            angles = xs.tolist()
-            new = [x for x in dict.fromkeys(angles) if x not in seen]
-            if new:
-                c_new = c_theta(np.asarray(new))
-                ev = np.linalg.eigvalsh(np.stack([c_new + gram, c_new - gram]))
-                rho = np.maximum(ev[1, :, -1], -ev[1, :, 0])
-                seen.update(zip(new, np.stack([ev[0, :, -1], ev[0, :, 0], rho], 1).tolist()))
-            return members(lams[k], *np.array([seen[x] for x in angles]).T)
+    def member_jets(angles: np.ndarray, k: np.ndarray):
+        c_mat = c_theta(angles)
+        lam, vecs = np.linalg.eigh(np.stack([c_mat + gram, c_mat - gram]))
+        top, bot = _extreme_jets(lam, vecs, c_mat, c_theta(angles + 0.5 * np.pi))
+        # the extremes of C + G (plus) and of C - G (minus)
+        top_p, bot_p, top_m, bot_m = top[:, 0], bot[:, 0], top[:, 1], bot[:, 1]
+        shift = lams[owner[k]]
+        rho1 = larger(top_p - shift * unit, shift * unit - bot_p)
+        rho2 = larger(top_p - 2.0 * shift * unit, 2.0 * shift * unit - bot_p)
+        rho_m = larger(top_m, -bot_m)
+        value = members(shift, top_p[0], bot_p[0], rho_m[0])
+        slope = 2.0 * np.abs(shift) * rho1[1] + rho2[0] * rho2[1] + rho_m[0] * rho_m[1]
+        curv = (2.0 * np.abs(shift) * rho1[2] + rho2[1] ** 2 + rho2[0] * rho2[2]
+                + rho_m[1] ** 2 + rho_m[0] * rho_m[2])
+        return value, slope, curv
 
-        sups = golden_max_lockstep(centers - step, centers + step, values, SWEEP_BRACKET_TOL)
-        return [max(float(grid_sups[i]), *sups[owner == pos].tolist())
-                for pos, i in enumerate(chunk)]
-
-    best, best_i, lambda0_sup = _pruned_min(lambda_grid, grid_sups, refined_sups,
-                                            LAMBDA_REAL_BATCH)
-    best_lam = float(lambda_grid[best_i])
-    lambda0_val = None if lambda0_sup is None else _sqrt0(lambda0_sup)
+    _, peaks = newton_max_lockstep(np.concatenate(starts), member_jets,
+                                   2.0 * np.pi / THETA_GRID_BOUNDS)
+    sups = np.array([max(row.max(), peaks[owner == i].max())
+                     for i, row in enumerate(grid_members)])
+    best, best_i = _first_min(sups)
     value = _sqrt0(best)
     return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", value,
                        {"lambda_span": [float(lambda_grid.min()), float(lambda_grid.max())],
                         "lambda_points": int(lambda_grid.size),
                         "theta_grid": THETA_GRID_BOUNDS,
-                        "best_lambda": best_lam, "lambda0_value": lambda0_val})
+                        "best_lambda": float(lams[best_i]),
+                        "lambda0_value": value if has_zero else None})
 
 
 def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
@@ -585,20 +569,21 @@ def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
     + ||C_th - |T|^2||_A^2)/2`` with ``C_th = cos(th) Re_A(T) + sin(th) Im_A(T)``.
     A scalar shift only shifts the spectrum: with ``top``/``bot`` the extreme
     eigenvalues of ``C_th + |T|^2``, ``||C_th + |T|^2 - s I||_A = max(top - s,
-    s - bot)``, so one eigensolve per angle serves every lambda. On the
-    ``THETA_GRID_BOUNDS``-angle grid that is one spectrum per angle:
-    ``C_{th + pi} = -C_th``, so ``C_th - |T|^2`` is the negated ``C + |T|^2``
-    of the grid angle half a turn on. The members whose grid suprema fall
-    below the best refined member are refined by golden-section searches
-    around the three best grid maxima of each, ``LAMBDA_REAL_BATCH`` members
-    at a time in lockstep: one stacked eigensolve per step, once per distinct
-    angle.
+    s - bot)``, so one eigensolve per angle serves every lambda. At every angle
+    the lambda = 0 member ``(||C_th + |T|^2||_A^2 + ||C_th - |T|^2||_A^2)/2`` is at
+    most every other member, so on a grid that holds 0, as the default does, the
+    infimum is its supremum alone: ``best_lambda`` is 0 and ``lambda0_value`` the
+    value. A grid without 0 takes the minimum over all its members, and
+    ``best_lambda`` is the first grid point within 1e-12 relative of it.
 
-    The lambda = 0 member is always refined and recorded in the params. On
-    part of the grid the members are exactly constant (``2l(top - l) +
-    (top - 2l)^2/2 = top^2/2``), so ``best_lambda`` is reported as 0.0 when
-    the lambda = 0 member is within 1e-12 relative of the minimum (otherwise
-    the first grid point that is); ``value`` is the minimum itself.
+    A supremum is a ``THETA_GRID_BOUNDS``-angle grid, one spectrum per angle
+    (``C_{th + pi} = -C_th``, so ``C_th - |T|^2`` is the negated ``C + |T|^2``
+    of the grid angle half a turn on), polished by
+    :func:`semidw._optim.newton_max_lockstep` from the three best grid maxima of
+    each member: one stacked ``eigh`` of ``C_th +- |T|^2`` per step. A member is
+    a max of smooth eigenvalue branches whose kinks are convex, so its local
+    maxima are smooth peaks; each ``max(.)`` is differentiated on its active
+    branch, and each extreme eigenvalue as the mean of its rounding-level cluster.
     """
     return _upper_lambda_theta(_Instance(reference, tol), compress(m, t), lambda_grid)
 
@@ -608,8 +593,6 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
     lambda_grid = _lambda_grid(lambda_grid, complex)
     if not n_mat.size:
         return inst.record(n_mat, "lambda complex upper", "lambda-complex-upper", "upper", 0.0)
-    gram = gram_herm(n_mat)
-    h_mat, j_mat = herm_parts(n_mat)
     w_val = inst.memo.value(_w_core, n_mat)
     if lambda_grid is None:
         lams = [0.0 + 0.0j]
@@ -618,31 +601,23 @@ def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
             phases = np.exp(2j * np.pi * np.arange(8) / 8.0)
             lams.extend((r * p for r in radii_vals for p in phases))
         lambda_grid = np.asarray(lams, dtype=complex)
-
-    # support points p_k = x_k* N x_k of W(N), x_k the top eigenvectors of
-    # Re(e^{i theta_k} N): p_k - lam lies in W(N - lam I), so |p_k - lam| <= w(N - lam I)
-    # (the memoized start spectrum of the Crawford short cut)
-    support = inst.memo.run(_start_support, n_mat)[1]
-
-    # Re(conj(l)N) = Re(l)H + Im(l)J serves both the a- and the c-term
-    re_shift = (lambda_grid.real[:, None, None] * h_mat
-                + lambda_grid.imag[:, None, None] * j_mat)
-    vals = np.linalg.eigvalsh(np.stack([re_shift, gram - 2.0 * re_shift]))
-    rho_shift, b_term = np.maximum(vals[..., -1], -vals[..., 0])
-    fixed_terms = (2.0 * rho_shift + b_term) ** 2 + 2.0 * rho_shift - np.abs(lambda_grid) ** 2
-    members_low = fixed_terms + (np.abs(support[None, :] - lambda_grid[:, None]) ** 2).max(axis=1)
-
-    def refined_member(chunk: list[int]) -> list[float]:
-        # lambda = 0 reads N itself: the memoized w of the sandwich and Crawford records
-        (i,) = chunk
-        lam = complex(lambda_grid[i])
-        shifted = n_mat if lam == 0.0 else n_mat - lam * np.eye(n_mat.shape[0])
-        return [float(fixed_terms[i] + inst.memo.value(_w_core, shifted) ** 2)]
-
-    best, best_i, lambda0_member = _pruned_min(lambda_grid, members_low, refined_member)
-    best_lam = complex(lambda_grid[best_i])
-    lambda0_val = None if lambda0_member is None else _sqrt0(lambda0_member)
-    value = _sqrt0(best)
+    if (lambda_grid == 0.0).any():
+        # every member is at least the lambda = 0 member, the sandwich upper bound
+        value = _sqrt0(w_val ** 2 + inst.memo.value(_seminorm_core, n_mat) ** 4)
+        best_lam, lambda0_val = 0j, value
+    else:
+        gram = gram_herm(n_mat)
+        h_mat, j_mat = herm_parts(n_mat)
+        eye = np.eye(n_mat.shape[0])
+        # Re(conj(l)N) = Re(l)H + Im(l)J serves both the a- and the c-term
+        re_shift = (lambda_grid.real[:, None, None] * h_mat
+                    + lambda_grid.imag[:, None, None] * j_mat)
+        vals = np.linalg.eigvalsh(np.stack([re_shift, gram - 2.0 * re_shift]))
+        rho_shift, b_term = np.maximum(vals[..., -1], -vals[..., 0])
+        members = ((2.0 * rho_shift + b_term) ** 2 + 2.0 * rho_shift - np.abs(lambda_grid) ** 2
+                   + [inst.memo.value(_w_core, n_mat - lam * eye) ** 2 for lam in lambda_grid])
+        best, best_i = _first_min(members)
+        value, best_lam, lambda0_val = _sqrt0(best), complex(lambda_grid[best_i]), None
     return inst.record(n_mat, "lambda complex upper", "lambda-complex-upper", "upper", value,
                        {"grid_size": int(lambda_grid.size),
                         "best_lambda": [best_lam.real, best_lam.imag],
@@ -655,14 +630,15 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
 
     Each member is ``(2||Re(l)Re_A(T) + Im(l)Im_A(T)||_A + || |T|^2 - 2Re_A(conj(l)T) ||_A)^2
     + 2||Re_A(conj(l)T)||_A - |l|^2 + w_A^2(T - l I)`` (A-adjoint reading of
-    Re(conj(l)T) throughout). ``w_A(T - l I)`` is one call of the level-set
-    kernel; at l = 0 it is the memoized ``w_A(T)`` of the sandwich records.
-    A member is computed only while its lower bound, with ``max_k |p_k - l|``
-    for ``w_A(T - l I)``, is below the best one: ``p_k = x_k* N x_k`` are points
-    of the numerical range at the top eigenvectors of ``Re(e^{i theta_k} N)``
-    on the kernel's start angles. ``best_lambda`` follows the tie rule of
-    :func:`upper_lambda_theta`: 0 when its member is within 1e-12 relative of
-    the minimum, else the first grid point that is.
+    Re(conj(l)T) throughout). Every member is at least the lambda = 0 member
+    ``sqrt(w_A^2(T) + ||T||_A^4)``: with ``R = Re(conj(l)N)``, ``2||R|| + ||G - 2R||
+    >= ||G||``, and ``w(N - l)^2 >= |p - l|^2 >= |p|^2 - 2||R|| + |l|^2`` at a point
+    ``p`` of W(N) with ``|p| = w``. So on a grid that holds 0, as the default does,
+    the value is the sandwich upper bound, read from the memoized ``w_A(T)`` and
+    ``||T||_A`` with no eigensolve of its own; ``best_lambda`` is 0 and
+    ``lambda0_value`` the value. A grid without 0 evaluates every member, each
+    ``w_A(T - l I)`` one call of the level-set kernel, and ``best_lambda`` is the
+    first grid point within 1e-12 relative of the minimum.
     """
     return _upper_lambda_complex(_Instance(reference, tol), compress(m, t), lambda_grid)
 

@@ -357,6 +357,9 @@ def _replay(args) -> int:
         if not valid(value):
             raise ParseError(f"replay file {args.replay}: {key!r} is {value!r}, not {what}")
     if suite == "bounds":
+        if params[1] > params[0]:
+            raise ParseError(f"replay file {args.replay}: 'rank' is {params[1]}, above 'dim' "
+                             f"{params[0]}")
         m, t, report = _suite_bounds_one(entropy, *params)
         _emit(args, jsonio.report_to_dict(report), _report_text(report),
               jsonio.report_csv(report))

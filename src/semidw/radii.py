@@ -110,10 +110,9 @@ class _Memo:
 
     :meth:`run` calls ``core(N, memo)``; a core reads what it builds on through
     ``memo.run``: :func:`_dw_core` its raw ``_seminorm_core`` and ``_w_core`` end lines
-    (phase-fixed vectors move the bracket by rounding), :func:`_crawford_core` and
-    :func:`semidw.bounds.upper_lambda_complex` the :func:`_start_support` of N, the closed
-    forms the top singular pair of N_X. :meth:`estimate` alone turns a raw output into a
-    :class:`RadiusEstimate`.
+    (phase-fixed vectors move the bracket by rounding), :func:`_crawford_core` the
+    :func:`_start_support` of N, the closed forms the top singular pair of N_X.
+    :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
     """
 
     raw: dict = field(default_factory=dict)

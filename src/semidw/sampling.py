@@ -27,8 +27,14 @@ def _complex_gaussian(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def random_metric(rng: np.random.Generator, n: int, rank: int | None = None) -> Metric:
-    """Random PSD metric of dimension n and prescribed rank (default: full)."""
+    """Random PSD metric of dimension n and prescribed rank (default: full).
+
+    Raises ``ValueError`` unless ``0 <= rank <= n``: a rank above n would build
+    a full-rank metric of rank n.
+    """
     rank = n if rank is None else int(rank)
+    if not 0 <= rank <= n:
+        raise ValueError(f"rank must lie in [0, {n}] for a metric of dimension {n}, got {rank}")
     if rank == 0:
         return build_metric(np.zeros((n, n), dtype=complex))
     g = _complex_gaussian(rng, (n, rank))

@@ -7,7 +7,7 @@ import pytest
 import semidw as sd
 from semidw import jsonio
 from semidw._optim import START_ANGLES, gram_herm, herm_parts, rotated_herm, rotated_herm_batch
-from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, SWEEP_BRACKET_TOL, THETA_GRID_BOUNDS
+from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, THETA_GRID_BOUNDS
 from semidw.errors import DegenerateNorm, NormOutOfRange, NotABounded, ZeroT
 from semidw.metric import compress
 from semidw.radii import NORM_MAX, _Memo, _w_core
@@ -267,6 +267,11 @@ def test_lambda_theta_identity(id2):
     assert rec.params["best_lambda"] == 0.0
 
 
+#: golden-section bracket width of the stacked reference's angle refinement: near a
+#: smooth peak the member error is quadratic in the angle error
+REFERENCE_BRACKET_TOL = 1e-8
+
+
 def _lambda_theta_stacked(m, t, lambda_grid=None):
     """Reference: eigen-solve every shifted (lambda, theta) matrix explicitly.
 
@@ -306,7 +311,7 @@ def _lambda_theta_stacked(m, t, lambda_grid=None):
             return 2.0 * abs(lam) * r[0] + 0.5 * r[1] ** 2 + 0.5 * r[2] ** 2
 
         _, sup, _ = refine_periodic_max(thetas, grid[i], f, 2.0 * np.pi, top_k=3,
-                                        tol=SWEEP_BRACKET_TOL)
+                                        tol=REFERENCE_BRACKET_TOL)
         return max(sup, grid[i].max())
 
     sups = [refined(i) for i in range(lambda_grid.size)]
@@ -317,7 +322,7 @@ def _lambda_theta_stacked(m, t, lambda_grid=None):
 # (dim, rank, lambda_grid): ranks 1, 2, 4, 8, 12, rank-deficient metrics included;
 # the grid without 0 lies above the spectrum, where rho(M - lam I) = lam - bot; on
 # the last one, small and positive, the members are constant (top^2 / 2), so
-# every member is refined, in several batches
+# every member ties and best_lambda is the first
 LAMBDA_THETA_CASES = [
     (2, 1, None), (3, 2, None), (2, 2, [-1.0, -0.25, 0.0, 0.5, 2.0]), (5, 4, None),
     (4, 4, [300.0, 500.0]), (8, 8, None), (10, 8, None), (13, 12, None),
@@ -352,105 +357,137 @@ def test_lambda_theta_best_lambda_member():
         assert member.value ** 2 == pytest.approx(rec.value ** 2, rel=1e-12, abs=0.0)
 
 
-def test_lambda_theta_one_eigensolve_per_refined_angle(monkeypatch):
+def _lambda0_dense(n_mat, size=8192):
+    """Reference supremum of the lambda = 0 member ``(||C + G||^2 + ||C - G||^2) / 2``:
+    a dense angle grid, golden-refined around its three best local maxima."""
+    gram = gram_herm(n_mat)
+    h_mat, j_mat = herm_parts(n_mat)
+
+    def member(thetas):
+        c = np.cos(thetas)[:, None, None] * h_mat + np.sin(thetas)[:, None, None] * j_mat
+        vals = np.linalg.eigvalsh(np.stack([c + gram, c - gram]))
+        rho = np.maximum(vals[..., -1], -vals[..., 0])
+        return 0.5 * (rho[0] ** 2 + rho[1] ** 2)
+
+    thetas = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
+    return refine_periodic_max(thetas, member(thetas), lambda th: float(member(np.array([th]))[0]),
+                               2.0 * np.pi, tol=1e-14)[1]
+
+
+def _scalar_off_grid(r=3):
+    """``alpha I`` at 37 phases between the lambda-real grid angles: every eigenvalue of
+    ``C_th +- G`` is r-fold, and the peak lies 0.1 to 0.9 of a grid step off the grid."""
+    spacing = 2.0 * np.pi / THETA_GRID_BOUNDS
+    for k in range(37):
+        yield (1.3 * np.exp(1j * spacing * (9 * k + 0.1 + 0.8 * k / 36))) * np.eye(r)
+
+
+def _lambda_real_families():
+    rng = np.random.default_rng(61)
+    yield "r = 1", rng.standard_normal((1, 1)) + 1j * rng.standard_normal((1, 1))
+    for r in (3, 5):
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        q, _ = np.linalg.qr(g)
+        ev = g[0] + 0.5
+        ev[1] = ev[0]
+        yield f"random {r}", g
+        yield f"triangular {r}", np.triu(g)
+        yield f"hermitian {r}", g + g.conj().T
+        yield f"normal with a repeated eigenvalue {r}", (q * ev) @ q.conj().T
+    scaled = np.random.default_rng(62)
+    for r in (2, 4):
+        for _ in range(3):
+            g = scaled.standard_normal((r, r)) + 1j * scaled.standard_normal((r, r))
+            yield f"random {r} x 1e-3", 1e-3 * g
+            yield f"random {r} x 1e3", 1e3 * g
+    for n_mat in _scalar_off_grid():
+        yield "scalar", n_mat
+
+
+def _lambda_real(n_mat):
     from semidw import bounds
 
-    refined, steps = [], []
+    return bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat).value
 
-    def recorded(lo, hi, f, *args, _golden=bounds.golden_max_lockstep, **kw):
-        def f_recorded(xs, k):
-            refined.extend(xs.tolist())
-            steps.append(xs.size)
-            return f(xs, k)
 
-        return _golden(lo, hi, f_recorded, *args, **kw)
+def test_lambda_real_within_rounding_of_dense_reference():
+    # relative: the polish stops relative to the value, so small N are resolved too
+    for label, n_mat in _lambda_real_families():
+        value = _lambda_real(n_mat)
+        assert value >= np.sqrt(_lambda0_dense(n_mat)) * (1.0 - 4e-15), label
 
-    shared = 0
+
+def test_lambda_real_polish_needs_the_cluster_mean(monkeypatch):
+    # a polish that refuses a step at a multiple eigenvalue, as the level-set
+    # kernel does, never leaves the grid on alpha I: it misses the peak between
+    # two grid angles
+    from semidw import bounds
+
+    def refusing(lam, *args, _jets=bounds._extreme_jets):
+        top, bot = _jets(lam, *args)
+        tol = 4.0 * lam.shape[-1] * np.finfo(float).eps * (1.0 + np.abs(lam).max(-1))
+        top[2, lam[..., -2] >= lam[..., -1] - tol] = np.nan
+        bot[2, lam[..., 1] <= lam[..., 0] + tol] = np.nan
+        return top, bot
+
+    monkeypatch.setattr(bounds, "_extreme_jets", refusing)
+    misses = [(np.sqrt(_lambda0_dense(n_mat)) - value) / (1.0 + value)
+              for n_mat in _scalar_off_grid() for value in [_lambda_real(n_mat)]]
+    assert min(misses) > 1e-7
+
+
+def test_lambda_theta_eigensolve_count(monkeypatch):
+    # one grid solve, then one stacked eigh of C_th +- G per Newton step, over
+    # the searches still running (three per refined member at most)
+    from semidw import bounds
+    from semidw._optim import NEWTON_STEPS
+
     for m, t, grid in _lambda_theta_instances():
         n_mat = compress(m, t)
-        want = sd.upper_lambda_theta(m, t, lambda_grid=grid, reference=1.0)
+        refined = 1 if grid is None or 0.0 in grid else len(grid)
         solves = []
 
-        def counted(a, *args, _eig=np.linalg.eigvalsh, **kw):
-            solves.append(np.array(a))
-            return _eig(a, *args, **kw)
+        def counted(name, eig):
+            def call(a, *args, **kw):
+                solves.append((name, np.shape(a)))
+                return eig(a, *args, **kw)
 
-        refined.clear()
-        steps.clear()
+            return call
+
         with monkeypatch.context() as patch:
-            patch.setattr(bounds, "golden_max_lockstep", recorded)
-            patch.setattr(np.linalg, "eigvalsh", counted)
-            got = bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat, grid)
+            for name in ("eigh", "eigvalsh"):
+                patch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+            bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat, grid)
         r = m.rank
-        # the first solve is the grid: one spectrum per angle
-        assert solves[0].shape == (THETA_GRID_BOUNDS, r, r)
-        # every later solve is one golden step's stack of C_th + G and C_th - G
-        # over angles not solved before
-        assert 0 < len(solves) - 1 <= len(steps)
-        assert all(a.ndim == 4 and a.shape[0] == 2 and a.shape[2:] == (r, r) for a in solves[1:])
-        # ... and each distinct refined angle is solved exactly once
-        gram = gram_herm(n_mat)
-        h_mat, j_mat = herm_parts(n_mat)
-
-        def pair(th):
-            c_th = np.cos(th) * h_mat + np.sin(th) * j_mat
-            return (c_th + gram).tobytes() + (c_th - gram).tobytes()
-
-        solved = Counter(plus.tobytes() + minus.tobytes()
-                         for a in solves[1:] for plus, minus in zip(*a))
-        assert sum(solved.values()) == len(set(refined))
-        assert solved == Counter(pair(th) for th in set(refined))
-        assert (got.value, got.params) == (want.value, want.params)
-        shared += len(refined) - len(set(refined))
-    assert shared > 0
+        assert solves[0] == ("eigvalsh", (THETA_GRID_BOUNDS, r, r))
+        steps = solves[1:]
+        assert 1 <= len(steps) <= NEWTON_STEPS + 1
+        sizes = [shape[1] for _, shape in steps]
+        assert all(name == "eigh" and len(shape) == 4 and shape[0] == 2 and shape[2:] == (r, r)
+                   for name, shape in steps)
+        assert sizes[0] <= 3 * refined and sizes == sorted(sizes, reverse=True)
 
 
-def _pruned_grids():
-    """``(lambda_grid, lower, members)`` with ``members >= lower``: random and quantized
-    members (exact ties, of the lambda = 0 member too), with and without a 0 on the grid."""
-    rng = np.random.default_rng(11)
-    for trial in range(300):
-        size = int(rng.integers(1, 14))
-        grid = np.linspace(-1.0, 1.0, size)
-        if trial % 3 == 0:
-            grid = np.concatenate([[0.0], grid])
-        elif trial % 3 == 1:
-            grid = grid[grid != 0.0] + 0.5
-        members = rng.uniform(1.0, 2.0, grid.size)
-        if trial % 2:  # a few levels: exact ties everywhere
-            members = np.round(members * 4.0) / 4.0
-        if trial % 5 == 0:  # the lambda = 0 member (if any) at the minimum
-            members[grid == 0.0] = members.min()
-        if trial % 7 == 0:  # a tie within TIE_RTOL, not exact
-            members[-1] = members.min() * (1.0 + 1e-13)
-        slack = rng.uniform(0.0, 0.5, grid.size) * (rng.uniform(size=grid.size) < 0.7)
-        yield grid, members - slack, members
+def test_lambda_complex_default_grid_reads_the_memo(monkeypatch):
+    from semidw import _optim, bounds
+    from semidw.radii import _seminorm_core
 
+    def eigensolve(*args, **kw):
+        raise AssertionError("an eigensolve beyond the memo's w and ||N||")
 
-def test_pruned_min_batch_does_not_change_the_result():
-    from semidw.bounds import TIE_RTOL, _pruned_min
-
-    speculated = 0
-    for grid, lower, members in _pruned_grids():
-        calls = {}
-
-        def refine(chunk, batch):
-            assert 0 < len(chunk) <= batch
-            calls[batch] = calls.get(batch, 0) + len(chunk)
-            return [float(members[i]) for i in chunk]
-
-        one = _pruned_min(grid, lower, lambda c: refine(c, 1))
-        for batch in (2, 4, 7):
-            assert _pruned_min(grid, lower, lambda c, b=batch: refine(c, b), batch) == one
-        speculated += calls[7] - calls[1]
-        best, index, zero_member = one
-        assert best == members.min()
-        zeros = np.flatnonzero(grid == 0.0)
-        assert zero_member == (members[zeros[0]] if zeros.size else None)
-        ties = np.flatnonzero(members - best <= TIE_RTOL * abs(best))
-        assert index == (zeros[0] if zeros.size and zeros[0] in ties else ties[0])
-    # the batches refined members that the one-at-a-time rule does not
-    assert speculated > 0
+    for m, t in _lambda_complex_instances():
+        n_mat = compress(m, t)
+        inst = bounds._Instance(1, 1.0)
+        inst.memo.run(_w_core, n_mat)
+        inst.memo.run(_seminorm_core, n_mat)
+        with monkeypatch.context() as patch:
+            for name in ("eigh", "eigvalsh", "svd"):
+                patch.setattr(np.linalg, name, eigensolve)
+            patch.setattr(_optim, "pencil_eigvals", eigensolve)
+            rec = bounds._upper_lambda_complex(inst, n_mat)
+        assert rec.value == bounds._sandwich(inst, n_mat)[1].value
+        assert rec.params["best_lambda"] == [0.0, 0.0]
+        assert rec.params["lambda0_value"] == rec.value
 
 
 def test_lambda_theta_nilpotent(diag12):

@@ -475,6 +475,15 @@ def test_suite_replay_bad_field_exit_2(tmp_path, capsys, suite, field, value):
     assert err.startswith("parse error") and repr(field) in err
 
 
+def test_suite_replay_rank_above_dim_exit_2(tmp_path, capsys):
+    # before: the replay ran a rank-2 instance and reported "rank": 2, exit 0
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps({**_REPLAY_FILES["bounds"], "entropy": [1, 1, 0], "rank": 5}))
+    assert main(["suite", "--replay", str(replay)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("parse error") and "'rank' is 5" in err
+
+
 def test_verify_text_shows_dw_bracket(matrix_files, capsys):
     a_path, t_path = matrix_files
     assert main(["verify", "--metric", a_path, "--operator", t_path]) == 0

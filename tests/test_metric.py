@@ -10,6 +10,7 @@ from semidw.errors import (
     NotPositiveSemidefinite,
 )
 from semidw.metric import a_bounded_residual
+from semidw.sampling import random_metric
 
 from conftest import X_MAT
 
@@ -193,6 +194,13 @@ def test_rank_monotonicity():
     a = (vecs * vals) @ vecs.conj().T
     ranks = [sd.build_metric(a, rank_tol=tol).rank for tol in (1e-15, 1e-10, 1e-5, 1e-1)]
     assert ranks == sorted(ranks, reverse=True)
+
+
+def test_random_metric_rejects_rank_above_dim():
+    # before: rank 5 at dimension 2 built a full-rank (rank-2) metric
+    with pytest.raises(ValueError, match="rank"):
+        random_metric(np.random.default_rng(0), 2, 5)
+    assert random_metric(np.random.default_rng(0), 2, 2).rank == 2
 
 
 def test_to_ambient_null_component(diag10):

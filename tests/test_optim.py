@@ -14,7 +14,7 @@ from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_ma
                            rotated_herm_batch)
 from semidw.radii import _crawford_core, _Memo, _w_core
 
-from helpers import golden_max, refine_periodic_max
+from helpers import refine_periodic_max
 
 #: angles of the reference grid at small rank; larger ranks use a coarser grid
 #: plus golden-section refinement of its three best local maxima
@@ -217,64 +217,60 @@ def test_flapack_is_scipys_own_extension(first):
                    env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
-def _golden_cases():
-    """``(f, lo, hi)``: smooth, flat, stepwise (exact ties), monotone, degenerate, signed zeros."""
-    rng = np.random.default_rng(11)
-    funcs = [
-        lambda x: 1.0 - (x - 0.3) * (x - 0.3),
-        lambda x: (x - 1.1) * (x - 1.1) * (x - 2.0) * (2.0 - x),
-        lambda x: 0.0 * x + 2.0,
-        lambda x: float(np.floor(x * 8.0)),
-        lambda x: -abs(x - 0.5),
-        lambda x: x,
-        lambda x: -x,
-    ]
-    for f in funcs:
-        for width in (0.0, 1e-13, 1e-9, 0.05, 1.0, 3.0):
-            lo = float(rng.uniform(-1.0, 1.0))
-            yield f, lo, lo + width
-        yield f, 0.0, 1.0  # -|x - 1/2| and the steps tie on it
-    # signed zeros: f(c) = -0.0 ties f(d) = 0.0 on a bracket narrower than tol
-    yield (lambda x: 0.0 * x), -1e-14, 1e-14
+def _cos_jet(phi, amp=1.0):
+    return lambda x: (amp * np.cos(x - phi), -amp * np.sin(x - phi), -amp * np.cos(x - phi))
 
 
-@pytest.mark.parametrize("tol", [1e-10, 1e-6, 0.0])
-def test_golden_lockstep_matches_scalar_golden_bit_for_bit(tol):
-    # one lockstep batch against each bracket's scalar search: the same points
-    # in the same order, the same number of steps (tol = 0 runs into the
-    # 200-step cap), and the same bytes of the returned maximum
-    cases = list(_golden_cases())
-    lo = np.array([c[1] for c in cases])
-    hi = np.array([c[2] for c in cases])
-    visited = [[] for _ in cases]
+def _newton_cases():
+    """``(f, theta0, argmax, max)`` per search, ``f(x) = (value, slope, curv)``: analytic
+    peaks, then starts where no step may be kept (argmax None): a convex start, a step
+    that falls (its slope has the wrong sign) and a step without a strict rise."""
+    cases = []
+    for phi, offset in ((0.4, 0.3), (-2.0, -0.25), (3.0, 0.05), (1.0, 0.9)):
+        cases.append((_cos_jet(phi, 2.0), phi + offset, phi, 2.0))
+        cases.append((lambda x, p=phi: (np.cos(x - p) + 0.3 * np.cos(2.0 * (x - p)),
+                                        -np.sin(x - p) - 0.6 * np.sin(2.0 * (x - p)),
+                                        -np.cos(x - p) - 1.2 * np.cos(2.0 * (x - p))),
+                      phi + offset, phi, 1.3))
+        cases.append((lambda x, p=phi: np.exp(np.cos(x - p)) * np.array(
+                          [1.0, -np.sin(x - p), np.sin(x - p) ** 2 - np.cos(x - p)]),
+                      phi + offset, phi, np.e))
+    cases.append((_cos_jet(0.0), np.pi - 0.1, None, None))
+    cases.append((lambda x: (-(x - 1.0) ** 2, 2.0 * (x - 1.0), -2.0), 1.2, None, None))
+    cases.append((lambda x: (1.0, 1.0, -1.0), 0.5, None, None))
+    return cases
+
+
+def test_newton_lockstep_known_maxima_and_refused_steps():
+    eps = np.finfo(float).eps
+    step_max = 0.5
+    cases = _newton_cases()
+    visits = [[] for _ in cases]
+    calls = []
 
     def f(xs, ks):
-        out = []
+        calls.append(ks.tolist())
         for x, k in zip(xs.tolist(), ks.tolist()):
-            visited[k].append(x)
-            out.append(cases[k][0](x))
-        return np.array(out)
+            visits[k].append(x)
+        return np.array([cases[k][0](x) for x, k in zip(xs.tolist(), ks.tolist())]).T
 
-    got = _optim.golden_max_lockstep(lo, hi, f, tol)
-    assert got.shape == lo.shape
-    capped = unstepped = 0
-    for k, (func, a, b) in enumerate(cases):
-        points = []
-
-        def scalar(x, func=func, points=points):
-            points.append(x)
-            return func(x)
-
-        _, want, evals = golden_max(scalar, a, b, tol)
-        assert visited[k] == points, k
-        assert len(points) == evals, k
-        assert np.float64(got[k]).tobytes() == np.float64(want).tobytes(), k
-        capped += evals == 202
-        unstepped += evals == 2
-    # one batch mixes searches that never step, that stop on tol and (at
-    # tol = 0) that run into the cap
-    assert unstepped >= 7 + (tol > 0.0)
-    assert (0 < capped < len(cases) - unstepped) if tol == 0.0 else capped == 0
+    theta, value = _optim.newton_max_lockstep(np.array([c[1] for c in cases]), f, step_max)
+    # one call per step, over a shrinking set of the searches
+    assert calls[0] == list(range(len(cases))) and 1 < len(calls) <= _optim.NEWTON_STEPS + 1
+    assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
+    for k, (func, start, argmax, top) in enumerate(cases):
+        # every value is attained at its angle; every kept step is within step_max
+        assert value[k] == func(theta[k])[0], k
+        assert np.all(np.abs(np.diff(visits[k])) <= step_max), k
+        if argmax is None:
+            assert (theta[k], value[k]) == (start, func(start)[0]), k
+        else:
+            assert top - 4.0 * eps * (1.0 + top) <= value[k] <= top, k
+            assert abs(theta[k] - argmax) <= 1e-7, k
+    # a start 0.9 from its peak takes a clamped first step
+    assert visits[9][1] - visits[9][0] == -step_max
+    # the last start moved by the clamped step and no further
+    assert len(visits[-1]) == 2 and visits[-1][1] - visits[-1][0] == step_max
 
 
 def test_kernel_zero_matrix():
