@@ -28,9 +28,10 @@ rounding margin, ``c_A(T) = 0`` by convexity and no kernel runs
 
 :func:`oracle_extremum` is the independent estimator the tests and the
 benchmark check against: seeded uniform sampling of the compressed unit
-sphere followed by stock quasi-Newton refinement of the best candidates,
-independent of the level-set kernel above it. No command calls it; it alone
-loads ``scipy.optimize``.
+sphere followed by one lockstep Riemannian Newton refinement of the best
+candidates (:func:`_sphere_newton`), in numpy and independent of the level-set
+kernel above it. No command calls it. The tests check its refinement against
+scipy's L-BFGS-B from the same starts.
 """
 
 from __future__ import annotations
@@ -39,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._optim import START_ANGLES, gram_herm, rotated_eig_max, rotated_herm, rotated_herm_batch
+from ._optim import (START_ANGLES, gram_herm, herm_parts, rotated_eig_max, rotated_herm,
+                     rotated_herm_batch)
 from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
@@ -513,58 +515,85 @@ def _sphere_samples(r: int, samples: int, seed: int) -> np.ndarray:
     return c / np.linalg.norm(c, axis=1, keepdims=True)
 
 
-def _sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
-                   minimize_it: bool):
-    """Quasi-Newton refinement of a sphere objective from one start vector.
+#: cap on the Newton steps (stacked ``eigh`` calls) of one oracle refinement
+_ORACLE_STEPS = 32
+#: cap on the shifts one oracle Newton step tries
+_ORACLE_SHIFTS = 24
 
-    Works on the homogeneous extension F(c) = R(c)/||c||^2 with
-    R = |c*Nc| (or sqrt(|c*Nc|^2 + (c*Mc)^2) when ``gram`` is given), so no
-    explicit normalization is needed; analytic Wirtinger gradient. The
-    minimizer sees F over its a-priori bound, ``||N||_2`` (``hypot(||N||_2,
-    ||N||_2^2)`` for dw; 1 for N = 0), so its steps and its fixed gradient
-    tolerance keep the scale of the unit sphere whatever ``||N||``.
+
+def _real_forms(herms) -> np.ndarray:
+    """Stack of ``[[Re H, -Im H], [Im H, Re H]]``: ``c* H c = u^T M u`` for ``u = (Re c, Im c)``."""
+    return np.stack([np.block([[h.real, -h.imag], [h.imag, h.real]]) for h in herms])
+
+
+def _quartic(forms: np.ndarray, u: np.ndarray):
+    """``(M_k u, u^T M_k u, F)`` of the rows u, ``F = sum_k (u^T M_k u)^2``."""
+    mv = np.transpose(forms @ u.T, (2, 0, 1))
+    q = (mv @ u[:, :, None])[..., 0]
+    return mv, q, np.einsum("mk,mk->m", q, q)
+
+
+def _sphere_newton(forms: np.ndarray, u: np.ndarray, sign: float):
+    """Lockstep Riemannian Newton ascent of ``sign F`` on the unit sphere from the rows of u.
+
+    ``F(u) = sum_k (u^T M_k u)^2`` does not change along the phase direction ``J u``
+    (``c -> i c``), so a step lives in an orthonormal basis B of the complement of u
+    and ``J u``: there the gradient is ``g = B^T grad F`` and the Hessian is
+    ``H = B^T (hess F - 4 F I) B``, since ``u^T grad F = 4 F``. One stacked ``eigh`` of
+    ``sign H`` per step gives the Levenberg-Marquardt steps ``s = (mu I - sign H)^{-1}
+    sign g``, retracted by normalizing ``u + B s``. The shift mu is 0 where ``sign H``
+    is negative definite, else twice its top eigenvalue: a shift just above it sent the
+    steps along the near-null curvature of a Crawford zero far off, and the refused
+    steps left a linear rate. A step that does not raise ``sign F`` is refused and
+    retried with mu grown 8 times (from at least ``|top|``), so F stays attained at the
+    returned rows. A start stops once its gain or the model's predicted gain is at most
+    ``4 eps (|F| + eps)`` (F is at most 1, and below ``eps^2`` it is the rounding of the
+    forms), after ``_ORACLE_SHIFTS`` refused shifts in one step, or after
+    ``_ORACLE_STEPS`` steps. Returns ``(u, F, evaluations)``.
     """
-    from scipy.optimize import minimize  # slow to import; only the oracle uses it
-    r = c0.size
-    sign = 1.0 if minimize_it else -1.0
-    nh = n_mat.conj().T
-    # unscaled, the quasi-Newton steps overflow ``u @ u`` from ||N|| near 1e30, and
-    # below ||N|| = 1 the gradient tolerance stops them early
-    norm = float(np.linalg.norm(n_mat, 2))
-    unit = (norm if gram is None else float(np.hypot(norm, norm ** 2))) or 1.0
-
-    def fg(u: np.ndarray):
-        c = u[:r] + 1j * u[r:]
-        n2 = float(u @ u)
-        if n2 < 1e-24:
-            return 0.0, np.zeros_like(u)
-        nc = n_mat @ c
-        z = np.vdot(c, nc)
-        gbar = np.conj(z) * nc + z * (nh @ c)
-        s_val = z.real * z.real + z.imag * z.imag
-        if gram is not None:
-            mc = gram @ c
-            v = np.vdot(c, mc).real
-            s_val += v * v
-            gbar = gbar + 2.0 * v * mc
-        big_r = np.sqrt(s_val)
-        if big_r < 1e-300:
-            return 0.0, np.zeros_like(u)
-        g = gbar / (2.0 * big_r * n2) - (big_r / (n2 * n2)) * c
-        g *= 2.0 * sign / unit
-        return sign * big_r / (n2 * unit), np.concatenate([g.real, g.imag])
-
-    res = minimize(
-        fg,
-        np.concatenate([c0.real, c0.imag]),
-        method="L-BFGS-B",
-        jac=True,
-        options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-11},
-    )
-    c = res.x[:r] + 1j * res.x[r:]
-    nrm = np.linalg.norm(c)
-    c = c0 if nrm < 1e-12 else c / nrm
-    return sign * float(res.fun) * unit, c, int(res.nfev)
+    eps = np.finfo(float).eps
+    u, half = u.copy(), u.shape[1] // 2
+    f = _quartic(forms, u)[2]
+    evals = u.shape[0]
+    # at r = 1 every unit vector is a phase: F is constant
+    run = np.arange(u.shape[0] if half > 1 else 0)
+    for _ in range(_ORACLE_STEPS):
+        if not run.size:
+            break
+        x, floor = u[run], 4.0 * eps * (np.abs(f[run]) + eps)
+        mv, q, _ = _quartic(forms, x)
+        grad = 4.0 * (q[:, None, :] @ mv)[:, 0]
+        hess = 8.0 * (np.swapaxes(mv, 1, 2) @ mv) + 4.0 * np.tensordot(q, forms, 1)
+        phase = np.concatenate([-x[:, half:], x[:, :half]], axis=1)
+        basis = np.linalg.qr(np.stack([x, phase], axis=2), mode="complete")[0][:, :, 2:]
+        tangent = np.swapaxes(basis, 1, 2) @ hess @ basis
+        tangent -= 4.0 * f[run, None, None] * np.eye(tangent.shape[-1])
+        lam, vecs = np.linalg.eigh(sign * tangent)
+        basis = basis @ vecs
+        coef = ((sign * grad[:, None, :]) @ basis)[:, 0]
+        top = lam[:, -1]
+        mu = np.where(top < 0.0, 0.0, 2.0 * top + floor)
+        trying, going = np.arange(run.size), []
+        for _ in range(_ORACLE_SHIFTS):
+            step = coef[trying] / (mu[trying, None] - lam[trying])
+            predicted = np.sum(step * (coef[trying] + 0.5 * lam[trying] * step), axis=1)
+            keep = predicted > floor[trying]
+            trying, step = trying[keep], step[keep]
+            if not trying.size:
+                break
+            y = x[trying] + (basis[trying] @ step[..., None])[..., 0]
+            y /= np.linalg.norm(y, axis=1, keepdims=True)
+            fy = _quartic(forms, y)[2]
+            evals += trying.size
+            k = run[trying]
+            gain = sign * (fy - f[k])
+            up = gain > 0.0
+            u[k[up]], f[k[up]] = y[up], fy[up]
+            going.append(trying[up & (gain > 4.0 * eps * (np.abs(fy) + eps))])
+            trying = trying[~up]
+            mu[trying] = np.maximum(8.0 * mu[trying], np.abs(top[trying]))
+        run = run[np.sort(np.concatenate(going))] if going else run[:0]
+    return u, f, evals
 
 
 def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
@@ -573,14 +602,29 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
 
     Evaluates the objective on ``samples`` seeded uniform unit vectors
     (deterministic for a given seed), then refines the ten best candidates
-    with a stock quasi-Newton pass on the real parameterization of the
-    sphere. Guarded to compressed rank <= 6; raises :class:`RankTooLarge`
-    above that and ``ValueError`` for ``samples < 1``.
+    together by safeguarded Newton steps on the real parameterization of the
+    sphere (:func:`_sphere_newton`). The value is attained at the maximizer;
+    ``iterations`` counts the samples and the refinement's evaluations, and
+    ``residual`` is the refinement's gain over the best sample. Guarded to
+    compressed rank <= 6; raises :class:`RankTooLarge` above that and
+    ``ValueError`` for ``samples < 1``.
     """
     if objective not in _ORACLE_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {_ORACLE_OBJECTIVES}")
     return _estimate(m, t, "oracle",
                      lambda n_mat, memo: _oracle_core(n_mat, objective, samples, seed))
+
+
+def _oracle_starts(n_mat: np.ndarray, gram: np.ndarray, objective: str, samples: int,
+                   seed: int):
+    """``(starts, values)``: the ten best of ``samples`` seeded unit vectors, best first."""
+    c_all = _sphere_samples(n_mat.shape[0], samples, seed)
+    vals = np.abs(form_values(n_mat, c_all))
+    if objective == "dw":  # sqrt(|c* N c|^2 + (c* G c)^2)
+        vals = np.sqrt(vals ** 2 + form_values(gram, c_all).real ** 2)
+    order = np.argsort(vals)
+    picks = order[:10] if objective == "crawford" else order[::-1][:10]
+    return c_all[picks], vals[picks]
 
 
 def _oracle_core(n_mat: np.ndarray, objective: str, samples: int, seed: int):
@@ -591,26 +635,19 @@ def _oracle_core(n_mat: np.ndarray, objective: str, samples: int, seed: int):
         raise ValueError(f"the oracle needs samples >= 1, got {samples}")
     gram = gram_herm(n_mat)
     minimize_it = objective == "crawford"
-
-    def batch_vals(c_rows: np.ndarray) -> np.ndarray:
-        z = np.abs(form_values(n_mat, c_rows))
-        if objective == "dw":  # sqrt(|c* N c|^2 + (c* G c)^2)
-            return np.sqrt(z ** 2 + form_values(gram, c_rows).real ** 2)
-        return z
-
-    c_all = _sphere_samples(r, samples, seed)
-    vals = batch_vals(c_all)
-    order = np.argsort(vals)
-    picks = order[:10] if minimize_it else order[::-1][:10]
-    refine_gram = gram if objective == "dw" else None
-
-    best_val = float(vals[picks[0]])
-    best_c = c_all[picks[0]]
-    feval_total = int(c_all.shape[0])
-    for idx in picks:
-        val, c, nfev = _sphere_refine(n_mat, refine_gram, c_all[idx], minimize_it)
-        feval_total += nfev
-        if (val < best_val) if minimize_it else (val > best_val):
-            best_val, best_c = val, c
-    sampled_best = float(vals[picks[0]])
-    return best_val, best_c, feval_total, abs(best_val - sampled_best)
+    starts, vals = _oracle_starts(n_mat, gram, objective, samples, seed)
+    best_val, best_c = float(vals[0]), starts[0]
+    norm = float(np.linalg.norm(n_mat, 2))
+    if norm == 0.0:
+        return best_val, best_c, samples, 0.0
+    # one common unit keeps F at most 1, and finite up to NORM_MAX
+    unit = norm if minimize_it else float(np.hypot(norm, norm ** 2))
+    herms = [*herm_parts(n_mat)] + ([] if minimize_it else [gram])
+    forms = _real_forms([h / unit for h in herms])
+    u, f, evals = _sphere_newton(forms, np.concatenate([starts.real, starts.imag], axis=1),
+                                 -1.0 if minimize_it else 1.0)
+    refined = np.sqrt(f) * unit
+    k = int(np.argmin(refined) if minimize_it else np.argmax(refined))
+    if (refined[k] < best_val) if minimize_it else (refined[k] > best_val):
+        best_val, best_c = float(refined[k]), u[k, :r] + 1j * u[k, r:]
+    return best_val, best_c, samples + evals, abs(best_val - float(vals[0]))

@@ -4,7 +4,8 @@ The brute-force extrema sample A-unit vectors directly in the ambient space
 and evaluate <Tx,x>_A and ||Tx||_A from the definition, never touching the
 package's compression or ascent machinery. The scalar golden-section search
 and its periodic-grid refinement are the reference maximizers of the angle
-tests.
+tests, and scipy's L-BFGS-B on the sphere is the reference of the sampling
+oracle's Newton refinement.
 """
 
 from __future__ import annotations
@@ -107,3 +108,58 @@ def refine_periodic_max(xs: np.ndarray, vals: np.ndarray, f_scalar, period: floa
         if v > best_v:
             best_x, best_v = float(x % period), float(v)
     return best_x, best_v, evals
+
+
+def lbfgs_sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarray,
+                        minimize_it: bool):
+    """Stock quasi-Newton (L-BFGS-B) refinement of a sphere objective from one start vector.
+
+    The reference of the oracle's own refinement. Works on the homogeneous
+    extension F(c) = R(c)/||c||^2 with R = |c*Nc| (or sqrt(|c*Nc|^2 + (c*Gc)^2)
+    when ``gram`` G is given), so no explicit normalization is needed; analytic
+    Wirtinger gradient. The minimizer sees F over its a-priori bound,
+    ``||N||_2`` (``hypot(||N||_2, ||N||_2^2)`` with G; 1 for N = 0), so its steps
+    and its fixed gradient tolerance keep the scale of the unit sphere whatever
+    ``||N||``. Returns ``(value, c, evaluations)``.
+    """
+    from scipy.optimize import minimize  # slow to import; only this reference uses it
+    r = c0.size
+    sign = 1.0 if minimize_it else -1.0
+    nh = n_mat.conj().T
+    # unscaled, the quasi-Newton steps overflow ``u @ u`` from ||N|| near 1e30, and
+    # below ||N|| = 1 the gradient tolerance stops them early
+    norm = float(np.linalg.norm(n_mat, 2))
+    unit = (norm if gram is None else float(np.hypot(norm, norm ** 2))) or 1.0
+
+    def fg(u: np.ndarray):
+        c = u[:r] + 1j * u[r:]
+        n2 = float(u @ u)
+        if n2 < 1e-24:
+            return 0.0, np.zeros_like(u)
+        nc = n_mat @ c
+        z = np.vdot(c, nc)
+        gbar = np.conj(z) * nc + z * (nh @ c)
+        s_val = z.real * z.real + z.imag * z.imag
+        if gram is not None:
+            mc = gram @ c
+            v = np.vdot(c, mc).real
+            s_val += v * v
+            gbar = gbar + 2.0 * v * mc
+        big_r = np.sqrt(s_val)
+        if big_r < 1e-300:
+            return 0.0, np.zeros_like(u)
+        g = gbar / (2.0 * big_r * n2) - (big_r / (n2 * n2)) * c
+        g *= 2.0 * sign / unit
+        return sign * big_r / (n2 * unit), np.concatenate([g.real, g.imag])
+
+    res = minimize(
+        fg,
+        np.concatenate([c0.real, c0.imag]),
+        method="L-BFGS-B",
+        jac=True,
+        options={"maxiter": 500, "ftol": 1e-15, "gtol": 1e-11},
+    )
+    c = res.x[:r] + 1j * res.x[r:]
+    nrm = np.linalg.norm(c)
+    c = c0 if nrm < 1e-12 else c / nrm
+    return sign * float(res.fun) * unit, c, int(res.nfev)

@@ -993,7 +993,7 @@ def _large_gaussian(norm):
 
 
 def test_oracle_reference_finite_at_large_norm():
-    # the oracle's quasi-Newton steps overflowed here and gave dw = inf, and
+    # the oracle's refinement, unscaled, overflowed here and gave dw = inf, and
     # with it tol = inf and a vacuous pass
     m = sd.build_metric(np.eye(4))
     for norm, seed in ((1e31, 1), (1e35, 42), (1e20, 42)):

@@ -181,6 +181,48 @@ def test_pencil_eigvals_match_scipy_bit_for_bit():
         assert got.tobytes() == want.tobytes(), label
 
 
+def test_kernel_pencil_is_the_block_pencil(monkeypatch):
+    # every pencil the kernel solves is, in dtype and byte for byte, the np.block pencil of
+    # its scaled N and K and its level corner; rebuilt that way, the output is unchanged
+    def rebuilt(a_mat, n_mat):
+        r = n_mat.shape[0]
+        eye, zero = np.eye(r), np.zeros((r, r))
+        return (np.block([[zero, eye], [-n_mat.conj().T, a_mat[r:, r:]]]),
+                np.block([[eye, zero], [zero, n_mat]]))
+
+    cases = [(name, n_mat) for r in (1, 2, 3, 5, 8)
+             for name, n_mat in _families(np.random.default_rng(300 + r), r)]
+    cases.append(("real dtype", np.random.default_rng(7).standard_normal((4, 4))))
+    solved = 0
+    for name, n_mat in cases:
+        for shift in (None, gram_herm(n_mat)):
+            k_mat = np.zeros(n_mat.shape) if shift is None else shift
+            scale = max(np.linalg.norm(n_mat), np.linalg.norm(k_mat)) or 1.0
+            pencils = []
+
+            def check(a_mat, b_mat, _solve=pencil_eigvals, n_s=n_mat / scale):
+                ref_a, ref_b = rebuilt(a_mat, n_s)
+                assert (a_mat.dtype, b_mat.dtype) == (ref_a.dtype, ref_b.dtype), name
+                assert a_mat.tobytes() == ref_a.tobytes() and b_mat.tobytes() == ref_b.tobytes()
+                pencils.append(a_mat.dtype)
+                return _solve(a_mat, b_mat)
+
+            def block_built(a_mat, b_mat, _solve=pencil_eigvals, n_s=n_mat / scale):
+                return _solve(*rebuilt(a_mat, n_s))
+
+            for index in (0, -1):
+                monkeypatch.setattr(_optim, "pencil_eigvals", check)
+                got = rotated_eig_max(n_mat, index, shift)
+                monkeypatch.setattr(_optim, "pencil_eigvals", block_built)
+                want = rotated_eig_max(n_mat, index, shift)
+                for x, y in zip(got, want):
+                    assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (name, index)
+            solved += len(pencils)
+            if name == "real dtype" and shift is None:  # real pencils still run dggev
+                assert set(pencils) == {np.dtype(float)}
+    assert solved > len(cases)
+
+
 def test_pencil_flat_has_no_finite_unimodular_eigenvalue():
     # at gamma = 1/2 every angle of the flat N crosses: the pencil is singular
     z = pencil_eigvals(*_pencil(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5))

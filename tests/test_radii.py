@@ -1,14 +1,16 @@
+import ast
 import os
 import subprocess
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import semidw as sd
 from semidw import radii
-from semidw._optim import START_ANGLES
+from semidw._optim import START_ANGLES, gram_herm
 from semidw.errors import NormOutOfRange, RankTooLarge
 from semidw.metric import compress
 from semidw.radii import DW_MAX_DIRECTIONS, NORM_MAX, _dw_core, _Memo, _sphere_samples, _w_core
@@ -21,7 +23,7 @@ from semidw.sampling import (
 )
 
 from conftest import X_MAT, Y_MAT
-from helpers import brute_crawford, brute_dw, brute_numrad, brute_seminorm
+from helpers import brute_crawford, brute_dw, brute_numrad, brute_seminorm, lbfgs_sphere_refine
 
 SQ2 = np.sqrt(2.0)
 
@@ -389,8 +391,8 @@ def test_dw_bracket_contains_oracle(name, n_mat):
     assert attained == pytest.approx(lower ** 2, rel=1e-13)
     if r <= 6:
         # the oracle's value is attained, so even one ulp above it stays under the upper
-        # end; its quasi-Newton stops a few ulps short of the maximum, so it confirms the
-        # lower end to the width tolerance rather than bounding it
+        # end; it is a sampled maximum refined to rounding, not a certified one, so it
+        # confirms the lower end to the width tolerance rather than bounding it
         ora = sd.oracle_extremum(sd.build_metric(np.eye(r)), n_mat, "dw", samples=4096,
                                  seed=r).value
         assert np.nextafter(ora, np.inf) <= upper
@@ -436,6 +438,112 @@ def test_oracle_guards(diag12):
             sd.oracle_extremum(diag12, X_MAT, "dw", samples=samples, seed=0)
 
 
+#: the compressed X of the ``pair-blocks`` bench instance of seed 13, operation 583: on
+#: its identity block ``[[I, Z], [0, 0]]`` (dw = 3.7116) a Newton refinement that stops
+#: at its first refused step stays at the sampled 3.1074
+BENCH_583_Z = np.array([
+    [0.0969054507696019 - 0.32229322873627186j, 1.385110217003011 + 0.28658262277946656j,
+     -0.19464031020689718 + 0.13267192213492807j],
+    [0.04320082025380073 - 0.021569374345640407j, 0.2709244219121818 - 0.627383104892932j,
+     -0.17036281985551763 - 0.32327999083884784j],
+    [0.03947724684981291 + 0.04855893176194318j, -0.03500039066360937 - 0.006705227007429024j,
+     -0.31635511548354467 - 0.2778230282166342j],
+])
+#: samples and seed of the refinement checks: the bench's block oracle call on operation 583
+REFINE_SAMPLES, REFINE_SEED = 4096, 13583
+
+
+def _bench_583_block():
+    n_mat = np.zeros((6, 6), dtype=complex)
+    n_mat[:3, :3] = np.eye(3)
+    n_mat[:3, 3:] = BENCH_583_Z
+    return n_mat
+
+
+def _refinement_cases():
+    """Named compressed N: random, Hermitian and normal at r = 1..6, random x 1e-9 and
+    x 1e9, the osculating nilpotent 2x2 (``||N||_2 = 1/sqrt(2)``) and the bench block."""
+    for r in range(1, 7):
+        rng = np.random.default_rng(60 + r)
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        q, _ = np.linalg.qr(g)
+        ev = rng.standard_normal(r) + 1j * rng.standard_normal(r)
+        yield f"random {r}", g
+        yield f"hermitian {r}", g + g.conj().T
+        yield f"normal {r}", (q * ev) @ q.conj().T
+        yield f"random {r} x 1e-9", 1e-9 * g
+        yield f"random {r} x 1e9", 1e9 * g
+    yield "osculating nilpotent", np.array([[0.0, SQ2 / 2.0], [0.0, 0.0]], dtype=complex)
+    yield "bench seed 13 op 583", _bench_583_block()
+
+
+def _refinement_misses(cases):
+    """``(name, objective)`` of every case where the oracle misses L-BFGS-B from its starts.
+
+    The reference refines each of the oracle's ten starts; the oracle misses when it is
+    worse than the best of them by more than ``4 eps (1 + value)``, or, for dw, above the
+    certified upper end of :func:`_dw_core`.
+    """
+    eps = np.finfo(float).eps
+    misses = []
+    for name, n_mat in cases:
+        gram, memo = gram_herm(n_mat), _Memo()
+        for objective in ("dw", "crawford"):
+            lowest = objective == "crawford"
+            value = radii._oracle_core(n_mat, objective, REFINE_SAMPLES, REFINE_SEED)[0]
+            starts, _ = radii._oracle_starts(n_mat, gram, objective, REFINE_SAMPLES, REFINE_SEED)
+            refs = [lbfgs_sphere_refine(n_mat, None if lowest else gram, c, lowest)[0]
+                    for c in starts]
+            slack = 4.0 * eps * (1.0 + value)
+            if (value > min(refs) + slack) if lowest else (value < max(refs) - slack):
+                misses.append((name, objective))
+            if not lowest:
+                lower, _, _, width = memo.run(_dw_core, n_mat)
+                if value > lower + width:
+                    misses.append((name, "dw above the upper end"))
+    return misses
+
+
+def test_oracle_refinement_never_worse_than_lbfgs():
+    assert _refinement_misses(_refinement_cases()) == []
+
+
+def test_oracle_refinement_needs_its_shift_retries(monkeypatch):
+    # one shift per step stops every start at its first refused step
+    monkeypatch.setattr(radii, "_ORACLE_SHIFTS", 1)
+    n_mat = _bench_583_block()
+    assert ("bench 583", "dw") in _refinement_misses([("bench 583", n_mat)])
+    value = radii._oracle_core(n_mat, "dw", REFINE_SAMPLES, REFINE_SEED)[0]
+    assert value < 0.9 * _Memo().value(_dw_core, n_mat)
+
+
+def test_oracle_zero_rank_one_and_largest_norm(id2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for objective in ("dw", "crawford"):
+            est = sd.oracle_extremum(id2, np.zeros((2, 2)), objective, samples=256, seed=1)
+            assert (est.value, est.iterations, est.residual) == (0.0, 256, 0.0)
+            assert np.linalg.norm(est.maximizer) == pytest.approx(1.0, abs=1e-15)
+    # r = 1: every unit vector is a phase, so no Newton step runs
+    z = 3.0 * (0.6 - 0.8j)
+    for objective, want in (("dw", np.hypot(3.0, 9.0)), ("crawford", 3.0)):
+        value, _, evals, _ = radii._oracle_core(np.array([[z]]), objective, 300, 1)
+        assert value == pytest.approx(want, rel=4 * np.finfo(float).eps)
+        assert evals == 300 + 10
+    # near NORM_MAX the scaled forms keep F finite: the value meets the bracket
+    rng = np.random.default_rng(3)
+    for r in (2, 3, 5):
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        n_mat = 0.999 * NORM_MAX * g / np.linalg.norm(g, 2)
+        lower, _, _, width = _Memo().run(_dw_core, n_mat)
+        value = radii._oracle_core(n_mat, "dw", 1024, 2)[0]
+        assert np.isfinite(value)
+        assert lower * (1.0 - 1e-12) <= value <= lower + width
+        dist = sd.numrange_distance(n_mat)[0]
+        value = radii._oracle_core(n_mat, "crawford", 1024, 2)[0]
+        assert abs(value - dist) <= 1e-12 * np.linalg.norm(n_mat, 2)
+
+
 def test_sphere_samples_seeded_unit_rows():
     rows = _sphere_samples(3, 1000, 7)
     assert rows.shape == (1000, 3)
@@ -468,14 +576,25 @@ def _loaded_after(code: str) -> list[str]:
 def test_import_loads_no_optimizer_or_stats():
     assert _loaded_after("import semidw") == []
     assert _loaded_after("import semidw.cli") == []
-    # the sampler needs numpy alone; the refinement loads scipy.optimize, whose
-    # package init (linprog -> scipy.fft) pulls in scipy.special but never scipy.stats
-    assert _loaded_after("from semidw.radii import _sphere_samples\n"
-                         "_sphere_samples(3, 64, 1)") == []
-    loaded = _loaded_after("import numpy as np, semidw as sd\n"
-                           "sd.oracle_extremum(sd.build_metric(np.eye(2)), np.eye(2), 'dw',"
-                           " samples=64, seed=1)")
-    assert "scipy.optimize" in loaded and "scipy.stats" not in loaded
+    # the oracle's sampling and Newton refinement need numpy alone
+    assert _loaded_after("import numpy as np, semidw as sd\n"
+                         "sd.oracle_extremum(sd.build_metric(np.eye(2)), np.eye(2), 'dw',"
+                         " samples=64, seed=1)\n"
+                         "sd.oracle_extremum(sd.build_metric(np.eye(2)), np.diag([1, 2j]),"
+                         " 'crawford', samples=64, seed=1)") == []
+
+
+def test_no_source_module_imports_the_optimizer():
+    src = Path(sd.__file__).resolve().parent
+    for path in sorted(src.rglob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                continue
+            assert not any(name.startswith("scipy.optimize") for name in names), path
 
 
 def test_default_commands_load_no_optimizer(tmp_path):
