@@ -13,18 +13,15 @@ matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
 and builds every estimate. A public evaluator compresses its operands and runs
 its body on a fresh instance; a report runs every body on one memo.
 
-Angle suprema of one eigenvalue (``w``, ``c``, the theta-sweep bound and the
-``w(N - lambda I)`` of a lambda-complex member) come from the level-set kernel
-:func:`semidw._optim.rotated_eig_max`, whose value is attained and converged
-to rounding, so an inner supremum is never under-resolved before a
-subtraction. Both scalar-shift records are their lambda = 0 members on a grid
-that holds 0, as the default grids do: every member is at least that one.
-The lambda-complex one is the sandwich upper bound, read from the memo. The
-lambda-real one, which is not one eigenvalue, is a 360-angle grid, one
-spectrum per angle (the grid angle half a turn on gives the ``C_theta -
-|T|^2`` term), polished by safeguarded Newton ascents that run in lockstep on
-one stacked ``eigh`` per step. Infima over scalar parameters are documented
-grids, which can only loosen an upper bound and never invalidate it. Records
+Angle suprema of one eigenvalue (``w``, ``c`` and the theta-sweep bound) come
+from the level-set kernel :func:`semidw._optim.rotated_eig_max`, whose value is
+attained and converged to rounding, so an inner supremum is never
+under-resolved before a subtraction. Both scalar-shift records are their
+lambda = 0 members: every member is at least that one. The lambda-complex one
+is the sandwich upper bound, read from the memo. The lambda-real one, which is
+not one eigenvalue, is a 360-angle grid, one spectrum per angle (the grid angle
+half a turn on gives the ``C_theta - |T|^2`` term), polished by safeguarded
+Newton ascents that run in lockstep on one stacked ``eigh`` per step. Records
 store the grids used so every reported value is reproducible.
 """
 
@@ -44,7 +41,7 @@ from .radii import (_crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_c
                     form_values)
 
 LAMBDA_GRID_POINTS = 41
-#: angle grid of the lambda-real members (even: a grid angle plus pi is one too)
+#: angle grid of the lambda-real member (even: a grid angle plus pi is one too)
 THETA_GRID_BOUNDS = 360
 #: the sum split is orthogonal when ||N_X* N_Y + N_Y* N_X|| <= this (1 + ||X|| ||Y||)
 ORTHOGONAL_TOL = 1e-10
@@ -444,21 +441,6 @@ def upper_triple(m: Metric, t, reference=None, tol: float | None = None) -> Boun
 # scalar-shift upper bounds
 
 
-def _lambda_grid(lambda_grid, dtype):
-    """``lambda_grid`` as an array of ``dtype`` (None: the default); ValueError unless 1-D,
-    nonempty and finite."""
-    grid = None if lambda_grid is None else np.asarray(lambda_grid, dtype=dtype)
-    if grid is not None and (grid.ndim != 1 or not grid.size or not np.isfinite(grid).all()):
-        raise ValueError(f"lambda_grid must be a nonempty 1-D array of finite numbers: {grid!r}")
-    return grid
-
-
-def _first_min(members: np.ndarray) -> tuple[float, int]:
-    """The minimum of ``members`` and the first index within 1e-12 relative of it."""
-    best = float(members.min())
-    return best, int(np.flatnonzero(members - best <= 1e-12 * abs(best))[0])
-
-
 def _extreme_jets(lam: np.ndarray, vecs: np.ndarray, c_mat: np.ndarray, c_prime: np.ndarray):
     """``(value, slope, curv)`` in theta of the top and of the bottom eigenvalue.
 
@@ -487,24 +469,11 @@ def _extreme_jets(lam: np.ndarray, vecs: np.ndarray, c_mat: np.ndarray, c_prime:
     return out
 
 
-def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) -> BoundRecord:
-    lambda_grid = _lambda_grid(lambda_grid, float)
+def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     if not n_mat.size:
         return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", 0.0)
     gram = gram_herm(n_mat)
     h_mat, j_mat = herm_parts(n_mat)
-    if lambda_grid is None:
-        span = 2.0 * inst.memo.value(_seminorm_core, n_mat) ** 2
-        lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
-    has_zero = bool((lambda_grid == 0.0).any())
-    # the lambda = 0 member is at most every other member at every angle
-    lams = np.zeros(1) if has_zero else lambda_grid
-
-    def members(lam, top, bot, rho_minus):
-        # lam broadcasts against the angles
-        rho1 = np.maximum(top - lam, lam - bot)
-        rho2 = np.maximum(top - 2.0 * lam, 2.0 * lam - bot)
-        return 2.0 * np.abs(lam) * rho1 + 0.5 * rho2 ** 2 + 0.5 * rho_minus ** 2
 
     def c_theta(angles):
         return np.cos(angles)[:, None, None] * h_mat + np.sin(angles)[:, None, None] * j_mat
@@ -516,116 +485,78 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray, lambda_grid=None) ->
     top, bot = vals[:, -1], vals[:, 0]
     half = THETA_GRID_BOUNDS // 2
     rho_minus = np.maximum(-np.roll(bot, -half), np.roll(top, -half))
-    grid_members = members(lams[:, None], top, bot, rho_minus)
-    # Newton ascents from the three best circular local maxima of each member's row
-    owner, starts = [], []
-    for i, row in enumerate(grid_members):
-        local = np.flatnonzero((row >= np.roll(row, 1)) & (row >= np.roll(row, -1)))
-        peaks = local[np.argsort(row[local])[::-1]][:3]
-        owner.extend([i] * peaks.size)
-        starts.append(thetas[peaks])
-    owner = np.asarray(owner)
-    unit = np.array([1.0, 0.0, 0.0])[:, None]
+    row = 0.5 * np.maximum(top, -bot) ** 2 + 0.5 * rho_minus ** 2
+    # Newton ascents from the three best circular local maxima
+    local = np.flatnonzero((row >= np.roll(row, 1)) & (row >= np.roll(row, -1)))
+    peaks = local[np.argsort(row[local])[::-1]][:3]
 
     def larger(x, y):
         # the active branch of max(x, y) of two (value, slope, curv) stacks
         return np.where(x[0] >= y[0], x, y)
 
-    def member_jets(angles: np.ndarray, k: np.ndarray):
+    def jets(angles: np.ndarray, _):
         c_mat = c_theta(angles)
         lam, vecs = np.linalg.eigh(np.stack([c_mat + gram, c_mat - gram]))
         top, bot = _extreme_jets(lam, vecs, c_mat, c_theta(angles + 0.5 * np.pi))
-        # the extremes of C + G (plus) and of C - G (minus)
-        top_p, bot_p, top_m, bot_m = top[:, 0], bot[:, 0], top[:, 1], bot[:, 1]
-        shift = lams[owner[k]]
-        rho1 = larger(top_p - shift * unit, shift * unit - bot_p)
-        rho2 = larger(top_p - 2.0 * shift * unit, 2.0 * shift * unit - bot_p)
-        rho_m = larger(top_m, -bot_m)
-        value = members(shift, top_p[0], bot_p[0], rho_m[0])
-        slope = 2.0 * np.abs(shift) * rho1[1] + rho2[0] * rho2[1] + rho_m[0] * rho_m[1]
-        curv = (2.0 * np.abs(shift) * rho1[2] + rho2[1] ** 2 + rho2[0] * rho2[2]
-                + rho_m[1] ** 2 + rho_m[0] * rho_m[2])
+        # the norms of C + G (plus) and of C - G (minus)
+        rho_p, rho_m = larger(top[:, 0], -bot[:, 0]), larger(top[:, 1], -bot[:, 1])
+        value = 0.5 * rho_p[0] ** 2 + 0.5 * rho_m[0] ** 2
+        slope = rho_p[0] * rho_p[1] + rho_m[0] * rho_m[1]
+        curv = rho_p[1] ** 2 + rho_p[0] * rho_p[2] + rho_m[1] ** 2 + rho_m[0] * rho_m[2]
         return value, slope, curv
 
-    _, peaks = newton_max_lockstep(np.concatenate(starts), member_jets,
-                                   2.0 * np.pi / THETA_GRID_BOUNDS)
-    sups = np.array([max(row.max(), peaks[owner == i].max())
-                     for i, row in enumerate(grid_members)])
-    best, best_i = _first_min(sups)
-    value = _sqrt0(best)
+    _, polished = newton_max_lockstep(thetas[peaks], jets, 2.0 * np.pi / THETA_GRID_BOUNDS)
+    value = _sqrt0(max(row.max(), polished.max()))
+    # the default grid: 0 and LAMBDA_GRID_POINTS points on [-span, span]; its minimum
+    # is 0.0 - span, which is +0.0, not -0.0, at span = 0
+    span = 2.0 * inst.memo.value(_seminorm_core, n_mat) ** 2
     return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", value,
-                       {"lambda_span": [float(lambda_grid.min()), float(lambda_grid.max())],
-                        "lambda_points": int(lambda_grid.size),
+                       {"lambda_span": [0.0 - span, span],
+                        "lambda_points": LAMBDA_GRID_POINTS + 1,
                         "theta_grid": THETA_GRID_BOUNDS,
-                        "best_lambda": float(lams[best_i]),
-                        "lambda0_value": value if has_zero else None})
+                        "best_lambda": 0.0,
+                        "lambda0_value": value})
 
 
-def upper_lambda_theta(m: Metric, t, lambda_grid=None, reference=None,
-                       tol: float | None = None) -> BoundRecord:
+def upper_lambda_theta(m: Metric, t, reference=None, tol: float | None = None) -> BoundRecord:
     """Real-shift upper bound: inf over real lambda of a theta-supremum.
 
     Each member is ``2|l| ||C_th + |T|^2 - l I||_A + (||C_th + |T|^2 - 2l I||_A^2
     + ||C_th - |T|^2||_A^2)/2`` with ``C_th = cos(th) Re_A(T) + sin(th) Im_A(T)``.
     A scalar shift only shifts the spectrum: with ``top``/``bot`` the extreme
     eigenvalues of ``C_th + |T|^2``, ``||C_th + |T|^2 - s I||_A = max(top - s,
-    s - bot)``, so one eigensolve per angle serves every lambda. At every angle
-    the lambda = 0 member ``(||C_th + |T|^2||_A^2 + ||C_th - |T|^2||_A^2)/2`` is at
-    most every other member, so on a grid that holds 0, as the default does, the
-    infimum is its supremum alone: ``best_lambda`` is 0 and ``lambda0_value`` the
-    value. A grid without 0 takes the minimum over all its members, and
-    ``best_lambda`` is the first grid point within 1e-12 relative of it.
+    s - bot)``. At every angle the lambda = 0 member ``(||C_th + |T|^2||_A^2 +
+    ||C_th - |T|^2||_A^2)/2`` is at most every other member, so the infimum is its
+    supremum alone. The params describe the default grid, 0 and ``LAMBDA_GRID_POINTS``
+    points on ``[-2||T||_A^2, 2||T||_A^2]``, whose infimum that is: ``best_lambda``
+    is 0 and ``lambda0_value`` the value.
 
-    A supremum is a ``THETA_GRID_BOUNDS``-angle grid, one spectrum per angle
+    The supremum is a ``THETA_GRID_BOUNDS``-angle grid, one spectrum per angle
     (``C_{th + pi} = -C_th``, so ``C_th - |T|^2`` is the negated ``C + |T|^2``
     of the grid angle half a turn on), polished by
-    :func:`semidw._optim.newton_max_lockstep` from the three best grid maxima of
-    each member: one stacked ``eigh`` of ``C_th +- |T|^2`` per step. A member is
-    a max of smooth eigenvalue branches whose kinks are convex, so its local
-    maxima are smooth peaks; each ``max(.)`` is differentiated on its active
-    branch, and each extreme eigenvalue as the mean of its rounding-level cluster.
+    :func:`semidw._optim.newton_max_lockstep` from its three best grid maxima:
+    one stacked ``eigh`` of ``C_th +- |T|^2`` per step. The member is a max of
+    smooth eigenvalue branches whose kinks are convex, so its local maxima are
+    smooth peaks; each ``max(.)`` is differentiated on its active branch, and
+    each extreme eigenvalue as the mean of its rounding-level cluster.
     """
-    return _upper_lambda_theta(_Instance(reference, tol), compress(m, t), lambda_grid)
+    return _upper_lambda_theta(_Instance(reference, tol), compress(m, t))
 
 
-def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray,
-                          lambda_grid=None) -> BoundRecord:
-    lambda_grid = _lambda_grid(lambda_grid, complex)
+def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     if not n_mat.size:
         return inst.record(n_mat, "lambda complex upper", "lambda-complex-upper", "upper", 0.0)
     w_val = inst.memo.value(_w_core, n_mat)
-    if lambda_grid is None:
-        lams = [0.0 + 0.0j]
-        if w_val > 0.0:
-            radii_vals = np.linspace(0.4 * w_val, 2.0 * w_val, 5)
-            phases = np.exp(2j * np.pi * np.arange(8) / 8.0)
-            lams.extend((r * p for r in radii_vals for p in phases))
-        lambda_grid = np.asarray(lams, dtype=complex)
-    if (lambda_grid == 0.0).any():
-        # every member is at least the lambda = 0 member, the sandwich upper bound
-        value = _sqrt0(w_val ** 2 + inst.memo.value(_seminorm_core, n_mat) ** 4)
-        best_lam, lambda0_val = 0j, value
-    else:
-        gram = gram_herm(n_mat)
-        h_mat, j_mat = herm_parts(n_mat)
-        eye = np.eye(n_mat.shape[0])
-        # Re(conj(l)N) = Re(l)H + Im(l)J serves both the a- and the c-term
-        re_shift = (lambda_grid.real[:, None, None] * h_mat
-                    + lambda_grid.imag[:, None, None] * j_mat)
-        vals = np.linalg.eigvalsh(np.stack([re_shift, gram - 2.0 * re_shift]))
-        rho_shift, b_term = np.maximum(vals[..., -1], -vals[..., 0])
-        members = ((2.0 * rho_shift + b_term) ** 2 + 2.0 * rho_shift - np.abs(lambda_grid) ** 2
-                   + [inst.memo.value(_w_core, n_mat - lam * eye) ** 2 for lam in lambda_grid])
-        best, best_i = _first_min(members)
-        value, best_lam, lambda0_val = _sqrt0(best), complex(lambda_grid[best_i]), None
+    # every member is at least the lambda = 0 member, the sandwich upper bound
+    value = _sqrt0(w_val ** 2 + inst.memo.value(_seminorm_core, n_mat) ** 4)
+    # the default grid: 0, and 8 phases at 5 radii on [0.4 w, 2 w] when w > 0
     return inst.record(n_mat, "lambda complex upper", "lambda-complex-upper", "upper", value,
-                       {"grid_size": int(lambda_grid.size),
-                        "best_lambda": [best_lam.real, best_lam.imag],
-                        "lambda0_value": lambda0_val})
+                       {"grid_size": 1 + 5 * 8 if w_val > 0.0 else 1,
+                        "best_lambda": [0.0, 0.0],
+                        "lambda0_value": value})
 
 
-def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
-                         tol: float | None = None) -> BoundRecord:
+def upper_lambda_complex(m: Metric, t, reference=None, tol: float | None = None) -> BoundRecord:
     """Complex-shift upper bound; the lambda = 0 member is the sandwich upper bound.
 
     Each member is ``(2||Re(l)Re_A(T) + Im(l)Im_A(T)||_A + || |T|^2 - 2Re_A(conj(l)T) ||_A)^2
@@ -633,14 +564,13 @@ def upper_lambda_complex(m: Metric, t, lambda_grid=None, reference=None,
     Re(conj(l)T) throughout). Every member is at least the lambda = 0 member
     ``sqrt(w_A^2(T) + ||T||_A^4)``: with ``R = Re(conj(l)N)``, ``2||R|| + ||G - 2R||
     >= ||G||``, and ``w(N - l)^2 >= |p - l|^2 >= |p|^2 - 2||R|| + |l|^2`` at a point
-    ``p`` of W(N) with ``|p| = w``. So on a grid that holds 0, as the default does,
-    the value is the sandwich upper bound, read from the memoized ``w_A(T)`` and
-    ``||T||_A`` with no eigensolve of its own; ``best_lambda`` is 0 and
-    ``lambda0_value`` the value. A grid without 0 evaluates every member, each
-    ``w_A(T - l I)`` one call of the level-set kernel, and ``best_lambda`` is the
-    first grid point within 1e-12 relative of the minimum.
+    ``p`` of W(N) with ``|p| = w``. So the value is the sandwich upper bound, read
+    from the memoized ``w_A(T)`` and ``||T||_A`` with no eigensolve of its own. The
+    params describe the default grid, 0 and 8 phases at 5 radii on ``[0.4 w_A(T),
+    2 w_A(T)]``, whose infimum that is: ``best_lambda`` is 0 and ``lambda0_value``
+    the value.
     """
-    return _upper_lambda_complex(_Instance(reference, tol), compress(m, t), lambda_grid)
+    return _upper_lambda_complex(_Instance(reference, tol), compress(m, t))
 
 
 # ---------------------------------------------------------------------------
@@ -875,7 +805,7 @@ def pair_report(m: Metric, x, y, seed: int = 42, tol: float | None = None) -> Ve
     records: list[BoundRecord] = []
     for body, *args in ((_sum_upper, inst, n_x, n_y), (_feki_sum_upper, inst, n_x, n_y),
                         # the block's own dw bracket judges the offdiag record
-                        (_offdiag_upper, replace(inst, reference=None), n_x, n_y),
+                        (_offdiag_upper, replace(inst, reference=None, tol=tol), n_x, n_y),
                         (_product_sum_upper_b, inst, n_eye, n_eye, n_x, n_y),
                         (_product_sum_upper_c, inst, n_eye, n_eye, n_x, n_y)):
         _run(records, inst.reference[0], body, *args)

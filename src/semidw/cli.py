@@ -421,7 +421,7 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--operator", required=True, help="operator JSON file")
         if paired:
             p.add_argument("--operator2", help="second operator JSON file (pair bounds)")
-        p.add_argument("--seed", type=int, default=42,
+        p.add_argument("--seed", type=_count, default=42,
                        help="suite reads it; bounds and verify record it in the report; "
                             "compute, exact and remark-repro ignore it")
         p.add_argument("--samples", type=_positive_int, default=None,

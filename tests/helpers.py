@@ -5,7 +5,9 @@ and evaluate <Tx,x>_A and ||Tx||_A from the definition, never touching the
 package's compression or ascent machinery. The scalar golden-section search
 and its periodic-grid refinement are the reference maximizers of the angle
 tests, and scipy's L-BFGS-B on the sphere is the reference of the sampling
-oracle's Newton refinement.
+oracle's Newton refinement. The scalar-shift references evaluate every member
+of a lambda grid of the two scalar-shift bounds from explicitly shifted
+matrices, on a compressed ``N``.
 """
 
 from __future__ import annotations
@@ -163,3 +165,90 @@ def lbfgs_sphere_refine(n_mat: np.ndarray, gram: np.ndarray | None, c0: np.ndarr
     nrm = np.linalg.norm(c)
     c = c0 if nrm < 1e-12 else c / nrm
     return sign * float(res.fun) * unit, c, int(res.nfev)
+
+
+def _herm_parts_and_gram(n_mat: np.ndarray):
+    nh = n_mat.conj().T
+    gram = nh @ n_mat
+    return 0.5 * (n_mat + nh), (n_mat - nh) / 2j, 0.5 * (gram + gram.conj().T)
+
+
+def _spectral_norm(mat: np.ndarray) -> float:
+    vals = np.linalg.eigvalsh(mat)
+    return max(vals[..., -1], -vals[..., 0])
+
+
+def lambda_real_stacked(n_mat: np.ndarray, theta_points: int, lambda_points: int,
+                        tol: float = 1e-8):
+    """Squared ``(minimum, lambda = 0 member)`` of the lambda-real members over its grid.
+
+    The grid is 0 and ``lambda_points`` points on ``[-2||N||^2, 2||N||^2]``. Each
+    member ``2|l| ||C + G - l I|| + (||C + G - 2l I||^2 + ||C - G||^2) / 2`` (``C =
+    cos(th) H + sin(th) J``, ``G = N*N``) is eigen-solved at every (lambda, theta) on
+    ``theta_points`` angles, then golden-refined around its three best local maxima
+    to a bracket of ``tol``: near a smooth peak the member error is quadratic in the
+    angle error.
+    """
+    h_mat, j_mat, gram = _herm_parts_and_gram(n_mat)
+    eye = np.eye(n_mat.shape[0])
+    span = 2.0 * np.linalg.norm(n_mat, 2) ** 2
+    lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, lambda_points)])
+    thetas = np.linspace(0.0, 2.0 * np.pi, theta_points, endpoint=False)
+    cth = np.cos(thetas)[:, None, None] * h_mat + np.sin(thetas)[:, None, None] * j_mat
+
+    def rho(vals):
+        return np.maximum(vals[..., -1], -vals[..., 0])
+
+    rho_minus_sq = rho(np.linalg.eigvalsh(cth - gram)) ** 2
+    lams = lambda_grid[:, None, None, None]
+    e1 = np.linalg.eigvalsh(cth[None] + gram - lams * eye)
+    e2 = np.linalg.eigvalsh(cth[None] + gram - 2.0 * lams * eye)
+    grid = (2.0 * np.abs(lambda_grid)[:, None] * rho(e1) + 0.5 * rho(e2) ** 2
+            + 0.5 * rho_minus_sq[None, :])
+
+    def refined(i):
+        lam = lambda_grid[i]
+
+        def f(theta):
+            c = np.cos(theta) * h_mat + np.sin(theta) * j_mat
+            vals = np.linalg.eigvalsh(np.stack([c + gram - lam * eye,
+                                                c + gram - 2.0 * lam * eye, c - gram]))
+            r = rho(vals)
+            return 2.0 * abs(lam) * r[0] + 0.5 * r[1] ** 2 + 0.5 * r[2] ** 2
+
+        _, sup, _ = refine_periodic_max(thetas, grid[i], f, 2.0 * np.pi, top_k=3, tol=tol)
+        return max(sup, grid[i].max())
+
+    sups = [refined(i) for i in range(lambda_grid.size)]
+    return min(sups), sups[0]
+
+
+def lambda_complex_members(n_mat: np.ndarray, lambda_grid) -> np.ndarray:
+    """The squared lambda-complex member at each ``l`` of ``lambda_grid``.
+
+    A member is ``(2||R|| + ||G - 2R||)^2 + 2||R|| - |l|^2 + w(N - l I)^2`` with ``R =
+    Re(l) H + Im(l) J`` and ``G = N*N``; ``w(N - l I) = max_theta lambda_max(Re(e^{i
+    theta}N)) - Re(l e^{i theta})`` on 4096 angles, golden-refined around its three
+    best local maxima.
+    """
+    h_mat, j_mat, gram = _herm_parts_and_gram(n_mat)
+    nh = n_mat.conj().T
+    thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    ph = np.exp(1j * thetas)[:, None, None]
+    base_top = np.linalg.eigvalsh(0.5 * (ph * n_mat + ph.conj() * nh))[:, -1]
+    members = []
+    for lam in np.asarray(lambda_grid, dtype=complex):
+        curve = base_top - (lam * np.exp(1j * thetas)).real
+
+        def f(theta, lam=lam):
+            ph = np.exp(1j * theta)
+            return (np.linalg.eigvalsh(0.5 * (ph * n_mat + np.conj(ph) * nh))[-1]
+                    - (lam * ph).real)
+
+        w_shift = max(refine_periodic_max(thetas, curve, f, 2.0 * np.pi, tol=1e-14)[1],
+                      curve.max())
+        re_shift = lam.real * h_mat + lam.imag * j_mat
+        fixed = ((2.0 * _spectral_norm(re_shift) + _spectral_norm(gram - 2.0 * re_shift)) ** 2
+                 + 2.0 * _spectral_norm(re_shift))
+        members.append(fixed - abs(lam) ** 2 + w_shift ** 2)
+    return np.asarray(members)

@@ -6,7 +6,7 @@ import pytest
 
 import semidw as sd
 from semidw import jsonio
-from semidw._optim import START_ANGLES, gram_herm, herm_parts, rotated_herm, rotated_herm_batch
+from semidw._optim import START_ANGLES, gram_herm, herm_parts
 from semidw.bounds import CATALOG, LAMBDA_GRID_POINTS, THETA_GRID_BOUNDS
 from semidw.errors import DegenerateNorm, NormOutOfRange, NotABounded, ZeroT
 from semidw.metric import compress
@@ -14,7 +14,8 @@ from semidw.radii import NORM_MAX, _Memo, _w_core
 from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
-from helpers import brute_dw, refine_periodic_max
+from helpers import (brute_dw, lambda_complex_members, lambda_real_stacked,
+                     refine_periodic_max)
 
 SQ2 = np.sqrt(2.0)
 
@@ -267,94 +268,30 @@ def test_lambda_theta_identity(id2):
     assert rec.params["best_lambda"] == 0.0
 
 
-#: golden-section bracket width of the stacked reference's angle refinement: near a
-#: smooth peak the member error is quadratic in the angle error
-REFERENCE_BRACKET_TOL = 1e-8
-
-
-def _lambda_theta_stacked(m, t, lambda_grid=None):
-    """Reference: eigen-solve every shifted (lambda, theta) matrix explicitly.
-
-    Returns the squared ``(value, lambda0_value)`` of ``upper_lambda_theta``
-    (``lambda0`` is None when 0 is not on the grid).
-    """
-    n_mat = compress(m, t)
-    gram = n_mat.conj().T @ n_mat
-    gram = 0.5 * (gram + gram.conj().T)
-    h_mat, j_mat = herm_parts(n_mat)
-    eye = np.eye(m.rank)
-    if lambda_grid is None:
-        span = 2.0 * sd.op_seminorm(m, t).value ** 2
-        lambda_grid = np.concatenate([[0.0], np.linspace(-span, span, LAMBDA_GRID_POINTS)])
-    lambda_grid = np.asarray(lambda_grid, dtype=float)
-    thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID_BOUNDS, endpoint=False)
-    cth = np.cos(thetas)[:, None, None] * h_mat + np.sin(thetas)[:, None, None] * j_mat
-
-    def rho(vals):
-        return np.maximum(vals[..., -1], -vals[..., 0])
-
-    rho_minus_sq = rho(np.linalg.eigvalsh(cth - gram)) ** 2
-    lams = lambda_grid[:, None, None, None]
-    e1 = np.linalg.eigvalsh(cth[None] + gram - lams * eye)
-    e2 = np.linalg.eigvalsh(cth[None] + gram - 2.0 * lams * eye)
-    grid = (2.0 * np.abs(lambda_grid)[:, None] * rho(e1) + 0.5 * rho(e2) ** 2
-            + 0.5 * rho_minus_sq[None, :])
-
-    def refined(i):
-        lam = lambda_grid[i]
-
-        def f(theta):
-            c = np.cos(theta) * h_mat + np.sin(theta) * j_mat
-            vals = np.linalg.eigvalsh(np.stack([c + gram - lam * eye,
-                                                c + gram - 2.0 * lam * eye, c - gram]))
-            r = rho(vals)
-            return 2.0 * abs(lam) * r[0] + 0.5 * r[1] ** 2 + 0.5 * r[2] ** 2
-
-        _, sup, _ = refine_periodic_max(thetas, grid[i], f, 2.0 * np.pi, top_k=3,
-                                        tol=REFERENCE_BRACKET_TOL)
-        return max(sup, grid[i].max())
-
-    sups = [refined(i) for i in range(lambda_grid.size)]
-    zeros = np.flatnonzero(lambda_grid == 0.0)
-    return min(sups), (sups[zeros[0]] if zeros.size else None)
-
-
-# (dim, rank, lambda_grid): ranks 1, 2, 4, 8, 12, rank-deficient metrics included;
-# the grid without 0 lies above the spectrum, where rho(M - lam I) = lam - bot; on
-# the last one, small and positive, the members are constant (top^2 / 2), so
-# every member ties and best_lambda is the first
-LAMBDA_THETA_CASES = [
-    (2, 1, None), (3, 2, None), (2, 2, [-1.0, -0.25, 0.0, 0.5, 2.0]), (5, 4, None),
-    (4, 4, [300.0, 500.0]), (8, 8, None), (10, 8, None), (13, 12, None),
-    (3, 3, [1e-4 * k for k in range(1, 10)]),
-]
+# (dim, rank): ranks 1, 2, 4, 8, 12, rank-deficient metrics included
+LAMBDA_THETA_CASES = [(2, 1), (3, 2), (2, 2), (5, 4), (4, 4), (8, 8), (10, 8), (13, 12), (3, 3)]
 
 
 def _lambda_theta_instances():
     rng = np.random.default_rng(2024)
-    for dim, rank, grid in LAMBDA_THETA_CASES:
+    for dim, rank in LAMBDA_THETA_CASES:
         m = random_metric(rng, dim, rank)
-        yield m, random_bounded_operator(rng, m), grid
+        yield m, random_bounded_operator(rng, m)
 
 
 def test_lambda_theta_matches_stacked_reference():
-    for m, t, grid in _lambda_theta_instances():
-        rec = sd.upper_lambda_theta(m, t, lambda_grid=grid, reference=1.0)
-        value_sq, lambda0_sq = _lambda_theta_stacked(m, t, lambda_grid=grid)
+    # the record is the minimum of every member of the default grid, each member
+    # eigen-solved explicitly: the proof that the lambda = 0 member is that minimum,
+    # checked on seeded instances
+    for m, t in _lambda_theta_instances():
+        rec = sd.upper_lambda_theta(m, t, reference=1.0)
+        value_sq, lambda0_sq = lambda_real_stacked(compress(m, t), THETA_GRID_BOUNDS,
+                                                   LAMBDA_GRID_POINTS)
         assert rec.value == pytest.approx(np.sqrt(value_sq), rel=1e-12, abs=0.0)
-        if lambda0_sq is None:
-            assert rec.params["lambda0_value"] is None
-        else:
-            assert rec.params["lambda0_value"] == pytest.approx(np.sqrt(lambda0_sq),
-                                                                rel=1e-12, abs=0.0)
-
-
-def test_lambda_theta_best_lambda_member():
-    for m, t, grid in _lambda_theta_instances():
-        rec = sd.upper_lambda_theta(m, t, lambda_grid=grid, reference=1.0)
-        member = sd.upper_lambda_theta(m, t, lambda_grid=[rec.params["best_lambda"]],
-                                       reference=1.0)
-        assert member.value ** 2 == pytest.approx(rec.value ** 2, rel=1e-12, abs=0.0)
+        assert rec.params["lambda0_value"] == pytest.approx(np.sqrt(lambda0_sq),
+                                                            rel=1e-12, abs=0.0)
+        assert rec.params["best_lambda"] == 0.0
+        assert rec.params["lambda_points"] == LAMBDA_GRID_POINTS + 1
 
 
 def _lambda0_dense(n_mat, size=8192):
@@ -442,9 +379,8 @@ def test_lambda_theta_eigensolve_count(monkeypatch):
     from semidw import bounds
     from semidw._optim import NEWTON_STEPS
 
-    for m, t, grid in _lambda_theta_instances():
+    for m, t in _lambda_theta_instances():
         n_mat = compress(m, t)
-        refined = 1 if grid is None or 0.0 in grid else len(grid)
         solves = []
 
         def counted(name, eig):
@@ -457,7 +393,7 @@ def test_lambda_theta_eigensolve_count(monkeypatch):
         with monkeypatch.context() as patch:
             for name in ("eigh", "eigvalsh"):
                 patch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
-            bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat, grid)
+            bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat)
         r = m.rank
         assert solves[0] == ("eigvalsh", (THETA_GRID_BOUNDS, r, r))
         steps = solves[1:]
@@ -465,7 +401,7 @@ def test_lambda_theta_eigensolve_count(monkeypatch):
         sizes = [shape[1] for _, shape in steps]
         assert all(name == "eigh" and len(shape) == 4 and shape[0] == 2 and shape[2:] == (r, r)
                    for name, shape in steps)
-        assert sizes[0] <= 3 * refined and sizes == sorted(sizes, reverse=True)
+        assert sizes[0] <= 3 and sizes == sorted(sizes, reverse=True)
 
 
 def test_lambda_complex_default_grid_reads_the_memo(monkeypatch):
@@ -498,23 +434,27 @@ def test_lambda_theta_nilpotent(diag12):
 
 @pytest.mark.parametrize("grid", [[], [np.nan], [np.inf], [[0.5, 1.0]], 0.5])
 def test_lambda_grid_rejected_before_any_eigensolve(grid, id2, monkeypatch):
-    # [] died in min() and [nan] in an IndexError (real) or a failed QZ (complex)
+    # the records are their lambda = 0 members, so neither evaluator takes a grid:
+    # a caller's grid is a TypeError, not a silently ignored keyword
+    import inspect
+
     def eigensolve(*args, **kw):
-        raise AssertionError("eigensolve before the grid check")
+        raise AssertionError("eigensolve before the keyword check")
 
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, eigensolve)
     for evaluator in (sd.upper_lambda_theta, sd.upper_lambda_complex):
-        with pytest.raises(ValueError, match="lambda_grid"):
+        assert list(inspect.signature(evaluator).parameters) == ["m", "t", "reference", "tol"]
+        with pytest.raises(TypeError, match="lambda_grid"):
             evaluator(id2, np.eye(2), lambda_grid=grid)
 
 
 def test_lambda_complex_members(id2, diag12):
     rec = sd.upper_lambda_complex(id2, np.eye(2))
     assert rec.value == pytest.approx(SQ2, abs=1e-9)
-    # lambda = 1 member evaluates to sqrt(10) for the identity
-    rec1 = sd.upper_lambda_complex(id2, np.eye(2), lambda_grid=[1.0 + 0.0j])
-    assert rec1.value == pytest.approx(np.sqrt(10.0), abs=1e-9)
+    # the lambda = 1 member of the reference evaluates to sqrt(10) for the identity
+    assert np.sqrt(lambda_complex_members(np.eye(2), [1.0])[0]) == pytest.approx(
+        np.sqrt(10.0), abs=1e-9)
     # lambda = 0 member equals the sandwich upper bound exactly
     rec2 = sd.upper_lambda_complex(diag12, X_MAT)
     _, upper = sd.sandwich(diag12, X_MAT)
@@ -532,49 +472,9 @@ def _lambda_complex_grid(n_mat):
     return np.asarray(lams)
 
 
-def _lambda_complex_unpruned(n_mat, lambda_grid):
-    """Reference: every member of the grid, ``w(N - l I)`` from a dense angle grid.
-
-    ``w(N - l I) = max_theta lambda_max(Re(e^{i theta}N)) - Re(l e^{i theta})``
-    on 4096 angles, golden-refined around its three best local maxima.
-    Returns the squared minimum, ``best_lambda`` by the record's tie rule and
-    the squared lambda = 0 member (None without a 0 on the grid).
-    """
-    gram = gram_herm(n_mat)
-    h_mat, j_mat = herm_parts(n_mat)
-    lambda_grid = np.asarray(lambda_grid, dtype=complex)
-    thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
-    base_top = np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas))[:, -1]
-
-    def rho(mat):
-        vals = np.linalg.eigvalsh(mat)
-        return max(vals[-1], -vals[0])
-
-    members = []
-    for lam in lambda_grid:
-        curve = base_top - (lam * np.exp(1j * thetas)).real
-
-        def f(theta, lam=lam):
-            return (np.linalg.eigvalsh(rotated_herm(n_mat, theta))[-1]
-                    - (lam * np.exp(1j * theta)).real)
-
-        w_shift = max(refine_periodic_max(thetas, curve, f, 2.0 * np.pi, tol=1e-14)[1],
-                      curve.max())
-        re_shift = lam.real * h_mat + lam.imag * j_mat
-        fixed = (2.0 * rho(re_shift) + rho(gram - 2.0 * re_shift)) ** 2 + 2.0 * rho(re_shift)
-        members.append(fixed - abs(lam) ** 2 + w_shift ** 2)
-    members = np.asarray(members)
-    best = members.min()
-    ties = np.flatnonzero(members - best <= 1e-12 * abs(best))
-    zero = np.flatnonzero(lambda_grid == 0.0)
-    best_i = zero[0] if zero.size and zero[0] in ties else ties[0]
-    return best, lambda_grid[best_i], (members[zero[0]] if zero.size else None)
-
-
 def _lambda_complex_instances():
     """The lambda-real instances, then r = 1, Hermitian, normal, nilpotent and scalar."""
-    for m, t, _ in _lambda_theta_instances():
-        yield m, t
+    yield from _lambda_theta_instances()
     rng = np.random.default_rng(31)
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     q, _ = np.linalg.qr(g)
@@ -584,27 +484,25 @@ def _lambda_complex_instances():
 
 
 def test_lambda_complex_matches_unpruned_reference():
-    nonzero_best = 0
+    # the record is the minimum of every member of the default grid, each w(N - l I)
+    # from a dense angle grid: the proof that the lambda = 0 member is that minimum,
+    # checked on seeded instances
     for m, t in _lambda_complex_instances():
         n_mat = compress(m, t)
         grid = _lambda_complex_grid(n_mat)
-        # the default grid, then the same grid without 0: the minimum moves elsewhere
-        for lambda_grid in (None, grid[1:]):
-            rec = sd.upper_lambda_complex(m, t, lambda_grid=lambda_grid, reference=1.0)
-            best, best_lambda, lambda0 = _lambda_complex_unpruned(
-                n_mat, grid if lambda_grid is None else lambda_grid)
-            v = rec.value
-            assert abs(v - np.sqrt(best)) <= 1e-13 * (1.0 + v), m.rank
-            assert rec.params["best_lambda"] == [best_lambda.real, best_lambda.imag], m.rank
-            nonzero_best += best_lambda != 0.0
-            if lambda0 is None:
-                assert rec.params["lambda0_value"] is None
-                continue
-            assert abs(rec.params["lambda0_value"] - np.sqrt(lambda0)) <= 1e-13 * (1.0 + v)
-            # both read one memoized w(N): the lambda = 0 member is the sandwich upper bound
-            upper = sd.sandwich(m, t, reference=1.0)[1].value
-            assert abs(rec.params["lambda0_value"] - upper) <= 1e-14 * (1.0 + upper), m.rank
-    assert nonzero_best > 0
+        rec = sd.upper_lambda_complex(m, t, reference=1.0)
+        members = lambda_complex_members(n_mat, grid)
+        best = members.min()
+        v = rec.value
+        assert abs(v - np.sqrt(best)) <= 1e-13 * (1.0 + v), m.rank
+        # the lambda = 0 member ties the minimum
+        assert members[0] - best <= 1e-12 * abs(best), m.rank
+        assert rec.params["best_lambda"] == [0.0, 0.0]
+        assert rec.params["grid_size"] == grid.size
+        assert abs(rec.params["lambda0_value"] - np.sqrt(members[0])) <= 1e-13 * (1.0 + v)
+        # both read one memoized w(N): the lambda = 0 member is the sandwich upper bound
+        upper = sd.sandwich(m, t, reference=1.0)[1].value
+        assert abs(rec.params["lambda0_value"] - upper) <= 1e-14 * (1.0 + upper), m.rank
 
 
 # ---------------------------------------------------------------------------
@@ -809,6 +707,45 @@ def test_pair_report_degenerate_not_applicable(diag12):
     assert statuses["product-sum-balanced-upper"] == "ok"
     assert statuses["product_sum_upper_c"] == "not-applicable"
     assert report.overall_pass
+
+
+def test_pair_report_judges_offdiag_by_the_block_slack(diag12, monkeypatch):
+    # the offdiag record is judged against the block's own dw bracket, so its slack
+    # is 1e-6 (1 + the block's lower end), not the slack derived from dw(X + Y)
+    from semidw import bounds
+
+    x = 3.0 * X_MAT
+    report = bounds.pair_report(diag12, x, Y_MAT)
+    block = next(r for r in report.records if r.anchor == "offdiag-block-upper").reference_dw
+    own = 1e-6 * (1.0 + block)
+    assert own < report.tol
+    miss = 0.5 * (own + report.tol)
+
+    def short(inst, n_x, n_y):
+        op = bounds._offdiag(n_x, n_y)
+        return inst.record(op, "offdiag block upper", "offdiag-block-upper", "upper",
+                           inst.memo.dw(op).value - miss)
+
+    monkeypatch.setattr(bounds, "_offdiag_upper", short)
+    for tol, satisfied in ((None, False), (2.0 * miss, True)):
+        got = bounds.pair_report(diag12, x, Y_MAT, tol=tol)
+        rec = next(r for r in got.records if r.anchor == "offdiag-block-upper")
+        assert rec.satisfied is satisfied, tol
+        assert got.overall_pass is satisfied, tol
+
+
+def test_lambda_params_at_zero_operator_and_rank_zero_metric():
+    # T = 0: the default grid's span is [0.0, 0.0], with no -0.0 in the report
+    report = sd.verify_all(sd.build_metric(np.eye(3)), np.zeros((3, 3)))
+    real = next(r for r in report.records if r.anchor == "lambda-real-upper")
+    assert real.params["lambda_span"] == [0.0, 0.0]
+    assert np.copysign(1.0, real.params["lambda_span"]).tolist() == [1.0, 1.0]
+    assert "-0.0" not in jsonio.dump_json(jsonio.report_to_dict(report))
+    # a rank-zero metric: both scalar-shift records carry no params
+    report = sd.verify_all(sd.build_metric(np.zeros((3, 3))), np.ones((3, 3)))
+    for anchor in ("lambda-real-upper", "lambda-complex-upper"):
+        rec = next(r for r in report.records if r.anchor == anchor)
+        assert (rec.value, rec.params) == (0.0, {}), anchor
 
 
 # ---------------------------------------------------------------------------

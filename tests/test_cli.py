@@ -433,6 +433,16 @@ def test_suite_counts_must_be_nonnegative(flag, capsys):
     assert flag in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", [["suite"], ["remark-repro"], ["compute", "--metric", "a",
+                                                                   "--operator", "t"]])
+def test_seed_must_be_nonnegative(command, capsys):
+    # suite --seed -1 died in SeedSequence with a traceback and exit 1
+    with pytest.raises(SystemExit) as exc:
+        main([*command, "--seed", "-1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_suite_replay_ignores_bounds_samples(tmp_path, capsys):
     # the bounds replay reads no sample count, so a zero one is not an error
     replay = tmp_path / "replay.json"

@@ -16,12 +16,15 @@ so it is checked at rounding scale, relative ``RTOL``:
 """
 
 import numpy as np
+import pytest
 
 import semidw as sd
 from semidw._optim import gram_herm, herm_parts
 from semidw.bounds import THETA_GRID_BOUNDS
 from semidw.metric import compress
 from semidw.sampling import random_bounded_operator, random_metric
+
+from helpers import lambda_complex_members
 
 RTOL = 1e-14
 
@@ -87,14 +90,17 @@ def test_real_shift_members_on_the_grid():
 
 
 def test_complex_shift_member_at_least_lambda0_member():
+    # every member from the tests' own reference, which shifts N explicitly
     rng = np.random.default_rng(7)
     for m, t in _instances():
-        lambda0 = sd.upper_lambda_complex(m, t, lambda_grid=[0.0], reference=1.0).value
+        n_mat = compress(m, t)
         w_val = sd.numerical_radius(m, t).value
         lams = (rng.standard_normal(6) + 1j * rng.standard_normal(6)) * w_val
         lams[:2] *= 1e-6
-        for lam in lams:
-            member = sd.upper_lambda_complex(m, t, lambda_grid=[lam], reference=1.0).value
+        lambda0, *members = np.sqrt(lambda_complex_members(n_mat, [0.0, *lams]))
+        assert lambda0 == pytest.approx(sd.sandwich(m, t, reference=1.0)[1].value,
+                                        rel=1e-13, abs=0.0), m.rank
+        for lam, member in zip(lams, members):
             assert member >= lambda0 * (1.0 - RTOL), (m.rank, lam)
 
 
