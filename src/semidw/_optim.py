@@ -1,9 +1,10 @@
 """Angle maximization helpers shared by the radius and bound evaluators.
 
 The level-set kernel :func:`rotated_eig_max` maximizes one eigenvalue of
-``Re(e^{i theta} N) + K``; :func:`newton_max_lockstep` polishes many smooth
-angle peaks at once by safeguarded Newton steps; :func:`pencil_eigvals` is
-the kernel's QZ solve.
+``Re(e^{i theta} N) + K``; :func:`newton_max_lockstep`, the one Newton ascent,
+polishes its levels one angle at a time and the lambda-real peaks of
+:mod:`semidw.bounds` in lockstep; :func:`pencil_eigvals` is the kernel's QZ
+solve.
 """
 
 from __future__ import annotations
@@ -83,92 +84,48 @@ MAX_LEVELS = 30
 NEWTON_STEP_MAX = np.pi / START_ANGLES
 #: cap on the Newton steps of one polish (quadratic convergence needs about 5)
 NEWTON_STEPS = 8
-#: the polish stops once its predicted rise is at most ``NEWTON_STOP_ULPS eps (1 + |gamma|)``
+#: a Newton ascent stops once its predicted rise is at most ``NEWTON_STOP_ULPS eps |value|``
 NEWTON_STOP_ULPS = 1
 
 
-def newton_max_lockstep(theta0: np.ndarray, f, step_max: float):
+def newton_max_lockstep(theta0, f, step_max: float):
     """Safeguarded Newton ascents from the angles ``theta0``, run in lockstep.
 
-    ``f(thetas, k)`` gives ``(value, slope, curv)`` of searches ``k`` (an index
-    array) at the angles ``thetas``, so a caller can solve all the angles of a
-    step in one stack; it is called once at ``theta0``, then once per step for
-    the searches still running. A step ``-slope / curv`` is tried only where
-    ``curv < 0``, clamped to ``step_max``, and kept only if the value strictly
-    rises, so every value stays attained. A search stops once its predicted rise
-    ``slope * step / 2`` is at most ``NEWTON_STOP_ULPS eps |value|``, at a refused
-    step, or after ``NEWTON_STEPS`` steps. The rule is relative because the caller's
-    values need not be scaled: with ``eps (1 + |value|)`` a lambda-real member of
-    ``||N|| ~ 4e-3`` stopped 5.5e-12 relative short of its peak. Returns
-    ``(theta, value)``.
+    ``f(thetas, k)`` gives ``(value, slope, curv)`` of the searches ``k`` (a list) at
+    the angles ``thetas`` (an array), so a caller can solve a step's angles in one
+    stack; it is called at ``theta0``, then once per step for the searches still
+    running. A step ``-slope / curv`` is tried only where ``curv < 0`` (never at nan),
+    clamped to ``step_max``, and kept only if the value strictly rises, so every value
+    stays attained. A search stops at a refused step, after ``NEWTON_STEPS`` steps, or
+    once its predicted rise ``slope * step / 2`` is at most ``NEWTON_STOP_ULPS eps
+    |value|``: relative, as the values need not be scaled (with ``eps (1 + |value|)`` a
+    lambda-real member of ``||N|| ~ 4e-3`` stopped 5.5e-12 relative short of its peak).
+    Returns ``(theta, value, evals)``: lists per search and the count of angles given
+    to ``f``; plain floats, as most calls run one search.
     """
-    eps = np.finfo(float).eps
-    theta = np.asarray(theta0, dtype=float).copy()
-    run = np.arange(theta.size)
-    value, slope, curv = (np.array(a, dtype=float) for a in f(theta, run))
+    stop = NEWTON_STOP_ULPS * float(np.finfo(float).eps)
+    theta = [float(x) for x in theta0]
+    run = list(range(len(theta)))
+    value, slope, curv = ([float(x) for x in a] for a in f(np.array(theta), run))
+    evals = len(run)
     for _ in range(NEWTON_STEPS):
-        step = -slope[run] / np.where(curv[run] < 0.0, curv[run], -1.0)
-        go = (curv[run] < 0.0) & (0.5 * slope[run] * step
-                                   > NEWTON_STOP_ULPS * eps * np.abs(value[run]))
-        run, step = run[go], np.clip(step[go], -step_max, step_max)
-        if not run.size:
+        go, steps = [], []
+        for k in run:
+            step = -slope[k] / curv[k] if curv[k] < 0.0 else 0.0
+            if 0.5 * slope[k] * step > stop * abs(value[k]):
+                go.append(k)
+                steps.append(min(max(step, -step_max), step_max))
+        if not go:
             break
-        v_new, s_new, c_new = f(theta[run] + step, run)
-        up = v_new > value[run]
-        run = run[up]
-        theta[run] += step[up]
-        value[run], slope[run], curv[run] = v_new[up], s_new[up], c_new[up]
-    return theta, value
-
-
-def _newton_polish(n_mat: np.ndarray, k_mat: np.ndarray, index: int, theta: float,
-                   gamma: float):
-    """Safeguarded Newton ascent of ``f(theta) = lambda_index(C(theta) + K)`` from theta.
-
-    ``C(theta) = Re(e^{i theta} N)`` and ``gamma`` is the value at ``theta``.
-    One ``eigh`` at theta gives, for the eigenvector x of eigenvalue
-    ``index``, ``f' = x* C' x`` with ``C' = Re(i e^{i theta} N)`` and
-    ``f'' = -x* C x + 2 sum_{j != k} |x_j* C' x_k|^2 / (lambda_k - lambda_j)``
-    (``C'' = -C``). A step ``-f'/f''`` is tried only at a simple eigenvalue
-    with ``f'' < 0``, clamped to ``NEWTON_STEP_MAX``, and kept only if the
-    eigenvalue at the new angle strictly beats gamma, so gamma stays
-    attained; a kink, where two branches cross, is left to the level sets'
-    tangent meets. The polish stops at a
-    refused step, after ``NEWTON_STEPS`` steps, or once the predicted rise
-    ``f'^2 / (2 |f''|)`` is at most ``NEWTON_STOP_ULPS eps (1 + |gamma|)``: a
-    quarter of the level-set stop rule, so that the pencil at the polished
-    level rarely finds a candidate above that rule (stopping at the rule
-    itself left some levels a few ulps short, and those calls solved a second
-    pencil). An eigenvalue counts as simple when its gaps exceed
-    ``4 eps (1 + |lambda|)``. Returns ``(theta, gamma, evals, lam, vecs)``,
-    ``evals`` the ``eigh`` count and ``lam, vecs`` the eigenpairs at theta.
-    """
-    eps = np.finfo(float).eps
-    k = index % n_mat.shape[0]
-    c_mat = rotated_herm(n_mat, theta)
-    lam, vecs = np.linalg.eigh(c_mat + k_mat)
-    evals = 1
-    for _ in range(NEWTON_STEPS):
-        x = vecs[:, k]
-        gaps = lam[k] - np.delete(lam, k)
-        if gaps.size and np.abs(gaps).min() <= 4.0 * eps * (1.0 + abs(lam[k])):
-            break
-        m = vecs.conj().T @ (rotated_herm(n_mat, theta + 0.5 * np.pi) @ x)
-        slope = m[k].real
-        curv = 2.0 * float(np.sum(np.abs(np.delete(m, k)) ** 2 / gaps)) - np.vdot(x, c_mat @ x).real
-        if not curv < 0.0:
-            break
-        step = -slope / curv
-        if 0.5 * slope * step <= NEWTON_STOP_ULPS * eps * (1.0 + abs(gamma)):
-            break
-        step = min(max(step, -NEWTON_STEP_MAX), NEWTON_STEP_MAX)
-        c_new = rotated_herm(n_mat, theta + step)
-        lam_new, vecs_new = np.linalg.eigh(c_new + k_mat)
-        evals += 1
-        if not lam_new[k] > gamma:
-            break
-        theta, gamma, c_mat, lam, vecs = theta + step, float(lam_new[k]), c_new, lam_new, vecs_new
-    return theta, gamma, evals, lam, vecs
+        new = f(np.array([theta[k] + step for k, step in zip(go, steps)]), go)
+        evals += len(go)
+        run = []
+        for k, step, v, s, c in zip(go, steps, *new):
+            if v > value[k]:
+                run.append(k)
+                theta[k] += step
+                value[k], slope[k], curv[k] = float(v), float(s), float(c)
+    return theta, value, evals
 
 
 def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
@@ -179,7 +136,10 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     ``max(||N||_F, ||K||_F)``, ``K = shift`` (Hermitian) or 0, with local
     Newton ascent between the level sets (Mitchell, SIAM J. Sci. Comput. 45
     (2023)). The best of ``START_ANGLES`` equispaced angles, polished by
-    :func:`_newton_polish`, is the first level gamma. Some eigenvalue of
+    :func:`newton_max_lockstep`, is the first level gamma. The polish steps on
+    eigenvalue ``index`` with derivatives from one ``eigh`` per angle, and never
+    at a multiple eigenvalue (gaps within ``4 eps (1 + |lambda|)``), where the
+    second derivative does not exist. Some eigenvalue of
     ``f(theta)`` equals gamma iff ``z = e^{i theta}`` solves
     ``det(z^2 N + 2z (K - gamma I) + N*) = 0``: the unimodular eigenvalues of a
     2r x 2r pencil (infinite ones, from singular N, are dropped). Between
@@ -194,7 +154,8 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     Returns ``(theta, value, evals, lam, vecs)``: ``value`` is eigenvalue ``index`` at
     ``theta`` (attained, never extrapolated), ``evals`` the number of angles
     evaluated, Newton steps included, and ``lam, vecs`` the eigenpairs of
-    ``f(theta)`` in the caller's units, ``lam[index] = value`` up to rounding.
+    ``f(theta)`` in the caller's units (the polish's, or one ``eigh`` when the last
+    candidate was not polished), ``lam[index] = value`` up to rounding.
     """
     r = n_mat.shape[0]
     k_mat = np.zeros((r, r)) if shift is None else shift
@@ -202,15 +163,40 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     if scale == 0.0:
         return 0.0, 0.0, 0, np.zeros(r), np.eye(r)
     n_mat, k_mat = n_mat / scale, k_mat / scale
+    k = index % r
+    tiny = 4.0 * np.finfo(float).eps
 
     def values(thetas: np.ndarray) -> np.ndarray:
         return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas) + k_mat)[:, index]
 
+    solved = {}
+
+    def jets(angles: np.ndarray, _):
+        # eigenvalue k of one eigh, with f' = x* C' x and f'' = -x* C x
+        # + 2 sum_j |x_j* C' x|^2 / (lambda_k - lambda_j), C' = Re(i e^{i theta} N);
+        # f'' is nan where the eigenvalue is not simple, so no step is taken there
+        theta = float(angles[0])
+        c_mat = rotated_herm(n_mat, theta)
+        lam, vecs = solved[theta] = np.linalg.eigh(c_mat + k_mat)
+        x = vecs[:, k]
+        m = vecs.conj().T @ (rotated_herm(n_mat, theta + 0.5 * np.pi) @ x)
+        gaps = lam[k] - lam
+        gaps[k] = np.inf
+        curv = (2.0 * float(np.sum(np.abs(m) ** 2 / gaps)) - np.vdot(x, c_mat @ x).real
+                if np.abs(gaps).min() > tiny * (1.0 + abs(lam[k])) else np.nan)
+        return [lam[k]], [m[k].real], [curv]
+
+    def polish(theta: float, gamma: float):
+        # an angle the ascent does not move keeps its level gamma, eigvalsh's value:
+        # eigh's may be an ulp lower, and the level's pencil would chase that ulp
+        solved.clear()
+        (moved,), (value,), steps = newton_max_lockstep([theta], jets, NEWTON_STEP_MAX)
+        return moved, value if moved != theta else gamma, steps, *solved[moved]
+
     thetas = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
     vals = values(thetas)
     best = int(np.argmax(vals))
-    theta, gamma, evals, lam, vecs = _newton_polish(n_mat, k_mat, index, float(thetas[best]),
-                                                    float(vals[best]))
+    theta, gamma, evals, lam, vecs = polish(float(thetas[best]), float(vals[best]))
     evals += START_ANGLES
     # the pencil ([[0, I], [-N*, 2 (gamma I - K)]], [[I, 0], [0, N]]), real for real N, K
     # (dggev), filled in place: two np.block calls cost 20 us against 7 at r = 4 (Xeon vCPU)
@@ -254,9 +240,9 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
         gain = float(cand_vals[best]) - gamma
         if gain > 0.0:
             theta, gamma, lam = float(cands[best]), float(cand_vals[best]), None
-        if gain <= 4.0 * np.finfo(float).eps * (1.0 + abs(gamma)):
+        if gain <= tiny * (1.0 + abs(gamma)):
             break
-        theta, gamma, steps, lam, vecs = _newton_polish(n_mat, k_mat, index, theta, gamma)
+        theta, gamma, steps, lam, vecs = polish(theta, gamma)
         evals += steps
     if lam is None:
         lam, vecs = np.linalg.eigh(rotated_herm(n_mat, theta) + k_mat)

@@ -505,8 +505,8 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
         curv = rho_p[1] ** 2 + rho_p[0] * rho_p[2] + rho_m[1] ** 2 + rho_m[0] * rho_m[2]
         return value, slope, curv
 
-    _, polished = newton_max_lockstep(thetas[peaks], jets, 2.0 * np.pi / THETA_GRID_BOUNDS)
-    value = _sqrt0(max(row.max(), polished.max()))
+    _, polished, _ = newton_max_lockstep(thetas[peaks], jets, 2.0 * np.pi / THETA_GRID_BOUNDS)
+    value = _sqrt0(max(row.max(), *polished))
     # the default grid: 0 and LAMBDA_GRID_POINTS points on [-span, span]; its minimum
     # is 0.0 - span, which is +0.0, not -0.0, at span = 0
     span = 2.0 * inst.memo.value(_seminorm_core, n_mat) ** 2
@@ -705,8 +705,9 @@ def product_sum_upper(m: Metric, p, q, x, y, t: float, sign: int = 1, reference=
     value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2 ((t^2||PX||^2 + ||QY||^2/t^2)^2 + alpha^2)
     with alpha the block numerical radius of [[O, X], [Y, O]] under diag(A, A).
     """
-    if t == 0.0:
-        raise ZeroT("balance parameter t must be nonzero")
+    t2 = float(t) * float(t)
+    if not (0.0 < t2 < np.inf and 1.0 / t2 < np.inf):  # nan fails too
+        raise ZeroT(f"balance parameter t must have finite nonzero t^2 and 1/t^2, got {t!r}")
     rec, norms = _product_sum(_Instance(reference, tol), "product sum upper",
                               "product-sum-upper", *(compress(m, op) for op in (p, q, x, y)),
                               sign, lambda *_: t)

@@ -48,7 +48,7 @@ class RankTooLarge(PreconditionError):
 
 
 class ZeroT(PreconditionError):
-    """Raised when a bound requires a nonzero balance parameter t."""
+    """Raised when a balance parameter t has ``t^2`` or ``1/t^2`` zero or nonfinite."""
 
 
 class DegenerateNorm(PreconditionError):

@@ -35,27 +35,30 @@ def matrix_to_dict(arr: np.ndarray) -> dict:
     return out
 
 
+def _number_block(block, name: str, shape: tuple[int, int]) -> np.ndarray:
+    """A ``shape`` list of rows of JSON numbers as floats; a JSON bool or string is no number."""
+    if type(block) is not list or not all(
+            type(row) is list and all(type(v) in (int, float) for v in row) for row in block):
+        raise ParseError(f"{name} block is not a list of rows of JSON numbers")
+    try:
+        arr = np.asarray(block, dtype=float)
+    except (ValueError, OverflowError) as exc:  # ragged rows, an integer beyond float range
+        raise ParseError(f"malformed {name} block: {exc}") from exc
+    if arr.shape != shape:
+        raise ParseError(f"{name} block has shape {arr.shape}, expected {shape}")
+    return arr
+
+
 def matrix_from_dict(data: dict) -> np.ndarray:
     """Decode the wire format into a complex matrix; raises :class:`ParseError`."""
     if not isinstance(data, dict):
         raise ParseError(f"expected a matrix object, got {type(data).__name__}")
-    try:
-        rows = int(data["rows"])
-        cols = int(data["cols"])
-        re_part = np.asarray(data["re"], dtype=float)
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ParseError(f"malformed matrix object: {exc}") from exc
-    if re_part.shape != (rows, cols):
-        raise ParseError(f"re block has shape {re_part.shape}, expected ({rows}, {cols})")
-    if "im" in data and data["im"] is not None:
-        try:
-            im_part = np.asarray(data["im"], dtype=float)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"malformed im block: {exc}") from exc
-        if im_part.shape != (rows, cols):
-            raise ParseError(f"im block has shape {im_part.shape}, expected ({rows}, {cols})")
-    else:
-        im_part = np.zeros((rows, cols))
+    rows, cols = data.get("rows"), data.get("cols")
+    if type(rows) is not int or type(cols) is not int:
+        raise ParseError(f"rows and cols must be JSON integers, got {rows!r} and {cols!r}")
+    re_part = _number_block(data.get("re"), "re", (rows, cols))
+    im = data.get("im")
+    im_part = np.zeros((rows, cols)) if im is None else _number_block(im, "im", (rows, cols))
     arr = re_part + 1j * im_part
     if not np.all(np.isfinite(arr.view(float))):
         raise ParseError("matrix has non-finite entries")

@@ -99,8 +99,10 @@ def build_metric(a, rank_tol: float = DEFAULT_RANK_TOL) -> Metric:
     so are those below the smallest normal float, whose reciprocals overflow;
     anything more negative raises :class:`NotPositiveSemidefinite`. The input
     is symmetrized after the Hermiticity check so downstream arithmetic sees
-    an exactly Hermitian matrix.
+    an exactly Hermitian matrix. A ``rank_tol`` outside [0, 1) raises ``ValueError``.
     """
+    if not 0.0 <= rank_tol < 1.0:
+        raise ValueError(f"rank_tol must be in [0, 1), got {rank_tol}")
     arr = np.asarray(a, dtype=complex)
     if arr.ndim != 2 or arr.size == 0:
         raise EmptyMatrix(f"expected a nonempty square matrix, got shape {arr.shape}")

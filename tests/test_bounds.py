@@ -603,6 +603,19 @@ def test_product_sum_sign_flip(diag12):
     assert plus.value == pytest.approx(minus.value, abs=1e-9)
 
 
+@pytest.mark.parametrize("t", [1e-200, 1e-160, 1e200, np.inf, -np.inf, np.nan])
+def test_product_sum_rejects_degenerate_t(diag12, t):
+    # t^2 underflows to 0 (1e-200), 1/t^2 overflows (1e-160), t^2 overflows, or t is nan
+    with pytest.raises(ZeroT):
+        sd.product_sum_upper(diag12, np.eye(2), np.eye(2), X_MAT, Y_MAT, t=t)
+
+
+def test_product_sum_is_even_in_t(diag12):
+    eye = np.eye(2)
+    assert (sd.product_sum_upper(diag12, eye, eye, X_MAT, Y_MAT, t=-0.5).value
+            == sd.product_sum_upper(diag12, eye, eye, X_MAT, Y_MAT, t=0.5).value)
+
+
 def test_product_sum_errors(diag12):
     eye = np.eye(2)
     with pytest.raises(ZeroT):

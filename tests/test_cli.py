@@ -51,6 +51,29 @@ def test_matrix_parse_errors(tmp_path):
         jsonio.load_matrix(bad)
 
 
+@pytest.mark.parametrize("bad", [
+    {"rows": 2.7, "cols": 2, "re": [[1, 0], [0, 2]]},
+    {"rows": True, "cols": 2, "re": [[1, 0]]},
+    {"rows": "2", "cols": 2, "re": [[1, 0], [0, 2]]},
+    {"rows": 2, "cols": 2.0, "re": [[1, 0], [0, 2]]},
+    {"rows": 2, "cols": 2, "re": [["1", 0], [0, 2]]},
+    {"rows": 2, "cols": 2, "re": [[True, 0], [0, 2]]},
+    {"rows": 2, "cols": 2, "re": [[1, 0], [0, 2]], "im": [[0, False], [0, 0]]},
+    {"rows": 2, "cols": 2, "re": [[1, 0], [0, 10 ** 400]]},
+    {"rows": 1, "cols": 2, "re": [1, 0]},
+])
+def test_matrix_rejects_non_numbers(bad, tmp_path):
+    # rows and cols are JSON integers and every entry a JSON number; a JSON bool is
+    # neither, and nothing is truncated or read from a string
+    with pytest.raises(sd.ParseError):
+        jsonio.matrix_from_dict(bad)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(bad))
+    a_path = tmp_path / "a.json"
+    a_path.write_text(json.dumps(jsonio.matrix_to_dict(np.eye(2))))
+    assert main(["compute", "--metric", str(a_path), "--operator", str(path)]) == 2
+
+
 def test_report_csv_columns(diag12):
     report = sd.verify_all(diag12, X_MAT, seed=1)
     csv_text = jsonio.report_csv(report)

@@ -196,6 +196,20 @@ def test_rank_monotonicity():
     assert ranks == sorted(ranks, reverse=True)
 
 
+@pytest.mark.parametrize("rank_tol", [np.nan, np.inf, 1.0, 2.5, -1.0, -1e-300])
+def test_build_metric_rejects_rank_tol_outside_unit_interval(rank_tol):
+    # before: nan accepted diag(1, -5) at rank 1, 1 or more clamped diag(1, 0.5) to
+    # rank 0, and a negative cutoff printed "below --1.000e+00"
+    for a in (np.diag([1.0, -5.0]), np.diag([1.0, 0.5])):
+        with pytest.raises(ValueError, match="rank_tol"):
+            sd.build_metric(a, rank_tol=rank_tol)
+
+
+def test_build_metric_rank_tol_edges():
+    assert sd.build_metric(np.diag([1.0, 0.5]), rank_tol=0.0).rank == 2
+    assert sd.build_metric(np.diag([1.0, 0.5]), rank_tol=0.75).rank == 1
+
+
 def test_random_metric_rejects_rank_above_dim():
     # before: rank 5 at dimension 2 built a full-rank (rank-2) metric
     with pytest.raises(ValueError, match="rank"):

@@ -141,10 +141,18 @@ def test_newton_polish_alone_reaches_maximum(r, monkeypatch):
     assert calls == []
 
 
-def test_newton_polish_refuses_multiple_eigenvalue():
+def test_newton_polish_refuses_multiple_eigenvalue(monkeypatch):
+    # a multiple eigenvalue has no second derivative: the polish evaluates the best
+    # start angle and takes no step from it
+    monkeypatch.setattr(_optim, "MAX_LEVELS", 0)
     n_mat = (0.3 - 1.7j) * np.eye(3)
+    starts = np.linspace(0.0, 2.0 * np.pi, _optim.START_ANGLES, endpoint=False)
+    vals = np.linalg.eigvalsh(rotated_herm_batch(n_mat, starts))
     for index in (0, -1):
-        assert _optim._newton_polish(n_mat, np.zeros((3, 3)), index, 0.4, 0.3)[:3] == (0.4, 0.3, 1)
+        theta, value, evals, *_ = rotated_eig_max(n_mat, index)
+        best = int(np.argmax(vals[:, index]))
+        assert (theta, evals) == (starts[best], _optim.START_ANGLES + 1), index
+        assert abs(value - vals[best, index]) <= 4.0 * np.finfo(float).eps * (1.0 + abs(value))
 
 
 def _pencil(n_mat, gamma, shift=None):
@@ -291,14 +299,15 @@ def test_newton_lockstep_known_maxima_and_refused_steps():
     calls = []
 
     def f(xs, ks):
-        calls.append(ks.tolist())
-        for x, k in zip(xs.tolist(), ks.tolist()):
+        calls.append(list(ks))
+        for x, k in zip(xs.tolist(), ks):
             visits[k].append(x)
-        return np.array([cases[k][0](x) for x, k in zip(xs.tolist(), ks.tolist())]).T
+        return np.array([cases[k][0](x) for x, k in zip(xs.tolist(), ks)]).T
 
-    theta, value = _optim.newton_max_lockstep(np.array([c[1] for c in cases]), f, step_max)
-    # one call per step, over a shrinking set of the searches
+    theta, value, evals = _optim.newton_max_lockstep(np.array([c[1] for c in cases]), f, step_max)
+    # one call per step, over a shrinking set of the searches; evals counts their angles
     assert calls[0] == list(range(len(cases))) and 1 < len(calls) <= _optim.NEWTON_STEPS + 1
+    assert evals == sum(map(len, calls)) == sum(map(len, visits))
     assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
     for k, (func, start, argmax, top) in enumerate(cases):
         # every value is attained at its angle; every kept step is within step_max
@@ -345,12 +354,12 @@ def test_kernel_returns_its_eigenpairs(steps, levels, monkeypatch):
     monkeypatch.setattr(_optim, "MAX_LEVELS", levels)
     polished = []
 
-    def recorded(*args, _polish=_optim._newton_polish):
-        out = _polish(*args)
-        polished.append(out[0] % (2.0 * np.pi))
+    def recorded(*args, _drive=_optim.newton_max_lockstep):
+        out = _drive(*args)
+        polished.append(out[0][0] % (2.0 * np.pi))
         return out
 
-    monkeypatch.setattr(_optim, "_newton_polish", recorded)
+    monkeypatch.setattr(_optim, "newton_max_lockstep", recorded)
     ends = set()
     for r in (1, 2, 3, 5, 8):
         rng = np.random.default_rng(100 + r)
@@ -368,6 +377,47 @@ def test_kernel_returns_its_eigenpairs(steps, levels, monkeypatch):
                          (np.zeros((2, 2), dtype=complex), np.diag([2.0, 5.0]))):
         for index in (0, -1):
             _check_eigenpairs(n_mat, index, shift, ("zero", index, shift is not None))
+
+
+def test_kernel_evals_count_its_eigensolves(monkeypatch):
+    # evals (the iterations of w_A and c_A) is every matrix the kernel's eigh and
+    # eigvalsh solve, stacked ones included, but the one eigh at an unpolished last
+    # candidate, whose value was counted when the candidate was evaluated
+    solves = []  # (matrices, a single eigh outside the polish) per call
+    polishing = [False]
+
+    def counted(solve):
+        def wrapped(a, *args, **kw):
+            single = solve is eigh and np.ndim(a) == 2 and not polishing[0]
+            solves.append((int(np.prod(np.shape(a)[:-2])), single))
+            return solve(a, *args, **kw)
+        return wrapped
+
+    def polish(*args, _drive=_optim.newton_max_lockstep):
+        polishing[0] = True
+        try:
+            return _drive(*args)
+        finally:
+            polishing[0] = False
+
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", counted(eigh))
+    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    monkeypatch.setattr(_optim, "newton_max_lockstep", polish)
+    extra = []
+    for r in (1, 2, 3, 5, 8, 16):
+        rng = np.random.default_rng(100 + r)
+        for name, n_mat in _families(rng, r):
+            for shift in (None, gram_herm(n_mat)):
+                for index in (0, -1):
+                    solves.clear()
+                    evals = rotated_eig_max(n_mat, index, shift)[2]
+                    label = (name, r, index, shift is not None)
+                    unpolished = [i for i, (_, single) in enumerate(solves) if single]
+                    assert unpolished in ([], [len(solves) - 1]), label
+                    extra.append(sum(count for count, _ in solves) - evals)
+                    assert extra[-1] == len(unpolished), label
+    assert len(extra) == 260 and set(extra) == {0, 1}
 
 
 def test_w_core_solves_no_eigh_outside_the_kernel(monkeypatch):
