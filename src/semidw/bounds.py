@@ -10,8 +10,9 @@ Each bound is a formula over radii-core values of products of compressed
 matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
 *-homomorphism, see :mod:`semidw.metric`), read from the memo of one
 :class:`_Instance` (:class:`semidw.radii._Memo`), which computes each value once
-and builds every estimate. A public evaluator compresses its operands and runs
-its body on a fresh instance; a report runs every body on one memo.
+and builds every estimate. A public evaluator compresses its operands, checks
+their norms against ``NORM_MAX`` and runs its body on a fresh instance
+(:func:`_evaluate`); a report runs every body on one memo.
 
 Angle suprema of one eigenvalue (``w``, ``c`` and the theta-sweep bound) come
 from the level-set kernel :func:`semidw._optim.rotated_eig_max`, whose value is
@@ -37,8 +38,8 @@ from ._optim import (START_ANGLES, gram_herm, herm_parts, newton_max_lockstep,
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _ix_core
 from .metric import Metric, as_operator, compress
-from .radii import (_crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_core, _w_core,
-                    form_values)
+from .radii import (_check_norm, _crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_core,
+                    _w_core, form_values)
 
 LAMBDA_GRID_POINTS = 41
 #: angle grid of the lambda-real member (even: a grid angle plus pi is one too)
@@ -161,6 +162,19 @@ def _sqrt0(x: float) -> float:
     return float(np.sqrt(max(float(x), 0.0)))
 
 
+def _evaluate(body, m: Metric, operands, reference, tol, *args):
+    """A public evaluator: ``body`` on a fresh instance, over the compressed ``operands``.
+
+    Every operand's ``||.||_A`` is checked against ``NORM_MAX`` (:class:`NormOutOfRange`)
+    before the body's arithmetic.
+    """
+    inst = _Instance(reference, tol)
+    mats = [compress(m, op) for op in operands]
+    for n_mat in mats:
+        _check_norm(inst.memo.value(_seminorm_core, n_mat))
+    return body(inst, *mats, *args)
+
+
 # ---------------------------------------------------------------------------
 # sandwich and equality diagnostics
 
@@ -178,7 +192,7 @@ def _sandwich(inst: _Instance, n_mat: np.ndarray):
 def sandwich(m: Metric, t, reference=None,
              tol: float | None = None) -> tuple[BoundRecord, BoundRecord]:
     """Two-sided envelope: max(w, ||T||^2) <= dw <= sqrt(w^2 + ||T||^4)."""
-    return _sandwich(_Instance(reference, tol), compress(m, t))
+    return _evaluate(_sandwich, m, (t,), reference, tol)
 
 
 @dataclass
@@ -330,7 +344,7 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None):
     ``sqrt(2 w c(|T|^2))`` and ``sqrt(2 c(T) ||T||^2)``; the first two
     dominate the plain sandwich lower bound.
     """
-    return _lower_crawford(_Instance(reference, tol), compress(m, t))
+    return _evaluate(_lower_crawford, m, (t,), reference, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +372,7 @@ def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None) ->
     converged to rounding, so nothing is under-resolved before the subtraction.
     ``grid`` is the kernel's start grid and ``evals`` its angle count.
     """
-    return _upper_theta_sweep(_Instance(reference, tol), compress(m, t))
+    return _evaluate(_upper_theta_sweep, m, (t,), reference, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -384,7 +398,7 @@ def cartesian_half(m: Metric, t, reference=None,
     lower = sqrt((w^2(T+|T|^2) + c^2(T-|T|^2))/2),
     upper = sqrt((w^2(T+|T|^2) + w^2(T-|T|^2))/2).
     """
-    return _cartesian_half(_Instance(reference, tol), compress(m, t))
+    return _evaluate(_cartesian_half, m, (t,), reference, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +425,7 @@ def upper_buzano(m: Metric, t, reference=None,
     (i) sqrt(|| |T|^2 + (|T|^2)^# |T|^2 ||_A), tight for A-normaloid T;
     (ii) sqrt((w(T^2) + ||T||^2)/2 + ||T||^4).
     """
-    return _upper_buzano(_Instance(reference, tol), compress(m, t))
+    return _evaluate(_upper_buzano, m, (t,), reference, tol)
 
 
 def _upper_triple(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
@@ -434,7 +448,7 @@ def _upper_triple(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
 
 def upper_triple(m: Metric, t, reference=None, tol: float | None = None) -> BoundRecord:
     """Upper bound 3|| (|T|^2)^# |T|^2 + |T|^2 ||_A minus two Crawford-modulus products."""
-    return _upper_triple(_Instance(reference, tol), compress(m, t))
+    return _evaluate(_upper_triple, m, (t,), reference, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -540,7 +554,7 @@ def upper_lambda_theta(m: Metric, t, reference=None, tol: float | None = None) -
     smooth peaks; each ``max(.)`` is differentiated on its active branch, and
     each extreme eigenvalue as the mean of its rounding-level cluster.
     """
-    return _upper_lambda_theta(_Instance(reference, tol), compress(m, t))
+    return _evaluate(_upper_lambda_theta, m, (t,), reference, tol)
 
 
 def _upper_lambda_complex(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
@@ -570,7 +584,7 @@ def upper_lambda_complex(m: Metric, t, reference=None, tol: float | None = None)
     2 w_A(T)]``, whose infimum that is: ``best_lambda`` is 0 and ``lambda0_value``
     the value.
     """
-    return _upper_lambda_complex(_Instance(reference, tol), compress(m, t))
+    return _evaluate(_upper_lambda_complex, m, (t,), reference, tol)
 
 
 # ---------------------------------------------------------------------------
@@ -601,7 +615,7 @@ def sum_upper(m: Metric, x, y, reference=None, tol: float | None = None):
     ``A (X^# Y + Y^# X) = 0``) the cross term drops and the orthogonal special
     record dw(X) + dw(Y) is also emitted (otherwise ``None``).
     """
-    return _sum_upper(_Instance(reference, tol), compress(m, x), compress(m, y))
+    return _evaluate(_sum_upper, m, (x, y), reference, tol)
 
 
 def _feki_sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundRecord:
@@ -612,7 +626,7 @@ def _feki_sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray) -> BoundR
 
 def feki_sum_upper(m: Metric, x, y, reference=None, tol: float | None = None) -> BoundRecord:
     """Coarse splitting bound sqrt(2 s + 4 s^2) with s = dw(X) + dw(Y)."""
-    return _feki_sum_upper(_Instance(reference, tol), compress(m, x), compress(m, y))
+    return _evaluate(_feki_sum_upper, m, (x, y), reference, tol)
 
 
 def _block(n11, n12, n21, n22) -> np.ndarray:
@@ -640,7 +654,7 @@ def offdiag_upper(m: Metric, x, y, reference=None, tol: float | None = None) -> 
     dw of [[O, X], [Y, O]] <= sqrt(||X||^2/4 + ||X||^4) + sqrt(||Y||^2/4 + ||Y||^4).
     Without a ``reference`` the block's own dw is the reference.
     """
-    return _offdiag_upper(_Instance(reference, tol), compress(m, x), compress(m, y))
+    return _evaluate(_offdiag_upper, m, (x, y), reference, tol)
 
 
 def exact_checks(m: Metric, x, tol: float | None = None):
@@ -669,21 +683,27 @@ def _product_sum(inst: _Instance, name: str, anchor: str, n_p, n_q, n_x, n_y, si
                  pick_t):
     """The balanced product record at ``t = pick_t(||P||, ||Q||, ||PX||, ||QY||)``.
 
-    ``pick_t`` may raise a failed hypothesis before the reference is
-    computed. Returns the record (params ``t``, ``sign``, ``alpha``) and the
-    four norms, with ``value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2
-    ((t^2||PX||^2 + ||QY||^2/t^2)^2 + alpha^2)``.
+    ``pick_t`` may raise a failed hypothesis before the reference is computed, and
+    so does a ``t`` with ``t^2`` or ``1/t^2`` zero or not finite (:class:`ZeroT`).
+    Returns the record (params ``t``, ``sign``, ``alpha``) and the four norms, with
+    ``value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2 ((t^2||PX||^2 + ||QY||^2/t^2)^2 + alpha^2)``;
+    squares are products, so a value that overflows is a vacuous +inf upper bound.
     """
     norms = tuple(inst.memo.value(_seminorm_core, op) for op in (n_p, n_q, n_p @ n_x, n_q @ n_y))
     t = float(pick_t(*norms))
+    t2 = t * t
+    if not (0.0 < t2 < np.inf and 1.0 / t2 < np.inf):  # nan fails too
+        raise ZeroT(f"balance parameter t must have finite nonzero t^2 and 1/t^2, got {t!r}")
     sgn = 1 if sign >= 0 else -1
     alpha = inst.memo.value(_w_core, _offdiag(n_x, n_y))
     norm_p, norm_q, norm_px, norm_qy = norms
-    t2 = t ** 2
-    f1 = t2 * norm_p ** 2 + norm_q ** 2 / t2
-    f2 = t2 * norm_px ** 2 + norm_qy ** 2 / t2
+    f1 = t2 * (norm_p * norm_p) + (norm_q * norm_q) / t2
+    f2 = t2 * (norm_px * norm_px) + (norm_qy * norm_qy) / t2
+    root = _sqrt0(f2 * f2 + alpha * alpha)
+    # a zero root bounds the zero operator: 0, also where f1 overflows
+    value = f1 * root if root else 0.0
     op = n_p @ n_x @ n_q.conj().T + sgn * (n_q @ n_y @ n_p.conj().T)
-    return inst.record(op, name, anchor, "upper", f1 * _sqrt0(f2 ** 2 + alpha ** 2),
+    return inst.record(op, name, anchor, "upper", value,
                        {"t": t, "sign": sgn, "alpha": alpha}), norms
 
 
@@ -698,6 +718,13 @@ def _balancing(i: int, label: str):
     return pick_t
 
 
+def _product_sum_upper(inst: _Instance, n_p, n_q, n_x, n_y, t: float, sign: int) -> BoundRecord:
+    rec, norms = _product_sum(inst, "product sum upper", "product-sum-upper",
+                              n_p, n_q, n_x, n_y, sign, lambda *_: t)
+    rec.params.update(zip(("norm_p", "norm_q", "norm_px", "norm_qy"), norms))
+    return rec
+
+
 def product_sum_upper(m: Metric, p, q, x, y, t: float, sign: int = 1, reference=None,
                       tol: float | None = None) -> BoundRecord:
     """Balanced product bound for dw(P X Q^# +- Q Y P^#).
@@ -705,14 +732,7 @@ def product_sum_upper(m: Metric, p, q, x, y, t: float, sign: int = 1, reference=
     value^2 = (t^2||P||^2 + ||Q||^2/t^2)^2 ((t^2||PX||^2 + ||QY||^2/t^2)^2 + alpha^2)
     with alpha the block numerical radius of [[O, X], [Y, O]] under diag(A, A).
     """
-    t2 = float(t) * float(t)
-    if not (0.0 < t2 < np.inf and 1.0 / t2 < np.inf):  # nan fails too
-        raise ZeroT(f"balance parameter t must have finite nonzero t^2 and 1/t^2, got {t!r}")
-    rec, norms = _product_sum(_Instance(reference, tol), "product sum upper",
-                              "product-sum-upper", *(compress(m, op) for op in (p, q, x, y)),
-                              sign, lambda *_: t)
-    rec.params.update(zip(("norm_p", "norm_q", "norm_px", "norm_qy"), norms))
-    return rec
+    return _evaluate(_product_sum_upper, m, (p, q, x, y), reference, tol, t, sign)
 
 
 def _product_sum_upper_b(inst: _Instance, n_p, n_q, n_x, n_y, sign: int = 1) -> BoundRecord:
@@ -727,8 +747,7 @@ def product_sum_upper_b(m: Metric, p, q, x, y, sign: int = 1, reference=None,
     value^2 = 4||P||^2||Q||^2 ((||P||/||Q||) ||QY||^2 + (||Q||/||P||) ||PX||^2)^2 + ...,
     equal to :func:`product_sum_upper` at that t.
     """
-    return _product_sum_upper_b(_Instance(reference, tol),
-                                *(compress(m, op) for op in (p, q, x, y)), sign)
+    return _evaluate(_product_sum_upper_b, m, (p, q, x, y), reference, tol, sign)
 
 
 def _product_sum_upper_c(inst: _Instance, n_p, n_q, n_x, n_y, sign: int = 1) -> BoundRecord:
@@ -743,8 +762,7 @@ def product_sum_upper_c(m: Metric, p, q, x, y, sign: int = 1, reference=None,
     value^2 = ((||QY||/||PX||)||P||^2 + (||PX||/||QY||)||Q||^2)^2
     (4||PX||^2||QY||^2 + alpha^2), equal to :func:`product_sum_upper` at that t.
     """
-    return _product_sum_upper_c(_Instance(reference, tol),
-                                *(compress(m, op) for op in (p, q, x, y)), sign)
+    return _evaluate(_product_sum_upper_c, m, (p, q, x, y), reference, tol, sign)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,7 @@ from . import bounds as bnd
 from . import jsonio
 from . import radii as rad
 from . import sampling as smp
-from .errors import ParseError, PreconditionError, PropertyViolation, SemidwError
+from .errors import ParseError, PreconditionError, SemidwError
 from .metric import build_metric
 from .semiop import block2, sharp
 
@@ -202,16 +202,20 @@ def cmd_remark_repro(args) -> int:
 # suite
 
 
-def _suite_bounds_one(seed_entropy, dim: int, rank: int):
-    rng = np.random.default_rng(seed_entropy)
+def _bounds_case(entropy, dim: int, rank: int):
+    rng = np.random.default_rng(entropy)
     m = smp.random_metric(rng, dim, rank)
     t = smp.random_bounded_operator(rng, m)
-    report = bnd.verify_all(m, t, seed=int(seed_entropy[-1]))
-    return m, t, report
+    report = bnd.verify_all(m, t, seed=int(entropy[-1]))
+    detail = {"metric": jsonio.matrix_to_dict(m.a), "operator": jsonio.matrix_to_dict(t),
+              "records": [jsonio.record_to_dict(r) for r in report.records
+                          if r.satisfied is False]}
+    return not report.overall_pass, detail, lambda: (
+        jsonio.report_to_dict(report), _report_text(report), jsonio.report_csv(report))
 
 
-def _suite_exact_one(seed_entropy, dim: int, target_b: float):
-    rng = np.random.default_rng(seed_entropy)
+def _exact_case(entropy, dim: int, target_b: float):
+    rng = np.random.default_rng(entropy)
     m = smp.random_metric(rng, dim)
     x = smp.random_bounded_operator(rng, m)
     b = rad.op_seminorm(m, x).value
@@ -221,38 +225,49 @@ def _suite_exact_one(seed_entropy, dim: int, target_b: float):
         x = x * (target_b / b)
     values, failures = {}, []
     for label, closed, bracket, rec in bnd.exact_checks(m, x)[1]:
-        values[f"{label}_block"] = (closed.value, bracket.value)
+        values[f"{label}_block"] = [closed.value, bracket.value]
         if not rec.satisfied:
             failures.append(f"{label}_block")
-    return values, failures
+    out = {"values": values, "failures": failures}
+    return bool(failures), out, lambda: (out, [str(out)])
 
 
-def _suite_invariance_one(seed_entropy, dim: int):
-    rng = np.random.default_rng(seed_entropy)
+def _invariance_case(entropy, dim: int):
+    rng = np.random.default_rng(entropy)
     m = smp.random_metric(rng, dim)
     t = smp.random_bounded_operator(rng, m)
     dw_t = rad.dw_radius(m, t).value
     u = smp.random_phase_unitary(rng, m)
-    conj = sharp(m, u) @ t @ u
-    dw_conj = rad.dw_radius(m, conj).value
-    failures = []
-    if abs(dw_t - dw_conj) > 1e-6 * (1.0 + dw_t):
-        failures.append("unitary-conjugation")
+    dw_conj = rad.dw_radius(m, sharp(m, u) @ t @ u).value
     x = smp.random_bounded_operator(rng, m)
     y = smp.random_bounded_operator(rng, m)
     theta = rng.uniform(0.0, 2.0 * np.pi)
     zero = np.zeros((dim, dim))
-    base = block2(m, zero, x, y, zero)
-    phased = block2(m, zero, x, np.exp(1j * theta) * y, zero)
-    swapped = block2(m, zero, y, x, zero)
-    dw_base = rad.dw_radius(base.metric2, base.assembled).value
-    dw_phase = rad.dw_radius(phased.metric2, phased.assembled).value
-    dw_swap = rad.dw_radius(swapped.metric2, swapped.assembled).value
-    if abs(dw_base - dw_phase) > 1e-6 * (1.0 + dw_base):
-        failures.append("block-phase")
-    if abs(dw_base - dw_swap) > 1e-6 * (1.0 + dw_base):
-        failures.append("block-swap")
-    return (dw_t, dw_conj, dw_base, dw_phase, dw_swap), failures
+    blocks = (block2(m, zero, x, y, zero), block2(m, zero, x, np.exp(1j * theta) * y, zero),
+              block2(m, zero, y, x, zero))
+    dw_base, dw_phase, dw_swap = (rad.dw_radius(b.metric2, b.assembled).value for b in blocks)
+    failures = [name for name, ref, value in (("unitary-conjugation", dw_t, dw_conj),
+                                              ("block-phase", dw_base, dw_phase),
+                                              ("block-swap", dw_base, dw_swap))
+                if abs(ref - value) > 1e-6 * (1.0 + ref)]
+    out = {"values": [dw_t, dw_conj, dw_base, dw_phase, dw_swap], "failures": failures}
+    return bool(failures), {"failures": failures}, lambda: (out, [str(out)])
+
+
+_BRANCH_TARGETS = [0.0, 0.3, 1.0 / np.sqrt(2.0), 0.9, 1.6]
+
+#: suite -> (entropy tag, count option, parameters of instance k, case). A case runs one
+#: instance and returns (failed, violation detail, a function that gives the replay's
+#: _emit arguments). A violation file holds the parameters; _replay reads those named
+#: by instance 0.
+_SUITES = {
+    # every third metric (dim 2) has rank 1
+    "bounds": (1, "verify_count",
+               lambda k: {"dim": 2 + k % 3, "rank": 2 + k % 3 if k % 3 else 1}, _bounds_case),
+    "exact": (2, "exact_count",
+              lambda k: {"dim": 2 + k % 2, "target_b": _BRANCH_TARGETS[k % 5]}, _exact_case),
+    "invariance": (3, "invariance_count", lambda k: {"dim": 2 + k % 3}, _invariance_case),
+}
 
 
 def cmd_suite(args) -> int:
@@ -264,72 +279,27 @@ def cmd_suite(args) -> int:
         args.out = str(out_dir / f"semidw-suite.{ext}")
     if args.replay:
         return _replay(args)
-    root = np.random.SeedSequence(args.seed)
-    dims = [2, 3, 4]
     lines = []
     payload = {"seed": args.seed, "suites": {}}
     failed = None
-
-    passed = 0
-    for k in range(args.verify_count):
-        dim = dims[k % len(dims)]
-        rank = dim if k % 3 else max(1, dim - 1)
-        entropy = [args.seed, 1, k]
-        m, t, report = _suite_bounds_one(entropy, dim, rank)
-        if report.overall_pass:
-            passed += 1
-        elif failed is None:
-            failed = {
-                "suite": "bounds",
-                "entropy": entropy,
-                "dim": dim,
-                "rank": rank,
-                "metric": jsonio.matrix_to_dict(m.a),
-                "operator": jsonio.matrix_to_dict(t),
-                "records": [jsonio.record_to_dict(r) for r in report.records
-                            if r.satisfied is False],
-            }
-    lines.append(f"bounds suite:     {passed}/{args.verify_count} instances pass")
-    payload["suites"]["bounds"] = {"pass": passed, "total": args.verify_count}
-
-    branch_targets = [0.0, 0.3, 1.0 / np.sqrt(2.0), 0.9, 1.6]
-    passed = 0
-    for k in range(args.exact_count):
-        dim = 2 + (k % 2)
-        target = branch_targets[k % len(branch_targets)]
-        entropy = [args.seed, 2, k]
-        values, failures = _suite_exact_one(entropy, dim, target)
-        if not failures:
-            passed += 1
-        elif failed is None:
-            failed = {"suite": "exact", "entropy": entropy, "dim": dim,
-                      "target_b": target, "failures": failures,
-                      "values": {k2: list(v) for k2, v in values.items()}}
-    lines.append(f"exact suite:      {passed}/{args.exact_count} instances pass")
-    payload["suites"]["exact"] = {"pass": passed, "total": args.exact_count}
-
-    passed = 0
-    for k in range(args.invariance_count):
-        dim = dims[k % len(dims)]
-        entropy = [args.seed, 3, k]
-        _, failures = _suite_invariance_one(entropy, dim)
-        if not failures:
-            passed += 1
-        elif failed is None:
-            failed = {"suite": "invariance", "entropy": entropy, "dim": dim,
-                      "failures": failures}
-    lines.append(f"invariance suite: {passed}/{args.invariance_count} instances pass")
-    payload["suites"]["invariance"] = {"pass": passed, "total": args.invariance_count}
-
+    for suite, (tag, count, params, case) in _SUITES.items():
+        total, passed = getattr(args, count), 0
+        for k in range(total):
+            entropy, fields = [args.seed, tag, k], params(k)
+            bad, detail, _ = case(entropy, **fields)
+            if not bad:
+                passed += 1
+            elif failed is None:
+                failed = {"suite": suite, "entropy": entropy, **fields, **detail}
+        lines.append(f"{suite + ' suite:':18s}{passed}/{total} instances pass")
+        payload["suites"][suite] = {"pass": passed, "total": total}
     if failed is not None:
         replay_file = out_dir / "semidw-violation.json"
         jsonio.dump_json(failed, replay_file)
         lines.append(f"violation detail written to {replay_file}")
         payload["violation"] = failed
-        _emit(args, payload, lines)
-        return 4
     _emit(args, payload, lines)
-    return 0
+    return 0 if failed is None else 4
 
 
 #: field of a replay file -> (test, what the test asks for); a JSON bool is no integer
@@ -345,34 +315,22 @@ _REPLAY_FIELDS = {
 def _replay(args) -> int:
     import json
 
-    keys = {"bounds": ("dim", "rank"), "exact": ("dim", "target_b"), "invariance": ("dim",)}
     try:
         data = json.loads(Path(args.replay).read_text())
-        suite = data["suite"]
-        entropy, *params = (data[key] for key in ("entropy", *keys[suite]))
+        _, _, params, case = _SUITES[data["suite"]]
+        fields = {key: data[key] for key in ("entropy", *params(0))}
     except (ValueError, KeyError, TypeError) as exc:
         raise ParseError(f"replay file {args.replay} is not a suite violation: {exc!r}") from exc
-    for key, value in zip(("entropy", *keys[suite]), (entropy, *params)):
+    for key, value in fields.items():
         valid, what = _REPLAY_FIELDS[key]
         if not valid(value):
             raise ParseError(f"replay file {args.replay}: {key!r} is {value!r}, not {what}")
-    if suite == "bounds":
-        if params[1] > params[0]:
-            raise ParseError(f"replay file {args.replay}: 'rank' is {params[1]}, above 'dim' "
-                             f"{params[0]}")
-        m, t, report = _suite_bounds_one(entropy, *params)
-        _emit(args, jsonio.report_to_dict(report), _report_text(report),
-              jsonio.report_csv(report))
-        return 0 if report.overall_pass else 4
-    if suite == "exact":
-        values, failures = _suite_exact_one(entropy, *params)
-        payload = {"values": {k: list(v) for k, v in values.items()},
-                   "failures": failures}
-    else:
-        values, failures = _suite_invariance_one(entropy, *params)
-        payload = {"values": list(values), "failures": failures}
-    _emit(args, payload, [str(payload)])
-    return 0 if not failures else 4
+    if fields.get("rank", 0) > fields["dim"]:
+        raise ParseError(f"replay file {args.replay}: 'rank' is {fields['rank']}, above 'dim' "
+                         f"{fields['dim']}")
+    failed, _, output = case(**fields)
+    _emit(args, *output())
+    return 4 if failed else 0
 
 
 # ---------------------------------------------------------------------------
@@ -451,9 +409,6 @@ def main(argv=None) -> int:
     except PreconditionError as exc:
         print(f"precondition failed: {exc}", file=sys.stderr)
         return 3
-    except PropertyViolation as exc:
-        print(f"property violation: {exc}", file=sys.stderr)
-        return 4
     except OSError as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return 2

@@ -3,7 +3,8 @@
 All errors derive from :class:`SemidwError` so callers can catch the whole
 family. The CLI maps :class:`ParseError` to exit code 2, precondition
 failures (everything deriving from :class:`PreconditionError`) to exit
-code 3, and property violations detected by the suite to exit code 4.
+code 3 and any other :class:`SemidwError` to exit code 1. Exit code 4 (a
+failed record, closed-form check or suite property) is returned, not raised.
 """
 
 
@@ -72,4 +73,4 @@ class NonFiniteReference(SemidwError):
 
 
 class PropertyViolation(SemidwError):
-    """Raised by the suite runner when a randomized property check fails."""
+    """A failed property check, for callers that raise one; the package raises none."""

@@ -405,6 +405,13 @@ DW_MAX_DIRECTIONS = 64
 DW_PAD_ULPS = 16
 
 
+def _check_norm(norm: float) -> None:
+    """Raise :class:`NormOutOfRange` unless ``||T||_A = norm`` is at most ``NORM_MAX``."""
+    if not norm <= NORM_MAX:
+        raise NormOutOfRange(f"||T||_A = {norm:.3g} is above {NORM_MAX:.3g}, where dw_A "
+                             "and its bounds leave the floating-point range")
+
+
 def _dw_core(n_mat: np.ndarray, memo: _Memo):
     """Bracket ``[lower, upper]`` of ``dw(N) = max |p|`` over ``S = {(|c* N c|, c* G c)}``.
 
@@ -431,9 +438,7 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
     calls, upper - lower)``; raises :class:`NormOutOfRange` above ``NORM_MAX``.
     """
     norm = memo.run(_seminorm_core, n_mat)
-    if not norm[0] <= NORM_MAX:
-        raise NormOutOfRange(f"||T||_A = {norm[0]:.3g} is above {NORM_MAX:.3g}, where dw_A "
-                             "and its bounds leave the floating-point range")
+    _check_norm(norm[0])
     if norm[0] == 0.0:
         return 0.0, norm[1], 0, 0.0
     gram = gram_herm(n_mat)

@@ -610,6 +610,31 @@ def test_product_sum_rejects_degenerate_t(diag12, t):
         sd.product_sum_upper(diag12, np.eye(2), np.eye(2), X_MAT, Y_MAT, t=t)
 
 
+def test_product_sum_overflow_is_vacuous_upper(id2):
+    # before: a bare OverflowError from f2 ** 2 at both t
+    eye = np.eye(2)
+    for t in (1e-100, 1e100):
+        rec = sd.product_sum_upper(id2, eye, eye, X_MAT, X_MAT, t=t)
+        assert rec.value == np.inf and rec.satisfied
+    # f1 overflows, but the bounded operator is zero: the value is 0, not nan
+    zero = np.zeros((2, 2))
+    assert sd.product_sum_upper(id2, 1e10 * eye, eye, zero, zero, t=1e150).value == 0.0
+
+
+def test_product_sum_balanced_t_checked(id2):
+    # the balanced t^2 = 1e-370 underflows to 0: before, a ZeroDivisionError
+    eye = np.eye(2)
+    with pytest.raises(ZeroT):
+        sd.product_sum_upper_b(id2, 1e70 * eye, 1e-300 * eye, X_MAT, X_MAT)
+    # in a report the same failure is a not-applicable record (before: nan, unsatisfied)
+    from semidw.bounds import pair_report
+
+    report = pair_report(id2, 1e-320 * eye, X_MAT, seed=1)
+    aligned = report.records[-1]
+    assert aligned.status == "not-applicable" and aligned.name == "product_sum_upper_c"
+    assert report.overall_pass
+
+
 def test_product_sum_is_even_in_t(diag12):
     eye = np.eye(2)
     assert (sd.product_sum_upper(diag12, eye, eye, X_MAT, Y_MAT, t=-0.5).value
@@ -1044,3 +1069,22 @@ def test_reports_reject_norm_above_norm_max(id2):
         pair_report(id2, 0.6 * big, 0.6 * big, seed=1)
     with pytest.raises(NormOutOfRange):
         sd.dw_radius(id2, np.array([[0.0, 1.2e77], [0.0, 0.0]]))
+
+
+_T_HUGE = 1e80 * np.array([[0.0, 1.0], [0.5, 0.0]])
+_EYE = np.eye(2)
+
+
+@pytest.mark.parametrize("evaluator, operands", [
+    *((name, (_T_HUGE,)) for name in (
+        "sandwich", "lower_crawford", "upper_theta_sweep", "cartesian_half", "upper_buzano",
+        "upper_triple", "upper_lambda_theta", "upper_lambda_complex")),
+    *((name, (_T_HUGE, _T_HUGE)) for name in ("sum_upper", "feki_sum_upper", "offdiag_upper")),
+    ("product_sum_upper", (_EYE, _EYE, _T_HUGE, _T_HUGE, 1.0)),
+    ("product_sum_upper_b", (_EYE, _EYE, _T_HUGE, _T_HUGE)),
+    ("product_sum_upper_c", (_EYE, _EYE, _T_HUGE, _T_HUGE)),
+])
+def test_public_evaluators_reject_norm_above_norm_max(id2, evaluator, operands):
+    # before: 5 raised a bare OverflowError, 4 a RuntimeWarning (an error under pytest)
+    with pytest.raises(NormOutOfRange):
+        getattr(sd, evaluator)(id2, *operands)

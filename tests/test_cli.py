@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from pathlib import Path
 
@@ -515,6 +517,78 @@ def test_suite_replay_rank_above_dim_exit_2(tmp_path, capsys):
     assert main(["suite", "--replay", str(replay)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("parse error") and "'rank' is 5" in err
+
+
+def _force_violation(monkeypatch, suite: str) -> None:
+    from semidw import bounds, sampling
+
+    if suite == "invariance":
+        # a doubled A-unitary breaks the conjugation invariance
+        unitary = sampling.random_phase_unitary
+        monkeypatch.setattr(sampling, "random_phase_unitary",
+                            lambda rng, m: 2.0 * unitary(rng, m))
+    else:
+        # a negative slack fails every catalog and exact record
+        monkeypatch.setattr(bounds, "_tol_for", lambda ref, tol: -1e-3)
+
+
+@pytest.mark.parametrize("suite, tag, fields, counts", [
+    ("bounds", 1, ("dim", "rank", "metric", "operator", "records"), ("2", "0", "0")),
+    ("exact", 2, ("dim", "target_b", "failures", "values"), ("0", "2", "0")),
+    ("invariance", 3, ("dim", "failures"), ("0", "0", "2")),
+])
+def test_suite_violation_round_trip(tmp_path, capsys, monkeypatch, suite, tag, fields, counts):
+    _force_violation(monkeypatch, suite)
+    code = main(["suite", "--verify-count", counts[0], "--exact-count", counts[1],
+                 "--invariance-count", counts[2], "--format", "json", "--out", str(tmp_path)])
+    assert code == 4
+    violation = json.loads((tmp_path / "semidw-violation.json").read_text())
+    assert json.loads((tmp_path / "semidw-suite.json").read_text())["violation"] == violation
+    assert sorted(violation) == sorted(("suite", "entropy", *fields))
+    assert violation["suite"] == suite and violation["entropy"][:2] == [42, tag]
+    code = main(["suite", "--replay", str(tmp_path / "semidw-violation.json"),
+                 "--format", "json"])
+    replayed = json.loads(capsys.readouterr().out)
+    assert code == 4
+    if suite == "bounds":
+        failed = [rec for rec in replayed["records"] if rec["satisfied"] is False]
+        assert failed == violation["records"]
+    else:
+        assert replayed["failures"] == violation["failures"] != []
+
+
+def _flat_keys(obj, prefix=""):
+    if isinstance(obj, dict):
+        return [key for name in sorted(obj) for key in _flat_keys(obj[name], f"{prefix}{name}.")]
+    return [prefix[:-1]]
+
+
+@pytest.mark.parametrize("command", ["compute", "exact", "suite"])
+def test_csv_one_row_per_json_key(matrix_files, tmp_path, capsys, monkeypatch, command):
+    monkeypatch.chdir(tmp_path)
+    a_path, t_path = matrix_files
+    argv = ([command, "--metric", a_path, "--operator", t_path] if command != "suite" else
+            [command, "--verify-count", "1", "--exact-count", "1", "--invariance-count", "1"])
+    out = {}
+    for fmt in ("json", "csv"):
+        assert main([*argv, "--format", fmt]) == 0
+        out[fmt] = capsys.readouterr().out
+    header, *rows = csv.reader(io.StringIO(out["csv"]))
+    assert header == ["key", "value"]
+    assert all(len(row) == 2 for row in rows)
+    assert [row[0] for row in rows] == _flat_keys(json.loads(out["json"]))
+
+
+def test_exact_rank_zero_metric(tmp_path, capsys):
+    # no A-unit vectors: both closed forms are 0, and there is no record to judge
+    a_path, x_path = tmp_path / "a.json", tmp_path / "x.json"
+    a_path.write_text(json.dumps(jsonio.matrix_to_dict(np.zeros((2, 2)))))
+    x_path.write_text(json.dumps(jsonio.matrix_to_dict(X_MAT)))
+    code = main(["exact", "--metric", str(a_path), "--operator", str(x_path), "--format", "json"])
+    payload = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert sorted(payload) == ["identity_block", "zero_block"]
+    assert payload["zero_block"]["value"] == payload["identity_block"]["value"] == 0.0
 
 
 def test_verify_text_shows_dw_bracket(matrix_files, capsys):
