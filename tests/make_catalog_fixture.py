@@ -1,0 +1,88 @@
+"""Write ``tests/data/catalog_fixture.json``, the pinned reports of the catalog.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/make_catalog_fixture.py
+
+Instances are drawn by ``bench/workloads.make_instance`` (seed 1) from all four
+bench shapes: ``catalog-lowrank`` (dims 2-6, every third metric rank-deficient),
+``catalog-highrank`` (ranks 8-16 of singular metrics), ``pair-blocks`` (||X||_A at
+each of ``B_TARGETS``) and ``cli-cold``. Each entry stores its inputs, so the
+fixture does not depend on the bench code that drew them, and the JSON of
+``verify_all`` on ``(A, X)``, of ``pair_report`` on ``(A, X, Y)`` where a ``Y`` is
+drawn, and of ``semidw exact`` on the ``pair-blocks`` instances.
+``tests/test_fixture.py`` checks the package against it. A change that moves a
+value regenerates the file with this script and states the largest move.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+FIXTURE = ROOT / "tests" / "data" / "catalog_fixture.json"
+SEED = 1
+#: (workload, instance indices): 30 instances over the four bench shapes
+DRAWS = (("catalog-lowrank", range(10)), ("catalog-highrank", range(4)),
+         ("pair-blocks", range(12)), ("cli-cold", range(4)))
+
+
+def exact_payload(m_json: dict, x_json: dict) -> dict:
+    """The JSON that ``semidw exact`` writes for the metric and operator in wire format."""
+    from semidw import cli, jsonio
+
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {name: Path(tmp) / f"{name}.json" for name in ("A", "X", "out")}
+        jsonio.dump_json(m_json, paths["A"])
+        jsonio.dump_json(x_json, paths["X"])
+        cli.main(["exact", "--metric", str(paths["A"]), "--operator", str(paths["X"]),
+                  "--format", "json", "--out", str(paths["out"])])
+        return json.loads(paths["out"].read_text())
+
+
+def entry_outputs(entry: dict) -> dict:
+    """The reports of one fixture entry, computed from its stored inputs."""
+    import semidw as sd
+    from semidw import bounds, jsonio
+
+    m = sd.build_metric(jsonio.load_matrix(entry["A"]))
+    x = jsonio.load_matrix(entry["X"])
+    out = {"verify": jsonio.report_to_dict(bounds.verify_all(m, x, seed=entry["seed"]))}
+    if "Y" in entry:
+        y = jsonio.load_matrix(entry["Y"])
+        out["pair"] = jsonio.report_to_dict(bounds.pair_report(m, x, y, seed=entry["seed"]))
+    if entry["workload"] == "pair-blocks":
+        out["exact"] = exact_payload(entry["A"], entry["X"])
+    return out
+
+
+def main() -> int:
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    from semidw import jsonio
+
+    entries = []
+    for workload, ks in DRAWS:
+        for k in ks:
+            inst = workloads.make_instance(workload, SEED, k)
+            entry = {"workload": workload, "k": k, "seed": inst.seed,
+                     "A": jsonio.matrix_to_dict(inst.a), "X": jsonio.matrix_to_dict(inst.x)}
+            if inst.y is not None:
+                entry["Y"] = jsonio.matrix_to_dict(inst.y)
+            entry.update(entry_outputs(entry))
+            entries.append(entry)
+    FIXTURE.parent.mkdir(exist_ok=True)
+    # one entry per line: a moved value shows as its entry's line in a diff
+    lines = ",\n".join(json.dumps(e, sort_keys=True, allow_nan=False) for e in entries)
+    FIXTURE.write_text(f'{{"seed": {SEED}, "entries": [\n{lines}\n]}}\n')
+    ranks = sorted({e["verify"]["instance"]["rank"] for e in entries})
+    print(f"wrote {len(entries)} entries (ranks {ranks}) to {FIXTURE}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
