@@ -76,6 +76,8 @@ def pencil_eigvals(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
 
 #: equispaced angles whose best value is the first level of :func:`rotated_eig_max`
 START_ANGLES = 16
+#: the start angles, equispaced on [0, 2 pi)
+START_THETAS = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
 #: a pencil eigenvalue z is a crossing when ``||z| - 1| <= UNIMODULAR_TOL max(1, |z|)``
 UNIMODULAR_TOL = 1e-6
 #: cap on the level sets of one maximization (quadratic convergence needs about 7)
@@ -131,11 +133,20 @@ def newton_max_lockstep(theta0, f, step_max: float):
 def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     """Maximize eigenvalue ``index`` (0 or -1) of ``f(theta) = Re(e^{i theta} N) + K`` over theta.
 
+    The stack of one of :func:`rotated_eig_max_stack`, which gives the method and
+    the returned ``(theta, value, evals, lam, vecs)``; ``K = shift`` (Hermitian) or 0.
+    """
+    return rotated_eig_max_stack([(n_mat, index, shift)])[0]
+
+
+def rotated_eig_max_stack(problems) -> list[tuple]:
+    """:func:`rotated_eig_max` of each problem ``(N, index, shift)`` of a list, in lockstep.
+
     Criss-cross level-set method (Mengi-Overton, IMA J. Numer. Anal. 25 (2005);
     Boyd-Balakrishnan, Systems Control Lett. 15 (1990)) on ``N, K`` scaled by
     ``max(||N||_F, ||K||_F)``, ``K = shift`` (Hermitian) or 0, with local
     Newton ascent between the level sets (Mitchell, SIAM J. Sci. Comput. 45
-    (2023)). The best of ``START_ANGLES`` equispaced angles, polished by
+    (2023)). The best of the ``START_ANGLES`` angles ``START_THETAS``, polished by
     :func:`newton_max_lockstep`, is the first level gamma. The polish steps on
     eigenvalue ``index`` with derivatives from one ``eigh`` per angle, and never
     at a multiple eigenvalue (gaps within ``4 eps (1 + |lambda|)``), where the
@@ -151,102 +162,207 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     Once the polish reaches the global maximum, the pencil at that level is the
     only one solved: it certifies that no arc lies above it.
 
-    Returns ``(theta, value, evals, lam, vecs)``: ``value`` is eigenvalue ``index`` at
-    ``theta`` (attained, never extrapolated), ``evals`` the number of angles
-    evaluated, Newton steps included, and ``lam, vecs`` the eigenpairs of
-    ``f(theta)`` in the caller's units (the polish's, or one ``eigh`` when the last
-    candidate was not polished), ``lam[index] = value`` up to rounding.
+    The problems share one order r and run in lockstep: one ``eigvalsh`` for all
+    start grids, one ``eigh`` per Newton step for all polishes, and per level one
+    pencil per open problem and one stacked solve each for the midpoints, the arc
+    ends and the tangent meets of all of them. A stacked eigensolve solves each
+    matrix alone and the matrix-vector products stay per problem, so each tuple is
+    bit for bit that of the problem's stack of one.
+
+    Returns one ``(theta, value, evals, lam, vecs)`` per problem: ``value`` is
+    eigenvalue ``index`` at ``theta`` (attained, never extrapolated), ``evals`` the
+    number of angles evaluated, Newton steps included, and ``lam, vecs`` the
+    eigenpairs of ``f(theta)`` in the caller's units (the polish's, or one ``eigh``
+    when the last candidate was not polished), ``lam[index] = value`` up to rounding.
     """
-    r = n_mat.shape[0]
-    k_mat = np.zeros((r, r)) if shift is None else shift
-    scale = max(float(np.linalg.norm(n_mat)), float(np.linalg.norm(k_mat)))
-    if scale == 0.0:
-        return 0.0, 0.0, 0, np.zeros(r), np.eye(r)
-    n_mat, k_mat = n_mat / scale, k_mat / scale
-    k = index % r
+    out: list = [None] * len(problems)
+    live, n_list, k_list, index, scale = [], [], [], [], []
+    for i, (n_mat, idx, shift) in enumerate(problems):
+        r = n_mat.shape[0]
+        s = float(np.linalg.norm(n_mat))
+        if shift is not None:
+            s = max(s, float(np.linalg.norm(shift)))
+        if s == 0.0:
+            out[i] = (0.0, 0.0, 0, np.zeros(r), np.eye(r))
+            continue
+        live.append(i)
+        n_list.append(n_mat / s)
+        k_list.append(np.zeros((r, r)) if shift is None else shift / s)
+        index.append(idx % r)
+        scale.append(s)
+    if not live:
+        return out
+    b, r = len(live), n_list[0].shape[0]
+    # a stack of one broadcasts its problem where a stack gathers one row per angle
+    n_all = n_list[0][None] if b == 1 else np.stack(n_list)
+    k_all = k_list[0][None] if b == 1 else np.stack(k_list)
     tiny = 4.0 * np.finfo(float).eps
 
-    def values(thetas: np.ndarray) -> np.ndarray:
-        return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas) + k_mat)[:, index]
+    def rows(stack: np.ndarray, owner) -> np.ndarray:
+        return stack if b == 1 else stack[owner]
 
-    solved = {}
+    def herm(angles: np.ndarray, owner) -> np.ndarray:
+        # Re(e^{i theta_j} N) of problem owner[j], as (M + M*) / 2 with M = e^{i theta_j} N:
+        # conj(e^{i theta}) N* is M*, rounding included
+        m = np.exp(1j * angles)[:, None, None] * rows(n_all, owner)
+        return 0.5 * (m + m.conj().swapaxes(1, 2))
 
-    def jets(angles: np.ndarray, _):
+    def gather(parts: list):
+        # the angles of the (problem, angles) parts as one array, and the problem of each
+        if len(parts) == 1:
+            return parts[0][1], None if b == 1 else np.full(parts[0][1].size, parts[0][0])
+        return (np.concatenate([angles for _, angles in parts]),
+                np.repeat([p for p, _ in parts], [angles.size for _, angles in parts]))
+
+    def values(parts: list) -> list:
+        # eigenvalue index at the angles of each part, from one eigvalsh
+        angles, owner = gather(parts)
+        vals = np.linalg.eigvalsh(herm(angles, owner) + rows(k_all, owner))
+        vals = vals[:, index[0]] if b == 1 else vals[np.arange(angles.size), np.take(index, owner)]
+        return [vals] if len(parts) == 1 else np.split(
+            vals, np.cumsum([angles.size for _, angles in parts])[:-1])
+
+    evals = [START_ANGLES] * b
+    solved: list[dict] = [{} for _ in range(b)]
+    polishing: list[int] = []
+
+    def jets(angles: np.ndarray, searches):
         # eigenvalue k of one eigh, with f' = x* C' x and f'' = -x* C x
         # + 2 sum_j |x_j* C' x|^2 / (lambda_k - lambda_j), C' = Re(i e^{i theta} N);
         # f'' is nan where the eigenvalue is not simple, so no step is taken there
-        theta = float(angles[0])
-        c_mat = rotated_herm(n_mat, theta)
-        lam, vecs = solved[theta] = np.linalg.eigh(c_mat + k_mat)
-        x = vecs[:, k]
-        m = vecs.conj().T @ (rotated_herm(n_mat, theta + 0.5 * np.pi) @ x)
-        gaps = lam[k] - lam
-        gaps[k] = np.inf
-        curv = (2.0 * float(np.sum(np.abs(m) ** 2 / gaps)) - np.vdot(x, c_mat @ x).real
-                if np.abs(gaps).min() > tiny * (1.0 + abs(lam[k])) else np.nan)
-        return [lam[k]], [m[k].real], [curv]
+        owner = [polishing[k] for k in searches]
+        both = herm(np.concatenate([angles, angles + 0.5 * np.pi]), owner + owner)
+        c_mats, c_primes = both[:len(owner)], both[len(owner):]
+        lams, vecss = np.linalg.eigh(c_mats + rows(k_all, owner))
+        value, slope, curv = [], [], []
+        for j, (p, angle) in enumerate(zip(owner, angles.tolist())):
+            lam_j, vecs_j, k = lams[j], vecss[j], index[p]
+            solved[p][angle] = lam_j, vecs_j
+            evals[p] += 1
+            x = vecs_j[:, k]
+            m = vecs_j.conj().T @ (c_primes[j] @ x)
+            gaps = lam_j[k] - lam_j
+            gaps[k] = np.inf
+            value.append(lam_j[k])
+            slope.append(m[k].real)
+            curv.append(2.0 * float((np.abs(m) ** 2 / gaps).sum())
+                        - np.vdot(x, c_mats[j] @ x).real
+                        if np.abs(gaps).min() > tiny * (1.0 + abs(lam_j[k])) else np.nan)
+        return value, slope, curv
 
-    def polish(theta: float, gamma: float):
+    def polish(ps: list[int]) -> None:
         # an angle the ascent does not move keeps its level gamma, eigvalsh's value:
         # eigh's may be an ulp lower, and the level's pencil would chase that ulp
-        solved.clear()
-        (moved,), (value,), steps = newton_max_lockstep([theta], jets, NEWTON_STEP_MAX)
-        return moved, value if moved != theta else gamma, steps, *solved[moved]
+        polishing[:] = ps
+        for p in ps:
+            solved[p].clear()
+        moved, value, _ = newton_max_lockstep([theta[p] for p in ps], jets, NEWTON_STEP_MAX)
+        for p, t, v in zip(ps, moved, value):
+            if t != theta[p]:
+                theta[p], gamma[p] = t, v
+            lam[p], vecs[p] = solved[p][t]
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
-    vals = values(thetas)
-    best = int(np.argmax(vals))
-    theta, gamma, evals, lam, vecs = polish(float(thetas[best]), float(vals[best]))
-    evals += START_ANGLES
-    # the pencil ([[0, I], [-N*, 2 (gamma I - K)]], [[I, 0], [0, N]]), real for real N, K
-    # (dggev), filled in place: two np.block calls cost 20 us against 7 at r = 4 (Xeon vCPU)
-    eye, diag = np.eye(r), np.arange(r)
-    a_mat, b_mat = np.zeros((2, 2 * r, 2 * r), dtype=np.result_type(n_mat, k_mat))
-    a_mat[diag, r + diag] = 1.0
-    a_mat[r:, :r] = -n_mat.conj().T
-    b_mat[diag, diag] = 1.0
-    b_mat[r:, r:] = n_mat
+    theta, gamma = [], []
+    for vals in values([(p, START_THETAS) for p in range(b)]):
+        best = int(np.argmax(vals))
+        theta.append(float(START_THETAS[best]))
+        gamma.append(float(vals[best]))
+    lam: list = [None] * b
+    vecs: list = [None] * b
+    polish(list(range(b)))
+    eye = np.eye(r)
+    pencils = [_pencil(n_mat, k_mat) for n_mat, k_mat in zip(n_list, k_list)]
+    running = list(range(b))
     for _ in range(MAX_LEVELS):
-        a_mat[r:, r:] = 2.0 * (gamma * eye - k_mat)
-        z = pencil_eigvals(a_mat, b_mat)
-        z = z[np.isfinite(z)]
-        z = z[np.abs(np.abs(z) - 1.0) <= UNIMODULAR_TOL * np.maximum(1.0, np.abs(z))]
-        if not z.size:
+        arcs = []  # (p, lo, hi, mids) of the problems whose level set has crossings
+        for p in running:
+            a_mat, b_mat = pencils[p]
+            a_mat[r:, r:] = 2.0 * (gamma[p] * eye - k_list[p])
+            z = pencil_eigvals(a_mat, b_mat)
+            z = z[np.isfinite(z)]
+            modulus = np.abs(z)
+            z = z[np.abs(modulus - 1.0) <= UNIMODULAR_TOL * np.maximum(1.0, modulus)]
+            if z.size:
+                lo = np.sort(np.angle(z) % (2.0 * np.pi))
+                hi = np.append(lo[1:], lo[0] + 2.0 * np.pi)
+                arcs.append((p, lo, hi, 0.5 * (lo + hi)))
+        if not arcs:
             break
-        lo = np.sort(np.angle(z) % (2.0 * np.pi))
-        hi = np.append(lo[1:], lo[0] + 2.0 * np.pi)
-        mids = 0.5 * (lo + hi)
-        mid_vals = values(mids)
-        evals += mids.size
-        up = mid_vals > gamma
-        if not up.any():
+        rising = []  # (p, lo, hi, cands, cand_vals) of the arcs whose midpoint beats gamma
+        for (p, lo, hi, mids), vals in zip(arcs, values([(p, mids) for p, _, _, mids in arcs])):
+            evals[p] += mids.size
+            up = vals > gamma[p]
+            if up.any():
+                rising.append((p, lo[up], hi[up], mids[up], vals[up]))
+        if not rising:
             break
-        lo, hi, cands, cand_vals = lo[up], hi[up], mids[up], mid_vals[up]
-        ends = np.concatenate([lo, hi])
-        end_lam, end_vecs = np.linalg.eigh(rotated_herm_batch(n_mat, ends) + k_mat)
-        evals += ends.size
-        x = end_vecs[:, :, index]
-        slopes = (1j * np.exp(1j * ends) * np.einsum("ki,ij,kj->k", x.conj(), n_mat, x)).real
-        f_lo, f_hi = np.split(end_lam[:, index], 2)
-        s_lo, s_hi = np.split(slopes, 2)
-        fall = s_lo - s_hi
-        meet = (f_hi - f_lo + s_lo * lo - s_hi * hi) / np.where(fall > 0.0, fall, 1.0)
-        inside = (fall > 0.0) & (meet > lo) & (meet < hi)
-        if inside.any():
-            cands = np.concatenate([cands, meet[inside]])
-            cand_vals = np.concatenate([cand_vals, values(meet[inside])])
-            evals += int(inside.sum())
-        best = int(np.argmax(cand_vals))
-        gain = float(cand_vals[best]) - gamma
-        if gain > 0.0:
-            theta, gamma, lam = float(cands[best]), float(cand_vals[best]), None
-        if gain <= tiny * (1.0 + abs(gamma)):
+        ends = [(p, np.concatenate([lo, hi])) for p, lo, hi, _, _ in rising]
+        angles, owner = gather(ends)
+        end_lam, end_vecs = np.linalg.eigh(herm(angles, owner) + rows(k_all, owner))
+        meets, at = [], 0
+        for (p, lo, hi, _, _), (_, p_ends) in zip(rising, ends):
+            k = index[p]
+            f_end, x = end_lam[at:at + p_ends.size, k], end_vecs[at:at + p_ends.size, :, k]
+            at += p_ends.size
+            evals[p] += p_ends.size
+            slopes = (1j * np.exp(1j * p_ends)
+                      * np.einsum("ki,ij,kj->k", x.conj(), n_list[p], x)).real
+            f_lo, f_hi = np.split(f_end, 2)
+            s_lo, s_hi = np.split(slopes, 2)
+            fall = s_lo - s_hi
+            meet = (f_hi - f_lo + s_lo * lo - s_hi * hi) / np.where(fall > 0.0, fall, 1.0)
+            meets.append((p, meet[(fall > 0.0) & (meet > lo) & (meet < hi)]))
+        inside = [(p, meet) for p, meet in meets if meet.size]
+        meet_vals = dict(zip([p for p, _ in inside], values(inside) if inside else []))
+        running = []
+        for p, _, _, cands, cand_vals in rising:
+            if p in meet_vals:
+                cands = np.concatenate([cands, dict(inside)[p]])
+                cand_vals = np.concatenate([cand_vals, meet_vals[p]])
+                evals[p] += meet_vals[p].size
+            best = int(np.argmax(cand_vals))
+            gain = float(cand_vals[best]) - gamma[p]
+            if gain > 0.0:
+                theta[p], gamma[p], lam[p] = float(cands[best]), float(cand_vals[best]), None
+            if gain > tiny * (1.0 + abs(gamma[p])):
+                running.append(p)
+        if not running:
             break
-        theta, gamma, steps, lam, vecs = polish(theta, gamma)
-        evals += steps
-    if lam is None:
-        lam, vecs = np.linalg.eigh(rotated_herm(n_mat, theta) + k_mat)
-    return theta % (2.0 * np.pi), gamma * scale, evals, lam * scale, vecs
+        polish(running)
+    last = [(p, np.array([theta[p]])) for p in range(b) if lam[p] is None]
+    if last:
+        angles, owner = gather(last)
+        lams, vecss = np.linalg.eigh(herm(angles, owner) + rows(k_all, owner))
+        for (p, _), lam_p, vecs_p in zip(last, lams, vecss):
+            lam[p], vecs[p] = lam_p, vecs_p
+    for p, i in enumerate(live):
+        out[i] = (theta[p] % (2.0 * np.pi), gamma[p] * scale[p], evals[p], lam[p] * scale[p],
+                  vecs[p])
+    return out
+
+
+#: (order, dtype) -> the identity blocks of the kernel's pencil, copied for each problem
+_PENCIL_BLANKS: dict = {}
+
+
+def _pencil(n_mat: np.ndarray, k_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The kernel's pencil ``([[0, I], [-N*, 2 (gamma I - K)]], [[I, 0], [0, N]])``, its
+    level corner left for each level to fill in place; real for real N, K (dggev).
+
+    A copy of a cached blank: two np.block calls cost 20 us against 7 at r = 4 for
+    filling zeros in place (Xeon vCPU), and the copy halves that again.
+    """
+    r = n_mat.shape[0]
+    key = (r, np.result_type(n_mat, k_mat))
+    if key not in _PENCIL_BLANKS:
+        blank = _PENCIL_BLANKS[key] = np.zeros((2, 2 * r, 2 * r), dtype=key[1])
+        diag = np.arange(r)
+        blank[0, diag, r + diag] = 1.0
+        blank[1, diag, diag] = 1.0
+    a_mat, b_mat = _PENCIL_BLANKS[key].copy()
+    a_mat[r:, :r] = -n_mat.conj().T
+    b_mat[r:, r:] = n_mat
+    return a_mat, b_mat
 
 
 def herm_parts(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

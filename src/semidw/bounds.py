@@ -33,8 +33,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import (START_ANGLES, gram_herm, herm_parts, newton_max_lockstep,
-                     rotated_eig_max)
+from ._optim import START_ANGLES, gram_herm, herm_parts, newton_max_lockstep
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _ix_core
 from .metric import Metric, as_operator, compress
@@ -351,10 +350,19 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None):
 # theta-sweep upper bound
 
 
+def _theta_sweep_core(n_mat: np.ndarray, memo: _Memo):
+    """``sup_w = max_psi lambda_max(Re(e^{i psi} N) + G)``, ``G = N*N``: one kernel call,
+    yielded to :meth:`semidw.radii._Memo.fill`. Returns ``(sup_w, top eigenvector,
+    angles evaluated, |lambda_max - sup_w|)``, the last the kernel's two solvers'
+    disagreement at psi."""
+    _, sup_w, evals, lam, vecs = yield n_mat, -1, gram_herm(n_mat)
+    return sup_w, vecs[:, -1], evals, abs(lam[-1] - sup_w)
+
+
 def _upper_theta_sweep(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     if not n_mat.size:
         return inst.record(n_mat, "theta sweep upper", "theta-sweep-upper", "upper", 0.0)
-    _, sup_w, evals, _, _ = rotated_eig_max(n_mat, -1, gram_herm(n_mat))
+    sup_w, _, evals, _ = inst.memo.run(_theta_sweep_core, n_mat)
     c_val = inst.memo.value(_crawford_core, n_mat)
     m_val = inst.memo.value(_min_modulus_core, n_mat)
     value = _sqrt0(sup_w ** 2 - 2.0 * c_val * m_val ** 2)
@@ -368,9 +376,10 @@ def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None) ->
 
     The inner supremum decouples exactly: compress(|T|^2_A) = G = N*N is
     Hermitian PSD, so sup_theta w(...) = max_psi lambda_max(Re(e^{i psi}N) + G),
-    one call of the level-set kernel with shift G; its value is attained and
-    converged to rounding, so nothing is under-resolved before the subtraction.
-    ``grid`` is the kernel's start grid and ``evals`` its angle count.
+    one call of the level-set kernel with shift G (the memo core
+    ``_theta_sweep_core``); its value is attained and converged to rounding, so
+    nothing is under-resolved before the subtraction. ``grid`` is the kernel's start
+    grid and ``evals`` its angle count.
     """
     return _evaluate(_upper_theta_sweep, m, (t,), reference, tol)
 
@@ -591,9 +600,14 @@ def upper_lambda_complex(m: Metric, t, reference=None, tol: float | None = None)
 # two-operator bounds
 
 
+def _cross(n_x: np.ndarray, n_y: np.ndarray) -> np.ndarray:
+    """The compressed cross term ``X^# Y + Y^# X`` of the sum split."""
+    return n_x.conj().T @ n_y + n_y.conj().T @ n_x
+
+
 def _sum_upper(inst: _Instance, n_x: np.ndarray, n_y: np.ndarray):
     n_sum = n_x + n_y
-    cross = n_x.conj().T @ n_y + n_y.conj().T @ n_x
+    cross = _cross(n_x, n_y)
     w_cross = inst.memo.value(_w_core, cross)
     dw_x, dw_y = inst.memo.dw(n_x).value, inst.memo.dw(n_y).value
     params = {"dw_x": dw_x, "dw_y": dw_y, "w_cross": w_cross}
@@ -773,15 +787,40 @@ def _sha16(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def _report_instance(n_mat: np.ndarray, operands, tol: float | None) -> _Instance:
-    """The instance of a report on ``n_mat``, judging by its dw bracket. ``tol`` is checked
-    first, then the dws of ``n_mat`` and the operands: their ``NormOutOfRange`` precedes
-    every record."""
+def _report_instance(n_mat: np.ndarray, operands, tol: float | None, cores) -> _Instance:
+    """The instance of a report on ``n_mat``, judging by its dw bracket.
+
+    ``tol`` is checked first, then ``||.||_A`` of ``n_mat`` and the operands against
+    ``NORM_MAX``: their ``NormOutOfRange`` precedes every other eigensolve, and every
+    product whose norm could overflow. Then the memo is filled with the kernel-backed
+    ``cores(n_mat, *operands)``, ``(core, matrix)`` pairs whose level-set problems are
+    solved in one stacked kernel call (:meth:`semidw.radii._Memo.fill`), and then with
+    the dws of ``n_mat`` and the operands.
+    """
     inst = _Instance(tol=tol)
+    for op in (n_mat, *operands):
+        _check_norm(inst.memo.value(_seminorm_core, op))
+    inst.memo.fill(cores(n_mat, *operands))
     est = inst.memo.dw(n_mat)
     for op in operands:
         inst.memo.dw(op)
     return replace(inst, reference=(est.value, est.value + est.residual))
+
+
+def _catalog_cores(n_mat: np.ndarray) -> list:
+    """The kernel-backed reads of the catalog: ``w`` of N, N +- G and N^2, theta-sweep's
+    ``sup_w`` of N and ``c`` of N and N +- G (G = N*N), the matrices the bodies form."""
+    gram = gram_herm(n_mat)
+    plus, minus = n_mat + gram, n_mat - gram
+    return [(_w_core, n_mat), (_w_core, plus), (_w_core, minus), (_w_core, n_mat @ n_mat),
+            (_theta_sweep_core, n_mat), (_crawford_core, n_mat), (_crawford_core, plus),
+            (_crawford_core, minus)]
+
+
+def _pair_cores(n_sum: np.ndarray, n_x: np.ndarray, n_y: np.ndarray) -> list:
+    """The kernel-backed reads of a pair report of order r: ``w`` of X + Y, X and Y (the
+    ends of their dw brackets) and of the cross term of the sum split."""
+    return [(_w_core, op) for op in (n_sum, n_x, n_y, _cross(n_x, n_y))]
 
 
 def _run(records: list[BoundRecord], ref: float, body, inst: _Instance, *args) -> None:
@@ -820,7 +859,7 @@ def pair_report(m: Metric, x, y, seed: int = 42, tol: float | None = None) -> Ve
     xa = as_operator(x, m.dim)
     ya = as_operator(y, m.dim)
     n_x, n_y, n_eye = compress(m, xa), compress(m, ya), compress(m, np.eye(m.dim))
-    inst = _report_instance(compress(m, xa + ya), (n_x, n_y), tol)
+    inst = _report_instance(compress(m, xa + ya), (n_x, n_y), tol, _pair_cores)
     records: list[BoundRecord] = []
     for body, *args in ((_sum_upper, inst, n_x, n_y), (_feki_sum_upper, inst, n_x, n_y),
                         # the block's own dw bracket judges the offdiag record
@@ -840,7 +879,7 @@ def verify_all(m: Metric, t, seed: int = 42, tol: float | None = None) -> Verifi
     """
     arr = as_operator(t, m.dim)
     n_mat = compress(m, arr)
-    inst = _report_instance(n_mat, (), tol)
+    inst = _report_instance(n_mat, (), tol, _catalog_cores)
     records: list[BoundRecord] = []
     for body in (_sandwich, _lower_crawford, _upper_theta_sweep, _cartesian_half,
                  _upper_buzano, _upper_triple, _upper_lambda_theta, _upper_lambda_complex):

@@ -165,10 +165,20 @@ def semi_norm_vec(m: Metric, x) -> float:
 
 
 def _bounded_product(m: Metric, arr: np.ndarray) -> tuple[np.ndarray, float]:
-    """``S = diag(sqrt(lambda)) B* T = B* A^{1/2} T`` and ``||S - S B B*|| / (1 + ||S||)``."""
+    """``S = diag(sqrt(lambda)) B* T = B* A^{1/2} T`` and ``||S - S B B*|| / (1 + ||S||)``.
+
+    The norms are those of ``U = S / top``, ``top`` the largest ``|S_ij|`` or 1 if that
+    is larger, and the residual is ``||U - U B B*|| / (1 / top + ||U||)``:
+    ``np.linalg.norm`` squares the entries, which overflows above about 1.3e154. An S
+    that itself overflowed has no residual (nan, rejected).
+    """
     s = np.sqrt(m.eigvals[: m.rank])[:, None] * (m.basis.conj().T @ arr)
-    res = float(np.linalg.norm(s - (s @ m.basis) @ m.basis.conj().T))
-    return s, res / (1.0 + float(np.linalg.norm(s)))
+    top = max(float(np.abs(s).max(initial=0.0)), 1.0)
+    if not top < np.inf:
+        return s, np.nan
+    u = s / top
+    res = float(np.linalg.norm(u - (u @ m.basis) @ m.basis.conj().T))
+    return s, res / (1.0 / top + float(np.linalg.norm(u)))
 
 
 def a_bounded_residual(m: Metric, t) -> float:

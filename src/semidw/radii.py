@@ -37,11 +37,12 @@ scipy's L-BFGS-B from the same starts.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from types import GeneratorType
 
 import numpy as np
 
-from ._optim import (START_ANGLES, gram_herm, herm_parts, rotated_eig_max, rotated_herm,
-                     rotated_herm_batch)
+from ._optim import (START_ANGLES, START_THETAS, gram_herm, herm_parts, rotated_eig_max,
+                     rotated_eig_max_stack, rotated_herm, rotated_herm_batch)
 from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
@@ -114,16 +115,51 @@ class _Memo:
     ``memo.run``: :func:`_dw_core` its raw ``_seminorm_core`` and ``_w_core`` end lines
     (phase-fixed vectors move the bracket by rounding), :func:`_crawford_core` the
     :func:`_start_support` of N, the closed forms the top singular pair of N_X.
-    :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
+    A kernel-backed core (``_w_core``, ``_crawford_core`` past its short cut, the
+    bounds' ``_theta_sweep_core``) is a generator: it yields its level-set problem
+    ``(N, index, shift)`` and is sent the kernel's tuple. :meth:`fill` solves the
+    problems of many cores in one :func:`semidw._optim.rotated_eig_max_stack` call
+    per order, so a report that names its cores up front pays the kernel's fixed
+    costs once. :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
     """
 
     raw: dict = field(default_factory=dict)
+
+    def fill(self, pairs) -> None:
+        """Compute every ``(core, N)`` of ``pairs`` not yet held, with one stacked kernel
+        call per order for the level-set problems of all of them; 0x0 matrices, which no
+        core reads (:meth:`value` is 0 there), are skipped."""
+        waiting: dict = {}  # key -> (generator, its problem)
+        for core, n_mat in pairs:
+            key = (core, n_mat.shape, n_mat.tobytes())
+            if not n_mat.size or key in self.raw or key in waiting:
+                continue
+            out = core(n_mat, self)
+            if not isinstance(out, GeneratorType):
+                self.raw[key] = out
+                continue
+            try:
+                waiting[key] = out, next(out)
+            except StopIteration as done:  # a short cut, no kernel call
+                self.raw[key] = done.value
+        orders: dict = {}
+        for key, (_, problem) in waiting.items():
+            orders.setdefault(problem[0].shape[0], []).append(key)
+        for keys in orders.values():
+            solved = rotated_eig_max_stack([waiting[key][1] for key in keys])
+            for key, result in zip(keys, solved):
+                try:
+                    waiting[key][0].send(result)
+                except StopIteration as done:
+                    self.raw[key] = done.value
+                else:
+                    raise RuntimeError(f"{key[0].__name__} asked the kernel twice")
 
     def run(self, core, n_mat: np.ndarray):
         """The raw output of ``core`` on ``n_mat``, computed on the first call."""
         key = (core, n_mat.shape, n_mat.tobytes())
         if key not in self.raw:
-            self.raw[key] = core(n_mat, self)
+            self.fill([(core, n_mat)])
         return self.raw[key]
 
     def value(self, core, n_mat: np.ndarray) -> float:
@@ -184,9 +220,10 @@ def min_modulus(m: Metric, t) -> RadiusEstimate:
 def _w_core(n_mat: np.ndarray, memo: _Memo):
     """Maximize ``lambda_max(Re(e^{i theta} N))`` over [0, 2pi); c is the top eigenvector.
 
-    ``iterations`` is the number of angles the level-set kernel evaluated.
+    ``iterations`` is the number of angles the level-set kernel evaluated. A generator
+    core: it yields its kernel problem to :meth:`_Memo.fill`.
     """
-    _, value, evals, _, vecs = rotated_eig_max(n_mat, -1)
+    _, value, evals, _, vecs = yield n_mat, -1, None
     return value, vecs[:, -1], evals, abs(abs(_form(n_mat, vecs[:, -1])) - value)
 
 
@@ -323,10 +360,9 @@ ENCLOSE_ULPS = 8
 
 def _start_support(n_mat: np.ndarray, memo: _Memo):
     """``(tops, points)``: the top eigenvectors ``x_k`` of ``Re(e^{i theta_k} N)`` at the
-    ``START_ANGLES`` equispaced angles (one stacked ``eigh``) and the support points
+    kernel's start angles ``START_THETAS`` (one stacked ``eigh``) and the support points
     ``p_k = x_k* N x_k`` of W(N) they attain."""
-    thetas = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
-    tops = np.linalg.eigh(rotated_herm_batch(n_mat, thetas))[1][..., -1]
+    tops = np.linalg.eigh(rotated_herm_batch(n_mat, START_THETAS))[1][..., -1]
     return tops, form_values(n_mat, tops)
 
 
@@ -366,12 +402,13 @@ def _crawford_core(n_mat: np.ndarray, memo: _Memo):
     When the points of the memoized :func:`_start_support` of N enclose 0 the value is 0
     with ``START_ANGLES`` iterations and no kernel call; the kernel would return
     ``max(0, lambda_min) = 0`` there too, since every ``lambda_min(Re(e^{i phi} N))``
-    is below minus the margin. Else the kernel's eigenpairs at phi give the face.
+    is below minus the margin. Else the kernel's eigenpairs at phi give the face: a
+    generator core, which yields its kernel problem to :meth:`_Memo.fill` past the short cut.
     """
     c = _inner_zero(n_mat, *memo.run(_start_support, n_mat))
     if c is not None:
         return 0.0, c, START_ANGLES, abs(_form(n_mat, c))
-    phi, value, evals, lam, vecs = rotated_eig_max(n_mat, 0)
+    phi, value, evals, lam, vecs = yield n_mat, 0, None
     value = max(0.0, float(value))
     c = _face_point(n_mat, phi, lam, vecs, value * np.exp(-1j * phi))
     if value == 0.0:
@@ -498,9 +535,11 @@ def estimates(m: Metric, t) -> dict[str, RadiusEstimate]:
 
     Each estimate equals that of its public function (``seminorm`` is
     :func:`op_seminorm`'s, ``dw_radius`` is :func:`dw_radius`'s); ``w_A`` and
-    ``||T||_A`` are computed once for their own estimates and the dw end lines.
+    ``||T||_A`` are computed once for their own estimates and the dw end lines, and
+    the kernel problems of ``w_A`` and ``c_A`` are solved in one stacked call.
     """
     n_mat, memo = compress(m, t), _Memo()
+    memo.fill([(_w_core, n_mat), (_crawford_core, n_mat)])
     cores = (("seminorm", _seminorm_core, "exact_svd"),
              ("min_modulus", _min_modulus_core, "exact_svd"),
              ("numerical_radius", _w_core, "theta_sweep"),
@@ -622,11 +661,16 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
 
 def _oracle_starts(n_mat: np.ndarray, gram: np.ndarray, objective: str, samples: int,
                    seed: int):
-    """``(starts, values)``: the ten best of ``samples`` seeded unit vectors, best first."""
+    """``(starts, values)``: the ten best of ``samples`` seeded unit vectors, best first.
+
+    The forms are ``einsum("ki,ki->k", c.conj(), c @ N.T)``, a matrix product and a row
+    sum: 43 us against 105 for :func:`form_values` on 4096 rows at r = 2 (Xeon vCPU).
+    """
     c_all = _sphere_samples(n_mat.shape[0], samples, seed)
-    vals = np.abs(form_values(n_mat, c_all))
+    c_conj = c_all.conj()
+    vals = np.abs(np.einsum("ki,ki->k", c_conj, c_all @ n_mat.T))
     if objective == "dw":  # sqrt(|c* N c|^2 + (c* G c)^2)
-        vals = np.sqrt(vals ** 2 + form_values(gram, c_all).real ** 2)
+        vals = np.sqrt(vals ** 2 + np.einsum("ki,ki->k", c_conj, c_all @ gram.T).real ** 2)
     order = np.argsort(vals)
     picks = order[:10] if objective == "crawford" else order[::-1][:10]
     return c_all[picks], vals[picks]

@@ -7,7 +7,8 @@ and its periodic-grid refinement are the reference maximizers of the angle
 tests, and scipy's L-BFGS-B on the sphere is the reference of the sampling
 oracle's Newton refinement. The scalar-shift references evaluate every member
 of a lambda grid of the two scalar-shift bounds from explicitly shifted
-matrices, on a compressed ``N``.
+matrices, on a compressed ``N``. :func:`hook_kernel` sees every level-set problem
+that :mod:`semidw.radii` hands the angle kernel.
 """
 
 from __future__ import annotations
@@ -252,3 +253,22 @@ def lambda_complex_members(n_mat: np.ndarray, lambda_grid) -> np.ndarray:
                  + 2.0 * _spectral_norm(re_shift))
         members.append(fixed - abs(lam) ** 2 + w_shift ** 2)
     return np.asarray(members)
+
+
+def hook_kernel(monkeypatch, record) -> None:
+    """Call ``record(N, index, shift)`` for each level-set problem :mod:`semidw.radii`
+    hands the kernel: the memo's stacked calls and the single calls (dw slices,
+    ``numrange_distance``)."""
+    from semidw import radii
+
+    def stacked(problems, _kernel=radii.rotated_eig_max_stack):
+        for problem in problems:
+            record(*problem)
+        return _kernel(problems)
+
+    def single(n_mat, index, shift=None, _kernel=radii.rotated_eig_max):
+        record(n_mat, index, shift)
+        return _kernel(n_mat, index, shift)
+
+    monkeypatch.setattr(radii, "rotated_eig_max_stack", stacked)
+    monkeypatch.setattr(radii, "rotated_eig_max", single)

@@ -14,7 +14,7 @@ from semidw.radii import NORM_MAX, _Memo, _w_core
 from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
-from helpers import (brute_dw, lambda_complex_members, lambda_real_stacked,
+from helpers import (brute_dw, hook_kernel, lambda_complex_members, lambda_real_stacked,
                      refine_periodic_max)
 
 SQ2 = np.sqrt(2.0)
@@ -148,12 +148,7 @@ def test_lower_crawford_runs_no_kernel_on_abs_sq(monkeypatch):
     from semidw import radii
 
     calls = []
-
-    def counted(n_mat, index, *args, _kernel=radii.rotated_eig_max):
-        calls.append((index, n_mat.tobytes()))
-        return _kernel(n_mat, index, *args)
-
-    monkeypatch.setattr(radii, "rotated_eig_max", counted)
+    hook_kernel(monkeypatch, lambda n_mat, index, shift: calls.append((index, n_mat.tobytes())))
     rng = np.random.default_rng(2)
     m = random_metric(rng, 4, 3)
     t = random_bounded_operator(rng, m)
@@ -800,8 +795,9 @@ def test_reports_run_each_core_once_per_matrix(monkeypatch):
 
     calls = []
     for name in ("_w_core", "_crawford_core", "_seminorm_core", "_min_modulus_core",
-                 "_dw_core"):
-        def counted(n_mat, *args, _name=name, _core=getattr(radii, name)):
+                 "_dw_core", "_theta_sweep_core"):
+        def counted(n_mat, *args, _name=name,
+                    _core=getattr(radii if hasattr(radii, name) else bounds, name)):
             calls.append((_name, n_mat.shape, n_mat.tobytes()))
             return _core(n_mat, *args)
 
@@ -821,17 +817,15 @@ def test_reports_run_each_core_once_per_matrix(monkeypatch):
 
 
 def test_reports_run_each_angle_kernel_once(monkeypatch):
-    from semidw import bounds, radii
+    from semidw import bounds
 
     calls = []
 
-    def counted(n_mat, index, *args, _kernel=radii.rotated_eig_max):
-        extra = tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in args)
+    def counted(n_mat, index, shift):
+        extra = None if shift is None else shift.tobytes()
         calls.append((index, extra, n_mat.shape, n_mat.tobytes()))
-        return _kernel(n_mat, index, *args)
 
-    monkeypatch.setattr(radii, "rotated_eig_max", counted)
-    monkeypatch.setattr(bounds, "rotated_eig_max", counted)
+    hook_kernel(monkeypatch, counted)
     rng = np.random.default_rng(11)
     for m in _seeded_metrics()[:2]:
         x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
@@ -843,22 +837,103 @@ def test_reports_run_each_angle_kernel_once(monkeypatch):
             assert len(set(calls)) == len(calls)
 
 
-def test_lambda_complex_stacks_stay_small(monkeypatch):
-    # the support points and the w kernel stack at most START_ANGLES angles
-    from semidw import _optim, radii
+def _kernel_log(monkeypatch) -> list:
+    """``("stack", problems)`` per memo fill and ``("single", index, shift)`` per dw slice,
+    in call order."""
+    from semidw import radii
 
+    log = []
+
+    def stacked(problems, _kernel=radii.rotated_eig_max_stack):
+        log.append(("stack", problems))
+        return _kernel(problems)
+
+    def single(n_mat, index, shift=None, _kernel=radii.rotated_eig_max):
+        log.append(("single", index, shift))
+        return _kernel(n_mat, index, shift)
+
+    monkeypatch.setattr(radii, "rotated_eig_max_stack", stacked)
+    monkeypatch.setattr(radii, "rotated_eig_max", single)
+    return log
+
+
+def test_reports_make_one_kernel_call_before_their_dw_slices(monkeypatch):
+    # every kernel-backed read of the catalog (w of N, N +- G, N^2; theta-sweep; c of N,
+    # N +- G past the short cut) and of a pair report (w of X + Y, X, Y and the cross
+    # term) is solved in one stacked call; then come the dw slices, one problem each
+    from semidw import bounds
+
+    log = _kernel_log(monkeypatch)
+    rng = np.random.default_rng(23)
+    m = random_metric(rng, 4, 3)
+    x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
+    n_mat = compress(m, x)
+    assert np.linalg.norm(n_mat @ n_mat.conj().T - n_mat.conj().T @ n_mat) > 0.1  # not normal
+    for run, least, blocks in ((lambda: bounds.verify_all(m, x, seed=3), 5, 0),
+                               (lambda: bounds.pair_report(m, x, y, seed=3), 4, 1)):
+        log.clear()
+        run()
+        assert log[0][0] == "stack" and least <= len(log[0][1]) <= 8
+        slices = [entry for entry in log[1:] if entry[0] == "single"]
+        assert slices and all(index == -1 and shift is not None for _, index, shift in slices)
+        # w of the pair report's off-diagonal block, of order 2r, is its one other stack
+        others = [problems for kind, problems, *_ in log[1:] if kind == "stack"]
+        assert [(len(problems), problems[0][0].shape[0]) for problems in others] \
+            == [(1, 2 * m.rank)] * blocks
+
+
+def test_prefetch_solves_the_problems_and_pencils_of_core_by_core(monkeypatch):
+    # the stacked fill solves the same problems, with the same pencils, as filling the
+    # cores one by one, and every report is bit-identical
+    from semidw import _optim, bounds, radii
+
+    counts = {"problems": 0, "pencils": 0}
+
+    def stacked(problems, _kernel=radii.rotated_eig_max_stack):
+        counts["problems"] += len(problems)
+        return _kernel(problems)
+
+    def counted_pencils(*args, _solve=_optim.pencil_eigvals):
+        counts["pencils"] += 1
+        return _solve(*args)
+
+    def one_by_one(memo, pairs, _fill=radii._Memo.fill):
+        for pair in pairs:
+            _fill(memo, [pair])
+
+    monkeypatch.setattr(_optim, "pencil_eigvals", counted_pencils)
+    monkeypatch.setattr(_optim, "rotated_eig_max_stack", stacked)
+    monkeypatch.setattr(radii, "rotated_eig_max_stack", stacked)
+    rng = np.random.default_rng(29)
+    for m in _seeded_metrics():
+        x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
+        for run in (lambda: bounds.verify_all(m, x, seed=3),
+                    lambda: bounds.pair_report(m, x, y, seed=3)):
+            got = []
+            for fill in (radii._Memo.fill, one_by_one):
+                monkeypatch.setattr(radii._Memo, "fill", fill)
+                counts.update(problems=0, pencils=0)
+                got.append((jsonio.dump_json(jsonio.report_to_dict(run())), dict(counts)))
+            assert got[0] == got[1]
+            assert got[0][1]["problems"] == got[0][1]["pencils"] > 0 or m.rank == 0
+
+
+def test_lambda_complex_stacks_stay_small(monkeypatch):
+    # the support points and the w kernel stack at most START_ANGLES angles per eigensolve
     sizes = []
 
-    def recorded(n_mat, thetas, _batch=_optim.rotated_herm_batch):
-        sizes.append(len(thetas))
-        return _batch(n_mat, thetas)
+    def recorded(solve):
+        def wrapped(a, *args, **kw):
+            sizes.append(int(np.prod(np.shape(a)[:-2])))
+            return solve(a, *args, **kw)
+        return wrapped
 
     rng = np.random.default_rng(4)
     m = random_metric(rng, 4)
     t = random_bounded_operator(rng, m)
     want = sd.upper_lambda_complex(m, t, reference=1.0)
-    monkeypatch.setattr(radii, "rotated_herm_batch", recorded)
-    monkeypatch.setattr(_optim, "rotated_herm_batch", recorded)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
     got = sd.upper_lambda_complex(m, t, reference=1.0)
     assert sizes and max(sizes) <= START_ANGLES
     assert (got.value, got.params) == (want.value, want.params)
@@ -1069,6 +1144,34 @@ def test_reports_reject_norm_above_norm_max(id2):
         pair_report(id2, 0.6 * big, 0.6 * big, seed=1)
     with pytest.raises(NormOutOfRange):
         sd.dw_radius(id2, np.array([[0.0, 1.2e77], [0.0, 0.0]]))
+
+
+def test_reports_on_huge_operators_raise_before_any_product(id2, monkeypatch):
+    # at 1e100 the Frobenius norms of G = N*N and N^2 overflow, at 1e200 those of A^{1/2} T
+    # did (compress): NormOutOfRange comes first, with no RuntimeWarning (an error here);
+    # the one eigensolve at that scale is the SVD of N that checks ||N||
+    from semidw import bounds, radii
+
+    scale = [0.0]
+
+    def guarded(solve):
+        def wrapped(a, *args, **kw):
+            assert np.abs(a).max() <= scale[0], "an eigensolve of G or N^2"
+            return solve(a, *args, **kw)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh", "svd"):
+        monkeypatch.setattr(np.linalg, name, guarded(getattr(np.linalg, name)))
+    hook_kernel(monkeypatch, lambda *_: pytest.fail("a kernel call"))
+    for module in (bounds, radii):
+        monkeypatch.setattr(module, "gram_herm", lambda *_: pytest.fail("G formed"))
+    for scale[0] in (1e100, 1e200):
+        with pytest.raises(NormOutOfRange):
+            sd.verify_all(id2, scale[0] * X_MAT, seed=1)
+        with pytest.raises(NormOutOfRange):
+            bounds.pair_report(id2, scale[0] * X_MAT, Y_MAT, seed=1)
+        with pytest.raises(NormOutOfRange):
+            bounds.pair_report(id2, Y_MAT, scale[0] * X_MAT, seed=1)
 
 
 _T_HUGE = 1e80 * np.array([[0.0, 1.0], [0.5, 0.0]])

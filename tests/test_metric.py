@@ -131,12 +131,27 @@ def test_compress_rejects_unbounded(diag10):
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
-def test_compress_rejects_nonfinite_residual(diag10):
-    # A^{1/2} T overflows the Frobenius norm: the residual is nan, not a pass
-    huge = np.array([[0.0, 1e160], [0.0, 0.0]])
-    assert np.isnan(a_bounded_residual(diag10, huge))
+def test_compress_rejects_nonfinite_residual():
+    # A^{1/2} T itself overflows: the residual is nan, not a pass
+    m = sd.build_metric(np.diag([4.0, 0.0]))
+    huge = np.array([[0.0, 1e308], [0.0, 0.0]])
+    assert np.isnan(a_bounded_residual(m, huge))
     with pytest.raises(NotABounded):
-        sd.compress(diag10, huge)
+        sd.compress(m, huge)
+
+
+@pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
+def test_residual_of_huge_operators_is_scale_free(diag10, scale):
+    # the norms of A^{1/2} T overflowed above ~1.3e154 (a nan residual, after an overflow
+    # warning): scaled by its largest entry, the residual is its value, here 1 (X * 1/2
+    # at scale 1), and no warning is raised
+    assert a_bounded_residual(diag10, X_MAT) == 0.5
+    assert a_bounded_residual(diag10, scale * X_MAT) == 1.0
+    with pytest.raises(NotABounded):
+        sd.compress(diag10, scale * X_MAT)
+    bounded = scale * np.array([[1.0, 0.0], [2.0, 0.0]])
+    assert a_bounded_residual(diag10, bounded) == 0.0
+    assert sd.compress(diag10, bounded)[0, 0] == scale
 
 def _random_psd(rng, n, rank):
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))

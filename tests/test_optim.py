@@ -10,8 +10,8 @@ import pytest
 import scipy.linalg
 
 from semidw import _optim
-from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_max, rotated_herm,
-                           rotated_herm_batch)
+from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_max,
+                           rotated_eig_max_stack, rotated_herm, rotated_herm_batch)
 from semidw.radii import _crawford_core, _Memo, _w_core
 
 from helpers import refine_periodic_max
@@ -382,14 +382,15 @@ def test_kernel_returns_its_eigenpairs(steps, levels, monkeypatch):
 def test_kernel_evals_count_its_eigensolves(monkeypatch):
     # evals (the iterations of w_A and c_A) is every matrix the kernel's eigh and
     # eigvalsh solve, stacked ones included, but the one eigh at an unpolished last
-    # candidate, whose value was counted when the candidate was evaluated
+    # candidate, whose value was counted when the candidate was evaluated: outside the
+    # polish, the only eigh of one matrix (the arc ends come in pairs)
     solves = []  # (matrices, a single eigh outside the polish) per call
     polishing = [False]
 
     def counted(solve):
         def wrapped(a, *args, **kw):
-            single = solve is eigh and np.ndim(a) == 2 and not polishing[0]
-            solves.append((int(np.prod(np.shape(a)[:-2])), single))
+            count = int(np.prod(np.shape(a)[:-2]))
+            solves.append((count, solve is eigh and count == 1 and not polishing[0]))
             return solve(a, *args, **kw)
         return wrapped
 
@@ -430,14 +431,14 @@ def test_w_core_solves_no_eigh_outside_the_kernel(monkeypatch):
         counts["all"] += 1
         return _eigh(a, *args, **kw)
 
-    def counted_kernel(*args, _kernel=radii.rotated_eig_max):
+    def counted_kernel(*args, _kernel=radii.rotated_eig_max_stack):
         before = counts["all"]
         out = _kernel(*args)
         counts["kernel"] += counts["all"] - before
         return out
 
     monkeypatch.setattr(np.linalg, "eigh", counted_eigh)
-    monkeypatch.setattr(radii, "rotated_eig_max", counted_kernel)
+    monkeypatch.setattr(radii, "rotated_eig_max_stack", counted_kernel)
     rng = np.random.default_rng(5)
     for r in (2, 5, 8):
         counts.update(all=0, kernel=0)
@@ -446,13 +447,17 @@ def test_w_core_solves_no_eigh_outside_the_kernel(monkeypatch):
 
 
 def test_w_and_crawford_build_no_theta_grid_stack(monkeypatch):
+    # the matrices of each eigensolve: the kernel's stacks and the support points
     sizes = []
 
-    def recorded(n_mat, thetas):
-        sizes.append(len(thetas))
-        return rotated_herm_batch(n_mat, thetas)
+    def recorded(solve):
+        def wrapped(a, *args, **kw):
+            sizes.append(int(np.prod(np.shape(a)[:-2])))
+            return solve(a, *args, **kw)
+        return wrapped
 
-    monkeypatch.setattr(_optim, "rotated_herm_batch", recorded)
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recorded(getattr(np.linalg, name)))
     rng = np.random.default_rng(3)
     for r in (2, 6, 12):
         for _, n_mat in _families(rng, r):
@@ -460,3 +465,77 @@ def test_w_and_crawford_build_no_theta_grid_stack(monkeypatch):
             _Memo().run(_crawford_core, n_mat)
     # the 1440-angle stacks the kernel replaced
     assert sizes and max(sizes) < 1440
+
+
+def _stack_problems(rng, r):
+    """One order's hard cases as kernel problems: every family (random, triangular,
+    normal with kinks, singular N whose pencils have infinite eigenvalues, ...) with and
+    without the G shift at both indices, a zero problem (scale 0) and a shift alone."""
+    problems = [(n_mat, index, shift) for _, n_mat in _families(rng, r)
+                for shift in (None, gram_herm(n_mat)) for index in (0, -1)]
+    zero = np.zeros((r, r), dtype=complex)
+    return problems + [(zero, -1, None), (zero, 0, np.diag(np.arange(1.0, r + 1.0)))]
+
+
+def _same_bits(got, want) -> bool:
+    return all(np.asarray(x).dtype == np.asarray(y).dtype
+               and np.asarray(x).tobytes() == np.asarray(y).tobytes() for x, y in zip(got, want))
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+def test_stack_is_its_stacks_of_one_bit_for_bit(r, monkeypatch):
+    # each problem's (theta, value, evals, lam, vecs), evals counted per problem, is that
+    # of its stack of one, and permuting the stack permutes the outputs
+    rng = np.random.default_rng(400 + r)
+    problems = _stack_problems(rng, r)
+    pencils = _counted_pencils(monkeypatch)
+    singles = [rotated_eig_max(*problem) for problem in problems]
+    single_pencils = len(pencils)
+    pencils.clear()
+    stacked = rotated_eig_max_stack(problems)
+    assert len(pencils) == single_pencils
+    assert len(stacked) == len(problems)
+    for k, (got, want) in enumerate(zip(stacked, singles)):
+        assert _same_bits(got, want), k
+    assert len({out[2] for out in stacked}) > 2
+    for perm in (rng.permutation(len(problems)), np.arange(len(problems))[::-1]):
+        permuted = rotated_eig_max_stack([problems[k] for k in perm])
+        for k, got in zip(perm, permuted):
+            assert _same_bits(got, singles[k]), k
+
+
+def test_stack_runs_in_lockstep(monkeypatch):
+    # one eigvalsh of all start grids, one eigh per Newton step: the eigensolve calls of a
+    # stack are bounded by the levels and steps, not by its size
+    solves = []
+
+    def counted(solve):
+        def wrapped(a, *args, **kw):
+            solves.append(int(np.prod(np.shape(a)[:-2])))
+            return solve(a, *args, **kw)
+        return wrapped
+
+    for name in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, counted(getattr(np.linalg, name)))
+    rng = np.random.default_rng(5)
+    for r in (2, 4):
+        problems = [p for p in _stack_problems(rng, r) if np.linalg.norm(p[0])]
+        solves.clear()
+        rotated_eig_max_stack(problems)
+        assert solves[0] == _optim.START_ANGLES * len(problems)
+        singles = 0
+        for problem in problems:
+            solves.clear()
+            rotated_eig_max(*problem)
+            singles += len(solves)
+        solves.clear()
+        rotated_eig_max_stack(problems)
+        assert 3 * len(solves) < singles, (r, len(solves), singles)
+
+
+def test_stack_of_nothing_and_of_zero_problems():
+    assert rotated_eig_max_stack([]) == []
+    zero = np.zeros((2, 2), dtype=complex)
+    out = rotated_eig_max_stack([(zero, -1, None), (zero, 0, None)])
+    assert [o[:3] for o in out] == [(0.0, 0.0, 0)] * 2
+

@@ -23,7 +23,8 @@ from semidw.sampling import (
 )
 
 from conftest import X_MAT, Y_MAT
-from helpers import brute_crawford, brute_dw, brute_numrad, brute_seminorm, lbfgs_sphere_refine
+from helpers import (brute_crawford, brute_dw, brute_numrad, brute_seminorm, hook_kernel,
+                     lbfgs_sphere_refine)
 
 SQ2 = np.sqrt(2.0)
 
@@ -166,12 +167,7 @@ def _takes_short_cut(n_mat):
 
 def _kernel_counted(monkeypatch):
     calls = []
-
-    def counted(*args, _kernel=radii.rotated_eig_max):
-        calls.append(args[1])
-        return _kernel(*args)
-
-    monkeypatch.setattr(radii, "rotated_eig_max", counted)
+    hook_kernel(monkeypatch, lambda n_mat, index, shift: calls.append(index))
     return calls
 
 
