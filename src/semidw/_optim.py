@@ -1,10 +1,10 @@
 """Angle maximization helpers shared by the radius and bound evaluators.
 
-The level-set kernel :func:`rotated_eig_max` maximizes one eigenvalue of
-``Re(e^{i theta} N) + K``; :func:`newton_max_lockstep`, the one Newton ascent,
-polishes its levels one angle at a time and the lambda-real peaks of
-:mod:`semidw.bounds` in lockstep; :func:`pencil_eigvals` is the kernel's QZ
-solve.
+The level-set kernel :func:`rotated_eig_max_stack` maximizes one eigenvalue of
+``Re(e^{i theta} N) + K`` for each problem of a stack of one order, in lockstep;
+:func:`rotated_eig_max` is its stack of one. :func:`newton_max_lockstep`, the one
+Newton ascent, polishes the kernel's levels and the lambda-real peaks of
+:mod:`semidw.bounds` in lockstep; :func:`pencil_eigvals` is the kernel's QZ solve.
 """
 
 from __future__ import annotations
@@ -216,6 +216,8 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
 
     def values(parts: list) -> list:
         # eigenvalue index at the angles of each part, from one eigvalsh
+        if not parts:
+            return []
         angles, owner = gather(parts)
         vals = np.linalg.eigvalsh(herm(angles, owner) + rows(k_all, owner))
         vals = vals[:, index[0]] if b == 1 else vals[np.arange(angles.size), np.take(index, owner)]
@@ -312,14 +314,13 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
             fall = s_lo - s_hi
             meet = (f_hi - f_lo + s_lo * lo - s_hi * hi) / np.where(fall > 0.0, fall, 1.0)
             meets.append((p, meet[(fall > 0.0) & (meet > lo) & (meet < hi)]))
-        inside = [(p, meet) for p, meet in meets if meet.size]
-        meet_vals = dict(zip([p for p, _ in inside], values(inside) if inside else []))
+        meet_vals = iter(values([(p, meet) for p, meet in meets if meet.size]))
         running = []
-        for p, _, _, cands, cand_vals in rising:
-            if p in meet_vals:
-                cands = np.concatenate([cands, dict(inside)[p]])
-                cand_vals = np.concatenate([cand_vals, meet_vals[p]])
-                evals[p] += meet_vals[p].size
+        for (p, _, _, cands, cand_vals), (_, meet) in zip(rising, meets):
+            if meet.size:
+                cands = np.concatenate([cands, meet])
+                cand_vals = np.concatenate([cand_vals, next(meet_vals)])
+                evals[p] += meet.size
             best = int(np.argmax(cand_vals))
             gain = float(cand_vals[best]) - gamma[p]
             if gain > 0.0:

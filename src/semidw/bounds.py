@@ -12,7 +12,10 @@ matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
 :class:`_Instance` (:class:`semidw.radii._Memo`), which computes each value once
 and builds every estimate. A public evaluator compresses its operands, checks
 their norms against ``NORM_MAX`` and runs its body on a fresh instance
-(:func:`_evaluate`); a report runs every body on one memo.
+(:func:`_evaluate`); a report runs every body on one memo, which it first fills
+with every kernel-backed value its bodies read (``w``, ``c`` and theta-sweep's
+supremum, :func:`_catalog_cores` and :func:`_pair_cores`), solved in one stacked
+kernel call (:meth:`semidw.radii._Memo.fill`).
 
 Angle suprema of one eigenvalue (``w``, ``c`` and the theta-sweep bound) come
 from the level-set kernel :func:`semidw._optim.rotated_eig_max`, whose value is

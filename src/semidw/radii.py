@@ -20,8 +20,9 @@ adds the ambient witness, with zero null-space component
 A-quantity, so the witness is canonical only up to that coset.
 
 ``w``, ``c`` and ``dw`` come from the level-set angle kernel
-:func:`semidw._optim.rotated_eig_max` (witnesses: its eigenvectors at its
-maximizer), with one short cut: when the support
+:func:`semidw._optim.rotated_eig_max_stack` (witnesses: its eigenvectors at its
+maximizer; :meth:`_Memo.fill` stacks the problems of many ``w`` and ``c`` cores,
+a dw slice is a stack of one), with one short cut: when the support
 points of W(N) at the kernel's ``START_ANGLES`` start angles enclose 0 by a
 rounding margin, ``c_A(T) = 0`` by convexity and no kernel runs
 (:func:`_inner_zero`); ``iterations`` is then ``START_ANGLES``.
