@@ -201,11 +201,16 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     def rows(stack: np.ndarray, owner) -> np.ndarray:
         return stack if b == 1 else stack[owner]
 
-    def herm(angles: np.ndarray, owner) -> np.ndarray:
-        # Re(e^{i theta_j} N) of problem owner[j], as (M + M*) / 2 with M = e^{i theta_j} N:
-        # conj(e^{i theta}) N* is M*, rounding included
+    def herm(angles: np.ndarray, owner, shifted: bool = False) -> np.ndarray:
+        # Re(e^{i theta_j} N) (+ K when shifted) of problem owner[j], as (M + M*) / 2 with
+        # M = e^{i theta_j} N: conj(e^{i theta}) N* is M*, rounding included; in place, as a
+        # stack of 16 b matrices of order 24 is a megabyte
         m = np.exp(1j * angles)[:, None, None] * rows(n_all, owner)
-        return 0.5 * (m + m.conj().swapaxes(1, 2))
+        m += m.conj().swapaxes(1, 2)
+        m *= 0.5
+        if shifted:
+            m += rows(k_all, owner)
+        return m
 
     def gather(parts: list):
         # the angles of the (problem, angles) parts as one array, and the problem of each
@@ -219,7 +224,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
         if not parts:
             return []
         angles, owner = gather(parts)
-        vals = np.linalg.eigvalsh(herm(angles, owner) + rows(k_all, owner))
+        vals = np.linalg.eigvalsh(herm(angles, owner, shifted=True))
         vals = vals[:, index[0]] if b == 1 else vals[np.arange(angles.size), np.take(index, owner)]
         return [vals] if len(parts) == 1 else np.split(
             vals, np.cumsum([angles.size for _, angles in parts])[:-1])
@@ -300,7 +305,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
             break
         ends = [(p, np.concatenate([lo, hi])) for p, lo, hi, _, _ in rising]
         angles, owner = gather(ends)
-        end_lam, end_vecs = np.linalg.eigh(herm(angles, owner) + rows(k_all, owner))
+        end_lam, end_vecs = np.linalg.eigh(herm(angles, owner, shifted=True))
         meets, at = [], 0
         for (p, lo, hi, _, _), (_, p_ends) in zip(rising, ends):
             k = index[p]
@@ -333,7 +338,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     last = [(p, np.array([theta[p]])) for p in range(b) if lam[p] is None]
     if last:
         angles, owner = gather(last)
-        lams, vecss = np.linalg.eigh(herm(angles, owner) + rows(k_all, owner))
+        lams, vecss = np.linalg.eigh(herm(angles, owner, shifted=True))
         for (p, _), lam_p, vecs_p in zip(last, lams, vecss):
             lam[p], vecs[p] = lam_p, vecs_p
     for p, i in enumerate(live):

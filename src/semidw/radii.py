@@ -153,8 +153,6 @@ class _Memo:
                     waiting[key][0].send(result)
                 except StopIteration as done:
                     self.raw[key] = done.value
-                else:
-                    raise RuntimeError(f"{key[0].__name__} asked the kernel twice")
 
     def run(self, core, n_mat: np.ndarray):
         """The raw output of ``core`` on ``n_mat``, computed on the first call."""
@@ -537,9 +535,11 @@ def estimates(m: Metric, t) -> dict[str, RadiusEstimate]:
     Each estimate equals that of its public function (``seminorm`` is
     :func:`op_seminorm`'s, ``dw_radius`` is :func:`dw_radius`'s); ``w_A`` and
     ``||T||_A`` are computed once for their own estimates and the dw end lines, and
-    the kernel problems of ``w_A`` and ``c_A`` are solved in one stacked call.
+    the kernel problems of ``w_A`` and ``c_A`` are solved in one stacked call, after
+    ``||T||_A`` is checked: :class:`NormOutOfRange` above ``NORM_MAX``, as for ``dw_A``.
     """
     n_mat, memo = compress(m, t), _Memo()
+    _check_norm(memo.value(_seminorm_core, n_mat))
     memo.fill([(_w_core, n_mat), (_crawford_core, n_mat)])
     cores = (("seminorm", _seminorm_core, "exact_svd"),
              ("min_modulus", _min_modulus_core, "exact_svd"),

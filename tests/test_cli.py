@@ -197,6 +197,18 @@ def test_verify_norm_out_of_range_exit_3(tmp_path, capsys):
     assert "||T||_A = 1e+100" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["compute", "verify", "exact"])
+def test_huge_operator_exits_3_before_any_overflow(tmp_path, capsys, command):
+    # ||T||_A = 1e200: the norm check precedes every norm that squares entries (the
+    # compression's, the kernel's scale), so no RuntimeWarning (an error here) comes first
+    a_path = tmp_path / "a.json"
+    t_path = tmp_path / "t.json"
+    a_path.write_text(json.dumps(jsonio.matrix_to_dict(np.eye(2))))
+    t_path.write_text(json.dumps(jsonio.matrix_to_dict(np.array([[0.0, 1e200], [5e199, 0.0]]))))
+    assert main([command, "--metric", str(a_path), "--operator", str(t_path)]) == 3
+    assert "= 1e+200 is" in capsys.readouterr().err
+
+
 def _large_norm_files(tmp_path):
     rng = np.random.default_rng(0)
     t = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))

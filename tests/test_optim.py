@@ -522,15 +522,12 @@ def test_stack_runs_in_lockstep(monkeypatch):
         problems = [p for p in _stack_problems(rng, r) if np.linalg.norm(p[0])]
         solves.clear()
         rotated_eig_max_stack(problems)
-        assert solves[0] == _optim.START_ANGLES * len(problems)
-        singles = 0
-        for problem in problems:
-            solves.clear()
-            rotated_eig_max(*problem)
-            singles += len(solves)
+        stacked = list(solves)
         solves.clear()
-        rotated_eig_max_stack(problems)
-        assert 3 * len(solves) < singles, (r, len(solves), singles)
+        for problem in problems:
+            rotated_eig_max(*problem)
+        assert stacked[0] == _optim.START_ANGLES * len(problems)
+        assert 3 * len(stacked) < len(solves), (r, len(stacked), len(solves))
 
 
 def test_stack_of_nothing_and_of_zero_problems():
