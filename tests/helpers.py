@@ -7,8 +7,8 @@ and its periodic-grid refinement are the reference maximizers of the angle
 tests, and scipy's L-BFGS-B on the sphere is the reference of the sampling
 oracle's Newton refinement. The scalar-shift references evaluate every member
 of a lambda grid of the two scalar-shift bounds from explicitly shifted
-matrices, on a compressed ``N``. :func:`hook_kernel` sees every level-set problem
-that :mod:`semidw.radii` hands the angle kernel.
+matrices, on a compressed ``N``. :func:`hook_kernel` sees every call of the angle
+kernel that :mod:`semidw.radii` makes.
 """
 
 from __future__ import annotations
@@ -256,18 +256,17 @@ def lambda_complex_members(n_mat: np.ndarray, lambda_grid) -> np.ndarray:
 
 
 def hook_kernel(monkeypatch, record) -> None:
-    """Call ``record(N, index, shift)`` for each level-set problem :mod:`semidw.radii`
-    hands the kernel: the memo's stacked calls and the single calls (dw slices,
-    ``numrange_distance``)."""
+    """Call ``record(problems)`` with the ``(N, index, shift)`` problems of each kernel call
+    of :mod:`semidw.radii`: the memo's stacked calls and the single calls (dw slices,
+    ``numrange_distance``), which give a list of one."""
     from semidw import radii
 
     def stacked(problems, _kernel=radii.rotated_eig_max_stack):
-        for problem in problems:
-            record(*problem)
+        record(list(problems))
         return _kernel(problems)
 
     def single(n_mat, index, shift=None, _kernel=radii.rotated_eig_max):
-        record(n_mat, index, shift)
+        record([(n_mat, index, shift)])
         return _kernel(n_mat, index, shift)
 
     monkeypatch.setattr(radii, "rotated_eig_max_stack", stacked)

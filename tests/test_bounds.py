@@ -148,7 +148,8 @@ def test_lower_crawford_runs_no_kernel_on_abs_sq(monkeypatch):
     from semidw import radii
 
     calls = []
-    hook_kernel(monkeypatch, lambda n_mat, index, shift: calls.append((index, n_mat.tobytes())))
+    hook_kernel(monkeypatch, lambda problems: calls.extend(
+        (index, n_mat.tobytes()) for n_mat, index, _ in problems))
     rng = np.random.default_rng(2)
     m = random_metric(rng, 4, 3)
     t = random_bounded_operator(rng, m)
@@ -821,9 +822,9 @@ def test_reports_run_each_angle_kernel_once(monkeypatch):
 
     calls = []
 
-    def counted(n_mat, index, shift):
-        extra = None if shift is None else shift.tobytes()
-        calls.append((index, extra, n_mat.shape, n_mat.tobytes()))
+    def counted(problems):
+        calls.extend((index, None if shift is None else shift.tobytes(), n_mat.shape,
+                      n_mat.tobytes()) for n_mat, index, shift in problems)
 
     hook_kernel(monkeypatch, counted)
     rng = np.random.default_rng(11)
@@ -837,49 +838,27 @@ def test_reports_run_each_angle_kernel_once(monkeypatch):
             assert len(set(calls)) == len(calls)
 
 
-def _kernel_log(monkeypatch) -> list:
-    """``("stack", problems)`` per memo fill and ``("single", index, shift)`` per dw slice,
-    in call order."""
-    from semidw import radii
-
-    log = []
-
-    def stacked(problems, _kernel=radii.rotated_eig_max_stack):
-        log.append(("stack", problems))
-        return _kernel(problems)
-
-    def single(n_mat, index, shift=None, _kernel=radii.rotated_eig_max):
-        log.append(("single", index, shift))
-        return _kernel(n_mat, index, shift)
-
-    monkeypatch.setattr(radii, "rotated_eig_max_stack", stacked)
-    monkeypatch.setattr(radii, "rotated_eig_max", single)
-    return log
-
-
 def test_reports_make_one_kernel_call_before_their_dw_slices(monkeypatch):
     # every kernel-backed read of the catalog (w of N, N +- G, N^2; theta-sweep; c of N,
     # N +- G past the short cut) and of a pair report (w of X + Y, X, Y and the cross
-    # term) is solved in one stacked call; then come the dw slices, one problem each
+    # term) is solved in one stacked call; every later call of that order is a dw slice
     from semidw import bounds
 
-    log = _kernel_log(monkeypatch)
+    log = []
+    hook_kernel(monkeypatch, log.append)
     rng = np.random.default_rng(23)
     m = random_metric(rng, 4, 3)
     x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
     n_mat = compress(m, x)
     assert np.linalg.norm(n_mat @ n_mat.conj().T - n_mat.conj().T @ n_mat) > 0.1  # not normal
-    for run, least, blocks in ((lambda: bounds.verify_all(m, x, seed=3), 5, 0),
-                               (lambda: bounds.pair_report(m, x, y, seed=3), 4, 1)):
+    for run, least in ((lambda: bounds.verify_all(m, x, seed=3), 5),
+                       (lambda: bounds.pair_report(m, x, y, seed=3), 4)):
         log.clear()
         run()
-        assert log[0][0] == "stack" and least <= len(log[0][1]) <= 8
-        slices = [entry for entry in log[1:] if entry[0] == "single"]
+        assert least <= len(log[0]) <= 8
+        assert all(len(problems) == 1 for problems in log[1:])
+        slices = [problems[0] for problems in log[1:] if problems[0][0].shape[0] == m.rank]
         assert slices and all(index == -1 and shift is not None for _, index, shift in slices)
-        # w of the pair report's off-diagonal block, of order 2r, is its one other stack
-        others = [problems for kind, problems, *_ in log[1:] if kind == "stack"]
-        assert [(len(problems), problems[0][0].shape[0]) for problems in others] \
-            == [(1, 2 * m.rank)] * blocks
 
 
 def test_prefetch_solves_the_problems_and_pencils_of_core_by_core(monkeypatch):
@@ -1162,7 +1141,7 @@ def test_reports_on_huge_operators_raise_before_any_product(id2, monkeypatch):
 
     for name in ("eigh", "eigvalsh", "svd"):
         monkeypatch.setattr(np.linalg, name, guarded(getattr(np.linalg, name)))
-    hook_kernel(monkeypatch, lambda *_: pytest.fail("a kernel call"))
+    hook_kernel(monkeypatch, lambda _: pytest.fail("a kernel call"))
     for module in (bounds, radii):
         monkeypatch.setattr(module, "gram_herm", lambda *_: pytest.fail("G formed"))
     for scale[0] in (1e100, 1e200):

@@ -167,7 +167,7 @@ def _takes_short_cut(n_mat):
 
 def _kernel_counted(monkeypatch):
     calls = []
-    hook_kernel(monkeypatch, lambda n_mat, index, shift: calls.append(index))
+    hook_kernel(monkeypatch, lambda problems: calls.extend(index for _, index, _ in problems))
     return calls
 
 
