@@ -15,7 +15,8 @@ their norms against ``NORM_MAX`` and runs its body on a fresh instance
 (:func:`_evaluate`); a report runs every body on one memo, which it first fills
 with every kernel-backed value its bodies read (``w``, ``c`` and theta-sweep's
 supremum, :func:`_catalog_cores` and :func:`_pair_cores`), solved in one stacked
-kernel call (:meth:`semidw.radii._Memo.fill`).
+kernel call (:meth:`semidw.radii._Memo.fill`), and then with the dw brackets of its
+matrix and operands, whose slices run in lockstep.
 
 Angle suprema of one eigenvalue (``w``, ``c`` and the theta-sweep bound) come
 from the level-set kernel :func:`semidw._optim.rotated_eig_max`, whose value is
@@ -40,8 +41,8 @@ from ._optim import START_ANGLES, gram_herm, herm_parts, newton_max_lockstep
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _ix_core
 from .metric import Metric, as_operator, compress
-from .radii import (_check_norm, _crawford_core, _lift, _Memo, _min_modulus_core, _seminorm_core,
-                    _w_core, form_values)
+from .radii import (_check_norm, _crawford_core, _dw_core, _lift, _Memo, _min_modulus_core,
+                    _seminorm_core, _w_core, form_values)
 
 LAMBDA_GRID_POINTS = 41
 #: angle grid of the lambda-real member (even: a grid angle plus pi is one too)
@@ -678,17 +679,19 @@ def exact_checks(m: Metric, x, tol: float | None = None):
     """Closed-form dw of [[I,X],[O,O]] and [[O,X],[O,O]], each an "exact" record.
 
     Compresses X once; both closed forms and the returned ``||X||_A`` read one
-    memoized ``_seminorm_core(N_X)``. Returns ``||X||_A`` and ``(label, closed,
-    bracket, record)`` per block; ``bracket`` is the dw bracket ``[value, value +
-    residual]`` of the compressed block ``[[I_r or 0, N_X], [0, 0]]``.
+    memoized ``_seminorm_core(N_X)``, and then the two brackets run in lockstep.
+    Returns ``||X||_A`` and ``(label, closed, bracket, record)`` per block;
+    ``bracket`` is the dw bracket ``[value, value + residual]`` of the compressed
+    block ``[[I_r or 0, N_X], [0, 0]]``.
     """
     n_x = compress(m, x)
     zero = np.zeros_like(n_x)
     inst = _Instance(tol=tol)
+    closed = [_lift(m, inst.memo.estimate(core, n_x, "exact_svd")) for core in (_ix_core, _0x_core)]
+    blocks = [_block(top, n_x, zero, zero) for top in (np.eye(m.rank), zero)]
+    inst.memo.fill([(_dw_core, blk) for blk in blocks])
     out = []
-    for label, top, core in (("identity", np.eye(m.rank), _ix_core), ("zero", zero, _0x_core)):
-        closed = _lift(m, inst.memo.estimate(core, n_x, "exact_svd"))
-        blk = _block(top, n_x, zero, zero)
+    for label, closed, blk in zip(("identity", "zero"), closed, blocks):
         bracket = inst.memo.dw(blk)
         out.append((label, closed, bracket, inst.record(
             blk, f"{label} block exact", f"{label}-block-exact", "exact", closed.value,
@@ -798,15 +801,15 @@ def _report_instance(n_mat: np.ndarray, operands, tol: float | None, cores) -> _
     product whose norm could overflow. Then the memo is filled with the kernel-backed
     ``cores(n_mat, *operands)``, ``(core, matrix)`` pairs whose level-set problems are
     solved in one stacked kernel call (:meth:`semidw.radii._Memo.fill`), and then with
-    the dws of ``n_mat`` and the operands.
+    the dw brackets of ``n_mat`` and the operands, in lockstep: each round of their
+    slices is one stacked call.
     """
     inst = _Instance(tol=tol)
     for op in (n_mat, *operands):
         _check_norm(inst.memo.value(_seminorm_core, op))
     inst.memo.fill(cores(n_mat, *operands))
+    inst.memo.fill([(_dw_core, op) for op in (n_mat, *operands)])
     est = inst.memo.dw(n_mat)
-    for op in operands:
-        inst.memo.dw(op)
     return replace(inst, reference=(est.value, est.value + est.residual))
 
 

@@ -21,8 +21,8 @@ A-quantity, so the witness is canonical only up to that coset.
 
 ``w``, ``c`` and ``dw`` come from the level-set angle kernel
 :func:`semidw._optim.rotated_eig_max_stack` (witnesses: its eigenvectors at its
-maximizer; :meth:`_Memo.fill` stacks the problems of many ``w`` and ``c`` cores,
-a dw slice is a stack of one), with one short cut: when the support
+maximizer; :meth:`_Memo.fill` stacks the problems of many cores, and runs the
+slices of the dw brackets it is given in lockstep), with one short cut: when the support
 points of W(N) at the kernel's ``START_ANGLES`` start angles enclose 0 by a
 rounding margin, ``c_A(T) = 0`` by convexity and no kernel runs
 (:func:`_inner_zero`); ``iterations`` is then ``START_ANGLES``.
@@ -117,42 +117,51 @@ class _Memo:
     (phase-fixed vectors move the bracket by rounding), :func:`_crawford_core` the
     :func:`_start_support` of N, the closed forms the top singular pair of N_X.
     A kernel-backed core (``_w_core``, ``_crawford_core`` past its short cut, the
-    bounds' ``_theta_sweep_core``) is a generator: it yields its level-set problem
-    ``(N, index, shift)`` and is sent the kernel's tuple. :meth:`fill` solves the
-    problems of many cores in one :func:`semidw._optim.rotated_eig_max_stack` call
-    per order, so a report that names its cores up front pays the kernel's fixed
-    costs once. :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
+    bounds' ``_theta_sweep_core``, ``_dw_core`` once per slice) is a generator: it
+    yields a level-set problem ``(N, index, shift)`` and is sent the kernel's tuple.
+    :meth:`fill` drives many cores in rounds, one
+    :func:`semidw._optim.rotated_eig_max_stack` call per order and round for the
+    problem each core waits on, so a report that names its cores up front pays the
+    kernel's fixed costs once per round. :meth:`estimate` alone turns a raw output
+    into a :class:`RadiusEstimate`.
     """
 
     raw: dict = field(default_factory=dict)
 
     def fill(self, pairs) -> None:
-        """Compute every ``(core, N)`` of ``pairs`` not yet held, with one stacked kernel
-        call per order for the level-set problems of all of them; 0x0 matrices, which no
-        core reads (:meth:`value` is 0 there), are skipped."""
+        """Compute every ``(core, N)`` of ``pairs`` not yet held; 0x0 matrices, which no
+        core reads (:meth:`value` is 0 there), are skipped.
+
+        Rounds until every generator core has returned: each round solves the problems
+        the cores wait on in one stacked kernel call per order and sends each core its
+        tuple. A stack's tuples are bit for bit its stacks of one, so the outputs do
+        not depend on what else is filled; an exception of one core leaves the fill.
+        """
         waiting: dict = {}  # key -> (generator, its problem)
+
+        def advance(key, gen, result=None) -> None:
+            try:
+                waiting[key] = gen, gen.send(result)
+            except StopIteration as done:  # returned, maybe by a short cut before any yield
+                self.raw[key] = done.value
+
         for core, n_mat in pairs:
             key = (core, n_mat.shape, n_mat.tobytes())
             if not n_mat.size or key in self.raw or key in waiting:
                 continue
             out = core(n_mat, self)
-            if not isinstance(out, GeneratorType):
+            if isinstance(out, GeneratorType):
+                advance(key, out)
+            else:
                 self.raw[key] = out
-                continue
-            try:
-                waiting[key] = out, next(out)
-            except StopIteration as done:  # a short cut, no kernel call
-                self.raw[key] = done.value
-        orders: dict = {}
-        for key, (_, problem) in waiting.items():
-            orders.setdefault(problem[0].shape[0], []).append(key)
-        for keys in orders.values():
-            solved = rotated_eig_max_stack([waiting[key][1] for key in keys])
-            for key, result in zip(keys, solved):
-                try:
-                    waiting[key][0].send(result)
-                except StopIteration as done:
-                    self.raw[key] = done.value
+        while waiting:
+            orders: dict = {}
+            for key, (_, problem) in waiting.items():
+                orders.setdefault(problem[0].shape[0], []).append(key)
+            for keys in orders.values():
+                solved = rotated_eig_max_stack([waiting[key][1] for key in keys])
+                for key, result in zip(keys, solved):
+                    advance(key, waiting.pop(key)[0], result)
 
     def run(self, core, n_mat: np.ndarray):
         """The raw output of ``core`` on ``n_mat``, computed on the first call."""
@@ -435,7 +444,7 @@ def crawford(m: Metric, t) -> RadiusEstimate:
 
 #: the bracket stops once ``upper - lower <= DW_RTOL (1 + upper)``
 DW_RTOL = 1e-10
-#: cap on the kernel calls of one bracket
+#: cap on the slices (kernel problems) of one bracket
 DW_MAX_DIRECTIONS = 64
 #: rounding pad of the upper end, in units of ``r eps (||N||_2 + ||N||_2^2)``
 DW_PAD_ULPS = 16
@@ -453,7 +462,7 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
 
     ``G = N*N``, c unit. S lies in the positive quadrant, so dw is the farthest
     point of ``conv S``, whose support function at ``u(alpha) = (cos alpha,
-    sin alpha)``, alpha in [0, pi/2], is one level-set kernel call,
+    sin alpha)``, alpha in [0, pi/2], is one level-set kernel problem, the slice
     ``max_theta lambda_max(cos alpha Re(e^{i theta} N) + sin alpha G)``
     (Davis-Wielandt shell: Li-Poon-Sze, Oper. Matrices 2 (2008)); at the ends
     it is ``||N||_2^2`` and ``w(N)`` (the memoized ``_seminorm_core`` and
@@ -468,10 +477,12 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
     the farthest vertex, else of the best point.
 
     Stops at ``upper - lower <= DW_RTOL (1 + upper)``, when no angle is new,
-    or after ``DW_MAX_DIRECTIONS`` calls; where S osculates the circle
+    or after ``DW_MAX_DIRECTIONS`` slices; where S osculates the circle
     ``|p| = dw`` (N nilpotent 2x2, ``||N||_2 = 1/sqrt(2)``) the polygon closes
-    slowly and the cap leaves a width near 2e-7 dw. Returns ``(lower, c, kernel
-    calls, upper - lower)``; raises :class:`NormOutOfRange` above ``NORM_MAX``.
+    slowly and the cap leaves a width near 2e-7 dw. A generator core: it yields
+    each slice ``(cos alpha N, -1, sin alpha G)`` to :meth:`_Memo.fill`, so the
+    brackets of one fill share its kernel calls. Returns ``(lower, c, slices,
+    upper - lower)``; raises :class:`NormOutOfRange` above ``NORM_MAX``.
     """
     norm = memo.run(_seminorm_core, n_mat)
     _check_norm(norm[0])
@@ -511,8 +522,7 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
         if not fresh:
             break
         alpha = fresh[0]
-        _, value, _, _, slice_vecs = rotated_eig_max(np.cos(alpha) * n_mat, -1,
-                                                     np.sin(alpha) * gram)
+        _, value, _, _, slice_vecs = yield np.cos(alpha) * n_mat, -1, np.sin(alpha) * gram
         add(alpha, value, slice_vecs[:, -1])
     return lower, vecs[best], calls, upper - lower
 
@@ -521,9 +531,9 @@ def dw_radius(m: Metric, t, seed: int = DEFAULT_SEED) -> RadiusEstimate:
     """A-Davis-Wielandt radius ``dw_A(T)``: the lower end of the :func:`_dw_core` bracket.
 
     ``value`` is attained at the witness, ``residual`` is the bracket width
-    (``dw_A(T) <= value + residual``) and ``iterations`` counts the kernel
-    calls. The bracket is deterministic: ``seed`` is accepted so that call
-    forms keep working, and unused. Raises :class:`NormOutOfRange` when
+    (``dw_A(T) <= value + residual``) and ``iterations`` counts the slices. The
+    bracket is deterministic: ``seed`` is accepted so that call forms keep working,
+    and unused. Raises :class:`NormOutOfRange` when
     ``||T||_A > NORM_MAX``.
     """
     return _lift(m, _Memo().dw(compress(m, t)))

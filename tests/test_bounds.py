@@ -841,24 +841,79 @@ def test_reports_run_each_angle_kernel_once(monkeypatch):
 def test_reports_make_one_kernel_call_before_their_dw_slices(monkeypatch):
     # every kernel-backed read of the catalog (w of N, N +- G, N^2; theta-sweep; c of N,
     # N +- G past the short cut) and of a pair report (w of X + Y, X, Y and the cross
-    # term) is solved in one stacked call; every later call of that order is a dw slice
-    from semidw import bounds
+    # term) is solved in one stacked call; the dw brackets of the report's matrix and its
+    # operands then run in lockstep, so every later call of order r holds at most one
+    # slice per open bracket, and the pair's three brackets share some call. The offdiag
+    # block of order 2r is judged by its own bracket: its w, then one slice per call
+    from semidw import bounds, radii
 
-    log = []
+    log, built = [], []
     hook_kernel(monkeypatch, log.append)
+
+    def counted(n_mat, memo, _core=radii._dw_core):
+        built.append(n_mat.tobytes())
+        return _core(n_mat, memo)
+
+    for module in (radii, bounds):
+        monkeypatch.setattr(module, "_dw_core", counted)
     rng = np.random.default_rng(23)
     m = random_metric(rng, 4, 3)
     x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
     n_mat = compress(m, x)
     assert np.linalg.norm(n_mat @ n_mat.conj().T - n_mat.conj().T @ n_mat) > 0.1  # not normal
-    for run, least in ((lambda: bounds.verify_all(m, x, seed=3), 5),
-                       (lambda: bounds.pair_report(m, x, y, seed=3), 4)):
+    for run, least, brackets in ((lambda: bounds.verify_all(m, x, seed=3), 5, 1),
+                                 (lambda: bounds.pair_report(m, x, y, seed=3), 4, 3)):
         log.clear()
+        built.clear()
         run()
         assert least <= len(log[0]) <= 8
-        assert all(len(problems) == 1 for problems in log[1:])
-        slices = [problems[0] for problems in log[1:] if problems[0][0].shape[0] == m.rank]
-        assert slices and all(index == -1 and shift is not None for _, index, shift in slices)
+        later = [problems for problems in log[1:] if problems[0][0].shape[0] == m.rank]
+        assert later and all(len(problems) <= brackets for problems in later)
+        assert max(len(problems) for problems in later) == brackets
+        assert all(index == -1 and shift is not None
+                   for problems in later for _, index, shift, *_ in problems)
+        for problems in log[1:]:
+            if problems[0][0].shape[0] == 2 * m.rank:
+                assert len(problems) == 1
+        # each bracket is built once, and holds its slot in the memo once
+        assert len(built) == len(set(built)) == brackets + (brackets == 3)
+
+
+def test_lockstep_brackets_match_bracket_by_bracket_and_raise_their_checks(monkeypatch):
+    # the brackets of one fill in lockstep give the raw outputs, problems and pencils of
+    # one fill per bracket; a NormOutOfRange of one bracket's check leaves the fill
+    from semidw import _optim, radii
+
+    counts = {"problems": 0, "pencils": 0}
+
+    def stacked(problems, _kernel=radii.rotated_eig_max_stack):
+        counts["problems"] += len(problems)
+        return _kernel(problems)
+
+    def counted_pencils(*args, _solve=_optim.pencil_eigvals):
+        counts["pencils"] += 1
+        return _solve(*args)
+
+    monkeypatch.setattr(_optim, "pencil_eigvals", counted_pencils)
+    monkeypatch.setattr(radii, "rotated_eig_max_stack", stacked)
+    rng = np.random.default_rng(31)
+    mats = [compress(m, random_bounded_operator(rng, m))
+            for m in (random_metric(rng, 4, 3), random_metric(rng, 3), random_metric(rng, 5, 3))]
+    mats.append(mats[0] @ mats[2])
+    got = []
+    for fills in ([mats], [[n] for n in mats]):
+        memo = _Memo()
+        counts.update(problems=0, pencils=0)
+        for batch in fills:
+            memo.fill([(radii._dw_core, n) for n in batch])
+        dws = [memo.raw[(radii._dw_core, n.shape, n.tobytes())] for n in mats]
+        got.append(([(value, c.tobytes(), calls, width) for value, c, calls, width in dws],
+                    dict(counts)))
+        assert sum(key[0] is radii._dw_core for key in memo.raw) == len(mats)
+    assert got[0] == got[1]
+    assert got[0][1]["problems"] == got[0][1]["pencils"] > 0
+    with pytest.raises(NormOutOfRange):
+        _Memo().fill([(radii._dw_core, mats[0]), (radii._dw_core, 1e100 * mats[1])])
 
 
 def test_prefetch_solves_the_problems_and_pencils_of_core_by_core(monkeypatch):
