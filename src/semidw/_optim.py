@@ -140,14 +140,19 @@ def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
 
 
 def rotated_eig_max_stack(problems) -> list[tuple]:
-    """:func:`rotated_eig_max` of each problem ``(N, index, shift)`` of a list, in lockstep.
+    """:func:`rotated_eig_max` of each problem ``(N, index, shift[, start])``, in lockstep.
 
     Criss-cross level-set method (Mengi-Overton, IMA J. Numer. Anal. 25 (2005);
     Boyd-Balakrishnan, Systems Control Lett. 15 (1990)) on ``N, K`` scaled by
     ``max(||N||_F, ||K||_F)``, ``K = shift`` (Hermitian) or 0, with local
     Newton ascent between the level sets (Mitchell, SIAM J. Sci. Comput. 45
-    (2023)). The best of the ``START_ANGLES`` angles ``START_THETAS``, polished by
-    :func:`newton_max_lockstep`, is the first level gamma. The polish steps on
+    (2023)). The first level gamma is the best of the ``START_ANGLES`` angles
+    ``START_THETAS`` or, for a problem with a start angle (a warm start), the better
+    of that angle and its antipode, polished by :func:`newton_max_lockstep`. The
+    antipode guards a start at the curve's minimum: a level there touches the curve
+    at one point, a double root that the pencil may split off the unit circle, and
+    from such a start alone the search ended there (at the antipode of the
+    maximizer of shifted triangular, tall and PSD test matrices). The polish steps on
     eigenvalue ``index`` with derivatives from one ``eigh`` per angle, and never
     at a multiple eigenvalue (gaps within ``4 eps (1 + |lambda|)``), where the
     second derivative does not exist. Some eigenvalue of
@@ -163,7 +168,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     only one solved: it certifies that no arc lies above it.
 
     The problems share one order r and run in lockstep: one ``eigvalsh`` for all
-    start grids, one ``eigh`` per Newton step for all polishes, and per level one
+    start angles, one ``eigh`` per Newton step for all polishes, and per level one
     pencil per open problem and one stacked solve each for the midpoints, the arc
     ends and the tangent meets of all of them. A stacked eigensolve solves each
     matrix alone and the matrix-vector products stay per problem, so each tuple is
@@ -176,8 +181,8 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     when the last candidate was not polished), ``lam[index] = value`` up to rounding.
     """
     out: list = [None] * len(problems)
-    live, n_list, k_list, index, scale = [], [], [], [], []
-    for i, (n_mat, idx, shift) in enumerate(problems):
+    live, n_list, k_list, index, scale, grids = [], [], [], [], [], []
+    for i, (n_mat, idx, shift, *start) in enumerate(problems):
         r = n_mat.shape[0]
         s = float(np.linalg.norm(n_mat))
         if shift is not None:
@@ -190,6 +195,8 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
         k_list.append(np.zeros((r, r)) if shift is None else shift / s)
         index.append(idx % r)
         scale.append(s)
+        grids.append(START_THETAS if not start or start[0] is None
+                     else float(start[0]) + np.array([0.0, np.pi]))
     if not live:
         return out
     b, r = len(live), n_list[0].shape[0]
@@ -229,7 +236,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
         return [vals] if len(parts) == 1 else np.split(
             vals, np.cumsum([angles.size for _, angles in parts])[:-1])
 
-    evals = [START_ANGLES] * b
+    evals = [grid.size for grid in grids]
     solved: list[dict] = [{} for _ in range(b)]
     polishing: list[int] = []
 
@@ -270,9 +277,9 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
             lam[p], vecs[p] = solved[p][t]
 
     theta, gamma = [], []
-    for vals in values([(p, START_THETAS) for p in range(b)]):
+    for grid, vals in zip(grids, values(list(enumerate(grids)))):
         best = int(np.argmax(vals))
-        theta.append(float(START_THETAS[best]))
+        theta.append(float(grid[best]))
         gamma.append(float(vals[best]))
     lam: list = [None] * b
     vecs: list = [None] * b

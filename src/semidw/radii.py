@@ -118,12 +118,10 @@ class _Memo:
     :func:`_start_support` of N, the closed forms the top singular pair of N_X.
     A kernel-backed core (``_w_core``, ``_crawford_core`` past its short cut, the
     bounds' ``_theta_sweep_core``, ``_dw_core`` once per slice) is a generator: it
-    yields a level-set problem ``(N, index, shift)`` and is sent the kernel's tuple.
-    :meth:`fill` drives many cores in rounds, one
-    :func:`semidw._optim.rotated_eig_max_stack` call per order and round for the
-    problem each core waits on, so a report that names its cores up front pays the
-    kernel's fixed costs once per round. :meth:`estimate` alone turns a raw output
-    into a :class:`RadiusEstimate`.
+    yields a level-set problem ``(N, index, shift[, start])`` and is sent the
+    kernel's tuple. :meth:`fill` drives many cores in lockstep, so a report that
+    names its cores up front pays the kernel's fixed costs once per round.
+    :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
     """
 
     raw: dict = field(default_factory=dict)
@@ -132,10 +130,10 @@ class _Memo:
         """Compute every ``(core, N)`` of ``pairs`` not yet held; 0x0 matrices, which no
         core reads (:meth:`value` is 0 there), are skipped.
 
-        Rounds until every generator core has returned: each round solves the problems
-        the cores wait on in one stacked kernel call per order and sends each core its
-        tuple. A stack's tuples are bit for bit its stacks of one, so the outputs do
-        not depend on what else is filled; an exception of one core leaves the fill.
+        Each round solves the problems the generator cores wait on in one
+        :func:`semidw._optim.rotated_eig_max_stack` call per order, until all have
+        returned; a stack's tuples are bit for bit its stacks of one, so no output
+        depends on what else is filled. An exception of one core leaves the fill.
         """
         waiting: dict = {}  # key -> (generator, its problem)
 
@@ -480,9 +478,11 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
     or after ``DW_MAX_DIRECTIONS`` slices; where S osculates the circle
     ``|p| = dw`` (N nilpotent 2x2, ``||N||_2 = 1/sqrt(2)``) the polygon closes
     slowly and the cap leaves a width near 2e-7 dw. A generator core: it yields
-    each slice ``(cos alpha N, -1, sin alpha G)`` to :meth:`_Memo.fill`, so the
-    brackets of one fill share its kernel calls. Returns ``(lower, c, slices,
-    upper - lower)``; raises :class:`NormOutOfRange` above ``NORM_MAX``.
+    each slice ``(cos alpha N, -1, sin alpha G, start)`` to :meth:`_Memo.fill`, so
+    the brackets of one fill share its kernel calls. The first slice starts cold
+    (``start`` None); every later one starts at the maximizer angle of the solved
+    slice nearest to it in alpha. Returns ``(lower, c, slices, upper - lower)``;
+    raises :class:`NormOutOfRange` above ``NORM_MAX``.
     """
     norm = memo.run(_seminorm_core, n_mat)
     _check_norm(norm[0])
@@ -491,6 +491,7 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
     gram = gram_herm(n_mat)
     pad = DW_PAD_ULPS * n_mat.shape[0] * np.finfo(float).eps * (norm[0] + norm[0] ** 2)
     alphas, offsets, points, vecs = [], [], [], []
+    thetas: dict = {}  # alpha -> the maximizer angle of its slice
 
     def add(alpha: float, value: float, x: np.ndarray) -> None:
         p = np.array([abs(_form(n_mat, x)), _form(gram, x).real])
@@ -522,7 +523,9 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
         if not fresh:
             break
         alpha = fresh[0]
-        _, value, _, _, slice_vecs = yield np.cos(alpha) * n_mat, -1, np.sin(alpha) * gram
+        near = min(thetas, key=lambda a: abs(a - alpha), default=None)
+        thetas[alpha], value, _, _, slice_vecs = yield (
+            np.cos(alpha) * n_mat, -1, np.sin(alpha) * gram, thetas.get(near))
         add(alpha, value, slice_vecs[:, -1])
     return lower, vecs[best], calls, upper - lower
 

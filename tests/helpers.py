@@ -256,9 +256,10 @@ def lambda_complex_members(n_mat: np.ndarray, lambda_grid) -> np.ndarray:
 
 
 def hook_kernel(monkeypatch, record) -> None:
-    """Call ``record(problems)`` with the ``(N, index, shift)`` problems of each kernel call
-    of :mod:`semidw.radii`: the memo's stacked calls and the single calls (dw slices,
-    ``numrange_distance``), which give a list of one."""
+    """Call ``record(problems)`` with the problems of each kernel call of :mod:`semidw.radii`:
+    the memo's stacked calls and the single calls of ``numrange_distance``, which give a
+    list of one. A problem is ``(N, index, shift)``, or ``(N, index, shift, start)`` with
+    a start angle (the later slices of a dw bracket)."""
     from semidw import radii
 
     def stacked(problems, _kernel=radii.rotated_eig_max_stack):

@@ -12,7 +12,9 @@ fixture does not depend on the bench code that drew them, and the JSON of
 ``verify_all`` on ``(A, X)``, of ``pair_report`` on ``(A, X, Y)`` where a ``Y`` is
 drawn, and of ``semidw exact`` on the ``pair-blocks`` instances.
 ``tests/test_fixture.py`` checks the package against it. A change that moves a
-value regenerates the file with this script and states the largest move.
+value regenerates the file with this script and states the largest move: before it
+writes, the script prints, against the fixture on disk, the largest relative move of
+each JSON key and every report whose dw bracket no longer meets its stored one.
 """
 
 from __future__ import annotations
@@ -59,6 +61,61 @@ def entry_outputs(entry: dict) -> dict:
     return out
 
 
+def _moves(old, new, key: str, out: dict, scale: float = 0.0) -> None:
+    """Fold into ``out`` the largest relative move of each key's numbers, scaled as
+    ``tests/test_fixture.py`` compares them: a list's numbers count under its key,
+    relative to its largest entry, and a gap relative to its record's value and dw."""
+    if isinstance(old, dict):
+        floor = max((abs(old[k]) for k in ("value", "dw") if isinstance(old.get(k), float)),
+                    default=0.0)
+        for sub in old.keys() & new.keys():
+            _moves(old[sub], new[sub], sub, out, floor if sub == "gap" else 0.0)
+    elif isinstance(old, list):
+        floor = max((abs(x) for x in old if isinstance(x, float)), default=0.0)
+        for o, n in zip(old, new):
+            _moves(o, n, key, out, max(scale, floor))
+    elif isinstance(old, (int, float)) and not isinstance(old, bool) and old != new:
+        move = abs(new - old) / max(abs(old), abs(new), scale)
+        out[key] = max(out.get(key, 0.0), move)
+
+
+def _brackets(entry: dict) -> dict:
+    """The dw brackets of one entry's reports, by report."""
+    out = {key: (entry[key]["reference_dw"], entry[key]["reference_dw_upper"])
+           for key in ("verify", "pair") if key in entry}
+    for label in ("identity", "zero"):
+        bracket = entry.get("exact", {}).get(f"oracle_{label}_block")
+        if bracket:
+            out[f"exact.{label}"] = (bracket["value"], bracket["value"] + bracket["residual"])
+    return out
+
+
+def report_moves(entries: list) -> None:
+    """Print the moves of ``entries`` against the fixture on disk, if there is one."""
+    if not FIXTURE.exists():
+        return
+    stored = {(e["workload"], e["k"]): e for e in json.loads(FIXTURE.read_text())["entries"]}
+    moves: dict = {}
+    apart = []
+    for entry in entries:
+        old = stored.get((entry["workload"], entry["k"]))
+        if old is None:
+            continue
+        _moves(old, entry, "", moves)
+        new_brackets = _brackets(entry)
+        for key, (lo, hi) in _brackets(old).items():
+            new_lo, new_hi = new_brackets.get(key, (lo, hi))
+            if new_lo > hi or new_hi < lo:
+                apart.append(f"{entry['workload']}-{entry['k']} {key}: [{new_lo!r}, {new_hi!r}]"
+                             f" does not meet [{lo!r}, {hi!r}]")
+    print("largest relative move per key against the stored fixture:")
+    for key, move in sorted(moves.items(), key=lambda item: -item[1]):
+        print(f"  {key:24s} {move:.3g}")
+    print(f"{len(apart)} dw brackets do not meet their stored brackets")
+    for line in apart:
+        print(f"  {line}")
+
+
 def main() -> int:
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
@@ -75,6 +132,7 @@ def main() -> int:
                 entry["Y"] = jsonio.matrix_to_dict(inst.y)
             entry.update(entry_outputs(entry))
             entries.append(entry)
+    report_moves(entries)
     FIXTURE.parent.mkdir(exist_ok=True)
     # one entry per line: a moved value shows as its entry's line in a diff
     lines = ",\n".join(json.dumps(e, sort_keys=True, allow_nan=False) for e in entries)

@@ -149,7 +149,7 @@ def test_lower_crawford_runs_no_kernel_on_abs_sq(monkeypatch):
 
     calls = []
     hook_kernel(monkeypatch, lambda problems: calls.extend(
-        (index, n_mat.tobytes()) for n_mat, index, _ in problems))
+        (index, n_mat.tobytes()) for n_mat, index, *_ in problems))
     rng = np.random.default_rng(2)
     m = random_metric(rng, 4, 3)
     t = random_bounded_operator(rng, m)
@@ -824,7 +824,7 @@ def test_reports_run_each_angle_kernel_once(monkeypatch):
 
     def counted(problems):
         calls.extend((index, None if shift is None else shift.tobytes(), n_mat.shape,
-                      n_mat.tobytes()) for n_mat, index, shift in problems)
+                      n_mat.tobytes()) for n_mat, index, shift, *_ in problems)
 
     hook_kernel(monkeypatch, counted)
     rng = np.random.default_rng(11)
@@ -872,6 +872,9 @@ def test_reports_make_one_kernel_call_before_their_dw_slices(monkeypatch):
         assert max(len(problems) for problems in later) == brackets
         assert all(index == -1 and shift is not None
                    for problems in later for _, index, shift, *_ in problems)
+        # each bracket's first slice starts cold, every later one at a neighbour's maximizer
+        starts = [start for problems in later for *_, start in problems]
+        assert starts.count(None) == brackets and len(starts) > brackets
         for problems in log[1:]:
             if problems[0][0].shape[0] == 2 * m.rank:
                 assert len(problems) == 1

@@ -536,3 +536,97 @@ def test_stack_of_nothing_and_of_zero_problems():
     out = rotated_eig_max_stack([(zero, -1, None), (zero, 0, None)])
     assert [o[:3] for o in out] == [(0.0, 0.0, 0)] * 2
 
+
+
+def _curve(n_mat, index, shift, thetas):
+    k_mat = 0.0 if shift is None else shift
+    return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas) + k_mat)[:, index]
+
+
+def _grid_starts(n_mat, index, shift, theta):
+    """``(local, minimum)`` on a 4096-angle grid of the eigenvalue curve: the best strict
+    local maximum away from ``theta`` (None if there is none) and the lowest angle."""
+    thetas = np.linspace(0.0, 2.0 * np.pi, 4096, endpoint=False)
+    vals = _curve(n_mat, index, shift, thetas)
+    peak = (vals > np.roll(vals, 1)) & (vals > np.roll(vals, -1))
+    far = np.abs(np.angle(np.exp(1j * (thetas - theta)))) > 0.1
+    cands = np.flatnonzero(peak & far)
+    local = float(thetas[cands[np.argmax(vals[cands])]]) if cands.size else None
+    return local, float(thetas[np.argmin(vals)])
+
+
+def _kinks(n_mat, index, shift):
+    """The angles where two eigenvalues of ``Re(e^{i theta} N) + K`` cross at eigenvalue
+    ``index``, for a normal N and K = N*N or 0: with ``N = sum mu_j q_j q_j*`` they are
+    ``f_j(theta) = Re(e^{i theta} mu_j) + |mu_j|^2 [K]``, and ``f_j = f_k`` is one cosine."""
+    mu = np.linalg.eigvals(n_mat)
+    lift = np.abs(mu) ** 2 if shift is not None else np.zeros(mu.size)
+    out = []
+    for j in range(mu.size):
+        for k in range(j):
+            d = mu[j] - mu[k]
+            c = lift[k] - lift[j]
+            if abs(d) > 1e-9 and abs(c) < abs(d):
+                for sgn in (1.0, -1.0):
+                    theta = -np.angle(d) + sgn * np.arccos(c / abs(d))
+                    f = (np.exp(1j * theta) * mu).real + lift
+                    if abs(np.sort(f)[index] - f[j]) <= 1e-9 * (1.0 + np.abs(f).max()):
+                        out.append(float(theta))
+    return out
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5, 8])
+def test_warm_starts_reach_the_cold_maximum(r):
+    # a start angle and its antipode replace the start grid; from the cold maximizer, its
+    # antipode, a non-global local maximum, the curve's minimum, a kink of a normal N or
+    # an angle outside [0, 2 pi) the kernel still returns the cold maximum, attained at
+    # its angle
+    rng = np.random.default_rng(500 + r)
+    eps = np.finfo(float).eps
+    tried = set()
+    for name, n_mat in _families(rng, r):
+        for shift in (None, gram_herm(n_mat)):
+            scale = max(np.linalg.norm(n_mat), 0.0 if shift is None else np.linalg.norm(shift))
+            for index in (0, -1):
+                theta, value = rotated_eig_max_stack([(n_mat, index, shift)])[0][:2]
+                local, minimum = _grid_starts(n_mat, index, shift, theta)
+                starts = {"cold": theta, "antipode": theta + np.pi, "-pi": -np.pi,
+                          "7 pi": 7.0 * np.pi, "local": local, "minimum": minimum}
+                if name == "normal":
+                    starts.update((f"kink {k}", t)
+                                  for k, t in enumerate(_kinks(n_mat, index, shift)))
+                for kind, start in starts.items():
+                    if start is None:
+                        continue
+                    tried.add(kind.split()[0])
+                    label = (name, shift is not None, index, kind)
+                    got_theta, got, evals, lam, _ = rotated_eig_max_stack(
+                        [(n_mat, index, shift, start)])[0]
+                    assert abs(got - value) <= 4 * eps * (scale + abs(value)), label
+                    attained = _curve(n_mat, index, shift, np.array([got_theta]))[0]
+                    assert abs(got - attained) <= 4 * eps * (scale + abs(value)), label
+                    assert abs(lam[index] - got) <= 4 * eps * (scale + abs(value)), label
+                    assert 0.0 <= got_theta < 2.0 * np.pi and (evals >= 2 or scale == 0.0), label
+    assert tried == {"cold", "antipode", "-pi", "7", "local", "minimum", "kink"} or r == 1
+
+
+@pytest.mark.parametrize("r", [1, 2, 3, 5])
+def test_warm_problems_in_a_stack_are_their_stacks_of_one(r, monkeypatch):
+    # warm and cold problems mixed in one stack give, bit for bit, their stacks of one,
+    # in the same number of pencils, and permuting the stack permutes the outputs
+    rng = np.random.default_rng(600 + r)
+    problems = _stack_problems(rng, r)
+    starts = rng.uniform(-np.pi, 3.0 * np.pi, len(problems))
+    problems = [p + (float(s),) if k % 3 else p
+                for k, (p, s) in enumerate(zip(problems, starts))]
+    pencils = _counted_pencils(monkeypatch)
+    singles = [rotated_eig_max_stack([problem])[0] for problem in problems]
+    single_pencils = len(pencils)
+    pencils.clear()
+    stacked = rotated_eig_max_stack(problems)
+    assert len(pencils) == single_pencils
+    for k, (got, want) in enumerate(zip(stacked, singles)):
+        assert _same_bits(got, want), k
+    for perm in (rng.permutation(len(problems)), np.arange(len(problems))[::-1]):
+        for k, got in zip(perm, rotated_eig_max_stack([problems[k] for k in perm])):
+            assert _same_bits(got, singles[k]), k

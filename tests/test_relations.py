@@ -12,7 +12,8 @@ so it is checked at rounding scale, relative ``RTOL``:
   ``w(N - l)^2 >= w^2 - 2||R|| + |l|^2`` with ``R = Re(conj(l) N)``);
 * ``buzano-square-upper >= sandwich-upper``, by Buzano's ``w^2 <= (w(T^2) + ||T||^2) / 2``;
 * each product Crawford lower record is at most its non-product form, by
-  ``2ab <= a^2 + b^2``.
+  ``2ab <= a^2 + b^2``;
+* ``sup_w / sqrt(2) <= lambda-real-upper <= sup_w``, theta-sweep's ``sup_w``.
 """
 
 import numpy as np
@@ -121,3 +122,30 @@ def test_product_crawford_lower_at_most_non_product():
         for plain in ("lower-crawford-radius", "lower-crawford-norm"):
             bound = _record(records, plain)
             assert _record(records, f"{plain}-product") <= bound * (1.0 + RTOL), (m.rank, plain)
+
+
+def test_lambda_real_upper_between_sup_w_over_root2_and_sup_w():
+    """``sup_w / sqrt(2) <= lambda-real-upper <= sup_w``, ``sup_w`` theta-sweep's param.
+
+    With ``C_th = cos(th) H + sin(th) J`` and ``G = |T|^2 >= 0``, ``C_{th+pi} = -C_th``
+    gives ``||C_th - G|| = ||C_{th+pi} + G||``, so the lambda-real member (the record's
+    lambda = 0 member) is ``(rho(th)^2 + rho(th+pi)^2) / 2`` with ``rho(th) = ||C_th + G||
+    = max(lambda_max(C_th + G), lambda_max(C_{th+pi} - G))``. As ``C - G <= C + G``,
+    ``rho(th) <= sup_w``, so every member is at most ``sup_w^2``; at the angle of
+    ``sup_w``, ``rho >= sup_w`` and the member is at least ``sup_w^2 / 2``. The record
+    is the square root of the members' supremum. Both ends are sharp: at r = 1, with
+    ``a = |N|``, the ratio is ``sqrt(1 + a^2) / (1 + a)``, ``1 / sqrt(2)`` at a = 1 and
+    near 1 for a near 0 or large.
+    """
+    rng = np.random.default_rng(83)
+    for k in range(210):
+        r = 1 + k % 6
+        m = random_metric(rng, r + k % 2, r)
+        t = random_bounded_operator(rng, m) * 10.0 ** rng.uniform(-2.0, 2.0)
+        sup_w = sd.upper_theta_sweep(m, t, reference=1.0).params["sup_w"]
+        real = sd.upper_lambda_theta(m, t, reference=1.0).value
+        assert sup_w / np.sqrt(2.0) <= real * (1.0 + RTOL), (k, sup_w, real)
+        assert real <= sup_w * (1.0 + RTOL), (k, sup_w, real)
+        if r == 1:
+            a = abs(compress(m, t)[0, 0])
+            assert real == pytest.approx(sup_w * np.sqrt(1.0 + a * a) / (1.0 + a), rel=1e-13)
