@@ -687,11 +687,11 @@ def exact_checks(m: Metric, x, tol: float | None = None):
     n_x = compress(m, x)
     zero = np.zeros_like(n_x)
     inst = _Instance(tol=tol)
-    closed = [_lift(m, inst.memo.estimate(core, n_x, "exact_svd")) for core in (_ix_core, _0x_core)]
+    forms = [_lift(m, inst.memo.estimate(core, n_x, "exact_svd")) for core in (_ix_core, _0x_core)]
     blocks = [_block(top, n_x, zero, zero) for top in (np.eye(m.rank), zero)]
     inst.memo.fill([(_dw_core, blk) for blk in blocks])
     out = []
-    for label, closed, blk in zip(("identity", "zero"), closed, blocks):
+    for label, closed, blk in zip(("identity", "zero"), forms, blocks):
         bracket = inst.memo.dw(blk)
         out.append((label, closed, bracket, inst.record(
             blk, f"{label} block exact", f"{label}-block-exact", "exact", closed.value,
