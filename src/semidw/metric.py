@@ -164,21 +164,38 @@ def semi_norm_vec(m: Metric, x) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _bounded_product(m: Metric, arr: np.ndarray) -> tuple[np.ndarray, float]:
-    """``S = diag(sqrt(lambda)) B* T = B* A^{1/2} T`` and ``||S - S B B*|| / (1 + ||S||)``.
+def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(z / top, top)``, ``top`` the largest ``|z_ij|`` (z itself where top is 0 or inf).
 
-    The norms are those of ``U = S / top``, ``top`` the largest ``|S_ij|`` or 1 if that
-    is larger, and the residual is ``||U - U B B*|| / (1 / top + ||U||)``:
-    ``np.linalg.norm`` squares the entries, which overflows above about 1.3e154. An S
-    that itself overflowed has no residual (nan, rejected).
+    The real and imaginary parts are divided apart: numpy's complex division by a
+    subnormal ``top`` overflows.
+    """
+    top = float(np.abs(z).max(initial=0.0))
+    return (z.real / top + 1j * (z.imag / top) if 0.0 < top < np.inf else z), top
+
+
+def _bounded_product(m: Metric, arr: np.ndarray) -> tuple[np.ndarray, float]:
+    """``S = diag(sqrt(lambda)) B* T = B* A^{1/2} T`` and ``||S - S B B*||_F / (||A^{1/2}||_2
+    ||T||_F)``.
+
+    The residual is relative to the scale of the product's inputs, which bounds both
+    ``||S||_F`` and the rounding of ``S - S B B*``; so it does not depend on the scale
+    of T, and an operator that is not A-bounded is rejected however small it is. The
+    norms are those of S and T each divided by its largest entry (:func:`_scaled`):
+    ``np.linalg.norm`` squares the entries, which overflow above about 1.3e154 and
+    underflow below about 1e-154. An S that itself overflowed has no residual (nan,
+    rejected); a zero S (``A T = 0``, or a rank-zero A) has residual 0.
     """
     s = np.sqrt(m.eigvals[: m.rank])[:, None] * (m.basis.conj().T @ arr)
-    top = max(float(np.abs(s).max(initial=0.0)), 1.0)
+    u, top = _scaled(s)
     if not top < np.inf:
         return s, np.nan
-    u = s / top
+    if top == 0.0:
+        return s, 0.0
     res = float(np.linalg.norm(u - (u @ m.basis) @ m.basis.conj().T))
-    return s, res / (1.0 / top + float(np.linalg.norm(u)))
+    # top <= ||S||_2 <= sqrt(lambda_max) n top_t, so the ratio stays finite
+    v, top_t = _scaled(arr)
+    return s, res * (top / top_t) / (np.sqrt(m.eigvals[0]) * float(np.linalg.norm(v)))
 
 
 def a_bounded_residual(m: Metric, t) -> float:

@@ -143,15 +143,27 @@ def test_compress_rejects_nonfinite_residual():
 @pytest.mark.parametrize("scale", [1e160, 1e200, 1e300])
 def test_residual_of_huge_operators_is_scale_free(diag10, scale):
     # the norms of A^{1/2} T overflowed above ~1.3e154 (a nan residual, after an overflow
-    # warning): scaled by its largest entry, the residual is its value, here 1 (X * 1/2
-    # at scale 1), and no warning is raised
-    assert a_bounded_residual(diag10, X_MAT) == 0.5
+    # warning): scaled by its largest entry, the residual is its value, here 1 (the whole
+    # of X leaves range(A) through A^{1/2}, at every scale), and no warning is raised
+    assert a_bounded_residual(diag10, X_MAT) == 1.0
     assert a_bounded_residual(diag10, scale * X_MAT) == 1.0
     with pytest.raises(NotABounded):
         sd.compress(diag10, scale * X_MAT)
     bounded = scale * np.array([[1.0, 0.0], [2.0, 0.0]])
     assert a_bounded_residual(diag10, bounded) == 0.0
     assert sd.compress(diag10, bounded)[0, 0] == scale
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-9, 1e-12, 1e-300, 1e-320])
+def test_residual_of_tiny_operators_is_scale_free(diag10, scale):
+    # relative to 1 + ||A^{1/2} T||, every operator with ||A^{1/2} T|| below BOUNDED_TOL
+    # passed as A-bounded: X maps the null space of A onto its range, at every scale
+    assert a_bounded_residual(diag10, scale * X_MAT) == 1.0
+    with pytest.raises(NotABounded):
+        sd.compress(diag10, scale * X_MAT)
+    bounded = scale * np.array([[1.0, 0.0], [2.0, 0.0]])
+    assert a_bounded_residual(diag10, bounded) == 0.0
+    assert sd.compress(diag10, bounded)[0, 0] == scale
+
 
 def _random_psd(rng, n, rank):
     g = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
