@@ -14,9 +14,10 @@ and builds every estimate. A public evaluator compresses its operands, checks
 their norms against ``NORM_MAX`` and runs its body on a fresh instance
 (:func:`_evaluate`); a report runs every body on one memo, which it first fills
 with every kernel-backed value its bodies read (``w``, ``c`` and theta-sweep's
-supremum, :func:`_catalog_cores` and :func:`_pair_cores`), solved in one stacked
-kernel call (:meth:`semidw.radii._Memo.fill`), and then with the dw brackets of its
-matrix and operands, whose slices run in lockstep.
+supremum, :func:`_catalog_cores` and :func:`_pair_cores`) and the ``w`` and pi/4
+lines of every dw bracket it reads, solved in one stacked kernel call per order, and
+then with those brackets (its matrix's, its operands' and the offdiag block's), whose
+slices run in lockstep (:meth:`semidw.radii._Memo.fill_dw`).
 
 Angle suprema of one eigenvalue (``w``, ``c`` and the theta-sweep bound) come
 from the level-set kernel :func:`semidw._optim.rotated_eig_max`, whose value is
@@ -41,8 +42,8 @@ from ._optim import START_ANGLES, gram_herm, herm_parts, newton_max_lockstep
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _ix_core
 from .metric import Metric, as_operator, compress
-from .radii import (_check_norm, _crawford_core, _dw_core, _lift, _Memo, _min_modulus_core,
-                    _seminorm_core, _w_core, form_values)
+from .radii import (_check_norm, _crawford_core, _lift, _Memo, _min_modulus_core,
+                    _seminorm_core, _theta_sweep_core, _w_core, form_values)
 
 LAMBDA_GRID_POINTS = 41
 #: angle grid of the lambda-real member (even: a grid angle plus pi is one too)
@@ -354,19 +355,10 @@ def lower_crawford(m: Metric, t, reference=None, tol: float | None = None):
 # theta-sweep upper bound
 
 
-def _theta_sweep_core(n_mat: np.ndarray, memo: _Memo):
-    """``sup_w = max_psi lambda_max(Re(e^{i psi} N) + G)``, ``G = N*N``: one kernel call,
-    yielded to :meth:`semidw.radii._Memo.fill`. Returns ``(sup_w, top eigenvector,
-    angles evaluated, |lambda_max - sup_w|)``, the last the kernel's two solvers'
-    disagreement at psi."""
-    _, sup_w, evals, lam, vecs = yield n_mat, -1, gram_herm(n_mat)
-    return sup_w, vecs[:, -1], evals, abs(lam[-1] - sup_w)
-
-
 def _upper_theta_sweep(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     if not n_mat.size:
         return inst.record(n_mat, "theta sweep upper", "theta-sweep-upper", "upper", 0.0)
-    sup_w, _, evals, _ = inst.memo.run(_theta_sweep_core, n_mat)
+    sup_w, _, evals, *_ = inst.memo.run(_theta_sweep_core, n_mat)
     c_val = inst.memo.value(_crawford_core, n_mat)
     m_val = inst.memo.value(_min_modulus_core, n_mat)
     value = _sqrt0(sup_w ** 2 - 2.0 * c_val * m_val ** 2)
@@ -381,9 +373,10 @@ def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None) ->
     The inner supremum decouples exactly: compress(|T|^2_A) = G = N*N is
     Hermitian PSD, so sup_theta w(...) = max_psi lambda_max(Re(e^{i psi}N) + G),
     one call of the level-set kernel with shift G (the memo core
-    ``_theta_sweep_core``); its value is attained and converged to rounding, so
-    nothing is under-resolved before the subtraction. ``grid`` is the kernel's start
-    grid and ``evals`` its angle count.
+    :func:`semidw.radii._theta_sweep_core`); its value is attained and converged to
+    rounding, so nothing is under-resolved before the subtraction. ``grid`` is the
+    kernel's start grid and ``evals`` its angle count. The same core is the pi/4 slice
+    ``sup_w / sqrt(2)`` of the dw bracket, which a report's memo shares.
     """
     return _evaluate(_upper_theta_sweep, m, (t,), reference, tol)
 
@@ -679,17 +672,19 @@ def exact_checks(m: Metric, x, tol: float | None = None):
     """Closed-form dw of [[I,X],[O,O]] and [[O,X],[O,O]], each an "exact" record.
 
     Compresses X once; both closed forms and the returned ``||X||_A`` read one
-    memoized ``_seminorm_core(N_X)``, and then the two brackets run in lockstep.
-    Returns ``||X||_A`` and ``(label, closed, bracket, record)`` per block;
-    ``bracket`` is the dw bracket ``[value, value + residual]`` of the compressed
-    block ``[[I_r or 0, N_X], [0, 0]]``.
+    memoized ``_seminorm_core(N_X)``. Then both blocks' ``||.||_A`` are checked
+    against ``NORM_MAX``, one stacked kernel call solves their ``w`` end lines and
+    pi/4 slices, and the two brackets run in lockstep
+    (:meth:`semidw.radii._Memo.fill_dw`). Returns ``||X||_A`` and ``(label, closed,
+    bracket, record)`` per block; ``bracket`` is the dw bracket ``[value, value +
+    residual]`` of the compressed block ``[[I_r or 0, N_X], [0, 0]]``.
     """
     n_x = compress(m, x)
     zero = np.zeros_like(n_x)
     inst = _Instance(tol=tol)
     forms = [_lift(m, inst.memo.estimate(core, n_x, "exact_svd")) for core in (_ix_core, _0x_core)]
     blocks = [_block(top, n_x, zero, zero) for top in (np.eye(m.rank), zero)]
-    inst.memo.fill([(_dw_core, blk) for blk in blocks])
+    inst.memo.fill_dw(blocks)
     out = []
     for label, closed, blk in zip(("identity", "zero"), forms, blocks):
         bracket = inst.memo.dw(blk)
@@ -793,29 +788,29 @@ def _sha16(arr: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
-def _report_instance(n_mat: np.ndarray, operands, tol: float | None, cores) -> _Instance:
-    """The instance of a report on ``n_mat``, judging by its dw bracket.
+def _report_instance(brackets, tol: float | None, cores) -> _Instance:
+    """The instance of a report on ``brackets[0]``, judging by its dw bracket.
 
-    ``tol`` is checked first, then ``||.||_A`` of ``n_mat`` and the operands against
-    ``NORM_MAX``: their ``NormOutOfRange`` precedes every other eigensolve, and every
-    product whose norm could overflow. Then the memo is filled with the kernel-backed
-    ``cores(n_mat, *operands)``, ``(core, matrix)`` pairs whose level-set problems are
-    solved in one stacked kernel call (:meth:`semidw.radii._Memo.fill`), and then with
-    the dw brackets of ``n_mat`` and the operands, in lockstep: each round of their
-    slices is one stacked call.
+    ``brackets`` are the compressed matrices whose dw brackets the report reads: its
+    own, then its operands' and blocks'. ``tol`` is checked first, then their
+    ``||.||_A`` against ``NORM_MAX``: their ``NormOutOfRange`` precedes every other
+    eigensolve, and every product whose norm could overflow. Then one stacked kernel
+    call solves the kernel-backed ``cores(*brackets)``, ``(core, matrix)`` pairs, with
+    each bracket's ``w`` and pi/4 lines, and the brackets run in lockstep, each round
+    of their slices one stacked call per order (:meth:`semidw.radii._Memo.fill_dw`).
     """
     inst = _Instance(tol=tol)
-    for op in (n_mat, *operands):
+    for op in brackets:
         _check_norm(inst.memo.value(_seminorm_core, op))
-    inst.memo.fill(cores(n_mat, *operands))
-    inst.memo.fill([(_dw_core, op) for op in (n_mat, *operands)])
-    est = inst.memo.dw(n_mat)
+    inst.memo.fill_dw(brackets, cores(*brackets))
+    est = inst.memo.dw(brackets[0])
     return replace(inst, reference=(est.value, est.value + est.residual))
 
 
 def _catalog_cores(n_mat: np.ndarray) -> list:
     """The kernel-backed reads of the catalog: ``w`` of N, N +- G and N^2, theta-sweep's
-    ``sup_w`` of N and ``c`` of N and N +- G (G = N*N), the matrices the bodies form."""
+    ``sup_w`` of N (the pi/4 line of N's dw bracket) and ``c`` of N and N +- G (G = N*N),
+    the matrices the bodies form."""
     gram = gram_herm(n_mat)
     plus, minus = n_mat + gram, n_mat - gram
     return [(_w_core, n_mat), (_w_core, plus), (_w_core, minus), (_w_core, n_mat @ n_mat),
@@ -823,10 +818,11 @@ def _catalog_cores(n_mat: np.ndarray) -> list:
             (_crawford_core, minus)]
 
 
-def _pair_cores(n_sum: np.ndarray, n_x: np.ndarray, n_y: np.ndarray) -> list:
-    """The kernel-backed reads of a pair report of order r: ``w`` of X + Y, X and Y (the
-    ends of their dw brackets) and of the cross term of the sum split."""
-    return [(_w_core, op) for op in (n_sum, n_x, n_y, _cross(n_x, n_y))]
+def _pair_cores(n_sum: np.ndarray, n_x: np.ndarray, n_y: np.ndarray, block: np.ndarray) -> list:
+    """The kernel-backed reads of a pair report beyond its brackets' lines: ``w`` of the
+    cross term of the sum split and of the offdiag ``block`` (the product records'
+    alpha, read even when the block is zero)."""
+    return [(_w_core, _cross(n_x, n_y)), (_w_core, block)]
 
 
 def _run(records: list[BoundRecord], ref: float, body, inst: _Instance, *args) -> None:
@@ -865,7 +861,8 @@ def pair_report(m: Metric, x, y, seed: int = 42, tol: float | None = None) -> Ve
     xa = as_operator(x, m.dim)
     ya = as_operator(y, m.dim)
     n_x, n_y, n_eye = compress(m, xa), compress(m, ya), compress(m, np.eye(m.dim))
-    inst = _report_instance(compress(m, xa + ya), (n_x, n_y), tol, _pair_cores)
+    inst = _report_instance((compress(m, xa + ya), n_x, n_y, _offdiag(n_x, n_y)), tol,
+                            _pair_cores)
     records: list[BoundRecord] = []
     for body, *args in ((_sum_upper, inst, n_x, n_y), (_feki_sum_upper, inst, n_x, n_y),
                         # the block's own dw bracket judges the offdiag record
@@ -885,7 +882,7 @@ def verify_all(m: Metric, t, seed: int = 42, tol: float | None = None) -> Verifi
     """
     arr = as_operator(t, m.dim)
     n_mat = compress(m, arr)
-    inst = _report_instance(n_mat, (), tol, _catalog_cores)
+    inst = _report_instance((n_mat,), tol, _catalog_cores)
     records: list[BoundRecord] = []
     for body in (_sandwich, _lower_crawford, _upper_theta_sweep, _cartesian_half,
                  _upper_buzano, _upper_triple, _upper_lambda_theta, _upper_lambda_complex):

@@ -113,15 +113,17 @@ class _Memo:
     """The raw core outputs of one instance, each computed once per ``(core, N)``.
 
     :meth:`run` calls ``core(N, memo)``; a core reads what it builds on through
-    ``memo.run``: :func:`_dw_core` its raw ``_seminorm_core`` and ``_w_core`` end lines
-    (phase-fixed vectors move the bracket by rounding), :func:`_crawford_core` the
-    :func:`_start_support` of N, the closed forms the top singular pair of N_X.
-    A kernel-backed core (``_w_core``, ``_crawford_core`` past its short cut, the
-    bounds' ``_theta_sweep_core``, ``_dw_core`` once per slice) is a generator: it
+    ``memo.run``: :func:`_dw_core` its raw ``_seminorm_core``, ``_w_core`` and
+    ``_theta_sweep_core`` lines (phase-fixed vectors move the bracket by rounding),
+    :func:`_crawford_core` the :func:`_start_support` of N, the closed forms the top
+    singular pair of N_X. A kernel-backed core (``_w_core``, ``_crawford_core`` past its
+    short cut, ``_theta_sweep_core``, ``_dw_core`` once per slice) is a generator: it
     yields a level-set problem ``(N, index, shift[, start])`` and is sent the
     kernel's tuple. :meth:`fill` drives many cores in lockstep, so a report that
-    names its cores up front pays the kernel's fixed costs once per round.
-    :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
+    names its cores up front pays the kernel's fixed costs once per round;
+    :meth:`fill_dw` does so for dw brackets, whose kernel-backed lines it solves
+    first, so that no bracket opens with a nested call. :meth:`estimate` alone turns a
+    raw output into a :class:`RadiusEstimate`.
     """
 
     raw: dict = field(default_factory=dict)
@@ -161,6 +163,26 @@ class _Memo:
                 for key, result in zip(keys, solved):
                     advance(key, waiting.pop(key)[0], result)
 
+    def fill_dw(self, mats, cores=()) -> None:
+        """Fill the dw brackets of ``mats`` in lockstep, after one stacked fill of ``cores``
+        and of the brackets' kernel-backed lines.
+
+        Each ``||N||_2`` is checked against ``NORM_MAX`` first, so :class:`NormOutOfRange`
+        precedes every kernel call. One :meth:`fill` then solves ``cores`` and, for each
+        nonzero N (the bracket of a zero N reads neither), the two lines that
+        :func:`_dw_core` opens with: ``_w_core`` (alpha = 0) and ``_theta_sweep_core``
+        (alpha = pi/4). A second :meth:`fill` runs the brackets, whose slices all
+        start warm.
+        """
+        lines = []
+        for n_mat in mats:
+            norm = self.value(_seminorm_core, n_mat)
+            _check_norm(norm)
+            if norm:
+                lines += [(_w_core, n_mat), (_theta_sweep_core, n_mat)]
+        self.fill([*cores, *lines])
+        self.fill([(_dw_core, n_mat) for n_mat in mats])
+
     def run(self, core, n_mat: np.ndarray):
         """The raw output of ``core`` on ``n_mat``, computed on the first call."""
         key = (core, n_mat.shape, n_mat.tobytes())
@@ -186,7 +208,9 @@ class _Memo:
                               float(residual))
 
     def dw(self, n_mat: np.ndarray) -> RadiusEstimate:
-        """The dw bracket ``[value, value + residual]`` of ``n_mat``, as :func:`dw_radius`."""
+        """The dw bracket ``[value, value + residual]`` of ``n_mat``, as :func:`dw_radius`;
+        through :meth:`fill_dw` unless it is held."""
+        self.fill_dw([n_mat])
         return self.estimate(_dw_core, n_mat, "dw_shell")
 
 
@@ -455,17 +479,32 @@ def _check_norm(norm: float) -> None:
                              "and its bounds leave the floating-point range")
 
 
+def _theta_sweep_core(n_mat: np.ndarray, memo: _Memo):
+    """``sup_w = max_psi lambda_max(Re(e^{i psi} N) + G)``, ``G = N*N``: one kernel problem,
+    yielded to :meth:`_Memo.fill`.
+
+    theta-sweep's supremum, and the pi/4 slice of :func:`_dw_core`'s support function,
+    ``h(pi/4) = sup_w / sqrt(2)``. Returns ``(sup_w, top eigenvector, angles evaluated,
+    |lambda_max - sup_w|, psi)``: psi is the maximizer angle, where the fourth is the
+    disagreement of the kernel's two solvers, and the bracket's warm start.
+    """
+    psi, sup_w, evals, lam, vecs = yield n_mat, -1, gram_herm(n_mat)
+    return sup_w, vecs[:, -1], evals, abs(lam[-1] - sup_w), psi
+
+
 def _dw_core(n_mat: np.ndarray, memo: _Memo):
     """Bracket ``[lower, upper]`` of ``dw(N) = max |p|`` over ``S = {(|c* N c|, c* G c)}``.
 
     ``G = N*N``, c unit. S lies in the positive quadrant, so dw is the farthest
     point of ``conv S``, whose support function at ``u(alpha) = (cos alpha,
     sin alpha)``, alpha in [0, pi/2], is one level-set kernel problem, the slice
-    ``max_theta lambda_max(cos alpha Re(e^{i theta} N) + sin alpha G)``
-    (Davis-Wielandt shell: Li-Poon-Sze, Oper. Matrices 2 (2008)); at the ends
-    it is ``||N||_2^2`` and ``w(N)`` (the memoized ``_seminorm_core`` and
-    ``_w_core``; ``_w_core`` runs only past the ``NORM_MAX`` and zero checks).
-    Inner and outer polygons (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)):
+    ``h(alpha) = max_theta lambda_max(cos alpha Re(e^{i theta} N) + sin alpha G)``
+    (Davis-Wielandt shell: Li-Poon-Sze, Oper. Matrices 2 (2008)). The bracket opens
+    with three lines, read from the memo past the ``NORM_MAX`` and zero checks:
+    ``h(0) = w(N)`` (``_w_core``), ``h(pi/4) = sup_w / sqrt(2)`` (``_theta_sweep_core``,
+    whose top eigenvector gives the point) and ``h(pi/2) = ||N||_2^2``
+    (``_seminorm_core``); :meth:`_Memo.fill_dw` solves the first two ahead of the
+    bracket. Inner and outer polygons (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)):
     the lower end is the largest ``|p|`` over the support points, each the point
     of the kernel's top eigenvector at its maximizer (the witness); the upper
     end is the farthest vertex of the
@@ -474,15 +513,15 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
     3.1 such units below attained points). The next line is at the angle of
     the farthest vertex, else of the best point.
 
-    Stops at ``upper - lower <= DW_RTOL (1 + upper)``, when no angle is new,
-    or after ``DW_MAX_DIRECTIONS`` slices; where S osculates the circle
-    ``|p| = dw`` (N nilpotent 2x2, ``||N||_2 = 1/sqrt(2)``) the polygon closes
-    slowly and the cap leaves a width near 2e-7 dw. A generator core: it yields
+    Stops at ``upper - lower <= DW_RTOL (1 + upper)``, when no angle is new, or
+    after ``DW_MAX_DIRECTIONS`` slices, the pi/4 line among them; where S osculates
+    the circle ``|p| = dw`` (N nilpotent 2x2, ``||N||_2 = 1/sqrt(2)``) the polygon
+    closes slowly and the cap leaves a width near 1e-7 dw. A generator core: it yields
     each slice ``(cos alpha N, -1, sin alpha G, start)`` to :meth:`_Memo.fill`, so
-    the brackets of one fill share its kernel calls. The first slice starts cold
-    (``start`` None); every later one starts at the maximizer angle of the solved
-    slice nearest to it in alpha. Returns ``(lower, c, slices, upper - lower)``;
-    raises :class:`NormOutOfRange` above ``NORM_MAX``.
+    the brackets of one fill share its kernel calls. Every slice starts warm, at the
+    maximizer angle of the solved slice nearest to it in alpha (pi/4's is theta-sweep's
+    psi). Returns ``(lower, c, slices, upper - lower)``; raises :class:`NormOutOfRange`
+    above ``NORM_MAX``.
     """
     norm = memo.run(_seminorm_core, n_mat)
     _check_norm(norm[0])
@@ -491,7 +530,6 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
     gram = gram_herm(n_mat)
     pad = DW_PAD_ULPS * n_mat.shape[0] * np.finfo(float).eps * (norm[0] + norm[0] ** 2)
     alphas, offsets, points, vecs = [], [], [], []
-    thetas: dict = {}  # alpha -> the maximizer angle of its slice
 
     def add(alpha: float, value: float, x: np.ndarray) -> None:
         p = np.array([abs(_form(n_mat, x)), _form(gram, x).real])
@@ -502,8 +540,11 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
         vecs.append(x)
 
     add(0.0, *memo.run(_w_core, n_mat)[:2])
+    sup_w, top, _, _, psi = memo.run(_theta_sweep_core, n_mat)
+    add(0.25 * np.pi, np.sqrt(0.5) * sup_w, top)
     add(0.5 * np.pi, norm[0] ** 2, norm[1])
-    for calls in range(DW_MAX_DIRECTIONS + 1):
+    thetas = {0.25 * np.pi: psi}  # alpha -> the maximizer angle of its slice
+    for calls in range(1, DW_MAX_DIRECTIONS + 1):  # the pi/4 line is the first slice
         order = np.argsort(alphas)
         a, h = np.asarray(alphas)[order], np.asarray(offsets)[order]
         step = np.diff(a)
@@ -523,9 +564,9 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
         if not fresh:
             break
         alpha = fresh[0]
-        near = min(thetas, key=lambda a: abs(a - alpha), default=None)
+        start = thetas[min(thetas, key=lambda a: abs(a - alpha))]
         thetas[alpha], value, _, _, slice_vecs = yield (
-            np.cos(alpha) * n_mat, -1, np.sin(alpha) * gram, thetas.get(near))
+            np.cos(alpha) * n_mat, -1, np.sin(alpha) * gram, start)
         add(alpha, value, slice_vecs[:, -1])
     return lower, vecs[best], calls, upper - lower
 
@@ -534,7 +575,9 @@ def dw_radius(m: Metric, t, seed: int = DEFAULT_SEED) -> RadiusEstimate:
     """A-Davis-Wielandt radius ``dw_A(T)``: the lower end of the :func:`_dw_core` bracket.
 
     ``value`` is attained at the witness, ``residual`` is the bracket width
-    (``dw_A(T) <= value + residual``) and ``iterations`` counts the slices. The
+    (``dw_A(T) <= value + residual``) and ``iterations`` counts the slices, the pi/4
+    line among them. After the norm and zero checks one stacked kernel call solves the
+    ``w`` and pi/4 lines, then the bracket runs (:meth:`_Memo.fill_dw`). The
     bracket is deterministic: ``seed`` is accepted so that call forms keep working,
     and unused. Raises :class:`NormOutOfRange` when
     ``||T||_A > NORM_MAX``.
@@ -547,13 +590,13 @@ def estimates(m: Metric, t) -> dict[str, RadiusEstimate]:
 
     Each estimate equals that of its public function (``seminorm`` is
     :func:`op_seminorm`'s, ``dw_radius`` is :func:`dw_radius`'s); ``w_A`` and
-    ``||T||_A`` are computed once for their own estimates and the dw end lines, and
-    the kernel problems of ``w_A`` and ``c_A`` are solved in one stacked call, after
-    ``||T||_A`` is checked: :class:`NormOutOfRange` above ``NORM_MAX``, as for ``dw_A``.
+    ``||T||_A`` are computed once for their own estimates and the dw end lines.
+    After ``||T||_A`` is checked (:class:`NormOutOfRange` above ``NORM_MAX``, as for
+    ``dw_A``), the kernel problems of ``w_A``, ``c_A`` and the dw bracket's pi/4 slice
+    are solved in one stacked call, and then the bracket (:meth:`_Memo.fill_dw`).
     """
     n_mat, memo = compress(m, t), _Memo()
-    _check_norm(memo.value(_seminorm_core, n_mat))
-    memo.fill([(_w_core, n_mat), (_crawford_core, n_mat)])
+    memo.fill_dw([n_mat], [(_w_core, n_mat), (_crawford_core, n_mat)])
     cores = (("seminorm", _seminorm_core, "exact_svd"),
              ("min_modulus", _min_modulus_core, "exact_svd"),
              ("numerical_radius", _w_core, "theta_sweep"),

@@ -259,7 +259,7 @@ def hook_kernel(monkeypatch, record) -> None:
     """Call ``record(problems)`` with the problems of each kernel call of :mod:`semidw.radii`:
     the memo's stacked calls and the single calls of ``numrange_distance``, which give a
     list of one. A problem is ``(N, index, shift)``, or ``(N, index, shift, start)`` with
-    a start angle (the later slices of a dw bracket)."""
+    a start angle (the slices of a dw bracket)."""
     from semidw import radii
 
     def stacked(problems, _kernel=radii.rotated_eig_max_stack):

@@ -14,7 +14,9 @@ drawn, and of ``semidw exact`` on the ``pair-blocks`` instances.
 ``tests/test_fixture.py`` checks the package against it. A change that moves a
 value regenerates the file with this script and states the largest move: before it
 writes, the script prints, against the fixture on disk, the largest relative move of
-each JSON key and every report whose dw bracket no longer meets its stored one.
+each JSON key and every report whose dw bracket no longer meets its stored one. Both
+brackets are certified, so such a miss is a bug: the script then exits 1 and writes
+nothing.
 """
 
 from __future__ import annotations
@@ -90,10 +92,11 @@ def _brackets(entry: dict) -> dict:
     return out
 
 
-def report_moves(entries: list) -> None:
-    """Print the moves of ``entries`` against the fixture on disk, if there is one."""
+def report_moves(entries: list) -> int:
+    """Print the moves of ``entries`` against the fixture on disk, if there is one, and
+    return the number of dw brackets that do not meet their stored ones."""
     if not FIXTURE.exists():
-        return
+        return 0
     stored = {(e["workload"], e["k"]): e for e in json.loads(FIXTURE.read_text())["entries"]}
     moves: dict = {}
     apart = []
@@ -114,6 +117,7 @@ def report_moves(entries: list) -> None:
     print(f"{len(apart)} dw brackets do not meet their stored brackets")
     for line in apart:
         print(f"  {line}")
+    return len(apart)
 
 
 def main() -> int:
@@ -132,7 +136,10 @@ def main() -> int:
                 entry["Y"] = jsonio.matrix_to_dict(inst.y)
             entry.update(entry_outputs(entry))
             entries.append(entry)
-    report_moves(entries)
+    if report_moves(entries):
+        print(f"not written: certified brackets cannot miss each other; {FIXTURE} is unchanged",
+              file=sys.stderr)
+        return 1
     FIXTURE.parent.mkdir(exist_ok=True)
     # one entry per line: a moved value shows as its entry's line in a diff
     lines = ",\n".join(json.dumps(e, sort_keys=True, allow_nan=False) for e in entries)

@@ -818,33 +818,42 @@ def test_reports_run_each_core_once_per_matrix(monkeypatch):
 
 
 def test_reports_run_each_angle_kernel_once(monkeypatch):
-    from semidw import bounds
+    # no entry point solves a kernel problem twice, nor a scaled copy of one: the dw
+    # bracket reads its pi/4 line from theta-sweep's (N, -1, N*N) problem, whose slice
+    # (N, -1, N*N) / sqrt(2) it would otherwise solve again
+    from semidw import bounds, radii
 
     calls = []
-
-    def counted(problems):
-        calls.extend((index, None if shift is None else shift.tobytes(), n_mat.shape,
-                      n_mat.tobytes()) for n_mat, index, shift, *_ in problems)
-
-    hook_kernel(monkeypatch, counted)
+    hook_kernel(monkeypatch, calls.extend)
     rng = np.random.default_rng(11)
     for m in _seeded_metrics()[:2]:
         x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
         for run in (lambda: bounds.verify_all(m, x, seed=3),
-                    lambda: bounds.pair_report(m, x, y, seed=3)):
+                    lambda: bounds.pair_report(m, x, y, seed=3),
+                    lambda: radii.dw_radius(m, x), lambda: radii.estimates(m, x),
+                    lambda: bounds.exact_checks(m, x)):
             calls.clear()
             run()
             assert calls
-            assert len(set(calls)) == len(calls)
+            keys = [(index, None if shift is None else shift.tobytes(), n_mat.shape,
+                     n_mat.tobytes()) for n_mat, index, shift, *_ in calls]
+            assert len(set(keys)) == len(keys)
+            units = [(index, np.concatenate([n_mat.ravel(), shift.ravel()]))
+                     for n_mat, index, shift, *_ in calls if shift is not None]
+            units = [(index, v / np.linalg.norm(v)) for index, v in units]
+            for i, (index, v) in enumerate(units):
+                assert not any(index == other and v.shape == u.shape
+                               and np.linalg.norm(v - u) <= 1e-12 for other, u in units[:i])
 
 
 def test_reports_make_one_kernel_call_before_their_dw_slices(monkeypatch):
-    # every kernel-backed read of the catalog (w of N, N +- G, N^2; theta-sweep; c of N,
-    # N +- G past the short cut) and of a pair report (w of X + Y, X, Y and the cross
-    # term) is solved in one stacked call; the dw brackets of the report's matrix and its
-    # operands then run in lockstep, so every later call of order r holds at most one
-    # slice per open bracket, and the pair's three brackets share some call. The offdiag
-    # block of order 2r is judged by its own bracket: its w, then one slice per call
+    # every kernel-backed read of a report, with the w and pi/4 lines of each dw bracket it
+    # reads, is solved in one stacked call per order: the catalog's (w of N, N +- G, N^2;
+    # theta-sweep, N's pi/4 line; c of N, N +- G past the short cut) at order r, the pair
+    # report's (w of the cross term; w and pi/4 of X + Y, X and Y) at order r and the
+    # offdiag block's (w, the product records' alpha; pi/4) at order 2r. The brackets then
+    # run in lockstep: every later call holds at most one slice per open bracket of its
+    # order, all warm-started, and the pair's three brackets of order r share some call
     from semidw import bounds, radii
 
     log, built = [], []
@@ -854,32 +863,31 @@ def test_reports_make_one_kernel_call_before_their_dw_slices(monkeypatch):
         built.append(n_mat.tobytes())
         return _core(n_mat, memo)
 
-    for module in (radii, bounds):
-        monkeypatch.setattr(module, "_dw_core", counted)
+    monkeypatch.setattr(radii, "_dw_core", counted)
     rng = np.random.default_rng(23)
     m = random_metric(rng, 4, 3)
     x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
     n_mat = compress(m, x)
     assert np.linalg.norm(n_mat @ n_mat.conj().T - n_mat.conj().T @ n_mat) > 0.1  # not normal
-    for run, least, brackets in ((lambda: bounds.verify_all(m, x, seed=3), 5, 1),
-                                 (lambda: bounds.pair_report(m, x, y, seed=3), 4, 3)):
+    r = m.rank
+    for run, brackets in ((lambda: bounds.verify_all(m, x, seed=3), {r: 1}),
+                          (lambda: bounds.pair_report(m, x, y, seed=3), {r: 3, 2 * r: 1})):
         log.clear()
         built.clear()
         run()
-        assert least <= len(log[0]) <= 8
-        later = [problems for problems in log[1:] if problems[0][0].shape[0] == m.rank]
-        assert later and all(len(problems) <= brackets for problems in later)
-        assert max(len(problems) for problems in later) == brackets
-        assert all(index == -1 and shift is not None
-                   for problems in later for _, index, shift, *_ in problems)
-        # each bracket's first slice starts cold, every later one at a neighbour's maximizer
-        starts = [start for problems in later for *_, start in problems]
-        assert starts.count(None) == brackets and len(starts) > brackets
-        for problems in log[1:]:
-            if problems[0][0].shape[0] == 2 * m.rank:
-                assert len(problems) == 1
-        # each bracket is built once, and holds its slot in the memo once
-        assert len(built) == len(set(built)) == brackets + (brackets == 3)
+        first, later = log[:len(brackets)], log[len(brackets):]
+        assert [problems[0][0].shape[0] for problems in first] == list(brackets)
+        assert 5 <= len(first[0]) <= 8
+        assert all(len(problem) == 3 for problems in first for problem in problems)
+        sweeps = [n for problems in first for n, index, shift in problems
+                  if index == -1 and shift is not None and np.array_equal(shift, gram_herm(n))]
+        assert len(sweeps) == len(built) == len(set(built)) == sum(brackets.values())
+        assert later
+        for problems in later:
+            assert len(problems) <= brackets[problems[0][0].shape[0]]
+            assert all(index == -1 and shift is not None and start is not None
+                       for _, index, shift, start in problems)
+        assert max(len(problems) for problems in later) == max(brackets.values())
 
 
 def test_lockstep_brackets_match_bracket_by_bracket_and_raise_their_checks(monkeypatch):

@@ -319,20 +319,27 @@ def test_dw_determinism(diag12):
 
 
 def test_dw_runs_w_only_when_it_reads_it(diag12, monkeypatch):
+    # the w and pi/4 lines of a bracket run past its NORM_MAX and zero checks, once each
     calls = []
+    for name in ("_w_core", "_theta_sweep_core"):
+        def counted(n_mat, memo, _core=getattr(radii, name), _name=name):
+            calls.append((_name, n_mat.tobytes()))
+            return _core(n_mat, memo)
 
-    def counted(n_mat, memo, _core=radii._w_core):
-        calls.append(n_mat.tobytes())
-        return _core(n_mat, memo)
-
-    monkeypatch.setattr(radii, "_w_core", counted)
-    assert sd.dw_radius(diag12, np.zeros((2, 2))).value == 0.0
-    assert calls == []
-    with pytest.raises(NormOutOfRange):
-        sd.dw_radius(diag12, np.array([[0.0, 2.0 * NORM_MAX], [0.0, 0.0]]))
-    assert calls == []
-    assert sd.dw_radius(diag12, Y_MAT).value == pytest.approx(SQ2, abs=1e-10)
-    assert calls == [compress(diag12, Y_MAT).tobytes()]
+        monkeypatch.setattr(radii, name, counted)
+    for run in (sd.dw_radius, radii.estimates):
+        calls.clear()
+        if run is sd.dw_radius:
+            assert run(diag12, np.zeros((2, 2))).value == 0.0
+            assert calls == []
+        with pytest.raises(NormOutOfRange):
+            run(diag12, np.array([[0.0, 2.0 * NORM_MAX], [0.0, 0.0]]))
+        assert calls == []
+        est = run(diag12, Y_MAT)
+        assert (est if run is sd.dw_radius else est["dw_radius"]).value == pytest.approx(
+            SQ2, abs=1e-10)
+        n_y = compress(diag12, Y_MAT).tobytes()
+        assert sorted(calls) == [("_theta_sweep_core", n_y), ("_w_core", n_y)]
 
 
 def test_dw_bracket_is_scale_free():
