@@ -130,6 +130,39 @@ def newton_max_lockstep(theta0, f, step_max: float):
     return theta, value, evals
 
 
+#: below this Frobenius norm the kernel's scale is taken of each matrix over its largest
+#: entry: ``np.linalg.norm`` squares the entries, which underflow below about 1e-154
+SCALE_FLOOR = 1e-150
+
+
+def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
+    """``(z / top, top)``, ``top`` the largest ``|z_ij|`` (z itself where top is 0 or inf).
+
+    The real and imaginary parts are divided apart: numpy's complex division by a
+    subnormal ``top`` overflows.
+    """
+    top = float(np.abs(z).max(initial=0.0))
+    return (z.real / top + 1j * (z.imag / top) if 0.0 < top < np.inf else z), top
+
+
+def _divide(z: np.ndarray, s: float) -> np.ndarray:
+    """``z / s``; below ``SCALE_FLOOR`` a complex z has its real and imaginary parts
+    divided apart, as numpy's complex division by a subnormal ``s`` overflows."""
+    if s >= SCALE_FLOOR or not np.iscomplexobj(z):
+        return z / s
+    return z.real / s + 1j * (z.imag / s)
+
+
+def _scale(mats) -> float:
+    """The largest ``||M||_F`` of ``mats``, each taken of M over its largest entry
+    (:func:`_scaled`) when the plain norms are below ``SCALE_FLOOR``, so tiny entries do
+    not underflow to 0."""
+    s = max(float(np.linalg.norm(m)) for m in mats)
+    if s >= SCALE_FLOOR:
+        return s
+    return max(top * float(np.linalg.norm(u)) for u, top in map(_scaled, mats))
+
+
 def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
     """Maximize eigenvalue ``index`` (0 or -1) of ``f(theta) = Re(e^{i theta} N) + K`` over theta.
 
@@ -144,7 +177,8 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
 
     Criss-cross level-set method (Mengi-Overton, IMA J. Numer. Anal. 25 (2005);
     Boyd-Balakrishnan, Systems Control Lett. 15 (1990)) on ``N, K`` scaled by
-    ``max(||N||_F, ||K||_F)``, ``K = shift`` (Hermitian) or 0, with local
+    ``max(||N||_F, ||K||_F)`` (:func:`_scale`, safe from underflow), ``K = shift``
+    (Hermitian) or 0, with local
     Newton ascent between the level sets (Mitchell, SIAM J. Sci. Comput. 45
     (2023)). The first level gamma is the best of the ``START_ANGLES`` angles
     ``START_THETAS`` or, for a problem with a start angle (a warm start), the better
@@ -159,13 +193,24 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     ``f(theta)`` equals gamma iff ``z = e^{i theta}`` solves
     ``det(z^2 N + 2z (K - gamma I) + N*) = 0``: the unimodular eigenvalues of a
     2r x 2r pencil (infinite ones, from singular N, are dropped). Between
-    consecutive crossings the midpoint is evaluated; on the arcs where it beats
-    gamma, so is the meeting point of the tangents at the two ends (slopes
-    ``Re(i e^{i theta} x* N x)`` from the end eigenvectors x), which resolves a
-    kink in few steps (where Newton is refused). The best candidate, polished,
-    is the next gamma, until none beats it by more than ``4 eps (1 + |gamma|)``.
-    Once the polish reaches the global maximum, the pencil at that level is the
-    only one solved: it certifies that no arc lies above it.
+    consecutive crossings the midpoint is evaluated, and an arc rises when its
+    midpoint beats gamma by more than ``tiny (1 + |gamma|)``, ``tiny = 4 eps``,
+    the stop rule's own tolerance, taken once per level from gamma before any
+    update. On a rising arc the meeting point of the tangents at the two ends
+    (slopes ``Re(i e^{i theta} x* N x)`` from the end eigenvectors x) is a
+    candidate too, which resolves a kink in few steps (where Newton is refused).
+    The best candidate, polished, is the next gamma, until no arc rises. So every
+    taken candidate is polished. Once the polish reaches the global maximum, the
+    pencil at that level is the only one solved: it certifies that no arc lies
+    above it, and the midpoint of the tiny arc at the maximizer, which can beat
+    gamma by rounding alone, costs no arc-end solve.
+
+    The gate is sound: a point inside an arc that comes within ``tiny`` of gamma
+    without crossing it lies within the pencil's resolution, as a gap ``delta`` of
+    the level to the curve splits its double root off the unit circle by about
+    ``sqrt(delta)``, and ``UNIMODULAR_TOL = 1e-6`` is far above ``sqrt(4 eps) ~ 3e-8``.
+    So the pencil reports that point as a crossing pair, and each arc on either side
+    is still tested at its own midpoint.
 
     The problems share one order r and run in lockstep: one ``eigvalsh`` for all
     start angles, one ``eigh`` per Newton step for all polishes, and per level one
@@ -176,23 +221,22 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
 
     Returns one ``(theta, value, evals, lam, vecs)`` per problem: ``value`` is
     eigenvalue ``index`` at ``theta`` (attained, never extrapolated), ``evals`` the
-    number of angles evaluated, Newton steps included, and ``lam, vecs`` the
-    eigenpairs of ``f(theta)`` in the caller's units (the polish's, or one ``eigh``
-    when the last candidate was not polished), ``lam[index] = value`` up to rounding.
+    number of matrices its ``eigh`` and ``eigvalsh`` calls solve (every angle
+    evaluated: start angles, Newton steps, midpoints, arc ends and tangent meets),
+    and ``lam, vecs`` the eigenpairs of ``f(theta)`` in the caller's units, from the
+    last polish's ``eigh``, ``lam[index] = value`` up to rounding.
     """
     out: list = [None] * len(problems)
     live, n_list, k_list, index, scale, grids = [], [], [], [], [], []
     for i, (n_mat, idx, shift, *start) in enumerate(problems):
         r = n_mat.shape[0]
-        s = float(np.linalg.norm(n_mat))
-        if shift is not None:
-            s = max(s, float(np.linalg.norm(shift)))
+        s = _scale((n_mat,) if shift is None else (n_mat, shift))
         if s == 0.0:
             out[i] = (0.0, 0.0, 0, np.zeros(r), np.eye(r))
             continue
         live.append(i)
-        n_list.append(n_mat / s)
-        k_list.append(np.zeros((r, r)) if shift is None else shift / s)
+        n_list.append(_divide(n_mat, s))
+        k_list.append(np.zeros((r, r)) if shift is None else _divide(shift, s))
         index.append(idx % r)
         scale.append(s)
         grids.append(START_THETAS if not start or start[0] is None
@@ -302,10 +346,10 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
                 arcs.append((p, lo, hi, 0.5 * (lo + hi)))
         if not arcs:
             break
-        rising = []  # (p, lo, hi, cands, cand_vals) of the arcs whose midpoint beats gamma
+        rising = []  # (p, lo, hi, cands, cand_vals) of the arcs that rise above gamma
         for (p, lo, hi, mids), vals in zip(arcs, values([(p, mids) for p, _, _, mids in arcs])):
             evals[p] += mids.size
-            up = vals > gamma[p]
+            up = vals - gamma[p] > tiny * (1.0 + abs(gamma[p]))
             if up.any():
                 rising.append((p, lo[up], hi[up], mids[up], vals[up]))
         if not rising:
@@ -327,27 +371,16 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
             meet = (f_hi - f_lo + s_lo * lo - s_hi * hi) / np.where(fall > 0.0, fall, 1.0)
             meets.append((p, meet[(fall > 0.0) & (meet > lo) & (meet < hi)]))
         meet_vals = iter(values([(p, meet) for p, meet in meets if meet.size]))
-        running = []
         for (p, _, _, cands, cand_vals), (_, meet) in zip(rising, meets):
             if meet.size:
                 cands = np.concatenate([cands, meet])
                 cand_vals = np.concatenate([cand_vals, next(meet_vals)])
                 evals[p] += meet.size
+            # a rising midpoint is among the candidates, so the best one clears the gate
             best = int(np.argmax(cand_vals))
-            gain = float(cand_vals[best]) - gamma[p]
-            if gain > 0.0:
-                theta[p], gamma[p], lam[p] = float(cands[best]), float(cand_vals[best]), None
-            if gain > tiny * (1.0 + abs(gamma[p])):
-                running.append(p)
-        if not running:
-            break
+            theta[p], gamma[p] = float(cands[best]), float(cand_vals[best])
+        running = [p for p, *_ in rising]
         polish(running)
-    last = [(p, np.array([theta[p]])) for p in range(b) if lam[p] is None]
-    if last:
-        angles, owner = gather(last)
-        lams, vecss = np.linalg.eigh(herm(angles, owner, shifted=True))
-        for (p, _), lam_p, vecs_p in zip(last, lams, vecss):
-            lam[p], vecs[p] = lam_p, vecs_p
     for p, i in enumerate(live):
         out[i] = (theta[p] % (2.0 * np.pi), gamma[p] * scale[p], evals[p], lam[p] * scale[p],
                   vecs[p])

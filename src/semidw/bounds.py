@@ -506,8 +506,10 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     half = THETA_GRID_BOUNDS // 2
     rho_minus = np.maximum(-np.roll(bot, -half), np.roll(top, -half))
     row = 0.5 * np.maximum(top, -bot) ** 2 + 0.5 * rho_minus ** 2
-    # Newton ascents from the three best circular local maxima
+    # row[i + half] sums row[i]'s two terms, so row is pi-periodic: Newton ascents from
+    # the three best circular local maxima of one half-turn, three distinct peaks
     local = np.flatnonzero((row >= np.roll(row, 1)) & (row >= np.roll(row, -1)))
+    local = local[local < half]
     peaks = local[np.argsort(row[local])[::-1]][:3]
 
     def larger(x, y):
@@ -554,8 +556,10 @@ def upper_lambda_theta(m: Metric, t, reference=None, tol: float | None = None) -
     The supremum is a ``THETA_GRID_BOUNDS``-angle grid, one spectrum per angle
     (``C_{th + pi} = -C_th``, so ``C_th - |T|^2`` is the negated ``C + |T|^2``
     of the grid angle half a turn on), polished by
-    :func:`semidw._optim.newton_max_lockstep` from its three best grid maxima:
-    one stacked ``eigh`` of ``C_th +- |T|^2`` per step. The member is a max of
+    :func:`semidw._optim.newton_max_lockstep` from the three best local maxima of the
+    grid's first half-turn (the member is pi-periodic in th, as ``||C_{th + pi} +-
+    |T|^2||_A = ||C_th -+ |T|^2||_A``, so a full turn holds each peak twice): one
+    stacked ``eigh`` of ``C_th +- |T|^2`` per step. The member is a max of
     smooth eigenvalue branches whose kinks are convex, so its local maxima are
     smooth peaks; each ``max(.)`` is differentiated on its active branch, and
     each extreme eigenvalue as the mean of its rounding-level cluster.

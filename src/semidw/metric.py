@@ -23,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._optim import _scaled
 from .errors import (
     DimensionMismatch,
     EmptyMatrix,
@@ -164,16 +165,6 @@ def semi_norm_vec(m: Metric, x) -> float:
     return float(np.sqrt(max(val, 0.0)))
 
 
-def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(z / top, top)``, ``top`` the largest ``|z_ij|`` (z itself where top is 0 or inf).
-
-    The real and imaginary parts are divided apart: numpy's complex division by a
-    subnormal ``top`` overflows.
-    """
-    top = float(np.abs(z).max(initial=0.0))
-    return (z.real / top + 1j * (z.imag / top) if 0.0 < top < np.inf else z), top
-
-
 def _bounded_product(m: Metric, arr: np.ndarray) -> tuple[np.ndarray, float]:
     """``S = diag(sqrt(lambda)) B* T = B* A^{1/2} T`` and ``||S - S B B*||_F / (||A^{1/2}||_2
     ||T||_F)``.
@@ -181,7 +172,7 @@ def _bounded_product(m: Metric, arr: np.ndarray) -> tuple[np.ndarray, float]:
     The residual is relative to the scale of the product's inputs, which bounds both
     ``||S||_F`` and the rounding of ``S - S B B*``; so it does not depend on the scale
     of T, and an operator that is not A-bounded is rejected however small it is. The
-    norms are those of S and T each divided by its largest entry (:func:`_scaled`):
+    norms are those of S and T each divided by its largest entry (:func:`semidw._optim._scaled`):
     ``np.linalg.norm`` squares the entries, which overflow above about 1.3e154 and
     underflow below about 1e-154. An S that itself overflowed has no residual (nan,
     rejected); a zero S (``A T = 0``, or a rank-zero A) has residual 0.

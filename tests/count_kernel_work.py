@@ -1,0 +1,108 @@
+"""Count the work of the level-set kernel on the library bench workloads.
+
+Run from the repository root::
+
+    PYTHONPATH=src python tests/count_kernel_work.py [--seeds 1 2 3]
+
+For each seed it draws one pattern cycle of each library workload
+(``catalog-lowrank``, ``catalog-highrank``, ``pair-blocks``) with
+``bench/workloads.make_instance`` and runs each instance through the bench's own
+operation (``op_catalog``, ``op_pair_blocks``); the bench module is imported and
+read, never changed, as ``make_catalog_fixture.py`` does. Per workload it prints,
+summed over the operations: the calls of ``_optim.rotated_eig_max_stack`` and their
+problems, the pencils the kernel solves, the matrices of its ``eigh`` and
+``eigvalsh`` calls (stacked ones counted per matrix), and its arc-end solves, the
+``eigh`` matrices outside the Newton polish. Eigensolves outside the kernel (the
+oracle's, the bounds') are not counted.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+from pathlib import Path
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+WORKLOADS = ("catalog-lowrank", "catalog-highrank", "pair-blocks")
+COLUMNS = ("calls", "problems", "pencils", "eigh", "eigvalsh", "arc_end")
+
+
+def install_counters(counts: dict) -> None:
+    """Wrap the kernel, its pencil solve, its Newton polish and numpy's two Hermitian
+    eigensolvers so that each adds its work to ``counts``."""
+    from semidw import _optim, radii
+
+    state = {"kernel": False, "polish": False}
+    kernel, polish, pencil = (_optim.rotated_eig_max_stack, _optim.newton_max_lockstep,
+                              _optim.pencil_eigvals)
+
+    def counted_kernel(problems):
+        counts["calls"] += 1
+        counts["problems"] += len(problems)
+        state["kernel"] = True
+        try:
+            return kernel(problems)
+        finally:
+            state["kernel"] = False
+
+    def counted_polish(*args):
+        state["polish"] = True
+        try:
+            return polish(*args)
+        finally:
+            state["polish"] = False
+
+    def counted_pencil(a_mat, b_mat):
+        counts["pencils"] += 1
+        return pencil(a_mat, b_mat)
+
+    def counted_solve(name, solve):
+        def wrapped(a, *args, **kw):
+            if state["kernel"]:
+                matrices = int(np.prod(np.shape(a)[:-2]))
+                counts[name] += matrices
+                if name == "eigh" and not state["polish"]:
+                    counts["arc_end"] += matrices
+            return solve(a, *args, **kw)
+        return wrapped
+
+    # rotated_eig_max reaches the stack through _optim's global, the memo through radii's
+    _optim.rotated_eig_max_stack = radii.rotated_eig_max_stack = counted_kernel
+    _optim.newton_max_lockstep = counted_polish
+    _optim.pencil_eigvals = counted_pencil
+    for name in ("eigh", "eigvalsh"):
+        setattr(np.linalg, name, counted_solve(name, getattr(np.linalg, name)))
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
+    args = parser.parse_args(argv)
+    sys.path.insert(0, str(ROOT / "bench"))
+    import workloads
+
+    import semidw as sd
+
+    counts = dict.fromkeys(COLUMNS, 0)
+    install_counters(counts)
+    print(f"seeds {' '.join(map(str, args.seeds))}, one pattern cycle each")
+    print(f"{'workload':18s} {'ops':>4s}" + "".join(f" {c:>9s}" for c in COLUMNS))
+    for workload in WORKLOADS:
+        op = workloads.op_pair_blocks if workload == "pair-blocks" else workloads.op_catalog
+        counts.update(dict.fromkeys(COLUMNS, 0))
+        ops = 0
+        for seed in args.seeds:
+            for k in range(len(workloads.pattern(workload))):
+                fails = op(sd, workloads.make_instance(workload, seed, k))
+                if fails:
+                    print(f"{workload} seed {seed} instance {k}: {fails}", file=sys.stderr)
+                    return 1
+                ops += 1
+        print(f"{workload:18s} {ops:4d}" + "".join(f" {counts[c]:9d}" for c in COLUMNS))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

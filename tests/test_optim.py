@@ -349,7 +349,8 @@ def _check_eigenpairs(n_mat, index, shift, label):
                                            (0, _optim.MAX_LEVELS),
                                            (_optim.NEWTON_STEPS, 0)])
 def test_kernel_returns_its_eigenpairs(steps, levels, monkeypatch):
-    # the polish's eigenpairs, or one eigh when the last level's candidate was not polished
+    # a taken candidate is always polished, so the returned angle is the last polish's
+    # and its eigenpairs are the polish's eigh
     monkeypatch.setattr(_optim, "NEWTON_STEPS", steps)
     monkeypatch.setattr(_optim, "MAX_LEVELS", levels)
     polished = []
@@ -360,37 +361,34 @@ def test_kernel_returns_its_eigenpairs(steps, levels, monkeypatch):
         return out
 
     monkeypatch.setattr(_optim, "newton_max_lockstep", recorded)
-    ends = set()
+    calls = 0
     for r in (1, 2, 3, 5, 8):
         rng = np.random.default_rng(100 + r)
         for name, n_mat in _families(rng, r):
             for shift in (None, gram_herm(n_mat)):
                 for index in (0, -1):
+                    label = (name, r, index, shift is not None)
                     polished.clear()
-                    theta = _check_eigenpairs(n_mat, index, shift,
-                                              (name, r, index, shift is not None))
+                    theta = _check_eigenpairs(n_mat, index, shift, label)
                     if polished:  # N = 0 at r = 1 returns before any polish
-                        ends.add(theta == polished[-1])
-    # both endings occur, except with no level set, where the polish is the end
-    assert ends == ({True} if levels == 0 else {True, False})
+                        calls += 1
+                        assert theta == polished[-1], label
+    assert calls > 150
     for n_mat, shift in ((np.zeros((3, 3), dtype=complex), None),
                          (np.zeros((2, 2), dtype=complex), np.diag([2.0, 5.0]))):
         for index in (0, -1):
             _check_eigenpairs(n_mat, index, shift, ("zero", index, shift is not None))
 
 
-def test_kernel_evals_count_its_eigensolves(monkeypatch):
-    # evals (the iterations of w_A and c_A) is every matrix the kernel's eigh and
-    # eigvalsh solve, stacked ones included, but the one eigh at an unpolished last
-    # candidate, whose value was counted when the candidate was evaluated: outside the
-    # polish, the only eigh of one matrix (the arc ends come in pairs)
-    solves = []  # (matrices, a single eigh outside the polish) per call
+def _counted_solves(monkeypatch):
+    """Record each kernel eigensolve as ``(kind, matrices, inside the polish)`` and each
+    pencil as ``("pencil", 1, False)``, in the order of the calls."""
+    solves = []
     polishing = [False]
 
-    def counted(solve):
+    def counted(kind, solve):
         def wrapped(a, *args, **kw):
-            count = int(np.prod(np.shape(a)[:-2]))
-            solves.append((count, solve is eigh and count == 1 and not polishing[0]))
+            solves.append((kind, int(np.prod(np.shape(a)[:-2])), polishing[0]))
             return solve(a, *args, **kw)
         return wrapped
 
@@ -401,24 +399,67 @@ def test_kernel_evals_count_its_eigensolves(monkeypatch):
         finally:
             polishing[0] = False
 
-    eigh = np.linalg.eigh
-    monkeypatch.setattr(np.linalg, "eigh", counted(eigh))
-    monkeypatch.setattr(np.linalg, "eigvalsh", counted(np.linalg.eigvalsh))
+    for kind in ("eigh", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, kind, counted(kind, getattr(np.linalg, kind)))
     monkeypatch.setattr(_optim, "newton_max_lockstep", polish)
-    extra = []
+    monkeypatch.setattr(_optim, "pencil_eigvals", counted("pencil", pencil_eigvals))
+    return solves
+
+
+def _family_calls():
+    """``(label, N, index, shift)`` of the kernel sweep over ``_families``: 260 calls."""
     for r in (1, 2, 3, 5, 8, 16):
         rng = np.random.default_rng(100 + r)
         for name, n_mat in _families(rng, r):
             for shift in (None, gram_herm(n_mat)):
                 for index in (0, -1):
-                    solves.clear()
-                    evals = rotated_eig_max(n_mat, index, shift)[2]
-                    label = (name, r, index, shift is not None)
-                    unpolished = [i for i, (_, single) in enumerate(solves) if single]
-                    assert unpolished in ([], [len(solves) - 1]), label
-                    extra.append(sum(count for count, _ in solves) - evals)
-                    assert extra[-1] == len(unpolished), label
-    assert len(extra) == 260 and set(extra) == {0, 1}
+                    yield (name, r, index, shift is not None), n_mat, index, shift
+
+
+def test_kernel_evals_count_its_eigensolves(monkeypatch):
+    # evals (the iterations of w_A and c_A) is every matrix the kernel's eigh and
+    # eigvalsh solve, stacked ones included: no eigensolve goes uncounted
+    solves = _counted_solves(monkeypatch)
+    extra = []
+    for label, n_mat, index, shift in _family_calls():
+        solves.clear()
+        evals = rotated_eig_max(n_mat, index, shift)[2]
+        extra.append(sum(count for kind, count, _ in solves if kind != "pencil") - evals)
+    assert len(extra) == 260 and set(extra) == {0}
+
+
+def test_kernel_solves_no_arc_end_for_a_rounding_rise(monkeypatch):
+    # an arc rises only past the stop rule's 4 eps (1 + |gamma|), so each arc-end eigh
+    # (an eigh outside the polish) opens a level whose polished candidate the next
+    # pencil tests: a call solves one fewer arc-end eigh than pencils, none on a call
+    # whose first level is the maximum (the parent's criss-cross chased the rounding
+    # rise of the certificate's arc there with an arc-end and a final eigh)
+    solves = _counted_solves(monkeypatch)
+    one_pencil = 0
+    for label, n_mat, index, shift in _family_calls():
+        solves.clear()
+        rotated_eig_max(n_mat, index, shift)
+        pencils = sum(kind == "pencil" for kind, _, _ in solves)
+        ends = [count for kind, count, polish in solves if kind == "eigh" and not polish]
+        assert len(ends) == max(pencils - 1, 0), (label, pencils, ends)
+        one_pencil += pencils == 1
+    assert one_pencil > 200
+
+
+def test_kernel_flat_nilpotent_solves_one_pencil(monkeypatch):
+    # f(theta) = |a| / 2 at every angle: the pencil at that level is singular and reports
+    # no crossing, and no midpoint is evaluated, let alone an arc end
+    solves = _counted_solves(monkeypatch)
+    for a in (1.0, 1.0 / np.sqrt(2.0), 3.0 + 4.0j):
+        n_mat = np.array([[0.0, a], [0.0, 0.0]], dtype=complex)
+        for index in (0, -1):
+            solves.clear()
+            theta, value, evals, *_ = rotated_eig_max(n_mat, index)
+            top = abs(a) / 2.0
+            assert value == pytest.approx(top if index == -1 else -top, rel=1e-15)
+            assert [kind for kind, _, polish in solves if not polish] == ["eigvalsh", "pencil"]
+            assert evals == _optim.START_ANGLES + sum(
+                count for kind, count, polish in solves if polish)
 
 
 def test_w_core_solves_no_eigh_outside_the_kernel(monkeypatch):

@@ -359,6 +359,28 @@ def test_dw_bracket_is_scale_free():
         assert lower * (1 - 1e-14) <= value <= upper * (1 + 1e-14), s
 
 
+def test_tiny_operators_keep_w_c_and_the_dw_bracket():
+    # the kernel scales by ||N||_F, whose squares underflow below about 1e-154; at these
+    # scales G = N*N is negligible next to N, so dw(s T) = s w(T), and w(T) = sqrt(41) / 4
+    # for the trace-free T (W(T) is the ellipse of foci +-sqrt(2) and minor axis 3 / 2)
+    m = sd.build_metric(np.eye(2))
+    t = np.array([[1.0, 2.0], [0.5, -1.0]])
+    shifted = t + (2.0 + 1.0j) * np.eye(2)  # 0 outside W: c > 0
+    w_t = np.sqrt(41.0) / 4.0
+    w_shifted, c_shifted = sd.numerical_radius(m, shifted).value, sd.crawford(m, shifted).value
+    assert c_shifted > 0.5
+    eps = np.finfo(float).eps
+    for s in (1e-150, 1e-170, 1e-200, 1e-300):
+        for got, want in ((sd.numerical_radius(m, s * t).value, w_t),
+                          (sd.numerical_radius(m, s * shifted).value, w_shifted),
+                          (sd.crawford(m, s * shifted).value, c_shifted)):
+            assert abs(got - s * want) <= 1e-14 * s * want, (s, got, want)
+        dw = sd.dw_radius(m, s * t)
+        # the lower end is an attained |p|, exact up to its own rounding
+        assert dw.value <= s * w_t * (1.0 + 4.0 * eps) and s * w_t <= dw.value + dw.residual, s
+        assert dw.residual <= 1e-13 * dw.value, s
+
+
 def _shell_family():
     """Named compressed matrices: Gaussian r = 1..24 and structured shells."""
     rng = np.random.default_rng(2024)
