@@ -507,7 +507,7 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
     rho_minus = np.maximum(-np.roll(bot, -half), np.roll(top, -half))
     row = 0.5 * np.maximum(top, -bot) ** 2 + 0.5 * rho_minus ** 2
     # row[i + half] sums row[i]'s two terms, so row is pi-periodic: Newton ascents from
-    # the three best circular local maxima of one half-turn, three distinct peaks
+    # the three best circular local maxima of one half-turn, each peak once
     local = np.flatnonzero((row >= np.roll(row, 1)) & (row >= np.roll(row, -1)))
     local = local[local < half]
     peaks = local[np.argsort(row[local])[::-1]][:3]
