@@ -155,10 +155,11 @@ def _divide(z: np.ndarray, s: float) -> np.ndarray:
 
 def _scale(mats) -> float:
     """The largest ``||M||_F`` of ``mats``, each taken of M over its largest entry
-    (:func:`_scaled`) when the plain norms are below ``SCALE_FLOOR``, so tiny entries do
-    not underflow to 0."""
-    s = max(float(np.linalg.norm(m)) for m in mats)
-    if s >= SCALE_FLOOR:
+    (:func:`_scaled`) when the plain norms are below ``SCALE_FLOOR`` or not finite, so
+    tiny entries do not underflow to 0 nor large ones overflow to inf."""
+    with np.errstate(over="ignore"):
+        s = max(float(np.linalg.norm(m)) for m in mats)
+    if SCALE_FLOOR <= s < np.inf:
         return s
     return max(top * float(np.linalg.norm(u)) for u, top in map(_scaled, mats))
 
@@ -253,12 +254,8 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
         return stack if b == 1 else stack[owner]
 
     def herm(angles: np.ndarray, owner, shifted: bool = False) -> np.ndarray:
-        # Re(e^{i theta_j} N) (+ K when shifted) of problem owner[j], as (M + M*) / 2 with
-        # M = e^{i theta_j} N: conj(e^{i theta}) N* is M*, rounding included; in place, as a
-        # stack of 16 b matrices of order 24 is a megabyte
-        m = np.exp(1j * angles)[:, None, None] * rows(n_all, owner)
-        m += m.conj().swapaxes(1, 2)
-        m *= 0.5
+        # Re(e^{i theta_j} N) (+ K when shifted) of problem owner[j]
+        m = rotated_herm(rows(n_all, owner), angles)
         if shifted:
             m += rows(k_all, owner)
         return m
@@ -424,13 +421,15 @@ def gram_herm(n_mat: np.ndarray) -> np.ndarray:
     return 0.5 * (gram + gram.conj().T)
 
 
-def rotated_herm(n_mat: np.ndarray, theta: float) -> np.ndarray:
-    """``Re(e^{i theta} N)``; ``theta - pi/2`` gives ``Im(e^{i theta} N)``."""
-    ph = np.exp(1j * theta)
-    return 0.5 * (ph * n_mat + np.conj(ph) * n_mat.conj().T)
+def rotated_herm(n_mat: np.ndarray, thetas) -> np.ndarray:
+    """``Re(e^{i theta} N)`` at one angle or at each of an array of angles, of one N or of
+    a stack of them (one per angle); ``theta - pi/2`` gives ``Im(e^{i theta} N)``.
 
-
-def rotated_herm_batch(n_mat: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Batch of ``Re(e^{i theta} N)`` over the angle array."""
-    ph = np.exp(1j * thetas)
-    return 0.5 * (ph[:, None, None] * n_mat + np.conj(ph)[:, None, None] * n_mat.conj().T)
+    Built as ``(M + M*) / 2`` with ``M = e^{i theta} N``: ``conj(e^{i theta}) N*`` is
+    ``M*``, rounding included. In place, as a stack of 16 b matrices of order 24 is a
+    megabyte.
+    """
+    m = np.exp(1j * np.asarray(thetas))[..., None, None] * n_mat
+    m += m.conj().swapaxes(-1, -2)
+    m *= 0.5
+    return m

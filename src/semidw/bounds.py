@@ -12,12 +12,10 @@ matrices (``|T|^2_A`` is ``N*N``, ``X^# Y`` is ``N_X* N_Y``: compression is a
 :class:`_Instance` (:class:`semidw.radii._Memo`), which computes each value once
 and builds every estimate. A public evaluator compresses its operands, checks
 their norms against ``NORM_MAX`` and runs its body on a fresh instance
-(:func:`_evaluate`); a report runs every body on one memo, which it first fills
-with every kernel-backed value its bodies read (``w``, ``c`` and theta-sweep's
-supremum, :func:`_catalog_cores` and :func:`_pair_cores`) and the ``w`` and pi/4
-lines of every dw bracket it reads, solved in one stacked kernel call per order, and
-then with those brackets (its matrix's, its operands' and the offdiag block's), whose
-slices run in lockstep (:meth:`semidw.radii._Memo.fill_dw`).
+(:func:`_evaluate`); a report runs every body on one memo, which one
+:meth:`semidw.radii._Memo.fill` first fills with the dw brackets it reads (its matrix's,
+its operands' and the offdiag block's) and every kernel-backed value its bodies read
+(:func:`_catalog_cores` and :func:`_pair_cores`), all in lockstep.
 
 Angle suprema of one eigenvalue (``w``, ``c`` and the theta-sweep bound) come
 from the level-set kernel :func:`semidw._optim.rotated_eig_max`, whose value is
@@ -42,7 +40,7 @@ from ._optim import START_ANGLES, gram_herm, herm_parts, newton_max_lockstep
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _ix_core
 from .metric import Metric, as_operator, compress
-from .radii import (_check_norm, _crawford_core, _lift, _Memo, _min_modulus_core,
+from .radii import (_check_norm, _crawford_core, _dw_core, _lift, _Memo, _min_modulus_core,
                     _seminorm_core, _theta_sweep_core, _w_core, form_values)
 
 LAMBDA_GRID_POINTS = 41
@@ -375,8 +373,8 @@ def upper_theta_sweep(m: Metric, t, reference=None, tol: float | None = None) ->
     one call of the level-set kernel with shift G (the memo core
     :func:`semidw.radii._theta_sweep_core`); its value is attained and converged to
     rounding, so nothing is under-resolved before the subtraction. ``grid`` is the
-    kernel's start grid and ``evals`` its angle count. The same core is the pi/4 slice
-    ``sup_w / sqrt(2)`` of the dw bracket, which a report's memo shares.
+    kernel's start grid and ``evals`` its angle count. Its kernel problem is the pi/4
+    slice ``sup_w / sqrt(2)`` of the dw bracket, which one memo solves once for both.
     """
     return _evaluate(_upper_theta_sweep, m, (t,), reference, tol)
 
@@ -676,19 +674,18 @@ def exact_checks(m: Metric, x, tol: float | None = None):
     """Closed-form dw of [[I,X],[O,O]] and [[O,X],[O,O]], each an "exact" record.
 
     Compresses X once; both closed forms and the returned ``||X||_A`` read one
-    memoized ``_seminorm_core(N_X)``. Then both blocks' ``||.||_A`` are checked
-    against ``NORM_MAX``, one stacked kernel call solves their ``w`` end lines and
-    pi/4 slices, and the two brackets run in lockstep
-    (:meth:`semidw.radii._Memo.fill_dw`). Returns ``||X||_A`` and ``(label, closed,
-    bracket, record)`` per block; ``bracket`` is the dw bracket ``[value, value +
-    residual]`` of the compressed block ``[[I_r or 0, N_X], [0, 0]]``.
+    memoized ``_seminorm_core(N_X)``. Then one :meth:`semidw.radii._Memo.fill` runs
+    both blocks' dw brackets in lockstep, each checked against ``NORM_MAX`` before any
+    kernel call. Returns ``||X||_A`` and ``(label, closed, bracket, record)`` per block;
+    ``bracket`` is the dw bracket ``[value, value + residual]`` of the compressed block
+    ``[[I_r or 0, N_X], [0, 0]]``.
     """
     n_x = compress(m, x)
     zero = np.zeros_like(n_x)
     inst = _Instance(tol=tol)
     forms = [_lift(m, inst.memo.estimate(core, n_x, "exact_svd")) for core in (_ix_core, _0x_core)]
     blocks = [_block(top, n_x, zero, zero) for top in (np.eye(m.rank), zero)]
-    inst.memo.fill_dw(blocks)
+    inst.memo.fill([(_dw_core, blk) for blk in blocks])
     out = []
     for label, closed, blk in zip(("identity", "zero"), forms, blocks):
         bracket = inst.memo.dw(blk)
@@ -798,15 +795,15 @@ def _report_instance(brackets, tol: float | None, cores) -> _Instance:
     ``brackets`` are the compressed matrices whose dw brackets the report reads: its
     own, then its operands' and blocks'. ``tol`` is checked first, then their
     ``||.||_A`` against ``NORM_MAX``: their ``NormOutOfRange`` precedes every other
-    eigensolve, and every product whose norm could overflow. Then one stacked kernel
-    call solves the kernel-backed ``cores(*brackets)``, ``(core, matrix)`` pairs, with
-    each bracket's ``w`` and pi/4 lines, and the brackets run in lockstep, each round
-    of their slices one stacked call per order (:meth:`semidw.radii._Memo.fill_dw`).
+    eigensolve, and every product whose norm could overflow. Then one
+    :meth:`semidw.radii._Memo.fill` runs the brackets and the kernel-backed
+    ``cores(*brackets)``, ``(core, matrix)`` pairs: its first kernel call per order solves
+    the cores' problems with the brackets' ``w`` and pi/4 lines.
     """
     inst = _Instance(tol=tol)
     for op in brackets:
         _check_norm(inst.memo.value(_seminorm_core, op))
-    inst.memo.fill_dw(brackets, cores(*brackets))
+    inst.memo.fill([*((_dw_core, op) for op in brackets), *cores(*brackets)])
     est = inst.memo.dw(brackets[0])
     return replace(inst, reference=(est.value, est.value + est.residual))
 

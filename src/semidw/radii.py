@@ -21,10 +21,10 @@ A-quantity, so the witness is canonical only up to that coset.
 
 ``w``, ``c`` and ``dw`` come from the level-set angle kernel
 :func:`semidw._optim.rotated_eig_max_stack` (witnesses: its eigenvectors at its
-maximizer; :meth:`_Memo.fill` stacks the problems of many cores, and runs the
-slices of the dw brackets it is given in lockstep), with one short cut: when the support
-points of W(N) at the kernel's ``START_ANGLES`` start angles enclose 0 by a
-rounding margin, ``c_A(T) = 0`` by convexity and no kernel runs
+maximizer; :meth:`_Memo.fill` stacks the problems of many cores, solves each once,
+and runs the slices of the dw brackets it is given in lockstep), with one short
+cut: when the support points of W(N) at the kernel's ``START_ANGLES`` start angles
+enclose 0 by a rounding margin, ``c_A(T) = 0`` by convexity and no kernel runs
 (:func:`_inner_zero`); ``iterations`` is then ``START_ANGLES``.
 
 :func:`oracle_extremum` is the independent estimator the tests and the
@@ -37,13 +37,14 @@ scipy's L-BFGS-B from the same starts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from types import GeneratorType
 
 import numpy as np
 
 from ._optim import (START_ANGLES, START_THETAS, gram_herm, herm_parts, rotated_eig_max,
-                     rotated_eig_max_stack, rotated_herm, rotated_herm_batch)
+                     rotated_eig_max_stack, rotated_herm)
 from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
@@ -108,42 +109,55 @@ def _estimate(m: Metric, t, method: str, core) -> RadiusEstimate:
     return _lift(m, _Memo().estimate(core, compress(m, t), method))
 
 
+def _problem_key(n_mat: np.ndarray, index: int, shift, start=None) -> tuple:
+    """The key of a kernel problem ``(N, index, shift[, start])`` in :attr:`_Memo.solved`."""
+    return n_mat.shape, n_mat.tobytes(), index, None if shift is None else shift.tobytes(), start
+
+
 @dataclass
 class _Memo:
-    """The raw core outputs of one instance, each computed once per ``(core, N)``.
+    """The raw core outputs of one instance, each computed once per ``(core, N)``, and the
+    kernel tuples of the level-set problems they read, each solved once.
 
     :meth:`run` calls ``core(N, memo)``; a core reads what it builds on through
-    ``memo.run``: :func:`_dw_core` its raw ``_seminorm_core``, ``_w_core`` and
-    ``_theta_sweep_core`` lines (phase-fixed vectors move the bracket by rounding),
-    :func:`_crawford_core` the :func:`_start_support` of N, the closed forms the top
-    singular pair of N_X. A kernel-backed core (``_w_core``, ``_crawford_core`` past its
-    short cut, ``_theta_sweep_core``, ``_dw_core`` once per slice) is a generator: it
-    yields a level-set problem ``(N, index, shift[, start])`` and is sent the
-    kernel's tuple. :meth:`fill` drives many cores in lockstep, so a report that
-    names its cores up front pays the kernel's fixed costs once per round;
-    :meth:`fill_dw` does so for dw brackets, whose kernel-backed lines it solves
-    first, so that no bracket opens with a nested call. :meth:`estimate` alone turns a
-    raw output into a :class:`RadiusEstimate`.
+    ``memo.run``: :func:`_dw_core` the top singular pair of N, :func:`_crawford_core`
+    the :func:`_start_support` of N, the closed forms the top singular pair of N_X. A
+    kernel-backed core (``_w_core``, ``_crawford_core`` past its short cut,
+    ``_theta_sweep_core``, ``_dw_core``) is a generator: it yields a list of level-set
+    problems ``(N, index, shift[, start])`` and is sent the list of their kernel tuples.
+    So cores that pose one problem share its tuple, and :meth:`fill` drives many cores in
+    lockstep: a report that names its cores up front pays the kernel's fixed costs once
+    per round. :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
     """
 
     raw: dict = field(default_factory=dict)
+    #: :func:`_problem_key` -> the kernel's ``(theta, value, evals, lam, vecs)``
+    solved: dict = field(default_factory=dict)
 
     def fill(self, pairs) -> None:
         """Compute every ``(core, N)`` of ``pairs`` not yet held; 0x0 matrices, which no
         core reads (:meth:`value` is 0 there), are skipped.
 
-        Each round solves the problems the generator cores wait on in one
-        :func:`semidw._optim.rotated_eig_max_stack` call per order, until all have
-        returned; a stack's tuples are bit for bit its stacks of one, so no output
-        depends on what else is filled. An exception of one core leaves the fill.
+        Each round solves the problems that the waiting generator cores pose and
+        :attr:`solved` lacks, each once, in one :func:`semidw._optim.rotated_eig_max_stack`
+        call per order, and resumes every waiting core, until all have returned; a stack's
+        tuples are bit for bit its stacks of one, so no output depends on what else is
+        filled. An exception of one core leaves the fill.
         """
-        waiting: dict = {}  # key -> (generator, its problem)
+        waiting: dict = {}  # key -> (generator, the keys of its problems)
+        fresh: dict = {}  # problem key -> problem, of the problems not yet solved
 
         def advance(key, gen, result=None) -> None:
             try:
-                waiting[key] = gen, gen.send(result)
+                problems = gen.send(result)
             except StopIteration as done:  # returned, maybe by a short cut before any yield
                 self.raw[key] = done.value
+                return
+            keys = [_problem_key(*problem) for problem in problems]
+            for k, problem in zip(keys, problems):
+                if k not in self.solved:
+                    fresh[k] = problem
+            waiting[key] = gen, keys
 
         for core, n_mat in pairs:
             key = (core, n_mat.shape, n_mat.tobytes())
@@ -156,32 +170,14 @@ class _Memo:
                 self.raw[key] = out
         while waiting:
             orders: dict = {}
-            for key, (_, problem) in waiting.items():
-                orders.setdefault(problem[0].shape[0], []).append(key)
+            for k, problem in fresh.items():
+                orders.setdefault(problem[0].shape[0], []).append(k)
             for keys in orders.values():
-                solved = rotated_eig_max_stack([waiting[key][1] for key in keys])
-                for key, result in zip(keys, solved):
-                    advance(key, waiting.pop(key)[0], result)
-
-    def fill_dw(self, mats, cores=()) -> None:
-        """Fill the dw brackets of ``mats`` in lockstep, after one stacked fill of ``cores``
-        and of the brackets' kernel-backed lines.
-
-        Each ``||N||_2`` is checked against ``NORM_MAX`` first, so :class:`NormOutOfRange`
-        precedes every kernel call. One :meth:`fill` then solves ``cores`` and, for each
-        nonzero N (the bracket of a zero N reads neither), the two lines that
-        :func:`_dw_core` opens with: ``_w_core`` (alpha = 0) and ``_theta_sweep_core``
-        (alpha = pi/4). A second :meth:`fill` runs the brackets, whose slices all
-        start warm.
-        """
-        lines = []
-        for n_mat in mats:
-            norm = self.value(_seminorm_core, n_mat)
-            _check_norm(norm)
-            if norm:
-                lines += [(_w_core, n_mat), (_theta_sweep_core, n_mat)]
-        self.fill([*cores, *lines])
-        self.fill([(_dw_core, n_mat) for n_mat in mats])
+                self.solved.update(zip(keys, rotated_eig_max_stack([fresh[k] for k in keys])))
+            fresh.clear()
+            for key in list(waiting):
+                gen, keys = waiting.pop(key)
+                advance(key, gen, [self.solved[k] for k in keys])
 
     def run(self, core, n_mat: np.ndarray):
         """The raw output of ``core`` on ``n_mat``, computed on the first call."""
@@ -208,9 +204,7 @@ class _Memo:
                               float(residual))
 
     def dw(self, n_mat: np.ndarray) -> RadiusEstimate:
-        """The dw bracket ``[value, value + residual]`` of ``n_mat``, as :func:`dw_radius`;
-        through :meth:`fill_dw` unless it is held."""
-        self.fill_dw([n_mat])
+        """The dw bracket ``[value, value + residual]`` of ``n_mat``, as :func:`dw_radius`."""
         return self.estimate(_dw_core, n_mat, "dw_shell")
 
 
@@ -253,7 +247,7 @@ def _w_core(n_mat: np.ndarray, memo: _Memo):
     ``iterations`` is the number of angles the level-set kernel evaluated. A generator
     core: it yields its kernel problem to :meth:`_Memo.fill`.
     """
-    _, value, evals, _, vecs = yield n_mat, -1, None
+    (_, value, evals, _, vecs), = yield [(n_mat, -1, None)]
     return value, vecs[:, -1], evals, abs(abs(_form(n_mat, vecs[:, -1])) - value)
 
 
@@ -392,7 +386,7 @@ def _start_support(n_mat: np.ndarray, memo: _Memo):
     """``(tops, points)``: the top eigenvectors ``x_k`` of ``Re(e^{i theta_k} N)`` at the
     kernel's start angles ``START_THETAS`` (one stacked ``eigh``) and the support points
     ``p_k = x_k* N x_k`` of W(N) they attain."""
-    tops = np.linalg.eigh(rotated_herm_batch(n_mat, START_THETAS))[1][..., -1]
+    tops = np.linalg.eigh(rotated_herm(n_mat, START_THETAS))[1][..., -1]
     return tops, form_values(n_mat, tops)
 
 
@@ -429,21 +423,27 @@ def _inner_zero(n_mat: np.ndarray, tops: np.ndarray, points: np.ndarray) -> np.n
 def _crawford_core(n_mat: np.ndarray, memo: _Memo):
     """``(c(N), c, iterations, residual)``: the :func:`_inner_zero` short cut, else the sweep.
 
-    When the points of the memoized :func:`_start_support` of N enclose 0 the value is 0
-    with ``START_ANGLES`` iterations and no kernel call; the kernel would return
-    ``max(0, lambda_min) = 0`` there too, since every ``lambda_min(Re(e^{i phi} N))``
-    is below minus the margin. Else the kernel's eigenpairs at phi give the face: a
-    generator core, which yields its kernel problem to :meth:`_Memo.fill` past the short cut.
+    The witness geometry runs on ``U = 2^-e N``, the largest real or imaginary part of
+    its entries in [1/2, 1): exact, signed zeros included, and its forms and their
+    products stay in range for subnormal to huge N. When the points of the memoized :func:`_start_support` of U enclose 0 the
+    value is 0 with ``START_ANGLES`` iterations and no kernel call; the kernel would
+    return ``max(0, lambda_min) = 0`` there too, since every ``lambda_min(Re(e^{i phi}
+    N))`` is below minus the margin. Else the value is the kernel's on N, whose eigenpairs
+    at phi give the face: a generator core past the short cut.
     """
-    c = _inner_zero(n_mat, *memo.run(_start_support, n_mat))
+    parts = np.ascontiguousarray(n_mat, dtype=complex).view(float)
+    e = math.frexp(np.abs(parts).max())[1]
+    unit = np.ldexp(parts, -e).view(complex)
+    c = _inner_zero(unit, *memo.run(_start_support, unit))
     if c is not None:
-        return 0.0, c, START_ANGLES, abs(_form(n_mat, c))
-    phi, value, evals, lam, vecs = yield n_mat, 0, None
+        return 0.0, c, START_ANGLES, math.ldexp(abs(_form(unit, c)), e)
+    (phi, value, evals, lam, vecs), = yield [(n_mat, 0, None)]
     value = max(0.0, float(value))
-    c = _face_point(n_mat, phi, lam, vecs, value * np.exp(-1j * phi))
+    unit_value = math.ldexp(value, -e)
+    c = _face_point(unit, phi, np.ldexp(lam, -e), vecs, unit_value * np.exp(-1j * phi))
     if value == 0.0:
-        c = _nearest(n_mat, c, _through_zero(n_mat, c))
-    return value, c, evals, abs(abs(_form(n_mat, c)) - value)
+        c = _nearest(unit, c, _through_zero(unit, c))
+    return value, c, evals, math.ldexp(abs(abs(_form(unit, c)) - unit_value), e)
 
 
 def crawford(m: Metric, t) -> RadiusEstimate:
@@ -483,13 +483,13 @@ def _theta_sweep_core(n_mat: np.ndarray, memo: _Memo):
     """``sup_w = max_psi lambda_max(Re(e^{i psi} N) + G)``, ``G = N*N``: one kernel problem,
     yielded to :meth:`_Memo.fill`.
 
-    theta-sweep's supremum, and the pi/4 slice of :func:`_dw_core`'s support function,
-    ``h(pi/4) = sup_w / sqrt(2)``. Returns ``(sup_w, top eigenvector, angles evaluated,
-    |lambda_max - sup_w|, psi)``: psi is the maximizer angle, where the fourth is the
-    disagreement of the kernel's two solvers, and the bracket's warm start.
+    theta-sweep's supremum. Its problem is the pi/4 slice of :func:`_dw_core`'s support
+    function, ``h(pi/4) = sup_w / sqrt(2)``, which a bracket opens with. Returns
+    ``(sup_w, top eigenvector, angles evaluated, |lambda_max - sup_w|)``, the last the
+    disagreement of the kernel's two solvers.
     """
-    psi, sup_w, evals, lam, vecs = yield n_mat, -1, gram_herm(n_mat)
-    return sup_w, vecs[:, -1], evals, abs(lam[-1] - sup_w), psi
+    (_, sup_w, evals, lam, vecs), = yield [(n_mat, -1, gram_herm(n_mat))]
+    return sup_w, vecs[:, -1], evals, abs(lam[-1] - sup_w)
 
 
 def _dw_core(n_mat: np.ndarray, memo: _Memo):
@@ -499,12 +499,11 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
     point of ``conv S``, whose support function at ``u(alpha) = (cos alpha,
     sin alpha)``, alpha in [0, pi/2], is one level-set kernel problem, the slice
     ``h(alpha) = max_theta lambda_max(cos alpha Re(e^{i theta} N) + sin alpha G)``
-    (Davis-Wielandt shell: Li-Poon-Sze, Oper. Matrices 2 (2008)). The bracket opens
-    with three lines, read from the memo past the ``NORM_MAX`` and zero checks:
-    ``h(0) = w(N)`` (``_w_core``), ``h(pi/4) = sup_w / sqrt(2)`` (``_theta_sweep_core``,
-    whose top eigenvector gives the point) and ``h(pi/2) = ||N||_2^2``
-    (``_seminorm_core``); :meth:`_Memo.fill_dw` solves the first two ahead of the
-    bracket. Inner and outer polygons (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)):
+    (Davis-Wielandt shell: Li-Poon-Sze, Oper. Matrices 2 (2008)). Past the ``NORM_MAX``
+    and zero checks the bracket opens with three lines: ``h(pi/2) = ||N||_2^2``
+    (``_seminorm_core``), and, in one yield, the problems of ``_w_core``, ``h(0) = w(N)``,
+    and of ``_theta_sweep_core``, ``h(pi/4) = sup_w / sqrt(2)``, whose top eigenvectors
+    give the points. Inner and outer polygons (C. R. Johnson, SIAM J. Numer. Anal. 15 (1978)):
     the lower end is the largest ``|p|`` over the support points, each the point
     of the kernel's top eigenvector at its maximizer (the witness); the upper
     end is the farthest vertex of the
@@ -519,9 +518,9 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
     closes slowly and the cap leaves a width near 1e-7 dw. A generator core: it yields
     each slice ``(cos alpha N, -1, sin alpha G, start)`` to :meth:`_Memo.fill`, so
     the brackets of one fill share its kernel calls. Every slice starts warm, at the
-    maximizer angle of the solved slice nearest to it in alpha (pi/4's is theta-sweep's
-    psi). Returns ``(lower, c, slices, upper - lower)``; raises :class:`NormOutOfRange`
-    above ``NORM_MAX``.
+    maximizer angle of the solved slice nearest to it in alpha (at pi/4, theta-sweep's).
+    Returns ``(lower, c, slices, upper - lower)``; raises :class:`NormOutOfRange` above
+    ``NORM_MAX``, before its first yield.
     """
     norm = memo.run(_seminorm_core, n_mat)
     _check_norm(norm[0])
@@ -539,9 +538,10 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
         points.append(p)
         vecs.append(x)
 
-    add(0.0, *memo.run(_w_core, n_mat)[:2])
-    sup_w, top, _, _, psi = memo.run(_theta_sweep_core, n_mat)
-    add(0.25 * np.pi, np.sqrt(0.5) * sup_w, top)
+    (_, w_val, _, _, w_vecs), (psi, sup_w, _, _, sweep_vecs) = yield [
+        (n_mat, -1, None), (n_mat, -1, gram)]
+    add(0.0, w_val, w_vecs[:, -1])
+    add(0.25 * np.pi, np.sqrt(0.5) * sup_w, sweep_vecs[:, -1])
     add(0.5 * np.pi, norm[0] ** 2, norm[1])
     thetas = {0.25 * np.pi: psi}  # alpha -> the maximizer angle of its slice
     for calls in range(1, DW_MAX_DIRECTIONS + 1):  # the pi/4 line is the first slice
@@ -565,8 +565,8 @@ def _dw_core(n_mat: np.ndarray, memo: _Memo):
             break
         alpha = fresh[0]
         start = thetas[min(thetas, key=lambda a: abs(a - alpha))]
-        thetas[alpha], value, _, _, slice_vecs = yield (
-            np.cos(alpha) * n_mat, -1, np.sin(alpha) * gram, start)
+        (thetas[alpha], value, _, _, slice_vecs), = yield [
+            (np.cos(alpha) * n_mat, -1, np.sin(alpha) * gram, start)]
         add(alpha, value, slice_vecs[:, -1])
     return lower, vecs[best], calls, upper - lower
 
@@ -577,8 +577,7 @@ def dw_radius(m: Metric, t, seed: int = DEFAULT_SEED) -> RadiusEstimate:
     ``value`` is attained at the witness, ``residual`` is the bracket width
     (``dw_A(T) <= value + residual``) and ``iterations`` counts the slices, the pi/4
     line among them. After the norm and zero checks one stacked kernel call solves the
-    ``w`` and pi/4 lines, then the bracket runs (:meth:`_Memo.fill_dw`). The
-    bracket is deterministic: ``seed`` is accepted so that call forms keep working,
+    ``w`` and pi/4 lines, then the bracket runs. The bracket is deterministic: ``seed`` is accepted so that call forms keep working,
     and unused. Raises :class:`NormOutOfRange` when
     ``||T||_A > NORM_MAX``.
     """
@@ -590,13 +589,13 @@ def estimates(m: Metric, t) -> dict[str, RadiusEstimate]:
 
     Each estimate equals that of its public function (``seminorm`` is
     :func:`op_seminorm`'s, ``dw_radius`` is :func:`dw_radius`'s); ``w_A`` and
-    ``||T||_A`` are computed once for their own estimates and the dw end lines.
-    After ``||T||_A`` is checked (:class:`NormOutOfRange` above ``NORM_MAX``, as for
-    ``dw_A``), the kernel problems of ``w_A``, ``c_A`` and the dw bracket's pi/4 slice
-    are solved in one stacked call, and then the bracket (:meth:`_Memo.fill_dw`).
+    ``||T||_A`` are computed once for their own estimates and the dw end lines. One
+    :meth:`_Memo.fill`, the dw bracket first, checks ``||T||_A`` (:class:`NormOutOfRange`
+    above ``NORM_MAX``, as for ``dw_A``), solves the kernel problems of ``w_A``, ``c_A``
+    and the bracket's pi/4 slice in one stacked call, and then runs the bracket.
     """
     n_mat, memo = compress(m, t), _Memo()
-    memo.fill_dw([n_mat], [(_w_core, n_mat), (_crawford_core, n_mat)])
+    memo.fill([(_dw_core, n_mat), (_w_core, n_mat), (_crawford_core, n_mat)])
     cores = (("seminorm", _seminorm_core, "exact_svd"),
              ("min_modulus", _min_modulus_core, "exact_svd"),
              ("numerical_radius", _w_core, "theta_sweep"),

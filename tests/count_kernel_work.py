@@ -13,7 +13,8 @@ summed over the operations: the calls of ``_optim.rotated_eig_max_stack`` and th
 problems, the pencils the kernel solves, the matrices of its ``eigh`` and
 ``eigvalsh`` calls (stacked ones counted per matrix), and its arc-end solves, the
 ``eigh`` matrices outside the Newton polish. Eigensolves outside the kernel (the
-oracle's, the bounds') are not counted.
+oracle's, the bounds') are not counted. ``tests/test_bench_api.py`` runs
+:func:`kernel_work` on seed 1.
 """
 
 from __future__ import annotations
@@ -29,9 +30,10 @@ WORKLOADS = ("catalog-lowrank", "catalog-highrank", "pair-blocks")
 COLUMNS = ("calls", "problems", "pencils", "eigh", "eigvalsh", "arc_end")
 
 
-def install_counters(counts: dict) -> None:
+def install_counters(counts: dict, patch=setattr) -> None:
     """Wrap the kernel, its pencil solve, its Newton polish and numpy's two Hermitian
-    eigensolvers so that each adds its work to ``counts``."""
+    eigensolvers so that each adds its work to ``counts``; ``patch(owner, name, value)``
+    installs each wrapper (a test passes ``monkeypatch.setattr``, which undoes them)."""
     from semidw import _optim, radii
 
     state = {"kernel": False, "polish": False}
@@ -69,38 +71,49 @@ def install_counters(counts: dict) -> None:
         return wrapped
 
     # rotated_eig_max reaches the stack through _optim's global, the memo through radii's
-    _optim.rotated_eig_max_stack = radii.rotated_eig_max_stack = counted_kernel
-    _optim.newton_max_lockstep = counted_polish
-    _optim.pencil_eigvals = counted_pencil
+    for owner in (_optim, radii):
+        patch(owner, "rotated_eig_max_stack", counted_kernel)
+    patch(_optim, "newton_max_lockstep", counted_polish)
+    patch(_optim, "pencil_eigvals", counted_pencil)
     for name in ("eigh", "eigvalsh"):
-        setattr(np.linalg, name, counted_solve(name, getattr(np.linalg, name)))
+        patch(np.linalg, name, counted_solve(name, getattr(np.linalg, name)))
+
+
+def kernel_work(seeds, patch=setattr) -> dict:
+    """``{workload: {"ops": operations, column: count}}`` of ``WORKLOADS``, one pattern
+    cycle per seed, with the counters and ``bench/`` on ``sys.path`` installed by
+    ``patch``. Raises ``RuntimeError`` when an operation's own checks fail."""
+    patch(sys, "path", [str(ROOT / "bench"), *sys.path])
+    import workloads
+
+    import semidw as sd
+
+    counts = dict.fromkeys(COLUMNS, 0)
+    install_counters(counts, patch)
+    work = {}
+    for workload in WORKLOADS:
+        op = workloads.op_pair_blocks if workload == "pair-blocks" else workloads.op_catalog
+        counts.update(dict.fromkeys(COLUMNS, 0))
+        ops = 0
+        for seed in seeds:
+            for k in range(len(workloads.pattern(workload))):
+                fails = op(sd, workloads.make_instance(workload, seed, k))
+                if fails:
+                    raise RuntimeError(f"{workload} seed {seed} instance {k}: {fails}")
+                ops += 1
+        work[workload] = {"ops": ops, **counts}
+    return work
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--seeds", type=int, nargs="+", default=[1, 2, 3])
     args = parser.parse_args(argv)
-    sys.path.insert(0, str(ROOT / "bench"))
-    import workloads
-
-    import semidw as sd
-
-    counts = dict.fromkeys(COLUMNS, 0)
-    install_counters(counts)
+    work = kernel_work(args.seeds)
     print(f"seeds {' '.join(map(str, args.seeds))}, one pattern cycle each")
     print(f"{'workload':18s} {'ops':>4s}" + "".join(f" {c:>9s}" for c in COLUMNS))
-    for workload in WORKLOADS:
-        op = workloads.op_pair_blocks if workload == "pair-blocks" else workloads.op_catalog
-        counts.update(dict.fromkeys(COLUMNS, 0))
-        ops = 0
-        for seed in args.seeds:
-            for k in range(len(workloads.pattern(workload))):
-                fails = op(sd, workloads.make_instance(workload, seed, k))
-                if fails:
-                    print(f"{workload} seed {seed} instance {k}: {fails}", file=sys.stderr)
-                    return 1
-                ops += 1
-        print(f"{workload:18s} {ops:4d}" + "".join(f" {counts[c]:9d}" for c in COLUMNS))
+    for workload, row in work.items():
+        print(f"{workload:18s} {row['ops']:4d}" + "".join(f" {row[c]:9d}" for c in COLUMNS))
     return 0
 
 

@@ -8,7 +8,8 @@ tests, and scipy's L-BFGS-B on the sphere is the reference of the sampling
 oracle's Newton refinement. The scalar-shift references evaluate every member
 of a lambda grid of the two scalar-shift bounds from explicitly shifted
 matrices, on a compressed ``N``. :func:`hook_kernel` sees every call of the angle
-kernel that :mod:`semidw.radii` makes.
+kernel that :mod:`semidw.radii` makes, and :func:`opening_lines` names the two
+problems a dw bracket opens with.
 """
 
 from __future__ import annotations
@@ -272,3 +273,13 @@ def hook_kernel(monkeypatch, record) -> None:
 
     monkeypatch.setattr(radii, "rotated_eig_max_stack", stacked)
     monkeypatch.setattr(radii, "rotated_eig_max", single)
+
+
+def opening_lines(n_mat: np.ndarray) -> list:
+    """The keys (``semidw.radii._problem_key``) of the two kernel problems a dw bracket of
+    ``n_mat`` opens with: ``w`` at 0, ``(N, -1, None)``, and theta-sweep's pi/4 line,
+    ``(N, -1, N*N)``."""
+    from semidw import radii
+    from semidw._optim import gram_herm
+
+    return [radii._problem_key(n_mat, -1, None), radii._problem_key(n_mat, -1, gram_herm(n_mat))]

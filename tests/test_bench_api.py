@@ -2,7 +2,9 @@
 
 A source change that breaks one of these calls fails every benchmark run.
 These checks only read ``bench/``: its traced names, its two in-process
-operations on the first tiny instance, and its CLI argument lists.
+operations on the first tiny instance, its CLI argument lists, and the work of the
+level-set kernel on one pattern cycle of the library workloads
+(``tests/count_kernel_work.py``).
 """
 
 import importlib
@@ -50,3 +52,14 @@ def test_cli_accepts_bench_arguments(bench, tmp_path):
     for command in workloads.CLI_COMMANDS:
         args = parser.parse_args(workloads.cli_args(command, inst, tmp_path / "out.json"))
         assert callable(args.fn), command
+
+
+def test_bench_traffic_solves_one_pencil_per_problem_and_no_arc_end(monkeypatch):
+    # on seed 1 every kernel problem of the library workloads certifies its first level
+    # with one pencil, so the kernel solves no arc-end eigh
+    from count_kernel_work import kernel_work
+
+    for workload, row in kernel_work([1], monkeypatch.setattr).items():
+        assert row["ops"] and row["problems"], workload
+        assert row["pencils"] == row["problems"], (workload, row)
+        assert row["arc_end"] == 0, (workload, row)

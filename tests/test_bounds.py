@@ -15,7 +15,7 @@ from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
 from helpers import (brute_dw, hook_kernel, lambda_complex_members, lambda_real_stacked,
-                     refine_periodic_max)
+                     opening_lines, refine_periodic_max)
 
 SQ2 = np.sqrt(2.0)
 
@@ -863,7 +863,8 @@ def test_reports_make_one_kernel_call_before_their_dw_slices(monkeypatch):
         built.append(n_mat.tobytes())
         return _core(n_mat, memo)
 
-    monkeypatch.setattr(radii, "_dw_core", counted)
+    for module in (radii, bounds):
+        monkeypatch.setattr(module, "_dw_core", counted)
     rng = np.random.default_rng(23)
     m = random_metric(rng, 4, 3)
     x, y = random_bounded_operator(rng, m), random_bounded_operator(rng, m)
@@ -1025,17 +1026,19 @@ def test_public_evaluators_match_reports():
 
 
 def test_public_radii_match_report_paths(monkeypatch):
-    # the public closed forms and dw_radius read the same memo path as the reports
+    # the public closed forms and dw_radius read the same memo path as the reports:
+    # dw_radius takes one SVD and solves its w and pi/4 lines once, in its first kernel call
     from semidw import radii
     from semidw.bounds import exact_checks
 
-    calls = Counter()
-    for name in ("_w_core", "_seminorm_core"):
-        def counted(n_mat, memo, _name=name, _core=getattr(radii, name)):
-            calls[_name] += 1
-            return _core(n_mat, memo)
+    calls, problems = Counter(), []
 
-        monkeypatch.setattr(radii, name, counted)
+    def counted(n_mat, memo, _core=radii._seminorm_core):
+        calls["_seminorm_core"] += 1
+        return _core(n_mat, memo)
+
+    monkeypatch.setattr(radii, "_seminorm_core", counted)
+    hook_kernel(monkeypatch, problems.append)
     rng = np.random.default_rng(13)
     for m in _seeded_metrics():
         t = random_bounded_operator(rng, m)
@@ -1048,8 +1051,15 @@ def test_public_radii_match_report_paths(monkeypatch):
             else:
                 assert est.witness is None and closed.witness is None
         calls.clear()
+        problems.clear()
         est = sd.dw_radius(m, t)
-        assert calls == (Counter(_w_core=1, _seminorm_core=1) if m.rank else Counter())
+        assert calls == (Counter(_seminorm_core=1) if m.rank else Counter())
+        if m.rank:
+            assert [radii._problem_key(*problem) for problem in problems[0]] == opening_lines(
+                compress(m, t))
+            assert all(len(later) == 1 and len(later[0]) == 4 for later in problems[1:])
+        else:
+            assert problems == []
         report = sd.verify_all(m, t, seed=1)
         assert [est.value, est.value + est.residual] == [report.reference_dw,
                                                          report.reference_dw_upper]
@@ -1118,7 +1128,8 @@ def test_reports_reject_nonfinite_reference(monkeypatch, diag12):
         for evaluator in _public_evaluators(diag12):
             with pytest.raises(sd.NonFiniteReference):
                 evaluator(reference=reference)
-    monkeypatch.setattr(radii, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
+    for module in (radii, bounds):
+        monkeypatch.setattr(module, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
     with pytest.raises(sd.NonFiniteReference):
         sd.verify_all(diag12, np.array([[1.0, 2.0], [0.5, -1.0]]), seed=1)
     with pytest.raises(sd.NonFiniteReference):

@@ -230,9 +230,10 @@ def test_verify_large_norm_reference_finite(tmp_path, capsys):
 
 
 def test_verify_nonfinite_reference_exit_1(tmp_path, capsys, monkeypatch):
-    from semidw import radii
+    from semidw import bounds, radii
 
-    monkeypatch.setattr(radii, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
+    for module in (radii, bounds):
+        monkeypatch.setattr(module, "_dw_core", lambda *args: (np.inf, None, 0, 0.0))
     code = main(["verify", *_large_norm_files(tmp_path)])
     assert code == 1
     assert "dw bracket is [inf, inf]" in capsys.readouterr().err

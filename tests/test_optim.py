@@ -11,7 +11,7 @@ import scipy.linalg
 
 from semidw import _optim
 from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_max,
-                           rotated_eig_max_stack, rotated_herm, rotated_herm_batch)
+                           rotated_eig_max_stack, rotated_herm)
 from semidw.radii import _crawford_core, _Memo, _w_core
 
 from helpers import refine_periodic_max
@@ -49,7 +49,7 @@ def _reference(n_mat, shift, r):
     k_mat = np.zeros((r, r)) if shift is None else shift
     size = DENSE_GRID if r <= 3 else COARSE_GRID
     thetas = np.linspace(0.0, 2.0 * np.pi, size, endpoint=False)
-    lam = np.concatenate([np.linalg.eigvalsh(rotated_herm_batch(n_mat, part) + k_mat)
+    lam = np.concatenate([np.linalg.eigvalsh(rotated_herm(n_mat, part) + k_mat)
                           for part in np.array_split(thetas, max(1, size // 5000))])
     out = {}
     for index in (0, -1):
@@ -147,7 +147,7 @@ def test_newton_polish_refuses_multiple_eigenvalue(monkeypatch):
     monkeypatch.setattr(_optim, "MAX_LEVELS", 0)
     n_mat = (0.3 - 1.7j) * np.eye(3)
     starts = np.linspace(0.0, 2.0 * np.pi, _optim.START_ANGLES, endpoint=False)
-    vals = np.linalg.eigvalsh(rotated_herm_batch(n_mat, starts))
+    vals = np.linalg.eigvalsh(rotated_herm(n_mat, starts))
     for index in (0, -1):
         theta, value, evals, *_ = rotated_eig_max(n_mat, index)
         best = int(np.argmax(vals[:, index]))
@@ -581,7 +581,7 @@ def test_stack_of_nothing_and_of_zero_problems():
 
 def _curve(n_mat, index, shift, thetas):
     k_mat = 0.0 if shift is None else shift
-    return np.linalg.eigvalsh(rotated_herm_batch(n_mat, thetas) + k_mat)[:, index]
+    return np.linalg.eigvalsh(rotated_herm(n_mat, thetas) + k_mat)[:, index]
 
 
 def _grid_starts(n_mat, index, shift, theta):

@@ -24,7 +24,7 @@ from semidw.sampling import (
 
 from conftest import X_MAT, Y_MAT
 from helpers import (brute_crawford, brute_dw, brute_numrad, brute_seminorm, hook_kernel,
-                     lbfgs_sphere_refine)
+                     lbfgs_sphere_refine, opening_lines)
 
 SQ2 = np.sqrt(2.0)
 
@@ -319,14 +319,11 @@ def test_dw_determinism(diag12):
 
 
 def test_dw_runs_w_only_when_it_reads_it(diag12, monkeypatch):
-    # the w and pi/4 lines of a bracket run past its NORM_MAX and zero checks, once each
+    # the w and pi/4 lines of a bracket are solved past its NORM_MAX and zero checks, once
+    # each, and both in the first kernel call
     calls = []
-    for name in ("_w_core", "_theta_sweep_core"):
-        def counted(n_mat, memo, _core=getattr(radii, name), _name=name):
-            calls.append((_name, n_mat.tobytes()))
-            return _core(n_mat, memo)
-
-        monkeypatch.setattr(radii, name, counted)
+    hook_kernel(monkeypatch, calls.append)
+    lines = opening_lines(compress(diag12, Y_MAT))
     for run in (sd.dw_radius, radii.estimates):
         calls.clear()
         if run is sd.dw_radius:
@@ -338,8 +335,30 @@ def test_dw_runs_w_only_when_it_reads_it(diag12, monkeypatch):
         est = run(diag12, Y_MAT)
         assert (est if run is sd.dw_radius else est["dw_radius"]).value == pytest.approx(
             SQ2, abs=1e-10)
-        n_y = compress(diag12, Y_MAT).tobytes()
-        assert sorted(calls) == [("_theta_sweep_core", n_y), ("_w_core", n_y)]
+        solved = [radii._problem_key(*problem) for problems in calls for problem in problems]
+        assert [solved.count(line) for line in lines] == [1, 1]
+        assert set(lines) <= {radii._problem_key(*problem) for problem in calls[0]}
+
+
+def test_one_fill_solves_the_opening_lines_of_a_bracket_in_one_call(monkeypatch):
+    # a bracket opens with the problems of w and theta-sweep: one fill of the three cores
+    # solves both in one stacked call, then one warm slice per call, and every core
+    # returns what it returns alone
+    rng = np.random.default_rng(3)
+    n_mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    cores = (_dw_core, _w_core, radii._theta_sweep_core)
+    alone = [_Memo().run(core, n_mat) for core in cores]
+    calls = []
+    hook_kernel(monkeypatch, calls.append)
+    memo = _Memo()
+    memo.fill([(core, n_mat) for core in cores])
+    assert [radii._problem_key(*problem) for problem in calls[0]] == opening_lines(n_mat)
+    assert all(len(problems) == 1 and len(problems[0]) == 4 for problems in calls[1:])
+    # the pi/4 line is the bracket's first slice
+    assert len(calls) == memo.run(_dw_core, n_mat)[2]
+    for core, want in zip(cores, alone):
+        got = memo.run(core, n_mat)
+        assert [np.asarray(x).tobytes() for x in got] == [np.asarray(x).tobytes() for x in want]
 
 
 def test_dw_bracket_is_scale_free():
@@ -360,25 +379,44 @@ def test_dw_bracket_is_scale_free():
 
 
 def test_tiny_operators_keep_w_c_and_the_dw_bracket():
-    # the kernel scales by ||N||_F, whose squares underflow below about 1e-154; at these
-    # scales G = N*N is negligible next to N, so dw(s T) = s w(T), and w(T) = sqrt(41) / 4
-    # for the trace-free T (W(T) is the ellipse of foci +-sqrt(2) and minor axis 3 / 2)
+    # the kernel scales by ||N||_F, whose squares underflow below about 1e-154 and overflow
+    # above about 1e154, and the Crawford witness geometry runs on N over a power of two, so
+    # w and c hold from subnormal to huge operators, with no RuntimeWarning (an error under
+    # the test settings). At tiny scales G = N*N is negligible next to N, so dw(s T) =
+    # s w(T), and w(T) = sqrt(41) / 4 for the trace-free T (W(T) is the ellipse of foci
+    # +-sqrt(2) and minor axis 3 / 2). A subnormal value rounds to a multiple of the
+    # smallest one, ulp; s T and s S are exact multiples of T and S at 1e-320 (s = 2024
+    # ulp) and within rounding elsewhere, so the witnesses are checked on T and S
     m = sd.build_metric(np.eye(2))
     t = np.array([[1.0, 2.0], [0.5, -1.0]])
     shifted = t + (2.0 + 1.0j) * np.eye(2)  # 0 outside W: c > 0
+    n_t, n_shifted = compress(m, t), compress(m, shifted)
     w_t = np.sqrt(41.0) / 4.0
     w_shifted, c_shifted = sd.numerical_radius(m, shifted).value, sd.crawford(m, shifted).value
     assert c_shifted > 0.5
-    eps = np.finfo(float).eps
-    for s in (1e-150, 1e-170, 1e-200, 1e-300):
+    eps, ulp = np.finfo(float).eps, np.finfo(float).smallest_subnormal
+    for s in (1e-150, 1e-170, 1e-200, 1e-300, 1e-320, 1e160, 1e300):
+        inside, outside = sd.crawford(m, s * t), sd.crawford(m, s * shifted)
         for got, want in ((sd.numerical_radius(m, s * t).value, w_t),
                           (sd.numerical_radius(m, s * shifted).value, w_shifted),
-                          (sd.crawford(m, s * shifted).value, c_shifted)):
-            assert abs(got - s * want) <= 1e-14 * s * want, (s, got, want)
-        dw = sd.dw_radius(m, s * t)
-        # the lower end is an attained |p|, exact up to its own rounding
-        assert dw.value <= s * w_t * (1.0 + 4.0 * eps) and s * w_t <= dw.value + dw.residual, s
-        assert dw.residual <= 1e-13 * dw.value, s
+                          (outside.value, c_shifted), (inside.value, 0.0)):
+            assert abs(got - s * want) <= 1e-14 * s * want + ulp, (s, got, want)
+        # c(T) = 0 by the inner-polygon short cut; each witness attains c on T or on S
+        assert inside.iterations == START_ANGLES, s
+        assert abs(np.vdot(inside.maximizer, n_t @ inside.maximizer)) <= 1e-14, s
+        assert abs(abs(np.vdot(outside.maximizer, n_shifted @ outside.maximizer))
+                   - c_shifted) <= 1e-14, s
+        assert max(inside.residual, outside.residual) <= 1e-14 * s + ulp, s
+        if s < 1.0:
+            dw = sd.dw_radius(m, s * t)
+            # the lower end is an attained |p|, exact up to its own rounding
+            assert dw.value <= s * w_t * (1.0 + 4.0 * eps) + ulp, s
+            assert s * w_t <= dw.value + dw.residual + ulp, s
+            assert dw.residual <= 1e-13 * dw.value + ulp, s
+    # the search through 0 of this c = 0 case met a nan frame and a failed eigh at 1e-320
+    t0 = np.array([[0.1 - 1.3j, -0.1 - 0.6j, 0.6], [0.1 - 2.3j, -0.5 - 0.2j, 0.4 - 1.2j],
+                   [1.3 - 0.7j, 0.9 - 0.5j, -0.7 - 0.3j]])
+    assert sd.verify_all(sd.build_metric(np.eye(3)), 1e-320 * t0).overall_pass
 
 
 def _shell_family():
