@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import importlib.machinery
 import importlib.util
+import math
 import os
 import sys
 
@@ -130,38 +131,18 @@ def newton_max_lockstep(theta0, f, step_max: float):
     return theta, value, evals
 
 
-#: below this Frobenius norm the kernel's scale is taken of each matrix over its largest
-#: entry: ``np.linalg.norm`` squares the entries, which underflow below about 1e-154
-SCALE_FLOOR = 1e-150
+def _pow2_units(*mats) -> tuple[list[np.ndarray], int]:
+    """``([M 2^-e for M in mats], e)``, ``e`` the exponent of the largest real or imaginary
+    part of any entry of ``mats``, which so lands in [1/2, 1).
 
-
-def _scaled(z: np.ndarray) -> tuple[np.ndarray, float]:
-    """``(z / top, top)``, ``top`` the largest ``|z_ij|`` (z itself where top is 0 or inf).
-
-    The real and imaginary parts are divided apart: numpy's complex division by a
-    subnormal ``top`` overflows.
+    Exact, signed zeros included (``np.ldexp`` on the float views; each matrix keeps a
+    float or complex dtype): the units' norms and products neither underflow nor
+    overflow for subnormal to huge matrices, and a ratio of two of them is that of the
+    matrices. ``e`` is 0 where every entry is 0; a nonfinite entry stays nonfinite.
     """
-    top = float(np.abs(z).max(initial=0.0))
-    return (z.real / top + 1j * (z.imag / top) if 0.0 < top < np.inf else z), top
-
-
-def _divide(z: np.ndarray, s: float) -> np.ndarray:
-    """``z / s``; below ``SCALE_FLOOR`` a complex z has its real and imaginary parts
-    divided apart, as numpy's complex division by a subnormal ``s`` overflows."""
-    if s >= SCALE_FLOOR or not np.iscomplexobj(z):
-        return z / s
-    return z.real / s + 1j * (z.imag / s)
-
-
-def _scale(mats) -> float:
-    """The largest ``||M||_F`` of ``mats``, each taken of M over its largest entry
-    (:func:`_scaled`) when the plain norms are below ``SCALE_FLOOR`` or not finite, so
-    tiny entries do not underflow to 0 nor large ones overflow to inf."""
-    with np.errstate(over="ignore"):
-        s = max(float(np.linalg.norm(m)) for m in mats)
-    if SCALE_FLOOR <= s < np.inf:
-        return s
-    return max(top * float(np.linalg.norm(u)) for u, top in map(_scaled, mats))
+    arrs = [np.ascontiguousarray(m, dtype=np.result_type(m, float)) for m in mats]
+    e = math.frexp(max([np.abs(a.view(float)).max(initial=0.0) for a in arrs]))[1]
+    return [np.ldexp(a.view(float), -e).view(a.dtype) for a in arrs], e
 
 
 def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
@@ -178,8 +159,8 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
 
     Criss-cross level-set method (Mengi-Overton, IMA J. Numer. Anal. 25 (2005);
     Boyd-Balakrishnan, Systems Control Lett. 15 (1990)) on ``N, K`` scaled by
-    ``max(||N||_F, ||K||_F)`` (:func:`_scale`, safe from underflow), ``K = shift``
-    (Hermitian) or 0, with local
+    ``max(||N||_F, ||K||_F)``, ``K = shift`` (Hermitian) or 0, taken of the exact
+    :func:`_pow2_units` of N and K, so it neither underflows nor overflows, with local
     Newton ascent between the level sets (Mitchell, SIAM J. Sci. Comput. 45
     (2023)). The first level gamma is the best of the ``START_ANGLES`` angles
     ``START_THETAS`` or, for a problem with a start angle (a warm start), the better
@@ -231,15 +212,16 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     live, n_list, k_list, index, scale, grids = [], [], [], [], [], []
     for i, (n_mat, idx, shift, *start) in enumerate(problems):
         r = n_mat.shape[0]
-        s = _scale((n_mat,) if shift is None else (n_mat, shift))
+        units, e = _pow2_units(n_mat) if shift is None else _pow2_units(n_mat, shift)
+        s = max(float(np.linalg.norm(u)) for u in units)
         if s == 0.0:
             out[i] = (0.0, 0.0, 0, np.zeros(r), np.eye(r))
             continue
         live.append(i)
-        n_list.append(_divide(n_mat, s))
-        k_list.append(np.zeros((r, r)) if shift is None else _divide(shift, s))
+        n_list.append(units[0] / s)
+        k_list.append(np.zeros((r, r)) if shift is None else units[1] / s)
         index.append(idx % r)
-        scale.append(s)
+        scale.append(float(np.ldexp(s, e)))
         grids.append(START_THETAS if not start or start[0] is None
                      else float(start[0]) + np.array([0.0, np.pi]))
     if not live:

@@ -19,11 +19,12 @@ functional becomes an ordinary Euclidean problem on ``N``.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._optim import _scaled
+from ._optim import _pow2_units
 from .errors import (
     DimensionMismatch,
     EmptyMatrix,
@@ -172,21 +173,21 @@ def _bounded_product(m: Metric, arr: np.ndarray) -> tuple[np.ndarray, float]:
     The residual is relative to the scale of the product's inputs, which bounds both
     ``||S||_F`` and the rounding of ``S - S B B*``; so it does not depend on the scale
     of T, and an operator that is not A-bounded is rejected however small it is. The
-    norms are those of S and T each divided by its largest entry (:func:`semidw._optim._scaled`):
-    ``np.linalg.norm`` squares the entries, which overflow above about 1.3e154 and
-    underflow below about 1e-154. An S that itself overflowed has no residual (nan,
-    rejected); a zero S (``A T = 0``, or a rank-zero A) has residual 0.
+    norms are those of S and T each over a power of two (:func:`semidw._optim._pow2_units`),
+    so they neither underflow nor overflow, and the two powers meet in one exact
+    ``ldexp``. An S that itself overflowed has no residual (nan, rejected); a residual
+    of 0 (a zero S: ``A T = 0``, or a rank-zero A) is 0.
     """
     s = np.sqrt(m.eigvals[: m.rank])[:, None] * (m.basis.conj().T @ arr)
-    u, top = _scaled(s)
-    if not top < np.inf:
+    (u,), e_s = _pow2_units(s)
+    if not np.isfinite(u).all():
         return s, np.nan
-    if top == 0.0:
-        return s, 0.0
     res = float(np.linalg.norm(u - (u @ m.basis) @ m.basis.conj().T))
-    # top <= ||S||_2 <= sqrt(lambda_max) n top_t, so the ratio stays finite
-    v, top_t = _scaled(arr)
-    return s, res * (top / top_t) / (np.sqrt(m.eigvals[0]) * float(np.linalg.norm(v)))
+    if res == 0.0:
+        return s, 0.0
+    # |S_ij| <= ||S||_2 <= sqrt(lambda_max) n max|T_ij|, so the ldexp stays in range
+    (v,), e_t = _pow2_units(arr)
+    return s, math.ldexp(res, e_s - e_t) / (np.sqrt(m.eigvals[0]) * float(np.linalg.norm(v)))
 
 
 def a_bounded_residual(m: Metric, t) -> float:

@@ -43,8 +43,8 @@ from types import GeneratorType
 
 import numpy as np
 
-from ._optim import (START_ANGLES, START_THETAS, gram_herm, herm_parts, rotated_eig_max,
-                     rotated_eig_max_stack, rotated_herm)
+from ._optim import (START_ANGLES, START_THETAS, _pow2_units, gram_herm, herm_parts,
+                     rotated_eig_max, rotated_eig_max_stack, rotated_herm)
 from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
@@ -423,17 +423,15 @@ def _inner_zero(n_mat: np.ndarray, tops: np.ndarray, points: np.ndarray) -> np.n
 def _crawford_core(n_mat: np.ndarray, memo: _Memo):
     """``(c(N), c, iterations, residual)``: the :func:`_inner_zero` short cut, else the sweep.
 
-    The witness geometry runs on ``U = 2^-e N``, the largest real or imaginary part of
-    its entries in [1/2, 1): exact, signed zeros included, and its forms and their
-    products stay in range for subnormal to huge N. When the points of the memoized :func:`_start_support` of U enclose 0 the
+    The witness geometry runs on ``U = 2^-e N`` (:func:`semidw._optim._pow2_units`): its
+    forms and their products stay in range for subnormal to huge N. When the points of
+    the memoized :func:`_start_support` of U enclose 0 the
     value is 0 with ``START_ANGLES`` iterations and no kernel call; the kernel would
     return ``max(0, lambda_min) = 0`` there too, since every ``lambda_min(Re(e^{i phi}
     N))`` is below minus the margin. Else the value is the kernel's on N, whose eigenpairs
     at phi give the face: a generator core past the short cut.
     """
-    parts = np.ascontiguousarray(n_mat, dtype=complex).view(float)
-    e = math.frexp(np.abs(parts).max())[1]
-    unit = np.ldexp(parts, -e).view(complex)
+    (unit,), e = _pow2_units(n_mat.astype(complex, copy=False))
     c = _inner_zero(unit, *memo.run(_start_support, unit))
     if c is not None:
         return 0.0, c, START_ANGLES, math.ldexp(abs(_form(unit, c)), e)

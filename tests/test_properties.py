@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 
 import semidw as sd
+from semidw.sampling import random_bounded_operator, random_metric
 from semidw.semiop import bounded_part
 
 EPS = np.finfo(float).eps
@@ -187,3 +188,21 @@ def test_metric_scaling_invariance():
                 assert abs(got - ref) <= tol * (1.0 + ref), (k, c, f.__name__, got, ref)
             report = sd.verify_all(mc, t)
             assert report.overall_pass, (k, c)
+
+
+@pytest.mark.parametrize("k", [-1000, -600, -520, -1, 1, 520, 900])
+def test_power_of_two_scaling_is_bit_exact(k):
+    # the kernel and the Crawford witness scale N by powers of two alone, so w_A and c_A
+    # of 2^k T are those of T times 2^k bit for bit, with the same witness and the same
+    # iteration count, wherever the values stay normal. ||T||_A and m_A are left out:
+    # LAPACK's SVD scales its own input, which moves them by an ulp at |k| >= 520
+    rng = np.random.default_rng(2)
+    for n in (2, 3, 5):
+        for j in range(5):
+            m = random_metric(rng, n + 1, n) if j % 2 else sd.build_metric(np.eye(n))
+            t = random_bounded_operator(rng, m)
+            for f in (sd.numerical_radius, sd.crawford):
+                base, got = f(m, t), f(m, 2.0 ** k * t)
+                assert got.value == np.ldexp(base.value, k), (n, j, f.__name__)
+                assert got.iterations == base.iterations, (n, j, f.__name__)
+                assert np.array_equal(got.maximizer, base.maximizer), (n, j, f.__name__)

@@ -380,9 +380,9 @@ def test_dw_bracket_is_scale_free():
 
 def test_tiny_operators_keep_w_c_and_the_dw_bracket():
     # the kernel scales by ||N||_F, whose squares underflow below about 1e-154 and overflow
-    # above about 1e154, and the Crawford witness geometry runs on N over a power of two, so
-    # w and c hold from subnormal to huge operators, with no RuntimeWarning (an error under
-    # the test settings). At tiny scales G = N*N is negligible next to N, so dw(s T) =
+    # above about 1e154, so it takes the norm of N times a power of two, as the Crawford
+    # witness geometry does; so w and c hold from subnormal to huge operators, with no
+    # RuntimeWarning (an error under the test settings). At tiny scales G = N*N is negligible next to N, so dw(s T) =
     # s w(T), and w(T) = sqrt(41) / 4 for the trace-free T (W(T) is the ellipse of foci
     # +-sqrt(2) and minor axis 3 / 2). A subnormal value rounds to a multiple of the
     # smallest one, ulp; s T and s S are exact multiples of T and S at 1e-320 (s = 2024
