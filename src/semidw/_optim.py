@@ -133,7 +133,7 @@ def newton_max_lockstep(theta0, f, step_max: float):
 
 def _pow2_units(*mats) -> tuple[list[np.ndarray], int]:
     """``([M 2^-e for M in mats], e)``, ``e`` the exponent of the largest real or imaginary
-    part of any entry of ``mats``, which so lands in [1/2, 1).
+    part of any entry of ``mats``, so that this part of the result lies in [1/2, 1).
 
     Exact, signed zeros included (``np.ldexp`` on the float views; each matrix keeps a
     float or complex dtype): the units' norms and products neither underflow nor

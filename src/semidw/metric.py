@@ -97,10 +97,14 @@ def as_operator(t, dim: int | None = None) -> np.ndarray:
 def build_metric(a, rank_tol: float = DEFAULT_RANK_TOL) -> Metric:
     """Build the spectral workspace of a Hermitian PSD matrix.
 
+    Raises :class:`NotHermitian` unless ``||A - A*||_F <= HERMITIAN_RTOL ||A||_F``.
     Eigenvalues in ``(-rank_tol*lmax, rank_tol*lmax)`` are clamped to zero, and
     so are those below the smallest normal float, whose reciprocals overflow;
-    anything more negative raises :class:`NotPositiveSemidefinite`. The input
-    is symmetrized after the Hermiticity check so downstream arithmetic sees
+    anything more negative raises :class:`NotPositiveSemidefinite` (with
+    ``rank_tol = 0`` or no positive eigenvalue, anything below ``-eps ||A||_F``).
+    Both tests are scale-free: the norms are taken of A over a power of two
+    (:func:`semidw._optim._pow2_units`), so they neither underflow nor overflow. The
+    input is symmetrized after the Hermiticity check so downstream arithmetic sees
     an exactly Hermitian matrix. A ``rank_tol`` outside [0, 1) raises ``ValueError``.
     """
     if not 0.0 <= rank_tol < 1.0:
@@ -110,18 +114,21 @@ def build_metric(a, rank_tol: float = DEFAULT_RANK_TOL) -> Metric:
         raise EmptyMatrix(f"expected a nonempty square matrix, got shape {arr.shape}")
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"metric is not square: shape {arr.shape}")
-    norm_a = float(np.linalg.norm(arr))
-    herm_res = float(np.linalg.norm(arr - arr.conj().T))
-    if not np.isfinite(norm_a) or herm_res > HERMITIAN_RTOL * (1.0 + norm_a):
-        raise NotHermitian(f"metric is not Hermitian: residual {herm_res:.3e}")
+    (unit,), e = _pow2_units(arr)
+    norm_u = float(np.linalg.norm(unit))
+    herm_res = float(np.linalg.norm(unit - unit.conj().T))
+    if not np.isfinite(norm_u) or herm_res > HERMITIAN_RTOL * norm_u:
+        raise NotHermitian(f"metric is not Hermitian: relative residual "
+                           f"{herm_res / norm_u:.3e}")
     arr = _hermitian_part(arr)
 
     eigvals, eigvecs = np.linalg.eigh(arr)
     lmax = float(eigvals[-1]) if eigvals.size else 0.0
     cutoff = rank_tol * max(lmax, 0.0)
-    if np.any(eigvals < -cutoff - (0.0 if cutoff > 0 else np.finfo(float).eps * max(norm_a, 1.0))):
+    floor = cutoff if cutoff > 0 else math.ldexp(np.finfo(float).eps * norm_u, e)
+    if np.any(eigvals < -floor):
         raise NotPositiveSemidefinite(
-            f"metric has negative eigenvalue {float(eigvals[0]):.3e} below -{cutoff:.3e}"
+            f"metric has negative eigenvalue {float(eigvals[0]):.3e} below -{floor:.3e}"
         )
     eigvals = np.where(eigvals < max(cutoff, np.finfo(float).tiny), 0.0, eigvals)
 

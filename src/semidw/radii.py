@@ -705,7 +705,8 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
     ``iterations`` counts the samples and the refinement's evaluations, and
     ``residual`` is the refinement's gain over the best sample. Guarded to
     compressed rank <= 6; raises :class:`RankTooLarge` above that and
-    ``ValueError`` for ``samples < 1``.
+    ``ValueError`` for ``samples < 1``, and for ``"dw"``, as :func:`dw_radius` does,
+    :class:`NormOutOfRange` when ``||T||_A > NORM_MAX``.
     """
     if objective not in _ORACLE_OBJECTIVES:
         raise ValueError(f"unknown objective {objective!r}; expected one of {_ORACLE_OBJECTIVES}")
@@ -713,8 +714,8 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
                      lambda n_mat, memo: _oracle_core(n_mat, objective, samples, seed))
 
 
-def _oracle_starts(n_mat: np.ndarray, gram: np.ndarray, objective: str, samples: int,
-                   seed: int):
+def _oracle_starts(n_mat: np.ndarray, gram: np.ndarray | None, objective: str,
+                   samples: int, seed: int):
     """``(starts, values)``: the ten best of ``samples`` seeded unit vectors, best first.
 
     The forms are ``einsum("ki,ki->k", c.conj(), c @ N.T)``, a matrix product and a row
@@ -736,11 +737,13 @@ def _oracle_core(n_mat: np.ndarray, objective: str, samples: int, seed: int):
         raise RankTooLarge(f"oracle guard: compressed rank {r} > 6")
     if samples < 1:
         raise ValueError(f"the oracle needs samples >= 1, got {samples}")
-    gram = gram_herm(n_mat)
     minimize_it = objective == "crawford"
+    norm = float(np.linalg.norm(n_mat, 2))
+    if not minimize_it:
+        _check_norm(norm)
+    gram = None if minimize_it else gram_herm(n_mat)
     starts, vals = _oracle_starts(n_mat, gram, objective, samples, seed)
     best_val, best_c = float(vals[0]), starts[0]
-    norm = float(np.linalg.norm(n_mat, 2))
     if norm == 0.0:
         return best_val, best_c, samples, 0.0
     # one common unit keeps F at most 1, and finite up to NORM_MAX

@@ -8,9 +8,12 @@ A-selfadjoint / A-normal / A-unitary predicates, and 2x2 block assembly
 whose block adjoint swaps the off-diagonal blocks and takes the A-adjoint
 entrywise.
 
-Predicates return booleans with relative tolerances (scaled by 1 + norm);
-the companion ``*_residual`` functions expose the raw relative residuals
-for reporting.
+Predicates return booleans with relative tolerances; the companion
+``*_residual`` functions expose the relative residuals for reporting. The
+A-boundedness, A-adjoint, A-selfadjoint and A-normal residuals are scale-free:
+relative to the norms of their inputs, each taken over a power of two
+(:func:`semidw._optim._pow2_units`), so they do not change under ``T -> sT`` or
+``A -> cA`` and neither underflow nor overflow, and a zero operator's is 0.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._optim import _pow2_units
 from .errors import NotInBA
 from .metric import (
     BOUNDED_TOL,
@@ -32,11 +36,13 @@ DEFAULT_TOL = 1e-9
 
 
 def ba_residual(m: Metric, t) -> float:
-    """Relative residual of the A-adjoint existence test ``(I-P_A) T* A = 0``."""
-    arr = as_operator(t, m.dim)
-    ta = arr.conj().T @ m.a
+    """Relative residual ``||(I-P_A) T* A||_F / (||T||_F ||A||_F)`` of the A-adjoint
+    existence test."""
+    (t_u,), _ = _pow2_units(as_operator(t, m.dim))
+    (a_u,), _ = _pow2_units(m.a)
+    ta = t_u.conj().T @ a_u
     res = float(np.linalg.norm(ta - m.proj @ ta))
-    return res / (1.0 + float(np.linalg.norm(ta)))
+    return res / (float(np.linalg.norm(t_u)) * float(np.linalg.norm(a_u))) if res else 0.0
 
 
 def in_ba(m: Metric, t, tol: float = DEFAULT_TOL) -> bool:
@@ -77,10 +83,12 @@ def abs_sq(m: Metric, t) -> np.ndarray:
 
 
 def selfadjoint_residual(m: Metric, t) -> float:
-    """Relative residual of ``A T = T* A``."""
-    arr = as_operator(t, m.dim)
-    at = m.a @ arr
-    return float(np.linalg.norm(at - at.conj().T)) / (1.0 + float(np.linalg.norm(at)))
+    """Relative residual ``||A T - T* A||_F / (||A||_F ||T||_F)``."""
+    (t_u,), _ = _pow2_units(as_operator(t, m.dim))
+    (a_u,), _ = _pow2_units(m.a)
+    at = a_u @ t_u
+    res = float(np.linalg.norm(at - at.conj().T))
+    return res / (float(np.linalg.norm(a_u)) * float(np.linalg.norm(t_u))) if res else 0.0
 
 
 def is_a_selfadjoint(m: Metric, t, tol: float = DEFAULT_TOL) -> bool:
@@ -89,12 +97,12 @@ def is_a_selfadjoint(m: Metric, t, tol: float = DEFAULT_TOL) -> bool:
 
 
 def normal_residual(m: Metric, t) -> float:
-    """Relative residual of ``T T^# = T^# T``."""
-    arr = as_operator(t, m.dim)
-    sh = sharp(m, arr)
-    comm = arr @ sh - sh @ arr
-    scale = 1.0 + float(np.linalg.norm(arr @ sh)) + float(np.linalg.norm(sh @ arr))
-    return float(np.linalg.norm(comm)) / scale
+    """Relative residual ``||T T^# - T^# T||_F / (||T T^#||_F + ||T^# T||_F)``."""
+    (t_u,), _ = _pow2_units(as_operator(t, m.dim))
+    sh = sharp(m, t_u)
+    left, right = t_u @ sh, sh @ t_u
+    res = float(np.linalg.norm(left - right))
+    return res / (float(np.linalg.norm(left)) + float(np.linalg.norm(right))) if res else 0.0
 
 
 def is_a_normal(m: Metric, t, tol: float = DEFAULT_TOL) -> bool:

@@ -2,7 +2,7 @@
 
 Run from the repository root::
 
-    PYTHONPATH=src python tests/make_catalog_fixture.py
+    PYTHONPATH=src python tests/make_catalog_fixture.py [--check]
 
 Instances are drawn by ``bench/workloads.make_instance`` (seed 1) from all four
 bench shapes: ``catalog-lowrank`` (dims 2-6, every third metric rank-deficient),
@@ -16,11 +16,13 @@ value regenerates the file with this script and states the largest move: before 
 writes, the script prints, against the fixture on disk, the largest relative move of
 each JSON key and every report whose dw bracket no longer meets its stored one. Both
 brackets are certified, so such a miss is a bug: the script then exits 1 and writes
-nothing.
+nothing. With ``--check`` it writes nothing at all: it prints the same moves and exits
+1 unless the fixture it would write is byte for byte the one on disk.
 """
 
 from __future__ import annotations
 
+import argparse
 import json
 import sys
 import tempfile
@@ -120,7 +122,11 @@ def report_moves(entries: list) -> int:
     return len(apart)
 
 
-def main() -> int:
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--check", action="store_true",
+                        help="write nothing; exit 1 unless the fixture is unchanged")
+    check = parser.parse_args(argv).check
     sys.path.insert(0, str(ROOT / "bench"))
     import workloads
 
@@ -136,14 +142,21 @@ def main() -> int:
                 entry["Y"] = jsonio.matrix_to_dict(inst.y)
             entry.update(entry_outputs(entry))
             entries.append(entry)
-    if report_moves(entries):
+    apart = report_moves(entries)
+    # one entry per line: a moved value shows as its entry's line in a diff
+    lines = ",\n".join(json.dumps(e, sort_keys=True, allow_nan=False) for e in entries)
+    text = f'{{"seed": {SEED}, "entries": [\n{lines}\n]}}\n'
+    if check:
+        same = FIXTURE.exists() and FIXTURE.read_text() == text
+        print(f"{FIXTURE} is {'byte for byte' if same else 'not'} the fixture the package "
+              "writes now")
+        return 0 if same and not apart else 1
+    if apart:
         print(f"not written: certified brackets cannot miss each other; {FIXTURE} is unchanged",
               file=sys.stderr)
         return 1
     FIXTURE.parent.mkdir(exist_ok=True)
-    # one entry per line: a moved value shows as its entry's line in a diff
-    lines = ",\n".join(json.dumps(e, sort_keys=True, allow_nan=False) for e in entries)
-    FIXTURE.write_text(f'{{"seed": {SEED}, "entries": [\n{lines}\n]}}\n')
+    FIXTURE.write_text(text)
     ranks = sorted({e["verify"]["instance"]["rank"] for e in entries})
     print(f"wrote {len(entries)} entries (ranks {ranks}) to {FIXTURE}")
     return 0

@@ -62,6 +62,23 @@ def test_build_errors():
         sd.build_metric(np.diag([1.0, -1.0]))
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-13, 1e-12, 1.0, 1e155, 1e300])
+def test_hermiticity_check_is_scale_free(scale):
+    # the Hermiticity test is relative to ||A||, taken over a power of two: a tiny
+    # non-Hermitian A is rejected, not symmetrized, and a huge Hermitian A, whose ||A||_F
+    # would overflow, is accepted with the functionals of the unscaled metric
+    with pytest.raises(NotHermitian, match="relative residual 8.165e-01"):
+        sd.build_metric(scale * np.array([[1.0, 1.0], [0.0, 1.0]]))
+    m = sd.build_metric(scale * np.diag([4.0, 1.0]))
+    assert m.rank == 2
+    t = np.array([[1.0, 2.0], [0.5, -1.0]])
+    assert sd.numerical_radius(m, t).value == sd.numerical_radius(
+        sd.build_metric(np.diag([4.0, 1.0])), t).value
+    # with no positive eigenvalue the PSD slack is eps ||A||_F: -A is rejected at every scale
+    with pytest.raises(NotPositiveSemidefinite):
+        sd.build_metric(-scale * np.eye(2))
+
+
 def test_operator_layout_and_finiteness(diag12):
     # a transposed complex view (column-major) is an ordinary operator
     t = np.array([[1.0 + 2.0j, 0.5], [0.0, 3.0j]])

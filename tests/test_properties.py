@@ -180,7 +180,7 @@ def test_metric_scaling_invariance():
         t = bounded_part(m, g)
         base = [f(m, t).value for f in functionals]
         tol = 1e-9 + 8.0 * EPS * _kappa(m)
-        for c in (1e-12, 1e-6, 3.0, 1e6, 1e12):
+        for c in (1e-200, 1e-12, 1e-6, 3.0, 1e6, 1e12, 1e200):
             mc = sd.build_metric(c * a)
             assert mc.rank == m.rank, (k, c)
             for f, ref in zip(functionals, base):

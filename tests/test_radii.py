@@ -501,6 +501,24 @@ def test_oracle_guards(diag12):
             sd.oracle_extremum(diag12, X_MAT, "dw", samples=samples, seed=0)
 
 
+def test_oracle_dw_checks_the_norm_as_dw_radius_does(id2):
+    # the dw samples square |c* N c|, which leaves the floating-point range above
+    # NORM_MAX, so the dw objective raises NormOutOfRange there, as dw_radius does; the
+    # crawford objective reads no N*N and holds at 1e200
+    t = np.array([[1.0, 2.0], [0.5, -1.0]])
+    ref = sd.dw_radius(id2, 1e70 * t).value
+    assert sd.oracle_extremum(id2, 1e70 * t, "dw", samples=512, seed=0).value \
+        == pytest.approx(ref, rel=1e-12)
+    for s in (1e80, 1e200):
+        for estimate in (lambda: sd.dw_radius(id2, s * t),
+                         lambda: sd.oracle_extremum(id2, s * t, "dw", samples=512, seed=0)):
+            with pytest.raises(NormOutOfRange):
+                estimate()
+    shifted = t + (2.0 + 1.0j) * np.eye(2)
+    ora = sd.oracle_extremum(id2, 1e200 * shifted, "crawford", samples=512, seed=0)
+    assert ora.value == pytest.approx(sd.crawford(id2, 1e200 * shifted).value, rel=1e-12)
+
+
 #: the compressed X of the ``pair-blocks`` bench instance of seed 13, operation 583: on
 #: its identity block ``[[I, Z], [0, 0]]`` (dw = 3.7116) a Newton refinement that stops
 #: at its first refused step stays at the sampled 3.1074

@@ -3,7 +3,7 @@ import pytest
 
 import semidw as sd
 from semidw.errors import NotInBA
-from semidw.semiop import ba_residual
+from semidw.semiop import ba_residual, normal_residual, selfadjoint_residual
 from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
@@ -91,16 +91,40 @@ def test_sharp_requires_ba(diag10):
         sd.sharp(diag10, X_MAT)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_nonfinite_residual_rejected(diag10):
-    # T* A overflows the Frobenius norm: the residual is nan, not a pass
+    # T* A is far above the range where its Frobenius norm can be squared; taken over
+    # powers of two, the residual is its value, 1 (the whole of T* A leaves range(A)),
+    # and the operator is rejected
     huge = np.array([[0.0, 1e160], [0.0, 0.0]])
     zero = np.zeros((2, 2))
-    assert np.isnan(ba_residual(diag10, huge))
+    assert ba_residual(diag10, huge) == 1.0
     with pytest.raises(NotInBA):
         sd.sharp(diag10, huge)
     with pytest.raises(NotInBA):
         sd.block2(diag10, zero, huge, zero, zero)
+
+@pytest.mark.parametrize("scale", [1.0, 1e-9, 1e-12, 1e-300, 1e300])
+def test_residuals_are_scale_free(diag10, diag12, scale):
+    # X admits no A-adjoint under diag(1, 0) at any scale: each residual is relative to
+    # the norms of its inputs, so it is the same at every scale, down to 1e-300
+    x = scale * X_MAT
+    assert ba_residual(diag10, x) == 1.0
+    assert not sd.in_ba(diag10, x)
+    with pytest.raises(NotInBA):
+        sd.sharp(diag10, x)
+    with pytest.raises(NotInBA):
+        sd.block2(diag10, np.eye(2), x, np.zeros((2, 2)), np.zeros((2, 2)))
+    # under diag(1, 2): A X - X* A = [[0, 1], [-1, 0]] over ||A|| ||X|| = sqrt(5), and
+    # X X^# - X^# X = diag(1, -1) / 2 over 1/2 + 1/2; S is A-selfadjoint and A-normal
+    s = scale * np.array([[1.0, 2.0], [1.0, 3.0]])
+    assert abs(selfadjoint_residual(diag12, x) - np.sqrt(0.4)) <= 1e-15
+    assert abs(normal_residual(diag12, x) - np.sqrt(0.5)) <= 1e-15
+    assert not sd.is_a_selfadjoint(diag12, x) and not sd.is_a_normal(diag12, x)
+    assert selfadjoint_residual(diag12, s) <= 1e-15 and normal_residual(diag12, s) <= 1e-15
+    assert sd.is_a_selfadjoint(diag12, s) and sd.is_a_normal(diag12, s)
+    for residual in (ba_residual, selfadjoint_residual, normal_residual):
+        assert residual(diag12, 0.0 * x) == 0.0
+
 
 def test_block2_examples(diag12):
     eye, zero = np.eye(2), np.zeros((2, 2))
