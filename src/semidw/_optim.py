@@ -221,7 +221,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
         n_list.append(units[0] / s)
         k_list.append(np.zeros((r, r)) if shift is None else units[1] / s)
         index.append(idx % r)
-        scale.append(float(np.ldexp(s, e)))
+        scale.append((s, e))
         grids.append(START_THETAS if not start or start[0] is None
                      else float(start[0]) + np.array([0.0, np.pi]))
     if not live:
@@ -361,8 +361,10 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
         running = [p for p, *_ in rising]
         polish(running)
     for p, i in enumerate(live):
-        out[i] = (theta[p] % (2.0 * np.pi), gamma[p] * scale[p], evals[p], lam[p] * scale[p],
-                  vecs[p])
+        # the units times s, then 2^e: exact, and finite wherever the result is
+        s, e = scale[p]
+        out[i] = (theta[p] % (2.0 * np.pi), float(np.ldexp(gamma[p] * s, e)), evals[p],
+                  np.ldexp(lam[p] * s, e), vecs[p])
     return out
 
 

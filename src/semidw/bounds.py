@@ -23,10 +23,12 @@ attained and converged to rounding, so an inner supremum is never
 under-resolved before a subtraction. Both scalar-shift records are their
 lambda = 0 members: every member is at least that one. The lambda-complex one
 is the sandwich upper bound, read from the memo. The lambda-real one, which is
-not one eigenvalue, is a 360-angle grid, one spectrum per angle (the grid angle
-half a turn on gives the ``C_theta - |T|^2`` term), polished by safeguarded
-Newton ascents that run in lockstep on one stacked ``eigh`` per step. Records
-store the grids used so every reported value is reproducible.
+not one eigenvalue, is a certified branch and bound on the curvature floor of
+its theta-member (:func:`_lambda_real_search`): 16 angles of a half-turn,
+safeguarded Newton ascents that run in lockstep on one stacked ``eigh`` per
+step, then bisection rounds of one stacked ``eigvalsh`` each until no interval
+can hold a value ``LAMBDA_REAL_RTOL`` above the best attained one. Records
+store the default lambda grids, whose infimum each value is.
 """
 
 from __future__ import annotations
@@ -36,7 +38,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import START_ANGLES, gram_herm, herm_parts, newton_max_lockstep
+from ._optim import (NEWTON_STEP_MAX, START_ANGLES, _pow2_units, gram_herm, herm_parts,
+                     newton_max_lockstep)
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _ix_core
 from .metric import Metric, as_operator, compress
@@ -44,8 +47,11 @@ from .radii import (_check_norm, _crawford_core, _dw_core, _lift, _Memo, _min_mo
                     _seminorm_core, _theta_sweep_core, _w_core, form_values)
 
 LAMBDA_GRID_POINTS = 41
-#: angle grid of the lambda-real member (even: a grid angle plus pi is one too)
+#: the lambda-real record's ``theta_grid`` param, kept at the 360 angles of the grid it
+#: once read: the search of :func:`_lambda_real_search` samples no fixed grid
 THETA_GRID_BOUNDS = 360
+#: the lambda-real search bisects until its certified end is within this of its value
+LAMBDA_REAL_RTOL = 1e-4
 #: the sum split is orthogonal when ||N_X* N_Y + N_Y* N_X|| <= this (1 + ||X|| ||Y||)
 ORTHOGONAL_TOL = 1e-10
 
@@ -487,37 +493,63 @@ def _extreme_jets(lam: np.ndarray, vecs: np.ndarray, c_mat: np.ndarray, c_prime:
     return out
 
 
-def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
-    if not n_mat.size:
-        return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", 0.0)
-    gram = gram_herm(n_mat)
-    h_mat, j_mat = herm_parts(n_mat)
+def _curvature_floor(norm: float, gram_norm: float) -> float:
+    """``M = 2 ||N|| (||N|| + ||G||)``, ``G = N*N``: ``g'' >= -M`` for the lambda-real ``g``.
 
-    def c_theta(angles):
-        return np.cos(angles)[:, None, None] * h_mat + np.sin(angles)[:, None, None] * j_mat
+    ``g(th) = (||C_th + G||^2 + ||C_th - G||^2) / 2``. Each piece ``s v*(C_th +- G) v``
+    of the two norms (unit v, sign s) is a sinusoid of amplitude ``|v*Nv| <= ||N||``
+    plus a constant, so it bends down by at most ``||N||``, and it is at most ``||N|| +
+    ||G||``. The square of a nonnegative piece p bends down by at most ``2 p ||N||``, a
+    sup of pieces only adds upward kinks, and g halves two such squares. Certified from
+    ``||N||``: an attained ``w`` is not an upper bound on ``|v*Nv|``.
+    """
+    return 2.0 * norm * (norm + gram_norm)
 
-    thetas = np.linspace(0.0, 2.0 * np.pi, THETA_GRID_BOUNDS, endpoint=False)
-    # C_{theta + pi} = -C_theta, so C_theta - G = -(C_{theta + pi} + G): the
-    # spectrum half a turn on gives rho_minus, one eigensolve per grid angle
-    vals = np.linalg.eigvalsh(c_theta(thetas) + gram)
-    top, bot = vals[:, -1], vals[:, 0]
-    half = THETA_GRID_BOUNDS // 2
-    rho_minus = np.maximum(-np.roll(bot, -half), np.roll(top, -half))
-    row = 0.5 * np.maximum(top, -bot) ** 2 + 0.5 * rho_minus ** 2
-    # row[i + half] sums row[i]'s two terms, so row is pi-periodic: Newton ascents from
-    # the three best circular local maxima of one half-turn, each peak once
-    local = np.flatnonzero((row >= np.roll(row, 1)) & (row >= np.roll(row, -1)))
-    local = local[local < half]
-    peaks = local[np.argsort(row[local])[::-1]][:3]
+
+def _lambda_real_search(n_mat: np.ndarray, norm: float):
+    """``(value, certified_upper, angles)`` of the lambda = 0 lambda-real member.
+
+    The member is ``sqrt(sup g)``, ``g(th) = (||C_th + G||^2 + ||C_th - G||^2) / 2`` with
+    ``G = N*N``, ``C_th = cos(th) H + sin(th) J`` (``N = H + iJ``) and ``norm = ||N||``.
+    ``value`` is the square root of the best attained ``g``, ``certified_upper`` that of
+    an upper bound on ``sup g`` (padded for ``eigvalsh`` rounding) within
+    ``LAMBDA_REAL_RTOL`` of it, and ``angles`` the sampled angles of ``[0, pi)``, sorted:
+    g is pi-periodic, as ``C_{th + pi} = -C_th``.
+
+    Branch and bound on the curvature floor ``g'' >= -M`` of :func:`_curvature_floor`:
+    on ``[a, b]``, g is at most its chord plus ``M (th - a)(b - th) / 2``, whose maximum
+    is closed-form. The search samples ``START_ANGLES`` angles, runs
+    :func:`semidw._optim.newton_max_lockstep` from the three best local maxima, then
+    bisects every interval whose bound beats the best value times ``1 +
+    LAMBDA_REAL_RTOL``: one stacked ``eigvalsh`` of ``C_th +- G`` per round, each new
+    sample that beats the best value polished. As ``sup g >= max(||N||^2 / 4,
+    ||N||^4)``, ``M <= 16 sup g``, so an interval closes once its width is at most
+    ``sqrt(LAMBDA_REAL_RTOL / 2)``: at most 5 rounds from ``pi / 16``. The search runs
+    on ``H, J, G`` times one exact power of two (:func:`semidw._optim._pow2_units`), so
+    g neither underflows nor overflows, and its rounding pad is a multiple of ``eps``.
+    """
+    angles = np.arange(START_ANGLES) * (np.pi / START_ANGLES)
+    if norm == 0.0:
+        return 0.0, 0.0, angles
+    (h_mat, j_mat, gram), e = _pow2_units(*herm_parts(n_mat), gram_herm(n_mat))
+
+    def c_theta(thetas):
+        return np.cos(thetas)[:, None, None] * h_mat + np.sin(thetas)[:, None, None] * j_mat
+
+    def member(thetas):
+        c_mat = c_theta(thetas)
+        vals = np.linalg.eigvalsh(np.stack([c_mat + gram, c_mat - gram]))
+        rho = np.maximum(vals[..., -1], -vals[..., 0])
+        return 0.5 * rho[0] ** 2 + 0.5 * rho[1] ** 2
 
     def larger(x, y):
         # the active branch of max(x, y) of two (value, slope, curv) stacks
         return np.where(x[0] >= y[0], x, y)
 
-    def jets(angles: np.ndarray, _):
-        c_mat = c_theta(angles)
+    def jets(thetas: np.ndarray, _):
+        c_mat = c_theta(thetas)
         lam, vecs = np.linalg.eigh(np.stack([c_mat + gram, c_mat - gram]))
-        top, bot = _extreme_jets(lam, vecs, c_mat, c_theta(angles + 0.5 * np.pi))
+        top, bot = _extreme_jets(lam, vecs, c_mat, c_theta(thetas + 0.5 * np.pi))
         # the norms of C + G (plus) and of C - G (minus)
         rho_p, rho_m = larger(top[:, 0], -bot[:, 0]), larger(top[:, 1], -bot[:, 1])
         value = 0.5 * rho_p[0] ** 2 + 0.5 * rho_m[0] ** 2
@@ -525,11 +557,53 @@ def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
         curv = rho_p[1] ** 2 + rho_p[0] * rho_p[2] + rho_m[1] ** 2 + rho_m[0] * rho_m[2]
         return value, slope, curv
 
-    _, polished, _ = newton_max_lockstep(thetas[peaks], jets, 2.0 * np.pi / THETA_GRID_BOUNDS)
-    value = _sqrt0(max(row.max(), *polished))
+    def polish(thetas, vals, best):
+        _, polished, _ = newton_max_lockstep(thetas, jets, NEWTON_STEP_MAX)
+        return max(best, float(vals.max()), *polished)
+
+    vals = member(angles)
+    # Newton ascents from the three best circular local maxima, each peak once
+    local = np.flatnonzero((vals >= np.roll(vals, 1)) & (vals >= np.roll(vals, -1)))
+    best = polish(angles[local[np.argsort(vals[local])[::-1]][:3]], vals, -np.inf)
+    # ||N|| and ||G|| = ||N||^2 in the units; each norm is at most their sum a_max, and
+    # eigvalsh leaves it off by about r eps a_max, so g by about 2 r eps a_max^2
+    n_u = float(np.ldexp(norm, -e))
+    a_max = n_u + n_u * norm
+    floor = _curvature_floor(n_u, n_u * norm)
+    pad = 8.0 * n_mat.shape[0] * np.finfo(float).eps * a_max * a_max
+    lo, hi = angles, np.append(angles[1:], np.pi)
+    f_lo, f_hi = vals, np.roll(vals, -1)
+    upper, sampled = best, [angles]
+    while True:
+        width = hi - lo
+        # the peak of chord + floor (th - lo)(hi - th) / 2, clamped to the interval
+        at = np.clip(0.5 * width + (f_hi - f_lo) / (floor * width), 0.0, width)
+        bound = f_lo + (f_hi - f_lo) * (at / width) + 0.5 * floor * at * (width - at) + pad
+        split = bound > best * (1.0 + LAMBDA_REAL_RTOL)
+        upper = max(upper, float(bound[~split].max(initial=upper)))
+        if not split.any():
+            break
+        lo, hi, f_lo, f_hi = lo[split], hi[split], f_lo[split], f_hi[split]
+        mid = 0.5 * (lo + hi)
+        f_mid = member(mid)
+        sampled.append(mid)
+        rise = f_mid > best
+        if rise.any():
+            best = polish(mid[rise], f_mid, best)
+        lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        f_lo, f_hi = np.concatenate([f_lo, f_mid]), np.concatenate([f_mid, f_hi])
+    return (float(np.ldexp(np.sqrt(best), e)), float(np.ldexp(np.sqrt(upper), e)),
+            np.sort(np.concatenate(sampled)))
+
+
+def _upper_lambda_theta(inst: _Instance, n_mat: np.ndarray) -> BoundRecord:
+    if not n_mat.size:
+        return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", 0.0)
+    norm = inst.memo.value(_seminorm_core, n_mat)
+    value = _lambda_real_search(n_mat, norm)[0]
     # the default grid: 0 and LAMBDA_GRID_POINTS points on [-span, span]; its minimum
     # is 0.0 - span, which is +0.0, not -0.0, at span = 0
-    span = 2.0 * inst.memo.value(_seminorm_core, n_mat) ** 2
+    span = 2.0 * norm ** 2
     return inst.record(n_mat, "lambda real upper", "lambda-real-upper", "upper", value,
                        {"lambda_span": [0.0 - span, span],
                         "lambda_points": LAMBDA_GRID_POINTS + 1,
@@ -551,16 +625,19 @@ def upper_lambda_theta(m: Metric, t, reference=None, tol: float | None = None) -
     points on ``[-2||T||_A^2, 2||T||_A^2]``, whose infimum that is: ``best_lambda``
     is 0 and ``lambda0_value`` the value.
 
-    The supremum is a ``THETA_GRID_BOUNDS``-angle grid, one spectrum per angle
-    (``C_{th + pi} = -C_th``, so ``C_th - |T|^2`` is the negated ``C + |T|^2``
-    of the grid angle half a turn on), polished by
-    :func:`semidw._optim.newton_max_lockstep` from the three best local maxima of the
-    grid's first half-turn (the member is pi-periodic in th, as ``||C_{th + pi} +-
-    |T|^2||_A = ||C_th -+ |T|^2||_A``, so a full turn holds each peak twice): one
-    stacked ``eigh`` of ``C_th +- |T|^2`` per step. The member is a max of
-    smooth eigenvalue branches whose kinks are convex, so its local maxima are
-    smooth peaks; each ``max(.)`` is differentiated on its active branch, and
-    each extreme eigenvalue as the mean of its rounding-level cluster.
+    The supremum over th is :func:`_lambda_real_search`, a branch and bound on the
+    curvature floor ``g'' >= -M`` of the member ``g`` (:func:`_curvature_floor`): the
+    ``START_ANGLES`` angles of a half-turn (the member is pi-periodic in th, as
+    ``||C_{th + pi} +- |T|^2||_A = ||C_th -+ |T|^2||_A``), safeguarded Newton ascents
+    by :func:`semidw._optim.newton_max_lockstep` from their three best local maxima,
+    one stacked ``eigh`` of ``C_th +- |T|^2`` per step, then bisection of every interval
+    whose bound could hold a value ``LAMBDA_REAL_RTOL`` above the best attained one,
+    one stacked ``eigvalsh`` per round. The member is a max of smooth eigenvalue
+    branches whose kinks are convex, so its local maxima are smooth peaks; each
+    ``max(.)`` is differentiated on its active branch, and each extreme eigenvalue as
+    the mean of its rounding-level cluster. The value is the best attained one.
+    ``theta_grid`` is ``THETA_GRID_BOUNDS`` (360), the angle grid the record once
+    read, kept so that the default JSON keeps its bytes; the search uses no such grid.
     """
     return _evaluate(_upper_lambda_theta, m, (t,), reference, tol)
 

@@ -97,7 +97,9 @@ def as_operator(t, dim: int | None = None) -> np.ndarray:
 def build_metric(a, rank_tol: float = DEFAULT_RANK_TOL) -> Metric:
     """Build the spectral workspace of a Hermitian PSD matrix.
 
-    Raises :class:`NotHermitian` unless ``||A - A*||_F <= HERMITIAN_RTOL ||A||_F``.
+    Raises :class:`DimensionMismatch` for non-finite entries, before any arithmetic, as
+    :func:`as_operator` does, and :class:`NotHermitian` unless ``||A - A*||_F <=
+    HERMITIAN_RTOL ||A||_F``.
     Eigenvalues in ``(-rank_tol*lmax, rank_tol*lmax)`` are clamped to zero, and
     so are those below the smallest normal float, whose reciprocals overflow;
     anything more negative raises :class:`NotPositiveSemidefinite` (with
@@ -114,10 +116,12 @@ def build_metric(a, rank_tol: float = DEFAULT_RANK_TOL) -> Metric:
         raise EmptyMatrix(f"expected a nonempty square matrix, got shape {arr.shape}")
     if arr.shape[0] != arr.shape[1]:
         raise DimensionMismatch(f"metric is not square: shape {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise DimensionMismatch("metric has non-finite entries")
     (unit,), e = _pow2_units(arr)
     norm_u = float(np.linalg.norm(unit))
     herm_res = float(np.linalg.norm(unit - unit.conj().T))
-    if not np.isfinite(norm_u) or herm_res > HERMITIAN_RTOL * norm_u:
+    if herm_res > HERMITIAN_RTOL * norm_u:
         raise NotHermitian(f"metric is not Hermitian: relative residual "
                            f"{herm_res / norm_u:.3e}")
     arr = _hermitian_part(arr)

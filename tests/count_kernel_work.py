@@ -12,9 +12,10 @@ read, never changed, as ``make_catalog_fixture.py`` does. Per workload it prints
 summed over the operations: the calls of ``_optim.rotated_eig_max_stack`` and their
 problems, the pencils the kernel solves, the matrices of its ``eigh`` and
 ``eigvalsh`` calls (stacked ones counted per matrix), and its arc-end solves, the
-``eigh`` matrices outside the Newton polish. Eigensolves outside the kernel (the
-oracle's, the bounds') are not counted. ``tests/test_bench_api.py`` runs
-:func:`kernel_work` on seed 1.
+``eigh`` matrices outside the Newton polish; then the ``eigvalsh`` and ``eigh``
+matrices of the lambda-real search (``bounds._lambda_real_search``: its samples
+and its Newton steps). Other eigensolves (the oracle's, the other bounds') are not
+counted. ``tests/test_bench_api.py`` runs :func:`kernel_work` on seed 1.
 """
 
 from __future__ import annotations
@@ -27,18 +28,21 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog-lowrank", "catalog-highrank", "pair-blocks")
-COLUMNS = ("calls", "problems", "pencils", "eigh", "eigvalsh", "arc_end")
+COLUMNS = ("calls", "problems", "pencils", "eigh", "eigvalsh", "arc_end", "lreal_eigvalsh",
+           "lreal_eigh")
 
 
 def install_counters(counts: dict, patch=setattr) -> None:
-    """Wrap the kernel, its pencil solve, its Newton polish and numpy's two Hermitian
-    eigensolvers so that each adds its work to ``counts``; ``patch(owner, name, value)``
-    installs each wrapper (a test passes ``monkeypatch.setattr``, which undoes them)."""
-    from semidw import _optim, radii
+    """Wrap the kernel, its pencil solve, its Newton polish, the lambda-real search and
+    numpy's two Hermitian eigensolvers so that each adds its work to ``counts``;
+    ``patch(owner, name, value)`` installs each wrapper (a test passes
+    ``monkeypatch.setattr``, which undoes them)."""
+    from semidw import _optim, bounds, radii
 
-    state = {"kernel": False, "polish": False}
+    state = {"kernel": False, "polish": False, "lreal": False}
     kernel, polish, pencil = (_optim.rotated_eig_max_stack, _optim.newton_max_lockstep,
                               _optim.pencil_eigvals)
+    search = bounds._lambda_real_search
 
     def counted_kernel(problems):
         counts["calls"] += 1
@@ -56,17 +60,26 @@ def install_counters(counts: dict, patch=setattr) -> None:
         finally:
             state["polish"] = False
 
+    def counted_search(*args):
+        state["lreal"] = True
+        try:
+            return search(*args)
+        finally:
+            state["lreal"] = False
+
     def counted_pencil(a_mat, b_mat):
         counts["pencils"] += 1
         return pencil(a_mat, b_mat)
 
     def counted_solve(name, solve):
         def wrapped(a, *args, **kw):
+            matrices = int(np.prod(np.shape(a)[:-2]))
             if state["kernel"]:
-                matrices = int(np.prod(np.shape(a)[:-2]))
                 counts[name] += matrices
                 if name == "eigh" and not state["polish"]:
                     counts["arc_end"] += matrices
+            elif state["lreal"]:
+                counts[f"lreal_{name}"] += matrices
             return solve(a, *args, **kw)
         return wrapped
 
@@ -75,6 +88,7 @@ def install_counters(counts: dict, patch=setattr) -> None:
         patch(owner, "rotated_eig_max_stack", counted_kernel)
     patch(_optim, "newton_max_lockstep", counted_polish)
     patch(_optim, "pencil_eigvals", counted_pencil)
+    patch(bounds, "_lambda_real_search", counted_search)
     for name in ("eigh", "eigvalsh"):
         patch(np.linalg, name, counted_solve(name, getattr(np.linalg, name)))
 
@@ -113,7 +127,8 @@ def main(argv=None) -> int:
     print(f"seeds {' '.join(map(str, args.seeds))}, one pattern cycle each")
     print(f"{'workload':18s} {'ops':>4s}" + "".join(f" {c:>9s}" for c in COLUMNS))
     for workload, row in work.items():
-        print(f"{workload:18s} {row['ops']:4d}" + "".join(f" {row[c]:9d}" for c in COLUMNS))
+        print(f"{workload:18s} {row['ops']:4d}"
+              + "".join(f" {row[c]:{max(9, len(c))}d}" for c in COLUMNS))
     return 0
 
 

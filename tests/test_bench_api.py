@@ -3,8 +3,8 @@
 A source change that breaks one of these calls fails every benchmark run.
 These checks only read ``bench/``: its traced names, its two in-process
 operations on the first tiny instance, its CLI argument lists, and the work of the
-level-set kernel on one pattern cycle of the library workloads
-(``tests/count_kernel_work.py``).
+level-set kernel and of the lambda-real search on one pattern cycle of the library
+workloads (``tests/count_kernel_work.py``).
 """
 
 import importlib
@@ -59,7 +59,11 @@ def test_bench_traffic_solves_one_pencil_per_problem_and_no_arc_end(monkeypatch)
     # with one pencil, so the kernel solves no arc-end eigh
     from count_kernel_work import kernel_work
 
-    for workload, row in kernel_work([1], monkeypatch.setattr).items():
+    work = kernel_work([1], monkeypatch.setattr)
+    for workload, row in work.items():
         assert row["ops"] and row["problems"], workload
         assert row["pencils"] == row["problems"], (workload, row)
         assert row["arc_end"] == 0, (workload, row)
+    # the lambda-real search solves 558 eigvalsh matrices here, where the 360-angle grid
+    # it replaced solved 2,880
+    assert work["catalog-highrank"]["lreal_eigvalsh"] <= 720, work["catalog-highrank"]

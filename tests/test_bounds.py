@@ -352,8 +352,10 @@ def test_lambda_real_within_rounding_of_dense_reference():
 
 def test_lambda_real_polish_needs_the_cluster_mean(monkeypatch):
     # a polish that refuses a step at a multiple eigenvalue, as the level-set
-    # kernel does, never leaves the grid on alpha I: it misses the peak between
-    # two grid angles
+    # kernel does, never leaves the sampled angles on alpha I: only the bisection
+    # then closes in on the peak between two of them, to LAMBDA_REAL_RTOL. Measured
+    # on _scalar_off_grid: such a polish misses by 1.3e-8 to 9.6e-6, the real one by at
+    # most 1.4e-16 (test_lambda_real_within_rounding_of_dense_reference allows 4e-15)
     from semidw import bounds
 
     def refusing(lam, *args, _jets=bounds._extreme_jets):
@@ -366,38 +368,164 @@ def test_lambda_real_polish_needs_the_cluster_mean(monkeypatch):
     monkeypatch.setattr(bounds, "_extreme_jets", refusing)
     misses = [(np.sqrt(_lambda0_dense(n_mat)) - value) / (1.0 + value)
               for n_mat in _scalar_off_grid() for value in [_lambda_real(n_mat)]]
-    assert min(misses) > 1e-7
+    assert min(misses) > 1e-10
+
+
+def _counted_solves(patch, solves: list) -> None:
+    """Record ``(name, shape)`` of every ``eigh`` and ``eigvalsh`` call in ``solves``."""
+    def counted(name, eig):
+        def call(a, *args, **kw):
+            solves.append((name, np.shape(a)))
+            return eig(a, *args, **kw)
+
+        return call
+
+    for name in ("eigh", "eigvalsh"):
+        patch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+
+
+def _newton_run(steps: list, r: int, first_max: int) -> None:
+    """``steps`` is one lockstep Newton run: one stacked ``eigh`` of ``C_th +- G`` per step,
+    over the searches still running, at most ``first_max`` of them at its start."""
+    from semidw._optim import NEWTON_STEPS
+
+    assert len(steps) <= NEWTON_STEPS + 1
+    assert all(name == "eigh" and len(shape) == 4 and shape[0] == 2 and shape[2:] == (r, r)
+               for name, shape in steps)
+    sizes = [shape[1] for _, shape in steps]
+    assert not sizes or sizes[0] <= first_max
+    assert sizes == sorted(sizes, reverse=True)
 
 
 def test_lambda_theta_eigensolve_count(monkeypatch):
-    # one grid solve, then one stacked eigh of C_th +- G per Newton step, over
-    # the searches still running (three per refined member at most)
+    # one eigvalsh of C_th +- G at the START_ANGLES angles of a half-turn, one stacked
+    # eigh per Newton step from its three best local maxima, then at most 5 bisection
+    # rounds, one eigvalsh of C_th +- G at the new midpoints each, each followed by
+    # the Newton steps of the midpoints that beat the best value, if any
     from semidw import bounds
-    from semidw._optim import NEWTON_STEPS
 
     for m, t in _lambda_theta_instances():
         n_mat = compress(m, t)
         solves = []
-
-        def counted(name, eig):
-            def call(a, *args, **kw):
-                solves.append((name, np.shape(a)))
-                return eig(a, *args, **kw)
-
-            return call
-
         with monkeypatch.context() as patch:
-            for name in ("eigh", "eigvalsh"):
-                patch.setattr(np.linalg, name, counted(name, getattr(np.linalg, name)))
+            _counted_solves(patch, solves)
             bounds._upper_lambda_theta(bounds._Instance(1, 1.0), n_mat)
         r = m.rank
-        assert solves[0] == ("eigvalsh", (THETA_GRID_BOUNDS, r, r))
-        steps = solves[1:]
-        assert 1 <= len(steps) <= NEWTON_STEPS + 1
-        sizes = [shape[1] for _, shape in steps]
-        assert all(name == "eigh" and len(shape) == 4 and shape[0] == 2 and shape[2:] == (r, r)
-                   for name, shape in steps)
-        assert sizes[0] <= 3 and sizes == sorted(sizes, reverse=True)
+        # the memo's ||N|| is an svd: no eigensolve precedes the first sample
+        assert solves[0] == ("eigvalsh", (2, START_ANGLES, r, r))
+        rounds = [k for k, (name, _) in enumerate(solves) if name == "eigvalsh"]
+        assert len(rounds) <= 1 + 5
+        start_steps = solves[1:rounds[1] if len(rounds) > 1 else None]
+        assert start_steps
+        _newton_run(start_steps, r, 3)
+        for at, end in zip(rounds[1:], [*rounds[2:], len(solves)]):
+            shape = solves[at][1]
+            assert len(shape) == 4 and shape[0] == 2 and shape[2:] == (r, r)
+            if end > at + 1:
+                _newton_run(solves[at + 1:end], r, shape[1])
+
+
+def _lambda0_grid(n_mat, size=20_001) -> float:
+    """``sqrt(max g)`` of the lambda = 0 member ``g = (||C + G||^2 + ||C - G||^2) / 2`` over
+    ``size`` equispaced angles of [0, pi]."""
+    gram = gram_herm(n_mat)
+    h_mat, j_mat = herm_parts(n_mat)
+    thetas = np.linspace(0.0, np.pi, size)
+    c = np.cos(thetas)[:, None, None] * h_mat + np.sin(thetas)[:, None, None] * j_mat
+    vals = [np.linalg.eigvalsh(c + sign * gram) for sign in (1.0, -1.0)]
+    rho_sq = [np.maximum(v[:, -1], -v[:, 0]) ** 2 for v in vals]
+    return float(np.sqrt((0.5 * rho_sq[0] + 0.5 * rho_sq[1]).max()))
+
+
+def _hidden_peak(a=0.01):
+    """``diag(a e^{i phi_k})``: the global peak of g at pi / 32, halfway between two start
+    angles, and three peaks 0.15% lower on start angles, which take the three Newton
+    ascents. At small ``a`` the floor M is tight there (``g'' = -2a^2`` at the peaks,
+    ``M = 2a^2 (1 + a)``), so half of it misses the peak."""
+    phases = np.array([1.0 / 32, 4.0 / 16, 8.0 / 16, 12.0 / 16]) * np.pi
+    amps = np.array([1.0, *[1.0 / np.sqrt(1.003)] * 3]) * a
+    return np.diag(amps * np.exp(1j * phases))
+
+
+def _certificate_instances():
+    """Random, small random, normal and nilpotent N (r = 2, 3, 5, 8), N of rank-1
+    metrics, ``_scalar_off_grid`` and ``_hidden_peak``."""
+    rng = np.random.default_rng(71)
+    for r in (2, 3, 5, 8):
+        g = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+        q, _ = np.linalg.qr(g)
+        yield f"random {r}", g
+        yield f"random {r} x 0.05", 0.05 * g
+        yield f"normal {r}", (q * g[0]) @ q.conj().T
+        yield f"nilpotent {r}", np.triu(g, 1)
+    for dim in (2, 4, 6):
+        m = random_metric(rng, dim, 1)
+        yield f"rank-1 metric {dim}", compress(m, random_bounded_operator(rng, m))
+    for n_mat in _scalar_off_grid():
+        yield "scalar", n_mat
+    yield "hidden peak", _hidden_peak()
+
+
+def _search(n_mat):
+    from semidw import bounds
+
+    return bounds._lambda_real_search(n_mat, float(np.linalg.norm(n_mat, 2)))
+
+
+def test_lambda_real_certified_end_contains_a_dense_grid():
+    from semidw.bounds import LAMBDA_REAL_RTOL
+
+    for label, n_mat in _certificate_instances():
+        value, upper, angles = _search(n_mat)
+        assert upper >= _lambda0_grid(n_mat), label
+        # within the stop rule of the best attained value, up to the padding
+        assert value <= upper <= value * np.sqrt(1.0 + LAMBDA_REAL_RTOL), label
+        assert angles[0] == 0.0 and angles[-1] < np.pi and np.all(np.diff(angles) > 0.0), label
+
+
+def test_lambda_real_half_floor_loses_the_certificate(monkeypatch):
+    # the floor is not loose by 2x: halved, the bisection closes the interval of the
+    # hidden peak before sampling it, and the certified end falls below the peak
+    from semidw import bounds
+
+    floor = bounds._curvature_floor
+    monkeypatch.setattr(bounds, "_curvature_floor", lambda *args: 0.5 * floor(*args))
+    n_mat = _hidden_peak()
+    value, upper, _ = _search(n_mat)
+    assert upper < _lambda0_grid(n_mat) * (1.0 - 1e-4)
+
+
+def test_lambda_real_bisection_finds_a_peak_the_start_misses(monkeypatch):
+    from semidw import bounds
+
+    n_mat = _hidden_peak()
+    peak = _lambda0_grid(n_mat)
+    value, _, angles = _search(n_mat)
+    assert value == pytest.approx(peak, rel=1e-12, abs=0.0)
+    assert angles.size > START_ANGLES
+    # without the bisection, the start angles and their Newton ascents miss it
+    monkeypatch.setattr(bounds, "LAMBDA_REAL_RTOL", np.inf)
+    start_only, _, angles = _search(n_mat)
+    assert angles.size == START_ANGLES
+    assert start_only < peak * (1.0 - 1e-3)
+
+
+@pytest.mark.parametrize("scale", [1e-150, 1e-60, 1e-8, 1.0, 1e8, 1e60, NORM_MAX / 10.0])
+def test_lambda_real_search_rounds_at_any_scale(scale, monkeypatch):
+    # M <= 16 sup g at every scale, so an interval closes once its width is at most
+    # sqrt(LAMBDA_REAL_RTOL / 2), which pi / 16 reaches in 5 halvings; no
+    # RuntimeWarning (an error under the test settings) from the extremes of ||N||
+    rng = np.random.default_rng(83)
+    shapes = [rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r)) for r in (2, 5, 12)]
+    for n_mat in [*shapes, _hidden_peak(), *list(_scalar_off_grid())[:3]]:
+        n_mat = n_mat * (scale / np.linalg.norm(n_mat, 2))
+        solves = []
+        with monkeypatch.context() as patch:
+            _counted_solves(patch, solves)
+            value, upper, angles = _search(n_mat)
+        assert sum(name == "eigvalsh" for name, _ in solves) <= 1 + 5
+        assert angles.size <= START_ANGLES * 4
+        assert 0.0 < value <= upper < np.inf
 
 
 def test_lambda_complex_default_grid_reads_the_memo(monkeypatch):

@@ -79,6 +79,15 @@ def test_hermiticity_check_is_scale_free(scale):
         sd.build_metric(-scale * np.eye(2))
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan, complex(0.0, np.nan)])
+def test_build_metric_rejects_nonfinite_entries(bad):
+    # rejected before any arithmetic, with the error as_operator gives an operator:
+    # before, unit - unit* warned (an error under the test settings, error::RuntimeWarning)
+    # and a nan entry gave NotHermitian, "relative residual nan"
+    with pytest.raises(DimensionMismatch, match="metric has non-finite entries"):
+        sd.build_metric(np.array([[1.0, bad], [bad, 1.0]]))
+
+
 def test_operator_layout_and_finiteness(diag12):
     # a transposed complex view (column-major) is an ordinary operator
     t = np.array([[1.0 + 2.0j, 0.5], [0.0, 3.0j]])

@@ -378,6 +378,16 @@ def test_dw_bracket_is_scale_free():
         assert lower * (1 - 1e-14) <= value <= upper * (1 + 1e-14), s
 
 
+def test_huge_operator_w_does_not_overflow_its_scale():
+    # ||1e308 I_5||_F = 2.2e308 overflows, w does not: the kernel scales its units by
+    # ||N||_F 2^-e, then by 2^e, so w comes back with no RuntimeWarning (an error under
+    # the test settings), where the scale ldexp(s, e) itself overflowed
+    m = sd.build_metric(np.eye(5))
+    w = sd.numerical_radius(m, 1e308 * np.eye(5))
+    assert w.value == pytest.approx(1e308, rel=4.0 * np.finfo(float).eps, abs=0.0)
+    assert sd.crawford(m, 1e308 * np.eye(5)).value == pytest.approx(1e308, rel=1e-15, abs=0.0)
+
+
 def test_tiny_operators_keep_w_c_and_the_dw_bracket():
     # the kernel scales by ||N||_F, whose squares underflow below about 1e-154 and overflow
     # above about 1e154, so it takes the norm of N times a power of two, as the Crawford
