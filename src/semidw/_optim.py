@@ -4,7 +4,9 @@ The level-set kernel :func:`rotated_eig_max_stack` maximizes one eigenvalue of
 ``Re(e^{i theta} N) + K`` for each problem of a stack of one order, in lockstep;
 :func:`rotated_eig_max` is its stack of one. :func:`newton_max_lockstep`, the one
 Newton ascent, polishes the kernel's levels and the lambda-real peaks of
-:mod:`semidw.bounds` in lockstep; :func:`pencil_eigvals` is the kernel's QZ solve.
+:mod:`semidw.bounds` in lockstep, both on the derivatives of one extreme eigenvalue
+from :func:`eig_jet`, the mean of its rounding-level cluster, which stays smooth where
+the eigenvalue is multiple; :func:`pencil_eigvals` is the kernel's QZ solve.
 """
 
 from __future__ import annotations
@@ -131,6 +133,29 @@ def newton_max_lockstep(theta0, f, step_max: float):
     return theta, value, evals
 
 
+def eig_jet(lam: np.ndarray, vecs: np.ndarray, c_mat: np.ndarray, c_prime: np.ndarray,
+            k: int) -> tuple:
+    """``(value, slope, curv)`` in theta of the extreme eigenvalue ``k`` (0, or r - 1 or -1) of
+    one matrix ``f(theta)`` with eigenpairs ``lam`` (ascending), ``vecs``, ``f' = C'`` and
+    ``f'' = -C`` (``c_prime``, ``c_mat``), as for ``Re(e^{i theta} N)`` plus a constant.
+
+    The value is ``lam[k]``; slope and curvature are those of the mean of its cluster S,
+    the eigenvalues within ``4 r eps (1 + max |lambda|)`` of it (a contiguous slice of
+    ``lam``), which is smooth where a multiple eigenvalue is not: ``tr(X* C' X) / |S|``
+    and ``(-tr(X* C X) + 2 sum_{i in S, j not in S} |x_j* C' x_i|^2 / (lambda_i -
+    lambda_j)) / |S|`` with ``X = vecs[:, S]``. At a simple eigenvalue these are its
+    own derivatives.
+    """
+    tol = 4.0 * lam.size * sys.float_info.epsilon * (1.0 + max(-lam[0], lam[-1]))
+    lo, hi = lam.searchsorted(lam[k] - tol), lam.searchsorted(lam[k] + tol, "right")
+    x = vecs[:, lo:hi]
+    m = vecs.conj().T @ (c_prime @ x)
+    gaps = lam[lo:hi] - lam[:, None]
+    gaps[lo:hi] = np.inf
+    size, pull = hi - lo, float((np.abs(m) ** 2 / gaps).sum())
+    return lam[k], m[lo:hi].trace().real / size, (2.0 * pull - np.vdot(x, c_mat @ x).real) / size
+
+
 def _pow2_units(*mats) -> tuple[list[np.ndarray], int]:
     """``([M 2^-e for M in mats], e)``, ``e`` the exponent of the largest real or imaginary
     part of any entry of ``mats``, so that this part of the result lies in [1/2, 1).
@@ -169,9 +194,10 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     at one point, a double root that the pencil may split off the unit circle, and
     from such a start alone the search ended there (at the antipode of the
     maximizer of shifted triangular, tall and PSD test matrices). The polish steps on
-    eigenvalue ``index`` with derivatives from one ``eigh`` per angle, and never
-    at a multiple eigenvalue (gaps within ``4 eps (1 + |lambda|)``), where the
-    second derivative does not exist. Some eigenvalue of
+    eigenvalue ``index`` with the derivatives of :func:`eig_jet` from one ``eigh`` per
+    angle: at a multiple eigenvalue, which has no second derivative, those of its
+    cluster mean, so a scalar ``N = alpha I`` is polished to its peak and its first
+    pencil certifies it. Some eigenvalue of
     ``f(theta)`` equals gamma iff ``z = e^{i theta}`` solves
     ``det(z^2 N + 2z (K - gamma I) + N*) = 0``: the unimodular eigenvalues of a
     2r x 2r pencil (infinite ones, from singular N, are dropped). Between
@@ -180,7 +206,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     the stop rule's own tolerance, taken once per level from gamma before any
     update. On a rising arc the meeting point of the tangents at the two ends
     (slopes ``Re(i e^{i theta} x* N x)`` from the end eigenvectors x) is a
-    candidate too, which resolves a kink in few steps (where Newton is refused).
+    candidate too, which resolves a kink in few steps (where no Newton step rises).
     The best candidate, polished, is the next gamma, until no arc rises. So every
     taken candidate is polished. Once the polish reaches the global maximum, the
     pencil at that level is the only one solved: it certifies that no arc lies
@@ -264,28 +290,15 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     polishing: list[int] = []
 
     def jets(angles: np.ndarray, searches):
-        # eigenvalue k of one eigh, with f' = x* C' x and f'' = -x* C x
-        # + 2 sum_j |x_j* C' x|^2 / (lambda_k - lambda_j), C' = Re(i e^{i theta} N);
-        # f'' is nan where the eigenvalue is not simple, so no step is taken there
+        # eigenvalue index of one eigh per angle, with C' = Re(i e^{i theta} N)
         owner = [polishing[k] for k in searches]
         both = herm(np.concatenate([angles, angles + 0.5 * np.pi]), owner + owner)
         c_mats, c_primes = both[:len(owner)], both[len(owner):]
         lams, vecss = np.linalg.eigh(c_mats + rows(k_all, owner))
-        value, slope, curv = [], [], []
-        for j, (p, angle) in enumerate(zip(owner, angles.tolist())):
-            lam_j, vecs_j, k = lams[j], vecss[j], index[p]
+        for p, angle, lam_j, vecs_j in zip(owner, angles.tolist(), lams, vecss):
             solved[p][angle] = lam_j, vecs_j
             evals[p] += 1
-            x = vecs_j[:, k]
-            m = vecs_j.conj().T @ (c_primes[j] @ x)
-            gaps = lam_j[k] - lam_j
-            gaps[k] = np.inf
-            value.append(lam_j[k])
-            slope.append(m[k].real)
-            curv.append(2.0 * float((np.abs(m) ** 2 / gaps).sum())
-                        - np.vdot(x, c_mats[j] @ x).real
-                        if np.abs(gaps).min() > tiny * (1.0 + abs(lam_j[k])) else np.nan)
-        return value, slope, curv
+        return zip(*map(eig_jet, lams, vecss, c_mats, c_primes, [index[p] for p in owner]))
 
     def polish(ps: list[int]) -> None:
         # an angle the ascent does not move keeps its level gamma, eigvalsh's value:
@@ -342,8 +355,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
             f_end, x = end_lam[at:at + p_ends.size, k], end_vecs[at:at + p_ends.size, :, k]
             at += p_ends.size
             evals[p] += p_ends.size
-            slopes = (1j * np.exp(1j * p_ends)
-                      * np.einsum("ki,ij,kj->k", x.conj(), n_list[p], x)).real
+            slopes = (1j * np.exp(1j * p_ends) * form_values(n_list[p], x)).real
             f_lo, f_hi = np.split(f_end, 2)
             s_lo, s_hi = np.split(slopes, 2)
             fall = s_lo - s_hi
@@ -390,6 +402,11 @@ def _pencil(n_mat: np.ndarray, k_mat: np.ndarray) -> tuple[np.ndarray, np.ndarra
     a_mat[r:, :r] = -n_mat.conj().T
     b_mat[r:, r:] = n_mat
     return a_mat, b_mat
+
+
+def form_values(n_mat: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
+    """Row-wise quadratic form values ``c* N c``."""
+    return np.einsum("ki,ij,kj->k", c_rows.conj(), n_mat, c_rows)
 
 
 def herm_parts(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -26,9 +26,10 @@ is the sandwich upper bound, read from the memo. The lambda-real one, which is
 not one eigenvalue, is a certified branch and bound on the curvature floor of
 its theta-member (:func:`_lambda_real_search`): 16 angles of a half-turn,
 safeguarded Newton ascents that run in lockstep on one stacked ``eigh`` per
-step, then bisection rounds of one stacked ``eigvalsh`` each until no interval
-can hold a value ``LAMBDA_REAL_RTOL`` above the best attained one. Records
-store the default lambda grids, whose infimum each value is.
+step and on the kernel's eigenvalue jets (:func:`semidw._optim.eig_jet`), then
+bisection rounds of one stacked ``eigvalsh`` each until no interval can hold a
+value ``LAMBDA_REAL_RTOL`` above the best attained one. Records store the
+default lambda grids, whose infimum each value is.
 """
 
 from __future__ import annotations
@@ -38,13 +39,13 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from ._optim import (NEWTON_STEP_MAX, START_ANGLES, _pow2_units, gram_herm, herm_parts,
-                     newton_max_lockstep)
+from ._optim import (NEWTON_STEP_MAX, START_ANGLES, _pow2_units, eig_jet, form_values,
+                     gram_herm, newton_max_lockstep, rotated_herm)
 from .errors import DegenerateNorm, NonFiniteReference, ZeroT
 from .exact import _0x_core, _ix_core
 from .metric import Metric, as_operator, compress
 from .radii import (_check_norm, _crawford_core, _dw_core, _lift, _Memo, _min_modulus_core,
-                    _seminorm_core, _theta_sweep_core, _w_core, form_values)
+                    _seminorm_core, _theta_sweep_core, _w_core)
 
 LAMBDA_GRID_POINTS = 41
 #: the lambda-real record's ``theta_grid`` param, kept at the 360 angles of the grid it
@@ -465,34 +466,6 @@ def upper_triple(m: Metric, t, reference=None, tol: float | None = None) -> Boun
 # scalar-shift upper bounds
 
 
-def _extreme_jets(lam: np.ndarray, vecs: np.ndarray, c_mat: np.ndarray, c_prime: np.ndarray):
-    """``(value, slope, curv)`` in theta of the top and of the bottom eigenvalue.
-
-    ``lam, vecs`` are the eigenpairs of stacked ``C_theta +- G``, ``c_mat`` and ``c_prime``
-    the ``C_theta`` and ``C' = C_{theta + pi/2}`` of each angle; ``C'' = -C``. Slope and
-    curvature are those of the mean of the eigenvalue's cluster S, the eigenvalues within
-    ``4 r eps (1 + max |lambda|)`` of it, which is smooth where a multiple eigenvalue is
-    not: ``tr(X* C' X) / k`` and ``(-tr(X* C X) + 2 sum_{i in S, j not in S}
-    |x_j* C' x_i|^2 / (lambda_i - lambda_j)) / k``. Returns two stacks, top first, each
-    with ``(value, slope, curv)`` on its first axis.
-    """
-    vh = vecs.conj().swapaxes(-1, -2)
-    d_prime = vh @ c_prime @ vecs
-    slopes = np.diagonal(d_prime, axis1=-2, axis2=-1).real
-    d_mat = np.diagonal(vh @ c_mat @ vecs, axis1=-2, axis2=-1).real
-    coupling = np.abs(d_prime) ** 2
-    gaps = lam[..., :, None] - lam[..., None, :]
-    tol = 4.0 * lam.shape[-1] * np.finfo(float).eps * (1.0 + np.abs(lam).max(-1, keepdims=True))
-    out = []
-    for cluster, end in ((lam >= lam[..., -1:] - tol, -1), (lam <= lam[..., :1] + tol, 0)):
-        size = cluster.sum(-1)
-        cross = cluster[..., :, None] & ~cluster[..., None, :]
-        pull = np.divide(coupling, gaps, out=np.zeros_like(gaps), where=cross).sum((-2, -1))
-        out.append(np.stack([lam[..., end], (slopes * cluster).sum(-1) / size,
-                             (2.0 * pull - (d_mat * cluster).sum(-1)) / size]))
-    return out
-
-
 def _curvature_floor(norm: float, gram_norm: float) -> float:
     """``M = 2 ||N|| (||N|| + ||G||)``, ``G = N*N``: ``g'' >= -M`` for the lambda-real ``g``.
 
@@ -510,7 +483,8 @@ def _lambda_real_search(n_mat: np.ndarray, norm: float):
     """``(value, certified_upper, angles)`` of the lambda = 0 lambda-real member.
 
     The member is ``sqrt(sup g)``, ``g(th) = (||C_th + G||^2 + ||C_th - G||^2) / 2`` with
-    ``G = N*N``, ``C_th = cos(th) H + sin(th) J`` (``N = H + iJ``) and ``norm = ||N||``.
+    ``G = N*N``, ``C_th = Re(e^{-i th} N) = cos(th) H + sin(th) J`` (``N = H + iJ``) and
+    ``norm = ||N||``.
     ``value`` is the square root of the best attained ``g``, ``certified_upper`` that of
     an upper bound on ``sup g`` (padded for ``eigvalsh`` rounding) within
     ``LAMBDA_REAL_RTOL`` of it, and ``angles`` the sampled angles of ``[0, pi)``, sorted:
@@ -525,37 +499,36 @@ def _lambda_real_search(n_mat: np.ndarray, norm: float):
     sample that beats the best value polished. As ``sup g >= max(||N||^2 / 4,
     ||N||^4)``, ``M <= 16 sup g``, so an interval closes once its width is at most
     ``sqrt(LAMBDA_REAL_RTOL / 2)``: at most 5 rounds from ``pi / 16``. The search runs
-    on ``H, J, G`` times one exact power of two (:func:`semidw._optim._pow2_units`), so
+    on ``N, G`` times one exact power of two (:func:`semidw._optim._pow2_units`), so
     g neither underflows nor overflows, and its rounding pad is a multiple of ``eps``.
+    The Newton steps differentiate each extreme eigenvalue of ``C_th +- G`` by
+    :func:`semidw._optim.eig_jet`, with ``C' = C_{th + pi/2}`` and ``C'' = -C_th``.
     """
     angles = np.arange(START_ANGLES) * (np.pi / START_ANGLES)
     if norm == 0.0:
         return 0.0, 0.0, angles
-    (h_mat, j_mat, gram), e = _pow2_units(*herm_parts(n_mat), gram_herm(n_mat))
-
-    def c_theta(thetas):
-        return np.cos(thetas)[:, None, None] * h_mat + np.sin(thetas)[:, None, None] * j_mat
+    (n_unit, gram), e = _pow2_units(n_mat, gram_herm(n_mat))
 
     def member(thetas):
-        c_mat = c_theta(thetas)
+        c_mat = rotated_herm(n_unit, -thetas)
         vals = np.linalg.eigvalsh(np.stack([c_mat + gram, c_mat - gram]))
         rho = np.maximum(vals[..., -1], -vals[..., 0])
         return 0.5 * rho[0] ** 2 + 0.5 * rho[1] ** 2
 
-    def larger(x, y):
-        # the active branch of max(x, y) of two (value, slope, curv) stacks
-        return np.where(x[0] >= y[0], x, y)
-
     def jets(thetas: np.ndarray, _):
-        c_mat = c_theta(thetas)
+        c_mat, c_prime = np.split(rotated_herm(n_unit, -np.append(thetas, thetas + 0.5 * np.pi)), 2)
         lam, vecs = np.linalg.eigh(np.stack([c_mat + gram, c_mat - gram]))
-        top, bot = _extreme_jets(lam, vecs, c_mat, c_theta(thetas + 0.5 * np.pi))
-        # the norms of C + G (plus) and of C - G (minus)
-        rho_p, rho_m = larger(top[:, 0], -bot[:, 0]), larger(top[:, 1], -bot[:, 1])
-        value = 0.5 * rho_p[0] ** 2 + 0.5 * rho_m[0] ** 2
-        slope = rho_p[0] * rho_p[1] + rho_m[0] * rho_m[1]
-        curv = rho_p[1] ** 2 + rho_p[0] * rho_p[2] + rho_m[1] ** 2 + rho_m[0] * rho_m[2]
-        return value, slope, curv
+        out = []
+        for j in range(thetas.size):
+            # ||C + G|| and ||C - G||, each on the active branch of max(top, -bottom)
+            rho = []
+            for lam_s, vecs_s in zip(lam[:, j], vecs[:, j]):
+                top, bot = (eig_jet(lam_s, vecs_s, c_mat[j], c_prime[j], k) for k in (-1, 0))
+                rho.append(top if top[0] >= -bot[0] else [-x for x in bot])
+            (a, a1, a2), (b, b1, b2) = rho
+            out.append((0.5 * a ** 2 + 0.5 * b ** 2, a * a1 + b * b1,
+                        a1 ** 2 + a * a2 + b1 ** 2 + b * b2))
+        return zip(*out)
 
     def polish(thetas, vals, best):
         _, polished, _ = newton_max_lockstep(thetas, jets, NEWTON_STEP_MAX)
@@ -634,8 +607,9 @@ def upper_lambda_theta(m: Metric, t, reference=None, tol: float | None = None) -
     whose bound could hold a value ``LAMBDA_REAL_RTOL`` above the best attained one,
     one stacked ``eigvalsh`` per round. The member is a max of smooth eigenvalue
     branches whose kinks are convex, so its local maxima are smooth peaks; each
-    ``max(.)`` is differentiated on its active branch, and each extreme eigenvalue as
-    the mean of its rounding-level cluster. The value is the best attained one.
+    ``max(.)`` is differentiated on its active branch, and each extreme eigenvalue by
+    :func:`semidw._optim.eig_jet`, the kernel's own jet: the mean of its rounding-level
+    cluster, smooth where the eigenvalue is multiple. The value is the best attained one.
     ``theta_grid`` is ``THETA_GRID_BOUNDS`` (360), the angle grid the record once
     read, kept so that the default JSON keeps its bytes; the search uses no such grid.
     """

@@ -43,8 +43,8 @@ from types import GeneratorType
 
 import numpy as np
 
-from ._optim import (START_ANGLES, START_THETAS, _pow2_units, gram_herm, herm_parts,
-                     rotated_eig_max, rotated_eig_max_stack, rotated_herm)
+from ._optim import (START_ANGLES, START_THETAS, _pow2_units, form_values, gram_herm,
+                     herm_parts, rotated_eig_max, rotated_eig_max_stack, rotated_herm)
 from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
@@ -206,11 +206,6 @@ class _Memo:
     def dw(self, n_mat: np.ndarray) -> RadiusEstimate:
         """The dw bracket ``[value, value + residual]`` of ``n_mat``, as :func:`dw_radius`."""
         return self.estimate(_dw_core, n_mat, "dw_shell")
-
-
-def form_values(n_mat: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
-    """Row-wise quadratic form values ``c* N c``."""
-    return np.einsum("ki,ij,kj->k", c_rows.conj(), n_mat, c_rows)
 
 
 # ---------------------------------------------------------------------------

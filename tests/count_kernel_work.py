@@ -14,8 +14,10 @@ problems, the pencils the kernel solves, the matrices of its ``eigh`` and
 ``eigvalsh`` calls (stacked ones counted per matrix), and its arc-end solves, the
 ``eigh`` matrices outside the Newton polish; then the ``eigvalsh`` and ``eigh``
 matrices of the lambda-real search (``bounds._lambda_real_search``: its samples
-and its Newton steps). Other eigensolves (the oracle's, the other bounds') are not
-counted. ``tests/test_bench_api.py`` runs :func:`kernel_work` on seed 1.
+and its Newton steps); last the evaluations of ``_optim.eig_jet``, by the kernel's
+polish and the lambda-real search, at an eigenvalue whose cluster has more than one
+member. Other eigensolves (the oracle's, the other bounds') are not counted.
+``tests/test_bench_api.py`` runs :func:`kernel_work` on seed 1.
 """
 
 from __future__ import annotations
@@ -29,20 +31,21 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog-lowrank", "catalog-highrank", "pair-blocks")
 COLUMNS = ("calls", "problems", "pencils", "eigh", "eigvalsh", "arc_end", "lreal_eigvalsh",
-           "lreal_eigh")
+           "lreal_eigh", "multi_cluster")
 
 
 def install_counters(counts: dict, patch=setattr) -> None:
-    """Wrap the kernel, its pencil solve, its Newton polish, the lambda-real search and
-    numpy's two Hermitian eigensolvers so that each adds its work to ``counts``;
-    ``patch(owner, name, value)`` installs each wrapper (a test passes
+    """Wrap the kernel, its pencil solve, its Newton polish, the lambda-real search, the
+    eigenvalue jet and numpy's two Hermitian eigensolvers so that each adds its work to
+    ``counts``; ``patch(owner, name, value)`` installs each wrapper (a test passes
     ``monkeypatch.setattr``, which undoes them)."""
+    from helpers import cluster_size
     from semidw import _optim, bounds, radii
 
     state = {"kernel": False, "polish": False, "lreal": False}
     kernel, polish, pencil = (_optim.rotated_eig_max_stack, _optim.newton_max_lockstep,
                               _optim.pencil_eigvals)
-    search = bounds._lambda_real_search
+    search, jet = bounds._lambda_real_search, _optim.eig_jet
 
     def counted_kernel(problems):
         counts["calls"] += 1
@@ -67,6 +70,10 @@ def install_counters(counts: dict, patch=setattr) -> None:
         finally:
             state["lreal"] = False
 
+    def counted_jet(lam, *args):
+        counts["multi_cluster"] += cluster_size(lam, args[-1]) > 1
+        return jet(lam, *args)
+
     def counted_pencil(a_mat, b_mat):
         counts["pencils"] += 1
         return pencil(a_mat, b_mat)
@@ -89,6 +96,8 @@ def install_counters(counts: dict, patch=setattr) -> None:
     patch(_optim, "newton_max_lockstep", counted_polish)
     patch(_optim, "pencil_eigvals", counted_pencil)
     patch(bounds, "_lambda_real_search", counted_search)
+    for owner in (_optim, bounds):
+        patch(owner, "eig_jet", counted_jet)
     for name in ("eigh", "eigvalsh"):
         patch(np.linalg, name, counted_solve(name, getattr(np.linalg, name)))
 

@@ -9,7 +9,8 @@ oracle's Newton refinement. The scalar-shift references evaluate every member
 of a lambda grid of the two scalar-shift bounds from explicitly shifted
 matrices, on a compressed ``N``. :func:`hook_kernel` sees every call of the angle
 kernel that :mod:`semidw.radii` makes, and :func:`opening_lines` names the two
-problems a dw bracket opens with.
+problems a dw bracket opens with. :func:`refuse_multiple_eigenvalues` installs the
+mutant of the eigenvalue jet that takes no Newton step at a multiple eigenvalue.
 """
 
 from __future__ import annotations
@@ -283,3 +284,24 @@ def opening_lines(n_mat: np.ndarray) -> list:
     from semidw._optim import gram_herm
 
     return [radii._problem_key(n_mat, -1, None), radii._problem_key(n_mat, -1, gram_herm(n_mat))]
+
+
+def cluster_size(lam: np.ndarray, k: int) -> int:
+    """The members of the cluster of eigenvalue ``k`` of ``lam`` that
+    :func:`semidw._optim.eig_jet` averages: those within ``4 r eps (1 + max |lambda|)``."""
+    tol = 4.0 * lam.size * np.finfo(float).eps * (1.0 + np.abs(lam).max())
+    return int(np.count_nonzero(np.abs(lam - lam[k]) <= tol))
+
+
+def refuse_multiple_eigenvalues(monkeypatch) -> None:
+    """Replace :func:`semidw._optim.eig_jet`, in the level-set kernel and in the lambda-real
+    search, by a mutant whose curvature is nan wherever its cluster has more than one
+    member, so that the Newton polish takes no step at a multiple eigenvalue."""
+    from semidw import _optim, bounds
+
+    def refusing(lam, vecs, c_mat, c_prime, k, _jet=_optim.eig_jet):
+        value, slope, curv = _jet(lam, vecs, c_mat, c_prime, k)
+        return value, slope, curv if cluster_size(lam, k) == 1 else np.nan
+
+    for owner in (_optim, bounds):
+        monkeypatch.setattr(owner, "eig_jet", refusing)

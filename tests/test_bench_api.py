@@ -56,7 +56,8 @@ def test_cli_accepts_bench_arguments(bench, tmp_path):
 
 def test_bench_traffic_solves_one_pencil_per_problem_and_no_arc_end(monkeypatch):
     # on seed 1 every kernel problem of the library workloads certifies its first level
-    # with one pencil, so the kernel solves no arc-end eigh
+    # with one pencil, so the kernel solves no arc-end eigh; no Newton step meets a
+    # multiple eigenvalue, so the cluster mean of eig_jet is the eigenvalue's own jet
     from count_kernel_work import kernel_work
 
     work = kernel_work([1], monkeypatch.setattr)
@@ -64,6 +65,7 @@ def test_bench_traffic_solves_one_pencil_per_problem_and_no_arc_end(monkeypatch)
         assert row["ops"] and row["problems"], workload
         assert row["pencils"] == row["problems"], (workload, row)
         assert row["arc_end"] == 0, (workload, row)
+        assert row["multi_cluster"] == 0, (workload, row)
     # the lambda-real search solves 558 eigvalsh matrices here, where the 360-angle grid
     # it replaced solved 2,880
     assert work["catalog-highrank"]["lreal_eigvalsh"] <= 720, work["catalog-highrank"]

@@ -15,7 +15,7 @@ from semidw.sampling import random_bounded_operator, random_metric
 
 from conftest import X_MAT, Y_MAT
 from helpers import (brute_dw, hook_kernel, lambda_complex_members, lambda_real_stacked,
-                     opening_lines, refine_periodic_max)
+                     opening_lines, refine_periodic_max, refuse_multiple_eigenvalues)
 
 SQ2 = np.sqrt(2.0)
 
@@ -351,21 +351,13 @@ def test_lambda_real_within_rounding_of_dense_reference():
 
 
 def test_lambda_real_polish_needs_the_cluster_mean(monkeypatch):
-    # a polish that refuses a step at a multiple eigenvalue, as the level-set
-    # kernel does, never leaves the sampled angles on alpha I: only the bisection
-    # then closes in on the peak between two of them, to LAMBDA_REAL_RTOL. Measured
-    # on _scalar_off_grid: such a polish misses by 1.3e-8 to 9.6e-6, the real one by at
-    # most 1.4e-16 (test_lambda_real_within_rounding_of_dense_reference allows 4e-15)
-    from semidw import bounds
-
-    def refusing(lam, *args, _jets=bounds._extreme_jets):
-        top, bot = _jets(lam, *args)
-        tol = 4.0 * lam.shape[-1] * np.finfo(float).eps * (1.0 + np.abs(lam).max(-1))
-        top[2, lam[..., -2] >= lam[..., -1] - tol] = np.nan
-        bot[2, lam[..., 1] <= lam[..., 0] + tol] = np.nan
-        return top, bot
-
-    monkeypatch.setattr(bounds, "_extreme_jets", refusing)
+    # a polish that refuses a step at a multiple eigenvalue (the eig_jet mutant with a
+    # nan curvature wherever the cluster has more than one member) never leaves the
+    # sampled angles on alpha I: only the bisection then closes in on the peak between
+    # two of them, to LAMBDA_REAL_RTOL. Measured on _scalar_off_grid: such a polish
+    # misses by 1.3e-8 to 9.6e-6, the real one by at most 1.4e-16
+    # (test_lambda_real_within_rounding_of_dense_reference allows 4e-15)
+    refuse_multiple_eigenvalues(monkeypatch)
     misses = [(np.sqrt(_lambda0_dense(n_mat)) - value) / (1.0 + value)
               for n_mat in _scalar_off_grid() for value in [_lambda_real(n_mat)]]
     assert min(misses) > 1e-10

@@ -123,12 +123,13 @@ def test_newton_polish_alone_reaches_maximum(r, monkeypatch):
     rng = np.random.default_rng(100 + r)
     for name, n_mat in _families(rng, r):
         for shift in (None, gram_herm(n_mat)):
-            if name in ("scalar", "flat face"):
-                # multiple eigenvalues: the step is refused, with no division by a zero gap
+            if name == "flat face":
+                # a double eigenvalue at a kink of index 0: the cluster mean's step is
+                # kept only where the eigenvalue rises, with no division by a zero gap
                 for index in (0, -1):
                     rotated_eig_max(n_mat, index, shift)
                 continue
-            if name not in ("random", "triangular", "tall", "flat", "nilpotent"):
+            if name not in ("random", "triangular", "tall", "flat", "nilpotent", "scalar"):
                 continue
             label = (name, shift is not None)
             scale = 1.0 + np.linalg.norm(n_mat, 2) + (0.0 if shift is None
@@ -141,18 +142,52 @@ def test_newton_polish_alone_reaches_maximum(r, monkeypatch):
     assert calls == []
 
 
-def test_newton_polish_refuses_multiple_eigenvalue(monkeypatch):
-    # a multiple eigenvalue has no second derivative: the polish evaluates the best
-    # start angle and takes no step from it
-    monkeypatch.setattr(_optim, "MAX_LEVELS", 0)
-    n_mat = (0.3 - 1.7j) * np.eye(3)
-    starts = np.linspace(0.0, 2.0 * np.pi, _optim.START_ANGLES, endpoint=False)
-    vals = np.linalg.eigvalsh(rotated_herm(n_mat, starts))
-    for index in (0, -1):
-        theta, value, evals, *_ = rotated_eig_max(n_mat, index)
-        best = int(np.argmax(vals[:, index]))
-        assert (theta, evals) == (starts[best], _optim.START_ANGLES + 1), index
-        assert abs(value - vals[best, index]) <= 4.0 * np.finfo(float).eps * (1.0 + abs(value))
+def test_scalar_kernel_solves_one_pencil(monkeypatch):
+    # every eigenvalue of Re(e^{i theta} alpha I) + K is r-fold, a single cluster whose
+    # mean the polish climbs to the peak |alpha| (+ |alpha|^2 with K = G): the pencil
+    # at that level certifies it and is the only one solved
+    calls = _counted_pencils(monkeypatch)
+    alpha = 0.3 - 1.7j
+    for r in (2, 3, 5, 8, 16):
+        n_mat = alpha * np.eye(r)
+        for shift in (None, gram_herm(n_mat)):
+            peak = abs(alpha) + (0.0 if shift is None else abs(alpha) ** 2)
+            for index in (0, -1):
+                label = (r, shift is not None, index)
+                calls.clear()
+                value = rotated_eig_max(n_mat, index, shift)[1]
+                assert len(calls) == 1, label
+                assert abs(value - peak) <= 4.0 * np.finfo(float).eps * (1.0 + abs(value)), label
+
+
+def test_eig_jet_is_the_derivatives_of_its_cluster_mean():
+    # simple: the top eigenvalue of Re(e^{i theta} B), bit for bit its textbook
+    # derivatives; double: that of Q (B + B) Q*, whose every eigenvalue is twofold at
+    # every angle, with couplings across clusters; each against central differences of
+    # the top eigenvalue of Re(e^{i theta} B)
+    rng = np.random.default_rng(5)
+    b_mat = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
+    q, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    double = q @ np.kron(np.eye(2), b_mat) @ q.conj().T
+    theta, h = 0.7, 1e-4
+
+    def top(angle):
+        return np.linalg.eigvalsh(rotated_herm(b_mat, angle))[-1]
+
+    slope = (top(theta + h) - top(theta - h)) / (2.0 * h)
+    curv = (top(theta + h) - 2.0 * top(theta) + top(theta - h)) / h ** 2
+    for n_mat in (double, b_mat):
+        c_mat, c_prime = rotated_herm(n_mat, theta), rotated_herm(n_mat, theta + 0.5 * np.pi)
+        lam, vecs = np.linalg.eigh(c_mat)
+        jet = _optim.eig_jet(lam, vecs, c_mat, c_prime, lam.size - 1)
+        assert jet[0] == lam[-1]
+        assert abs(jet[1] - slope) <= 1e-8 and abs(jet[2] - curv) <= 1e-5, n_mat.shape
+    x = vecs[:, -1]  # of B
+    m = vecs.conj().T @ (c_prime @ x)
+    gaps = lam[-1] - lam
+    gaps[-1] = np.inf
+    assert (jet[1], jet[2]) == (m[-1].real, 2.0 * float((np.abs(m) ** 2 / gaps).sum())
+                                - np.vdot(x, c_mat @ x).real)
 
 
 def _pencil(n_mat, gamma, shift=None):
