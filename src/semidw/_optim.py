@@ -6,11 +6,16 @@ The level-set kernel :func:`rotated_eig_max_stack` maximizes one eigenvalue of
 Newton ascent, polishes the kernel's levels and the lambda-real peaks of
 :mod:`semidw.bounds` in lockstep, both on the derivatives of one extreme eigenvalue
 from :func:`eig_jet`, the mean of its rounding-level cluster, which stays smooth where
-the eigenvalue is multiple; :func:`pencil_eigvals` is the kernel's QZ solve.
+the eigenvalue is multiple; :func:`pencil_eigvals` is the kernel's QZ solve. It calls
+LAPACK's ``ggev`` in the OpenBLAS that numpy's wheel bundles, which ``import numpy``
+has already mapped, so the package loads no scipy module and no second BLAS; where
+numpy bundles none (a system-LAPACK or MKL build), in scipy's f2py ``_flapack``.
 """
 
 from __future__ import annotations
 
+import ctypes
+import glob
 import importlib.machinery
 import importlib.util
 import math
@@ -20,8 +25,91 @@ import sys
 import numpy as np
 
 
+def _numpy_openblas() -> str | None:
+    """Path of the ILP64 OpenBLAS that numpy's wheel bundles (``libscipy_openblas64_*``
+    in ``numpy.libs``, or ``numpy/.dylibs`` on macOS), or None where numpy has none."""
+    package = os.path.dirname(np.__file__)
+    for folder in (os.path.join(os.path.dirname(package), "numpy.libs"),
+                   os.path.join(package, ".dylibs")):
+        found = sorted(glob.glob(os.path.join(folder, "libscipy_openblas64_*")))
+        if found:
+            return found[0]
+    return None
+
+
+def _openblas_routines(path: str) -> tuple:
+    """``scipy_zggev_64_`` and ``scipy_dggev_64_`` of the OpenBLAS at ``path``, as ctypes
+    functions without ``argtypes``, which would convert every argument in Python: a
+    call passes each argument as a ctypes reference (the integers 64-bit), then
+    gfortran's hidden lengths of the two ``CHARACTER`` arguments as ``size_t``."""
+    lib = ctypes.CDLL(path)
+    routines = lib.scipy_zggev_64_, lib.scipy_dggev_64_
+    for routine in routines:
+        routine.restype = None
+    return routines
+
+
+#: gfortran's hidden length of a ``CHARACTER*1`` argument
+_CHAR_LEN = ctypes.c_size_t(1)
+
+
+def _openblas_ggev(zggev, dggev):
+    """``ggev(a_mat, b_mat, cplx) -> (alpha, beta, info)`` on the ctypes routines of
+    :func:`_openblas_routines`, ``zggev`` if ``cplx`` else ``dggev`` (whose ``alpha`` is
+    ``alphar + 1j alphai``).
+
+    A plan per (cplx, order) holds the order, 1 and the ``lwork = -1`` query's workspace
+    size as 64-bit integers, and the byte offsets of A, B, the outputs and the
+    workspaces in one buffer. Each call copies A and B in Fortran order into a fresh
+    such buffer, so the caller's arrays are untouched and no call shares a buffer
+    with another.
+    """
+    plans: dict[tuple[bool, int], tuple] = {}
+    byref = ctypes.byref
+
+    def plan(cplx: bool, n: int) -> tuple:
+        dtype = np.dtype(complex if cplx else float)
+        order, query, info = ctypes.c_int64(n), ctypes.c_int64(-1), ctypes.c_int64()
+        nn, work = byref(order), (ctypes.c_double * 2)()
+        # with eigenvectors, as scipy queries: the size sets the blocking of the solve
+        if cplx:
+            zggev(b"V", b"V", nn, work, nn, work, nn, work, work, work, nn, work, nn, work,
+                  byref(query), work, byref(info), _CHAR_LEN, _CHAR_LEN)
+        else:
+            dggev(b"V", b"V", nn, work, nn, work, nn, work, work, work, work, nn, work, nn,
+                  work, byref(query), byref(info), _CHAR_LEN, _CHAR_LEN)
+        lwork = int(work[0])
+        # A at 0, B, alpha and beta (alphar, alphai, beta), work, and zggev's 8n reals
+        sizes = [n * n, n * n] + [n] * (2 if cplx else 3) + [lwork, 4 * n if cplx else 0]
+        ends = [dtype.itemsize * int(x) for x in np.cumsum(sizes)]
+        plans[cplx, n] = (dtype, ctypes.c_char * ends[-1], ends[:-1], nn,
+                          byref(ctypes.c_int64(1)), byref(ctypes.c_int64(lwork)))
+        return plans[cplx, n]
+
+    def ggev(a_mat: np.ndarray, b_mat: np.ndarray, cplx: bool) -> tuple:
+        n = a_mat.shape[0]
+        dtype, buffer, offsets, nn, one, lwork = plans.get((cplx, n)) or plan(cplx, n)
+        raw, info = buffer(), ctypes.c_int64()
+        buf = np.frombuffer(raw, dtype)
+        mats = buf[:2 * n * n].reshape(2, n, n)
+        mats[0], mats[1] = a_mat.T, b_mat.T  # Fortran order
+        b, *outs, work, rwork = [byref(raw, at) for at in offsets]
+        at = 2 * n * n
+        if cplx:  # VL and VR are not referenced
+            zggev(b"N", b"N", nn, raw, nn, b, nn, *outs, raw, one, raw, one, work, lwork, rwork,
+                  byref(info), _CHAR_LEN, _CHAR_LEN)
+            return buf[at:at + n], buf[at + n:at + 2 * n], info.value
+        dggev(b"N", b"N", nn, raw, nn, b, nn, *outs, raw, one, raw, one, work, lwork,
+              byref(info), _CHAR_LEN, _CHAR_LEN)
+        alpha = buf[at:at + n] + 1j * buf[at + n:at + 2 * n]
+        return alpha, buf[at + 2 * n:at + 3 * n], info.value
+
+    return ggev
+
+
 def _load_flapack():
-    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, without the ``scipy.linalg`` package.
+    """scipy's f2py LAPACK extension ``scipy.linalg._flapack``, without the ``scipy.linalg``
+    package, or None where scipy or the extension is not installed.
 
     ``find_spec("scipy")`` locates scipy without running its ``__init__``; the
     extension is then loaded from ``scipy/linalg`` and registered under its
@@ -31,49 +119,80 @@ def _load_flapack():
     name = "scipy.linalg._flapack"
     if name in sys.modules:
         return sys.modules[name]
-    linalg_dir = os.path.join(importlib.util.find_spec("scipy").submodule_search_locations[0],
-                              "linalg")
+    scipy = importlib.util.find_spec("scipy")
+    if scipy is None or not scipy.submodule_search_locations:
+        return None
     finder = importlib.machinery.FileFinder(
-        linalg_dir, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
+        os.path.join(scipy.submodule_search_locations[0], "linalg"),
+        (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES))
     spec = finder.find_spec(name)
+    if spec is None:
+        return None
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
 
 
-_FLAPACK = _load_flapack()
+def _flapack_ggev(zggev, dggev):
+    """``ggev(a_mat, b_mat, cplx) -> (alpha, beta, info)``, as :func:`_openblas_ggev`, on
+    the f2py wrappers of ``_flapack``, with the same per-(cplx, order) query."""
+    lworks: dict[tuple[bool, int], int] = {}
 
-#: (complex?, order) -> the workspace size of a ``zggev`` / ``dggev`` of that
-#: order, which depends on nothing else
-_GGEV_LWORK: dict[tuple[bool, int], int] = {}
+    def ggev(a_mat: np.ndarray, b_mat: np.ndarray, cplx: bool) -> tuple:
+        routine, key = zggev if cplx else dggev, (cplx, a_mat.shape[0])
+        if key not in lworks:
+            lworks[key] = int(routine(a_mat, b_mat, lwork=-1)[-2][0].real)
+        *alpha, beta, _, _, _, info = routine(a_mat, b_mat, compute_vl=0, compute_vr=0,
+                                              lwork=lworks[key])
+        return alpha[0] if cplx else alpha[0] + 1j * alpha[1], beta, info
+
+    return ggev
+
+
+def _load_ggev():
+    """The ``ggev`` of :func:`pencil_eigvals`: :func:`_openblas_ggev` where numpy bundles
+    its OpenBLAS, else :func:`_flapack_ggev`; ImportError where neither loads."""
+    path = _numpy_openblas()
+    if path is not None:
+        try:
+            return _openblas_ggev(*_openblas_routines(path))
+        except (OSError, AttributeError):  # not loadable, or without the ILP64 ggev
+            pass
+    flapack = _load_flapack()
+    if flapack is None:
+        raise ImportError("semidw needs LAPACK's ggev: found neither numpy's bundled OpenBLAS "
+                          "(libscipy_openblas64_) nor scipy's scipy.linalg._flapack")
+    return _flapack_ggev(flapack.zggev, flapack.dggev)
+
+
+_GGEV = _load_ggev()
 
 
 def pencil_eigvals(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
     """Eigenvalues of the pencil ``(A, B)``, bit for bit those of ``scipy.linalg.eigvals(A, B)``.
 
-    One LAPACK ``ggev`` call without eigenvectors: ``zggev`` of scipy's own f2py
-    extension ``_flapack`` (the wrapper ``scipy.linalg.lapack`` hands out,
-    loaded without the ``scipy.linalg`` package), ``dggev`` for real pencils.
-    Its workspace is sized by one ``lwork = -1`` query per order, as scipy
-    does on every call: the size sets the blocking, so a smaller one could
-    change the result. ``alpha / beta`` is inf where ``beta = 0`` (nan for
-    ``0 / 0``, complex nan unless every ``alpha`` is real). Raises
-    ``LinAlgError`` when QZ fails.
+    One LAPACK ``ggev`` call without eigenvectors (``zggev``, ``dggev`` for real
+    pencils), through :data:`_GGEV`: the ILP64 ``scipy_?ggev_64_`` of the OpenBLAS in
+    numpy's wheel, called by ctypes, or else scipy's f2py ``_flapack``. Its workspace
+    is sized by one ``lwork = -1`` query per order, with eigenvectors, as scipy does
+    on every call: the size sets the blocking, so a smaller one could change the
+    result. ``alpha / beta`` is inf where ``beta = 0`` (nan for ``0 / 0``, complex nan
+    unless every ``alpha`` is real). Raises ``ValueError`` unless A and B are square of
+    one order, and ``LinAlgError`` when QZ fails.
     """
-    key = (np.iscomplexobj(a_mat) or np.iscomplexobj(b_mat), a_mat.shape[0])
-    ggev = _FLAPACK.zggev if key[0] else _FLAPACK.dggev
-    if key not in _GGEV_LWORK:
-        _GGEV_LWORK[key] = int(ggev(a_mat, b_mat, lwork=-1)[-2][0].real)
-    *alpha, beta, _, _, _, info = ggev(a_mat, b_mat, compute_vl=0, compute_vr=0,
-                                       lwork=_GGEV_LWORK[key])
+    if a_mat.shape != b_mat.shape or a_mat.shape != a_mat.shape[:1] * 2:
+        # the ctypes binding's copy would broadcast them, and f2py's dggev takes a B too big
+        raise ValueError(f"a pencil needs two square matrices of one order, not "
+                         f"{a_mat.shape} and {b_mat.shape}")
+    alpha, beta, info = _GGEV(a_mat, b_mat, np.iscomplexobj(a_mat) or np.iscomplexobj(b_mat))
     if info != 0:
         raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
-    alpha = alpha[0] if len(alpha) == 1 else alpha[0] + 1j * alpha[1]
+    if beta.all():  # no infinite eigenvalue: the plain quotient, a third of the masked cost
+        return alpha / beta
     finite = beta != 0
     z = np.divide(alpha, beta, out=np.full_like(alpha, np.inf), where=finite)
-    if not finite.all():
-        z[(alpha == 0) & ~finite] = complex(np.nan, np.nan) if alpha.imag.any() else np.nan
+    z[(alpha == 0) & ~finite] = complex(np.nan, np.nan) if alpha.imag.any() else np.nan
     return z
 
 

@@ -3,7 +3,6 @@
 import os
 import subprocess
 import sys
-import types
 
 import numpy as np
 import pytest
@@ -216,7 +215,26 @@ def _pencil_cases():
         yield ("flat", 2, 0.5), *_pencil(n_mat, 0.5)
 
 
-def test_pencil_eigvals_match_scipy_bit_for_bit():
+#: the two ``ggev`` bindings of :func:`pencil_eigvals`, by the factory of their closure
+_BINDINGS = {"openblas": "_openblas_ggev", "flapack": "_flapack_ggev"}
+
+
+@pytest.fixture(params=sorted(_BINDINGS))
+def binding(request, monkeypatch):
+    """Installs a freshly loaded binding as ``_optim._GGEV``: numpy's OpenBLAS (skipped
+    where numpy bundles none), or the ``_flapack`` fallback, forced by making the
+    locator find nothing."""
+    if request.param == "openblas" and _optim._numpy_openblas() is None:
+        pytest.skip("numpy bundles no libscipy_openblas64_")
+    if request.param == "flapack":
+        monkeypatch.setattr(_optim, "_numpy_openblas", lambda: None)
+    ggev = _optim._load_ggev()
+    assert ggev.__qualname__.startswith(_BINDINGS[request.param] + ".")
+    monkeypatch.setattr(_optim, "_GGEV", ggev)
+    return request.param
+
+
+def test_pencil_eigvals_match_scipy_bit_for_bit(binding):
     for label, a_mat, b_mat in _pencil_cases():
         got = pencil_eigvals(a_mat, b_mat)
         want = scipy.linalg.eigvals(a_mat, b_mat)
@@ -273,33 +291,101 @@ def test_pencil_flat_has_no_finite_unimodular_eigenvalue():
     assert not np.any(np.abs(np.abs(z) - 1.0) <= _optim.UNIMODULAR_TOL)
 
 
-def test_pencil_failure_raises(monkeypatch):
-    flapack = _optim._FLAPACK
+def _failing_openblas(routine):
+    # the ctypes routine, then info = 1 on every solve; the query passes JOBVL = "V"
+    def call(*args):
+        routine(*args)
+        if args[0] == b"N":
+            args[-3]._obj.value = 1
 
-    def failing(ggev):
-        def broken(*args, **kw):
-            *out, info = ggev(*args, **kw)
-            return (*out, info if kw.get("lwork") == -1 else 1)
+    return call
 
-        return broken
 
-    monkeypatch.setattr(_optim, "_FLAPACK", types.SimpleNamespace(
-        zggev=failing(flapack.zggev), dggev=failing(flapack.dggev)))
-    n_mat = np.random.default_rng(1).standard_normal((3, 3)) + 0j
-    with pytest.raises(np.linalg.LinAlgError):
-        pencil_eigvals(*_pencil(n_mat, 1.0))
-    with pytest.raises(np.linalg.LinAlgError):
-        rotated_eig_max(n_mat, -1)
+def _failing_flapack(routine):
+    # the f2py routine, then info = 1 on every solve; the query passes lwork = -1
+    def call(*args, **kw):
+        *out, info = routine(*args, **kw)
+        return (*out, info if kw.get("lwork") == -1 else 1)
+
+    return call
+
+
+def test_pencil_failure_raises(binding, monkeypatch):
+    # info != 0 from either routine of either binding raises, in the pencil and the kernel
+    if binding == "openblas":
+        routines = _optim._openblas_routines(_optim._numpy_openblas())
+        failing = _optim._openblas_ggev(*map(_failing_openblas, routines))
+    else:
+        flapack = _optim._load_flapack()
+        failing = _optim._flapack_ggev(_failing_flapack(flapack.zggev),
+                                       _failing_flapack(flapack.dggev))
+    monkeypatch.setattr(_optim, "_GGEV", failing)
+    n_mat = np.random.default_rng(1).standard_normal((3, 3))
+    for n in (n_mat, n_mat + 0j):
+        with pytest.raises(np.linalg.LinAlgError, match="info=1"):
+            pencil_eigvals(*_pencil(n, 1.0))
+        with pytest.raises(np.linalg.LinAlgError):
+            rotated_eig_max(n, -1)
+
+
+def test_pencil_rejects_other_shapes(binding):
+    # the ctypes copy would broadcast (3, 1) or (1, 3); f2py's dggev took the (2, 2), (3, 3)
+    for shapes in ((3, 1), (3, 3)), ((2, 2), (3, 3)), ((3, 3), (1, 3)), ((2, 3), (2, 3)):
+        with pytest.raises(ValueError, match="square matrices of one order"):
+            pencil_eigvals(np.ones(shapes[0]), np.ones(shapes[1]))
+
+
+def _run_probe(probe: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
 
 
 @pytest.mark.parametrize("first", ["semidw", "scipy.linalg"])
 def test_flapack_is_scipys_own_extension(first):
-    # one copy of the extension, whichever of the two packages is imported first
-    second = "scipy.linalg" if first == "semidw" else "semidw"
-    probe = (f"import {first}, {second}, scipy.linalg.lapack, semidw._optim\n"
-             "assert semidw._optim._FLAPACK is scipy.linalg.lapack._flapack")
-    subprocess.run([sys.executable, "-c", probe], timeout=120, check=True,
-                   env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    # the fallback binds one copy of the extension, whichever package loads it first
+    probe = ("import semidw._optim as o\nflapack = o._load_flapack()\nimport scipy.linalg.lapack"
+             if first == "semidw" else
+             "import scipy.linalg.lapack, semidw._optim as o\nflapack = o._load_flapack()")
+    proc = _run_probe(probe + "\nassert flapack is scipy.linalg.lapack._flapack")
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.skipif(_optim._numpy_openblas() is None,
+                    reason="numpy bundles no libscipy_openblas64_")
+def test_import_works_without_scipy():
+    # sys.modules["scipy"] = None hides scipy from import and from importlib.util.find_spec
+    proc = _run_probe("import sys\nsys.modules['scipy'] = None\n"
+                      "import numpy as np, semidw as sd\n"
+                      "print(sd.numerical_radius(sd.build_metric(np.eye(2)),"
+                      " np.array([[0.0, 1.0], [0.0, 0.0]])).value)")
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) == pytest.approx(0.5, rel=1e-14)
+
+
+def test_no_lapack_raises_import_error_naming_both(monkeypatch):
+    monkeypatch.setattr(_optim, "_numpy_openblas", lambda: None)
+    monkeypatch.setitem(sys.modules, "scipy", None)
+    monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
+    with pytest.raises(ImportError, match="libscipy_openblas64_.*scipy.linalg._flapack"):
+        _optim._load_ggev()
+
+
+@pytest.mark.skipif(_optim._numpy_openblas() is None or not os.path.exists("/proc/self/maps"),
+                    reason="numpy bundles no libscipy_openblas64_, or no /proc/self/maps")
+def test_one_openblas_and_no_scipy_per_process():
+    # the package's LAPACK is the OpenBLAS numpy has already mapped: a verify run loads
+    # no scipy module and maps no second OpenBLAS
+    proc = _run_probe("import sys\nimport numpy as np\nimport semidw, semidw.cli\n"
+                      "m = semidw.build_metric(np.diag([1.0, 2.0, 0.0]))\n"
+                      "x = np.array([[0.0, 1.0, 0.0], [0.5j, 0.0, 0.0], [0.0, 0.0, 0.0]])\n"
+                      "assert semidw.bounds.verify_all(m, x, seed=1).overall_pass\n"
+                      "print(*sorted(k for k in sys.modules if k.startswith('scipy')))\n"
+                      "print(*sorted({line.split()[-1] for line in open('/proc/self/maps')"
+                      " if 'openblas' in line.rsplit('/', 1)[-1]}))")
+    assert proc.returncode == 0, proc.stderr
+    scipy_modules, libraries = proc.stdout.split("\n")[:2]
+    assert scipy_modules == ""
+    assert len(libraries.split()) == 1, libraries
 
 
 def _cos_jet(phi, amp=1.0):

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import semidw as sd
-from semidw import radii
+from semidw import _optim, radii
 from semidw._optim import START_ANGLES, gram_herm
 from semidw.errors import NormOutOfRange, RankTooLarge
 from semidw.metric import compress
@@ -651,7 +651,8 @@ def test_sphere_samples_uniform_moment(r):
     np.testing.assert_allclose(mean_sq, 1.0 / r, rtol=0, atol=0.02)
 
 
-#: the level-set kernel loads scipy's LAPACK extension alone, never the scipy.linalg package
+#: the level-set kernel's fallback loads scipy's LAPACK extension alone, never the
+#: scipy.linalg package
 _SLOW_IMPORTS = ("scipy.linalg", "scipy.optimize", "scipy.stats", "scipy.special")
 
 
@@ -666,6 +667,11 @@ def _loaded_after(code: str) -> list[str]:
 
 def test_import_loads_no_optimizer_or_stats():
     assert _loaded_after("import semidw") == []
+    if _optim._numpy_openblas() is not None:  # LAPACK from numpy's OpenBLAS: no scipy at all
+        probe = "import semidw, sys\nprint(*[k for k in sys.modules if k.startswith('scipy')])"
+        assert subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+                              timeout=120, check=True).stdout.split() == []
     assert _loaded_after("import semidw.cli") == []
     # the oracle's sampling and Newton refinement need numpy alone
     assert _loaded_after("import numpy as np, semidw as sd\n"
