@@ -43,7 +43,6 @@ from .errors import (
     NotPositiveSemidefinite,
     ParseError,
     PreconditionError,
-    PropertyViolation,
     RankTooLarge,
     SemidwError,
     ZeroT,

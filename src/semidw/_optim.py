@@ -1,12 +1,12 @@
 """Angle maximization helpers shared by the radius and bound evaluators.
 
 The level-set kernel :func:`rotated_eig_max_stack` maximizes one eigenvalue of
-``Re(e^{i theta} N) + K`` for each problem of a stack of one order, in lockstep;
-:func:`rotated_eig_max` is its stack of one. :func:`newton_max_lockstep`, the one
-Newton ascent, polishes the kernel's levels and the lambda-real peaks of
-:mod:`semidw.bounds` in lockstep, both on the derivatives of one extreme eigenvalue
-from :func:`eig_jet`, the mean of its rounding-level cluster, which stays smooth where
-the eigenvalue is multiple; :func:`pencil_eigvals` is the kernel's QZ solve. It calls
+``Re(e^{i theta} N) + K`` for each problem of a stack of one order, in lockstep.
+:func:`newton_max_lockstep`, the one Newton ascent, polishes the kernel's levels and
+the lambda-real peaks of :mod:`semidw.bounds` in lockstep, both on the derivatives of
+one extreme eigenvalue from :func:`eig_jet`, the mean of its rounding-level cluster,
+which stays smooth where the eigenvalue is multiple; :func:`pencil_eigvals` is the
+kernel's QZ solve, of which it keeps the finite eigenvalues. It calls
 LAPACK's ``ggev`` in the OpenBLAS that numpy's wheel bundles, which ``import numpy``
 has already mapped, so the package loads no scipy module and no second BLAS; where
 numpy bundles none (a system-LAPACK or MKL build), in scipy's f2py ``_flapack``.
@@ -170,16 +170,18 @@ _GGEV = _load_ggev()
 
 
 def pencil_eigvals(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the pencil ``(A, B)``, bit for bit those of ``scipy.linalg.eigvals(A, B)``.
+    """The finite eigenvalues ``alpha / beta`` (``beta != 0``) of the pencil ``(A, B)``, in
+    LAPACK's order: bit for bit the finite ones of ``scipy.linalg.eigvals(A, B)``.
 
     One LAPACK ``ggev`` call without eigenvectors (``zggev``, ``dggev`` for real
     pencils), through :data:`_GGEV`: the ILP64 ``scipy_?ggev_64_`` of the OpenBLAS in
     numpy's wheel, called by ctypes, or else scipy's f2py ``_flapack``. Its workspace
     is sized by one ``lwork = -1`` query per order, with eigenvectors, as scipy does
     on every call: the size sets the blocking, so a smaller one could change the
-    result. ``alpha / beta`` is inf where ``beta = 0`` (nan for ``0 / 0``, complex nan
-    unless every ``alpha`` is real). Raises ``ValueError`` unless A and B are square of
-    one order, and ``LinAlgError`` when QZ fails.
+    result. The infinite eigenvalues (``beta = 0``, singular B) and the
+    indeterminate ones (``alpha = beta = 0``, a singular pencil) are left out. Raises
+    ``ValueError`` unless A and B are square of one order, and ``LinAlgError`` when QZ
+    fails.
     """
     if a_mat.shape != b_mat.shape or a_mat.shape != a_mat.shape[:1] * 2:
         # the ctypes binding's copy would broadcast them, and f2py's dggev takes a B too big
@@ -188,15 +190,11 @@ def pencil_eigvals(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
     alpha, beta, info = _GGEV(a_mat, b_mat, np.iscomplexobj(a_mat) or np.iscomplexobj(b_mat))
     if info != 0:
         raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
-    if beta.all():  # no infinite eigenvalue: the plain quotient, a third of the masked cost
-        return alpha / beta
     finite = beta != 0
-    z = np.divide(alpha, beta, out=np.full_like(alpha, np.inf), where=finite)
-    z[(alpha == 0) & ~finite] = complex(np.nan, np.nan) if alpha.imag.any() else np.nan
-    return z
+    return alpha[finite] / beta[finite]
 
 
-#: equispaced angles whose best value is the first level of :func:`rotated_eig_max`
+#: equispaced angles whose best value is the first level of :func:`rotated_eig_max_stack`
 START_ANGLES = 16
 #: the start angles, equispaced on [0, 2 pi)
 START_THETAS = np.linspace(0.0, 2.0 * np.pi, START_ANGLES, endpoint=False)
@@ -224,14 +222,13 @@ def newton_max_lockstep(theta0, f, step_max: float):
     once its predicted rise ``slope * step / 2`` is at most ``NEWTON_STOP_ULPS eps
     |value|``: relative, as the values need not be scaled (with ``eps (1 + |value|)`` a
     lambda-real member of ``||N|| ~ 4e-3`` stopped 5.5e-12 relative short of its peak).
-    Returns ``(theta, value, evals)``: lists per search and the count of angles given
-    to ``f``; plain floats, as most calls run one search.
+    Returns ``(theta, value)``, lists per search of plain floats, as most calls run one
+    search.
     """
     stop = NEWTON_STOP_ULPS * float(np.finfo(float).eps)
     theta = [float(x) for x in theta0]
     run = list(range(len(theta)))
     value, slope, curv = ([float(x) for x in a] for a in f(np.array(theta), run))
-    evals = len(run)
     for _ in range(NEWTON_STEPS):
         go, steps = [], []
         for k in run:
@@ -242,14 +239,13 @@ def newton_max_lockstep(theta0, f, step_max: float):
         if not go:
             break
         new = f(np.array([theta[k] + step for k, step in zip(go, steps)]), go)
-        evals += len(go)
         run = []
         for k, step, v, s, c in zip(go, steps, *new):
             if v > value[k]:
                 run.append(k)
                 theta[k] += step
                 value[k], slope[k], curv[k] = float(v), float(s), float(c)
-    return theta, value, evals
+    return theta, value
 
 
 def eig_jet(lam: np.ndarray, vecs: np.ndarray, c_mat: np.ndarray, c_prime: np.ndarray,
@@ -289,17 +285,9 @@ def _pow2_units(*mats) -> tuple[list[np.ndarray], int]:
     return [np.ldexp(a.view(float), -e).view(a.dtype) for a in arrs], e
 
 
-def rotated_eig_max(n_mat: np.ndarray, index: int, shift=None):
-    """Maximize eigenvalue ``index`` (0 or -1) of ``f(theta) = Re(e^{i theta} N) + K`` over theta.
-
-    The stack of one of :func:`rotated_eig_max_stack`, which gives the method and
-    the returned ``(theta, value, evals, lam, vecs)``; ``K = shift`` (Hermitian) or 0.
-    """
-    return rotated_eig_max_stack([(n_mat, index, shift)])[0]
-
-
 def rotated_eig_max_stack(problems) -> list[tuple]:
-    """:func:`rotated_eig_max` of each problem ``(N, index, shift[, start])``, in lockstep.
+    """Maximize eigenvalue ``index`` (0 or -1) of ``f(theta) = Re(e^{i theta} N) + K`` over
+    theta, for each problem ``(N, index, shift[, start])``, in lockstep.
 
     Criss-cross level-set method (Mengi-Overton, IMA J. Numer. Anal. 25 (2005);
     Boyd-Balakrishnan, Systems Control Lett. 15 (1990)) on ``N, K`` scaled by
@@ -319,7 +307,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
     pencil certifies it. Some eigenvalue of
     ``f(theta)`` equals gamma iff ``z = e^{i theta}`` solves
     ``det(z^2 N + 2z (K - gamma I) + N*) = 0``: the unimodular eigenvalues of a
-    2r x 2r pencil (infinite ones, from singular N, are dropped). Between
+    2r x 2r pencil (:func:`pencil_eigvals` gives only the finite ones). Between
     consecutive crossings the midpoint is evaluated, and an arc rises when its
     midpoint beats gamma by more than ``tiny (1 + |gamma|)``, ``tiny = 4 eps``,
     the stop rule's own tolerance, taken once per level from gamma before any
@@ -395,16 +383,18 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
                 np.repeat([p for p, _ in parts], [angles.size for _, angles in parts]))
 
     def values(parts: list) -> list:
-        # eigenvalue index at the angles of each part, from one eigvalsh
+        # eigenvalue index at the angles of each part, from one eigvalsh, each angle counted
         if not parts:
             return []
+        for p, part in parts:
+            evals[p] += part.size
         angles, owner = gather(parts)
         vals = np.linalg.eigvalsh(herm(angles, owner, shifted=True))
         vals = vals[:, index[0]] if b == 1 else vals[np.arange(angles.size), np.take(index, owner)]
         return [vals] if len(parts) == 1 else np.split(
             vals, np.cumsum([angles.size for _, angles in parts])[:-1])
 
-    evals = [grid.size for grid in grids]
+    evals = [0] * b
     solved: list[dict] = [{} for _ in range(b)]
     polishing: list[int] = []
 
@@ -425,7 +415,7 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
         polishing[:] = ps
         for p in ps:
             solved[p].clear()
-        moved, value, _ = newton_max_lockstep([theta[p] for p in ps], jets, NEWTON_STEP_MAX)
+        moved, value = newton_max_lockstep([theta[p] for p in ps], jets, NEWTON_STEP_MAX)
         for p, t, v in zip(ps, moved, value):
             if t != theta[p]:
                 theta[p], gamma[p] = t, v
@@ -448,7 +438,6 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
             a_mat, b_mat = pencils[p]
             a_mat[r:, r:] = 2.0 * (gamma[p] * eye - k_list[p])
             z = pencil_eigvals(a_mat, b_mat)
-            z = z[np.isfinite(z)]
             modulus = np.abs(z)
             z = z[np.abs(modulus - 1.0) <= UNIMODULAR_TOL * np.maximum(1.0, modulus)]
             if z.size:
@@ -459,7 +448,6 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
             break
         rising = []  # (p, lo, hi, cands, cand_vals) of the arcs that rise above gamma
         for (p, lo, hi, mids), vals in zip(arcs, values([(p, mids) for p, _, _, mids in arcs])):
-            evals[p] += mids.size
             up = vals - gamma[p] > tiny * (1.0 + abs(gamma[p]))
             if up.any():
                 rising.append((p, lo[up], hi[up], mids[up], vals[up]))
@@ -485,7 +473,6 @@ def rotated_eig_max_stack(problems) -> list[tuple]:
             if meet.size:
                 cands = np.concatenate([cands, meet])
                 cand_vals = np.concatenate([cand_vals, next(meet_vals)])
-                evals[p] += meet.size
             # a rising midpoint is among the candidates, so the best one clears the gate
             best = int(np.argmax(cand_vals))
             theta[p], gamma[p] = float(cands[best]), float(cand_vals[best])
@@ -524,8 +511,8 @@ def _pencil(n_mat: np.ndarray, k_mat: np.ndarray) -> tuple[np.ndarray, np.ndarra
 
 
 def form_values(n_mat: np.ndarray, c_rows: np.ndarray) -> np.ndarray:
-    """Row-wise quadratic form values ``c* N c``."""
-    return np.einsum("ki,ij,kj->k", c_rows.conj(), n_mat, c_rows)
+    """Row-wise quadratic form values ``c* N c``: one matrix product and a row sum."""
+    return np.einsum("ki,ki->k", c_rows.conj(), c_rows @ n_mat.T)
 
 
 def herm_parts(n_mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ its operands' and the offdiag block's) and every kernel-backed value its bodies 
 (:func:`_catalog_cores` and :func:`_pair_cores`), all in lockstep.
 
 Angle suprema of one eigenvalue (``w``, ``c`` and the theta-sweep bound) come
-from the level-set kernel :func:`semidw._optim.rotated_eig_max`, whose value is
+from the level-set kernel :func:`semidw._optim.rotated_eig_max_stack`, whose value is
 attained and converged to rounding, so an inner supremum is never
 under-resolved before a subtraction. Both scalar-shift records are their
 lambda = 0 members: every member is at least that one. The lambda-complex one
@@ -501,8 +501,9 @@ def _lambda_real_search(n_mat: np.ndarray, norm: float):
     ``sqrt(LAMBDA_REAL_RTOL / 2)``: at most 5 rounds from ``pi / 16``. The search runs
     on ``N, G`` times one exact power of two (:func:`semidw._optim._pow2_units`), so
     g neither underflows nor overflows, and its rounding pad is a multiple of ``eps``.
-    The Newton steps differentiate each extreme eigenvalue of ``C_th +- G`` by
-    :func:`semidw._optim.eig_jet`, with ``C' = C_{th + pi/2}`` and ``C'' = -C_th``.
+    The Newton steps differentiate, of each ``C_th +- G``, the extreme eigenvalue of
+    larger modulus (the active branch of its norm) by :func:`semidw._optim.eig_jet`, one
+    call per matrix, with ``C' = C_{th + pi/2}`` and ``C'' = -C_th``.
     """
     angles = np.arange(START_ANGLES) * (np.pi / START_ANGLES)
     if norm == 0.0:
@@ -523,15 +524,16 @@ def _lambda_real_search(n_mat: np.ndarray, norm: float):
             # ||C + G|| and ||C - G||, each on the active branch of max(top, -bottom)
             rho = []
             for lam_s, vecs_s in zip(lam[:, j], vecs[:, j]):
-                top, bot = (eig_jet(lam_s, vecs_s, c_mat[j], c_prime[j], k) for k in (-1, 0))
-                rho.append(top if top[0] >= -bot[0] else [-x for x in bot])
+                top = lam_s[-1] >= -lam_s[0]
+                jet = eig_jet(lam_s, vecs_s, c_mat[j], c_prime[j], -1 if top else 0)
+                rho.append(jet if top else [-x for x in jet])
             (a, a1, a2), (b, b1, b2) = rho
             out.append((0.5 * a ** 2 + 0.5 * b ** 2, a * a1 + b * b1,
                         a1 ** 2 + a * a2 + b1 ** 2 + b * b2))
         return zip(*out)
 
     def polish(thetas, vals, best):
-        _, polished, _ = newton_max_lockstep(thetas, jets, NEWTON_STEP_MAX)
+        _, polished = newton_max_lockstep(thetas, jets, NEWTON_STEP_MAX)
         return max(best, float(vals.max()), *polished)
 
     vals = member(angles)
@@ -607,7 +609,7 @@ def upper_lambda_theta(m: Metric, t, reference=None, tol: float | None = None) -
     whose bound could hold a value ``LAMBDA_REAL_RTOL`` above the best attained one,
     one stacked ``eigvalsh`` per round. The member is a max of smooth eigenvalue
     branches whose kinks are convex, so its local maxima are smooth peaks; each
-    ``max(.)`` is differentiated on its active branch, and each extreme eigenvalue by
+    ``max(.)`` is differentiated on its active branch, an extreme eigenvalue, by
     :func:`semidw._optim.eig_jet`, the kernel's own jet: the mean of its rounding-level
     cluster, smooth where the eigenvalue is multiple. The value is the best attained one.
     ``theta_grid`` is ``THETA_GRID_BOUNDS`` (360), the angle grid the record once

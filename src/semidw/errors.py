@@ -70,7 +70,3 @@ class NormOutOfRange(PreconditionError):
 
 class NonFiniteReference(SemidwError):
     """Raised when a report's reference dw is not finite, so no record could fail."""
-
-
-class PropertyViolation(SemidwError):
-    """A failed property check, for callers that raise one; the package raises none."""

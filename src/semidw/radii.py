@@ -44,7 +44,7 @@ from types import GeneratorType
 import numpy as np
 
 from ._optim import (START_ANGLES, START_THETAS, _pow2_units, form_values, gram_herm,
-                     herm_parts, rotated_eig_max, rotated_eig_max_stack, rotated_herm)
+                     herm_parts, rotated_eig_max_stack, rotated_herm)
 from .errors import NormOutOfRange, RankTooLarge
 from .metric import Metric, compress, to_ambient
 
@@ -120,14 +120,14 @@ class _Memo:
     kernel tuples of the level-set problems they read, each solved once.
 
     :meth:`run` calls ``core(N, memo)``; a core reads what it builds on through
-    ``memo.run``: :func:`_dw_core` the top singular pair of N, :func:`_crawford_core`
-    the :func:`_start_support` of N, the closed forms the top singular pair of N_X. A
-    kernel-backed core (``_w_core``, ``_crawford_core`` past its short cut,
-    ``_theta_sweep_core``, ``_dw_core``) is a generator: it yields a list of level-set
-    problems ``(N, index, shift[, start])`` and is sent the list of their kernel tuples.
-    So cores that pose one problem share its tuple, and :meth:`fill` drives many cores in
-    lockstep: a report that names its cores up front pays the kernel's fixed costs once
-    per round. :meth:`estimate` alone turns a raw output into a :class:`RadiusEstimate`.
+    ``memo.run``: :func:`_dw_core` the top singular pair of N, the closed forms the top
+    singular pair of N_X. A kernel-backed core (``_w_core``, ``_crawford_core`` past its
+    short cut, ``_theta_sweep_core``, ``_dw_core``) is a generator: it yields a list of
+    level-set problems ``(N, index, shift[, start])`` and is sent the list of their
+    kernel tuples. So cores that pose one problem share its tuple, and :meth:`fill`
+    drives many cores in lockstep: a report that names its cores up front pays the
+    kernel's fixed costs once per round. :meth:`estimate` alone turns a raw output into
+    a :class:`RadiusEstimate`.
     """
 
     raw: dict = field(default_factory=dict)
@@ -249,7 +249,7 @@ def _w_core(n_mat: np.ndarray, memo: _Memo):
 def numerical_radius(m: Metric, t) -> RadiusEstimate:
     """A-numerical radius ``w_A(T)`` by the level-set angle kernel.
 
-    :func:`semidw._optim.rotated_eig_max` maximizes the support function
+    :func:`semidw._optim.rotated_eig_max_stack` maximizes the support function
     ``lambda_max(Re(e^{i theta} N))`` of W(N); the value is attained at the
     returned angle and the witness is the top eigenvector there.
     """
@@ -266,7 +266,7 @@ def numrange_distance(n_mat: np.ndarray):
     """
     if n_mat.shape[0] == 0:
         return 0.0, 0.0, np.zeros(0, dtype=complex)
-    phi, value, _, _, vecs = rotated_eig_max(n_mat, 0)
+    phi, value, _, _, vecs = rotated_eig_max_stack([(n_mat, 0, None)])[0]
     return max(0.0, float(value)), phi, vecs[:, 0]
 
 
@@ -377,7 +377,7 @@ def _through_zero(n_mat: np.ndarray, x1: np.ndarray) -> np.ndarray:
 ENCLOSE_ULPS = 8
 
 
-def _start_support(n_mat: np.ndarray, memo: _Memo):
+def _start_support(n_mat: np.ndarray):
     """``(tops, points)``: the top eigenvectors ``x_k`` of ``Re(e^{i theta_k} N)`` at the
     kernel's start angles ``START_THETAS`` (one stacked ``eigh``) and the support points
     ``p_k = x_k* N x_k`` of W(N) they attain."""
@@ -388,8 +388,13 @@ def _start_support(n_mat: np.ndarray, memo: _Memo):
 def _inner_zero(n_mat: np.ndarray, tops: np.ndarray, points: np.ndarray) -> np.ndarray | None:
     """Unit ``c`` with ``c* N c = 0`` when the support points enclose 0, else None.
 
-    Sorted by angle around 0, a point within ``ENCLOSE_ULPS r eps ||N||_F`` (which
-    bounds the rounding of the forms) of its predecessor is dropped: the top
+    Sorted by angle around 0, a point within ``ENCLOSE_ULPS r eps ||N||_F`` of its
+    predecessor is dropped, a margin four times a bound on the rounding of the forms:
+    :func:`semidw._optim.form_values` takes two complex inner products of length r, each
+    within ``gamma_{r+2} |x|^T |y|`` in any summation order (N. J. Higham, Accuracy and
+    Stability of Numerical Algorithms, 2002, sec. 3.6; ``gamma_k ~ k eps / 2``), so for
+    a unit c it is within about ``2 gamma_{r+2} |c|^T |N| |c| <= (r + 2) eps ||N||_F``,
+    at most ``2 r eps ||N||_F`` for r >= 2 (at r = 1 there is one point). The top
     eigenvectors of a normal N repeat across angles, and their points coincide up
     to rounding. At least three points must be left, and the line through every
     two consecutive ones must pass 0 on the inner side by more than that margin.
@@ -420,14 +425,14 @@ def _crawford_core(n_mat: np.ndarray, memo: _Memo):
 
     The witness geometry runs on ``U = 2^-e N`` (:func:`semidw._optim._pow2_units`): its
     forms and their products stay in range for subnormal to huge N. When the points of
-    the memoized :func:`_start_support` of U enclose 0 the
-    value is 0 with ``START_ANGLES`` iterations and no kernel call; the kernel would
-    return ``max(0, lambda_min) = 0`` there too, since every ``lambda_min(Re(e^{i phi}
-    N))`` is below minus the margin. Else the value is the kernel's on N, whose eigenpairs
-    at phi give the face: a generator core past the short cut.
+    the :func:`_start_support` of U enclose 0 the value is 0 with ``START_ANGLES``
+    iterations and no kernel call; the kernel would return ``max(0, lambda_min) = 0``
+    there too, since every ``lambda_min(Re(e^{i phi} N))`` is below minus the margin.
+    Else the value is the kernel's on N, whose eigenpairs at phi give the face: a
+    generator core past the short cut.
     """
     (unit,), e = _pow2_units(n_mat.astype(complex, copy=False))
-    c = _inner_zero(unit, *memo.run(_start_support, unit))
+    c = _inner_zero(unit, *_start_support(unit))
     if c is not None:
         return 0.0, c, START_ANGLES, math.ldexp(abs(_form(unit, c)), e)
     (phi, value, evals, lam, vecs), = yield [(n_mat, 0, None)]
@@ -711,16 +716,11 @@ def oracle_extremum(m: Metric, t, objective: str, samples: int = 20000,
 
 def _oracle_starts(n_mat: np.ndarray, gram: np.ndarray | None, objective: str,
                    samples: int, seed: int):
-    """``(starts, values)``: the ten best of ``samples`` seeded unit vectors, best first.
-
-    The forms are ``einsum("ki,ki->k", c.conj(), c @ N.T)``, a matrix product and a row
-    sum: 43 us against 105 for :func:`form_values` on 4096 rows at r = 2 (Xeon vCPU).
-    """
+    """``(starts, values)``: the ten best of ``samples`` seeded unit vectors, best first."""
     c_all = _sphere_samples(n_mat.shape[0], samples, seed)
-    c_conj = c_all.conj()
-    vals = np.abs(np.einsum("ki,ki->k", c_conj, c_all @ n_mat.T))
+    vals = np.abs(form_values(n_mat, c_all))
     if objective == "dw":  # sqrt(|c* N c|^2 + (c* G c)^2)
-        vals = np.sqrt(vals ** 2 + np.einsum("ki,ki->k", c_conj, c_all @ gram.T).real ** 2)
+        vals = np.sqrt(vals ** 2 + form_values(gram, c_all).real ** 2)
     order = np.argsort(vals)
     picks = order[:10] if objective == "crawford" else order[::-1][:10]
     return c_all[picks], vals[picks]

@@ -14,9 +14,10 @@ problems, the pencils the kernel solves, the matrices of its ``eigh`` and
 ``eigvalsh`` calls (stacked ones counted per matrix), and its arc-end solves, the
 ``eigh`` matrices outside the Newton polish; then the ``eigvalsh`` and ``eigh``
 matrices of the lambda-real search (``bounds._lambda_real_search``: its samples
-and its Newton steps); last the evaluations of ``_optim.eig_jet``, by the kernel's
-polish and the lambda-real search, at an eigenvalue whose cluster has more than one
-member. Other eigensolves (the oracle's, the other bounds') are not counted.
+and its Newton steps) and its calls of ``_optim.eig_jet``; last the evaluations of
+``_optim.eig_jet``, by the kernel's polish and the lambda-real search, at an
+eigenvalue whose cluster has more than one member. Other eigensolves (the oracle's,
+the other bounds') are not counted.
 ``tests/test_bench_api.py`` runs :func:`kernel_work` on seed 1.
 """
 
@@ -31,7 +32,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parent.parent
 WORKLOADS = ("catalog-lowrank", "catalog-highrank", "pair-blocks")
 COLUMNS = ("calls", "problems", "pencils", "eigh", "eigvalsh", "arc_end", "lreal_eigvalsh",
-           "lreal_eigh", "multi_cluster")
+           "lreal_eigh", "lreal_jets", "multi_cluster")
 
 
 def install_counters(counts: dict, patch=setattr) -> None:
@@ -71,6 +72,7 @@ def install_counters(counts: dict, patch=setattr) -> None:
             state["lreal"] = False
 
     def counted_jet(lam, *args):
+        counts["lreal_jets"] += state["lreal"]
         counts["multi_cluster"] += cluster_size(lam, args[-1]) > 1
         return jet(lam, *args)
 
@@ -90,9 +92,7 @@ def install_counters(counts: dict, patch=setattr) -> None:
             return solve(a, *args, **kw)
         return wrapped
 
-    # rotated_eig_max reaches the stack through _optim's global, the memo through radii's
-    for owner in (_optim, radii):
-        patch(owner, "rotated_eig_max_stack", counted_kernel)
+    patch(radii, "rotated_eig_max_stack", counted_kernel)
     patch(_optim, "newton_max_lockstep", counted_polish)
     patch(_optim, "pencil_eigvals", counted_pencil)
     patch(bounds, "_lambda_real_search", counted_search)

@@ -259,21 +259,16 @@ def lambda_complex_members(n_mat: np.ndarray, lambda_grid) -> np.ndarray:
 
 def hook_kernel(monkeypatch, record) -> None:
     """Call ``record(problems)`` with the problems of each kernel call of :mod:`semidw.radii`:
-    the memo's stacked calls and the single calls of ``numrange_distance``, which give a
-    list of one. A problem is ``(N, index, shift)``, or ``(N, index, shift, start)`` with
-    a start angle (the slices of a dw bracket)."""
+    the memo's stacked calls and the stacks of one of ``numrange_distance``. A problem is
+    ``(N, index, shift)``, or ``(N, index, shift, start)`` with a start angle (the slices
+    of a dw bracket)."""
     from semidw import radii
 
     def stacked(problems, _kernel=radii.rotated_eig_max_stack):
         record(list(problems))
         return _kernel(problems)
 
-    def single(n_mat, index, shift=None, _kernel=radii.rotated_eig_max):
-        record([(n_mat, index, shift)])
-        return _kernel(n_mat, index, shift)
-
     monkeypatch.setattr(radii, "rotated_eig_max_stack", stacked)
-    monkeypatch.setattr(radii, "rotated_eig_max", single)
 
 
 def opening_lines(n_mat: np.ndarray) -> list:

@@ -4,7 +4,8 @@ A source change that breaks one of these calls fails every benchmark run.
 These checks only read ``bench/``: its traced names, its two in-process
 operations on the first tiny instance, its CLI argument lists, and the work of the
 level-set kernel and of the lambda-real search on one pattern cycle of the library
-workloads (``tests/count_kernel_work.py``).
+workloads (``tests/count_kernel_work.py``), and the digests of the outputs on them
+(``tests/output_digest.py``).
 """
 
 import importlib
@@ -67,5 +68,19 @@ def test_bench_traffic_solves_one_pencil_per_problem_and_no_arc_end(monkeypatch)
         assert row["arc_end"] == 0, (workload, row)
         assert row["multi_cluster"] == 0, (workload, row)
     # the lambda-real search solves 558 eigvalsh matrices here, where the 360-angle grid
-    # it replaced solved 2,880
+    # it replaced solved 2,880; its Newton steps take one jet per eigh matrix, that of
+    # the active branch of the matrix's norm
     assert work["catalog-highrank"]["lreal_eigvalsh"] <= 720, work["catalog-highrank"]
+    for workload, row in work.items():
+        assert row["lreal_jets"] == row["lreal_eigh"], (workload, row)
+
+
+def test_output_digests_repeat(monkeypatch):
+    # every output family of tests/output_digest.py hashes the same on a second run in
+    # the same process, past every cache the first run filled
+    from output_digest import output_digests
+
+    first = output_digests([1], monkeypatch.setattr)
+    assert first == output_digests([1], monkeypatch.setattr)
+    assert {"verify", "pair", "exact", "compute", "block oracle", "cli verify"} <= set(first)
+    assert all(count for count, _ in first.values()), first

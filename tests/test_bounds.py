@@ -154,7 +154,7 @@ def test_lower_crawford_runs_no_kernel_on_abs_sq(monkeypatch):
     m = random_metric(rng, 4, 3)
     t = random_bounded_operator(rng, m)
     n_mat = compress(m, t)
-    short_cut = radii._inner_zero(n_mat, *_Memo().run(radii._start_support, n_mat)) is not None
+    short_cut = radii._inner_zero(n_mat, *radii._start_support(n_mat)) is not None
     sd.lower_crawford(m, t, reference=1.0)
     want = [(-1, n_mat.tobytes())] + [(0, n_mat.tobytes())] * (not short_cut)
     assert sorted(calls) == sorted(want)
@@ -1068,7 +1068,6 @@ def test_prefetch_solves_the_problems_and_pencils_of_core_by_core(monkeypatch):
             _fill(memo, [pair])
 
     monkeypatch.setattr(_optim, "pencil_eigvals", counted_pencils)
-    monkeypatch.setattr(_optim, "rotated_eig_max_stack", stacked)
     monkeypatch.setattr(radii, "rotated_eig_max_stack", stacked)
     rng = np.random.default_rng(29)
     for m in _seeded_metrics():

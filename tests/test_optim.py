@@ -9,8 +9,8 @@ import pytest
 import scipy.linalg
 
 from semidw import _optim
-from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_max,
-                           rotated_eig_max_stack, rotated_herm)
+from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_max_stack,
+                           rotated_herm)
 from semidw.radii import _crawford_core, _Memo, _w_core
 
 from helpers import refine_periodic_max
@@ -19,6 +19,11 @@ from helpers import refine_periodic_max
 #: plus golden-section refinement of its three best local maxima
 DENSE_GRID = 100_000
 COARSE_GRID = 4096
+
+
+def _kernel(n_mat, index, shift=None):
+    """The kernel's ``(theta, value, evals, lam, vecs)`` of one problem: its stack of one."""
+    return rotated_eig_max_stack([(n_mat, index, shift)])[0]
 
 
 def _families(rng, r):
@@ -70,7 +75,7 @@ def test_kernel_matches_dense_grid(r):
             ref = _reference(n_mat, shift, r)
             for index in (0, -1):
                 label = (name, index, shift is not None)
-                theta, value, *_ = rotated_eig_max(n_mat, index, shift)
+                theta, value, *_ = _kernel(n_mat, index, shift)
                 refined, grid_max, size = ref[index]
                 assert value >= refined - 1e-13 * scale, label
                 attained = np.linalg.eigvalsh(rotated_herm(n_mat, theta)
@@ -107,7 +112,7 @@ def test_kernel_pencil_count(monkeypatch):
             for shift in (None, gram_herm(n_mat)):
                 for index in (0, -1):
                     calls.clear()
-                    rotated_eig_max(n_mat, index, shift)
+                    _kernel(n_mat, index, shift)
                     total += len(calls)
                     if index == -1 and name in ("random", "triangular", "tall", "flat"):
                         assert len(calls) == 1, (r, name, shift is not None)
@@ -126,14 +131,14 @@ def test_newton_polish_alone_reaches_maximum(r, monkeypatch):
                 # a double eigenvalue at a kink of index 0: the cluster mean's step is
                 # kept only where the eigenvalue rises, with no division by a zero gap
                 for index in (0, -1):
-                    rotated_eig_max(n_mat, index, shift)
+                    _kernel(n_mat, index, shift)
                 continue
             if name not in ("random", "triangular", "tall", "flat", "nilpotent", "scalar"):
                 continue
             label = (name, shift is not None)
             scale = 1.0 + np.linalg.norm(n_mat, 2) + (0.0 if shift is None
                                                       else np.linalg.norm(shift, 2))
-            theta, value, *_ = rotated_eig_max(n_mat, -1, shift)
+            theta, value, *_ = _kernel(n_mat, -1, shift)
             assert value >= _reference(n_mat, shift, r)[-1][0] - 1e-13 * scale, label
             attained = np.linalg.eigvalsh(rotated_herm(n_mat, theta)
                                           + (0.0 if shift is None else shift))[-1]
@@ -154,7 +159,7 @@ def test_scalar_kernel_solves_one_pencil(monkeypatch):
             for index in (0, -1):
                 label = (r, shift is not None, index)
                 calls.clear()
-                value = rotated_eig_max(n_mat, index, shift)[1]
+                value = _kernel(n_mat, index, shift)[1]
                 assert len(calls) == 1, label
                 assert abs(value - peak) <= 4.0 * np.finfo(float).eps * (1.0 + abs(value)), label
 
@@ -198,23 +203,6 @@ def _pencil(n_mat, gamma, shift=None):
             np.block([[eye, zero], [zero, n_mat]]))
 
 
-def _pencil_cases():
-    """Pencils of the ``_families`` at levels below, inside and above their angle maxima."""
-    for r in (1, 2, 3, 5, 8):
-        rng = np.random.default_rng(200 + r)
-        for name, n_mat in _families(rng, r):
-            for shift in (None, gram_herm(n_mat)):
-                top = rotated_eig_max(n_mat, -1, shift)[1]
-                for gamma in (-0.5 * top, 0.5 * top, top, 1.25 * top + 1.0):
-                    yield (name, r, gamma), *_pencil(n_mat, gamma, shift)
-    real = np.random.default_rng(7).standard_normal((4, 4))
-    yield ("real dtype", 4, 0.9), *_pencil(real, 0.9)
-    yield ("real nilpotent", 4, 0.3), *_pencil(np.triu(real, 1), 0.3)
-    flat = np.array([[0.0, 1.0], [0.0, 0.0]])
-    for n_mat in (flat, flat.astype(complex)):
-        yield ("flat", 2, 0.5), *_pencil(n_mat, 0.5)
-
-
 #: the two ``ggev`` bindings of :func:`pencil_eigvals`, by the factory of their closure
 _BINDINGS = {"openblas": "_openblas_ggev", "flapack": "_flapack_ggev"}
 
@@ -235,11 +223,24 @@ def binding(request, monkeypatch):
 
 
 def test_pencil_eigvals_match_scipy_bit_for_bit(binding):
-    for label, a_mat, b_mat in _pencil_cases():
-        got = pencil_eigvals(a_mat, b_mat)
-        want = scipy.linalg.eigvals(a_mat, b_mat)
-        assert got.dtype == want.dtype, label
-        assert got.tobytes() == want.tobytes(), label
+    # the finite eigenvalues of scipy, in its order, of a pencil with infinite ones
+    # (singular N: beta = 0), of a singular pencil (alpha = beta = 0, scipy's nan) and of
+    # a regular one, each real (dggev) and complex (zggev)
+    real = np.random.default_rng(7).standard_normal((4, 4))
+    cases = {"singular N": (_pencil(np.triu(real, 1), 0.3), lambda z: np.isinf(z).any()),
+             "0/0": (_pencil(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5),
+                     lambda z: np.isnan(z).any()),
+             "regular": (_pencil(real, 0.9), lambda z: np.isfinite(z).all())}
+    for name, (pencil, is_case) in cases.items():
+        for dtype in (float, complex):
+            a_mat, b_mat = (m.astype(dtype) for m in pencil)
+            got = pencil_eigvals(a_mat, b_mat)
+            want = scipy.linalg.eigvals(a_mat, b_mat)
+            label = (name, dtype)
+            assert is_case(want), label
+            want = want[np.isfinite(want)]
+            assert got.dtype == want.dtype and want.size, label
+            assert got.tobytes() == want.tobytes(), label
 
 
 def test_kernel_pencil_is_the_block_pencil(monkeypatch):
@@ -273,9 +274,9 @@ def test_kernel_pencil_is_the_block_pencil(monkeypatch):
 
             for index in (0, -1):
                 monkeypatch.setattr(_optim, "pencil_eigvals", check)
-                got = rotated_eig_max(n_mat, index, shift)
+                got = _kernel(n_mat, index, shift)
                 monkeypatch.setattr(_optim, "pencil_eigvals", block_built)
-                want = rotated_eig_max(n_mat, index, shift)
+                want = _kernel(n_mat, index, shift)
                 for x, y in zip(got, want):
                     assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (name, index)
             solved += len(pencils)
@@ -287,8 +288,7 @@ def test_kernel_pencil_is_the_block_pencil(monkeypatch):
 def test_pencil_flat_has_no_finite_unimodular_eigenvalue():
     # at gamma = 1/2 every angle of the flat N crosses: the pencil is singular
     z = pencil_eigvals(*_pencil(np.array([[0.0, 1.0], [0.0, 0.0]]), 0.5))
-    z = z[np.isfinite(z)]
-    assert not np.any(np.abs(np.abs(z) - 1.0) <= _optim.UNIMODULAR_TOL)
+    assert np.isfinite(z).all() and not np.any(np.abs(np.abs(z) - 1.0) <= _optim.UNIMODULAR_TOL)
 
 
 def _failing_openblas(routine):
@@ -325,7 +325,7 @@ def test_pencil_failure_raises(binding, monkeypatch):
         with pytest.raises(np.linalg.LinAlgError, match="info=1"):
             pencil_eigvals(*_pencil(n, 1.0))
         with pytest.raises(np.linalg.LinAlgError):
-            rotated_eig_max(n, -1)
+            _kernel(n, -1)
 
 
 def test_pencil_rejects_other_shapes(binding):
@@ -425,10 +425,10 @@ def test_newton_lockstep_known_maxima_and_refused_steps():
             visits[k].append(x)
         return np.array([cases[k][0](x) for x, k in zip(xs.tolist(), ks)]).T
 
-    theta, value, evals = _optim.newton_max_lockstep(np.array([c[1] for c in cases]), f, step_max)
-    # one call per step, over a shrinking set of the searches; evals counts their angles
+    theta, value = _optim.newton_max_lockstep(np.array([c[1] for c in cases]), f, step_max)
+    # one call per step, over a shrinking set of the searches
     assert calls[0] == list(range(len(cases))) and 1 < len(calls) <= _optim.NEWTON_STEPS + 1
-    assert evals == sum(map(len, calls)) == sum(map(len, visits))
+    assert sum(map(len, calls)) == sum(map(len, visits))
     assert all(set(later) <= set(earlier) for earlier, later in zip(calls, calls[1:]))
     for k, (func, start, argmax, top) in enumerate(cases):
         # every value is attained at its angle; every kept step is within step_max
@@ -446,15 +446,15 @@ def test_newton_lockstep_known_maxima_and_refused_steps():
 
 
 def test_kernel_zero_matrix():
-    assert rotated_eig_max(np.zeros((3, 3), dtype=complex), -1)[:3] == (0.0, 0.0, 0)
-    theta, value, *_ = rotated_eig_max(np.zeros((2, 2), dtype=complex), 0, np.diag([2.0, 5.0]))
+    assert _kernel(np.zeros((3, 3), dtype=complex), -1)[:3] == (0.0, 0.0, 0)
+    theta, value, *_ = _kernel(np.zeros((2, 2), dtype=complex), 0, np.diag([2.0, 5.0]))
     assert value == pytest.approx(2.0, rel=1e-15)
 
 
 def _check_eigenpairs(n_mat, index, shift, label):
     """The kernel's ``lam, vecs`` are the eigenpairs of f(theta) at its returned angle."""
     r = n_mat.shape[0]
-    theta, value, _, lam, vecs = rotated_eig_max(n_mat, index, shift)
+    theta, value, _, lam, vecs = _kernel(n_mat, index, shift)
     f_mat = rotated_herm(n_mat, theta) + (0.0 if shift is None else shift)
     scale = 1.0 + np.linalg.norm(n_mat, 2) + (0.0 if shift is None else np.linalg.norm(shift, 2))
     assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(r)) <= 1e-13 * max(r, 1), label
@@ -544,7 +544,7 @@ def test_kernel_evals_count_its_eigensolves(monkeypatch):
     extra = []
     for label, n_mat, index, shift in _family_calls():
         solves.clear()
-        evals = rotated_eig_max(n_mat, index, shift)[2]
+        evals = _kernel(n_mat, index, shift)[2]
         extra.append(sum(count for kind, count, _ in solves if kind != "pencil") - evals)
     assert len(extra) == 260 and set(extra) == {0}
 
@@ -559,7 +559,7 @@ def test_kernel_solves_no_arc_end_for_a_rounding_rise(monkeypatch):
     one_pencil = 0
     for label, n_mat, index, shift in _family_calls():
         solves.clear()
-        rotated_eig_max(n_mat, index, shift)
+        _kernel(n_mat, index, shift)
         pencils = sum(kind == "pencil" for kind, _, _ in solves)
         ends = [count for kind, count, polish in solves if kind == "eigh" and not polish]
         assert len(ends) == max(pencils - 1, 0), (label, pencils, ends)
@@ -575,7 +575,7 @@ def test_kernel_flat_nilpotent_solves_one_pencil(monkeypatch):
         n_mat = np.array([[0.0, a], [0.0, 0.0]], dtype=complex)
         for index in (0, -1):
             solves.clear()
-            theta, value, evals, *_ = rotated_eig_max(n_mat, index)
+            theta, value, evals, *_ = _kernel(n_mat, index)
             top = abs(a) / 2.0
             assert value == pytest.approx(top if index == -1 else -top, rel=1e-15)
             assert [kind for kind, _, polish in solves if not polish] == ["eigvalsh", "pencil"]
@@ -593,9 +593,9 @@ def test_w_core_solves_no_eigh_outside_the_kernel(monkeypatch):
         counts["all"] += 1
         return _eigh(a, *args, **kw)
 
-    def counted_kernel(*args, _kernel=radii.rotated_eig_max_stack):
+    def counted_kernel(*args, _stack=radii.rotated_eig_max_stack):
         before = counts["all"]
-        out = _kernel(*args)
+        out = _stack(*args)
         counts["kernel"] += counts["all"] - before
         return out
 
@@ -651,7 +651,7 @@ def test_stack_is_its_stacks_of_one_bit_for_bit(r, monkeypatch):
     rng = np.random.default_rng(400 + r)
     problems = _stack_problems(rng, r)
     pencils = _counted_pencils(monkeypatch)
-    singles = [rotated_eig_max(*problem) for problem in problems]
+    singles = [_kernel(*problem) for problem in problems]
     single_pencils = len(pencils)
     pencils.clear()
     stacked = rotated_eig_max_stack(problems)
@@ -687,7 +687,7 @@ def test_stack_runs_in_lockstep(monkeypatch):
         stacked = list(solves)
         solves.clear()
         for problem in problems:
-            rotated_eig_max(*problem)
+            _kernel(*problem)
         assert stacked[0] == _optim.START_ANGLES * len(problems)
         assert 3 * len(stacked) < len(solves), (r, len(stacked), len(solves))
 

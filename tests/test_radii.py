@@ -162,7 +162,7 @@ def test_crawford_witness_attains_value():
 
 
 def _takes_short_cut(n_mat):
-    return radii._inner_zero(n_mat, *_Memo().run(radii._start_support, n_mat)) is not None
+    return radii._inner_zero(n_mat, *radii._start_support(n_mat)) is not None
 
 
 def _kernel_counted(monkeypatch):
@@ -180,6 +180,35 @@ def _interior_zero_cases():
 
 def _form_scale(c, n_mat):
     return abs(np.vdot(c, n_mat @ c)) / np.linalg.norm(n_mat, 2)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="no extended precision for the exact forms")
+def test_form_rounding_is_within_a_quarter_of_the_enclose_margin():
+    # form_values and other summation orders (the three-operand einsum, permuted
+    # coordinates) of unit rows, the start tops among them, stay within
+    # 2 r eps ||N||_F ||c||^2 of the extended-precision form: a quarter of the margin
+    rng = np.random.default_rng(12)
+    eps = np.finfo(float).eps
+    worst = 0.0
+    for r in (2, 3, 5, 8, 16, 32):
+        for graded in (False, True):
+            n_mat = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+            if graded:
+                n_mat *= np.logspace(0.0, -12.0, r)[:, None] * np.logspace(0.0, -6.0, r)
+            c = rng.standard_normal((64, r)) + 1j * rng.standard_normal((64, r))
+            c = np.concatenate([c / np.linalg.norm(c, axis=1, keepdims=True),
+                                radii._start_support(n_mat)[0]])
+            c_ext, n_ext = c.astype(np.clongdouble), n_mat.astype(np.clongdouble)
+            exact = np.einsum("ki,ki->k", c_ext.conj(), c_ext @ n_ext.T)
+            perm = rng.permutation(r)
+            bound = 2 * r * eps * np.linalg.norm(n_mat) * np.linalg.norm(c, axis=1) ** 2
+            for forms in (_optim.form_values(n_mat, c),
+                          np.einsum("ki,ij,kj->k", c.conj(), n_mat, c),
+                          _optim.form_values(n_mat[perm][:, perm], c[:, perm])):
+                worst = max(worst, float((np.abs(forms - exact) / bound).max()))
+    assert 0.0 < worst <= 1.0, worst
+    assert 4 * 2 <= radii.ENCLOSE_ULPS
 
 
 def test_crawford_short_cut_runs_no_kernel(monkeypatch):
