@@ -9,7 +9,7 @@ which stays smooth where the eigenvalue is multiple; :func:`pencil_eigvals` is t
 kernel's QZ solve, of which it keeps the finite eigenvalues. It calls
 LAPACK's ``ggev`` in the OpenBLAS that numpy's wheel bundles, which ``import numpy``
 has already mapped, so the package loads no scipy module and no second BLAS; where
-numpy bundles none (a system-LAPACK or MKL build), in scipy's f2py ``_flapack``.
+numpy bundles none (Accelerate, MKL or system LAPACK), in scipy's f2py ``_flapack``.
 """
 
 from __future__ import annotations
@@ -161,8 +161,8 @@ def _load_ggev():
             pass
     flapack = _load_flapack()
     if flapack is None:
-        raise ImportError("semidw needs LAPACK's ggev: found neither numpy's bundled OpenBLAS "
-                          "(libscipy_openblas64_) nor scipy's scipy.linalg._flapack")
+        raise ImportError("semidw needs LAPACK's ggev: numpy bundles no libscipy_openblas64_ "
+                          "and scipy.linalg._flapack is missing; pip install scipy")
     return _flapack_ggev(flapack.zggev, flapack.dggev)
 
 
@@ -170,18 +170,19 @@ _GGEV = _load_ggev()
 
 
 def pencil_eigvals(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
-    """The finite eigenvalues ``alpha / beta`` (``beta != 0``) of the pencil ``(A, B)``, in
-    LAPACK's order: bit for bit the finite ones of ``scipy.linalg.eigvals(A, B)``.
+    """The finite eigenvalues ``alpha / beta`` of the pencil ``(A, B)``, in LAPACK's order:
+    bit for bit the finite ones of ``scipy.linalg.eigvals(A, B)``.
 
     One LAPACK ``ggev`` call without eigenvectors (``zggev``, ``dggev`` for real
     pencils), through :data:`_GGEV`: the ILP64 ``scipy_?ggev_64_`` of the OpenBLAS in
     numpy's wheel, called by ctypes, or else scipy's f2py ``_flapack``. Its workspace
     is sized by one ``lwork = -1`` query per order, with eigenvectors, as scipy does
     on every call: the size sets the blocking, so a smaller one could change the
-    result. The infinite eigenvalues (``beta = 0``, singular B) and the
-    indeterminate ones (``alpha = beta = 0``, a singular pencil) are left out. Raises
-    ``ValueError`` unless A and B are square of one order, and ``LinAlgError`` when QZ
-    fails.
+    result. The infinite eigenvalues (``beta = 0``, singular B), the indeterminate
+    ones (``alpha = beta = 0``, a singular pencil) and any quotient that overflows
+    (a rounding-level ``beta``: numpy's complex division takes ``1 / beta``) are left
+    out, without a warning. Raises ``ValueError`` unless A and B are square of one
+    order, and ``LinAlgError`` when QZ fails.
     """
     if a_mat.shape != b_mat.shape or a_mat.shape != a_mat.shape[:1] * 2:
         # the ctypes binding's copy would broadcast them, and f2py's dggev takes a B too big
@@ -190,8 +191,9 @@ def pencil_eigvals(a_mat: np.ndarray, b_mat: np.ndarray) -> np.ndarray:
     alpha, beta, info = _GGEV(a_mat, b_mat, np.iscomplexobj(a_mat) or np.iscomplexobj(b_mat))
     if info != 0:
         raise np.linalg.LinAlgError(f"generalized eig algorithm (ggev) failed (LAPACK info={info})")
-    finite = beta != 0
-    return alpha[finite] / beta[finite]
+    with np.errstate(all="ignore"):  # beta = 0, or one so small that 1 / beta overflows
+        z = alpha / beta
+    return z[np.isfinite(z)]
 
 
 #: equispaced angles whose best value is the first level of :func:`rotated_eig_max_stack`

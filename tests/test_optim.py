@@ -1,5 +1,6 @@
 """The level-set angle kernel against dense angle grids, and its stack sizes."""
 
+import json
 import os
 import subprocess
 import sys
@@ -8,10 +9,12 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from semidw import _optim
+from semidw import _optim, jsonio
 from semidw._optim import (gram_herm, herm_parts, pencil_eigvals, rotated_eig_max_stack,
                            rotated_herm)
+from semidw.cli import main
 from semidw.radii import _crawford_core, _Memo, _w_core
+from semidw.sampling import random_bounded_operator, random_metric
 
 from helpers import refine_periodic_max
 
@@ -243,6 +246,35 @@ def test_pencil_eigvals_match_scipy_bit_for_bit(binding):
             assert got.tobytes() == want.tobytes(), label
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_pencil_eigvals_drop_overflowing_quotients(monkeypatch):
+    # a rounding-level beta: numpy's complex division takes 1 / beta, which overflows to
+    # inf + nan j with an overflow and an invalid-value warning; the root is dropped quietly
+    for beta in (np.array([1e-310, 1.0]), np.array([1e-310, 1.0]) + 0j):
+        monkeypatch.setattr(_optim, "_GGEV", lambda a_mat, b_mat, cplx, beta=beta:
+                            (np.array([1.0, 0.5]) + 0j, beta, 0))
+        assert pencil_eigvals(np.eye(2), np.eye(2)).tolist() == [0.5]
+
+
+def test_kernel_reads_no_crossing_at_a_nonfinite_root(monkeypatch):
+    # a root 1 / 1e-310 added to every level's pencil is no crossing: the kernel's output
+    # is bit for bit that of the pencils without it
+    ggev = _optim._GGEV
+
+    def with_overflowing_root(a_mat, b_mat, cplx):
+        alpha, beta, info = ggev(a_mat, b_mat, cplx)
+        return np.append(alpha, 1.0), np.append(beta, 1e-310), info
+
+    cases = [(name, n_mat, shift, index) for r in (1, 2, 3)
+             for name, n_mat in _families(np.random.default_rng(400 + r), r)
+             for shift in (None, gram_herm(n_mat)) for index in (0, -1)]
+    want = [_kernel(n_mat, index, shift) for _, n_mat, shift, index in cases]
+    monkeypatch.setattr(_optim, "_GGEV", with_overflowing_root)
+    for (name, n_mat, shift, index), want_out in zip(cases, want):
+        for x, y in zip(_kernel(n_mat, index, shift), want_out):
+            assert np.asarray(x).tobytes() == np.asarray(y).tobytes(), (name, index)
+
+
 def test_kernel_pencil_is_the_block_pencil(monkeypatch):
     # every pencil the kernel solves is, in dtype and byte for byte, the np.block pencil of
     # its scaled N and K and its level corner; rebuilt that way, the output is unchanged
@@ -362,11 +394,56 @@ def test_import_works_without_scipy():
     assert float(proc.stdout) == pytest.approx(0.5, rel=1e-14)
 
 
+#: the CLI runs of :func:`test_cli_output_is_the_same_without_scipy`, ``{dir}`` their folder
+_CLI_RUNS = {
+    "compute": ["compute", "--metric", "{dir}/a.json", "--operator", "{dir}/x.json"],
+    "verify": ["verify", "--metric", "{dir}/a.json", "--operator", "{dir}/x.json"],
+    "verify-pair": ["verify", "--metric", "{dir}/a.json", "--operator", "{dir}/x.json",
+                    "--operator2", "{dir}/y.json"],
+    "exact": ["exact", "--metric", "{dir}/a.json", "--operator", "{dir}/x.json"],
+    "remark-repro": ["remark-repro"],
+    "suite": ["suite", "--verify-count", "2", "--exact-count", "2", "--invariance-count", "2"],
+}
+
+
+@pytest.mark.skipif(_optim._numpy_openblas() is None,
+                    reason="numpy bundles no libscipy_openblas64_")
+def test_cli_output_is_the_same_without_scipy(tmp_path):
+    # with scipy hidden, every semidw module imports and each CLI command writes the JSON
+    # of a run with scipy importable, byte for byte: nothing in the package needs scipy
+    rng = np.random.default_rng(36)
+    m = random_metric(rng, 3, 2)
+    for tag, mat in (("a", m.a), ("x", random_bounded_operator(rng, m)),
+                     ("y", random_bounded_operator(rng, m))):
+        (tmp_path / f"{tag}.json").write_text(json.dumps(jsonio.matrix_to_dict(mat)))
+
+    def argv(name: str, mode: str) -> list[str]:
+        return ([arg.format(dir=tmp_path) for arg in _CLI_RUNS[name]]
+                + ["--format", "json", "--out", str(tmp_path / f"{mode}-{name}.json")])
+
+    hidden = [argv(name, "hidden") for name in _CLI_RUNS]
+    proc = _run_probe("import importlib, pkgutil, sys\nsys.modules['scipy'] = None\n"
+                      "import semidw\n"
+                      "for mod in pkgutil.iter_modules(semidw.__path__, 'semidw.'):\n"
+                      "    importlib.import_module(mod.name)\n"
+                      "from semidw.cli import main\n"
+                      f"print(*[main(args) for args in {hidden!r}])\n"
+                      "print(*sorted(k for k in sys.modules if k.startswith('scipy.')))")
+    assert proc.returncode == 0, proc.stderr
+    codes, scipy_modules = proc.stdout.split("\n")[:2]
+    assert scipy_modules == ""
+    assert codes.split() == [str(main(argv(name, "normal"))) for name in _CLI_RUNS]
+    for name in _CLI_RUNS:
+        normal = (tmp_path / f"normal-{name}.json").read_bytes()
+        assert (tmp_path / f"hidden-{name}.json").read_bytes() == normal, name
+
+
 def test_no_lapack_raises_import_error_naming_both(monkeypatch):
     monkeypatch.setattr(_optim, "_numpy_openblas", lambda: None)
     monkeypatch.setitem(sys.modules, "scipy", None)
     monkeypatch.delitem(sys.modules, "scipy.linalg._flapack", raising=False)
-    with pytest.raises(ImportError, match="libscipy_openblas64_.*scipy.linalg._flapack"):
+    with pytest.raises(ImportError, match="libscipy_openblas64_.*scipy.linalg._flapack.*"
+                                          "pip install scipy"):
         _optim._load_ggev()
 
 
